@@ -1,6 +1,6 @@
-//! The static-analysis CI gate, in the mold of `bench_gate`: run the
-//! project-invariant rules over the workspace, compare against the
-//! checked-in baseline, and fail on any non-baselined finding.
+//! The static-analysis CI gate: run the project-invariant rules over the
+//! workspace, compare against the checked-in baseline, and fail on any
+//! non-baselined finding.
 //!
 //! Usage:
 //!   analysis_gate [--root DIR] [--format text|json] [--out FILE]

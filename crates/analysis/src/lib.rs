@@ -23,9 +23,9 @@
 //! — feeding the rules ([`rules`]). Findings ([`report`]) are suppressible
 //! per site with `// vstore-lint: allow(rule)` comments and per repo via a
 //! checked-in baseline (`analysis_baseline.json`), so the gate lands
-//! strict without blocking on a full cleanup. Like `bench_gate`, the crate
-//! is std-only and dependency-free: it must build before — and regardless
-//! of — everything it checks.
+//! strict without blocking on a full cleanup. The crate is std-only and
+//! dependency-free: it must build before — and regardless of — everything
+//! it checks.
 
 pub mod lockgraph;
 pub mod report;

@@ -1,9 +1,8 @@
 //! # vstore-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see the index in `DESIGN.md` and the results in
-//! `EXPERIMENTS.md`), plus Criterion microbenchmarks of the hot kernels in
-//! `benches/`.
+//! evaluation, plus `e2e_bench` (`src/bin/e2e_bench/`, with its own
+//! README), the workspace's one timing harness.
 //!
 //! This library holds the helpers the experiment binaries share: standard
 //! profiler/engine construction, the paper's consumer set, and plain-text

@@ -8,14 +8,13 @@
 //! behaviour.
 
 use crate::frame::{sampling_selects, VideoFrame};
-use serde::{Deserialize, Serialize};
 use vstore_datasets::{BlockPlane, SceneObject};
 use vstore_types::{
     cast, Fidelity, FrameSampling, KeyframeInterval, Result, SpeedStep, VStoreError,
 };
 
 /// One encoded frame (keyframe or delta frame).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedFrame {
     /// Index in the original 30 fps stream.
     pub source_index: u64,
@@ -28,14 +27,15 @@ pub struct EncodedFrame {
     /// Run-length encoded payload: raw samples for keyframes, wrapping
     /// deltas against the previous frame for delta frames.
     pub payload: Vec<u8>,
-    /// Side-band object metadata (see `DESIGN.md`).
+    /// Side-band object metadata: the ground-truth boxes the
+    /// object-recognition operators detect from.
     pub objects: Vec<SceneObject>,
     /// Compound signal retention of the encoded frame.
     pub signal_retention: f64,
 }
 
 /// A GOP: one keyframe followed by delta frames.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedChunk {
     /// Frames of the chunk; the first is always a keyframe.
     pub frames: Vec<EncodedFrame>,
@@ -59,7 +59,7 @@ impl EncodedChunk {
 }
 
 /// An encoded video segment: a sequence of GOPs at one storage fidelity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedSegment {
     /// Fidelity of the stored frames.
     pub fidelity: Fidelity,

@@ -7,7 +7,6 @@ use crate::codec::{
 };
 use crate::frame::{sampling_selects, VideoFrame};
 use crate::wire::{ByteReader, ByteWriter};
-use serde::{Deserialize, Serialize};
 use vstore_datasets::{BlockPlane, BoundingBox, ObjectClass, ObjectColor, PlateText, SceneObject};
 use vstore_types::{
     cast, CodingOption, CropFactor, Fidelity, FrameSampling, ImageQuality, KeyframeInterval,
@@ -18,7 +17,7 @@ use vstore_types::{
 const MAGIC: &[u8; 6] = b"VSSEG1";
 
 /// A RAW (coding-bypass) segment: frames stored as uncompressed planes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawSegment {
     /// Fidelity of the stored frames.
     pub fidelity: Fidelity,
@@ -27,7 +26,7 @@ pub struct RawSegment {
 }
 
 /// The unit of storage: one 8-second segment in one storage format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SegmentData {
     /// An encoded bitstream.
     Encoded(EncodedSegment),

@@ -7,12 +7,11 @@
 //! retrieval-time conversion (CF fidelity); the richer-than partial order
 //! guarantees it is only ever applied "downhill".
 
-use serde::{Deserialize, Serialize};
 use vstore_datasets::{BlockPlane, SceneFrame, SceneObject};
 use vstore_types::{cast, Fidelity, Result, VStoreError};
 
 /// A frame materialised at a specific fidelity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoFrame {
     /// Index of the frame in the original 30 fps stream.
     pub source_index: u64,

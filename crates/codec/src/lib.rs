@@ -9,8 +9,8 @@
 //! entropy coding), so compression ratios, GOP skipping and RAW bypass are
 //! real behaviours, not constants. Throughput numbers reported by
 //! experiments, however, come from the calibrated
-//! [`CodingCostModel`](vstore_sim::CodingCostModel) — see `DESIGN.md` for the
-//! substitution rationale.
+//! [`CodingCostModel`](vstore_sim::CodingCostModel) — see "Substitutions" in
+//! the repository README for the rationale.
 //!
 //! ## Data flow
 //!

@@ -1,11 +1,12 @@
 //! Minimal binary wire format helpers used by the segment container.
 //!
-//! The approved dependency list contains `serde` but no serialisation format
-//! crate, so the container hand-rolls a small, explicit little-endian format
-//! with these helpers. Every reader method returns a typed error instead of
-//! panicking so corrupt on-disk data surfaces as
-//! [`VStoreError::Corruption`].
+//! The workspace has no serialisation dependency, so the container
+//! hand-rolls a small, explicit little-endian format with these helpers.
+//! Every reader method returns a typed error instead of panicking so
+//! corrupt on-disk data surfaces as [`VStoreError::Corruption`].
 
+/// The CRC-32 that guards stored records (the workspace's one copy).
+pub use vstore_types::crc32;
 use vstore_types::{cast, Result, VStoreError};
 
 /// An append-only byte writer.
@@ -220,19 +221,6 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// A simple CRC-32 (IEEE polynomial, bitwise) used to guard stored records.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,9 +311,10 @@ mod tests {
         assert!(matches!(err, VStoreError::Corruption(_)));
     }
 
+    /// `crc32` is a re-export: this pins that the path the container, the
+    /// sidecars and the bench reach it by is still the IEEE CRC-32.
     #[test]
     fn crc32_known_vector_and_sensitivity() {
-        // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_ne!(crc32(b"123456780"), crc32(b"123456789"));
         assert_eq!(crc32(b""), 0);

@@ -19,14 +19,13 @@
 //! the RAW bypass when no encoded option is fast enough.
 
 use crate::cf_search::DerivedCf;
-use serde::{Deserialize, Serialize};
 use vstore_profiler::Profiler;
 use vstore_types::{
     ByteSize, CodingOption, CodingSpace, Fidelity, Result, Speed, StorageFormat, VStoreError,
 };
 
 /// How the coalescing pair is selected each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoalesceStrategy {
     /// Free merges first, then smallest-storage-increase merges (§4.3).
     Heuristic,

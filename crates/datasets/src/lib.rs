@@ -21,7 +21,8 @@
 //! is what the `vstore-codec` crate actually compresses and what pixel-level
 //! operators (Diff, Motion, Contour, Opflow) actually process; object-level
 //! operators use the ground-truth boxes through a fidelity-dependent
-//! detection model. See `DESIGN.md` for the substitution rationale.
+//! detection model. See "Substitutions" in the repository README for the
+//! rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

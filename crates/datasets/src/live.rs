@@ -21,7 +21,6 @@
 
 use crate::scene::SceneFrame;
 use crate::source::VideoSource;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 use std::ops::Range;
 use vstore_sim::VirtualClock;
@@ -30,7 +29,7 @@ use vstore_types::{Result, VStoreError};
 /// How a simulated camera's offered load varies over virtual time. All
 /// profiles are closed-form integrals — no RNG, no drift — so the segment
 /// schedule is a pure function of the clock reading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadProfile {
     /// A constant offered rate.
     Steady {

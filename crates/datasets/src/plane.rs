@@ -5,14 +5,13 @@
 //! degradation (resize/crop) transforms it, and pixel-level operators
 //! (Diff, Motion, Contour, Opflow) compute over it.
 
-use serde::{Deserialize, Serialize};
 use vstore_types::{CropFactor, Resolution};
 
 /// Pixels per block along each axis.
 pub const BLOCK_PIXELS: u32 = 8;
 
 /// A coarse luma raster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPlane {
     width: u32,
     height: u32,

@@ -1,11 +1,10 @@
 //! Content profiles of the six benchmark datasets (§6.1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The six videos used in the paper's evaluation plus a synthetic custom
 /// profile for tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dataset {
     /// Surveillance camera at Jackson Town Square (moderate traffic).
     Jackson,
@@ -130,7 +129,7 @@ impl fmt::Display for Dataset {
 }
 
 /// Content parameters of one synthetic dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetProfile {
     /// Seed for the deterministic generator.
     pub seed: u64,

@@ -2,13 +2,12 @@
 //! attributes, plus the frame type bundling objects with the block plane.
 
 use crate::plane::BlockPlane;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vstore_types::{CropFactor, Resolution};
 
 /// A normalised bounding box: coordinates and extents in `[0, 1]` relative to
 /// the full (uncropped) frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Left edge.
     pub x: f32,
@@ -57,7 +56,7 @@ impl BoundingBox {
 }
 
 /// The colour of an object, used by the Color operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectColor {
     /// Red.
     Red,
@@ -118,7 +117,7 @@ impl fmt::Display for ObjectColor {
 }
 
 /// A licence plate string (seven characters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlateText(pub [u8; 7]);
 
 impl PlateText {
@@ -158,7 +157,7 @@ impl fmt::Display for PlateText {
 }
 
 /// The class of a scene object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectClass {
     /// A vehicle, possibly carrying a readable licence plate.
     Vehicle {
@@ -179,7 +178,7 @@ impl ObjectClass {
 }
 
 /// A ground-truth object present in a frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneObject {
     /// Stable identity of the object across the frames it appears in.
     pub id: u64,
@@ -218,7 +217,7 @@ impl SceneObject {
 }
 
 /// A generated frame: the block plane plus exact object ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneFrame {
     /// Frame index within the stream (30 fps).
     pub index: u64,

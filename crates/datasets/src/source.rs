@@ -7,7 +7,6 @@
 use crate::plane::BlockPlane;
 use crate::profile::{Dataset, DatasetProfile};
 use crate::scene::{BoundingBox, ObjectClass, ObjectColor, PlateText, SceneFrame, SceneObject};
-use serde::{Deserialize, Serialize};
 use vstore_sim::DeterministicHasher;
 use vstore_types::Resolution;
 
@@ -21,7 +20,7 @@ pub const SEGMENT_SECONDS: u32 = 8;
 pub const SEGMENT_FRAMES: u32 = FRAME_RATE * SEGMENT_SECONDS;
 
 /// A deterministic synthetic video stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoSource {
     name: String,
     profile: DatasetProfile,

@@ -1,9 +1,8 @@
 //! The shared hand-rolled JSON writer.
 //!
-//! Every machine-readable surface in the workspace — the metrics
-//! snapshot, the Chrome trace export, the facade's `StatsReport::to_json`
-//! — renders through these helpers so escaping and number formatting stay
-//! identical everywhere. [`validate`] is a minimal recursive-descent
+//! Both machine-readable surfaces of the store — the metrics snapshot
+//! and the Chrome trace export — render through these helpers so escaping
+//! and number formatting stay identical everywhere. [`validate`] is a minimal recursive-descent
 //! parser used by tests to prove an emitted document is well-formed
 //! without pulling in a JSON dependency.
 

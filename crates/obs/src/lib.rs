@@ -28,8 +28,7 @@
 //!   ([`MetricsSnapshot::to_json`]).
 //!
 //! The [`json`] module is the shared hand-rolled JSON writer (and a
-//! minimal validator for tests) both surfaces — and the facade's
-//! `StatsReport::to_json` — render through.
+//! minimal validator for tests) both surfaces render through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,12 +8,11 @@
 //! e.g. the full NN consumes ~4× realtime on rich 600p input while the
 //! motion detector exceeds 20 000× on 144p at 1/30 sampling.
 
-use serde::{Deserialize, Serialize};
 use vstore_sim::MachineSpec;
 use vstore_types::{Fidelity, OperatorKind, Speed};
 
 /// Per-operator execution cost constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorCost {
     /// Fixed per-frame setup seconds on the reference execution unit (one
     /// GPU for the NoScope operators, one CPU core for the ALPR operators).
@@ -97,7 +96,7 @@ pub fn selectivity_prior(kind: OperatorKind) -> f64 {
 
 /// The consumption cost model, parameterised by the machine running the
 /// operators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsumptionCostModel {
     machine: MachineSpec,
 }

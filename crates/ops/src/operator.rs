@@ -1,12 +1,11 @@
 //! The operator interface and its output types.
 
-use serde::{Deserialize, Serialize};
 use vstore_codec::VideoFrame;
 use vstore_datasets::{ObjectColor, PlateText};
 use vstore_types::OperatorKind;
 
 /// A single detection emitted by an operator for one frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Detection {
     /// A generic object of interest (S-NN / NN).
     Object {
@@ -67,7 +66,7 @@ impl Detection {
 }
 
 /// The result of running an operator on one frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameResult {
     /// Source index of the frame (in the original 30 fps stream).
     pub source_index: u64,
@@ -79,7 +78,7 @@ pub struct FrameResult {
 }
 
 /// The result of running an operator over a clip.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OperatorOutput {
     /// Per-frame results, in frame order, one per *consumed* frame.
     pub frames: Vec<FrameResult>,

@@ -8,10 +8,9 @@
 //! label the frames they skipped.
 
 use crate::operator::OperatorOutput;
-use serde::{Deserialize, Serialize};
 
 /// Precision/recall/F1 report of one operator run against a reference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreReport {
     /// True positives.
     pub tp: usize,

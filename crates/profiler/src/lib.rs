@@ -18,7 +18,7 @@
 //! Operator accuracy is *measured* by running the real operator library over
 //! a 10-second profiling clip at the candidate fidelity and scoring it
 //! against the ingestion-fidelity run; speeds and sizes come from the
-//! calibrated cost models (see `DESIGN.md`).
+//! calibrated cost models (see "Substitutions" in the repository README).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,5 @@
 //! Query cascades (Figure 2 of the paper).
 
-use serde::{Deserialize, Serialize};
 use vstore_types::{AccuracyLevel, Consumer, OperatorKind};
 
 /// The operator cascade of query A (car detection): Diff filters out similar
@@ -22,7 +21,7 @@ pub const STAGE_B: [OperatorKind; 3] = [
 ];
 
 /// A query: an operator cascade run at one target accuracy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpec {
     /// Human-readable name ("A", "B", …).
     pub name: String,

@@ -19,7 +19,6 @@
 //!   formats in real time.
 
 use crate::machine::MachineSpec;
-use serde::{Deserialize, Serialize};
 use vstore_types::{
     ByteSize, CodingOption, Fidelity, FrameSampling, ImageQuality, KeyframeInterval, Speed,
     SpeedStep, StorageFormat,
@@ -29,7 +28,7 @@ use vstore_types::{
 pub const RAW_BYTES_PER_PIXEL: f64 = 1.5;
 
 /// The calibrated coding cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodingCostModel {
     /// The machine whose decoder/disk figures bound retrieval.
     pub machine: MachineSpec,

@@ -19,8 +19,7 @@
 //!   back-pressured subsystem (serve requests, tier migrations, live
 //!   ingest).
 //!
-//! See `DESIGN.md` ("Substitutions") for why each model exists and how it was
-//! calibrated.
+//! See "Substitutions" in the repository README for why each model exists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +35,6 @@ pub mod sync;
 pub use coding_cost::CodingCostModel;
 pub use hash::DeterministicHasher;
 pub use machine::MachineSpec;
-pub use pool::{catch_panic, panic_message, scoped_map, scoped_map_static, PanicPayload};
+pub use pool::{catch_panic, panic_message, scoped_map, PanicPayload};
 pub use queue::{BoundedQueue, PushError};
 pub use resources::{ResourceKind, ResourceUsage, VirtualClock};

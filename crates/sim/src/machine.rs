@@ -6,10 +6,8 @@
 //! platform — transcoding bandwidth, decode bandwidth, disk bandwidth, core
 //! count — so the machine model captures exactly those.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate hardware capabilities used by cost models and budget checks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineSpec {
     /// Number of physical CPU cores available to VStore.
     pub cpu_cores: u32,

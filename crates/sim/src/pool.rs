@@ -52,8 +52,8 @@ pub fn panic_message(payload: &PanicPayload) -> &str {
     }
 }
 
-/// Apply `f` to every item, using up to `workers` threads, returning the
-/// results in input order.
+/// Apply `f` to every item, using up to `workers` threads (the calling
+/// thread is one of them), returning the results in input order.
 ///
 /// With `workers <= 1` (or fewer than two items) the items are processed on
 /// the calling thread in order — the exact sequential path. A panic in `f`
@@ -118,89 +118,30 @@ where
         }
         None
     };
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let next_task = &next_task;
-            let tasks = &tasks;
-            let results = &results;
-            let first_panic = &first_panic;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(i) = next_task(w) {
-                    // vstore-lint: allow(no-unwrap) — next_task hands out each index once
-                    let item = tasks[i].lock().take().expect("task claimed twice");
-                    match catch_panic(|| f(i, item)) {
-                        Ok(result) => *results[i].lock() = Some(result),
-                        Err(payload) => {
-                            let mut slot = first_panic.lock();
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
+    let work = |w: usize| {
+        while let Some(i) = next_task(w) {
+            // vstore-lint: allow(no-unwrap) — next_task hands out each index once
+            let item = tasks[i].lock().take().expect("task claimed twice");
+            match catch_panic(|| f(i, item)) {
+                Ok(result) => *results[i].lock() = Some(result),
+                Err(payload) => {
+                    let mut slot = first_panic.lock();
+                    if slot.is_none() {
+                        *slot = Some(payload);
                     }
                 }
-            });
+            }
         }
-    });
-    if let Some(payload) = first_panic.into_inner() {
-        std::panic::resume_unwind(payload);
-    }
-    results
-        .into_iter()
-        .map(|slot| {
-            // Scoped workers fill every slot or propagate their panic.
-            slot.into_inner()
-                .expect("worker died before finishing task") // vstore-lint: allow(no-unwrap)
-        })
-        .collect()
-}
-
-/// [`scoped_map`] with **static contiguous chunking** and no stealing:
-/// worker `w` processes exactly the items `[w·n/W, (w+1)·n/W)` to
-/// completion, however imbalanced their costs turn out to be.
-///
-/// This is the classic parallel-map layout `scoped_map` used to reduce to
-/// under perfectly uniform items — kept as the baseline the pool-scaling
-/// benchmark compares the work-stealing pool against (an imbalanced item
-/// mix convoys on the slowest chunk here, while `scoped_map` redistributes
-/// it). Same contracts as `scoped_map`: input-order results, identical
-/// results at every worker count, and drain-then-unwind panic propagation.
-pub fn scoped_map_static<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.min(n).max(1);
-    if workers <= 1 || n <= 1 {
-        return scoped_map(items, 1, f);
-    }
-    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let first_panic: Mutex<Option<PanicPayload>> = Mutex::new(None);
+    };
+    // The calling thread is worker 0: it would otherwise sleep through the
+    // batch, and every thread not spawned is one wake-up the batch does
+    // not wait on (a prefetch window of two spawns one thread, not two).
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tasks = &tasks;
-            let results = &results;
-            let first_panic = &first_panic;
-            let f = &f;
-            scope.spawn(move || {
-                for i in w * n / workers..(w + 1) * n / workers {
-                    // vstore-lint: allow(no-unwrap) — the static ranges partition 0..n
-                    let item = tasks[i].lock().take().expect("task claimed twice");
-                    match catch_panic(|| f(i, item)) {
-                        Ok(result) => *results[i].lock() = Some(result),
-                        Err(payload) => {
-                            let mut slot = first_panic.lock();
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
-                    }
-                }
-            });
+        for w in 1..workers {
+            let work = &work;
+            scope.spawn(move || work(w));
         }
+        work(0);
     });
     if let Some(payload) = first_panic.into_inner() {
         std::panic::resume_unwind(payload);
@@ -328,40 +269,24 @@ mod tests {
         assert_eq!(out, vec!["0a", "1b", "2c"]);
     }
 
-    /// The static baseline obeys the same contracts as the stealing pool:
-    /// input-order results, every item exactly once, identical output at
-    /// every worker count.
+    /// The calling thread works the batch as worker 0 instead of sleeping
+    /// through it: with two workers only one thread is spawned. Each of the
+    /// two items waits for the other to start, so they run on two threads
+    /// at once, and item 0 (the front of worker 0's deque) on the caller.
     #[test]
-    fn static_chunking_matches_stealing_pool() {
-        let items: Vec<u64> = (0..97).collect();
-        let stealing = scoped_map(items.clone(), 4, |i, x| x.wrapping_mul(31) ^ i as u64);
-        for workers in [1, 3, 4, 16] {
-            let calls = AtomicUsize::new(0);
-            let chunked = scoped_map_static(items.clone(), workers, |i, x| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                x.wrapping_mul(31) ^ i as u64
-            });
-            assert_eq!(chunked, stealing, "workers={workers}");
-            assert_eq!(calls.load(Ordering::Relaxed), items.len());
-        }
-    }
-
-    /// Drain-then-unwind extends to the static baseline too.
-    #[test]
-    fn static_chunking_drains_on_panic() {
-        let processed = AtomicUsize::new(0);
-        let outcome = catch_panic(|| {
-            scoped_map_static((0..16).collect::<Vec<usize>>(), 4, |_, x| {
-                if x == 9 {
-                    panic!("boom at {x}");
-                }
-                processed.fetch_add(1, Ordering::Relaxed);
-                x
-            })
+    fn calling_thread_is_one_of_the_workers() {
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let ran_on = scoped_map(vec![0, 1], 2, |i, _| {
+            started[i].store(true, Ordering::Release);
+            while !started[1 - i].load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
         });
-        let payload = outcome.expect_err("the batch panic must propagate");
-        assert_eq!(panic_message(&payload), "boom at 9");
-        assert_eq!(processed.load(Ordering::Relaxed), 15);
+        assert_eq!(ran_on[0], caller);
+        assert_ne!(ran_on[1], caller);
     }
 
     /// Work stealing actually redistributes an imbalanced batch: when one

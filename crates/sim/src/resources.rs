@@ -7,14 +7,13 @@
 //! of measuring wall-clock time.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use vstore_types::{ByteSize, CoreSeconds, Speed, VideoSeconds};
 
 /// The resource types tracked by the ledger (Figure 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceKind {
     /// CPU seconds spent transcoding at ingestion.
     TranscodeCpu,
@@ -72,7 +71,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// An immutable snapshot of accumulated resource usage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceUsage {
     seconds: BTreeMap<ResourceKind, f64>,
     bytes: BTreeMap<ResourceKind, u64>,

@@ -1,6 +1,5 @@
 //! Segment keys: `(stream, storage format, segment index)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vstore_types::{cast, FormatId, Result, VStoreError};
 
@@ -9,7 +8,7 @@ use vstore_types::{cast, FormatId, Result, VStoreError};
 /// Keys order by `(stream, format, segment_index)`, so a range scan over one
 /// `(stream, format)` pair returns segments in time order — the access
 /// pattern of query execution.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentKey {
     /// The ingested stream this segment belongs to.
     pub stream: String,

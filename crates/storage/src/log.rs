@@ -48,24 +48,13 @@ pub struct LogRecord {
 /// really are that long, so the CRC can never cover silently truncated
 /// length fields.
 fn record_crc(flags: u8, klen: u32, vlen: u32, key: &[u8], value: &[u8]) -> u32 {
-    // Reuse the same polynomial as the codec's wire module, implemented
-    // locally to avoid a dependency edge from storage to codec.
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut feed = |data: &[u8]| {
-        for &byte in data {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    };
-    feed(&[flags]);
-    feed(&klen.to_le_bytes());
-    feed(&vlen.to_le_bytes());
-    feed(key);
-    feed(value);
-    !crc
+    vstore_types::crc32_parts(&[
+        &[flags],
+        &klen.to_le_bytes(),
+        &vlen.to_le_bytes(),
+        key,
+        value,
+    ])
 }
 
 /// On-disk size of a record with the given key/value lengths.
@@ -330,6 +319,15 @@ mod tests {
             let (_, _) = log.append(b"key-a", b"", true).unwrap();
             log.sync().unwrap();
             assert_eq!(off2, off1 + len1);
+
+            // Golden: the frame of the first record, byte for byte as every
+            // earlier commit wrote it (magic, flags, klen, vlen, key, value,
+            // CRC-32 0x922785F8) — logs on disk must keep opening.
+            let golden = [
+                0x47, 0x4C, 0x53, 0x56, 0x00, 0x05, 0, 0, 0, 0x07, 0, 0, 0, b'k', b'e', b'y', b'-',
+                b'a', b'v', b'a', b'l', b'u', b'e', b'-', b'a', 0xF8, 0x85, 0x27, 0x92,
+            ];
+            assert_eq!(backend.read_at(log.name(), off1, len1).unwrap(), golden);
 
             let records = LogFile::scan(backend.as_ref(), log.name()).unwrap();
             assert_eq!(records.len(), 3);

@@ -160,19 +160,6 @@ impl<'a> ManifestReader<'a> {
     }
 }
 
-/// CRC32 (the value-log polynomial) over one chunk.
-fn chunk_crc(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 struct ColdInner {
     device: Arc<dyn StorageBackend>,
     manifest: Mutex<Manifest>,
@@ -197,7 +184,7 @@ impl ColdInner {
             refs.push(ChunkRef {
                 object: seq,
                 len: piece.len() as u64,
-                crc: chunk_crc(piece),
+                crc: vstore_types::crc32(piece),
             });
         }
         Ok(refs)
@@ -222,7 +209,7 @@ impl ColdInner {
         let data = self
             .device
             .read_at(&Self::object_name(chunk.object), 0, chunk.len)?;
-        if chunk_crc(&data) != chunk.crc {
+        if vstore_types::crc32(&data) != chunk.crc {
             return Err(VStoreError::corruption(format!(
                 "cold object {} failed its checksum",
                 Self::object_name(chunk.object)

@@ -7,13 +7,12 @@ use crate::error::{Result, VStoreError};
 use crate::fidelity::Fidelity;
 use crate::format::{ConsumptionFormat, FormatId, StorageFormat};
 use crate::units::{Fraction, Speed};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The binding of one consumer to its consumption format and, downstream,
 /// to the storage format the consumption format subscribes to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Subscription {
     /// The consumer this subscription serves.
     pub consumer: Consumer,
@@ -33,7 +32,7 @@ pub struct Subscription {
 
 /// One age step of the erosion plan: for a given video age (in days), the
 /// cumulative fraction of segments deleted from each storage format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErosionStep {
     /// Video age in days (1 = youngest full day).
     pub age_days: u32,
@@ -51,7 +50,7 @@ impl ErosionStep {
 }
 
 /// The age-based data erosion plan (§4.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErosionPlan {
     /// The decay factor `k` of the power-law target
     /// `P(x) = (1 − Pmin)·x^(−k) + Pmin`.
@@ -109,7 +108,7 @@ pub fn power_law_target(decay_factor: f64, p_min: f64, age_days: u32) -> f64 {
 
 /// A complete VStore configuration: the global set of video formats plus the
 /// per-consumer subscriptions and the erosion plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
     /// All storage formats, keyed by id. Always contains
     /// [`FormatId::GOLDEN`].

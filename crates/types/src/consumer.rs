@@ -1,10 +1,9 @@
 //! Consumers: `<operator, target accuracy>` tuples (§2.2, §4.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operator library supported by VStore (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OperatorKind {
     /// Frame difference detector — filters out frames similar to their
     /// predecessor (NoScope's early filter).
@@ -87,7 +86,7 @@ impl fmt::Display for OperatorKind {
 /// A target accuracy level, expressed as an F1 score in `(0, 1]`.
 ///
 /// Stored in thousandths so the type is `Eq + Hash` and can key maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccuracyLevel(u16);
 
 /// The accuracy levels declared by the system admin in the paper's
@@ -126,7 +125,7 @@ impl fmt::Display for AccuracyLevel {
 ///
 /// VStore tracks the whole set of `<operator, accuracy>` tuples as consumers
 /// and derives one consumption format per consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Consumer {
     /// The operator.
     pub op: OperatorKind,

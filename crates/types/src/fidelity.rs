@@ -1,13 +1,12 @@
 //! Fidelity options and the *richer-than* partial order (§2.3 of the paper).
 
 use crate::knobs::{CropFactor, FrameSampling, ImageQuality, Resolution};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A point in the 4-D fidelity space `F`:
 /// image quality × crop factor × resolution × frame sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fidelity {
     /// Image (compression) quality.
     pub quality: ImageQuality,

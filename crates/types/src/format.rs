@@ -2,12 +2,11 @@
 
 use crate::fidelity::Fidelity;
 use crate::knobs::{KeyframeInterval, SpeedStep};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A coding option `c`: either a real encode (speed step + keyframe
 /// interval) or the *coding bypass* that stores raw frames on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodingOption {
     /// Store raw (uncompressed) frames; extremely cheap to retrieve, very
     /// expensive to store.
@@ -78,7 +77,7 @@ impl fmt::Display for CodingOption {
 
 /// A consumption format `CF⟨f⟩`: the fidelity of the raw frame sequence
 /// supplied to a consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConsumptionFormat {
     /// Fidelity of the supplied frames.
     pub fidelity: Fidelity,
@@ -99,7 +98,7 @@ impl fmt::Display for ConsumptionFormat {
 
 /// A storage format `SF⟨f, c⟩`: the fidelity and coding of an on-disk video
 /// version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StorageFormat {
     /// Fidelity of the stored video version.
     pub fidelity: Fidelity,
@@ -135,7 +134,7 @@ impl fmt::Display for StorageFormat {
 ///
 /// `FormatId(0)` is reserved for the *golden* format by convention
 /// ([`FormatId::GOLDEN`]); derived formats are numbered from 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FormatId(pub u32);
 
 impl FormatId {

@@ -7,7 +7,6 @@
 //!   order and by distance-based coalescing;
 //! * a human-readable label matching the paper's notation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Image quality, i.e. the quantisation aggressiveness of the encoder.
@@ -15,7 +14,7 @@ use std::fmt;
 /// Maps to x264 CRF values 50 / 40 / 23 / 0 in the paper. Quality affects
 /// accuracy and storage size but — observation **O2** — not the consumption
 /// cost of operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ImageQuality {
     /// CRF 50 — heaviest quantisation, smallest output, worst visual quality.
     Worst,
@@ -88,7 +87,7 @@ impl fmt::Display for ImageQuality {
 }
 
 /// Crop factor: the centred fraction of the frame area retained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CropFactor {
     /// Keep the central 50 % of the frame.
     C50,
@@ -142,7 +141,7 @@ impl fmt::Display for CropFactor {
 }
 
 /// Output resolution. The paper uses ten values from 60×60 up to 720p.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resolution {
     /// 60×60.
     R60,
@@ -258,7 +257,7 @@ impl fmt::Display for Resolution {
 ///
 /// Table 1 lists `1/30, 1/5, 1/2, 2/3, 1`; the worked examples of the paper
 /// (Figure 8 and Table 3) use `1/6` as the second value, which we follow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FrameSampling {
     /// One frame out of every thirty (1 fps at a 30 fps source).
     S1_30,
@@ -341,7 +340,7 @@ impl fmt::Display for FrameSampling {
 /// Slower steps spend more cycles searching for redundancy and therefore
 /// produce smaller files; faster steps trade size for throughput
 /// (Figure 3(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpeedStep {
     /// x264 `veryslow`: smallest output, slowest encode.
     Slowest,
@@ -409,7 +408,7 @@ impl fmt::Display for SpeedStep {
 ///
 /// Smaller intervals let a sparsely-sampling consumer skip whole chunks while
 /// decoding (Figure 3(b)) at the expense of a larger encoded size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KeyframeInterval {
     /// A keyframe every 5 frames.
     K5,

@@ -30,6 +30,7 @@
 pub mod cast;
 pub mod config;
 pub mod consumer;
+pub mod crc;
 pub mod error;
 pub mod fidelity;
 pub mod format;
@@ -44,6 +45,7 @@ pub mod units;
 
 pub use config::{power_law_target, Configuration, ErosionPlan, ErosionStep, Subscription};
 pub use consumer::{AccuracyLevel, Consumer, OperatorKind, DEFAULT_ACCURACY_LEVELS};
+pub use crc::{crc32, crc32_parts};
 pub use error::{Result, VStoreError};
 pub use fidelity::{Fidelity, Richness};
 pub use format::{CodingOption, ConsumptionFormat, FormatId, StorageFormat};

@@ -14,7 +14,6 @@
 use crate::runtime::available_workers;
 use crate::serve::{QueueFullPolicy, DEFAULT_QUEUE_DEPTH};
 use crate::{Result, VStoreError};
-use serde::{Deserialize, Serialize};
 
 /// Queue depth (in segments) per degradation step: with the default the
 /// ladder steps one level down for every 8 segments of backlog, so a camera
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_MAX_LAG_SEGMENTS: usize = 8;
 
 /// Options of one live ingestor, passed to `VStore::live_ingest`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveIngestOptions {
     /// Background transcode workers draining the segment queue through the
     /// ingestion pipeline. Defaults to the host's available cores.

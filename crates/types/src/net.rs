@@ -11,7 +11,6 @@
 
 use crate::runtime::available_workers;
 use crate::{Result, VStoreError};
-use serde::{Deserialize, Serialize};
 
 /// Default cap on a declared frame length. Large enough for any response
 /// the store produces today (the biggest payload is a query result's
@@ -32,7 +31,7 @@ pub const DEFAULT_BATCH_MAX_DELAY_US: u64 = 200;
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
 /// Options of one socket front end, passed to `VStore::serve_net`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetOptions {
     /// Event-loop threads multiplexing the accepted connections. Each loop
     /// owns its connections outright (no cross-loop locking on the hot

@@ -10,10 +10,9 @@
 //! changes results, only wall-clock time.
 
 use crate::{Result, VStoreError};
-use serde::{Deserialize, Serialize};
 
 /// Parallelism configuration for a VStore instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Number of independent segment-store shards. Each shard owns its own
     /// index, log-file set, roll-over and compaction; keys are routed by

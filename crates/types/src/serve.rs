@@ -10,10 +10,9 @@
 
 use crate::runtime::available_workers;
 use crate::{Result, VStoreError};
-use serde::{Deserialize, Serialize};
 
 /// What the server does with a new request when its bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueFullPolicy {
     /// Shed the request: `submit` returns [`VStoreError::Busy`] immediately
     /// and the request is never executed. Memory use stays bounded no matter
@@ -26,7 +25,7 @@ pub enum QueueFullPolicy {
 }
 
 /// Options of one serving front end, passed to `VStore::serve`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Worker threads draining the request queue, each driving its own
     /// cloned `VStore` handle. Defaults to the host's available cores

@@ -7,14 +7,13 @@ use crate::format::CodingOption;
 use crate::knobs::{
     CropFactor, FrameSampling, ImageQuality, KeyframeInterval, Resolution, SpeedStep,
 };
-use serde::{Deserialize, Serialize};
 
 /// The 4-D fidelity space `F = quality × crop × resolution × sampling`.
 ///
 /// A space may be restricted (e.g. profiling on a subset of resolutions) by
 /// constructing it with explicit axis values; [`FidelitySpace::full`] is the
 /// complete 600-option space of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FidelitySpace {
     /// Admissible image-quality values, ascending richness.
     pub qualities: Vec<ImageQuality>,
@@ -127,7 +126,7 @@ impl Default for FidelitySpace {
 }
 
 /// The coding space `C`: 25 encoded options plus the RAW bypass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodingSpace {
     /// Admissible keyframe intervals.
     pub keyframe_intervals: Vec<KeyframeInterval>,

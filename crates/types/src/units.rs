@@ -5,7 +5,6 @@
 //! storage as bytes (or GB/day per stream), and ingestion as CPU cores (or
 //! CPU-core-seconds per video-second).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -13,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// Processing speed expressed as a multiple of video realtime.
 ///
 /// `Speed(362.0)` means one second of video is processed in `1/362` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Speed(pub f64);
 
 impl Speed {
@@ -79,9 +78,7 @@ impl fmt::Display for Speed {
 }
 
 /// A byte count (storage cost).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
@@ -187,7 +184,7 @@ impl fmt::Display for ByteSize {
 ///
 /// Dividing by the wall-clock duration gives the number of busy cores
 /// (the paper's "CPU utilisation %": 100 % = one core).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CoreSeconds(pub f64);
 
 impl CoreSeconds {
@@ -252,7 +249,7 @@ impl fmt::Display for CoreSeconds {
 }
 
 /// A duration of video content in seconds (as opposed to wall-clock time).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct VideoSeconds(pub f64);
 
 impl VideoSeconds {
@@ -290,7 +287,7 @@ impl fmt::Display for VideoSeconds {
 }
 
 /// A fraction in `[0, 1]`, used for erosion plans and selectivities.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fraction(f64);
 
 impl Fraction {

@@ -318,14 +318,14 @@ struct VStoreInner {
     clock: VirtualClock,
     /// Serving front ends started through [`VStore::serve`];
     /// [`VStore::stats_report`] folds them in.
-    serving: RwLock<ServeRegistry>,
+    serving: RwLock<ProbeRegistry<vstore_serve::ServeProbe>>,
     /// Live ingestors started through [`VStore::live_ingest`];
     /// [`VStore::stats_report`] folds them in.
-    live: RwLock<LiveRegistry>,
+    live: RwLock<ProbeRegistry<LiveProbe>>,
     /// Socket front ends started through [`VStore::serve_net`];
     /// [`VStore::stats_report`] folds them in (the inner request-layer
     /// probes live in `serving`).
-    net: RwLock<NetRegistry>,
+    net: RwLock<ProbeRegistry<NetProbe>>,
     /// The request tracer: hands out trace contexts to serve front ends
     /// and in-process request builders, and owns the bounded trace rings.
     /// Off by default — `begin` is one relaxed atomic load.
@@ -337,112 +337,104 @@ struct VStoreInner {
     metrics: MetricsRegistry,
 }
 
-/// The store's view of its serving front ends: live probes plus the folded
-/// final counters of servers that have shut down. Retiring dead probes
-/// keeps the registry bounded no matter how many `serve` calls the store's
-/// lifetime sees, while their request history stays in the report; a
-/// retired server's `workers`/`queue_capacity` are no longer provisioned,
-/// so only live servers contribute capacity.
-#[derive(Default)]
-struct ServeRegistry {
-    probes: Vec<vstore_serve::ServeProbe>,
-    retired: Option<ServeStats>,
+/// What [`ProbeRegistry`] needs from one kind of front-end probe (serve,
+/// net, live ingest): liveness, a stats snapshot, how snapshots merge, and
+/// which fields describe provisioned capacity rather than history.
+trait Probe {
+    type Stats: Clone + Default;
+    fn live(&self) -> bool;
+    fn snapshot(&self) -> Self::Stats;
+    fn accumulate(total: &mut Self::Stats, other: &Self::Stats);
+    /// Zero what a shut-down front end no longer provisions, so only its
+    /// history accumulates.
+    fn zero_capacity(finals: &mut Self::Stats);
 }
 
-impl ServeRegistry {
-    /// Fold every live probe plus the retired history into one aggregate
-    /// (`None` before the first `serve`), dropping probes of servers that
-    /// have shut down.
-    fn aggregate(&mut self) -> Option<ServeStats> {
-        self.probes.retain(|probe| {
-            if probe.is_live() {
-                return true;
-            }
-            let mut finals = probe.stats();
-            finals.workers = 0;
-            finals.queue_capacity = 0;
-            finals.queue_depth = 0;
-            self.retired
-                .get_or_insert_with(ServeStats::default)
-                .accumulate(&finals);
-            false
-        });
-        if self.probes.is_empty() && self.retired.is_none() {
-            return None;
-        }
-        let mut total = self.retired.clone().unwrap_or_default();
-        for probe in &self.probes {
-            total.accumulate(&probe.stats());
-        }
-        Some(total)
+impl Probe for vstore_serve::ServeProbe {
+    type Stats = ServeStats;
+    fn live(&self) -> bool {
+        self.is_live()
+    }
+    fn snapshot(&self) -> ServeStats {
+        self.stats()
+    }
+    fn accumulate(total: &mut ServeStats, other: &ServeStats) {
+        total.accumulate(other);
+    }
+    fn zero_capacity(finals: &mut ServeStats) {
+        finals.workers = 0;
+        finals.queue_capacity = 0;
+        finals.queue_depth = 0;
     }
 }
 
-/// The store's view of its live ingestors, mirroring [`ServeRegistry`]:
-/// live probes plus the folded final counters of ingestors that have shut
-/// down. A retired ingestor's provisioned capacity (workers, queue) and
-/// in-force degradation level are zeroed — only its history accumulates.
-#[derive(Default)]
-struct LiveRegistry {
-    probes: Vec<LiveProbe>,
-    retired: Option<LiveStats>,
-}
-
-impl LiveRegistry {
-    /// Fold every live probe plus the retired history into one aggregate
-    /// (`None` before the first `live_ingest`), dropping probes of
-    /// ingestors that have shut down.
-    fn aggregate(&mut self) -> Option<LiveStats> {
-        self.probes.retain(|probe| {
-            if probe.is_live() {
-                return true;
-            }
-            let mut finals = probe.stats();
-            finals.workers = 0;
-            finals.queue_capacity = 0;
-            finals.queue_depth = 0;
-            finals.current_level = 0;
-            self.retired
-                .get_or_insert_with(LiveStats::default)
-                .accumulate(&finals);
-            false
-        });
-        if self.probes.is_empty() && self.retired.is_none() {
-            return None;
-        }
-        let mut total = self.retired.clone().unwrap_or_default();
-        for probe in &self.probes {
-            total.accumulate(&probe.stats());
-        }
-        Some(total)
+impl Probe for NetProbe {
+    type Stats = NetStats;
+    fn live(&self) -> bool {
+        self.is_live()
+    }
+    fn snapshot(&self) -> NetStats {
+        self.stats()
+    }
+    fn accumulate(total: &mut NetStats, other: &NetStats) {
+        total.accumulate(other);
+    }
+    fn zero_capacity(finals: &mut NetStats) {
+        finals.event_loops = 0;
+        finals.active_connections = 0;
     }
 }
 
-/// The store's view of its socket front ends, mirroring [`ServeRegistry`]:
-/// live probes plus the folded final counters of front ends that have shut
-/// down. A retired front end's provisioned capacity (event loops, active
-/// connections) is zeroed — only its traffic history accumulates.
-#[derive(Default)]
-struct NetRegistry {
-    probes: Vec<NetProbe>,
-    retired: Option<NetStats>,
+impl Probe for LiveProbe {
+    type Stats = LiveStats;
+    fn live(&self) -> bool {
+        self.is_live()
+    }
+    fn snapshot(&self) -> LiveStats {
+        self.stats()
+    }
+    fn accumulate(total: &mut LiveStats, other: &LiveStats) {
+        total.accumulate(other);
+    }
+    fn zero_capacity(finals: &mut LiveStats) {
+        finals.workers = 0;
+        finals.queue_capacity = 0;
+        finals.queue_depth = 0;
+        finals.current_level = 0;
+    }
 }
 
-impl NetRegistry {
+/// The store's view of one kind of front end: live probes plus the folded
+/// final counters of front ends that have shut down. Retiring dead probes
+/// keeps the registry bounded no matter how many `serve` / `serve_net` /
+/// `live_ingest` calls the store's lifetime sees, while their request
+/// history stays in the report; only live front ends contribute capacity.
+struct ProbeRegistry<P: Probe> {
+    probes: Vec<P>,
+    retired: Option<P::Stats>,
+}
+
+impl<P: Probe> Default for ProbeRegistry<P> {
+    fn default() -> Self {
+        ProbeRegistry {
+            probes: Vec::new(),
+            retired: None,
+        }
+    }
+}
+
+impl<P: Probe> ProbeRegistry<P> {
     /// Fold every live probe plus the retired history into one aggregate
-    /// (`None` before the first `serve_net`), dropping probes of front
-    /// ends that have shut down.
-    fn aggregate(&mut self) -> Option<NetStats> {
+    /// (`None` before the first front end of this kind), dropping probes
+    /// of front ends that have shut down.
+    fn aggregate(&mut self) -> Option<P::Stats> {
         self.probes.retain(|probe| {
-            if probe.is_live() {
+            if probe.live() {
                 return true;
             }
-            let mut finals = probe.stats();
-            finals.event_loops = 0;
-            finals.active_connections = 0;
-            self.retired
-                .get_or_insert_with(NetStats::default)
-                .accumulate(&finals);
+            let mut finals = probe.snapshot();
+            P::zero_capacity(&mut finals);
+            P::accumulate(self.retired.get_or_insert_with(P::Stats::default), &finals);
             false
         });
         if self.probes.is_empty() && self.retired.is_none() {
@@ -450,7 +442,7 @@ impl NetRegistry {
         }
         let mut total = self.retired.clone().unwrap_or_default();
         for probe in &self.probes {
-            total.accumulate(&probe.stats());
+            P::accumulate(&mut total, &probe.snapshot());
         }
         Some(total)
     }
@@ -589,9 +581,9 @@ impl VStore {
                 query_planner: runtime.query_planner,
                 active: RwLock::new(ConfigSlot::default()),
                 clock,
-                serving: RwLock::new(ServeRegistry::default()),
-                live: RwLock::new(LiveRegistry::default()),
-                net: RwLock::new(NetRegistry::default()),
+                serving: RwLock::default(),
+                live: RwLock::default(),
+                net: RwLock::default(),
                 tracer,
                 metrics: MetricsRegistry::new(),
             }),
@@ -1180,6 +1172,84 @@ mod tests {
         assert_eq!(retired.queue_capacity, 0);
         assert_eq!(store.stats_report().serve.unwrap().completed, 1);
         std::fs::remove_dir_all(store.store_dir()).ok();
+    }
+
+    /// One `ProbeRegistry` backs all three front-end kinds: two of each,
+    /// started and shut down, leave their summed history in the report
+    /// with zeroed capacity, and the probe lists do not grow.
+    #[test]
+    fn shut_down_front_ends_of_every_kind_retire_into_summed_history() {
+        let store = VStore::open_temp(
+            "registry",
+            VStoreOptions::fast().with_backend(BackendOptions::Mem),
+        )
+        .unwrap();
+        store
+            .configure(&QuerySpec::query_a(0.8).consumers())
+            .unwrap();
+        let fresh = store.stats_report();
+        assert!(fresh.serve.is_none() && fresh.net.is_none() && fresh.live.is_none());
+
+        let source = VideoSource::new(Dataset::Jackson);
+        for round in 0..2u64 {
+            let server = store
+                .serve(ServeOptions::default().with_workers(2))
+                .unwrap();
+            server.connect().call(ServeRequest::LiveStats).unwrap();
+            let net = store
+                .serve_net(
+                    "127.0.0.1:0",
+                    NetOptions::default(),
+                    ServeOptions::default().with_workers(1),
+                )
+                .unwrap();
+            NetClient::connect(net.local_addr())
+                .unwrap()
+                .call(&ServeRequest::LiveStats)
+                .unwrap();
+            let live = store
+                .live_ingest(source.clone(), LiveIngestOptions::default())
+                .unwrap();
+            live.offer_range(round..round + 1).unwrap();
+
+            // While up, each front end contributes its capacity and holds
+            // exactly one probe (the socket front end also a serve probe).
+            let up = store.stats_report();
+            assert_eq!(up.serve.unwrap().workers, 3);
+            assert!(up.net.unwrap().event_loops >= 1);
+            assert!(up.live.unwrap().workers >= 1);
+            assert_eq!(store.inner.serving.read().probes.len(), 2);
+            assert_eq!(store.inner.net.read().probes.len(), 1);
+            assert_eq!(store.inner.live.read().probes.len(), 1);
+
+            server.shutdown();
+            net.shutdown();
+            live.shutdown();
+        }
+
+        let report = store.stats_report();
+        let serve = report.serve.clone().unwrap();
+        assert_eq!(serve.completed, 4, "two in-process + two socket pings");
+        assert_eq!(serve.live_stats_latency.count(), 4);
+        assert_eq!(
+            (serve.workers, serve.queue_capacity, serve.queue_depth),
+            (0, 0, 0)
+        );
+        let net = report.net.clone().unwrap();
+        assert_eq!((net.accepted, net.frames_in, net.frames_out), (2, 2, 2));
+        assert_eq!((net.event_loops, net.active_connections), (0, 0));
+        let live = report.live.clone().unwrap();
+        assert_eq!((live.accepted, live.completed), (2, 2));
+        assert_eq!(
+            (live.workers, live.queue_capacity, live.queue_depth),
+            (0, 0, 0)
+        );
+        assert_eq!(live.current_level, 0);
+        // Every probe was folded into `retired` exactly once.
+        assert!(store.inner.serving.read().probes.is_empty());
+        assert!(store.inner.net.read().probes.is_empty());
+        assert!(store.inner.live.read().probes.is_empty());
+        assert_eq!(store.stats_report(), report);
     }
 
     #[test]

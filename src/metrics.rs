@@ -1,6 +1,8 @@
 //! Facade-side observability wiring: the collectors that map every stats
-//! source into the store's [`MetricsRegistry`](vstore_obs::MetricsRegistry),
-//! and the stable machine-readable JSON rendering of [`StatsReport`].
+//! source into the store's [`MetricsRegistry`](vstore_obs::MetricsRegistry).
+//! [`MetricsSnapshot`](vstore_obs::MetricsSnapshot) is the store's only
+//! machine-readable stats export; [`StatsReport`](crate::StatsReport) is the
+//! typed in-process bundle.
 //!
 //! Ownership is deliberate. Component collectors (store, cache, tier,
 //! profiler, tracer) capture their component `Arc` directly: the registry
@@ -10,11 +12,9 @@
 //! collectors hold a [`Weak`] handle and collect nothing once the store is
 //! gone — a leaked boxed collector can never keep the store alive.
 
-use crate::{StatsReport, VStore, VStoreInner};
+use crate::{VStore, VStoreInner};
 use std::sync::{Arc, Weak};
-use vstore_obs::json;
 use vstore_obs::Metric;
-use vstore_serve::LatencyHistogram;
 use vstore_storage::CacheStats;
 
 /// Register every stats source of a freshly assembled store into its
@@ -427,289 +427,10 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// StatsReport JSON
-// ---------------------------------------------------------------------
-
-/// Append `"key": <uint>` with comma management.
-fn field_u64(out: &mut String, first: &mut bool, key: &str, value: u64) {
-    sep(out, first);
-    json::push_key(out, key);
-    out.push_str(&value.to_string());
-}
-
-/// Append `"key": <float>` with comma management.
-fn field_f64(out: &mut String, first: &mut bool, key: &str, value: f64) {
-    sep(out, first);
-    json::push_key(out, key);
-    json::push_f64(out, value);
-}
-
-/// Append the separator between object fields.
-fn sep(out: &mut String, first: &mut bool) {
-    if !*first {
-        out.push_str(", ");
-    }
-    *first = false;
-}
-
-/// Append a latency histogram as a compact summary object.
-fn field_hist(out: &mut String, first: &mut bool, key: &str, hist: &LatencyHistogram) {
-    sep(out, first);
-    json::push_key(out, key);
-    let (_, count, total_us, max_us) = hist.to_parts();
-    out.push('{');
-    let mut f = true;
-    field_u64(out, &mut f, "count", count);
-    field_u64(out, &mut f, "total_us", total_us);
-    field_u64(out, &mut f, "max_us", max_us);
-    field_u64(out, &mut f, "p50_us", hist.quantile_us(0.5));
-    field_u64(out, &mut f, "p99_us", hist.quantile_us(0.99));
-    out.push('}');
-}
-
-/// Append one StoreStats object (no key).
-fn push_store(out: &mut String, s: &crate::StoreStats) {
-    out.push('{');
-    let mut f = true;
-    field_u64(out, &mut f, "live_segments", s.live_segments as u64);
-    field_u64(out, &mut f, "live_bytes", s.live_bytes);
-    field_u64(out, &mut f, "disk_bytes", s.disk_bytes);
-    field_u64(out, &mut f, "log_files", s.log_files as u64);
-    field_u64(out, &mut f, "writes", s.writes);
-    field_u64(out, &mut f, "reads", s.reads);
-    out.push('}');
-}
-
-/// Append one CacheStats object (no key).
-fn push_cache(out: &mut String, c: &CacheStats) {
-    out.push('{');
-    let mut f = true;
-    field_u64(out, &mut f, "raw_hits", c.raw_hits);
-    field_u64(out, &mut f, "raw_misses", c.raw_misses);
-    field_u64(out, &mut f, "raw_evictions", c.raw_evictions);
-    field_u64(out, &mut f, "raw_resident_bytes", c.raw_resident_bytes);
-    field_u64(out, &mut f, "decoded_hits", c.decoded_hits);
-    field_u64(out, &mut f, "decoded_misses", c.decoded_misses);
-    field_u64(out, &mut f, "decoded_evictions", c.decoded_evictions);
-    field_u64(out, &mut f, "decoded_entries", c.decoded_entries);
-    field_u64(out, &mut f, "invalidations", c.invalidations);
-    out.push('}');
-}
-
-impl StatsReport {
-    /// Render the report as one stable JSON object — the machine-readable
-    /// sibling of its `Display` form, built on the same minimal JSON
-    /// helpers as the metrics endpoint. Optional sections render as
-    /// `null`; field order is fixed, so goldens can match substrings.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "store");
-        push_store(&mut out, &self.store);
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "cache");
-        push_cache(&mut out, &self.cache);
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "shards");
-        out.push('[');
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_store(&mut out, shard);
-        }
-        out.push(']');
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "shard_caches");
-        out.push('[');
-        for (i, cache) in self.shard_caches.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_cache(&mut out, cache);
-        }
-        out.push(']');
-
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "tier");
-        match &self.tier {
-            None => out.push_str("null"),
-            Some(t) => {
-                out.push('{');
-                let mut f = true;
-                field_u64(&mut out, &mut f, "hot_resident_bytes", t.hot_resident_bytes);
-                field_u64(
-                    &mut out,
-                    &mut f,
-                    "cold_resident_bytes",
-                    t.cold_resident_bytes,
-                );
-                field_u64(&mut out, &mut f, "cold_segments", t.cold_segments as u64);
-                field_u64(&mut out, &mut f, "demotions", t.demotions);
-                field_u64(&mut out, &mut f, "demoted_bytes", t.demoted_bytes);
-                field_u64(&mut out, &mut f, "promotions", t.promotions);
-                field_u64(&mut out, &mut f, "promoted_bytes", t.promoted_bytes);
-                field_u64(&mut out, &mut f, "cold_hits", t.cold_hits);
-                field_u64(&mut out, &mut f, "cold_misses", t.cold_misses);
-                field_u64(&mut out, &mut f, "failed_demotions", t.failed_demotions);
-                field_u64(&mut out, &mut f, "queue_depth", t.queue_depth as u64);
-                field_hist(&mut out, &mut f, "cold_hit_latency", &t.cold_hit_latency);
-                out.push('}');
-            }
-        }
-
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "serve");
-        match &self.serve {
-            None => out.push_str("null"),
-            Some(s) => {
-                out.push('{');
-                let mut f = true;
-                field_u64(&mut out, &mut f, "workers", s.workers as u64);
-                field_u64(&mut out, &mut f, "queue_capacity", s.queue_capacity as u64);
-                field_u64(&mut out, &mut f, "queue_depth", s.queue_depth as u64);
-                field_u64(
-                    &mut out,
-                    &mut f,
-                    "peak_queue_depth",
-                    s.peak_queue_depth as u64,
-                );
-                field_u64(&mut out, &mut f, "submitted", s.submitted);
-                field_u64(&mut out, &mut f, "completed", s.completed);
-                field_u64(&mut out, &mut f, "rejected_busy", s.rejected_busy);
-                field_u64(&mut out, &mut f, "failed", s.failed);
-                field_u64(&mut out, &mut f, "panics", s.panics);
-                field_u64(&mut out, &mut f, "disconnects", s.disconnects);
-                field_hist(&mut out, &mut f, "queue_wait", &s.queue_wait);
-                field_hist(&mut out, &mut f, "ingest_latency", &s.ingest_latency);
-                field_hist(&mut out, &mut f, "query_latency", &s.query_latency);
-                field_hist(&mut out, &mut f, "erode_latency", &s.erode_latency);
-                field_hist(&mut out, &mut f, "metrics_latency", &s.metrics_latency);
-                field_hist(&mut out, &mut f, "trace_latency", &s.trace_latency);
-                out.push('}');
-            }
-        }
-
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "net");
-        match &self.net {
-            None => out.push_str("null"),
-            Some(n) => {
-                out.push('{');
-                let mut f = true;
-                field_u64(&mut out, &mut f, "event_loops", n.event_loops as u64);
-                field_u64(&mut out, &mut f, "accepted", n.accepted);
-                field_u64(&mut out, &mut f, "refused", n.refused);
-                field_u64(
-                    &mut out,
-                    &mut f,
-                    "active_connections",
-                    n.active_connections as u64,
-                );
-                field_u64(&mut out, &mut f, "frames_in", n.frames_in);
-                field_u64(&mut out, &mut f, "frames_out", n.frames_out);
-                field_u64(&mut out, &mut f, "bytes_in", n.bytes_in);
-                field_u64(&mut out, &mut f, "bytes_out", n.bytes_out);
-                field_u64(&mut out, &mut f, "corrupt_frames", n.corrupt_frames);
-                field_u64(&mut out, &mut f, "oversized_frames", n.oversized_frames);
-                field_u64(&mut out, &mut f, "disconnects", n.disconnects);
-                field_u64(&mut out, &mut f, "write_syscalls", n.write_syscalls);
-                field_u64(&mut out, &mut f, "pool_hits", n.pool_hits);
-                field_u64(&mut out, &mut f, "pool_misses", n.pool_misses);
-                field_hist(&mut out, &mut f, "batch_sizes", &n.batch_sizes);
-                out.push('}');
-            }
-        }
-
-        sep(&mut out, &mut first);
-        json::push_key(&mut out, "live");
-        match &self.live {
-            None => out.push_str("null"),
-            Some(l) => {
-                out.push('{');
-                let mut f = true;
-                field_u64(&mut out, &mut f, "workers", l.workers as u64);
-                field_u64(&mut out, &mut f, "queue_capacity", l.queue_capacity as u64);
-                field_u64(&mut out, &mut f, "queue_depth", l.queue_depth as u64);
-                field_u64(&mut out, &mut f, "offered", l.offered);
-                field_u64(&mut out, &mut f, "accepted", l.accepted);
-                field_u64(&mut out, &mut f, "shed", l.shed);
-                field_u64(&mut out, &mut f, "completed", l.completed);
-                field_u64(&mut out, &mut f, "failed", l.failed);
-                field_u64(&mut out, &mut f, "current_level", l.current_level as u64);
-                field_u64(&mut out, &mut f, "degraded_segments", l.degraded_segments);
-                field_f64(&mut out, &mut f, "video_seconds", l.video.0);
-                field_hist(&mut out, &mut f, "lag", &l.lag);
-                out.push('}');
-            }
-        }
-        out.push('}');
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{BackendOptions, RuntimeOptions, ServeStats, StatsReport, VStore, VStoreOptions};
+    use crate::{BackendOptions, RuntimeOptions, VStore, VStoreOptions};
     use vstore_obs::json;
-
-    fn empty_report() -> StatsReport {
-        let store = VStore::open_temp(
-            "json-report",
-            VStoreOptions::fast()
-                .with_backend(BackendOptions::Mem)
-                .with_runtime(RuntimeOptions::sequential()),
-        )
-        .unwrap();
-        store.stats_report()
-    }
-
-    /// Golden: the JSON of a fresh single-shard store is byte-stable —
-    /// the machine-readable contract clients may substring-match or diff.
-    #[test]
-    fn stats_report_json_golden() {
-        let report = empty_report();
-        let json = report.to_json();
-        assert_eq!(json::validate(&json), Ok(()), "{json}");
-        let golden = concat!(
-            "{\"store\": {\"live_segments\": 0, \"live_bytes\": 0, \"disk_bytes\": 0, ",
-            "\"log_files\": 1, \"writes\": 0, \"reads\": 0}, ",
-            "\"cache\": {\"raw_hits\": 0, \"raw_misses\": 0, \"raw_evictions\": 0, ",
-            "\"raw_resident_bytes\": 0, \"decoded_hits\": 0, \"decoded_misses\": 0, ",
-            "\"decoded_evictions\": 0, \"decoded_entries\": 0, \"invalidations\": 0}, ",
-            "\"shards\": [{\"live_segments\": 0, \"live_bytes\": 0, \"disk_bytes\": 0, ",
-            "\"log_files\": 1, \"writes\": 0, \"reads\": 0}], ",
-            "\"shard_caches\": [], ",
-            "\"tier\": null, \"serve\": null, \"net\": null, \"live\": null}",
-        );
-        assert_eq!(json, golden);
-        // Round trip: rendering the same report twice is byte-identical.
-        assert_eq!(json, report.to_json());
-    }
-
-    /// Optional sections render as objects once present, and histograms
-    /// carry the summary fields; the result still validates.
-    #[test]
-    fn stats_report_json_renders_optional_sections() {
-        let mut report = empty_report();
-        let mut serve = ServeStats {
-            workers: 4,
-            submitted: 7,
-            completed: 6,
-            ..ServeStats::default()
-        };
-        serve.query_latency.record(1500);
-        report.serve = Some(serve);
-        let json = report.to_json();
-        assert_eq!(json::validate(&json), Ok(()), "{json}");
-        assert!(json.contains("\"serve\": {\"workers\": 4"), "{json}");
-        assert!(json.contains("\"submitted\": 7"), "{json}");
-        assert!(json.contains("\"query_latency\": {\"count\": 1"), "{json}");
-        assert!(json.contains("\"max_us\": 1500"), "{json}");
-    }
 
     /// The metrics endpoint shares the report's sources: a fresh store's
     /// snapshot carries the store/cache/profiler/tracer families and both
