@@ -69,9 +69,10 @@ impl Shard {
         let mut disk_bytes = 0u64;
         for &id in &ids {
             let name = LogFile::log_name(&dir, id);
-            let records = LogFile::scan(backend.as_ref(), &name)?;
-            for record in records {
-                let key = SegmentKey::decode(&record.key)?;
+            // Records borrow the log's bytes: the index takes a copy of each
+            // key, the offset and the lengths, and never of a value.
+            LogFile::scan(backend.as_ref(), &name, |record| {
+                let key = SegmentKey::decode(record.key)?;
                 if record.is_tombstone {
                     index.remove(&key);
                 } else {
@@ -85,7 +86,8 @@ impl Shard {
                         },
                     );
                 }
-            }
+                Ok(())
+            })?;
             disk_bytes += backend.len(&name)?.unwrap_or(0);
             sealed.insert(id, name);
         }
@@ -230,18 +232,18 @@ impl Shard {
         for (key, loc) in &entries {
             values.push((key.clone(), inner.read_at(*loc)?));
         }
-        // Remember the old logs, then start a new generation.
-        let old_logs: Vec<String> = inner
+        // Seal the old generation (it stays registered until its logs are
+        // really gone) and start a new one.
+        let (old_id, old_name) = (inner.active.id, inner.active.name().to_owned());
+        inner.sealed.insert(old_id, old_name);
+        let old_logs: Vec<(u64, String)> = inner
             .sealed
-            .values()
-            .cloned()
-            .chain(std::iter::once(inner.active.name().to_owned()))
+            .iter()
+            .map(|(id, name)| (*id, name.clone()))
             .collect();
-        let next_id = inner.active.id + 1;
-        inner.sealed.clear();
+        let next_id = old_id + 1;
         inner.active = LogFile::create(Arc::clone(&inner.backend), &inner.dir, next_id)?;
         inner.index.clear();
-        inner.disk_bytes = 0;
         for (key, value) in values {
             inner.roll_if_needed()?;
             let encoded = key.encode();
@@ -259,9 +261,16 @@ impl Shard {
             inner.disk_bytes += total_len;
         }
         inner.active.sync()?;
-        for name in old_logs {
-            inner.backend.remove(&name).ok();
+        // Oldest first, stopping at the first failure. The rewrite dropped
+        // the tombstones, so an old put that outlived the log holding its
+        // tombstone would come back at the next reopen; removed in id order,
+        // whatever is left replays to the same state. Logs not yet removed
+        // stay sealed, and a later compaction removes them.
+        for (id, name) in old_logs {
+            inner.backend.remove(&name)?;
+            inner.sealed.remove(&id);
         }
+        inner.disk_bytes -= before;
         Ok(before.saturating_sub(inner.disk_bytes))
     }
 }
@@ -292,5 +301,117 @@ impl ShardInner {
             location.offset,
             location.total_len,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{LogHandle, MemBackend};
+
+    /// A backend whose `remove` fails for one log name, while one is set,
+    /// and otherwise passes everything through.
+    #[derive(Debug)]
+    struct RemoveFails {
+        inner: MemBackend,
+        name: Mutex<Option<String>>,
+    }
+
+    impl RemoveFails {
+        fn of(name: String) -> Arc<RemoveFails> {
+            Arc::new(RemoveFails {
+                inner: MemBackend::new(),
+                name: Mutex::new(Some(name)),
+            })
+        }
+    }
+
+    impl StorageBackend for RemoveFails {
+        fn open(&self, name: &str, truncate: bool) -> Result<Box<dyn LogHandle>> {
+            self.inner.open(name, truncate)
+        }
+        fn read_at(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+            self.inner.read_at(name, offset, len)
+        }
+        fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.read_all(name)
+        }
+        fn write_all(&self, name: &str, data: &[u8]) -> Result<()> {
+            self.inner.write_all(name, data)
+        }
+        fn remove(&self, name: &str) -> Result<()> {
+            if self.name.lock().as_deref() == Some(name) {
+                return Err(VStoreError::Io(std::io::Error::other(format!(
+                    "injected: cannot remove {name}"
+                ))));
+            }
+            self.inner.remove(name)
+        }
+        fn len(&self, name: &str) -> Result<Option<u64>> {
+            self.inner.len(name)
+        }
+        fn list(&self, dir: &str) -> Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+        fn describe(&self) -> String {
+            self.inner.describe()
+        }
+    }
+
+    /// Compaction drops tombstones, so it may not remove the log holding a
+    /// tombstone while an older log still holds the put it deletes.
+    #[test]
+    fn failed_log_removal_stops_compaction_and_resurrects_nothing() {
+        let dir = "shard-000".to_owned();
+        let backend: Arc<dyn StorageBackend> = RemoveFails::of(LogFile::log_name(&dir, 1));
+        let key = |i| SegmentKey::new("cam0", FormatId(0), i);
+
+        // Log 1 holds the puts; a reopen makes log 2, which takes the
+        // tombstone of key 0 and a third put.
+        let shard = Shard::open(Arc::clone(&backend), dir.clone()).unwrap();
+        shard.put(&key(0), b"eroded").unwrap();
+        shard.put(&key(1), b"kept").unwrap();
+        drop(shard);
+        let shard = Shard::open(Arc::clone(&backend), dir.clone()).unwrap();
+        shard.delete(&key(0)).unwrap();
+        shard.put(&key(2), b"newer").unwrap();
+
+        let err = shard.compact().unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        // The oldest log could not go, so the one with the tombstone stayed.
+        let logs = backend.list(&dir).unwrap();
+        assert!(logs.contains(&LogFile::file_name(1)), "{logs:?}");
+        assert!(logs.contains(&LogFile::file_name(2)), "{logs:?}");
+        let live = |shard: &Shard| {
+            assert_eq!(shard.get(&key(0)).unwrap(), None);
+            assert_eq!(shard.get(&key(1)).unwrap().unwrap(), b"kept");
+            assert_eq!(shard.get(&key(2)).unwrap().unwrap(), b"newer");
+            assert_eq!(shard.len(), 2);
+        };
+        live(&shard);
+        drop(shard);
+        live(&Shard::open(Arc::clone(&backend), dir.clone()).unwrap());
+    }
+
+    #[test]
+    fn compaction_retries_the_logs_an_earlier_failure_left_behind() {
+        let dir = "shard-000".to_owned();
+        let fails = RemoveFails::of(LogFile::log_name(&dir, 1));
+        let backend: Arc<dyn StorageBackend> = fails.clone();
+        let key = SegmentKey::new("cam0", FormatId(0), 0);
+        let shard = Shard::open(Arc::clone(&backend), dir.clone()).unwrap();
+        shard.put(&key, b"first").unwrap();
+        shard.put(&key, b"second").unwrap();
+        shard.compact().unwrap_err();
+        assert_eq!(shard.stats().log_files, 2);
+
+        *fails.name.lock() = None;
+        shard.compact().unwrap();
+        assert_eq!(shard.get(&key).unwrap().unwrap(), b"second");
+        assert_eq!(backend.list(&dir).unwrap(), [LogFile::file_name(3)]);
+        let stats = shard.stats();
+        assert_eq!(stats.log_files, 1);
+        let on_disk = backend.len(&LogFile::log_name(&dir, 3)).unwrap().unwrap();
+        assert_eq!(stats.disk_bytes, on_disk);
     }
 }
