@@ -11,8 +11,6 @@
 //! - core library code returns typed errors instead of panicking
 //!   ([`rules::NO_UNWRAP`]),
 //! - every queue is a `vstore_sim::BoundedQueue` ([`rules::BOUNDED_QUEUE`]),
-//! - the serve wire codec's encode/decode arms and version range stay in
-//!   lockstep ([`rules::WIRE_COMPAT`]),
 //! - and locks across the shard/cache/tier/net layers are acquired in a
 //!   consistent global order ([`rules::LOCK_ORDER`] — the headline
 //!   analysis: per-function lock-acquisition sequences feed a global lock

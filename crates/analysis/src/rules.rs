@@ -20,8 +20,6 @@ pub const CHECKED_CAST: &str = "checked-cast";
 pub const NO_UNWRAP: &str = "no-unwrap";
 /// Rule name: hand-rolled `Mutex<VecDeque<_>>` queues outside `vstore_sim`.
 pub const BOUNDED_QUEUE: &str = "bounded-queue";
-/// Rule name: wire codec enum/arm/version-range consistency.
-pub const WIRE_COMPAT: &str = "wire-compat";
 /// Rule name: trace span guards bound to `_` (dropped immediately).
 pub const SPAN_GUARD: &str = "span-guard";
 
@@ -32,7 +30,6 @@ pub const ALL_RULES: &[&str] = &[
     CHECKED_CAST,
     NO_UNWRAP,
     BOUNDED_QUEUE,
-    WIRE_COMPAT,
     SPAN_GUARD,
 ];
 
@@ -90,7 +87,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     findings.extend(checked_cast(files));
     findings.extend(no_unwrap(files));
     findings.extend(bounded_queue(files));
-    findings.extend(wire_compat(files));
     findings.extend(span_guard(files));
     findings
 }
@@ -307,108 +303,6 @@ pub fn bounded_queue(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
     findings
-}
-
-// ---------------------------------------------------------------------
-// wire-compat
-// ---------------------------------------------------------------------
-
-/// Every `ServeRequest`/`ServeResponse` variant must have an encode arm in
-/// `write_wire` and a decode arm in `from_wire`, and the decoder must
-/// accept the whole `MIN_WIRE_VERSION..=WIRE_VERSION` range.
-pub fn wire_compat(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in files {
-        if !file.rel_path.ends_with("serve/src/wire.rs") {
-            continue;
-        }
-        let mut saw_enum = false;
-        for enum_name in ["ServeRequest", "ServeResponse"] {
-            let variants = enum_variants(file, enum_name);
-            if variants.is_empty() {
-                continue;
-            }
-            saw_enum = true;
-            for fn_name in ["write_wire", "from_wire"] {
-                let body = fn_body(file, enum_name, fn_name);
-                if body.is_empty() {
-                    findings.push(Finding::new(
-                        WIRE_COMPAT,
-                        &file.rel_path,
-                        0,
-                        enum_name,
-                        format!("no `fn {fn_name}` found in `impl {enum_name}`"),
-                        &format!("{enum_name}::{fn_name} missing"),
-                    ));
-                    continue;
-                }
-                for (variant, decl_line) in &variants {
-                    let qualified = format!("{enum_name}::{variant}");
-                    let selfed = format!("Self::{variant}");
-                    if !(body.contains(&qualified) || body.contains(&selfed)) {
-                        findings.push(Finding::new(
-                            WIRE_COMPAT,
-                            &file.rel_path,
-                            *decl_line,
-                            enum_name,
-                            format!(
-                                "variant `{qualified}` has no arm in `{fn_name}`; encode \
-                                 and decode must stay in lockstep"
-                            ),
-                            &format!("{qualified} missing from {fn_name}"),
-                        ));
-                    }
-                }
-            }
-        }
-        if saw_enum {
-            let range_checked = file.lines.iter().any(|l| {
-                let packed: String = l.code.chars().filter(|c| !c.is_whitespace()).collect();
-                packed.contains("MIN_WIRE_VERSION..=WIRE_VERSION")
-            });
-            if !range_checked {
-                findings.push(Finding::new(
-                    WIRE_COMPAT,
-                    &file.rel_path,
-                    0,
-                    "",
-                    "no `MIN_WIRE_VERSION..=WIRE_VERSION` range check found; the decoder \
-                     must accept every supported wire version"
-                        .to_owned(),
-                    "version range check missing",
-                ));
-            }
-        }
-    }
-    findings
-}
-
-/// The variants of `enum_name` with their 1-based declaration lines.
-fn enum_variants(file: &SourceFile, enum_name: &str) -> Vec<(String, usize)> {
-    let mut variants = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.enum_ctx.as_deref() != Some(enum_name) || line.start_kind != ContextKind::Enum {
-            continue;
-        }
-        let trimmed = line.code.trim();
-        let ident: String = trimmed.chars().take_while(|&c| is_ident_char(c)).collect();
-        if ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-            variants.push((ident, idx + 1));
-        }
-    }
-    variants
-}
-
-/// Concatenated body text of `fn fn_name` inside `impl impl_name`.
-fn fn_body(file: &SourceFile, impl_name: &str, fn_name: &str) -> String {
-    let mut body = String::new();
-    for line in &file.lines {
-        if line.impl_ctx.as_deref() == Some(impl_name) && line.fn_ctx.as_deref() == Some(fn_name) {
-            body.push_str(&line.code);
-            body.push('\n');
-        }
-    }
-    body
 }
 
 // ---------------------------------------------------------------------

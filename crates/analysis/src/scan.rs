@@ -49,8 +49,6 @@ pub struct Line {
     pub start_kind: ContextKind,
     /// Innermost enclosing `struct` name at the start of the line.
     pub struct_ctx: Option<String>,
-    /// Innermost enclosing `enum` name at the start of the line.
-    pub enum_ctx: Option<String>,
     /// Innermost enclosing `fn` name at the end of the line.
     pub fn_ctx: Option<String>,
     /// Innermost enclosing `impl` type name at the end of the line.
@@ -90,7 +88,6 @@ impl SourceFile {
             let depth_start = scopes.len();
             let start_kind = innermost_kind(&scopes);
             let struct_ctx = innermost_name(&scopes, |k| matches!(k, ScopeKind::Struct(_)));
-            let enum_ctx = innermost_name(&scopes, |k| matches!(k, ScopeKind::Enum(_)));
             let test_start = scopes.iter().any(|s| s.test);
 
             for ch in code.chars() {
@@ -127,7 +124,6 @@ impl SourceFile {
                 depth_end: scopes.len(),
                 start_kind,
                 struct_ctx,
-                enum_ctx,
                 fn_ctx: innermost_name(&scopes, |k| matches!(k, ScopeKind::Fn(_))),
                 impl_ctx: innermost_name(&scopes, |k| matches!(k, ScopeKind::Impl(_))),
                 allowed,
@@ -587,7 +583,6 @@ mod tests {
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.lines[1].struct_ctx.as_deref(), Some("S"));
         assert_eq!(f.lines[1].start_kind, ContextKind::Struct);
-        assert_eq!(f.lines[4].enum_ctx.as_deref(), Some("E"));
         assert_eq!(f.lines[4].start_kind, ContextKind::Enum);
     }
 

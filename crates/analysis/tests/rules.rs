@@ -122,35 +122,6 @@ fn bounded_queue_is_silent_on_pools_and_the_sim_home() {
 }
 
 #[test]
-fn wire_compat_fires_on_missing_arm_and_missing_range_check() {
-    let findings = findings_for(
-        "crates/serve/src/wire.rs",
-        include_str!("fixtures/wire_compat_positive.rs"),
-    );
-    assert_eq!(rules_fired(&findings), [rules::WIRE_COMPAT]);
-    assert!(
-        findings.iter().any(|f| f.message.contains("from_wire")),
-        "missing decode arm not reported: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("MIN_WIRE_VERSION")),
-        "missing range check not reported: {findings:?}"
-    );
-}
-
-#[test]
-fn wire_compat_is_silent_on_lockstep_arms() {
-    let fixture = include_str!("fixtures/wire_compat_negative.rs");
-    assert!(findings_for("crates/serve/src/wire.rs", fixture).is_empty());
-    // The same incomplete codec outside the serve wire module is not this
-    // rule's business.
-    let positive = include_str!("fixtures/wire_compat_positive.rs");
-    assert!(findings_for("crates/ops/src/wire.rs", positive).is_empty());
-}
-
-#[test]
 fn span_guard_fires_on_immediately_dropped_guards() {
     let findings = findings_for(
         "crates/query/src/fixture.rs",

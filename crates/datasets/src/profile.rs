@@ -1,6 +1,7 @@
 //! Content profiles of the six benchmark datasets (§6.1 of the paper).
 
 use std::fmt;
+use vstore_types::{Result, VStoreError};
 
 /// The six videos used in the paper's evaluation plus a synthetic custom
 /// profile for tests.
@@ -174,10 +175,68 @@ impl DatasetProfile {
     /// from arrival rate and dwell time (Little's law, rounded up, at least
     /// one).
     pub fn object_slots(&self) -> u32 {
-        let mean_present = self.object_arrivals_per_minute / 60.0 * self.mean_dwell_seconds;
-        (mean_present.ceil() as u32).max(1) + 2
+        (self.mean_objects_present().ceil() as u32)
+            .max(1)
+            .saturating_add(2)
+    }
+
+    /// Mean number of objects in the scene at once (Little's law).
+    fn mean_objects_present(&self) -> f64 {
+        self.object_arrivals_per_minute / 60.0 * self.mean_dwell_seconds
+    }
+
+    /// Check a profile that came from outside the process (a wire frame, a
+    /// caller-built struct) before a generator runs on it: every parameter
+    /// finite, every fraction in `[0, 1]`, rate and dwell non-negative, and
+    /// their product — the per-frame slot loop's length — at most
+    /// [`MAX_MEAN_OBJECTS_PRESENT`].
+    pub fn validate(&self) -> Result<()> {
+        let fractions = [
+            ("motion_intensity", self.motion_intensity),
+            ("mean_object_height", self.mean_object_height),
+            ("object_height_spread", self.object_height_spread),
+            ("vehicle_fraction", self.vehicle_fraction),
+            ("plate_visible_fraction", self.plate_visible_fraction),
+            ("background_texture", self.background_texture),
+        ];
+        for (name, value) in fractions {
+            // `contains` is false for NaN, so this is the finiteness check too.
+            if !(0.0..=1.0).contains(&value) {
+                return Err(VStoreError::invalid_argument(format!(
+                    "DatasetProfile::{name} must be in [0, 1], got {value}"
+                )));
+            }
+        }
+        let rates = [
+            (
+                "object_arrivals_per_minute",
+                self.object_arrivals_per_minute,
+            ),
+            ("mean_dwell_seconds", self.mean_dwell_seconds),
+        ];
+        for (name, value) in rates {
+            if !value.is_finite() || value < 0.0 {
+                return Err(VStoreError::invalid_argument(format!(
+                    "DatasetProfile::{name} must be finite and >= 0, got {value}"
+                )));
+            }
+        }
+        let present = self.mean_objects_present();
+        if present > MAX_MEAN_OBJECTS_PRESENT {
+            return Err(VStoreError::invalid_argument(format!(
+                "DatasetProfile arrival rate x dwell time puts {present} objects in the \
+                 scene at once; at most {MAX_MEAN_OBJECTS_PRESENT}"
+            )));
+        }
+        Ok(())
     }
 }
+
+/// Largest accepted mean number of concurrent objects (arrival rate × dwell
+/// time). The generator walks [`DatasetProfile::object_slots`] slots for
+/// every frame, so this bounds the work one ingested frame can cost; the
+/// paper's busiest scene (`miami`) has about five.
+pub const MAX_MEAN_OBJECTS_PRESENT: f64 = 256.0;
 
 #[cfg(test)]
 mod tests {
@@ -214,6 +273,49 @@ mod tests {
         let quiet = Dataset::Park.profile().object_slots();
         assert!(busy > quiet);
         assert!(quiet >= 1);
+    }
+
+    #[test]
+    fn every_shipped_profile_validates() {
+        for d in Dataset::ALL {
+            d.profile().validate().unwrap();
+        }
+        DatasetProfile::test_profile(7).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_out_of_range_and_slot_exploding_profiles() {
+        let damaged: [fn(&mut DatasetProfile); 8] = [
+            |p| p.motion_intensity = f64::NAN,
+            |p| p.vehicle_fraction = 1.5,
+            |p| p.background_texture = -0.1,
+            |p| p.mean_object_height = f64::INFINITY,
+            |p| p.mean_dwell_seconds = -1.0,
+            |p| p.object_arrivals_per_minute = f64::INFINITY,
+            // Saturates the slot cast (and overflowed the `+ 2`).
+            |p| p.object_arrivals_per_minute = 1e300,
+            // A quiet five-million-slot loop per frame.
+            |p| p.object_arrivals_per_minute = 6e7,
+        ];
+        for damage in damaged {
+            let mut profile = Dataset::Jackson.profile();
+            damage(&mut profile);
+            let err = profile.validate().unwrap_err();
+            assert!(
+                matches!(err, VStoreError::InvalidArgument(_)),
+                "{profile:?}: {err}"
+            );
+            // Rejected or not, counting slots never panics.
+            assert!(profile.object_slots() >= 3);
+        }
+        // The largest accepted scene stays a small loop.
+        let busiest = DatasetProfile {
+            object_arrivals_per_minute: 60.0 * MAX_MEAN_OBJECTS_PRESENT,
+            mean_dwell_seconds: 1.0,
+            ..Dataset::Jackson.profile()
+        };
+        busiest.validate().unwrap();
+        assert_eq!(busiest.object_slots(), 258);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::plane::BlockPlane;
 use crate::profile::{Dataset, DatasetProfile};
 use crate::scene::{BoundingBox, ObjectClass, ObjectColor, PlateText, SceneFrame, SceneObject};
 use vstore_sim::DeterministicHasher;
-use vstore_types::Resolution;
+use vstore_types::{Resolution, Result, VStoreError};
 
 /// Ingestion frame rate (frames per second).
 pub const FRAME_RATE: u32 = 30;
@@ -51,6 +51,18 @@ impl VideoSource {
     /// The content profile.
     pub fn profile(&self) -> &DatasetProfile {
         &self.profile
+    }
+
+    /// Check a source that came from outside the process before anything
+    /// is generated from it: a non-empty stream name (the store keys
+    /// segments by it) and a [valid](DatasetProfile::validate) profile.
+    pub fn validate(&self) -> Result<()> {
+        if self.name.is_empty() {
+            return Err(VStoreError::invalid_argument(
+                "video source has an empty stream name",
+            ));
+        }
+        self.profile.validate()
     }
 
     /// Motion intensity of the content, used by the coding cost model.

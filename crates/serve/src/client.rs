@@ -1,6 +1,6 @@
 //! A synchronous, pipelining TCP client for the socket front end.
 //!
-//! [`NetClient`] speaks the wire-v4 transport envelope (see
+//! [`NetClient`] speaks the transport envelope (see
 //! [`crate::conn`]): submit any number of requests without waiting, then
 //! collect responses in whatever order the server finishes them — each
 //! response carries the correlation id of the request it answers. Submits

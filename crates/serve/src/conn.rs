@@ -3,7 +3,7 @@
 //! non-blocking socket bytes into queue submissions and batched vectored
 //! writes.
 //!
-//! ## Transport envelope (wire v4)
+//! ## Transport envelope
 //!
 //! ```text
 //! ┌───────────────┬─────────────────────┬─────────────────────────────┐

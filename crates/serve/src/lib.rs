@@ -9,9 +9,9 @@
 //!
 //! * **Typed requests and a wire codec** ([`ServeRequest`],
 //!   [`ServeResponse`]): the facade's request-builder vocabulary as an
-//!   enum, plus a versioned little-endian wire format in `vstore-codec`'s
-//!   style — malformed frames surface as typed corruption errors, never
-//!   panics.
+//!   enum, plus a wire format at one protocol version, every payload
+//!   type encoded and decoded by one `Wire` impl — malformed frames
+//!   surface as typed corruption errors, never panics.
 //! * **A bounded request queue with back-pressure** ([`Server`],
 //!   [`Connection`]): requests beyond `ServeOptions::queue_depth` are shed
 //!   with `VStoreError::Busy` or block the client, per
@@ -25,11 +25,11 @@
 //!
 //! * **A pipelined TCP front end** ([`NetServer`], [`NetClient`]): a real
 //!   socket listener feeding event-loop threads that multiplex
-//!   non-blocking connections over the same bounded queue — length-prefixed
-//!   frames with per-frame correlation ids (wire v4), adaptive response
-//!   batching into vectored writes, and pooled buffers so the steady-state
-//!   request path allocates nothing. [`NetStats`] reports connection,
-//!   frame, batching and pool behaviour.
+//!   non-blocking connections over the same bounded queue — a transport
+//!   envelope of length-prefixed frames with per-frame correlation ids,
+//!   adaptive response batching into vectored writes, and pooled buffers
+//!   so the steady-state request path allocates nothing. [`NetStats`]
+//!   reports connection, frame, batching and pool behaviour.
 //!
 //! The front end is generic over [`VideoService`], implemented by `VStore`
 //! in the facade crate; tests drive it with deterministic mocks.
@@ -51,9 +51,9 @@ pub use stats::{LatencyHistogram, NetStats, ServeStats};
 // Re-exported so wire-level clients can name the live-stats payload without
 // depending on the ingest crate directly.
 pub use vstore_ingest::LiveStats;
-// Same for the observability payloads (wire v5).
+// Same for the observability payloads.
 pub use vstore_obs::{MetricsSnapshot, TraceDump};
 pub use wire::{
-    ErrorCode, RemoteError, RequestKind, ServeRequest, ServeResponse, MIN_WIRE_VERSION,
-    REQUEST_MAGIC, RESPONSE_MAGIC, WIRE_VERSION,
+    ErrorCode, RemoteError, RequestKind, ServeRequest, ServeResponse, REQUEST_MAGIC,
+    RESPONSE_MAGIC, WIRE_VERSION,
 };

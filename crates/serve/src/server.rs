@@ -24,7 +24,7 @@
 //!   disturbs the server: responses to a vanished client are counted and
 //!   discarded.
 
-use crate::stats::{LatencyHistogram, NetStats, ServeStats};
+use crate::stats::{LatencyHistogram, ServeStats};
 use crate::wire::{RemoteError, RequestKind, ServeRequest, ServeResponse};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,12 +62,6 @@ pub trait VideoService: Send + Sync + 'static {
     /// `VStore` overrides it with its live-ingestor registry aggregate.
     fn live_stats(&self) -> Result<LiveStats> {
         Ok(LiveStats::default())
-    }
-    /// The store's aggregate socket front-end statistics. Defaults to an
-    /// idle report for services with no socket front end; `VStore`
-    /// overrides it with its net-server registry aggregate.
-    fn net_stats(&self) -> Result<NetStats> {
-        Ok(NetStats::default())
     }
     /// The store's unified metrics snapshot. Defaults to an empty snapshot
     /// for services with no metrics registry; `VStore` overrides it with
@@ -146,7 +140,6 @@ impl Shared {
             query_latency: state.latency[RequestKind::Query.index()].clone(),
             erode_latency: state.latency[RequestKind::Erode.index()].clone(),
             live_stats_latency: state.latency[RequestKind::LiveStats.index()].clone(),
-            net_stats_latency: state.latency[RequestKind::NetStats.index()].clone(),
             metrics_latency: state.latency[RequestKind::MetricsSnapshot.index()].clone(),
             trace_latency: state.latency[RequestKind::TraceDump.index()].clone(),
         }
@@ -565,9 +558,6 @@ fn execute<S: VideoService>(service: &S, request: &ServeRequest) -> Result<Serve
         ServeRequest::LiveStats => service
             .live_stats()
             .map(|stats| ServeResponse::LiveStats(Box::new(stats))),
-        ServeRequest::NetStats => service
-            .net_stats()
-            .map(|stats| ServeResponse::NetStats(Box::new(stats))),
         ServeRequest::MetricsSnapshot => service.metrics().map(ServeResponse::Metrics),
         ServeRequest::TraceDump { max_traces } => service
             .trace_dump(*max_traces)
@@ -1082,18 +1072,6 @@ mod tests {
     }
 
     /// The default net-stats handler answers idle; mocks need no override.
-    #[test]
-    fn net_stats_requests_round_trip_with_the_default_handler() {
-        let server = Server::start(MockService::new(), ServeOptions::default()).unwrap();
-        let mut conn = server.connect();
-        match conn.call(ServeRequest::NetStats).unwrap() {
-            ServeResponse::NetStats(stats) => assert_eq!(*stats, NetStats::default()),
-            other => panic!("unexpected {other:?}"),
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.net_stats_latency.count(), 1);
-    }
-
     /// The wire-level API serves encoded frames end to end.
     #[test]
     fn wire_calls_round_trip() {

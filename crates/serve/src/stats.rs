@@ -46,8 +46,6 @@ pub struct ServeStats {
     pub erode_latency: LatencyHistogram,
     /// Execution latency of live-stats requests.
     pub live_stats_latency: LatencyHistogram,
-    /// Execution latency of net-stats requests.
-    pub net_stats_latency: LatencyHistogram,
     /// Execution latency of metrics-snapshot requests.
     pub metrics_latency: LatencyHistogram,
     /// Execution latency of trace-dump requests.
@@ -98,7 +96,6 @@ impl ServeStats {
         self.erode_latency.accumulate(&other.erode_latency);
         self.live_stats_latency
             .accumulate(&other.live_stats_latency);
-        self.net_stats_latency.accumulate(&other.net_stats_latency);
         self.metrics_latency.accumulate(&other.metrics_latency);
         self.trace_latency.accumulate(&other.trace_latency);
     }
@@ -129,9 +126,6 @@ impl fmt::Display for ServeStats {
         write!(f, "  erode:      {}", self.erode_latency)?;
         if !self.live_stats_latency.is_empty() {
             write!(f, "\n  live-stats: {}", self.live_stats_latency)?;
-        }
-        if !self.net_stats_latency.is_empty() {
-            write!(f, "\n  net-stats:  {}", self.net_stats_latency)?;
         }
         if !self.metrics_latency.is_empty() {
             write!(f, "\n  metrics:    {}", self.metrics_latency)?;

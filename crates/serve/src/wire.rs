@@ -1,15 +1,24 @@
 //! Typed requests/responses of the serving front end, plus their binary
 //! wire codec.
 //!
-//! The wire format follows `vstore-codec`'s conventions: a hand-rolled,
-//! explicit little-endian layout over [`ByteWriter`]/[`ByteReader`], with a
-//! magic, a version byte and typed errors — a malformed frame surfaces as
-//! [`VStoreError::Corruption`], never a panic. Requests validate with the
-//! same rules as the facade's `IngestRequest`/`QueryRequest`/`ErodeRequest`
-//! builders, so a request rejected at the handle is rejected identically at
-//! the wire.
+//! A frame is a magic, the version byte and one payload, laid out over
+//! `vstore-codec`'s [`ByteWriter`]/[`ByteReader`]. Every type that crosses
+//! the wire implements the crate-local [`Wire`] trait exactly once —
+//! encoder and decoder side by side — and composes structurally: scalars,
+//! `bool`, `String`, `Option`, `Vec`, `BTreeMap`, pairs and `Box` have one
+//! impl each, payload structs list their fields, enums list their
+//! variants under their tag bytes. Integers and counts are varints, `f64`s are eight little-endian
+//! bytes. A malformed frame surfaces as [`VStoreError::Corruption`], never
+//! a panic, and the one rule about hostile lengths — a declared element
+//! count may never reserve more than the bytes left in the frame can hold
+//! — is written once, in the `Vec` and `BTreeMap` impls.
+//!
+//! Requests validate with the same rules as the facade's
+//! `IngestRequest`/`QueryRequest`/`ErodeRequest` builders, so a request
+//! rejected at the handle is rejected identically at the wire.
 
-use crate::stats::NetStats;
+use std::collections::BTreeMap;
+use std::mem::size_of;
 use vstore_codec::wire::{ByteReader, ByteWriter};
 use vstore_datasets::{DatasetProfile, VideoSource};
 use vstore_ingest::{ErodeReport, IngestReport, LiveStats};
@@ -26,34 +35,15 @@ use vstore_types::{
 pub const REQUEST_MAGIC: u32 = 0x5653_5251;
 /// Magic of a serialized response frame ("VSRS").
 pub const RESPONSE_MAGIC: u32 = 0x5653_5253;
-/// Wire protocol version. v2 widened the erode response from a bare
-/// deleted-segment count to the full [`ErodeReport`] (deleted vs demoted,
-/// segments and bytes — the tiered-cold-storage erosion outcome). v3 added
-/// the live-stats request/response pair carrying [`LiveStats`] — the live
-/// ingest backlog, lag histogram and degradation-ladder state. v4 is the
-/// socket protocol bump: frames now travel inside a length-prefixed
-/// transport envelope carrying a per-frame **correlation id** (so many
-/// requests can be pipelined on one connection and answered out of order),
-/// and adds the net-stats request/response pair carrying [`NetStats`]. v5
-/// adds the observability pair: a metrics-snapshot request/response
-/// carrying the unified [`MetricsSnapshot`], and a trace-dump
-/// request/response carrying the request tracer's [`TraceDump`].
-pub const WIRE_VERSION: u8 = 5;
-
-/// Oldest version a v5 decoder still accepts.
-///
-/// **Compatibility rule:** new versions add new tags, never change
-/// existing payload layouts — every message that existed in v3 encodes
-/// byte-for-byte identically under v4 and v5 (only the version byte
-/// differs), and the messages new in each version (net-stats in v4,
-/// metrics/trace-dump in v5) use tags older versions never emitted. A v5
-/// server therefore accept-decodes v3 and v4 frames
-/// unchanged; encoders always emit [`WIRE_VERSION`]. Frames outside
-/// `[MIN_WIRE_VERSION, WIRE_VERSION]` are rejected with the typed
-/// [`VStoreError::UnsupportedVersion`] — distinguishable from corruption,
-/// so a client talking to a newer server can say so instead of reporting
-/// damaged bytes.
-pub const MIN_WIRE_VERSION: u8 = 3;
+/// The one wire protocol version this build speaks. Encoders emit it and
+/// the decoder accepts exactly it: this reproduction has no deployed peer
+/// to stay compatible with, so a frame of any other version is rejected
+/// with the typed [`VStoreError::UnsupportedVersion`] — distinguishable
+/// from corruption, so a mismatched peer can say so instead of reporting
+/// damaged bytes. (v6 normalised the payload layout — every integer and
+/// count a varint — and retired the net-stats pair, whose tags stay
+/// unassigned.)
+pub const WIRE_VERSION: u8 = 6;
 
 /// The kind of a serve request (used for routing and per-kind latency
 /// accounting).
@@ -67,8 +57,6 @@ pub enum RequestKind {
     Erode,
     /// Fetch the aggregate live-ingest statistics.
     LiveStats,
-    /// Fetch the aggregate socket front-end statistics.
-    NetStats,
     /// Fetch the unified metrics snapshot.
     MetricsSnapshot,
     /// Drain the request tracer's rings.
@@ -76,21 +64,20 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// All kinds, indexed by their wire tag.
-    pub const ALL: [RequestKind; 7] = [
+    /// All kinds, in [`index`](Self::index) order.
+    pub const ALL: [RequestKind; 6] = [
         RequestKind::Ingest,
         RequestKind::Query,
         RequestKind::Erode,
         RequestKind::LiveStats,
-        RequestKind::NetStats,
         RequestKind::MetricsSnapshot,
         RequestKind::TraceDump,
     ];
 
-    /// This kind's position in [`Self::ALL`] — its wire tag, and the
-    /// index of its latency histogram in the server state.
+    /// This kind's position in [`Self::ALL`] — the index of its latency
+    /// histogram in the server state.
     pub fn index(self) -> usize {
-        self as usize // vstore-lint: allow(checked-cast) — discriminant of a 7-variant enum
+        self as usize // vstore-lint: allow(checked-cast) — discriminant of a 6-variant enum
     }
 
     /// Short display name.
@@ -100,7 +87,6 @@ impl RequestKind {
             RequestKind::Query => "query",
             RequestKind::Erode => "erode",
             RequestKind::LiveStats => "live-stats",
-            RequestKind::NetStats => "net-stats",
             RequestKind::MetricsSnapshot => "metrics",
             RequestKind::TraceDump => "trace-dump",
         }
@@ -140,17 +126,17 @@ pub enum ServeRequest {
         age_days: u32,
     },
     /// Fetch the aggregate live-ingest statistics of the store (an idle
-    /// default when no live ingestor has been started).
+    /// default when no live ingestor has been started). The same counters
+    /// travel as `vstore_live_*` rows of the metrics snapshot, which is how
+    /// the net-stats pair was retired; this pair stays because `e2e_bench`
+    /// — frozen by `BENCHMARK.json` — uses it as its cheapest request for
+    /// the net ping. Retiring it is a benchmark change.
     LiveStats,
-    /// Fetch the aggregate socket front-end statistics of the store (an
-    /// idle default when no socket front end has been started). New in
-    /// wire v4.
-    NetStats,
     /// Fetch the unified metrics snapshot: every registered stats source
-    /// rendered as typed counter/gauge/histogram rows. New in wire v5.
+    /// rendered as typed counter/gauge/histogram rows.
     MetricsSnapshot,
     /// Drain the request tracer's rings, newest `max_traces` committed
-    /// traces (0 = all). New in wire v5.
+    /// traces (0 = all).
     TraceDump {
         /// Cap on returned traces; 0 returns everything in the rings.
         max_traces: u64,
@@ -171,12 +157,9 @@ pub enum ServeResponse {
     /// The store's aggregate live-ingest statistics (boxed: the lag
     /// histogram makes this by far the largest variant).
     LiveStats(Box<LiveStats>),
-    /// The store's aggregate socket front-end statistics (boxed for the
-    /// same reason: two histograms). New in wire v4.
-    NetStats(Box<NetStats>),
-    /// The unified metrics snapshot. New in wire v5.
+    /// The unified metrics snapshot.
     Metrics(MetricsSnapshot),
-    /// The request tracer's drained rings. New in wire v5.
+    /// The request tracer's drained rings.
     TraceDump(Box<TraceDump>),
 }
 
@@ -298,7 +281,6 @@ impl ServeRequest {
             ServeRequest::Query { .. } => RequestKind::Query,
             ServeRequest::Erode { .. } => RequestKind::Erode,
             ServeRequest::LiveStats => RequestKind::LiveStats,
-            ServeRequest::NetStats => RequestKind::NetStats,
             ServeRequest::MetricsSnapshot => RequestKind::MetricsSnapshot,
             ServeRequest::TraceDump { .. } => RequestKind::TraceDump,
         }
@@ -323,10 +305,13 @@ impl ServeRequest {
         };
         match self {
             ServeRequest::Ingest {
+                source,
                 first_segment,
                 count,
-                ..
-            } => range("ingest request", *first_segment, *count),
+            } => {
+                source.validate()?;
+                range("ingest request", *first_segment, *count)
+            }
             ServeRequest::Query {
                 stream,
                 first_segment,
@@ -349,7 +334,6 @@ impl ServeRequest {
                 Ok(())
             }
             ServeRequest::LiveStats
-            | ServeRequest::NetStats
             | ServeRequest::MetricsSnapshot
             | ServeRequest::TraceDump { .. } => Ok(()),
         }
@@ -366,86 +350,12 @@ impl ServeRequest {
     /// (zero-allocation) encode path of the socket front end. Byte-for-byte
     /// identical to [`to_wire`](Self::to_wire).
     pub fn write_wire(&self, w: &mut ByteWriter) {
-        w.put_u32(REQUEST_MAGIC);
-        w.put_u8(WIRE_VERSION);
-        match self {
-            ServeRequest::Ingest {
-                source,
-                first_segment,
-                count,
-            } => {
-                w.put_u8(0);
-                put_source(w, source);
-                w.put_u64(*first_segment);
-                w.put_u64(*count);
-            }
-            ServeRequest::Query {
-                stream,
-                spec,
-                first_segment,
-                count,
-            } => {
-                w.put_u8(1);
-                w.put_bytes(stream.as_bytes());
-                put_spec(w, spec);
-                w.put_u64(*first_segment);
-                w.put_u64(*count);
-            }
-            ServeRequest::Erode { stream, age_days } => {
-                w.put_u8(2);
-                w.put_bytes(stream.as_bytes());
-                w.put_u32(*age_days);
-            }
-            ServeRequest::LiveStats => {
-                w.put_u8(3);
-            }
-            ServeRequest::NetStats => {
-                w.put_u8(4);
-            }
-            ServeRequest::MetricsSnapshot => {
-                w.put_u8(5);
-            }
-            ServeRequest::TraceDump { max_traces } => {
-                w.put_u8(6);
-                w.put_u64(*max_traces);
-            }
-        }
+        write_frame(w, REQUEST_MAGIC, self);
     }
 
     /// Deserialize a request from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Result<ServeRequest> {
-        let mut r = ByteReader::new(bytes);
-        check_frame(&mut r, REQUEST_MAGIC, "request")?;
-        let request = match r.get_u8()? {
-            0 => ServeRequest::Ingest {
-                source: get_source(&mut r)?,
-                first_segment: r.get_u64()?,
-                count: r.get_u64()?,
-            },
-            1 => ServeRequest::Query {
-                stream: get_string(&mut r)?,
-                spec: get_spec(&mut r)?,
-                first_segment: r.get_u64()?,
-                count: r.get_u64()?,
-            },
-            2 => ServeRequest::Erode {
-                stream: get_string(&mut r)?,
-                age_days: r.get_u32()?,
-            },
-            3 => ServeRequest::LiveStats,
-            4 => ServeRequest::NetStats,
-            5 => ServeRequest::MetricsSnapshot,
-            6 => ServeRequest::TraceDump {
-                max_traces: r.get_u64()?,
-            },
-            tag => {
-                return Err(VStoreError::corruption(format!(
-                    "unknown serve request tag {tag}"
-                )))
-            }
-        };
-        expect_exhausted(&r, "request")?;
-        Ok(request)
+        read_frame(bytes, REQUEST_MAGIC, "request")
     }
 }
 
@@ -461,973 +371,997 @@ impl ServeResponse {
     /// (zero-allocation) encode path of the socket front end. Byte-for-byte
     /// identical to [`to_wire`](Self::to_wire).
     pub fn write_wire(&self, w: &mut ByteWriter) {
-        w.put_u32(RESPONSE_MAGIC);
-        w.put_u8(WIRE_VERSION);
-        match self {
-            ServeResponse::Ingest(report) => {
-                w.put_u8(0);
-                put_ingest_report(w, report);
-            }
-            ServeResponse::Query(result) => {
-                w.put_u8(1);
-                put_query_result(w, result);
-            }
-            ServeResponse::Erode(report) => {
-                w.put_u8(2);
-                w.put_u32(report.age_days);
-                w.put_u64(report.segments_deleted as u64);
-                w.put_u64(report.deleted_bytes.bytes());
-                w.put_u64(report.segments_demoted as u64);
-                w.put_u64(report.demoted_bytes.bytes());
-            }
-            ServeResponse::Error(err) => {
-                w.put_u8(3);
-                w.put_u8(err.code.wire_tag());
-                w.put_bytes(err.message.as_bytes());
-            }
-            ServeResponse::LiveStats(stats) => {
-                w.put_u8(4);
-                put_live_stats(w, stats);
-            }
-            ServeResponse::NetStats(stats) => {
-                w.put_u8(5);
-                put_net_stats(w, stats);
-            }
-            ServeResponse::Metrics(snapshot) => {
-                w.put_u8(6);
-                put_metrics_snapshot(w, snapshot);
-            }
-            ServeResponse::TraceDump(dump) => {
-                w.put_u8(7);
-                put_trace_dump(w, dump);
-            }
-        }
+        write_frame(w, RESPONSE_MAGIC, self);
     }
 
     /// Deserialize a response from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Result<ServeResponse> {
-        let mut r = ByteReader::new(bytes);
-        check_frame(&mut r, RESPONSE_MAGIC, "response")?;
-        let response = match r.get_u8()? {
-            0 => ServeResponse::Ingest(get_ingest_report(&mut r)?),
-            1 => ServeResponse::Query(get_query_result(&mut r)?),
-            2 => ServeResponse::Erode(ErodeReport {
-                age_days: r.get_u32()?,
-                segments_deleted: usize_from_u64(r.get_u64()?, "eroded segment count")?,
-                deleted_bytes: ByteSize(r.get_u64()?),
-                segments_demoted: usize_from_u64(r.get_u64()?, "demoted segment count")?,
-                demoted_bytes: ByteSize(r.get_u64()?),
-            }),
-            3 => {
-                let tag = r.get_u8()?;
-                let code = *ErrorCode::ALL.get(usize::from(tag)).ok_or_else(|| {
-                    VStoreError::corruption(format!("unknown serve error code {tag}"))
-                })?;
-                ServeResponse::Error(RemoteError {
-                    code,
-                    message: get_string(&mut r)?,
-                })
-            }
-            4 => ServeResponse::LiveStats(Box::new(get_live_stats(&mut r)?)),
-            5 => ServeResponse::NetStats(Box::new(get_net_stats(&mut r)?)),
-            6 => ServeResponse::Metrics(get_metrics_snapshot(&mut r)?),
-            7 => ServeResponse::TraceDump(Box::new(get_trace_dump(&mut r)?)),
-            tag => {
-                return Err(VStoreError::corruption(format!(
-                    "unknown serve response tag {tag}"
-                )))
-            }
-        };
-        expect_exhausted(&r, "response")?;
-        Ok(response)
+        read_frame(bytes, RESPONSE_MAGIC, "response")
     }
 }
 
 // ---------------------------------------------------------------------
-// Frame helpers
+// The frame: magic, version, one payload, nothing after it
 // ---------------------------------------------------------------------
 
-fn check_frame(r: &mut ByteReader<'_>, magic: u32, what: &str) -> Result<()> {
+fn write_frame<T: Wire>(w: &mut ByteWriter, magic: u32, payload: &T) {
+    w.put_u32(magic);
+    w.put_u8(WIRE_VERSION);
+    payload.put(w);
+}
+
+fn read_frame<T: Wire>(bytes: &[u8], magic: u32, what: &str) -> Result<T> {
+    let mut r = ByteReader::new(bytes);
     let found = r.get_u32()?;
     if found != magic {
         return Err(VStoreError::corruption(format!(
             "bad serve {what} magic {found:#x}"
         )));
     }
-    // Accept the whole supported range (see the compat rule on
-    // `MIN_WIRE_VERSION`): v3 payload layouts are unchanged under v4, so a
-    // v4 decoder reads v3 frames as-is. Anything else is the typed
-    // version-mismatch error, not corruption — the frame may be perfectly
-    // well-formed, just newer (or older) than this build.
+    // Not corruption: the frame may be perfectly well-formed, just written
+    // by a build that speaks another version.
     let version = r.get_u8()?;
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(VStoreError::unsupported_version(version, WIRE_VERSION));
     }
-    Ok(())
-}
-
-fn expect_exhausted(r: &ByteReader<'_>, what: &str) -> Result<()> {
-    if r.is_exhausted() {
-        Ok(())
-    } else {
-        Err(VStoreError::corruption(format!(
+    let payload = T::get(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(VStoreError::corruption(format!(
             "trailing garbage after serve {what} ({} bytes)",
             r.remaining()
-        )))
+        )));
     }
-}
-
-fn get_string(r: &mut ByteReader<'_>) -> Result<String> {
-    let bytes = r.get_bytes()?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| VStoreError::corruption("serve frame string is not UTF-8"))
-}
-
-fn get_count(r: &mut ByteReader<'_>, what: &str) -> Result<usize> {
-    usize_from_u64(r.get_varint()?, what)
+    Ok(payload)
 }
 
 // ---------------------------------------------------------------------
-// Payload encoders/decoders
+// The codec idiom
 // ---------------------------------------------------------------------
 
-fn put_source(w: &mut ByteWriter, source: &VideoSource) {
-    w.put_bytes(source.name().as_bytes());
-    let p = source.profile();
-    w.put_u64(p.seed);
-    for field in [
-        p.motion_intensity,
-        p.object_arrivals_per_minute,
-        p.mean_object_height,
-        p.object_height_spread,
-        p.vehicle_fraction,
-        p.plate_visible_fraction,
-        p.background_texture,
-        p.mean_dwell_seconds,
-    ] {
-        w.put_f64(field);
+/// A type that crosses the serve wire: its encoder and its decoder, in one
+/// place. `get(put(x)) == x` for every value, consuming exactly the bytes
+/// `put` wrote (pinned per type by the round-trip properties below), and
+/// `get` on arbitrary bytes returns a typed error, never panics.
+trait Wire: Sized {
+    /// Append this value's encoding.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Decode one value from the front of `r`.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self>;
+}
+
+/// Read a container's element count. A declared count is believed only as
+/// far as the bytes behind it reach: no impl encodes to nothing, so more
+/// elements than bytes left is a lie, and fails here — before any
+/// reservation, before any loop.
+fn bounded_len(r: &mut ByteReader<'_>) -> Result<usize> {
+    let declared = r.get_varint()?;
+    match usize::try_from(declared) {
+        Ok(len) if len <= r.remaining() => Ok(len),
+        _ => Err(VStoreError::corruption(format!(
+            "serve frame declares {declared} elements with {} bytes left",
+            r.remaining()
+        ))),
     }
 }
 
-fn get_source(r: &mut ByteReader<'_>) -> Result<VideoSource> {
-    let name = get_string(r)?;
-    let profile = DatasetProfile {
-        seed: r.get_u64()?,
-        motion_intensity: r.get_f64()?,
-        object_arrivals_per_minute: r.get_f64()?,
-        mean_object_height: r.get_f64()?,
-        object_height_spread: r.get_f64()?,
-        vehicle_fraction: r.get_f64()?,
-        plate_visible_fraction: r.get_f64()?,
-        background_texture: r.get_f64()?,
-        mean_dwell_seconds: r.get_f64()?,
-    };
-    Ok(VideoSource::from_profile(name, profile))
-}
-
-fn put_op(w: &mut ByteWriter, op: OperatorKind) {
-    let tag = OperatorKind::ALL
-        .iter()
-        .position(|&o| o == op)
-        .expect("OperatorKind::ALL is exhaustive"); // vstore-lint: allow(no-unwrap)
-    w.put_u8(tag as u8); // vstore-lint: allow(checked-cast) — position in a <=255-entry array
-}
-
-fn get_op(r: &mut ByteReader<'_>) -> Result<OperatorKind> {
-    let tag = r.get_u8()?;
-    OperatorKind::ALL
-        .get(usize::from(tag))
-        .copied()
-        .ok_or_else(|| VStoreError::corruption(format!("unknown operator tag {tag}")))
-}
-
-fn put_spec(w: &mut ByteWriter, spec: &QuerySpec) {
-    w.put_bytes(spec.name.as_bytes());
-    w.put_varint(spec.cascade.len() as u64);
-    for &op in &spec.cascade {
-        put_op(w, op);
+impl Wire for u64 {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(*self);
     }
-    w.put_f64(spec.accuracy.value());
-}
-
-fn get_spec(r: &mut ByteReader<'_>) -> Result<QuerySpec> {
-    let name = get_string(r)?;
-    let stages = get_count(r, "query cascade length")?;
-    let mut cascade = Vec::with_capacity(stages.min(64));
-    for _ in 0..stages {
-        cascade.push(get_op(r)?);
-    }
-    let accuracy = r.get_f64()?;
-    // AccuracyLevel stores thousandths, so value() → new() round-trips
-    // exactly.
-    Ok(QuerySpec {
-        name,
-        cascade,
-        accuracy: AccuracyLevel::new(accuracy),
-    })
-}
-
-fn put_ingest_report(w: &mut ByteWriter, report: &IngestReport) {
-    w.put_f64(report.video.seconds());
-    w.put_varint(report.segments_written as u64);
-    w.put_f64(report.transcode_work.0);
-    w.put_varint(report.modeled_bytes.len() as u64);
-    for (id, bytes) in &report.modeled_bytes {
-        w.put_u32(id.0);
-        w.put_u64(bytes.bytes());
-    }
-    w.put_u64(report.actual_bytes.bytes());
-}
-
-fn get_ingest_report(r: &mut ByteReader<'_>) -> Result<IngestReport> {
-    let video = VideoSeconds(r.get_f64()?);
-    let segments_written = get_count(r, "ingest report segment count")?;
-    let transcode_work = CoreSeconds(r.get_f64()?);
-    let formats = get_count(r, "ingest report format count")?;
-    let mut modeled_bytes = std::collections::BTreeMap::new();
-    for _ in 0..formats {
-        let id = FormatId(r.get_u32()?);
-        let bytes = ByteSize(r.get_u64()?);
-        modeled_bytes.insert(id, bytes);
-    }
-    let actual_bytes = ByteSize(r.get_u64()?);
-    Ok(IngestReport {
-        video,
-        segments_written,
-        transcode_work,
-        modeled_bytes,
-        actual_bytes,
-    })
-}
-
-fn put_histogram(w: &mut ByteWriter, histogram: &LatencyHistogram) {
-    let (buckets, count, total_us, max_us) = histogram.to_parts();
-    for bucket in buckets {
-        w.put_u64(bucket);
-    }
-    w.put_u64(count);
-    w.put_u64(total_us);
-    w.put_u64(max_us);
-}
-
-fn get_histogram(r: &mut ByteReader<'_>) -> Result<LatencyHistogram> {
-    let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-    for bucket in buckets.iter_mut() {
-        *bucket = r.get_u64()?;
-    }
-    let count = r.get_u64()?;
-    let total_us = r.get_u64()?;
-    let max_us = r.get_u64()?;
-    Ok(LatencyHistogram::from_parts(
-        buckets, count, total_us, max_us,
-    ))
-}
-
-fn put_live_stats(w: &mut ByteWriter, stats: &LiveStats) {
-    w.put_u64(stats.workers as u64);
-    w.put_u64(stats.queue_capacity as u64);
-    w.put_u64(stats.queue_depth as u64);
-    w.put_u64(stats.peak_queue_depth as u64);
-    w.put_u64(stats.offered);
-    w.put_u64(stats.accepted);
-    w.put_u64(stats.shed);
-    w.put_u64(stats.completed);
-    w.put_u64(stats.failed);
-    w.put_u64(stats.panics);
-    w.put_u64(stats.current_level as u64);
-    w.put_u64(stats.max_level as u64);
-    w.put_u64(stats.step_downs);
-    w.put_u64(stats.step_ups);
-    w.put_u64(stats.degraded_segments);
-    w.put_f64(stats.video.seconds());
-    put_histogram(w, &stats.lag);
-    w.put_varint(stats.per_source.len() as u64);
-    for (source, count) in &stats.per_source {
-        w.put_bytes(source.as_bytes());
-        w.put_u64(*count);
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        r.get_varint()
     }
 }
 
-fn get_live_stats(r: &mut ByteReader<'_>) -> Result<LiveStats> {
-    let workers = usize_from_u64(r.get_u64()?, "live stats workers")?;
-    let queue_capacity = usize_from_u64(r.get_u64()?, "live stats queue capacity")?;
-    let queue_depth = usize_from_u64(r.get_u64()?, "live stats queue depth")?;
-    let peak_queue_depth = usize_from_u64(r.get_u64()?, "live stats peak queue depth")?;
-    let offered = r.get_u64()?;
-    let accepted = r.get_u64()?;
-    let shed = r.get_u64()?;
-    let completed = r.get_u64()?;
-    let failed = r.get_u64()?;
-    let panics = r.get_u64()?;
-    let current_level = usize_from_u64(r.get_u64()?, "live stats current level")?;
-    let max_level = usize_from_u64(r.get_u64()?, "live stats max level")?;
-    let step_downs = r.get_u64()?;
-    let step_ups = r.get_u64()?;
-    let degraded_segments = r.get_u64()?;
-    let video = VideoSeconds(r.get_f64()?);
-    let lag = get_histogram(r)?;
-    let sources = get_count(r, "live stats source count")?;
-    let mut per_source = std::collections::BTreeMap::new();
-    for _ in 0..sources {
-        let source = get_string(r)?;
-        let count = r.get_u64()?;
-        per_source.insert(source, count);
+impl Wire for u32 {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(u64::from(*self));
     }
-    Ok(LiveStats {
-        workers,
-        queue_capacity,
-        queue_depth,
-        peak_queue_depth,
-        offered,
-        accepted,
-        shed,
-        completed,
-        failed,
-        panics,
-        current_level,
-        max_level,
-        step_downs,
-        step_ups,
-        degraded_segments,
-        video,
-        lag,
-        per_source,
-    })
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let value = r.get_varint()?;
+        u32::try_from(value)
+            .map_err(|_| VStoreError::corruption(format!("serve frame u32 field holds {value}")))
+    }
 }
 
-fn put_net_stats(w: &mut ByteWriter, stats: &NetStats) {
-    w.put_u64(stats.event_loops as u64);
-    w.put_u64(stats.accepted);
-    w.put_u64(stats.refused);
-    w.put_u64(stats.active_connections as u64);
-    w.put_u64(stats.frames_in);
-    w.put_u64(stats.frames_out);
-    w.put_u64(stats.bytes_in);
-    w.put_u64(stats.bytes_out);
-    w.put_u64(stats.corrupt_frames);
-    w.put_u64(stats.oversized_frames);
-    w.put_u64(stats.disconnects);
-    w.put_u64(stats.write_syscalls);
-    w.put_u64(stats.pool_hits);
-    w.put_u64(stats.pool_misses);
-    put_histogram(w, &stats.batch_sizes);
-    put_histogram(w, &stats.backlog_peaks);
+impl Wire for usize {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(*self as u64);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        usize_from_u64(r.get_varint()?, "serve frame count field")
+    }
 }
 
-fn get_net_stats(r: &mut ByteReader<'_>) -> Result<NetStats> {
-    Ok(NetStats {
-        event_loops: usize_from_u64(r.get_u64()?, "net stats event loops")?,
-        accepted: r.get_u64()?,
-        refused: r.get_u64()?,
-        active_connections: usize_from_u64(r.get_u64()?, "net stats active connections")?,
-        frames_in: r.get_u64()?,
-        frames_out: r.get_u64()?,
-        bytes_in: r.get_u64()?,
-        bytes_out: r.get_u64()?,
-        corrupt_frames: r.get_u64()?,
-        oversized_frames: r.get_u64()?,
-        disconnects: r.get_u64()?,
-        write_syscalls: r.get_u64()?,
-        pool_hits: r.get_u64()?,
-        pool_misses: r.get_u64()?,
-        batch_sizes: get_histogram(r)?,
-        backlog_peaks: get_histogram(r)?,
-    })
+impl Wire for f64 {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_f64(*self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        r.get_f64()
+    }
 }
 
-fn put_metrics_snapshot(w: &mut ByteWriter, snapshot: &MetricsSnapshot) {
-    w.put_varint(snapshot.metrics.len() as u64);
-    for metric in &snapshot.metrics {
-        w.put_bytes(metric.name.as_bytes());
-        w.put_bytes(metric.help.as_bytes());
-        w.put_varint(metric.labels.len() as u64);
-        for (key, value) in &metric.labels {
-            w.put_bytes(key.as_bytes());
-            w.put_bytes(value.as_bytes());
+impl Wire for bool {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(u8::from(*self));
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(VStoreError::corruption(format!("bad bool byte {tag}"))),
         }
-        match &metric.value {
-            MetricValue::Counter(v) => {
-                w.put_u8(0);
-                w.put_u64(*v);
-            }
-            MetricValue::Gauge(v) => {
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_bytes(self.as_bytes());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        // `get_bytes` checks the declared length against what remains.
+        String::from_utf8(r.get_bytes()?.to_vec())
+            .map_err(|_| VStoreError::corruption("serve frame string is not UTF-8"))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            None => w.put_u8(0),
+            Some(value) => {
                 w.put_u8(1);
-                w.put_f64(*v);
+                value.put(w);
             }
-            MetricValue::Histogram(hist) => {
-                w.put_u8(2);
-                w.put_varint(hist.bounds.len() as u64);
-                for (&bound, &count) in hist.bounds.iter().zip(&hist.counts) {
-                    w.put_u64(bound);
-                    w.put_u64(count);
-                }
-                w.put_u64(hist.count);
-                w.put_u64(hist.sum);
-                w.put_u64(hist.max);
-            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            tag => Err(VStoreError::corruption(format!("bad option byte {tag}"))),
         }
     }
 }
 
-fn get_metrics_snapshot(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot> {
-    let rows = get_count(r, "metrics row count")?;
-    let mut metrics = Vec::with_capacity(rows.min(1 << 12));
-    for _ in 0..rows {
-        let name = get_string(r)?;
-        let help = get_string(r)?;
-        let label_count = get_count(r, "metric label count")?;
-        let mut labels = Vec::with_capacity(label_count.min(16));
-        for _ in 0..label_count {
-            let key = get_string(r)?;
-            let value = get_string(r)?;
-            labels.push((key, value));
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        (**self).put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(self.len() as u64);
+        for item in self {
+            item.put(w);
         }
-        let value = match r.get_u8()? {
-            0 => MetricValue::Counter(r.get_u64()?),
-            1 => MetricValue::Gauge(r.get_f64()?),
-            2 => {
-                let buckets = get_count(r, "metric bucket count")?;
-                let mut bounds = Vec::with_capacity(buckets.min(64));
-                let mut counts = Vec::with_capacity(buckets.min(64));
-                for _ in 0..buckets {
-                    bounds.push(r.get_u64()?);
-                    counts.push(r.get_u64()?);
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    bounds,
-                    counts,
-                    count: r.get_u64()?,
-                    sum: r.get_u64()?,
-                    max: r.get_u64()?,
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let len = bounded_len(r)?;
+        // Reserve no more bytes than the frame has left; a vector of
+        // elements smaller on the wire than in memory grows as it fills.
+        let mut items = Vec::with_capacity(len.min(r.remaining() / size_of::<T>().max(1)));
+        for _ in 0..len {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(self.len() as u64);
+        for (key, value) in self {
+            key.put(w);
+            value.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let len = bounded_len(r)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..len {
+            map.insert(K::get(r)?, V::get(r)?);
+        }
+        Ok(map)
+    }
+}
+
+/// `impl Wire` for a struct whose fields all are `Wire`: the fields, in
+/// wire order. Naming every field in the constructor is what keeps the
+/// list complete — a field added to the struct does not compile until it
+/// is given its place here. The same list drives the type's generator in
+/// the round-trip properties (`tests::Arb`), so a field is never encoded
+/// without being exercised.
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$field.put(w);)+
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                Ok(Self { $($field: Wire::get(r)?),+ })
+            }
+        }
+        #[cfg(test)]
+        impl tests::Arb for $ty {
+            fn arb(g: &mut tests::Gen) -> Self {
+                Self { $($field: tests::Arb::arb(g)),+ }
+            }
+        }
+    };
+}
+
+/// `impl Wire` for a unit newtype (`struct Meters(pub f64)`): its content.
+macro_rules! wire_newtype {
+    ($($ty:ident($inner:ty)),+ $(,)?) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                self.0.put(w);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                <$inner>::get(r).map($ty)
+            }
+        }
+        #[cfg(test)]
+        impl tests::Arb for $ty {
+            fn arb(g: &mut tests::Gen) -> Self {
+                $ty(tests::Arb::arb(g))
+            }
+        }
+    )+};
+}
+
+/// `impl Wire` for a fieldless enum with an `ALL` table: its position
+/// there, as one byte.
+macro_rules! wire_enum {
+    ($ty:ty, $what:literal) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                // A value missing from its own table encodes as a tag the
+                // decoder rejects.
+                let tag = <$ty>::ALL.iter().position(|v| v == self);
+                w.put_u8(tag.and_then(|t| u8::try_from(t).ok()).unwrap_or(u8::MAX));
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                let tag = r.get_u8()?;
+                <$ty>::ALL.get(usize::from(tag)).copied().ok_or_else(|| {
+                    VStoreError::corruption(format!(concat!("unknown ", $what, " tag {}"), tag))
                 })
             }
-            tag => {
-                return Err(VStoreError::corruption(format!(
-                    "unknown metric value tag {tag}"
-                )))
-            }
-        };
-        metrics.push(Metric {
-            name,
-            help,
-            labels,
-            value,
-        });
-    }
-    Ok(MetricsSnapshot { metrics })
-}
-
-fn get_bool(r: &mut ByteReader<'_>, what: &str) -> Result<bool> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(VStoreError::corruption(format!("bad {what} flag {tag}"))),
-    }
-}
-
-fn put_trace_dump(w: &mut ByteWriter, dump: &TraceDump) {
-    w.put_varint(dump.records.len() as u64);
-    for record in &dump.records {
-        w.put_u64(record.trace_id);
-        w.put_bytes(record.root.as_bytes());
-        w.put_u64(record.start_us);
-        w.put_u64(record.dur_us);
-        w.put_u8(u8::from(record.sampled));
-        w.put_u8(u8::from(record.slow));
-        w.put_varint(record.spans.len() as u64);
-        for span in &record.spans {
-            w.put_bytes(span.name.as_bytes());
-            w.put_bytes(span.detail.as_bytes());
-            w.put_u64(span.start_us);
-            w.put_u64(span.dur_us);
-            w.put_u64(span.tid);
         }
-    }
-    w.put_u64(dump.dropped_spans);
-}
-
-fn get_trace_dump(r: &mut ByteReader<'_>) -> Result<TraceDump> {
-    let record_count = get_count(r, "trace record count")?;
-    let mut records = Vec::with_capacity(record_count.min(1 << 12));
-    for _ in 0..record_count {
-        let trace_id = r.get_u64()?;
-        let root = get_string(r)?;
-        let start_us = r.get_u64()?;
-        let dur_us = r.get_u64()?;
-        let sampled = get_bool(r, "trace sampled")?;
-        let slow = get_bool(r, "trace slow")?;
-        let span_count = get_count(r, "trace span count")?;
-        let mut spans = Vec::with_capacity(span_count.min(1 << 12));
-        for _ in 0..span_count {
-            spans.push(TraceSpan {
-                name: get_string(r)?,
-                detail: get_string(r)?,
-                start_us: r.get_u64()?,
-                dur_us: r.get_u64()?,
-                tid: r.get_u64()?,
-            });
-        }
-        records.push(TraceRecord {
-            trace_id,
-            root,
-            start_us,
-            dur_us,
-            sampled,
-            slow,
-            spans,
-        });
-    }
-    let dropped_spans = r.get_u64()?;
-    Ok(TraceDump {
-        records,
-        dropped_spans,
-    })
-}
-
-fn put_query_result(w: &mut ByteWriter, result: &QueryResult) {
-    put_spec(w, &result.query);
-    w.put_f64(result.video.seconds());
-    w.put_f64(result.speed.factor());
-    w.put_varint(result.positive_frames.len() as u64);
-    for &frame in &result.positive_frames {
-        w.put_varint(frame);
-    }
-    w.put_varint(result.stages.len() as u64);
-    for stage in &result.stages {
-        put_op(w, stage.op);
-        w.put_varint(stage.segments_processed as u64);
-        w.put_varint(stage.segments_passed as u64);
-        w.put_varint(stage.frames_consumed as u64);
-        w.put_f64(stage.processing_seconds);
-        w.put_varint(stage.fallback_segments as u64);
-        match stage.planned_selectivity {
-            Some(s) => {
-                w.put_u8(1);
-                w.put_f64(s);
+        #[cfg(test)]
+        impl tests::Arb for $ty {
+            fn arb(g: &mut tests::Gen) -> Self {
+                <$ty>::ALL[g.below(<$ty>::ALL.len() as u64) as usize]
             }
-            None => w.put_u8(0),
         }
-    }
-    w.put_u64(result.bytes_read.bytes());
-    w.put_varint(result.segments_skipped as u64);
+    };
 }
 
-fn get_query_result(r: &mut ByteReader<'_>) -> Result<QueryResult> {
-    let query = get_spec(r)?;
-    let video = VideoSeconds(r.get_f64()?);
-    let speed = Speed(r.get_f64()?);
-    let frames = get_count(r, "query result frame count")?;
-    let mut positive_frames = Vec::with_capacity(frames.min(1 << 16));
-    for _ in 0..frames {
-        positive_frames.push(r.get_varint()?);
-    }
-    let stage_count = get_count(r, "query result stage count")?;
-    let mut stages = Vec::with_capacity(stage_count.min(64));
-    for _ in 0..stage_count {
-        let op = get_op(r)?;
-        let segments_processed = get_count(r, "stage segments processed")?;
-        let segments_passed = get_count(r, "stage segments passed")?;
-        let frames_consumed = get_count(r, "stage frames consumed")?;
-        let processing_seconds = r.get_f64()?;
-        let fallback_segments = get_count(r, "stage fallback segments")?;
-        let planned_selectivity = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_f64()?),
-            other => {
-                return Err(VStoreError::corruption(format!(
-                    "bad planned-selectivity tag {other}"
-                )))
+/// `impl Wire` for an enum whose variants carry `Wire` fields: a table of
+/// `tag => Variant { fields in wire order }` (`{ 0 }` for a tuple variant's
+/// payload, `{}` for a unit variant). The tag `match` is exhaustive, so a
+/// variant missing from the table does not compile, and the table also
+/// drives the generators (`tests::Arb`, `tests::EachVariant`), so a
+/// variant is never encoded without being exercised.
+macro_rules! wire_variants {
+    ($ty:ident, $what:literal, {
+        $($tag:literal => $variant:ident { $($field:tt),* }),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                w.put_u8(match self {
+                    $($ty::$variant { .. } => $tag,)+
+                });
+                // One variant's patterns match; its fields go out in order.
+                $($(if let $ty::$variant { $field: field, .. } = self {
+                    field.put(w);
+                })*)+
             }
-        };
-        stages.push(StageReport {
-            op,
-            segments_processed,
-            segments_passed,
-            frames_consumed,
-            processing_seconds,
-            fallback_segments,
-            planned_selectivity,
-        });
-    }
-    let bytes_read = ByteSize(r.get_u64()?);
-    let segments_skipped = get_count(r, "query segments skipped")?;
-    Ok(QueryResult {
-        query,
-        video,
-        speed,
-        positive_frames,
-        stages,
-        bytes_read,
-        segments_skipped,
-    })
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                match r.get_u8()? {
+                    $($tag => Ok($ty::$variant { $($field: Wire::get(r)?),* }),)+
+                    tag => Err(VStoreError::corruption(format!(
+                        concat!("unknown ", $what, " tag {}"),
+                        tag
+                    ))),
+                }
+            }
+        }
+        #[cfg(test)]
+        impl tests::EachVariant for $ty {
+            fn each_variant(g: &mut tests::Gen) -> Vec<Self> {
+                vec![$($ty::$variant { $($field: tests::Arb::arb(g)),* }),+]
+            }
+        }
+    };
 }
+
+// ---------------------------------------------------------------------
+// The payload types, one impl each
+// ---------------------------------------------------------------------
+
+wire_newtype!(
+    VideoSeconds(f64),
+    CoreSeconds(f64),
+    Speed(f64),
+    ByteSize(u64),
+    FormatId(u32),
+);
+wire_enum!(OperatorKind, "operator");
+wire_enum!(ErrorCode, "serve error code");
+
+impl Wire for AccuracyLevel {
+    fn put(&self, w: &mut ByteWriter) {
+        self.value().put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        // AccuracyLevel stores thousandths, so value() → new() round-trips
+        // exactly.
+        f64::get(r).map(AccuracyLevel::new)
+    }
+}
+
+impl Wire for LatencyHistogram {
+    fn put(&self, w: &mut ByteWriter) {
+        let (buckets, count, total_us, max_us) = self.to_parts();
+        for bucket in buckets {
+            bucket.put(w);
+        }
+        count.put(w);
+        total_us.put(w);
+        max_us.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        for bucket in &mut buckets {
+            *bucket = u64::get(r)?;
+        }
+        Ok(LatencyHistogram::from_parts(
+            buckets,
+            u64::get(r)?,
+            u64::get(r)?,
+            u64::get(r)?,
+        ))
+    }
+}
+
+wire_struct!(DatasetProfile {
+    seed,
+    motion_intensity,
+    object_arrivals_per_minute,
+    mean_object_height,
+    object_height_spread,
+    vehicle_fraction,
+    plate_visible_fraction,
+    background_texture,
+    mean_dwell_seconds,
+});
+
+impl Wire for VideoSource {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_bytes(self.name().as_bytes());
+        self.profile().put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let name = String::get(r)?;
+        Ok(VideoSource::from_profile(name, DatasetProfile::get(r)?))
+    }
+}
+
+wire_struct!(QuerySpec {
+    name,
+    cascade,
+    accuracy
+});
+wire_struct!(IngestReport {
+    video,
+    segments_written,
+    transcode_work,
+    modeled_bytes,
+    actual_bytes,
+});
+wire_struct!(ErodeReport {
+    age_days,
+    segments_deleted,
+    deleted_bytes,
+    segments_demoted,
+    demoted_bytes,
+});
+wire_struct!(StageReport {
+    op,
+    segments_processed,
+    segments_passed,
+    frames_consumed,
+    processing_seconds,
+    fallback_segments,
+    planned_selectivity,
+});
+wire_struct!(QueryResult {
+    query,
+    video,
+    speed,
+    positive_frames,
+    stages,
+    bytes_read,
+    segments_skipped,
+});
+wire_struct!(LiveStats {
+    workers,
+    queue_capacity,
+    queue_depth,
+    peak_queue_depth,
+    offered,
+    accepted,
+    shed,
+    completed,
+    failed,
+    panics,
+    current_level,
+    max_level,
+    step_downs,
+    step_ups,
+    degraded_segments,
+    video,
+    lag,
+    per_source,
+});
+wire_struct!(HistogramSnapshot {
+    bounds,
+    counts,
+    count,
+    sum,
+    max
+});
+wire_struct!(Metric {
+    name,
+    help,
+    labels,
+    value
+});
+wire_struct!(MetricsSnapshot { metrics });
+wire_struct!(TraceSpan {
+    name,
+    detail,
+    start_us,
+    dur_us,
+    tid
+});
+wire_struct!(TraceRecord {
+    trace_id,
+    root,
+    start_us,
+    dur_us,
+    sampled,
+    slow,
+    spans,
+});
+wire_struct!(TraceDump {
+    records,
+    dropped_spans
+});
+wire_struct!(RemoteError { code, message });
+
+wire_variants!(MetricValue, "metric value", {
+    0 => Counter { 0 },
+    1 => Gauge { 0 },
+    2 => Histogram { 0 },
+});
+wire_variants!(ServeRequest, "serve request", {
+    0 => Ingest { source, first_segment, count },
+    1 => Query { stream, spec, first_segment, count },
+    2 => Erode { stream, age_days },
+    3 => LiveStats {},
+    // 4 was the net-stats request, retired in v6. A tag keeps meaning what
+    // it always meant, so it stays unassigned.
+    5 => MetricsSnapshot {},
+    6 => TraceDump { max_traces },
+});
+wire_variants!(ServeResponse, "serve response", {
+    0 => Ingest { 0 },
+    1 => Query { 0 },
+    2 => Erode { 0 },
+    3 => Error { 0 },
+    4 => LiveStats { 0 },
+    // 5 was the net-stats response.
+    6 => Metrics { 0 },
+    7 => TraceDump { 0 },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::FnStrategy;
     use vstore_datasets::Dataset;
 
-    fn sample_query_result() -> QueryResult {
-        QueryResult {
-            query: QuerySpec::query_a(0.85),
-            video: VideoSeconds(16.0),
-            speed: Speed(421.5),
-            positive_frames: vec![3, 77, 1_000_000],
-            stages: vec![
-                StageReport {
-                    op: OperatorKind::Diff,
-                    segments_processed: 2,
-                    segments_passed: 1,
-                    frames_consumed: 480,
-                    processing_seconds: 0.125,
-                    fallback_segments: 0,
-                    planned_selectivity: Some(0.45),
-                },
-                StageReport {
-                    op: OperatorKind::FullNN,
-                    segments_processed: 1,
-                    segments_passed: 1,
-                    frames_consumed: 240,
-                    processing_seconds: 1.5,
-                    fallback_segments: 1,
-                    planned_selectivity: None,
-                },
-            ],
-            bytes_read: ByteSize(123_456),
-            segments_skipped: 3,
+    // -----------------------------------------------------------------
+    // Generators: the test-side twin of `Wire`
+    // -----------------------------------------------------------------
+
+    /// The random stream generators draw from.
+    pub(super) type Gen = proptest::TestRunner;
+
+    /// An arbitrary value of a wire type. Composes the way [`Wire`] does,
+    /// and the `wire_*!` macros emit it from the same field lists, so the
+    /// properties below exercise exactly what the codec encodes.
+    pub(super) trait Arb: Sized {
+        fn arb(g: &mut Gen) -> Self;
+    }
+
+    /// `T`'s generator as a proptest strategy.
+    fn arb<T: Arb>() -> impl Strategy<Value = T> {
+        FnStrategy::new(T::arb)
+    }
+
+    impl Arb for u64 {
+        /// Both ends of the varint: one-byte values and full-width ones.
+        fn arb(g: &mut Gen) -> Self {
+            if bool::arb(g) {
+                g.below(300)
+            } else {
+                g.next_u64()
+            }
+        }
+    }
+    impl Arb for u32 {
+        fn arb(g: &mut Gen) -> Self {
+            u64::arb(g) as u32
+        }
+    }
+    impl Arb for usize {
+        fn arb(g: &mut Gen) -> Self {
+            u64::arb(g) as usize
+        }
+    }
+    impl Arb for f64 {
+        /// Finite, so that `==` can judge the round trip.
+        fn arb(g: &mut Gen) -> Self {
+            (g.unit() - 0.5) * 2e12
+        }
+    }
+    impl Arb for bool {
+        fn arb(g: &mut Gen) -> Self {
+            g.below(2) == 1
+        }
+    }
+    impl Arb for String {
+        /// One- to three-byte characters, empty strings included.
+        fn arb(g: &mut Gen) -> Self {
+            let len = g.below(9);
+            (0..len)
+                .map(|_| ['a', 'z', '_', 'é', '☃'][g.below(5) as usize])
+                .collect()
+        }
+    }
+    impl<T: Arb> Arb for Option<T> {
+        fn arb(g: &mut Gen) -> Self {
+            bool::arb(g).then(|| T::arb(g))
+        }
+    }
+    impl<T: Arb> Arb for Box<T> {
+        fn arb(g: &mut Gen) -> Self {
+            Box::new(T::arb(g))
+        }
+    }
+    impl<A: Arb, B: Arb> Arb for (A, B) {
+        fn arb(g: &mut Gen) -> Self {
+            (A::arb(g), B::arb(g))
+        }
+    }
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb(g: &mut Gen) -> Self {
+            let len = g.below(5);
+            (0..len).map(|_| T::arb(g)).collect()
+        }
+    }
+    impl<K: Arb + Ord, V: Arb> Arb for BTreeMap<K, V> {
+        fn arb(g: &mut Gen) -> Self {
+            Vec::arb(g).into_iter().collect()
         }
     }
 
-    fn sample_live_stats() -> LiveStats {
-        let mut lag = LatencyHistogram::default();
-        for us in [12u64, 900, 44_000, 2_000_000] {
-            lag.record(us);
+    impl Arb for AccuracyLevel {
+        fn arb(g: &mut Gen) -> Self {
+            AccuracyLevel::new((1 + g.below(1000)) as f64 / 1000.0)
         }
-        let mut per_source = std::collections::BTreeMap::new();
-        per_source.insert("jackson".to_owned(), 41u64);
-        per_source.insert("park".to_owned(), u64::MAX);
-        LiveStats {
-            workers: 3,
-            queue_capacity: 64,
-            queue_depth: 5,
-            peak_queue_depth: 63,
-            offered: 120,
-            accepted: 110,
-            shed: 10,
-            completed: 100,
-            failed: 5,
-            panics: 1,
-            current_level: 2,
-            max_level: 5,
-            step_downs: 9,
-            step_ups: 7,
-            degraded_segments: 33,
-            video: VideoSeconds(800.0),
-            lag,
-            per_source,
+    }
+    impl Arb for LatencyHistogram {
+        fn arb(g: &mut Gen) -> Self {
+            let buckets = std::array::from_fn(|_| u64::arb(g));
+            LatencyHistogram::from_parts(buckets, u64::arb(g), u64::arb(g), u64::arb(g))
+        }
+    }
+    impl Arb for VideoSource {
+        fn arb(g: &mut Gen) -> Self {
+            VideoSource::from_profile(String::arb(g), DatasetProfile::arb(g))
         }
     }
 
-    fn sample_net_stats() -> NetStats {
-        let mut batch_sizes = LatencyHistogram::default();
-        let mut backlog_peaks = LatencyHistogram::default();
-        for v in [1u64, 4, 16, 64] {
-            batch_sizes.record(v);
-            backlog_peaks.record(v * 2);
-        }
-        NetStats {
-            event_loops: 2,
-            accepted: 100,
-            refused: 3,
-            active_connections: 7,
-            frames_in: 5000,
-            frames_out: 4990,
-            bytes_in: 1 << 20,
-            bytes_out: 1 << 22,
-            corrupt_frames: 2,
-            oversized_frames: 1,
-            disconnects: 4,
-            write_syscalls: 800,
-            pool_hits: 4900,
-            pool_misses: 100,
-            batch_sizes,
-            backlog_peaks,
+    /// One value of every variant of an enum, in tag order — emitted by
+    /// `wire_variants!` from the codec's own table.
+    pub(super) trait EachVariant: Sized {
+        fn each_variant(g: &mut Gen) -> Vec<Self>;
+    }
+
+    /// One value of every variant, as a proptest strategy.
+    fn arb_each<T: EachVariant>() -> impl Strategy<Value = Vec<T>> {
+        FnStrategy::new(T::each_variant)
+    }
+
+    impl Arb for MetricValue {
+        fn arb(g: &mut Gen) -> Self {
+            let mut all = Self::each_variant(g);
+            all.swap_remove(g.below(all.len() as u64) as usize)
         }
     }
 
-    fn sample_metrics_snapshot() -> MetricsSnapshot {
-        let mut hist = LatencyHistogram::default();
-        for us in [3u64, 90, 7_000] {
-            hist.record(us);
+    // -----------------------------------------------------------------
+    // Round trips
+    // -----------------------------------------------------------------
+
+    /// `get(put(x)) == x`, consuming exactly what `put` wrote.
+    fn round_trips<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
+        let mut w = ByteWriter::new();
+        value.put(&mut w);
+        let bytes = w.into_bytes();
+        assert!(!bytes.is_empty(), "{value:?} encodes to nothing");
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(&T::get(&mut r).unwrap(), value);
+        assert!(r.is_exhausted(), "{} bytes left over", r.remaining());
+    }
+
+    proptest! {
+        #[test]
+        fn structural_impls_round_trip(
+            ints in arb::<(u32, (u64, usize))>(),
+            scalars in arb::<(f64, (bool, String))>(),
+            option in arb::<Option<Box<String>>>(),
+            vec in arb::<Vec<(String, f64)>>(),
+            map in arb::<BTreeMap<String, Vec<u64>>>(),
+        ) {
+            round_trips(&ints);
+            round_trips(&scalars);
+            round_trips(&option);
+            round_trips(&vec);
+            round_trips(&map);
         }
-        MetricsSnapshot {
-            metrics: vec![
-                vstore_obs::Metric::counter("vstore_serve_requests_total", "requests", 42),
-                vstore_obs::Metric::gauge("vstore_cache_fill", "cache fill ratio", 0.75)
-                    .with_label("tier", "raw"),
-                vstore_obs::Metric::latency("vstore_serve_e2e_us", "end to end", &hist),
-            ],
+
+        #[test]
+        fn video_source_round_trips(x in arb::<VideoSource>()) { round_trips(&x); }
+        #[test]
+        fn query_spec_round_trips(x in arb::<QuerySpec>()) { round_trips(&x); }
+        #[test]
+        fn ingest_report_round_trips(x in arb::<IngestReport>()) { round_trips(&x); }
+        #[test]
+        fn erode_report_round_trips(x in arb::<ErodeReport>()) { round_trips(&x); }
+        #[test]
+        fn stage_report_round_trips(x in arb::<StageReport>()) { round_trips(&x); }
+        #[test]
+        fn query_result_round_trips(x in arb::<QueryResult>()) { round_trips(&x); }
+        #[test]
+        fn latency_histogram_round_trips(x in arb::<LatencyHistogram>()) { round_trips(&x); }
+        #[test]
+        fn live_stats_round_trips(x in arb::<LiveStats>()) { round_trips(&x); }
+        #[test]
+        fn metric_value_round_trips(x in arb::<MetricValue>()) { round_trips(&x); }
+        #[test]
+        fn metric_round_trips(x in arb::<Metric>()) { round_trips(&x); }
+        #[test]
+        fn metrics_snapshot_round_trips(x in arb::<MetricsSnapshot>()) { round_trips(&x); }
+        #[test]
+        fn trace_span_round_trips(x in arb::<TraceSpan>()) { round_trips(&x); }
+        #[test]
+        fn trace_record_round_trips(x in arb::<TraceRecord>()) { round_trips(&x); }
+        #[test]
+        fn trace_dump_round_trips(x in arb::<TraceDump>()) { round_trips(&x); }
+        #[test]
+        fn remote_error_round_trips(x in arb::<RemoteError>()) { round_trips(&x); }
+
+        /// Every request kind: as a payload, as a frame, and byte-identical
+        /// when the decoded request is encoded again.
+        #[test]
+        fn requests_round_trip(requests in arb_each::<ServeRequest>()) {
+            for request in requests {
+                round_trips(&request);
+                let bytes = request.to_wire();
+                let decoded = ServeRequest::from_wire(&bytes).unwrap();
+                assert_eq!(decoded, request);
+                assert_eq!(decoded.to_wire(), bytes);
+            }
+        }
+
+        /// Every response variant, likewise.
+        #[test]
+        fn responses_round_trip(responses in arb_each::<ServeResponse>()) {
+            for response in responses {
+                round_trips(&response);
+                let bytes = response.to_wire();
+                let decoded = ServeResponse::from_wire(&bytes).unwrap();
+                assert_eq!(decoded, response);
+                assert_eq!(decoded.to_wire(), bytes);
+            }
+        }
+
+        /// `write_wire` into a recycled buffer is byte-identical to
+        /// `to_wire`, for every variant.
+        #[test]
+        fn write_wire_matches_to_wire_on_a_recycled_buffer(
+            requests in arb_each::<ServeRequest>(),
+            responses in arb_each::<ServeResponse>(),
+        ) {
+            for request in requests {
+                let mut w = ByteWriter::from_vec(vec![0xAA; 256]);
+                request.write_wire(&mut w);
+                assert_eq!(w.into_bytes(), request.to_wire());
+            }
+            for response in responses {
+                let mut w = ByteWriter::from_vec(vec![0xAA; 256]);
+                response.write_wire(&mut w);
+                assert_eq!(w.into_bytes(), response.to_wire());
+            }
         }
     }
 
-    fn sample_trace_dump() -> TraceDump {
-        TraceDump {
-            records: vec![TraceRecord {
-                trace_id: 0xDEAD_BEEF,
-                root: "query".into(),
-                start_us: 1_000,
-                dur_us: 5_500,
-                sampled: true,
-                slow: false,
-                spans: vec![
-                    TraceSpan {
-                        name: "net.decode".into(),
-                        detail: String::new(),
-                        start_us: 0,
-                        dur_us: 12,
-                        tid: 1,
-                    },
-                    TraceSpan {
-                        name: "read.disk".into(),
-                        detail: "jackson/7".into(),
-                        start_us: 300,
-                        dur_us: 4_000,
-                        tid: 3,
-                    },
-                ],
-            }],
-            dropped_spans: 9,
-        }
-    }
-
-    /// The compat rule: a frame whose payload layout existed in an older
-    /// supported version decodes identically when its version byte says
-    /// so — v3 and v4 frames both decode on the v5 path.
+    /// The table generates every variant once, under the tag it always had
+    /// (4 and 5 were the net-stats pair), and every request kind is there.
     #[test]
-    fn old_version_frames_decode_on_the_v5_path() {
+    fn every_variant_is_generated_under_its_tag() {
+        let mut g = Gen::deterministic(1, 1);
+        let requests = ServeRequest::each_variant(&mut g);
+        let kinds: Vec<RequestKind> = requests.iter().map(ServeRequest::kind).collect();
+        assert_eq!(kinds, RequestKind::ALL);
+        let tags: Vec<u8> = requests.iter().map(|r| r.to_wire()[5]).collect();
+        assert_eq!(tags, [0, 1, 2, 3, 5, 6]);
+        let responses = ServeResponse::each_variant(&mut g);
+        let tags: Vec<u8> = responses.iter().map(|r| r.to_wire()[5]).collect();
+        assert_eq!(tags, [0, 1, 2, 3, 4, 6, 7]);
+    }
+
+    // -----------------------------------------------------------------
+    // Hostile bytes
+    // -----------------------------------------------------------------
+
+    /// What a decoder may say about bytes it does not like.
+    fn typed<T: std::fmt::Debug>(result: Result<T>) {
+        if let Err(err) = result {
+            assert!(
+                matches!(
+                    err,
+                    VStoreError::Corruption(_) | VStoreError::UnsupportedVersion { .. }
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    /// Every proper prefix of a valid frame is an error; every single-byte
+    /// mutation is `Ok` or a typed error. Neither panics.
+    fn survives_damage<T: std::fmt::Debug>(frame: &[u8], decode: fn(&[u8]) -> Result<T>) {
+        for cut in 0..frame.len() {
+            assert!(decode(&frame[..cut]).is_err(), "prefix {cut} decoded");
+            typed(decode(&frame[..cut]));
+        }
+        let mut bad = frame.to_vec();
+        for at in 0..frame.len() {
+            for delta in 1..=u8::MAX {
+                bad[at] = frame[at].wrapping_add(delta);
+                typed(decode(&bad));
+            }
+            bad[at] = frame[at];
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn damaged_frames_of_every_variant_never_panic(
+            requests in arb_each::<ServeRequest>(),
+            responses in arb_each::<ServeResponse>(),
+        ) {
+            for request in requests {
+                survives_damage(&request.to_wire(), ServeRequest::from_wire);
+            }
+            for response in responses {
+                survives_damage(&response.to_wire(), ServeResponse::from_wire);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Arbitrary bytes, bare and behind a valid header and tag (so the
+        /// payload decoders are reached, not just the magic check).
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            tag in 0u8..9,
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            typed(ServeRequest::from_wire(&bytes));
+            typed(ServeResponse::from_wire(&bytes));
+            for (magic, is_request) in [(REQUEST_MAGIC, true), (RESPONSE_MAGIC, false)] {
+                let mut w = ByteWriter::new();
+                w.put_u32(magic);
+                w.put_u8(WIRE_VERSION);
+                w.put_u8(tag);
+                w.put_raw(&bytes);
+                let frame = w.into_bytes();
+                if is_request {
+                    typed(ServeRequest::from_wire(&frame));
+                } else {
+                    typed(ServeResponse::from_wire(&frame));
+                }
+            }
+        }
+    }
+
+    /// A frame of at most 64 bytes may declare any count it likes: every
+    /// container refuses it on what the frame can hold, before reserving
+    /// (a `with_capacity` on these counts would abort the test) and before
+    /// looping.
+    #[test]
+    fn huge_declared_counts_fail_fast_without_a_reservation() {
+        fn refuses<T: Wire + std::fmt::Debug>(declared: u64) {
+            let mut w = ByteWriter::new();
+            w.put_varint(declared);
+            w.put_raw(&[0u8; 50]);
+            let bytes = w.into_bytes();
+            assert!(bytes.len() <= 64);
+            let err = T::get(&mut ByteReader::new(&bytes)).unwrap_err();
+            assert!(err.to_string().contains("declares"), "{err}");
+        }
+        for declared in [51, 1 << 20, 1 << 40, 1 << 60, u64::MAX] {
+            refuses::<Vec<u64>>(declared);
+            refuses::<Vec<OperatorKind>>(declared);
+            refuses::<Vec<(String, String)>>(declared);
+            refuses::<Vec<TraceRecord>>(declared);
+            refuses::<BTreeMap<String, u64>>(declared);
+            // Payloads whose first field is the container.
+            refuses::<MetricsSnapshot>(declared);
+            refuses::<TraceDump>(declared);
+        }
+        // Fifty elements do fit in fifty bytes.
+        let mut bytes = vec![50u8];
+        bytes.extend([0u8; 50]);
+        assert_eq!(
+            Vec::<u64>::get(&mut ByteReader::new(&bytes)).unwrap(),
+            [0; 50]
+        );
+        // The same through the front door: a query request whose cascade
+        // declares 2^60 operators.
+        let mut w = ByteWriter::new();
+        w.put_u32(REQUEST_MAGIC);
+        w.put_raw(&[WIRE_VERSION, 1, 0, 0]); // version, tag, stream "", spec name ""
+        w.put_varint(1 << 60);
+        assert!(is_corruption(ServeRequest::from_wire(&w.into_bytes())));
+    }
+
+    // -----------------------------------------------------------------
+    // The frame
+    // -----------------------------------------------------------------
+
+    /// One protocol version: every other version byte — older, newer — is
+    /// the typed mismatch, carrying what was found and what this build
+    /// speaks.
+    #[test]
+    fn only_the_current_version_decodes() {
+        assert_eq!(WIRE_VERSION, 6);
         let request = ServeRequest::Query {
             stream: "jackson".into(),
             spec: QuerySpec::query_a(0.8),
             first_segment: 2,
             count: 4,
         };
-        let mut bytes = request.to_wire();
-        assert_eq!(bytes[4], WIRE_VERSION);
-        for version in MIN_WIRE_VERSION..WIRE_VERSION {
-            bytes[4] = version;
-            assert_eq!(ServeRequest::from_wire(&bytes).unwrap(), request);
+        let response = ServeResponse::LiveStats(Box::default());
+        let (mut request_bytes, mut response_bytes) = (request.to_wire(), response.to_wire());
+        assert_eq!(request_bytes[4], WIRE_VERSION);
+        for version in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
+            request_bytes[4] = version;
+            response_bytes[4] = version;
+            for err in [
+                ServeRequest::from_wire(&request_bytes).unwrap_err(),
+                ServeResponse::from_wire(&response_bytes).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        VStoreError::UnsupportedVersion { got, expected: WIRE_VERSION }
+                            if got == version
+                    ),
+                    "version {version}: {err}"
+                );
+            }
         }
-
-        // A v3-era payload under a v3 version byte.
-        let response = ServeResponse::LiveStats(Box::new(sample_live_stats()));
-        let mut bytes = response.to_wire();
-        bytes[4] = MIN_WIRE_VERSION;
-        assert_eq!(ServeResponse::from_wire(&bytes).unwrap(), response);
-
-        // A v4-era payload (net-stats) under a v4 version byte.
-        let response = ServeResponse::NetStats(Box::new(sample_net_stats()));
-        let mut bytes = response.to_wire();
-        bytes[4] = 4;
-        assert_eq!(ServeResponse::from_wire(&bytes).unwrap(), response);
+        request_bytes[4] = WIRE_VERSION;
+        assert_eq!(ServeRequest::from_wire(&request_bytes).unwrap(), request);
     }
 
-    /// `write_wire` into a recycled buffer is byte-identical to `to_wire`.
-    #[test]
-    fn write_wire_matches_to_wire_on_a_recycled_buffer() {
-        use vstore_codec::wire::ByteWriter;
-        let response = ServeResponse::NetStats(Box::new(sample_net_stats()));
-        let mut w = ByteWriter::from_vec(vec![0xAA; 256]);
-        response.write_wire(&mut w);
-        assert_eq!(w.into_bytes(), response.to_wire());
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        let requests = vec![
-            ServeRequest::Ingest {
-                source: VideoSource::new(Dataset::Jackson),
-                first_segment: 8,
-                count: 4,
-            },
-            ServeRequest::Query {
-                stream: "jackson".into(),
-                spec: QuerySpec::query_b(0.7),
-                first_segment: 0,
-                count: 2,
-            },
-            ServeRequest::Erode {
-                stream: "park".into(),
-                age_days: 9,
-            },
-            ServeRequest::LiveStats,
-            ServeRequest::NetStats,
-            ServeRequest::MetricsSnapshot,
-            ServeRequest::TraceDump { max_traces: 0 },
-            ServeRequest::TraceDump { max_traces: 25 },
-        ];
-        for request in requests {
-            let bytes = request.to_wire();
-            let decoded = ServeRequest::from_wire(&bytes).unwrap();
-            assert_eq!(decoded, request);
-            // Round-tripping the decoded request is byte-identical.
-            assert_eq!(decoded.to_wire(), bytes);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let mut report = IngestReport {
-            video: VideoSeconds(32.0),
-            segments_written: 12,
-            transcode_work: CoreSeconds(7.25),
-            modeled_bytes: std::collections::BTreeMap::new(),
-            actual_bytes: ByteSize(9_999_999),
-        };
-        report.modeled_bytes.insert(FormatId(0), ByteSize(1 << 30));
-        report.modeled_bytes.insert(FormatId(3), ByteSize(12_345));
-        let responses = vec![
-            ServeResponse::Ingest(report),
-            ServeResponse::Query(sample_query_result()),
-            ServeResponse::Erode(ErodeReport {
-                age_days: 5,
-                segments_deleted: 17,
-                deleted_bytes: ByteSize(4_200_000),
-                segments_demoted: 9,
-                demoted_bytes: ByteSize(2_100_000),
-            }),
-            ServeResponse::Error(RemoteError {
-                code: ErrorCode::Busy,
-                message: "busy: serve queue full".into(),
-            }),
-            ServeResponse::Error(RemoteError::from_panic("boom")),
-            ServeResponse::LiveStats(Box::new(sample_live_stats())),
-            ServeResponse::LiveStats(Box::default()),
-            ServeResponse::NetStats(Box::new(sample_net_stats())),
-            ServeResponse::NetStats(Box::default()),
-            ServeResponse::Metrics(sample_metrics_snapshot()),
-            ServeResponse::Metrics(MetricsSnapshot::default()),
-            ServeResponse::TraceDump(Box::new(sample_trace_dump())),
-            ServeResponse::TraceDump(Box::default()),
-        ];
-        for response in responses {
-            let bytes = response.to_wire();
-            let decoded = ServeResponse::from_wire(&bytes).unwrap();
-            assert_eq!(decoded, response);
-            assert_eq!(decoded.to_wire(), bytes);
-        }
+    fn is_corruption<T>(result: Result<T>) -> bool {
+        matches!(result, Err(VStoreError::Corruption(_)))
     }
 
     #[test]
     fn malformed_frames_are_corruption_not_panics() {
-        let good = ServeRequest::Erode {
-            stream: "x".into(),
-            age_days: 1,
-        }
-        .to_wire();
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            ServeRequest::from_wire(&bad),
-            Err(VStoreError::Corruption(_))
-        ));
-        // Unsupported version: typed, carrying what was found and what this
-        // build speaks — not lumped in with corruption.
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            ServeRequest::from_wire(&bad),
-            Err(VStoreError::UnsupportedVersion {
-                got: 99,
-                expected: WIRE_VERSION
-            })
-        ));
-        // Below the compat floor is equally typed.
-        let mut bad = good.clone();
-        bad[4] = MIN_WIRE_VERSION - 1;
-        assert!(ServeRequest::from_wire(&bad)
-            .unwrap_err()
-            .is_unsupported_version());
-        // Truncated.
-        assert!(matches!(
-            ServeRequest::from_wire(&good[..good.len() - 1]),
-            Err(VStoreError::Corruption(_))
-        ));
-        // Trailing garbage.
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(matches!(
-            ServeRequest::from_wire(&bad),
-            Err(VStoreError::Corruption(_))
-        ));
-        // Unknown request tag.
-        let mut bad = good;
-        bad[5] = 9;
-        assert!(matches!(
-            ServeRequest::from_wire(&bad),
-            Err(VStoreError::Corruption(_))
-        ));
-        // A request frame is not a response frame.
         let request = ServeRequest::Erode {
             stream: "x".into(),
             age_days: 1,
         };
-        assert!(ServeResponse::from_wire(&request.to_wire()).is_err());
+        let good = request.to_wire();
+        let damaged = |damage: fn(&mut Vec<u8>)| {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            ServeRequest::from_wire(&bad)
+        };
+        assert!(is_corruption(damaged(|bad| bad[0] ^= 0xFF)), "bad magic");
+        assert!(
+            is_corruption(damaged(|bad| bad.truncate(bad.len() - 1))),
+            "truncated"
+        );
+        assert!(
+            is_corruption(damaged(|bad| bad.push(0))),
+            "trailing garbage"
+        );
+        // Unknown tags, the retired net-stats pair's included.
+        assert!(is_corruption(damaged(|bad| bad[5] = 4)));
+        assert!(is_corruption(damaged(|bad| bad[5] = 7)));
+        assert!(is_corruption(damaged(|bad| bad[5] = 255)));
+        let mut bad = ServeResponse::Erode(ErodeReport::default()).to_wire();
+        bad[5] = 5;
+        assert!(is_corruption(ServeResponse::from_wire(&bad)));
+        // A request frame is not a response frame.
+        assert!(is_corruption(ServeResponse::from_wire(&good)));
     }
 
     #[test]
     fn unknown_operator_and_error_tags_are_rejected() {
-        let query = ServeRequest::Query {
-            stream: "s".into(),
-            spec: QuerySpec::query_a(0.9),
-            first_segment: 0,
-            count: 1,
-        };
-        let bytes = query.to_wire();
-        // The first cascade op byte sits after magic(4) + version(1) +
-        // tag(1) + stream(varint 1 + 1 byte) + spec name(varint 1 + 1 byte)
-        // + cascade len varint(1).
-        let op_pos = 4 + 1 + 1 + 2 + 2 + 1;
-        let mut bad = bytes.clone();
-        assert!(
-            bad[op_pos] < OperatorKind::ALL.len() as u8,
-            "layout drifted"
-        );
-        bad[op_pos] = 200;
-        assert!(matches!(
-            ServeRequest::from_wire(&bad),
-            Err(VStoreError::Corruption(_))
-        ));
-
-        let err = ServeResponse::Error(RemoteError {
-            code: ErrorCode::NotFound,
-            message: "m".into(),
-        });
-        let mut bad = err.to_wire();
-        bad[6] = 250; // error-code byte
-        assert!(matches!(
-            ServeResponse::from_wire(&bad),
-            Err(VStoreError::Corruption(_))
-        ));
+        let first_unknown = |known: usize| u8::try_from(known).unwrap();
+        for tag in [first_unknown(OperatorKind::ALL.len()), 200, u8::MAX] {
+            assert!(is_corruption(OperatorKind::get(&mut ByteReader::new(&[
+                tag
+            ]))));
+        }
+        for tag in [first_unknown(ErrorCode::ALL.len()), 250, u8::MAX] {
+            assert!(is_corruption(ErrorCode::get(&mut ByteReader::new(&[tag]))));
+        }
+        // And inside a frame: an error response's code byte follows its tag.
+        let mut bad = ServeResponse::Error(RemoteError::from_panic("m")).to_wire();
+        assert_eq!(bad[6], ErrorCode::Panicked.wire_tag());
+        bad[6] = 250;
+        assert!(is_corruption(ServeResponse::from_wire(&bad)));
     }
+
+    // -----------------------------------------------------------------
+    // Validation and error mapping
+    // -----------------------------------------------------------------
 
     #[test]
     fn validation_mirrors_the_facade_builders() {
         let source = VideoSource::new(Dataset::Jackson);
-        assert!(ServeRequest::Ingest {
-            source: source.clone(),
-            first_segment: 0,
-            count: 0,
-        }
-        .validate()
-        .is_err());
-        assert!(ServeRequest::Ingest {
+        let ingest = |source: VideoSource, first_segment, count| ServeRequest::Ingest {
             source,
-            first_segment: u64::MAX,
-            count: 2,
-        }
-        .validate()
-        .is_err());
+            first_segment,
+            count,
+        };
+        assert!(ingest(source.clone(), 0, 0).validate().is_err());
+        assert!(ingest(source.clone(), u64::MAX, 2).validate().is_err());
         assert!(ServeRequest::Query {
             stream: String::new(),
             spec: QuerySpec::query_a(0.9),
@@ -1448,6 +1382,35 @@ mod tests {
         }
         .validate()
         .is_ok());
+
+        // The source is the one structured value a stranger chooses: every
+        // shipped profile (and the bench's renamed camera) passes, an
+        // unnamed stream or a profile that is not finite, out of range or
+        // slot-exploding is refused before the queue — also when it arrives
+        // as wire bytes.
+        for dataset in Dataset::ALL {
+            assert!(ingest(VideoSource::new(dataset), 0, 1).validate().is_ok());
+        }
+        let camera = |name: &str, damage: fn(&mut DatasetProfile)| {
+            let mut profile = Dataset::Jackson.profile();
+            damage(&mut profile);
+            ingest(VideoSource::from_profile(name, profile), 0, 1)
+        };
+        assert!(camera("cam0", |_| ()).validate().is_ok());
+        let hostile = [
+            camera("", |_| ()),
+            camera("cam", |p| p.motion_intensity = f64::NAN),
+            camera("cam", |p| p.vehicle_fraction = 2.0),
+            camera("cam", |p| p.object_arrivals_per_minute = 1e300),
+            camera("cam", |p| p.object_arrivals_per_minute = 6e7),
+        ];
+        for request in hostile {
+            let decoded = ServeRequest::from_wire(&request.to_wire()).unwrap();
+            for request in [request, decoded] {
+                let err = request.validate().unwrap_err();
+                assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //!
 //! **Tiered cold storage** sits below and beside the store: the [`tier`]
 //! module packs aged segments into an object-store-style [`ColdBackend`]
-//! (immutable chunked checksummed objects + manifest), composes hot and
-//! cold backends behind [`TieredBackend`], and runs the [`TierEngine`] —
-//! a bounded background migration queue that lets erosion **demote
+//! (immutable chunked checksummed objects + manifest) and runs the
+//! [`TierEngine`] — a bounded background migration queue over a second,
+//! cold-backed [`SegmentStore`] that lets erosion **demote
 //! segments instead of deleting them**, with read-through promotion on
 //! cold hits flowing through the [`SegmentReader`] so both cache tiers
 //! stay coherent.
@@ -65,6 +65,19 @@ pub use key::SegmentKey;
 pub use reader::{CacheStats, DecodedRead, DecodedSegment, ReadSource, SegmentReader};
 pub use store::{SegmentStore, StoreStats};
 pub use tier::{
-    ColdBackend, DemoteBatchReport, TierEngine, TierOptions, TierStats, TieredBackend,
-    TieredBackendStats, DEFAULT_COLD_CHUNK_BYTES, MIN_COLD_CHUNK_BYTES,
+    ColdBackend, DemoteBatchReport, TierEngine, TierOptions, TierStats, DEFAULT_COLD_CHUNK_BYTES,
+    MIN_COLD_CHUNK_BYTES,
 };
+
+/// Decode a checked-in `tests/fixtures/*.hex` file: hex digits, any number
+/// a line, `#` lines are comments.
+#[cfg(test)]
+pub(crate) fn hex_fixture(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .flat_map(|line| line.bytes())
+        .map(|b| (b as char).to_digit(16).unwrap() as u8)
+        .collect();
+    digits.chunks(2).map(|d| d[0] << 4 | d[1]).collect()
+}

@@ -566,14 +566,9 @@ mod tests {
     /// The value log checked in under `tests/fixtures`, written by the last
     /// commit that had the bitwise CRC and the owning parser.
     fn parent_written_log() -> Vec<u8> {
-        let text = include_str!("../tests/fixtures/vlog-written-by-6ee733a.hex");
-        let digits: Vec<u8> = text
-            .lines()
-            .filter(|line| !line.starts_with('#'))
-            .flat_map(|line| line.bytes())
-            .map(|b| (b as char).to_digit(16).unwrap() as u8)
-            .collect();
-        digits.chunks(2).map(|d| d[0] << 4 | d[1]).collect()
+        crate::hex_fixture(include_str!(
+            "../tests/fixtures/vlog-written-by-6ee733a.hex"
+        ))
     }
 
     fn segment_key(stream: &str, format: u32, index: u64) -> crate::key::SegmentKey {

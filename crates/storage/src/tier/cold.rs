@@ -30,6 +30,7 @@ use crate::backend::{LogHandle, StorageBackend};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use vstore_codec::wire::{ByteReader, ByteWriter};
 use vstore_types::cast::{usize_from_u32, usize_from_u64};
 use vstore_types::{Result, VStoreError};
 
@@ -38,6 +39,8 @@ const MANIFEST_NAME: &str = "MANIFEST";
 /// Manifest magic + format version.
 const MANIFEST_MAGIC: &[u8; 4] = b"VCMF";
 const MANIFEST_VERSION: u8 = 1;
+/// Serialized size of one [`ChunkRef`]: object (8) + len (8) + crc (4).
+const CHUNK_REF_BYTES: usize = 20;
 
 /// Default chunk size: one object holds at most this many bytes. Segments
 /// are hundreds of KiB, so one record usually seals exactly one object.
@@ -69,54 +72,62 @@ impl Manifest {
     }
 
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.push(MANIFEST_VERSION);
-        out.extend_from_slice(&self.next_object.to_le_bytes());
-        out.extend_from_slice(&self.garbage_bytes.to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.put_raw(MANIFEST_MAGIC);
+        w.put_u8(MANIFEST_VERSION);
+        w.put_u64(self.next_object);
+        w.put_u64(self.garbage_bytes);
         // vstore-lint: allow(checked-cast) — one manifest entry per log, far inside u32
-        out.extend_from_slice(&(self.logs.len() as u32).to_le_bytes());
+        w.put_u32(self.logs.len() as u32);
         for (name, chunks) in &self.logs {
             // vstore-lint: allow(checked-cast) — log names are short by construction
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
+            w.put_u32(name.len() as u32);
+            w.put_raw(name.as_bytes());
             // vstore-lint: allow(checked-cast) — chunk counts are bounded by log size
-            out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+            w.put_u32(chunks.len() as u32);
             for chunk in chunks {
-                out.extend_from_slice(&chunk.object.to_le_bytes());
-                out.extend_from_slice(&chunk.len.to_le_bytes());
-                out.extend_from_slice(&chunk.crc.to_le_bytes());
+                w.put_u64(chunk.object);
+                w.put_u64(chunk.len);
+                w.put_u32(chunk.crc);
             }
         }
-        out
+        w.into_bytes()
     }
 
     fn decode(bytes: &[u8]) -> Result<Manifest> {
-        let mut r = ManifestReader { bytes, pos: 0 };
-        if r.take(4)? != MANIFEST_MAGIC {
+        let mut r = ByteReader::new(bytes);
+        if r.get_raw(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC {
             return Err(VStoreError::corruption("cold manifest has bad magic"));
         }
-        let version = r.take(1)?[0];
+        let version = r.get_u8()?;
         if version != MANIFEST_VERSION {
             return Err(VStoreError::corruption(format!(
                 "unsupported cold manifest version {version}"
             )));
         }
-        let next_object = r.u64()?;
-        let garbage_bytes = r.u64()?;
-        let log_count = r.u32()?;
+        let next_object = r.get_u64()?;
+        let garbage_bytes = r.get_u64()?;
+        let log_count = r.get_u32()?;
         let mut logs = BTreeMap::new();
         for _ in 0..log_count {
-            let name_len = usize_from_u64(u64::from(r.u32()?), "cold manifest name")?;
-            let name = String::from_utf8(r.take(name_len)?.to_vec())
+            let name_len = usize_from_u32(r.get_u32()?);
+            let name = String::from_utf8(r.get_raw(name_len)?.to_vec())
                 .map_err(|_| VStoreError::corruption("cold manifest name is not UTF-8"))?;
-            let chunk_count = r.u32()?;
-            let mut chunks = Vec::with_capacity(usize_from_u32(chunk_count));
+            // The manifest carries no checksum of its own, so a count is
+            // believed only as far as the bytes behind it reach.
+            let chunk_count = usize_from_u32(r.get_u32()?);
+            if chunk_count > r.remaining() / CHUNK_REF_BYTES {
+                return Err(VStoreError::corruption(format!(
+                    "cold manifest declares {chunk_count} chunks for {name}, {} bytes remain",
+                    r.remaining()
+                )));
+            }
+            let mut chunks = Vec::with_capacity(chunk_count);
             for _ in 0..chunk_count {
                 chunks.push(ChunkRef {
-                    object: r.u64()?,
-                    len: r.u64()?,
-                    crc: r.u32()?,
+                    object: r.get_u64()?,
+                    len: r.get_u64()?,
+                    crc: r.get_u32()?,
                 });
             }
             logs.insert(name, chunks);
@@ -126,37 +137,6 @@ impl Manifest {
             next_object,
             garbage_bytes,
         })
-    }
-}
-
-/// A bounds-checked cursor over the serialized manifest.
-struct ManifestReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ManifestReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| VStoreError::corruption("cold manifest truncated"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 }
 
@@ -542,6 +522,67 @@ mod tests {
         device.write_all(&object, &bytes).unwrap();
         let err = backend.read_all("log").unwrap_err();
         assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+    }
+
+    /// The manifest's bytes did not change with its codec: one written by
+    /// the parent commit decodes to what that commit read back and
+    /// re-encodes to the same bytes.
+    #[test]
+    fn manifest_written_by_the_parent_commit_decodes_and_re_encodes_identically() {
+        let golden = crate::hex_fixture(include_str!(
+            "../../tests/fixtures/cold-manifest-written-by-27b60fc.hex"
+        ));
+        let manifest = Manifest::decode(&golden).unwrap();
+        assert_eq!(manifest.next_object, 6);
+        assert_eq!(manifest.garbage_bytes, 5);
+        let lens: Vec<(&str, Vec<u64>)> = manifest
+            .logs
+            .iter()
+            .map(|(name, chunks)| (name.as_str(), chunks.iter().map(|c| c.len).collect()))
+            .collect();
+        assert_eq!(
+            lens,
+            [
+                ("SHARDS", vec![2]),
+                ("shard-000/vlog-00000001.dat", vec![8, 8, 4]),
+                ("shard-001/vlog-00000001.dat", vec![]),
+            ]
+        );
+        assert_eq!(manifest.logs["SHARDS"][0].crc, vstore_types::crc32(b"2\n"));
+        assert_eq!(manifest.encode(), golden);
+    }
+
+    /// The manifest has no checksum, so a damaged chunk count must fail as
+    /// corruption on what the bytes can hold — not reserve 4 Gi entries.
+    #[test]
+    fn corrupt_chunk_count_is_corruption_not_a_huge_reservation() {
+        let mut manifest = Manifest::default();
+        manifest.logs.insert(
+            "log".into(),
+            vec![ChunkRef {
+                object: 0,
+                len: 9,
+                crc: 7,
+            }],
+        );
+        let good = manifest.encode();
+        // magic 4 + version 1 + next_object 8 + garbage 8 + log count 4 +
+        // name len 4 + "log" 3 = 32: the chunk count's four bytes.
+        let count_at = 32;
+        assert_eq!(good[count_at..count_at + 4], 1u32.to_le_bytes());
+        for declared in [2u32, 0x0100_0001, u32::MAX] {
+            let mut bad = good.clone();
+            bad[count_at..count_at + 4].copy_from_slice(&declared.to_le_bytes());
+            let err = Manifest::decode(&bad).unwrap_err();
+            assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+        }
+        // Every prefix of a valid manifest fails the same way.
+        for cut in 0..good.len() {
+            assert!(matches!(
+                Manifest::decode(&good[..cut]),
+                Err(VStoreError::Corruption(_))
+            ));
+        }
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! * [`ColdBackend`] — an object-store-style backend packing named logs
 //!   into immutable, chunked, checksummed objects with a manifest
 //!   (append-only, compaction-free);
-//! * [`TieredBackend`] — a hot backend + cold backend composed behind one
-//!   namespace, with a per-shard placement map persisted in store meta and
-//!   explicit log demotion/promotion;
 //! * [`TierEngine`] — the segment-level demotion engine: erosion enqueues
 //!   demotions onto a bounded background migration queue (back-pressure,
 //!   panic-isolated workers, a configurable byte/s budget) instead of
@@ -25,14 +22,12 @@
 
 mod cold;
 mod engine;
-mod tiered;
 
 pub use cold::{ColdBackend, DEFAULT_COLD_CHUNK_BYTES};
 pub use engine::{DemoteBatchReport, TierEngine, TierStats};
-pub use tiered::{TieredBackend, TieredBackendStats};
 
 use crate::backend::BackendOptions;
-use vstore_types::{Result, VStoreError};
+use vstore_types::{at_least, Result};
 
 /// Smallest accepted [`TierOptions::cold_chunk_bytes`]: 4 KiB. Below this a
 /// single segment would shatter into hundreds of objects and the manifest
@@ -40,7 +35,7 @@ use vstore_types::{Result, VStoreError};
 pub const MIN_COLD_CHUNK_BYTES: u64 = 4 << 10;
 
 /// Options of the tiering subsystem, validated like `RuntimeOptions`: a bad
-/// knob is rejected with [`VStoreError::InvalidArgument`] at open time, not
+/// knob is rejected with [`vstore_types::VStoreError::InvalidArgument`] at open time, not
 /// deep inside a migration worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierOptions {
@@ -125,25 +120,19 @@ impl TierOptions {
     /// Reject configurations with zeroed or useless knobs, mirroring
     /// `RuntimeOptions::validate`.
     pub fn validate(&self) -> Result<()> {
-        let reject = |knob: &str| {
-            Err(VStoreError::invalid_argument(format!(
-                "TierOptions::{knob} must be >= 1"
-            )))
-        };
-        if self.demote_workers == 0 {
-            return reject("demote_workers");
-        }
-        if self.demote_queue_depth == 0 {
-            return reject("demote_queue_depth");
-        }
-        if self.cold_chunk_bytes < MIN_COLD_CHUNK_BYTES {
-            return Err(VStoreError::invalid_argument(format!(
-                "TierOptions::cold_chunk_bytes must be at least {MIN_COLD_CHUNK_BYTES} \
-                 bytes; {} would shatter segments into needless objects",
-                self.cold_chunk_bytes
-            )));
-        }
-        Ok(())
+        at_least("TierOptions", "demote_workers", self.demote_workers, 1)?;
+        at_least(
+            "TierOptions",
+            "demote_queue_depth",
+            self.demote_queue_depth,
+            1,
+        )?;
+        at_least(
+            "TierOptions",
+            "cold_chunk_bytes",
+            self.cold_chunk_bytes,
+            MIN_COLD_CHUNK_BYTES,
+        )
     }
 }
 
@@ -156,6 +145,7 @@ impl Default for TierOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstore_types::VStoreError;
 
     #[test]
     fn defaults_are_disabled_and_valid() {

@@ -86,6 +86,26 @@ impl VStoreError {
     }
 }
 
+/// The one options-validation idiom: knob `owner::knob` holds `value` and
+/// must be at least `min`. Every `*Options::validate` in the workspace
+/// checks its lower bounds through this, so a bad knob always reads the
+/// same way: an [`VStoreError::InvalidArgument`] naming the owner, the
+/// knob, the bound and the offending value.
+pub fn at_least<T: PartialOrd + fmt::Display>(
+    owner: &str,
+    knob: &str,
+    value: T,
+    min: T,
+) -> Result<()> {
+    if value >= min {
+        Ok(())
+    } else {
+        Err(VStoreError::invalid_argument(format!(
+            "{owner}::{knob} must be >= {min}, got {value}"
+        )))
+    }
+}
+
 impl fmt::Display for VStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -157,6 +177,18 @@ mod tests {
             }
         ));
         assert!(!VStoreError::corruption("bad crc").is_unsupported_version());
+    }
+
+    #[test]
+    fn at_least_names_owner_knob_bound_and_value() {
+        assert!(at_least("ServeOptions", "workers", 1usize, 1).is_ok());
+        assert!(at_least("TierOptions", "cold_chunk_bytes", 1u64 << 20, 4096).is_ok());
+        let err = at_least("NetOptions", "max_frame_bytes", 63usize, 64).unwrap_err();
+        assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "invalid argument: NetOptions::max_frame_bytes must be >= 64, got 63"
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod units;
 pub use config::{power_law_target, Configuration, ErosionPlan, ErosionStep, Subscription};
 pub use consumer::{AccuracyLevel, Consumer, OperatorKind, DEFAULT_ACCURACY_LEVELS};
 pub use crc::{crc32, crc32_parts};
-pub use error::{Result, VStoreError};
+pub use error::{at_least, Result, VStoreError};
 pub use fidelity::{Fidelity, Richness};
 pub use format::{CodingOption, ConsumptionFormat, FormatId, StorageFormat};
 pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};

@@ -9,11 +9,11 @@
 //! ladder starts trading fidelity for throughput. Like
 //! [`ServeOptions`](crate::ServeOptions), they are validated at the front
 //! door — a zeroed knob is rejected with
-//! [`VStoreError::InvalidArgument`] before a single thread spawns.
+//! [`crate::VStoreError::InvalidArgument`] before a single thread spawns.
 
 use crate::runtime::available_workers;
 use crate::serve::{QueueFullPolicy, DEFAULT_QUEUE_DEPTH};
-use crate::{Result, VStoreError};
+use crate::{at_least, Result};
 
 /// Queue depth (in segments) per degradation step: with the default the
 /// ladder steps one level down for every 8 segments of backlog, so a camera
@@ -79,26 +79,18 @@ impl LiveIngestOptions {
 
     /// Reject configurations with zeroed knobs, mirroring
     /// [`ServeOptions::validate`](crate::ServeOptions::validate): a bad knob
-    /// surfaces as [`VStoreError::InvalidArgument`] at `live_ingest` time
+    /// surfaces as [`crate::VStoreError::InvalidArgument`] at `live_ingest` time
     /// instead of deadlocking an empty worker pool, a zero-slot queue, or a
     /// divide-by-zero lag controller.
     pub fn validate(&self) -> Result<()> {
-        let reject = |knob: &str| {
-            Err(VStoreError::invalid_argument(format!(
-                "LiveIngestOptions::{knob} must be >= 1 (use \
-                 LiveIngestOptions::sequential() for the serial ingestor)"
-            )))
-        };
-        if self.workers == 0 {
-            return reject("workers");
-        }
-        if self.queue_depth == 0 {
-            return reject("queue_depth");
-        }
-        if self.max_lag_segments == 0 {
-            return reject("max_lag_segments");
-        }
-        Ok(())
+        at_least("LiveIngestOptions", "workers", self.workers, 1)?;
+        at_least("LiveIngestOptions", "queue_depth", self.queue_depth, 1)?;
+        at_least(
+            "LiveIngestOptions",
+            "max_lag_segments",
+            self.max_lag_segments,
+            1,
+        )
     }
 }
 
@@ -116,6 +108,7 @@ impl Default for LiveIngestOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VStoreError;
 
     #[test]
     fn defaults_are_thread_per_core_and_load_shedding() {

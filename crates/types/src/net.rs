@@ -7,10 +7,10 @@
 //! These options size that machinery. Like
 //! [`ServeOptions`](crate::ServeOptions) they are validated at the front
 //! door — a zeroed knob is rejected with
-//! [`VStoreError::InvalidArgument`] before the listener binds.
+//! [`crate::VStoreError::InvalidArgument`] before the listener binds.
 
 use crate::runtime::available_workers;
-use crate::{Result, VStoreError};
+use crate::{at_least, Result};
 
 /// Default cap on a declared frame length. Large enough for any response
 /// the store produces today (the biggest payload is a query result's
@@ -98,27 +98,13 @@ impl NetOptions {
     /// Reject configurations that cannot serve, mirroring
     /// [`ServeOptions::validate`](crate::ServeOptions::validate).
     pub fn validate(&self) -> Result<()> {
-        let reject = |knob: &str, minimum: usize| {
-            Err(VStoreError::invalid_argument(format!(
-                "NetOptions::{knob} must be >= {minimum}"
-            )))
-        };
-        if self.event_loops == 0 {
-            return reject("event_loops", 1);
-        }
+        at_least("NetOptions", "event_loops", self.event_loops, 1)?;
         // A frame is at least the 8-byte correlation id plus the 5-byte
         // payload header (magic + version); anything smaller can never
         // carry a request.
-        if self.max_frame_bytes < 64 {
-            return reject("max_frame_bytes", 64);
-        }
-        if self.batch_max_bytes == 0 {
-            return reject("batch_max_bytes", 1);
-        }
-        if self.max_connections == 0 {
-            return reject("max_connections", 1);
-        }
-        Ok(())
+        at_least("NetOptions", "max_frame_bytes", self.max_frame_bytes, 64)?;
+        at_least("NetOptions", "batch_max_bytes", self.batch_max_bytes, 1)?;
+        at_least("NetOptions", "max_connections", self.max_connections, 1)
     }
 }
 
@@ -138,6 +124,7 @@ impl Default for NetOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VStoreError;
 
     #[test]
     fn defaults_validate() {

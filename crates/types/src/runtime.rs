@@ -9,7 +9,7 @@
 //! produce *identical* reports regardless of the values — parallelism never
 //! changes results, only wall-clock time.
 
-use crate::{Result, VStoreError};
+use crate::{at_least, Result, VStoreError};
 
 /// Parallelism configuration for a VStore instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,19 +81,6 @@ impl RuntimeOptions {
         }
     }
 
-    /// Clamp every parallelism knob to at least 1 (cache knobs are left
-    /// untouched: 0 is their valid "disabled" state).
-    pub fn normalized(self) -> Self {
-        RuntimeOptions {
-            shards: self.shards.max(1),
-            ingest_workers: self.ingest_workers.max(1),
-            query_prefetch: self.query_prefetch.max(1),
-            cache_bytes: self.cache_bytes,
-            decoded_cache_entries: self.decoded_cache_entries,
-            query_planner: self.query_planner,
-        }
-    }
-
     /// Enable the two-tier segment cache: `cache_bytes` of raw segment
     /// bytes (tier 1) and `decoded_entries` decoded-frame entries (tier 2).
     /// Either knob may be 0 to disable that tier.
@@ -115,21 +102,9 @@ impl RuntimeOptions {
     /// [`VStoreError::InvalidArgument`] at open time instead of panicking
     /// (or being silently rewritten) deep inside the store or a worker pool.
     pub fn validate(&self) -> Result<()> {
-        let reject = |knob: &str| {
-            Err(VStoreError::invalid_argument(format!(
-                "RuntimeOptions::{knob} must be >= 1 (use RuntimeOptions::sequential() \
-                 for the serial runtime)"
-            )))
-        };
-        if self.shards == 0 {
-            return reject("shards");
-        }
-        if self.ingest_workers == 0 {
-            return reject("ingest_workers");
-        }
-        if self.query_prefetch == 0 {
-            return reject("query_prefetch");
-        }
+        at_least("RuntimeOptions", "shards", self.shards, 1)?;
+        at_least("RuntimeOptions", "ingest_workers", self.ingest_workers, 1)?;
+        at_least("RuntimeOptions", "query_prefetch", self.query_prefetch, 1)?;
         let cache_floor = self.shards as u64 * MIN_CACHE_BYTES_PER_SHARD;
         if self.cache_bytes != 0 && self.cache_bytes < cache_floor {
             return Err(VStoreError::invalid_argument(format!(
@@ -255,28 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn normalized_clamps_zeroes() {
-        let opts = RuntimeOptions {
-            shards: 0,
-            ingest_workers: 0,
-            query_prefetch: 0,
-            cache_bytes: 0,
-            decoded_cache_entries: 0,
-            query_planner: false,
-        }
-        .normalized();
-        assert_eq!(opts, RuntimeOptions::sequential());
-    }
-
-    #[test]
     fn query_planner_defaults_off_and_toggles() {
         assert!(!RuntimeOptions::default().query_planner);
         assert!(!RuntimeOptions::sequential().query_planner);
         let opts = RuntimeOptions::default().with_query_planner(true);
         assert!(opts.query_planner);
         assert!(opts.validate().is_ok());
-        // Normalisation never flips the planner switch.
-        assert!(opts.normalized().query_planner);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! options size that machinery and pick the back-pressure policy applied
 //! when clients outrun the store. Like [`RuntimeOptions`](crate::RuntimeOptions),
 //! they are validated at the front door — a zeroed knob is rejected with
-//! [`VStoreError::InvalidArgument`] before a single thread spawns.
+//! [`crate::VStoreError::InvalidArgument`] before a single thread spawns.
 
 use crate::runtime::available_workers;
-use crate::{Result, VStoreError};
+use crate::{at_least, Result};
 
 /// What the server does with a new request when its bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueFullPolicy {
-    /// Shed the request: `submit` returns [`VStoreError::Busy`] immediately
+    /// Shed the request: `submit` returns [`crate::VStoreError::Busy`] at once
     /// and the request is never executed. Memory use stays bounded no matter
     /// how fast clients submit — the load-shedding default.
     Reject,
@@ -75,22 +75,11 @@ impl ServeOptions {
 
     /// Reject configurations with zeroed knobs, mirroring
     /// [`RuntimeOptions::validate`](crate::RuntimeOptions::validate): a bad
-    /// knob surfaces as [`VStoreError::InvalidArgument`] at `serve` time
+    /// knob surfaces as [`crate::VStoreError::InvalidArgument`] at `serve` time
     /// instead of deadlocking an empty worker pool or a zero-slot queue.
     pub fn validate(&self) -> Result<()> {
-        let reject = |knob: &str| {
-            Err(VStoreError::invalid_argument(format!(
-                "ServeOptions::{knob} must be >= 1 (use ServeOptions::sequential() \
-                 for the serial front end)"
-            )))
-        };
-        if self.workers == 0 {
-            return reject("workers");
-        }
-        if self.queue_depth == 0 {
-            return reject("queue_depth");
-        }
-        Ok(())
+        at_least("ServeOptions", "workers", self.workers, 1)?;
+        at_least("ServeOptions", "queue_depth", self.queue_depth, 1)
     }
 }
 
@@ -107,6 +96,7 @@ impl Default for ServeOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VStoreError;
 
     #[test]
     fn defaults_are_thread_per_core_and_load_shedding() {

@@ -82,7 +82,7 @@ pub use vstore_serve::{
 };
 pub use vstore_storage::{
     BackendOptions, CacheStats, ColdBackend, FsBackend, MemBackend, ReadSource, SegmentReader,
-    StorageBackend, TierEngine, TierOptions, TierStats, TieredBackend,
+    StorageBackend, TierEngine, TierOptions, TierStats,
 };
 pub use vstore_types::{
     Configuration, Consumer, LiveIngestOptions, NetOptions, OperatorKind, QueueFullPolicy, Result,
@@ -662,8 +662,8 @@ impl VStore {
     /// Aggregate network-layer statistics across every socket front end
     /// started with [`serve_net`](Self::serve_net) (`None` when none has
     /// been started). The same aggregate appears in
-    /// [`stats_report`](Self::stats_report) and over the serve wire
-    /// ([`ServeRequest::NetStats`]).
+    /// [`stats_report`](Self::stats_report) and, as the `vstore_net_*`
+    /// rows, in [`metrics_snapshot`](Self::metrics_snapshot).
     #[must_use]
     pub fn net_stats(&self) -> Option<NetStats> {
         self.inner.net.write().aggregate()
@@ -863,9 +863,9 @@ impl VStore {
     }
 
     /// Start a **socket** front end over this store: a TCP listener whose
-    /// event loops multiplex pipelined, length-prefixed wire-v4 frames
-    /// (per-frame correlation ids) over the same bounded queue and worker
-    /// pool as [`serve`](Self::serve), with adaptive response batching
+    /// event loops multiplex pipelined frames (length-prefixed transport
+    /// envelope, per-frame correlation ids) over the same bounded queue and
+    /// worker pool as [`serve`](Self::serve), with adaptive response batching
     /// into vectored writes and pooled per-connection buffers. Bind to
     /// port 0 to let the OS pick ([`NetServerHandle::local_addr`]).
     ///
@@ -985,10 +985,6 @@ impl VideoService for VStore {
 
     fn live_stats(&self) -> Result<LiveStats> {
         Ok(VStore::live_stats(self).unwrap_or_default())
-    }
-
-    fn net_stats(&self) -> Result<NetStats> {
-        Ok(VStore::net_stats(self).unwrap_or_default())
     }
 
     fn metrics(&self) -> Result<MetricsSnapshot> {

@@ -299,7 +299,6 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
             ("query", &s.query_latency),
             ("erode", &s.erode_latency),
             ("live-stats", &s.live_stats_latency),
-            ("net-stats", &s.net_stats_latency),
             ("metrics", &s.metrics_latency),
             ("trace-dump", &s.trace_latency),
         ] {

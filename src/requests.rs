@@ -69,6 +69,7 @@ impl IngestRequest {
 
     /// Check the request before it touches the runtime.
     pub fn validate(&self) -> Result<()> {
+        self.source.validate()?;
         validate_range("ingest request", self.first_segment, self.count)
     }
 }
@@ -228,6 +229,21 @@ mod tests {
             .segments(50)
             .validate()
             .is_ok());
+
+        // A hand-built source is checked like one off the wire.
+        let profile = Dataset::Jackson.profile();
+        let unnamed = VideoSource::from_profile("", profile);
+        let exploding = VideoSource::from_profile(
+            "cam",
+            vstore_datasets::DatasetProfile {
+                object_arrivals_per_minute: 1e300,
+                ..profile
+            },
+        );
+        for bad in [unnamed, exploding] {
+            let err = IngestRequest::new(&bad).validate().unwrap_err();
+            assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! identical to [`FsBackend`] — same store statistics byte for byte (the
 //! record framing is backend-independent), same resource ledgers, same
 //! query results. The backend trait changes *where* bytes live, never
-//! *what* the store does. Covered backends: [`MemBackend`], the
-//! object-store-style [`ColdBackend`], and the hot+cold [`TieredBackend`]
-//! (including with live segments demoted to its cold half).
+//! *what* the store does. Covered backends: [`MemBackend`] and the
+//! object-store-style [`ColdBackend`].
 
 use std::sync::Arc;
 use vstore::{
@@ -13,18 +12,13 @@ use vstore::{
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_sim::ResourceKind;
 use vstore_storage::{
-    ColdBackend, FsBackend, MemBackend, SegmentKey, SegmentStore, StorageBackend, TieredBackend,
+    ColdBackend, FsBackend, MemBackend, SegmentKey, SegmentStore, StorageBackend,
 };
 use vstore_types::FormatId;
 
 /// A fresh cold backend over an in-memory device.
 fn cold_backend() -> Arc<dyn StorageBackend> {
     Arc::new(ColdBackend::new(Arc::new(MemBackend::new())).unwrap())
-}
-
-/// A fresh tiered backend: in-memory hot half, cold-object cold half.
-fn tiered_backend() -> Arc<dyn StorageBackend> {
-    Arc::new(TieredBackend::new(Arc::new(MemBackend::new()), cold_backend()).unwrap())
 }
 
 fn key(stream: &str, format: u32, index: u64) -> SegmentKey {
@@ -68,10 +62,6 @@ fn all_backends_produce_byte_identical_stats() {
             "cold",
             SegmentStore::open_with_backend(cold_backend(), 4).unwrap(),
         ),
-        (
-            "tiered",
-            SegmentStore::open_with_backend(tiered_backend(), 4).unwrap(),
-        ),
     ] {
         let trail = run_store_workload(&store);
         assert_eq!(
@@ -93,67 +83,6 @@ fn all_backends_produce_byte_identical_stats() {
     std::fs::remove_dir_all(fs.dir()).ok();
 }
 
-/// A store on a [`TieredBackend`] keeps serving byte-identical reads after
-/// its sealed value logs are demoted to the cold half — placement changes
-/// where bytes live, never what a `get` returns — and stays identical
-/// after a reopen on the same backends.
-#[test]
-fn tiered_store_reads_are_identical_across_hot_and_cold_placement() {
-    let hot: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-    let cold = cold_backend();
-    let tiered = Arc::new(TieredBackend::new(Arc::clone(&hot), Arc::clone(&cold)).unwrap());
-    let backend: Arc<dyn StorageBackend> = Arc::clone(&tiered) as Arc<dyn StorageBackend>;
-    let store = SegmentStore::open_with_backend(Arc::clone(&backend), 2).unwrap();
-    for i in 0..30 {
-        store
-            .put(&key("placement", 1, i), &vec![(i % 7) as u8; 900])
-            .unwrap();
-    }
-    store.sync().unwrap();
-    let before: Vec<_> = (0..30)
-        .map(|i| store.get(&key("placement", 1, i)).unwrap().unwrap())
-        .collect();
-    let stats_before = store.stats();
-
-    // Demote every sealed shard log (reopen seals the current actives).
-    drop(store);
-    let store = SegmentStore::open_with_backend(Arc::clone(&backend), 2).unwrap();
-    let mut demoted_logs = 0;
-    for shard in backend.list("").unwrap() {
-        if !shard.starts_with("shard-") {
-            continue;
-        }
-        for log in backend.list(&shard).unwrap() {
-            let name = format!("{shard}/{log}");
-            if backend.len(&name).unwrap().unwrap_or(0) > 0 {
-                tiered.demote_log(&name).unwrap();
-                demoted_logs += 1;
-            }
-        }
-    }
-    assert!(demoted_logs > 0, "nothing demoted — test is vacuous");
-    drop(store);
-
-    // Reopen over the demoted logs: recovery scans read through the cold
-    // half, and every value is byte-identical.
-    let reopened = SegmentStore::open_with_backend(backend, 8).unwrap();
-    assert_eq!(reopened.shard_count(), 2, "recorded shard count wins");
-    for (i, want) in before.iter().enumerate() {
-        assert_eq!(
-            reopened
-                .get(&key("placement", 1, i as u64))
-                .unwrap()
-                .unwrap(),
-            *want,
-            "value {i} diverged after demotion"
-        );
-    }
-    let stats_after = reopened.stats();
-    assert_eq!(stats_before.live_segments, stats_after.live_segments);
-    assert_eq!(stats_before.live_bytes, stats_after.live_bytes);
-    assert!(tiered.stats().cold_reads > 0, "reads actually went cold");
-}
-
 #[test]
 fn shard_meta_round_trips_identically_on_both_backends() {
     // Reopening on the same backend honours the recorded shard count on
@@ -165,7 +94,6 @@ fn shard_meta_round_trips_identically_on_both_backends() {
         Arc::new(FsBackend::new(&dir).unwrap()),
         Arc::new(MemBackend::new()),
         cold_backend(),
-        tiered_backend(),
     ];
     for backend in backends {
         let store = SegmentStore::open_with_backend(Arc::clone(&backend), 3).unwrap();

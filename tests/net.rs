@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::serve::{ErrorCode, NetServer, NetServerHandle, Server, VideoService};
 use vstore::{
-    BackendOptions, ErodeRequest, IngestRequest, LiveStats, NetClient, NetOptions, QueryRequest,
-    QueryResult, QuerySpec, QueueFullPolicy, Result, ServeOptions, ServeRequest, ServeResponse,
-    VStore, VStoreError, VStoreOptions,
+    BackendOptions, ErodeRequest, IngestRequest, LiveStats, MetricValue, NetClient, NetOptions,
+    QueryRequest, QueryResult, QuerySpec, QueueFullPolicy, Result, ServeOptions, ServeRequest,
+    ServeResponse, VStore, VStoreError, VStoreOptions,
 };
 
 fn mem_store(tag: &str) -> VStore {
@@ -27,7 +27,7 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Hand-rolled wire-v4 transport envelope, for tests that must write raw
+/// Hand-rolled transport envelope, for tests that must write raw
 /// (possibly malformed) bytes: `[u32 len][u64 corr_id][payload]`.
 fn envelope(corr_id: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(12 + payload.len());
@@ -157,11 +157,16 @@ fn socket_responses_match_direct_handle_calls() {
     assert_eq!(response, expected);
     assert_eq!(response.to_wire(), expected.to_wire(), "wire bytes differ");
 
-    // Net-stats over the wire: the socket front end describes itself.
-    match client.call(&ServeRequest::NetStats).unwrap() {
-        ServeResponse::NetStats(stats) => {
-            assert!(stats.accepted >= 1, "{stats:?}");
-            assert!(stats.frames_in >= 3, "{stats:?}");
+    // Net stats over the wire: the socket front end describes itself in
+    // the `vstore_net_*` rows of the metrics snapshot.
+    match client.call(&ServeRequest::MetricsSnapshot).unwrap() {
+        ServeResponse::Metrics(snapshot) => {
+            let counter = |name: &str| match snapshot.get(name).map(|m| &m.value) {
+                Some(MetricValue::Counter(v)) => *v,
+                other => panic!("{name}: expected a counter row, got {other:?}"),
+            };
+            assert!(counter("vstore_net_accepted_total") >= 1);
+            assert!(counter("vstore_net_frames_in_total") >= 3);
         }
         other => panic!("unexpected {other:?}"),
     }
@@ -385,36 +390,23 @@ fn malformed_frames_isolate_the_connection_and_the_server_keeps_serving() {
         probe.stats().corrupt_frames >= 1
     });
 
-    // An unsupported future version is a corruption-coded error response,
-    // not a dead server.
-    let mut raw = TcpStream::connect(addr).unwrap();
-    let mut payload = ServeRequest::LiveStats.to_wire();
-    payload[4] = 99;
-    raw.write_all(&envelope(12, &payload)).unwrap();
-    let (corr, response) = read_response(&mut raw);
-    assert_eq!(corr, 12);
-    match response {
-        ServeResponse::Error(err) => {
-            assert_eq!(err.code, ErrorCode::Corruption, "{err:?}");
-            assert!(err.message.contains("99"), "{err:?}");
+    // Any version but the build's own — newer or older — is a
+    // corruption-coded error response, not a dead server.
+    for (corr_id, version) in [(12, 99u8), (13, 3)] {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut payload = ServeRequest::LiveStats.to_wire();
+        payload[4] = version;
+        raw.write_all(&envelope(corr_id, &payload)).unwrap();
+        let (corr, response) = read_response(&mut raw);
+        assert_eq!(corr, corr_id);
+        match response {
+            ServeResponse::Error(err) => {
+                assert_eq!(err.code, ErrorCode::Corruption, "{err:?}");
+                assert!(err.message.contains(&version.to_string()), "{err:?}");
+            }
+            other => panic!("unexpected {other:?}"),
         }
-        other => panic!("unexpected {other:?}"),
     }
-    drop(raw);
-
-    // A v3 frame decodes on the v4 path (compat rule: v4 changed only the
-    // transport envelope, no payload layout).
-    let mut raw = TcpStream::connect(addr).unwrap();
-    let mut payload = ServeRequest::LiveStats.to_wire();
-    payload[4] = 3;
-    raw.write_all(&envelope(13, &payload)).unwrap();
-    let (corr, response) = read_response(&mut raw);
-    assert_eq!(corr, 13);
-    assert_eq!(
-        response,
-        ServeResponse::LiveStats(Box::new(SlowLive::expected()))
-    );
-    drop(raw);
 
     // Through it all, a well-behaved client is still served.
     let mut client = NetClient::connect(addr).unwrap();
