@@ -8,13 +8,13 @@
 //! [`NetClient::flush`] (or automatically, by `recv` before it blocks and
 //! whenever the buffer crosses a size threshold), so a pipelined burst
 //! costs one write syscall, not one per request. All buffers (encode,
-//! outbox, read scratch, inbox) are owned by the client and reused, so a
-//! steady request/response loop allocates nothing per call.
+//! outbox, inbox) are owned by the client and reused, so a steady
+//! request/response loop allocates nothing per call.
 
-use crate::conn::{encode_frame, parse_frame, FrameError, FrameStep};
+use crate::conn::{encode_frame, FrameReader};
 use crate::wire::{ServeRequest, ServeResponse};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Instant;
 use vstore_types::hist::LatencyHistogram;
@@ -37,14 +37,12 @@ pub struct NetClient {
     /// Correlation ids of the frames in the outbox, in order. On a failed
     /// flush these are un-tracked from `sent_at` — they never hit the wire.
     outbox_ids: Vec<u64>,
-    /// Unparsed response bytes.
-    inbox: Vec<u8>,
-    scratch: Vec<u8>,
+    /// Unparsed response bytes and the response-frame size cap.
+    frames: FrameReader,
     encode_buf: Vec<u8>,
     /// End-to-end latency (submit to response decoded) of every answered
     /// request.
     latency: LatencyHistogram,
-    max_frame_bytes: usize,
 }
 
 impl std::fmt::Debug for NetClient {
@@ -69,11 +67,9 @@ impl NetClient {
             buffered: HashMap::new(),
             outbox: Vec::new(),
             outbox_ids: Vec::new(),
-            inbox: Vec::new(),
-            scratch: vec![0u8; 16 * 1024],
+            frames: FrameReader::new(DEFAULT_MAX_FRAME_BYTES),
             encode_buf: Vec::new(),
             latency: LatencyHistogram::default(),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         })
     }
 
@@ -83,7 +79,7 @@ impl NetClient {
     /// response is rejected as corruption.
     #[must_use]
     pub fn with_max_frame_bytes(mut self, max_frame_bytes: usize) -> Self {
-        self.max_frame_bytes = max_frame_bytes;
+        self.frames.max_payload_bytes = max_frame_bytes;
         self
     }
 
@@ -148,48 +144,17 @@ impl NetClient {
             return Err(VStoreError::InvalidState("no requests outstanding".into()));
         }
         self.flush()?;
-        loop {
-            match parse_frame(&self.inbox, self.max_frame_bytes) {
-                Ok(FrameStep::Frame {
-                    corr_id,
-                    payload,
-                    spans,
-                }) => {
-                    let response = ServeResponse::from_wire(&self.inbox[payload])?;
-                    self.inbox.drain(..spans);
-                    if let Some(sent) = self.sent_at.remove(&corr_id) {
-                        self.latency.record(sent.elapsed().as_micros() as u64);
-                    }
-                    return Ok((corr_id, response));
-                }
-                Ok(FrameStep::Incomplete) => {}
-                Err(FrameError::Oversized { declared }) => {
-                    return Err(VStoreError::corruption(format!(
-                        "response frame declares {declared} bytes, over the {} cap",
-                        self.max_frame_bytes
-                    )));
-                }
-                Err(FrameError::Malformed { declared }) => {
-                    return Err(VStoreError::corruption(format!(
-                        "response frame declares {declared} bytes, below the envelope minimum"
-                    )));
-                }
-            }
-            let n = loop {
-                match self.stream.read(&mut self.scratch) {
-                    Ok(n) => break n,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(VStoreError::Io(e)),
-                }
-            };
-            if n == 0 {
-                return Err(VStoreError::InvalidState(format!(
-                    "server closed the connection with {} responses outstanding",
-                    self.sent_at.len()
-                )));
-            }
-            self.inbox.extend_from_slice(&self.scratch[..n]);
+        let Some((corr_id, payload)) = self.frames.next_frame(&mut &self.stream)? else {
+            return Err(VStoreError::InvalidState(format!(
+                "server closed the connection with {} responses outstanding",
+                self.sent_at.len()
+            )));
+        };
+        let response = ServeResponse::from_wire(payload)?;
+        if let Some(sent) = self.sent_at.remove(&corr_id) {
+            self.latency.record(sent.elapsed().as_micros() as u64);
         }
+        Ok((corr_id, response))
     }
 
     /// Block until the response for `corr_id` arrives, buffering any

@@ -1,7 +1,7 @@
 //! Per-connection machinery of the socket front end: the transport frame
-//! envelope, the recycled buffer pool, and the state machine that turns
-//! non-blocking socket bytes into queue submissions and batched vectored
-//! writes.
+//! envelope, the blocking frame reader both ends of the socket share, the
+//! recycled buffer pool, and the reader/writer thread pair that serves one
+//! accepted connection.
 //!
 //! ## Transport envelope
 //!
@@ -20,38 +20,57 @@
 //! [`ServeRequest`]/[`ServeResponse`] wire frame — parity with the
 //! in-process path is therefore byte-exact modulo the envelope.
 //!
-//! ## Zero per-request allocation
+//! ## One connection, two blocking threads
 //!
-//! Steady state allocates nothing per request: the inbox (unparsed read
-//! bytes) and every response frame are encoded into buffers taken from the
-//! shared [`BufferPool`] and returned after the write completes, and the
-//! read syscall lands in an event-loop-owned scratch buffer. A declared
+//! The reader thread blocks in `read`, decodes whole frames, stamps them
+//! **at decode time** and submits them without ever blocking on the queue
+//! (a full queue is answered with a `Busy` error *response*). The writer
+//! thread blocks on the connection's reply channel, takes whatever else
+//! has already completed, and puts the batch on the socket with one
+//! `write_all` — a lone response leaves the instant it exists, pipelined
+//! responses coalesce, and nothing is tuned. The channel disconnects when
+//! the reader has stopped and every request it queued is answered, which
+//! is how the writer knows it is done.
+//!
+//! ## No per-request allocation
+//!
+//! The reader's inbox and the writer's frame scratch live as long as the
+//! connection, and each write batch is assembled in a buffer taken from
+//! the shared [`BufferPool`] and returned after the write. A declared
 //! frame length is validated against `NetOptions::max_frame_bytes` **at
-//! header-parse time** — buffers only ever hold bytes actually received,
-//! so a hostile length prefix never drives an allocation.
+//! header-parse time** — the inbox only ever grows by bytes actually
+//! received (one fixed read window at a time), so a hostile length prefix
+//! never drives an allocation.
 
 use crate::net::NetShared;
-use crate::server::Connection;
+use crate::server::{Connector, Submitter};
 use crate::wire::{RemoteError, ServeRequest, ServeResponse};
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Instant;
 use vstore_codec::wire::ByteWriter;
-use vstore_obs::Tracer;
+use vstore_sim::catch_panic;
 use vstore_sim::sync::lock_unpoisoned;
 use vstore_types::cast::usize_from_u32;
+use vstore_types::{QueueFullPolicy, VStoreError};
 
 /// Bytes of the transport header: u32 length + u64 correlation id.
 pub(crate) const FRAME_HEADER_BYTES: usize = 12;
 /// Bytes of the correlation id inside the declared length.
 pub(crate) const CORR_ID_BYTES: usize = 8;
-/// Most frames coalesced into one vectored write.
-const MAX_WRITE_BATCH: usize = 64;
+/// How far one blocking read may grow the inbox.
+const READ_WINDOW_BYTES: usize = 16 * 1024;
+/// Most already-completed responses one write coalesces, so a deep
+/// pipeline cannot grow a batch buffer without bound.
+const MAX_COALESCED_RESPONSES: usize = 64;
+/// Stack of each connection thread: they decode, encode and block, and
+/// never run a request.
+const CONN_STACK_BYTES: usize = 256 * 1024;
 
 /// Encode one frame into a recycled buffer: header, correlation id, then
 /// the payload via `encode`, with the length back-patched once known.
@@ -69,14 +88,18 @@ pub(crate) fn encode_frame(
     w.into_bytes()
 }
 
-/// Why a buffered byte stream cannot continue as frames.
+/// Why a byte stream cannot continue as frames.
 #[derive(Debug)]
 pub(crate) enum FrameError {
+    /// The socket failed.
+    Io(std::io::Error),
     /// The declared length exceeds the configured cap. Rejected before any
     /// allocation; the stream cannot be re-synchronised.
     Oversized {
         /// The length the header declared.
         declared: usize,
+        /// The payload cap it was checked against.
+        cap: usize,
     },
     /// The declared length cannot hold even the correlation id.
     Malformed {
@@ -85,28 +108,31 @@ pub(crate) enum FrameError {
     },
 }
 
-/// One step of frame extraction from a buffered byte stream.
-pub(crate) enum FrameStep {
-    /// Not enough bytes buffered for the next frame yet.
-    Incomplete,
-    /// One complete frame: its correlation id, the payload's byte range
-    /// inside the buffer, and how many buffered bytes the frame spans.
-    Frame {
-        corr_id: u64,
-        payload: Range<usize>,
-        spans: usize,
-    },
+impl From<FrameError> for VStoreError {
+    fn from(err: FrameError) -> Self {
+        match err {
+            FrameError::Io(e) => VStoreError::Io(e),
+            FrameError::Oversized { declared, cap } => VStoreError::corruption(format!(
+                "frame declares {declared} bytes, over the {cap}-byte cap"
+            )),
+            FrameError::Malformed { declared } => VStoreError::corruption(format!(
+                "frame declares {declared} bytes, below the envelope minimum"
+            )),
+        }
+    }
 }
 
-/// Try to extract the next frame from `buf`. The declared length is
-/// checked against `max_payload_bytes` **before** it influences anything —
+/// Try to extract the next frame from `buf`: its correlation id and the
+/// payload's byte range (the frame spans `buf` up to the range's end), or
+/// `None` while too few bytes are buffered. The declared length is checked
+/// against `max_payload_bytes` **before** it influences anything —
 /// rejection costs no allocation (see the module docs).
 pub(crate) fn parse_frame(
     buf: &[u8],
     max_payload_bytes: usize,
-) -> std::result::Result<FrameStep, FrameError> {
+) -> std::result::Result<Option<(u64, Range<usize>)>, FrameError> {
     if buf.len() < 4 {
-        return Ok(FrameStep::Incomplete);
+        return Ok(None);
     }
     // vstore-lint: allow(no-unwrap, checked-cast) — length checked above; u32 widens to usize
     let declared = usize_from_u32(u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")));
@@ -114,21 +140,76 @@ pub(crate) fn parse_frame(
         return Err(FrameError::Malformed { declared });
     }
     if declared - CORR_ID_BYTES > max_payload_bytes {
-        return Err(FrameError::Oversized { declared });
+        return Err(FrameError::Oversized {
+            declared,
+            cap: max_payload_bytes,
+        });
     }
     let spans = 4 + declared;
     if buf.len() < spans {
-        return Ok(FrameStep::Incomplete);
+        return Ok(None);
     }
     let corr_id = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes")); // vstore-lint: allow(no-unwrap) — declared >= CORR_ID_BYTES checked above
-    Ok(FrameStep::Frame {
-        corr_id,
-        payload: FRAME_HEADER_BYTES..spans,
-        spans,
-    })
+    Ok(Some((corr_id, FRAME_HEADER_BYTES..spans)))
 }
 
-/// A bounded pool of recycled byte buffers shared by every event loop.
+/// The blocking frame reader both ends of the socket use (the server's
+/// reader thread and [`crate::NetClient`]): the unparsed bytes of one
+/// stream and the one loop that turns them into frames.
+pub(crate) struct FrameReader {
+    /// Bytes received and not yet reclaimed.
+    inbox: Vec<u8>,
+    /// Prefix of `inbox` already handed out as frames.
+    consumed: usize,
+    /// Cap a frame's payload may declare (see [`parse_frame`]).
+    pub(crate) max_payload_bytes: usize,
+}
+
+impl FrameReader {
+    pub(crate) fn new(max_payload_bytes: usize) -> Self {
+        FrameReader {
+            inbox: Vec::new(),
+            consumed: 0,
+            max_payload_bytes,
+        }
+    }
+
+    /// Block until the next whole frame is buffered; returns its
+    /// correlation id and payload. `Ok(None)` is end of stream (an
+    /// unfinished frame's bytes are dropped with it). After an oversized
+    /// or malformed header the stream cannot be re-synchronised.
+    pub(crate) fn next_frame(
+        &mut self,
+        stream: &mut impl Read,
+    ) -> Result<Option<(u64, &[u8])>, FrameError> {
+        loop {
+            let unparsed = &self.inbox[self.consumed..];
+            if let Some((corr_id, payload)) = parse_frame(unparsed, self.max_payload_bytes)? {
+                let at = self.consumed;
+                self.consumed += payload.end;
+                return Ok(Some((corr_id, &self.inbox[at..][payload])));
+            }
+            // Reclaim what was handed out (the inbox keeps its allocation),
+            // then block for one read window more.
+            self.inbox.drain(..self.consumed);
+            self.consumed = 0;
+            let len = self.inbox.len();
+            self.inbox.resize(len + READ_WINDOW_BYTES, 0);
+            let read = loop {
+                match stream.read(&mut self.inbox[len..]) {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    done => break done,
+                }
+            };
+            self.inbox.truncate(len + read.as_ref().map_or(0, |n| *n));
+            if read.map_err(FrameError::Io)? == 0 {
+                return Ok(None);
+            }
+        }
+    }
+}
+
+/// A bounded pool of recycled byte buffers shared by every connection.
 /// `take`/`give` are a short mutex hold; hit/miss counters feed
 /// `NetStats::pool_hit_rate` — the observable proof that the steady-state
 /// request path allocates nothing per request.
@@ -184,328 +265,198 @@ impl BufferPool {
         }
     }
 
-    /// Takes served without allocating.
-    pub(crate) fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Takes that allocated a fresh buffer.
-    pub(crate) fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// Takes served without allocating, and takes that allocated a
+    /// fresh buffer.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        let (hits, misses) = (&self.hits, &self.misses);
+        (hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))
     }
 }
 
-/// One encoded response awaiting its turn in a batched write.
-struct WriteBuf {
-    buf: Vec<u8>,
-    pos: usize,
+/// The closing record of one connection. Dropped when its reader thread
+/// ends — by return or by panic — which closes the socket and settles the
+/// connection's statistics either way.
+struct Closing<'a> {
+    stream: &'a TcpStream,
+    shared: &'a NetShared,
+    /// Responses owed to the peer: raised by the reader per decoded frame,
+    /// lowered by the writer per frame written.
+    owed: &'a AtomicU64,
+    peak_owed: u64,
+    /// The peer vanished (socket error), as opposed to the stream ending.
+    /// Starts `true` so a panic is accounted as a lost connection.
+    lost: bool,
+    /// Where the acceptor hears that connection `id` is ready to join.
+    id: u64,
+    done: Sender<u64>,
 }
 
-/// Why a connection left its event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CloseReason {
-    /// Everything submitted was answered and flushed; the peer closed (or
-    /// the server drained) cleanly.
-    Finished,
-    /// The peer vanished (EOF or socket error) with work still in flight
-    /// or responses still queued.
-    Disconnect,
-    /// The byte stream became undecodable; the peer was answered with a
-    /// corruption error where possible, then cut off.
-    Corrupt,
-    /// A frame declared a length beyond the cap; cut off immediately.
-    Oversized,
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        // Relaxed: the writer has been joined (or never ran) by now.
+        let unanswered = self.owed.load(Ordering::Relaxed) > 0;
+        self.shared
+            .close_connection(self.lost || unanswered, self.peak_owed);
+        let _ = self.done.send(self.id);
+    }
 }
 
-/// What one `pump` pass decided.
-pub(crate) enum PumpOutcome {
-    /// Keep the connection; `progress` says whether any byte or response
-    /// moved (the loop sleeps only when nothing did).
-    Continue { progress: bool },
-    /// Remove the connection; the loop calls [`NetConn::finish`].
-    Close(CloseReason),
-}
-
-/// The per-connection state machine: socket, inbox, in-flight requests
-/// and the batched write queue. Owned by exactly one event loop — no
-/// locking on any per-connection state.
-pub(crate) struct NetConn {
-    stream: TcpStream,
-    conn: Connection,
-    /// The service's request tracer: each decoded frame begins its trace
-    /// here, at the socket boundary.
-    tracer: Arc<Tracer>,
-    /// Queue job id → transport correlation id of each in-flight request.
-    in_flight: HashMap<u64, u64>,
-    /// Unparsed bytes read off the socket (pooled).
-    inbox: Vec<u8>,
-    /// Encoded responses not yet fully written (pooled buffers).
-    pending: VecDeque<WriteBuf>,
-    pending_bytes: usize,
-    oldest_pending: Option<Instant>,
-    peak_backlog: u64,
-    /// Undecodable stream: stop reading, flush what is queued, then close.
-    poisoned: bool,
-    /// Peer half-closed its write side: no more requests, but keep
-    /// answering and flushing what is already in flight.
-    eof: bool,
-}
-
-impl NetConn {
-    pub(crate) fn new(stream: TcpStream, conn: Connection, shared: &NetShared) -> Self {
-        NetConn {
+/// Start the thread pair that serves `stream` to completion. The handle is
+/// the reader thread's; it scopes the writer thread, so joining it joins
+/// both.
+pub(crate) fn spawn_connection(
+    stream: Arc<TcpStream>,
+    shared: Arc<NetShared>,
+    connector: Connector,
+    id: u64,
+    done: Sender<u64>,
+) -> std::io::Result<JoinHandle<()>> {
+    let threads = || std::thread::Builder::new().stack_size(CONN_STACK_BYTES);
+    threads().name("vstore-net-read".into()).spawn(move || {
+        let (stream, shared, owed) = (&*stream, &*shared, &AtomicU64::new(0));
+        let mut closing = Closing {
             stream,
-            tracer: conn.tracer(),
-            conn,
-            in_flight: HashMap::new(),
-            inbox: shared.pool.take(),
-            pending: VecDeque::new(),
-            pending_bytes: 0,
-            oldest_pending: None,
-            peak_backlog: 0,
-            poisoned: false,
-            eof: false,
-        }
-    }
-
-    /// One multiplexing pass: read what the socket has, decode and submit
-    /// complete frames (stamped at decode time), drain completed
-    /// responses into the write queue, and flush per the adaptive policy —
-    /// immediately when nothing more is imminent, batched by
-    /// size/latency threshold while responses are still streaming out.
-    pub(crate) fn pump(
-        &mut self,
-        shared: &NetShared,
-        scratch: &mut [u8],
-        draining: bool,
-    ) -> PumpOutcome {
-        let mut progress = false;
-
-        // 1. Read. Skipped while draining (no new work accepted), after
-        //    EOF, or once the stream is poisoned.
-        if !(draining || self.eof || self.poisoned) {
-            loop {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.eof = true;
-                        break;
+            shared,
+            owed,
+            peak_owed: 0,
+            lost: true,
+            id,
+            done,
+        };
+        let (submitter, replies) = connector.halves();
+        std::thread::scope(|scope| {
+            let writer = threads()
+                .name("vstore-net-write".into())
+                .spawn_scoped(scope, move || {
+                    // A writer that stops early, for any reason, ends the
+                    // connection: cutting the socket is what wakes the
+                    // reader.
+                    let wrote = catch_panic(|| write_responses(stream, shared, &replies, owed));
+                    if !matches!(wrote, Ok(Ok(()))) {
+                        let _ = stream.shutdown(Shutdown::Both);
                     }
-                    Ok(n) => {
-                        progress = true;
-                        self.inbox.extend_from_slice(&scratch[..n]);
-                        shared.add_bytes_in(n as u64);
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return PumpOutcome::Close(CloseReason::Disconnect),
-                }
+                });
+            if writer.is_ok() {
+                read_requests(&mut closing, submitter);
             }
-        }
+        });
+    })
+}
 
-        // 2. Decode complete frames and submit them. The lag stamp is
-        //    taken here, at decode time, so the queue-wait histogram is
-        //    comparable with the in-process submit path.
-        let mut consumed = 0usize;
-        let mut frames_in = 0u64;
-        let mut fatal: Option<CloseReason> = None;
-        while !self.poisoned {
-            match parse_frame(&self.inbox[consumed..], shared.options.max_frame_bytes) {
-                Ok(FrameStep::Incomplete) => break,
-                Ok(FrameStep::Frame {
-                    corr_id,
-                    payload,
-                    spans,
-                }) => {
-                    frames_in += 1;
-                    progress = true;
-                    let decoded_at = Instant::now();
-                    // The trace begins here, at the socket boundary: the
-                    // decode below is its first span, and the context rides
-                    // the job through queue, worker and engines.
-                    let trace = self.tracer.begin("request");
-                    let decode_span = trace.span("net.decode");
-                    let bytes = &self.inbox[consumed + payload.start..consumed + payload.end];
-                    match ServeRequest::from_wire(bytes) {
-                        Ok(request) => {
-                            drop(decode_span);
-                            trace.set_root(request.kind().name());
-                            match self.conn.submit_traced(request, decoded_at, trace) {
-                                Ok(job_id) => {
-                                    self.in_flight.insert(job_id, corr_id);
-                                    self.peak_backlog =
-                                        self.peak_backlog.max(self.in_flight.len() as u64);
-                                }
-                                // Shed (Busy) or shutting down: the error
-                                // IS the response; the connection lives on.
-                                Err(err) => self.queue_response(
-                                    shared,
-                                    corr_id,
-                                    &ServeResponse::Error(RemoteError::from_error(&err)),
-                                ),
-                            }
-                        }
-                        Err(err) => {
-                            // Undecodable payload: answer this frame with
-                            // the typed error, then isolate the peer — a
-                            // stream that framed garbage cannot be
-                            // trusted for re-synchronisation.
-                            shared.count_corrupt_frame();
-                            self.queue_response(
-                                shared,
-                                corr_id,
-                                &ServeResponse::Error(RemoteError::from_error(&err)),
-                            );
-                            self.poisoned = true;
-                        }
-                    }
-                    consumed += spans;
-                }
-                Err(FrameError::Oversized { .. }) => {
-                    shared.count_oversized_frame();
-                    fatal = Some(CloseReason::Oversized);
-                    break;
-                }
-                Err(FrameError::Malformed { .. }) => {
-                    shared.count_corrupt_frame();
-                    fatal = Some(CloseReason::Corrupt);
-                    break;
-                }
+/// The reader thread's body: decode frames and submit them until the
+/// stream ends, turns undecodable, or the server starts draining. Consumes
+/// the submitter — dropping it is what lets the writer finish.
+fn read_requests(closing: &mut Closing<'_>, submitter: Submitter) {
+    let (shared, mut stream) = (closing.shared, closing.stream);
+    let tracer = submitter.tracer();
+    let mut frames = FrameReader::new(shared.options.max_frame_bytes);
+    let error_response = |err: &VStoreError| ServeResponse::Error(RemoteError::from_error(err));
+    // A drain wakes a blocked read with end-of-stream; a busy reader sees
+    // the flag between frames. Either way nothing new is accepted.
+    while !shared.is_stopping() {
+        let (corr_id, payload) = match frames.next_frame(&mut stream) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            // The peer vanished: `lost` stays set.
+            Err(FrameError::Io(_)) => return,
+            Err(FrameError::Oversized { .. }) => {
+                shared.count_oversized_frame();
+                break;
             }
-        }
-        if consumed > 0 {
-            // Compact in place: the inbox keeps its pooled allocation.
-            self.inbox.copy_within(consumed.., 0);
-            self.inbox.truncate(self.inbox.len() - consumed);
-        }
-        if frames_in > 0 {
-            shared.add_frames_in(frames_in);
-        }
-        if let Some(reason) = fatal {
-            // Best-effort flush of anything already queued, then cut off.
-            let _ = self.flush(shared);
-            return PumpOutcome::Close(reason);
-        }
-
-        // 3. Drain completions into the write queue.
-        while let Some((job_id, response)) = self.conn.try_recv() {
-            progress = true;
-            if let Some(corr_id) = self.in_flight.remove(&job_id) {
-                self.queue_response(shared, corr_id, &response);
-            }
-        }
-
-        // 4. Adaptive flush. With nothing left in flight no further
-        //    response can join the batch, so flush immediately (light
-        //    load → minimal latency). Otherwise coalesce until the batch
-        //    crosses the size threshold or the oldest pending response
-        //    has waited its latency bound (heavy pipelining → few large
-        //    vectored writes).
-        if !self.pending.is_empty() {
-            let opts = &shared.options;
-            let idle = self.in_flight.is_empty();
-            let over_size = self.pending_bytes >= opts.batch_max_bytes;
-            let over_delay = self
-                .oldest_pending
-                .is_some_and(|t| t.elapsed() >= Duration::from_micros(opts.batch_max_delay_us));
-            if idle || over_size || over_delay || draining || self.poisoned || self.eof {
-                match self.flush(shared) {
-                    Ok(wrote) => progress |= wrote,
-                    Err(()) => return PumpOutcome::Close(CloseReason::Disconnect),
-                }
-            }
-        }
-
-        // 5. Close when no more work can arrive and everything queued has
-        //    been written.
-        let settled = self.in_flight.is_empty() && self.pending.is_empty();
-        if settled && self.poisoned {
-            return PumpOutcome::Close(CloseReason::Corrupt);
-        }
-        if settled && (self.eof || draining) {
-            return PumpOutcome::Close(CloseReason::Finished);
-        }
-        PumpOutcome::Continue { progress }
-    }
-
-    /// Encode `response` into a pooled buffer and queue it for the next
-    /// batched write.
-    fn queue_response(&mut self, shared: &NetShared, corr_id: u64, response: &ServeResponse) {
-        let buf = encode_frame(shared.pool.take(), corr_id, |w| response.write_wire(w));
-        self.pending_bytes += buf.len();
-        if self.pending.is_empty() {
-            self.oldest_pending = Some(Instant::now());
-        }
-        self.pending.push_back(WriteBuf { buf, pos: 0 });
-    }
-
-    /// One vectored write of up to [`MAX_WRITE_BATCH`] pending frames.
-    /// Returns whether bytes moved; `Err(())` means the peer is gone.
-    fn flush(&mut self, shared: &NetShared) -> std::result::Result<bool, ()> {
-        if self.pending.is_empty() {
-            return Ok(false);
-        }
-        // Stack-allocated gather list: the write path allocates nothing.
-        let mut slices = [IoSlice::new(&[]); MAX_WRITE_BATCH];
-        let batch = self.pending.len().min(MAX_WRITE_BATCH);
-        for (slot, w) in slices.iter_mut().zip(self.pending.iter()) {
-            *slot = IoSlice::new(&w.buf[w.pos..]);
-        }
-        let written = loop {
-            match self.stream.write_vectored(&slices[..batch]) {
-                Ok(0) => return Err(()),
-                Ok(n) => break n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
+            Err(FrameError::Malformed { .. }) => {
+                shared.count_corrupt_frame();
+                break;
             }
         };
-        // Advance the queue past what the kernel took; completed frames
-        // return their buffers to the pool.
-        let mut remaining = written;
-        let mut completed = 0u64;
-        while remaining > 0 {
-            // remaining > 0 means the writev above consumed bytes from a
-            // frame still queued here.
-            let front = self
-                .pending
-                .front_mut()
-                .expect("written bytes imply pending frames"); // vstore-lint: allow(no-unwrap)
-            let left = front.buf.len() - front.pos;
-            if remaining >= left {
-                remaining -= left;
-                completed += 1;
-                let done = self.pending.pop_front().expect("front exists"); // vstore-lint: allow(no-unwrap)
-                shared.pool.give(done.buf);
-            } else {
-                front.pos += remaining;
-                remaining = 0;
+        shared.add_frame_in((FRAME_HEADER_BYTES + payload.len()) as u64);
+        // The lag stamp and the trace both begin here, at the socket
+        // boundary: queue-wait histograms stay comparable with the
+        // in-process path, the decode is the trace's first span, and the
+        // context rides the job through queue, worker and engines.
+        let decoded_at = Instant::now();
+        let trace = tracer.begin("request");
+        let decode_span = trace.span("net.decode");
+        let decoded = ServeRequest::from_wire(payload);
+        drop(decode_span);
+        // Relaxed: a statistic; the count is read for real only after the
+        // writer is joined.
+        let owed = closing.owed.fetch_add(1, Ordering::Relaxed) + 1;
+        closing.peak_owed = closing.peak_owed.max(owed);
+        match decoded {
+            Ok(request) => {
+                trace.set_root(request.kind().name());
+                // Shed (Busy) or shutting down: the error IS the response;
+                // the connection lives on.
+                if let Err(err) =
+                    submitter.submit(corr_id, request, decoded_at, trace, QueueFullPolicy::Reject)
+                {
+                    submitter.reply(corr_id, error_response(&err));
+                }
+            }
+            Err(err) => {
+                // Undecodable payload: answer this frame with the typed
+                // error, then isolate the peer — a stream that framed
+                // garbage cannot be trusted for re-synchronisation.
+                shared.count_corrupt_frame();
+                submitter.reply(corr_id, error_response(&err));
+                break;
             }
         }
-        self.pending_bytes -= written;
-        // After a partial flush the remaining frames have already waited;
-        // keeping the timestamp preserves the batch_max_delay_us bound
-        // under sustained partial writes.
-        if self.pending.is_empty() {
-            self.oldest_pending = None;
-        }
-        shared.record_write(written as u64, completed);
-        Ok(true)
     }
+    closing.lost = false;
+}
 
-    /// Tear the connection down: recycle its buffers and record its
-    /// closing statistics under `reason`.
-    pub(crate) fn finish(mut self, shared: &NetShared, reason: CloseReason) {
-        let inbox = std::mem::take(&mut self.inbox);
-        shared.pool.give(inbox);
-        while let Some(w) = self.pending.pop_front() {
-            shared.pool.give(w.buf);
+/// The writer thread's body: block for the next reply, coalesce whatever
+/// else has already completed, write the batch once. Returns `Ok` when
+/// the reply channel disconnects (reader stopped, nothing left in flight)
+/// and `Err` when the peer stops taking bytes.
+fn write_responses(
+    mut stream: &TcpStream,
+    shared: &NetShared,
+    replies: &Receiver<(u64, ServeResponse)>,
+    owed: &AtomicU64,
+) -> std::io::Result<()> {
+    let mut frame = Vec::new();
+    while let Ok(first) = replies.recv() {
+        let mut batch = shared.pool.take();
+        let mut frames = 0u64;
+        let completed = std::iter::once(first).chain(replies.try_iter());
+        for (corr_id, response) in completed.take(MAX_COALESCED_RESPONSES) {
+            frame = encode_response(frame, corr_id, &response, shared.options.max_frame_bytes);
+            batch.extend_from_slice(&frame);
+            frames += 1;
         }
-        let abandoned = !self.in_flight.is_empty();
-        shared.close_connection(reason, self.peak_backlog, abandoned);
+        let wrote = stream.write_all(&batch);
+        let bytes = batch.len() as u64;
+        shared.pool.give(batch);
+        wrote?;
+        shared.record_write(bytes, frames);
+        owed.fetch_sub(frames, Ordering::Relaxed);
     }
+    Ok(())
+}
+
+/// Encode one response frame into `buf`. A response whose encoding is
+/// larger than the frame cap would be rejected by the peer's own
+/// header check — poisoning its connection — so it is replaced with a
+/// typed error under the same correlation id.
+fn encode_response(
+    buf: Vec<u8>,
+    corr_id: u64,
+    response: &ServeResponse,
+    max_frame_bytes: usize,
+) -> Vec<u8> {
+    let buf = encode_frame(buf, corr_id, |w| response.write_wire(w));
+    let payload_bytes = buf.len() - FRAME_HEADER_BYTES;
+    if payload_bytes <= max_frame_bytes {
+        return buf;
+    }
+    let too_large = VStoreError::invalid_argument(format!(
+        "response of {payload_bytes} bytes exceeds the {max_frame_bytes}-byte frame cap"
+    ));
+    let error = ServeResponse::Error(RemoteError::from_error(&too_large));
+    encode_frame(buf, corr_id, |w| error.write_wire(w))
 }
 
 #[cfg(test)]
@@ -523,24 +474,13 @@ mod tests {
             u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize,
             frame.len() - 4
         );
-        match parse_frame(&frame, 1 << 20).unwrap() {
-            FrameStep::Frame {
-                corr_id,
-                payload,
-                spans,
-            } => {
-                assert_eq!(corr_id, 77);
-                assert_eq!(spans, frame.len());
-                assert_eq!(ServeRequest::from_wire(&frame[payload]).unwrap(), request);
-            }
-            FrameStep::Incomplete => panic!("complete frame not recognised"),
-        }
+        let (corr_id, payload) = parse_frame(&frame, 1 << 20).unwrap().unwrap();
+        assert_eq!(corr_id, 77);
+        assert_eq!(payload.end, frame.len());
+        assert_eq!(ServeRequest::from_wire(&frame[payload]).unwrap(), request);
         // Every strict prefix is incomplete, never an error.
         for cut in 0..frame.len() {
-            assert!(matches!(
-                parse_frame(&frame[..cut], 1 << 20),
-                Ok(FrameStep::Incomplete)
-            ));
+            assert!(matches!(parse_frame(&frame[..cut], 1 << 20), Ok(None)));
         }
     }
 
@@ -566,10 +506,10 @@ mod tests {
     fn buffer_pool_recycles_and_counts() {
         let pool = BufferPool::new(2, 1024);
         let a = pool.take();
-        assert_eq!(pool.miss_count(), 1);
+        assert_eq!(pool.counts(), (0, 1));
         pool.give(a);
         let b = pool.take();
-        assert_eq!(pool.hit_count(), 1);
+        assert_eq!(pool.counts(), (1, 1));
         pool.give(b);
         pool.give(Vec::new());
         pool.give(Vec::new()); // beyond capacity: dropped silently

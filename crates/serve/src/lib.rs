@@ -24,12 +24,13 @@
 //!   latency histograms — which `VStore::stats_report` folds in.
 //!
 //! * **A pipelined TCP front end** ([`NetServer`], [`NetClient`]): a real
-//!   socket listener feeding event-loop threads that multiplex
-//!   non-blocking connections over the same bounded queue — a transport
-//!   envelope of length-prefixed frames with per-frame correlation ids,
-//!   adaptive response batching into vectored writes, and pooled buffers
-//!   so the steady-state request path allocates nothing. [`NetStats`]
-//!   reports connection, frame, batching and pool behaviour.
+//!   socket listener that serves each connection with a blocking reader
+//!   thread and a blocking writer thread over the same bounded queue — a
+//!   transport envelope of length-prefixed frames with per-frame
+//!   correlation ids, responses that completed together written together,
+//!   and pooled buffers so the steady-state request path allocates
+//!   nothing. [`NetStats`] reports connection, frame, batching and pool
+//!   behaviour.
 //!
 //! The front end is generic over [`VideoService`], implemented by `VStore`
 //! in the facade crate; tests drive it with deterministic mocks.

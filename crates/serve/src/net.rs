@@ -1,46 +1,40 @@
-//! The socket front end: a TCP listener feeding N event-loop threads that
-//! multiplex non-blocking connections over the in-process [`Server`]'s
-//! bounded queue.
+//! The socket front end: a TCP listener whose acceptor gives every
+//! connection a blocking reader thread and a blocking writer thread over
+//! the in-process [`Server`]'s bounded queue.
 //!
 //! ```text
-//!             accept        round-robin            bounded queue
-//!  clients ──► listener ──► event loop 0 ─┐ submit ┌─► worker 0
-//!    (TCP)     thread   ──► event loop 1 ─┼────────┼─► worker 1
-//!                       ──► event loop …  ─┘        └─► worker …
-//!                            ▲   │ try_recv   reply channels │
-//!                            └───┴────────────────◄──────────┘
-//!                         batched vectored writes
+//!             accept       per connection           bounded queue
+//!  clients ──► acceptor ──► reader: read, decode, ─ submit ─► worker 0
+//!    (TCP)     thread               stamp                 ├─► worker 1
+//!                           writer: recv, coalesce,       └─► worker …
+//!                ◄───────────       write_all  ◄── reply channel ──┘
 //! ```
 //!
-//! Each event loop owns its connections outright (no per-connection
-//! locking): one pass reads whatever the kernel has, decodes complete
-//! frames, stamps them **at decode time** (so queue-wait histograms are
-//! comparable with the in-process path), submits them non-blockingly
-//! (shedding turns into a `Busy` error *response*, never a stalled loop),
-//! drains finished responses, and flushes them with adaptive batching —
-//! immediate when the pipeline is empty, coalesced into few large vectored
-//! writes when responses are streaming.
+//! Nothing on the request path polls: a reader sleeps in the kernel until
+//! bytes arrive, a writer sleeps on its connection's reply channel until a
+//! response exists (see [`crate::conn`] for both loops). Threads are
+//! `2 × active connections + 1`, bounded by `NetOptions::max_connections`.
 //!
-//! Shutdown is a drain: the acceptor stops, the loops stop reading, every
-//! request already accepted is answered and flushed, then sockets close —
-//! bounded by a hard deadline so a dead peer cannot wedge the drain.
+//! Shutdown is a drain: the acceptor stops accepting and shuts the read
+//! half of every socket, which wakes each reader with end-of-stream; every
+//! request already decoded is answered and written, then sockets close and
+//! every connection thread is joined. A peer that has not taken its
+//! responses by a hard deadline is cut instead of wedging the drain.
 
-use crate::conn::{BufferPool, CloseReason, NetConn, PumpOutcome};
+use crate::conn::{spawn_connection, BufferPool};
 use crate::server::{Connector, ServeProbe, Server, ServerHandle, VideoService};
 use crate::stats::{NetStats, ServeStats};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vstore_sim::catch_panic;
 use vstore_sim::sync::lock_unpoisoned;
 use vstore_types::hist::LatencyHistogram;
 use vstore_types::{NetOptions, Result, ServeOptions, VStoreError};
 
-/// Read scratch per event loop; sized to drain a full default socket
-/// buffer in one syscall.
-const READ_SCRATCH_BYTES: usize = 64 * 1024;
-/// Idle buffers the pool retains across all loops.
+/// Idle buffers the pool retains across all connections.
 const POOL_CAPACITY: usize = 256;
 /// Buffers grown past this are dropped rather than pooled, bounding the
 /// pool's resident memory after a burst of jumbo frames.
@@ -50,7 +44,8 @@ const ACCEPT_POLL: Duration = Duration::from_micros(500);
 /// Hard bound on the graceful drain once shutdown begins.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Counters the event loops and acceptor update; one mutex, short holds.
+/// Counters the acceptor and the connection threads update; one mutex,
+/// short holds.
 #[derive(Default)]
 pub(crate) struct NetState {
     accepted: u64,
@@ -68,7 +63,8 @@ pub(crate) struct NetState {
     backlog_peaks: LatencyHistogram,
 }
 
-/// State shared between the acceptor, the event loops and every handle.
+/// State shared between the acceptor, the connection threads and every
+/// handle.
 pub(crate) struct NetShared {
     pub(crate) options: NetOptions,
     state: Mutex<NetState>,
@@ -81,12 +77,11 @@ impl NetShared {
         lock_unpoisoned(&self.state)
     }
 
-    pub(crate) fn add_bytes_in(&self, n: u64) {
-        self.lock().bytes_in += n;
-    }
-
-    pub(crate) fn add_frames_in(&self, n: u64) {
-        self.lock().frames_in += n;
+    /// One request frame of `bytes` (envelope included) decoded.
+    pub(crate) fn add_frame_in(&self, bytes: u64) {
+        let mut state = self.lock();
+        state.frames_in += 1;
+        state.bytes_in += bytes;
     }
 
     pub(crate) fn count_corrupt_frame(&self) {
@@ -97,34 +92,37 @@ impl NetShared {
         self.lock().oversized_frames += 1;
     }
 
-    /// One successful vectored write: `bytes` moved, `completed` whole
-    /// response frames finished (recorded as the batch size).
-    pub(crate) fn record_write(&self, bytes: u64, completed: u64) {
+    /// One batch written: `bytes` moved, `frames` response frames in it.
+    pub(crate) fn record_write(&self, bytes: u64, frames: u64) {
         let mut state = self.lock();
         state.write_syscalls += 1;
         state.bytes_out += bytes;
-        state.frames_out += completed;
-        if completed > 0 {
-            state.batch_sizes.record(completed);
-        }
+        state.frames_out += frames;
+        state.batch_sizes.record(frames);
     }
 
-    /// A connection left its event loop.
-    pub(crate) fn close_connection(&self, reason: CloseReason, peak_backlog: u64, abandoned: bool) {
+    /// A connection closed; `lost` when its peer vanished or was cut with
+    /// responses still owed.
+    pub(crate) fn close_connection(&self, lost: bool, peak_backlog: u64) {
         let mut state = self.lock();
         state.active_connections = state.active_connections.saturating_sub(1);
         if peak_backlog > 0 {
             state.backlog_peaks.record(peak_backlog);
         }
-        if abandoned || matches!(reason, CloseReason::Disconnect) {
+        if lost {
             state.disconnects += 1;
         }
     }
 
+    /// `true` once shutdown has begun: readers accept nothing new.
+    pub(crate) fn is_stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
     fn snapshot(&self) -> NetStats {
+        let (pool_hits, pool_misses) = self.pool.counts();
         let state = self.lock();
         NetStats {
-            event_loops: self.options.event_loops,
             accepted: state.accepted,
             refused: state.refused,
             active_connections: state.active_connections,
@@ -136,25 +134,21 @@ impl NetShared {
             oversized_frames: state.oversized_frames,
             disconnects: state.disconnects,
             write_syscalls: state.write_syscalls,
-            pool_hits: self.pool.hit_count(),
-            pool_misses: self.pool.miss_count(),
+            pool_hits,
+            pool_misses,
             batch_sizes: state.batch_sizes.clone(),
             backlog_peaks: state.backlog_peaks.clone(),
         }
     }
 }
 
-/// Sockets accepted but not yet adopted by their event loop.
-type Intake = Arc<Mutex<Vec<TcpStream>>>;
-
 /// Namespace for starting the socket front end; see [`NetServer::start`].
 pub struct NetServer;
 
 impl NetServer {
     /// Bind `addr`, start an in-process [`Server`] over `service` with
-    /// `serve` options, and drive it from `net.event_loops` event-loop
-    /// threads plus one acceptor. Bind to port 0 to let the OS choose
-    /// (see [`NetServerHandle::local_addr`]).
+    /// `serve` options, and accept connections onto it. Bind to port 0 to
+    /// let the OS choose (see [`NetServerHandle::local_addr`]).
     pub fn start<S>(
         service: S,
         addr: impl ToSocketAddrs,
@@ -176,55 +170,18 @@ impl NetServer {
             pool: BufferPool::new(POOL_CAPACITY, POOL_RETAIN_BYTES),
             stop: AtomicBool::new(false),
         });
-
-        let mut intakes: Vec<Intake> = Vec::with_capacity(net.event_loops);
-        let mut loops = Vec::with_capacity(net.event_loops);
-        let mut spawn_failure = None;
-        for i in 0..net.event_loops {
-            let intake: Intake = Arc::new(Mutex::new(Vec::new()));
-            let loop_shared = Arc::clone(&shared);
-            let loop_intake = Arc::clone(&intake);
-            let connector = inner.connector();
-            let spawned = std::thread::Builder::new()
-                .name(format!("vstore-net-loop-{i}"))
-                .spawn(move || event_loop(&loop_shared, &loop_intake, &connector));
-            match spawned {
-                Ok(handle) => {
-                    intakes.push(intake);
-                    loops.push(handle);
-                }
-                Err(e) => {
-                    spawn_failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let acceptor = if spawn_failure.is_none() {
-            let accept_shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("vstore-net-accept".into())
-                .spawn(move || acceptor_loop(&listener, &accept_shared, &intakes))
-                .map_err(|e| spawn_failure = Some(e))
-                .ok()
-        } else {
-            None
-        };
-        if let Some(e) = spawn_failure {
-            // Wind down whatever did spawn instead of leaking it.
-            shared.stop.store(true, Ordering::Release);
-            for handle in loops {
-                let _ = handle.join();
-            }
-            inner.shutdown();
-            return Err(VStoreError::Io(e));
-        }
+        let accept_shared = Arc::clone(&shared);
+        let connector = inner.connector();
+        let acceptor = std::thread::Builder::new()
+            .name("vstore-net-accept".into())
+            .spawn(move || acceptor_loop(&listener, &accept_shared, &connector))
+            .map_err(VStoreError::Io)?;
 
         Ok(NetServerHandle {
             inner: Some(inner),
             shared,
             local_addr,
-            acceptor,
-            loops,
+            acceptor: Some(acceptor),
         })
     }
 }
@@ -236,15 +193,13 @@ pub struct NetServerHandle {
     inner: Option<ServerHandle>,
     shared: Arc<NetShared>,
     local_addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    loops: Vec<std::thread::JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for NetServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServerHandle")
             .field("local_addr", &self.local_addr)
-            .field("event_loops", &self.shared.options.event_loops)
             .finish()
     }
 }
@@ -288,9 +243,10 @@ impl NetServerHandle {
             .probe()
     }
 
-    /// Graceful drain: stop accepting, answer and flush every request
-    /// already read (bounded by a 5 s deadline), close the sockets, then
-    /// shut the inner server down. Returns both final statistics.
+    /// Graceful drain: stop accepting and reading, answer and write every
+    /// request already decoded (a peer still not taking its responses
+    /// after 5 s is cut), close the sockets, join every connection thread,
+    /// then shut the inner server down. Returns both final statistics.
     pub fn shutdown(mut self) -> (NetStats, ServeStats) {
         self.shutdown_net();
         let serve = self
@@ -303,18 +259,16 @@ impl NetServerHandle {
 
     fn shutdown_net(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        // The acceptor drains and joins every connection before it ends.
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        for handle in self.loops.drain(..) {
-            let _ = handle.join();
         }
     }
 }
 
 impl Drop for NetServerHandle {
     fn drop(&mut self) {
-        // The loops need the inner server's workers alive to drain, so
+        // Connections need the inner server's workers alive to drain, so
         // stop the network side first; the inner handle's own Drop then
         // shuts the workers down.
         self.shutdown_net();
@@ -334,107 +288,95 @@ impl NetProbe {
         self.shared.snapshot()
     }
 
-    /// `true` until shutdown begins; registries retire dead front ends so
-    /// reports stop counting their event loops as provisioned capacity.
+    /// `true` until shutdown begins; registries retire dead front ends
+    /// and keep only their history.
     #[must_use]
     pub fn is_live(&self) -> bool {
-        !self.shared.stop.load(Ordering::Acquire)
+        !self.shared.is_stopping()
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &NetShared, intakes: &[Intake]) {
-    let mut next = 0usize;
-    while !shared.stop.load(Ordering::Acquire) {
+/// One served connection as the acceptor keeps it: the socket (shared
+/// with the connection's two threads, so a drain can shut it) and the
+/// reader thread's handle.
+type Served = (Arc<TcpStream>, JoinHandle<()>);
+
+fn acceptor_loop(listener: &TcpListener, shared: &Arc<NetShared>, connector: &Connector) {
+    // Connections announce their end here by id, so the acceptor joins
+    // exactly the threads that are done and can wait on the rest.
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut served: HashMap<u64, Served> = HashMap::new();
+    let reap = |served: &mut HashMap<u64, Served>, id| {
+        if let Some((_, handle)) = served.remove(&id) {
+            let _ = handle.join();
+        }
+    };
+    while !shared.is_stopping() {
+        while let Ok(id) = done_rx.try_recv() {
+            reap(&mut served, id);
+        }
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                {
-                    let mut state = shared.lock();
-                    if state.active_connections >= shared.options.max_connections {
-                        state.refused += 1;
-                        continue; // dropping the stream closes it
-                    }
-                    state.accepted += 1;
-                    state.active_connections += 1;
-                }
-                // Both halves of the protocol are latency-sensitive and
-                // self-batching, so Nagle only adds stalls; non-blocking
-                // is what the event loop's multiplexing assumes.
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    let mut state = shared.lock();
-                    state.active_connections -= 1;
-                    state.refused += 1;
-                    continue;
-                }
-                lock_unpoisoned(&intakes[next % intakes.len()]).push(stream);
-                next += 1;
-            }
+            Ok((stream, _peer)) => served.extend(admit(stream, shared, connector, &done_tx)),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
+    // Drain: end-of-stream wakes every blocked reader; its writer answers
+    // what is in flight and the pair ends.
+    for (stream, _) in served.values() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    let deadline = Instant::now() + DRAIN_DEADLINE;
+    while !served.is_empty() {
+        match done_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(id) => reap(&mut served, id),
+            Err(_) => break,
+        }
+    }
+    // Past the deadline a peer that will not take its responses is cut,
+    // which fails its writer's blocked write.
+    for (stream, handle) in served.into_values() {
+        let _ = stream.shutdown(Shutdown::Both);
+        let _ = handle.join();
+    }
 }
 
-fn event_loop(shared: &NetShared, intake: &Intake, connector: &Connector) {
-    let mut conns: Vec<NetConn> = Vec::new();
-    let mut scratch = vec![0u8; READ_SCRATCH_BYTES];
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        let draining = shared.stop.load(Ordering::Acquire);
-        if draining && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
+/// Admit one accepted socket under the connection cap and start its
+/// threads; a socket that cannot be served is dropped (closing it) and
+/// counted as refused.
+fn admit(
+    stream: TcpStream,
+    shared: &Arc<NetShared>,
+    connector: &Connector,
+    done: &mpsc::Sender<u64>,
+) -> Option<(u64, Served)> {
+    let id = {
+        let mut state = shared.lock();
+        if state.active_connections >= shared.options.max_connections {
+            state.refused += 1;
+            return None;
         }
-
-        // Adopt newly accepted sockets. During a drain late arrivals are
-        // turned away (the acceptor already counted them active).
-        for stream in lock_unpoisoned(intake).drain(..) {
-            if draining {
-                let mut state = shared.lock();
-                state.active_connections -= 1;
-                state.refused += 1;
-            } else {
-                conns.push(NetConn::new(stream, connector.connect(), shared));
-            }
-        }
-
-        let mut progress = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            match catch_panic(|| conn.pump(shared, &mut scratch, draining)) {
-                Ok(PumpOutcome::Continue { progress: moved }) => {
-                    progress |= moved;
-                    i += 1;
-                }
-                Ok(PumpOutcome::Close(reason)) => {
-                    conns.swap_remove(i).finish(shared, reason);
-                    progress = true;
-                }
-                // A pump panic poisons only its own connection; every
-                // other connection (and the loop) keeps serving.
-                Err(_panic) => {
-                    conns.swap_remove(i).finish(shared, CloseReason::Disconnect);
-                    progress = true;
-                }
-            }
-        }
-
-        if draining {
-            if conns.is_empty() {
-                break;
-            }
-            if drain_deadline.is_some_and(|d| Instant::now() >= d) {
-                // Peers that would not take their responses in time.
-                for conn in conns.drain(..) {
-                    conn.finish(shared, CloseReason::Disconnect);
-                }
-                break;
-            }
-        }
-        if !progress {
-            std::thread::sleep(Duration::from_micros(shared.options.poll_wait_us));
+        state.accepted += 1;
+        state.active_connections += 1;
+        state.accepted
+    };
+    // Both halves of the protocol are latency-sensitive and self-batching,
+    // so Nagle only adds stalls.
+    let _ = stream.set_nodelay(true);
+    let stream = Arc::new(stream);
+    let spawned = stream.set_nonblocking(false).and_then(|()| {
+        let (stream, shared) = (Arc::clone(&stream), Arc::clone(shared));
+        spawn_connection(stream, shared, connector.clone(), id, done.clone())
+    });
+    match spawned {
+        Ok(handle) => Some((id, (stream, handle))),
+        Err(_) => {
+            let mut state = shared.lock();
+            state.active_connections -= 1;
+            state.refused += 1;
+            None
         }
     }
 }

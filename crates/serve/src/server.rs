@@ -37,7 +37,7 @@ use vstore_obs::{MetricsSnapshot, TraceContext, TraceDump, Tracer};
 use vstore_query::{QueryResult, QuerySpec};
 use vstore_sim::sync::lock_unpoisoned;
 use vstore_sim::{catch_panic, panic_message, BoundedQueue, PushError};
-use vstore_types::{Result, ServeOptions, VStoreError};
+use vstore_types::{QueueFullPolicy, Result, ServeOptions, VStoreError};
 
 /// The store-side interface the front end drives: the three runtime
 /// operations of a `VStore` service handle. Implemented by `VStore` itself
@@ -92,8 +92,8 @@ struct Job {
     reply: mpsc::Sender<(u64, ServeResponse)>,
     enqueued: Instant,
     /// The request's trace context (inert unless tracing is enabled and
-    /// the boundary began a trace). Dropping the job's clone at the end of
-    /// the worker iteration is what lets a fully-answered request commit.
+    /// the boundary began a trace). The worker drops the job's clone just
+    /// before it delivers the answer, which is what commits the trace.
     trace: TraceContext,
 }
 
@@ -222,18 +222,11 @@ impl ServerHandle {
     /// queue. Connections are independent — drop one mid-stream and the
     /// others (and the server) are unaffected.
     pub fn connect(&self) -> Connection {
-        let (tx, rx) = mpsc::channel();
-        Connection {
-            shared: Arc::clone(&self.shared),
-            reply_tx: tx,
-            reply_rx: rx,
-            outstanding: 0,
-            buffered: HashMap::new(),
-        }
+        self.connector().connect()
     }
 
     /// A cheap, cloneable connection factory for threads that outlive
-    /// their borrow of the handle (the socket front end's event loops).
+    /// their borrow of the handle (the socket front end's acceptor).
     pub fn connector(&self) -> Connector {
         Connector {
             shared: Arc::clone(&self.shared),
@@ -309,8 +302,8 @@ impl ServeProbe {
 }
 
 /// A cheap, cloneable handle for opening [`Connection`]s from other
-/// threads — how the socket front end's event loops attach each accepted
-/// socket to the shared request queue.
+/// threads — how the socket front end attaches each accepted socket to the
+/// shared request queue.
 #[derive(Clone)]
 pub struct Connector {
     shared: Arc<Shared>,
@@ -319,97 +312,65 @@ pub struct Connector {
 impl Connector {
     /// Open a connection; identical to [`ServerHandle::connect`].
     pub fn connect(&self) -> Connection {
-        let (tx, rx) = mpsc::channel();
+        let (submitter, reply_rx) = self.halves();
         Connection {
-            shared: Arc::clone(&self.shared),
-            reply_tx: tx,
-            reply_rx: rx,
+            submitter,
+            reply_rx,
             outstanding: 0,
             buffered: HashMap::new(),
         }
     }
+
+    /// The two halves of a connection, unpaired: the socket front end
+    /// keeps the [`Submitter`] on a connection's reader thread and gives
+    /// the reply receiver to its writer thread.
+    pub(crate) fn halves(&self) -> (Submitter, mpsc::Receiver<(u64, ServeResponse)>) {
+        let (reply, reply_rx) = mpsc::channel();
+        let submitter = Submitter {
+            shared: Arc::clone(&self.shared),
+            reply,
+        };
+        (submitter, reply_rx)
+    }
 }
 
-/// One client's connection to the server: submit typed (or wire-encoded)
-/// requests, receive responses on a private channel, possibly pipelined and
-/// out of submission order.
-pub struct Connection {
+/// The submitting half of a connection: queues requests whose answers
+/// arrive as `(id, response)` on the reply channel it was created with.
+/// The channel disconnects once this half is dropped and every request it
+/// queued has been answered.
+pub(crate) struct Submitter {
     shared: Arc<Shared>,
-    reply_tx: mpsc::Sender<(u64, ServeResponse)>,
-    reply_rx: mpsc::Receiver<(u64, ServeResponse)>,
-    /// Requests submitted but not yet received.
-    outstanding: usize,
-    /// Responses received while waiting for a different request id.
-    buffered: HashMap<u64, ServeResponse>,
+    reply: mpsc::Sender<(u64, ServeResponse)>,
 }
 
-impl Connection {
-    /// Submit a request; returns its id (to pair with
-    /// [`recv`](Self::recv)/[`recv_response`](Self::recv_response)).
-    ///
-    /// Fails with [`VStoreError::InvalidArgument`] before touching the
-    /// queue when the request is malformed, with [`VStoreError::Busy`] when
-    /// the bounded queue is full under [`QueueFullPolicy::Reject`], and
-    /// with [`VStoreError::InvalidState`] once the server is shutting down.
-    /// Under [`QueueFullPolicy::Block`] a full queue blocks the caller
-    /// instead of shedding.
-    pub fn submit(&mut self, request: ServeRequest) -> Result<u64> {
-        let on_full = self.shared.options.on_full;
-        // In-process callers inherit whatever trace the calling thread has
-        // installed (inert when tracing is off or no trace is active).
-        self.submit_inner(request, Instant::now(), vstore_obs::current(), on_full)
-    }
-
-    /// [`submit`](Self::submit) with a caller-supplied queue-lag stamp —
-    /// the socket front end's path. The event loop stamps each frame **at
-    /// decode time**, so the queue-wait histogram measures the same thing
-    /// for socket clients as for in-process callers (time from the request
-    /// materialising to a worker popping it), and a full queue always
-    /// sheds non-blockingly regardless of `ServeOptions::on_full`: an
-    /// event loop that blocked on one connection's submission would stall
-    /// every other connection it multiplexes.
-    pub fn submit_stamped(&mut self, request: ServeRequest, enqueued: Instant) -> Result<u64> {
-        self.submit_traced(request, enqueued, TraceContext::disabled())
-    }
-
-    /// [`submit_stamped`](Self::submit_stamped) carrying an explicit trace
-    /// context — the socket front end begins a trace at frame-decode time
-    /// and hands it in here, so queue wait and worker execution land in
-    /// the same trace as the decode span.
-    pub fn submit_traced(
-        &mut self,
-        request: ServeRequest,
-        enqueued: Instant,
-        trace: TraceContext,
-    ) -> Result<u64> {
-        self.submit_inner(
-            request,
-            enqueued,
-            trace,
-            vstore_types::QueueFullPolicy::Reject,
-        )
-    }
-
-    /// The server's request tracer (the service's, adopted at start) —
-    /// how the socket front end begins traces at the frame boundary.
-    #[must_use]
-    pub fn tracer(&self) -> Arc<Tracer> {
+impl Submitter {
+    /// The server's request tracer (the service's, adopted at start).
+    pub(crate) fn tracer(&self) -> Arc<Tracer> {
         Arc::clone(&self.shared.tracer)
     }
 
-    fn submit_inner(
-        &mut self,
+    /// Answer `id` without queueing anything — how the socket reader
+    /// delivers a shed or undecodable request's error on the same channel
+    /// as the workers' replies. A receiver that is gone is not an error.
+    pub(crate) fn reply(&self, id: u64, response: ServeResponse) {
+        let _ = self.reply.send((id, response));
+    }
+
+    /// Queue `request` to be answered under `id`; `enqueued` is the
+    /// queue-lag stamp and `on_full` what a full queue does to the caller.
+    pub(crate) fn submit(
+        &self,
+        id: u64,
         request: ServeRequest,
         enqueued: Instant,
         trace: TraceContext,
-        on_full: vstore_types::QueueFullPolicy,
-    ) -> Result<u64> {
+        on_full: QueueFullPolicy,
+    ) -> Result<()> {
         request.validate()?;
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             id,
             request,
-            reply: self.reply_tx.clone(),
+            reply: self.reply.clone(),
             enqueued,
             trace,
         };
@@ -442,7 +403,74 @@ impl Connection {
         }
         let mut state = lock_unpoisoned(&self.shared.state);
         state.submitted = state.submitted.saturating_add(1);
-        drop(state);
+        Ok(())
+    }
+}
+
+/// One client's connection to the server: submit typed (or wire-encoded)
+/// requests, receive responses on a private channel, possibly pipelined and
+/// out of submission order.
+pub struct Connection {
+    submitter: Submitter,
+    reply_rx: mpsc::Receiver<(u64, ServeResponse)>,
+    /// Requests submitted but not yet received.
+    outstanding: usize,
+    /// Responses received while waiting for a different request id.
+    buffered: HashMap<u64, ServeResponse>,
+}
+
+impl Connection {
+    /// Submit a request; returns its id (to pair with
+    /// [`recv`](Self::recv)/[`recv_response`](Self::recv_response)).
+    ///
+    /// Fails with [`VStoreError::InvalidArgument`] before touching the
+    /// queue when the request is malformed, with [`VStoreError::Busy`] when
+    /// the bounded queue is full under [`QueueFullPolicy::Reject`], and
+    /// with [`VStoreError::InvalidState`] once the server is shutting down.
+    /// Under [`QueueFullPolicy::Block`] a full queue blocks the caller
+    /// instead of shedding.
+    pub fn submit(&mut self, request: ServeRequest) -> Result<u64> {
+        let on_full = self.submitter.shared.options.on_full;
+        // In-process callers inherit whatever trace the calling thread has
+        // installed (inert when tracing is off or no trace is active).
+        self.submit_inner(request, Instant::now(), vstore_obs::current(), on_full)
+    }
+
+    /// [`submit`](Self::submit) with a caller-supplied queue-lag stamp and
+    /// trace context, for callers that materialise a request before they
+    /// can queue it (a frame decoded off a socket): the queue-wait
+    /// histogram then measures from `enqueued`, queue wait and worker
+    /// execution land in `trace`, and a full queue always sheds with
+    /// [`VStoreError::Busy`] regardless of `ServeOptions::on_full`.
+    pub fn submit_traced(
+        &mut self,
+        request: ServeRequest,
+        enqueued: Instant,
+        trace: TraceContext,
+    ) -> Result<u64> {
+        self.submit_inner(request, enqueued, trace, QueueFullPolicy::Reject)
+    }
+
+    /// The server's request tracer (the service's, adopted at start).
+    #[must_use]
+    pub fn tracer(&self) -> Arc<Tracer> {
+        self.submitter.tracer()
+    }
+
+    fn submit_inner(
+        &mut self,
+        request: ServeRequest,
+        enqueued: Instant,
+        trace: TraceContext,
+        on_full: QueueFullPolicy,
+    ) -> Result<u64> {
+        let id = self
+            .submitter
+            .shared
+            .next_id
+            .fetch_add(1, Ordering::Relaxed);
+        self.submitter
+            .submit(id, request, enqueued, trace, on_full)?;
         self.outstanding += 1;
         Ok(id)
     }
@@ -452,24 +480,6 @@ impl Connection {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.outstanding + self.buffered.len()
-    }
-
-    /// Receive the next response without blocking: `None` when nothing has
-    /// completed yet (or nothing is outstanding). The socket front end's
-    /// event loops drain completions with this between socket reads —
-    /// they can never afford to park on the channel.
-    pub fn try_recv(&mut self) -> Option<(u64, ServeResponse)> {
-        if let Some(&id) = self.buffered.keys().next() {
-            let response = self.buffered.remove(&id).expect("key just seen"); // vstore-lint: allow(no-unwrap)
-            return Some((id, response));
-        }
-        match self.reply_rx.try_recv() {
-            Ok((id, response)) => {
-                self.outstanding -= 1;
-                Some((id, response))
-            }
-            Err(_) => None,
-        }
     }
 
     /// Receive the next response (any request id, completion order).
@@ -617,6 +627,10 @@ fn worker_loop<S: VideoService>(service: &S, shared: &Shared) {
             state.queue_wait.record(wait_us);
             state.latency[kind.index()].record(elapsed_us);
         }
+        // Finish the trace before delivering too: the trace of a request
+        // never outlasts what its client measured, and a client holding its
+        // answer finds the trace committed.
+        drop(job.trace);
         if job.reply.send((job.id, response)).is_err() {
             let mut state = lock_unpoisoned(&shared.state);
             state.disconnects = state.disconnects.saturating_add(1);
@@ -631,7 +645,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Condvar;
     use vstore_datasets::Dataset;
-    use vstore_types::{ByteSize, QueueFullPolicy, Speed, VideoSeconds};
+    use vstore_types::{ByteSize, Speed, VideoSeconds};
 
     /// A deterministic in-memory service: canned responses, an optional
     /// gate that parks handlers until opened, and a panic trigger on the
@@ -982,11 +996,9 @@ mod tests {
         assert!(conn.recv().is_err(), "nothing outstanding");
     }
 
-    /// Queue-lag regression: `submit_stamped` honours the caller's stamp,
+    /// Queue-lag regression: `submit_traced` honours the caller's stamp,
     /// so a socket frame stamped at decode time records its true lag —
-    /// while the in-process path keeps stamping at submission. Before the
-    /// fix, network frames could only be stamped at submit, making the two
-    /// paths' queue-wait histograms incomparable.
+    /// while the in-process path keeps stamping at submission.
     #[test]
     fn queue_wait_is_measured_from_the_callers_stamp() {
         let server = Server::start(
@@ -999,7 +1011,11 @@ mod tests {
         // lag even though the worker pops it immediately.
         let decoded_at = Instant::now() - std::time::Duration::from_millis(80);
         let id = conn
-            .submit_stamped(query_request("jackson", 1), decoded_at)
+            .submit_traced(
+                query_request("jackson", 1),
+                decoded_at,
+                TraceContext::disabled(),
+            )
             .unwrap();
         assert!(!conn.recv_response(id).unwrap().is_error());
         let stamped = server.stats();
@@ -1015,10 +1031,10 @@ mod tests {
         assert_eq!(stats.queue_wait.count(), 2);
     }
 
-    /// `submit_stamped` sheds a full queue non-blockingly even when the
-    /// server's policy is Block: event loops must never park on submit.
+    /// `submit_traced` sheds a full queue non-blockingly even when the
+    /// server's policy is Block: a socket reader must never park on submit.
     #[test]
-    fn submit_stamped_sheds_instead_of_blocking() {
+    fn submit_traced_sheds_instead_of_blocking() {
         let service = MockService::gated();
         let server = Server::start(
             service.clone(),
@@ -1026,49 +1042,20 @@ mod tests {
         )
         .unwrap();
         let mut conn = server.connect();
-        let first = conn
-            .submit_stamped(query_request("jackson", 1), Instant::now())
-            .unwrap();
+        let mut submit = |count| {
+            let request = query_request("jackson", count);
+            conn.submit_traced(request, Instant::now(), TraceContext::disabled())
+        };
+        let first = submit(1).unwrap();
         while server.queue_depth() > 0 {
             std::thread::yield_now();
         }
-        let second = conn
-            .submit_stamped(query_request("jackson", 2), Instant::now())
-            .unwrap();
-        let err = conn
-            .submit_stamped(query_request("jackson", 3), Instant::now())
-            .unwrap_err();
+        let second = submit(2).unwrap();
+        let err = submit(3).unwrap_err();
         assert!(err.is_busy(), "{err}");
         service.open_gate();
         assert!(!conn.recv_response(first).unwrap().is_error());
         assert!(!conn.recv_response(second).unwrap().is_error());
-    }
-
-    /// `try_recv` never blocks and drains completions plus the buffer.
-    #[test]
-    fn try_recv_is_non_blocking() {
-        let service = MockService::gated();
-        let server = Server::start(
-            service.clone(),
-            ServeOptions::default().with_workers(1).with_queue_depth(8),
-        )
-        .unwrap();
-        let mut conn = server.connect();
-        assert!(conn.try_recv().is_none(), "idle connection");
-        let a = conn.submit(query_request("jackson", 1)).unwrap();
-        let b = conn.submit(query_request("jackson", 2)).unwrap();
-        assert!(conn.try_recv().is_none(), "gate still closed");
-        service.open_gate();
-        let mut got = std::collections::HashMap::new();
-        while got.len() < 2 {
-            if let Some((id, response)) = conn.try_recv() {
-                got.insert(id, response);
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        assert!(!got[&a].is_error() && !got[&b].is_error());
-        assert_eq!(conn.pending(), 0);
     }
 
     /// The default net-stats handler answers idle; mocks need no override.

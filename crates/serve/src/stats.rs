@@ -142,13 +142,11 @@ impl fmt::Display for ServeStats {
 ///
 /// The two histograms abuse [`LatencyHistogram`]'s power-of-two buckets
 /// for dimensionless counts: `batch_sizes` records **responses per
-/// vectored write** (the batching win — mean ≫ 1 means syscalls are being
+/// write** (the batching win — mean ≫ 1 means syscalls are being
 /// amortised) and `backlog_peaks` records each closed connection's peak
-/// in-flight request count (how deeply clients actually pipelined).
+/// count of responses owed (how deeply clients actually pipelined).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetStats {
-    /// Event-loop threads multiplexing the connections.
-    pub event_loops: usize,
     /// Connections accepted over the listener's lifetime.
     pub accepted: u64,
     /// Connections refused because `NetOptions::max_connections` was
@@ -160,7 +158,7 @@ pub struct NetStats {
     pub frames_in: u64,
     /// Response frames fully written back (batched or not).
     pub frames_out: u64,
-    /// Payload bytes read off sockets (frame envelopes included).
+    /// Bytes of the request frames decoded (envelopes included).
     pub bytes_in: u64,
     /// Bytes written back to sockets.
     pub bytes_out: u64,
@@ -174,15 +172,15 @@ pub struct NetStats {
     /// Connections that vanished (EOF or socket error) with work still in
     /// flight or responses still queued.
     pub disconnects: u64,
-    /// Successful `writev` calls issued (one per response batch).
+    /// Response batches written (one `write_all` each).
     pub write_syscalls: u64,
     /// Buffer-pool takes served from the pool (no allocation).
     pub pool_hits: u64,
     /// Buffer-pool takes that had to allocate a fresh buffer.
     pub pool_misses: u64,
-    /// Responses coalesced per vectored write.
+    /// Responses coalesced per write.
     pub batch_sizes: LatencyHistogram,
-    /// Peak in-flight requests per connection, recorded at close.
+    /// Peak responses owed per connection, recorded at close.
     pub backlog_peaks: LatencyHistogram,
 }
 
@@ -201,7 +199,7 @@ impl NetStats {
         }
     }
 
-    /// Mean responses per vectored write (0.0 when idle — never NaN).
+    /// Mean responses per write (0.0 when idle — never NaN).
     #[must_use]
     pub fn mean_batch(&self) -> f64 {
         self.batch_sizes.mean_us()
@@ -223,7 +221,6 @@ impl NetStats {
     /// aggregate for `VStore::stats_report`). Capacities add; histograms
     /// merge.
     pub fn accumulate(&mut self, other: &NetStats) {
-        self.event_loops = self.event_loops.saturating_add(other.event_loops);
         self.accepted = self.accepted.saturating_add(other.accepted);
         self.refused = self.refused.saturating_add(other.refused);
         self.active_connections = self
@@ -248,9 +245,8 @@ impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "net: {} event loops, {} active conns ({} accepted, {} refused, {} disconnects), \
+            "net: {} active conns ({} accepted, {} refused, {} disconnects), \
              {} frames in / {} out, {} in / {} out",
-            self.event_loops,
             self.active_connections,
             self.accepted,
             self.refused,
@@ -329,7 +325,7 @@ mod tests {
         assert!(!rendered.contains("NaN"), "{rendered}");
 
         let mut a = NetStats {
-            event_loops: 2,
+            active_connections: 2,
             accepted: 10,
             frames_out: 100,
             write_syscalls: 25,
@@ -343,7 +339,7 @@ mod tests {
         assert!((a.mean_batch() - 4.0).abs() < 1e-9);
         let b = a.clone();
         a.accumulate(&b);
-        assert_eq!(a.event_loops, 4);
+        assert_eq!(a.active_connections, 4);
         assert_eq!(a.accepted, 20);
         assert_eq!(a.batch_sizes.count(), 2);
         // Saturation instead of wraparound.

@@ -52,10 +52,7 @@ pub use format::{CodingOption, ConsumptionFormat, FormatId, StorageFormat};
 pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use knobs::{CropFactor, FrameSampling, ImageQuality, KeyframeInterval, Resolution, SpeedStep};
 pub use live::{LiveIngestOptions, DEFAULT_MAX_LAG_SEGMENTS};
-pub use net::{
-    NetOptions, DEFAULT_BATCH_MAX_BYTES, DEFAULT_BATCH_MAX_DELAY_US, DEFAULT_MAX_CONNECTIONS,
-    DEFAULT_MAX_FRAME_BYTES,
-};
+pub use net::{NetOptions, DEFAULT_MAX_CONNECTIONS, DEFAULT_MAX_FRAME_BYTES};
 pub use runtime::{available_workers, RuntimeOptions, DEFAULT_SHARDS, MIN_CACHE_BYTES_PER_SHARD};
 pub use serve::{QueueFullPolicy, ServeOptions, DEFAULT_QUEUE_DEPTH};
 pub use space::{CodingSpace, FidelitySpace};

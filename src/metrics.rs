@@ -362,7 +362,7 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
         ));
         out.push(Metric::counter(
             "vstore_net_write_syscalls_total",
-            "Vectored writes issued (one per response batch)",
+            "Writes issued (one per response batch)",
             n.write_syscalls,
         ));
         out.push(Metric::counter(
@@ -377,7 +377,7 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
         ));
         out.push(Metric::latency(
             "vstore_net_batch_sizes",
-            "Responses coalesced per vectored write",
+            "Responses coalesced per write",
             &n.batch_sizes,
         ));
     }

@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::serve::{ErrorCode, NetServer, NetServerHandle, Server, VideoService};
 use vstore::{
-    BackendOptions, ErodeRequest, IngestRequest, LiveStats, MetricValue, NetClient, NetOptions,
-    QueryRequest, QueryResult, QuerySpec, QueueFullPolicy, Result, ServeOptions, ServeRequest,
-    ServeResponse, VStore, VStoreError, VStoreOptions,
+    BackendOptions, ErodeRequest, IngestRequest, LiveStats, Metric, MetricValue, MetricsSnapshot,
+    NetClient, NetOptions, QueryRequest, QueryResult, QuerySpec, QueueFullPolicy, Result,
+    ServeOptions, ServeRequest, ServeResponse, VStore, VStoreError, VStoreOptions,
 };
 
 fn mem_store(tag: &str) -> VStore {
@@ -81,6 +81,14 @@ impl VideoService for SlowLive {
         std::thread::sleep(self.delay);
         Ok(Self::expected())
     }
+    /// A snapshot several times the small frame cap the over-cap test
+    /// serves under.
+    fn metrics(&self) -> Result<MetricsSnapshot> {
+        let metrics = (0..32)
+            .map(|i| Metric::counter(&format!("mock_row_{i}_total"), "a mock row", i))
+            .collect();
+        Ok(MetricsSnapshot { metrics })
+    }
 }
 
 fn slow_server(delay_ms: u64, queue_depth: usize) -> NetServerHandle {
@@ -89,12 +97,21 @@ fn slow_server(delay_ms: u64, queue_depth: usize) -> NetServerHandle {
             delay: Duration::from_millis(delay_ms),
         },
         "127.0.0.1:0",
-        NetOptions::default().with_event_loops(2),
+        NetOptions::default(),
         ServeOptions::sequential()
             .with_queue_depth(queue_depth)
             .with_on_full(QueueFullPolicy::Reject),
     )
     .unwrap()
+}
+
+/// The mock service without its delay, under the `net` options a test is
+/// about.
+fn instant_server(net: NetOptions) -> NetServerHandle {
+    let service = SlowLive {
+        delay: Duration::ZERO,
+    };
+    NetServer::start(service, "127.0.0.1:0", net, ServeOptions::sequential()).unwrap()
 }
 
 /// **Parity.** Responses served over the socket are byte-identical (modulo
@@ -199,15 +216,15 @@ fn socket_responses_match_direct_handle_calls() {
     assert_eq!(net.frames_in, net.frames_out, "every frame answered");
     assert_eq!(net.corrupt_frames, 0);
     // Retired front ends keep their history but stop contributing
-    // provisioned capacity.
+    // live state.
     let retired = served.net_stats().expect("retired history kept");
-    assert_eq!(retired.event_loops, 0);
+    assert_eq!(retired.active_connections, 0);
     assert_eq!(retired.frames_in, net.frames_in);
 }
 
 /// **Back-pressure.** 64 pipelined clients against a two-slot queue: every
 /// request is answered (ok or a deterministic `Busy` error response — the
-/// event loop never blocks), the split adds up exactly, ok payloads are
+/// reader never blocks), the split adds up exactly, ok payloads are
 /// byte-identical to the direct service result, and the steady-state
 /// buffer pool serves from recycled buffers.
 #[test]
@@ -463,7 +480,7 @@ fn graceful_drain_flushes_queued_responses_before_closing() {
         client.submit(&ServeRequest::LiveStats).unwrap();
     }
     client.flush().unwrap();
-    // Make sure the event loop has decoded all 8 before the drain begins
+    // Make sure the reader has decoded all 8 before the drain begins
     // (a drain stops reading, it never abandons what it already accepted).
     wait_until("frames decoded", || probe.stats().frames_in == 8);
     let (net, serve) = server.shutdown();
@@ -517,4 +534,72 @@ fn recv_response_reads_the_wire_past_buffered_responses() {
         .recv_timeout(Duration::from_secs(10))
         .expect("recv_response hung with buffered non-matching responses");
     let _ = server.shutdown();
+}
+
+/// **Over-cap response.** A response that would encode past the server's
+/// frame cap is replaced with a typed error under the same correlation id.
+/// Sent whole, it would fail the client's own header check and leave the
+/// connection dead for every later request.
+#[test]
+fn over_cap_response_becomes_a_typed_error_and_the_connection_lives() {
+    const CAP: usize = 256;
+    let server = instant_server(NetOptions::default().with_max_frame_bytes(CAP));
+    let mut client = NetClient::connect(server.local_addr())
+        .unwrap()
+        .with_max_frame_bytes(CAP);
+    let live = ServeResponse::LiveStats(Box::new(SlowLive::expected()));
+    assert!(live.to_wire().len() <= CAP, "fits the cap");
+
+    assert_eq!(client.call(&ServeRequest::LiveStats).unwrap(), live);
+    match client.call(&ServeRequest::MetricsSnapshot).unwrap() {
+        ServeResponse::Error(err) => {
+            assert_eq!(err.code, ErrorCode::InvalidArgument, "{err:?}");
+            assert!(err.message.contains(&CAP.to_string()), "{err:?}");
+        }
+        other => panic!("over-cap response sent anyway: {other:?}"),
+    }
+    assert_eq!(client.call(&ServeRequest::LiveStats).unwrap(), live);
+
+    let (net, _) = server.shutdown();
+    assert_eq!((net.frames_in, net.frames_out), (3, 3));
+    assert_eq!(net.disconnects, 0, "{net:?}");
+}
+
+/// **Connection cap.** `max_connections` bounds the connections served at
+/// once (and so the front end's threads): one past the cap is closed
+/// without a response and counted, and a closed connection's slot is
+/// reusable.
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    let server = instant_server(NetOptions::default().with_max_connections(2));
+    let addr = server.local_addr();
+    let probe = server.probe();
+    let live = ServeResponse::LiveStats(Box::new(SlowLive::expected()));
+
+    let mut first = NetClient::connect(addr).unwrap();
+    let mut second = NetClient::connect(addr).unwrap();
+    assert_eq!(first.call(&ServeRequest::LiveStats).unwrap(), live);
+    assert_eq!(second.call(&ServeRequest::LiveStats).unwrap(), live);
+    assert_eq!(probe.stats().active_connections, 2);
+
+    // The third is accepted by the kernel, then closed by the server
+    // before a byte is served: the request is never answered.
+    let mut third = NetClient::connect(addr).unwrap();
+    assert!(third.call(&ServeRequest::LiveStats).is_err());
+    wait_until("refusal counted", || probe.stats().refused == 1);
+    assert_eq!(probe.stats().active_connections, 2);
+
+    // Closing one frees its slot.
+    drop(first);
+    wait_until("slot freed", || probe.stats().active_connections == 1);
+    let mut fourth = NetClient::connect(addr).unwrap();
+    assert_eq!(fourth.call(&ServeRequest::LiveStats).unwrap(), live);
+    assert_eq!(second.call(&ServeRequest::LiveStats).unwrap(), live);
+
+    let (net, serve) = server.shutdown();
+    assert_eq!((net.accepted, net.refused), (3, 1), "{net:?}");
+    assert_eq!(net.active_connections, 0, "{net:?}");
+    assert_eq!(net.disconnects, 0, "{net:?}");
+    assert_eq!((net.frames_in, net.frames_out), (4, 4));
+    assert_eq!(serve.completed, 4, "{serve}");
 }
