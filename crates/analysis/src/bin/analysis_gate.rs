@@ -1,35 +1,27 @@
 //! The static-analysis CI gate: run the project-invariant rules over the
-//! workspace, compare against the checked-in baseline, and fail on any
-//! non-baselined finding.
+//! workspace and fail on any finding.
 //!
 //! Usage:
-//!   analysis_gate [--root DIR] [--format text|json] [--out FILE]
-//!                 [--baseline FILE] [--update-baseline]
+//!   analysis_gate [--root DIR] [--format text|json] [--out FILE] [--locks]
 //!
 //! - `--root DIR` workspace root (default: current directory)
 //! - `--format json` emit the machine-readable report (default: text)
 //! - `--out FILE` write the report to FILE as well as the stdout policy:
 //!   text still goes to stderr so CI logs stay readable
-//! - `--baseline FILE` baseline path (default: `<root>/analysis_baseline.json`)
-//! - `--update-baseline` rewrite the baseline from the current findings and
-//!   exit 0 — intentional new suppressions become an explicit reviewed diff
 //! - `--locks` dump the global lock graph (every observed acquired-before
 //!   edge with its witness sites) and exit — the raw material for
 //!   lock-order audits
 //!
-//! Exit codes: 0 clean (or fully baselined), 1 new findings, 2 usage or
-//! I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use vstore_analysis::report::{Baseline, Report};
+use vstore_analysis::report::Report;
 
 struct Options {
     root: PathBuf,
     format_json: bool,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
     dump_locks: bool,
 }
 
@@ -38,8 +30,6 @@ fn parse_args() -> Result<Options, String> {
         root: PathBuf::from("."),
         format_json: false,
         out: None,
-        baseline: None,
-        update_baseline: false,
         dump_locks: false,
     };
     let mut args = std::env::args().skip(1);
@@ -59,17 +49,11 @@ fn parse_args() -> Result<Options, String> {
             "--out" => {
                 options.out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?));
             }
-            "--baseline" => {
-                options.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ));
-            }
-            "--update-baseline" => options.update_baseline = true,
             "--locks" => options.dump_locks = true,
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: analysis_gate [--root DIR] [--format text|json] [--out FILE] \
-                     [--baseline FILE] [--update-baseline] [--locks]\nrules: {}",
+                     [--locks]\nrules: {}",
                     vstore_analysis::rules::ALL_RULES.join(", ")
                 ));
             }
@@ -87,11 +71,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = options
-        .baseline
-        .clone()
-        .unwrap_or_else(|| options.root.join(vstore_analysis::BASELINE_FILE));
-
     if options.dump_locks {
         let sources = match vstore_analysis::collect_workspace_sources(&options.root) {
             Ok(sources) => sources,
@@ -126,31 +105,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if options.update_baseline {
-        let rendered = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!(
-                "analysis_gate: cannot write baseline {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!(
-            "analysis_gate: baselined {} finding(s) into {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(baseline) => baseline,
-        Err(message) => {
-            eprintln!("analysis_gate: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = Report::against(findings, &baseline);
+    let report = Report::new(findings);
 
     let rendered = if options.format_json {
         report.to_json()
@@ -174,11 +129,11 @@ fn main() -> ExitCode {
         print!("{rendered}");
     }
 
-    if report.new_count() > 0 {
+    if !report.findings.is_empty() {
         eprintln!(
-            "analysis_gate: {} new finding(s); fix them, add a justified \
-             `// vstore-lint: allow(rule)`, or run --update-baseline and review the diff",
-            report.new_count()
+            "analysis_gate: {} finding(s); fix them or add a justified \
+             `// vstore-lint: allow(rule)`",
+            report.findings.len()
         );
         return ExitCode::FAILURE;
     }

@@ -19,9 +19,8 @@
 //! The pass is a small line/token scanner ([`scan`]) — module-structure
 //! and `#[cfg(test)]`/`mod tests` aware, so test code is scoped correctly
 //! — feeding the rules ([`rules`]). Findings ([`report`]) are suppressible
-//! per site with `// vstore-lint: allow(rule)` comments and per repo via a
-//! checked-in baseline (`analysis_baseline.json`), so the gate lands
-//! strict without blocking on a full cleanup. The crate is std-only and
+//! per site with `// vstore-lint: allow(rule)` comments and in no other
+//! way: every finding fails the gate. The crate is std-only and
 //! dependency-free: it must build before — and regardless of — everything
 //! it checks.
 
@@ -33,9 +32,6 @@ pub mod scan;
 use report::Finding;
 use scan::SourceFile;
 use std::path::{Path, PathBuf};
-
-/// The default baseline file name, resolved against the workspace root.
-pub const BASELINE_FILE: &str = "analysis_baseline.json";
 
 /// Collect the workspace's library sources: `src/` of the facade and
 /// `crates/*/src/` of every member crate, sorted for determinism.

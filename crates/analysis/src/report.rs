@@ -1,16 +1,13 @@
-//! Findings, the baseline, and the text/JSON report formats.
+//! Findings and the text/JSON report formats.
 //!
 //! A finding's identity (its **key**) is deliberately line-number-free:
 //! `rule|file|context|normalized snippet`. Line numbers drift on every
 //! edit; the key only changes when the offending code itself moves files,
-//! changes function, or changes text — so a checked-in baseline stays
-//! stable across unrelated edits. The baseline maps keys to occurrence
-//! counts: the gate fails only when a key's current count exceeds its
-//! baselined count (new violations of an old shape still fail).
+//! changes function, or changes text. Every finding fails the gate; the
+//! one suppression is a per-site `// vstore-lint: allow(rule)` comment.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// One rule violation.
 #[derive(Debug, Clone)]
@@ -26,7 +23,7 @@ pub struct Finding {
     pub context: String,
     /// Human-readable description.
     pub message: String,
-    /// Stable identity for baselining; see the module docs.
+    /// Stable identity; see the module docs.
     pub key: String,
 }
 
@@ -70,217 +67,56 @@ fn normalize(snippet: &str) -> String {
     out
 }
 
-/// The baseline: known findings the gate tolerates, keyed by identity with
-/// an occurrence count.
-#[derive(Debug, Default)]
-pub struct Baseline {
-    counts: BTreeMap<String, usize>,
-}
-
-impl Baseline {
-    /// Load a baseline file; a missing file is an empty baseline.
-    pub fn load(path: &Path) -> Result<Baseline, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Baseline::default());
-            }
-            Err(e) => return Err(format!("cannot read baseline {}: {e}", path.display())),
-        };
-        let mut counts = BTreeMap::new();
-        // One `"key": count` pair per baselined finding, inside "findings".
-        for raw_line in text.lines() {
-            let line = raw_line.trim();
-            let Some(rest) = line.strip_prefix('"') else {
-                continue;
-            };
-            let Some(end) = find_string_end(rest) else {
-                continue;
-            };
-            let key = unescape(&rest[..end]);
-            let after = rest[end + 1..].trim_start();
-            let Some(after) = after.strip_prefix(':') else {
-                continue;
-            };
-            let digits: String = after
-                .trim_start()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            if let Ok(count) = digits.parse::<usize>() {
-                if key.contains('|') {
-                    counts.insert(key, count);
-                }
-            }
-        }
-        Ok(Baseline { counts })
-    }
-
-    /// Serialize the given findings as a baseline file.
-    pub fn render(findings: &[Finding]) -> String {
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        for f in findings {
-            *counts.entry(&f.key).or_insert(0) += 1;
-        }
-        let mut out = String::new();
-        out.push_str("{\n  \"comment\": \"analysis_gate baseline: tolerated findings by stable key; regenerate with --update-baseline\",\n  \"findings\": {\n");
-        let total = counts.len();
-        for (i, (key, count)) in counts.iter().enumerate() {
-            let comma = if i + 1 < total { "," } else { "" };
-            let _ = writeln!(out, "    {}: {count}{comma}", json_string(key));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// The baselined count for `key`.
-    pub fn allowance(&self, key: &str) -> usize {
-        self.counts.get(key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct baselined keys.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// `true` when nothing is baselined.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-}
-
-fn find_string_end(s: &str) -> Option<usize> {
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(i),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some(other) => out.push(other),
-                None => {}
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// The outcome of one analysis run, split against the baseline.
+/// The outcome of one analysis run.
 #[derive(Debug)]
 pub struct Report {
     /// Every finding, in deterministic order.
     pub findings: Vec<Finding>,
-    /// Per-finding flag: `true` when absorbed by the baseline.
-    pub baselined: Vec<bool>,
 }
 
 impl Report {
-    /// Split `findings` against `baseline`: each key's first `allowance`
-    /// occurrences are baselined, the rest are new.
-    pub fn against(mut findings: Vec<Finding>, baseline: &Baseline) -> Report {
+    /// Order `findings` by file, line, rule and key.
+    pub fn new(mut findings: Vec<Finding>) -> Report {
         findings.sort_by(|a, b| {
             (&a.file, a.line, a.rule, &a.key).cmp(&(&b.file, b.line, b.rule, &b.key))
         });
-        let mut used: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut baselined = Vec::with_capacity(findings.len());
-        for f in &findings {
-            let seen = used.entry(&f.key).or_insert(0);
-            *seen += 1;
-            baselined.push(*seen <= baseline.allowance(&f.key));
-        }
-        Report {
-            findings,
-            baselined,
-        }
-    }
-
-    /// Findings not absorbed by the baseline.
-    pub fn new_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .zip(&self.baselined)
-            .filter(|&(_, b)| !b)
-            .map(|(f, _)| f)
-    }
-
-    /// Count of findings not absorbed by the baseline.
-    pub fn new_count(&self) -> usize {
-        self.baselined.iter().filter(|b| !**b).count()
+        Report { findings }
     }
 
     /// Human-readable report.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        let mut by_rule: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-        for (f, &baselined) in self.findings.iter().zip(&self.baselined) {
-            let entry = by_rule.entry(f.rule).or_insert((0, 0));
-            entry.0 += 1;
-            if baselined {
-                entry.1 += 1;
-            }
-        }
-        for (f, &baselined) in self.findings.iter().zip(&self.baselined) {
-            let status = if baselined { " [baselined]" } else { "" };
-            let _ = writeln!(
-                out,
-                "{}:{}: [{}]{status} {}",
-                f.file, f.line, f.rule, f.message
-            );
+        let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
+        for f in &self.findings {
+            *by_rule.entry(f.rule).or_insert(0) += 1;
+            let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         }
         if !self.findings.is_empty() {
             out.push('\n');
         }
-        let _ = writeln!(
-            out,
-            "analysis_gate: {} finding(s), {} baselined, {} new",
-            self.findings.len(),
-            self.findings.len() - self.new_count(),
-            self.new_count()
-        );
-        for (rule, (total, baselined)) in &by_rule {
-            let _ = writeln!(out, "  {rule}: {total} ({baselined} baselined)");
+        let _ = writeln!(out, "analysis_gate: {} finding(s)", self.findings.len());
+        for (rule, total) in &by_rule {
+            let _ = writeln!(out, "  {rule}: {total}");
         }
         out
     }
 
     /// Machine-readable report.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"tool\": \"analysis_gate\",\n  \"version\": 1,\n");
-        let _ = writeln!(
-            out,
-            "  \"total\": {}, \"baselined\": {}, \"new\": {},",
-            self.findings.len(),
-            self.findings.len() - self.new_count(),
-            self.new_count()
-        );
+        let mut out = String::from("{\n  \"tool\": \"analysis_gate\",\n  \"version\": 2,\n");
+        let _ = writeln!(out, "  \"total\": {},", self.findings.len());
         out.push_str("  \"findings\": [\n");
         let total = self.findings.len();
-        for (i, (f, &baselined)) in self.findings.iter().zip(&self.baselined).enumerate() {
+        for (i, f) in self.findings.iter().enumerate() {
             let comma = if i + 1 < total { "," } else { "" };
             let _ = writeln!(
                 out,
                 "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"context\": {}, \
-                 \"baselined\": {}, \"message\": {}, \"key\": {}}}{comma}",
+                 \"message\": {}, \"key\": {}}}{comma}",
                 json_string(f.rule),
                 json_string(&f.file),
                 f.line,
                 json_string(&f.context),
-                baselined,
                 json_string(&f.message),
                 json_string(&f.key),
             );
@@ -326,42 +162,16 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trips() {
-        let findings = vec![
-            finding("r", "one"),
-            finding("r", "one"),
-            finding("r", "two"),
-        ];
-        let rendered = Baseline::render(&findings);
-        let dir = std::env::temp_dir().join("vstore-analysis-baseline-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, &rendered).expect("write baseline");
-        let loaded = Baseline::load(&path).expect("load baseline");
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.allowance(&findings[0].key), 2);
-        assert_eq!(loaded.allowance(&findings[2].key), 1);
-        let report = Report::against(findings, &loaded);
-        assert_eq!(report.new_count(), 0);
-    }
-
-    #[test]
-    fn missing_baseline_is_empty() {
-        let loaded = Baseline::load(Path::new("/nonexistent/baseline.json")).expect("empty");
-        assert!(loaded.is_empty());
-    }
-
-    #[test]
-    fn counts_above_allowance_are_new() {
-        let findings = vec![finding("r", "one"), finding("r", "one")];
-        let rendered = Baseline::render(&findings[..1]);
-        let dir = std::env::temp_dir().join("vstore-analysis-baseline-test2");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, &rendered).expect("write baseline");
-        let loaded = Baseline::load(&path).expect("load baseline");
-        let report = Report::against(findings, &loaded);
-        assert_eq!(report.new_count(), 1);
+    fn reports_order_findings_and_count_them_per_rule() {
+        let mut late = finding("r", "one");
+        late.line = 9;
+        let report = Report::new(vec![late, finding("s", "two"), finding("r", "three")]);
+        let lines: Vec<usize> = report.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [3, 3, 9]);
+        let text = report.to_text();
+        assert!(text.contains("analysis_gate: 3 finding(s)"), "{text}");
+        assert!(text.contains("  r: 2\n  s: 1\n"), "{text}");
+        assert!(report.to_json().contains("\"total\": 3,"));
     }
 
     #[test]

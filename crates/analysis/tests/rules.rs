@@ -1,7 +1,7 @@
 //! Fixture-driven rule tests: every rule must fire on its true-positive
 //! fixture and stay silent on its true-negative one, plus a live check
-//! that the real workspace is clean (zero unbaselined findings, zero
-//! lock-order cycles).
+//! that the real workspace is clean (zero findings, zero lock-order
+//! cycles).
 
 use vstore_analysis::scan::SourceFile;
 use vstore_analysis::{analyze_sources, rules};
@@ -146,16 +146,8 @@ fn the_workspace_itself_is_clean() {
     let sources = vstore_analysis::collect_workspace_sources(&root).unwrap();
     assert!(!sources.is_empty(), "workspace sources not found");
     let findings = analyze_sources(&sources);
-    let baseline =
-        vstore_analysis::report::Baseline::load(&root.join(vstore_analysis::BASELINE_FILE))
-            .unwrap();
-    let report = vstore_analysis::report::Report::against(findings, &baseline);
-    assert_eq!(
-        report.new_count(),
-        0,
-        "unbaselined findings:\n{}",
-        report.to_text()
-    );
+    let report = vstore_analysis::report::Report::new(findings);
+    assert!(report.findings.is_empty(), "{}", report.to_text());
 }
 
 #[test]

@@ -633,12 +633,14 @@ mod tests {
     use vstore_codec::Transcoder;
     use vstore_datasets::Dataset;
     use vstore_sim::VirtualClock;
-    use vstore_storage::SegmentStore;
+    use vstore_storage::{SegmentReader, SegmentStore};
     use vstore_types::{FormatId, QueueFullPolicy};
 
     fn live_pipeline() -> Arc<IngestionPipeline> {
         Arc::new(IngestionPipeline::new(
-            Arc::new(SegmentStore::open_mem_with_shards(2).unwrap()),
+            Arc::new(SegmentReader::disabled(Arc::new(
+                SegmentStore::open_mem_with_shards(2).unwrap(),
+            ))),
             Transcoder::default(),
             VirtualClock::new(),
         ))

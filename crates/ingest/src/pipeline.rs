@@ -126,32 +126,18 @@ pub struct IngestionPipeline {
 }
 
 impl IngestionPipeline {
-    /// A sequential pipeline (one worker) writing into the given store
-    /// through a passthrough (non-caching) reader.
-    pub fn new(store: Arc<SegmentStore>, transcoder: Transcoder, clock: VirtualClock) -> Self {
+    /// A sequential pipeline (one worker) writing through the given
+    /// (possibly caching, possibly shared) [`SegmentReader`], so puts and
+    /// erosion deletes invalidate its cache. Pass
+    /// [`SegmentReader::disabled`] when nothing reads through a cache.
+    pub fn new(reader: Arc<SegmentReader>, transcoder: Transcoder, clock: VirtualClock) -> Self {
         IngestionPipeline {
-            reader: Arc::new(SegmentReader::disabled(store)),
+            reader,
             transcoder,
             clock,
             workers: 1,
             budget_cores: None,
         }
-    }
-
-    /// Write through the given (possibly caching, possibly shared)
-    /// [`SegmentReader`] so puts and erosion deletes invalidate its cache.
-    /// The reader must front the same store this pipeline was built over.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `reader` fronts a different store instance.
-    pub fn with_reader(mut self, reader: Arc<SegmentReader>) -> Self {
-        assert!(
-            Arc::ptr_eq(reader.store(), self.reader.store()),
-            "SegmentReader fronts a different store than this pipeline"
-        );
-        self.reader = reader;
-        self
     }
 
     /// Fan transcode work across up to `workers` threads (clamped to ≥ 1).
@@ -356,11 +342,12 @@ impl IngestionPipeline {
     /// With no cold tier attached to the reader, the planned fraction is
     /// **deleted** — the pre-tiering behaviour, byte for byte. With a
     /// [`TierEngine`](vstore_storage::TierEngine) attached, the same
-    /// segments are **demoted** instead: enqueued onto the engine's bounded
-    /// migration queue (back-pressure applies) and moved to the cold store
-    /// by its background workers; this call returns once the batch has
-    /// drained. Either way the golden format is untouched — it is never
-    /// eroded and never leaves the hot tier.
+    /// segments are **demoted** instead: moved to the cold store on this
+    /// thread and up to [`effective_workers`](Self::effective_workers) − 1
+    /// more, each cold copy flushed before its hot delete; this call
+    /// returns once every planned segment has been tried. Either way the
+    /// golden format is untouched — it is never eroded and never leaves the
+    /// hot tier.
     pub fn apply_erosion(
         &self,
         stream: &str,
@@ -401,7 +388,7 @@ impl IngestionPipeline {
             }
         }
         if let Some(engine) = tier {
-            let batch = engine.demote_batch(demotions)?;
+            let batch = engine.demote_batch(&self.reader, demotions, self.effective_workers())?;
             report.segments_demoted = batch.segments;
             report.demoted_bytes = ByteSize(batch.bytes);
         }
@@ -464,7 +451,9 @@ mod tests {
 
     fn pipeline(tag: &str) -> IngestionPipeline {
         IngestionPipeline::new(
-            Arc::new(SegmentStore::open_temp(tag).unwrap()),
+            Arc::new(SegmentReader::disabled(Arc::new(
+                SegmentStore::open_temp(tag).unwrap(),
+            ))),
             Transcoder::default(),
             VirtualClock::new(),
         )
@@ -576,19 +565,13 @@ mod tests {
             )
             .unwrap(),
         );
-        let engine = TierEngine::start(
-            Arc::clone(&reader),
-            Arc::clone(&cold),
-            TierOptions::cold_mem(),
-        )
-        .unwrap();
+        let engine = TierEngine::new(store, Arc::clone(&cold), TierOptions::cold_mem()).unwrap();
         reader.attach_tier(&engine);
         let p = IngestionPipeline::new(
-            Arc::clone(&store),
+            Arc::clone(&reader),
             Transcoder::default(),
             VirtualClock::new(),
-        )
-        .with_reader(Arc::clone(&reader));
+        );
 
         let source = VideoSource::new(Dataset::Airport);
         let mut config = two_format_config();

@@ -8,9 +8,7 @@ use std::time::Instant;
 use vstore_codec::{SegmentMeta, Transcoder};
 use vstore_ops::{selectivity_prior, OperatorLibrary};
 use vstore_sim::{scoped_map, ResourceKind, VirtualClock};
-use vstore_storage::{
-    DecodedRead, DecodedSegment, ReadSource, SegmentKey, SegmentReader, SegmentStore,
-};
+use vstore_storage::{DecodedRead, DecodedSegment, ReadSource, SegmentKey, SegmentReader};
 use vstore_types::{
     ByteSize, Configuration, Consumer, OperatorKind, Result, Speed, VStoreError, VideoSeconds,
 };
@@ -130,37 +128,22 @@ struct PrefetchedSegment {
 }
 
 impl QueryEngine {
-    /// An engine reading from the given store, without prefetching and
-    /// without caching (a passthrough [`SegmentReader`]).
+    /// An engine reading through the given (possibly caching, possibly
+    /// shared) [`SegmentReader`], without prefetching. Pass
+    /// [`SegmentReader::disabled`] for uncached reads.
     pub fn new(
-        store: Arc<SegmentStore>,
+        reader: Arc<SegmentReader>,
         library: OperatorLibrary,
         transcoder: Transcoder,
         clock: VirtualClock,
     ) -> Self {
         QueryEngine {
-            reader: Arc::new(SegmentReader::disabled(store)),
+            reader,
             library,
             transcoder,
             clock,
             prefetch: 1,
         }
-    }
-
-    /// Read through the given (possibly caching, possibly shared)
-    /// [`SegmentReader`] instead of the default passthrough one. The reader
-    /// must front the same store this engine was built over.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `reader` fronts a different store instance.
-    pub fn with_reader(mut self, reader: Arc<SegmentReader>) -> Self {
-        assert!(
-            Arc::ptr_eq(reader.store(), self.reader.store()),
-            "SegmentReader fronts a different store than this engine"
-        );
-        self.reader = reader;
-        self
     }
 
     /// Fetch and decode up to `prefetch` segments in parallel ahead of the
@@ -603,6 +586,7 @@ mod tests {
     use vstore_ops::OperatorLibrary;
     use vstore_profiler::{Profiler, ProfilerConfig};
     use vstore_sim::CodingCostModel;
+    use vstore_storage::SegmentStore;
     use vstore_types::FidelitySpace;
 
     struct Fixture {
@@ -632,7 +616,7 @@ mod tests {
 
         let store = Arc::new(SegmentStore::open_temp("query-engine").unwrap());
         let ingest = IngestionPipeline::new(
-            Arc::clone(&store),
+            Arc::new(SegmentReader::disabled(Arc::clone(&store))),
             Transcoder::default(),
             VirtualClock::new(),
         );
@@ -643,7 +627,7 @@ mod tests {
         ingest.ingest_segments(&source, 0, 2, &one_to_n).unwrap();
 
         let engine = QueryEngine::new(
-            Arc::clone(&store),
+            Arc::new(SegmentReader::disabled(Arc::clone(&store))),
             OperatorLibrary::paper_testbed(),
             Transcoder::default(),
             VirtualClock::new(),
@@ -739,7 +723,7 @@ mod tests {
 
         // Fresh clock, prefetch 2: both segments share one window.
         let engine = QueryEngine::new(
-            Arc::clone(&fx.store),
+            Arc::new(SegmentReader::disabled(Arc::clone(&fx.store))),
             OperatorLibrary::paper_testbed(),
             Transcoder::default(),
             VirtualClock::new(),
@@ -774,13 +758,12 @@ mod tests {
         let fx = fixture(0.8);
         let reader = Arc::new(SegmentReader::new(Arc::clone(&fx.store), 64 << 20, 256));
         let engine = QueryEngine::new(
-            Arc::clone(&fx.store),
+            Arc::clone(&reader),
             OperatorLibrary::paper_testbed(),
             Transcoder::default(),
             VirtualClock::new(),
         )
-        .with_prefetch(2)
-        .with_reader(Arc::clone(&reader));
+        .with_prefetch(2);
         let query = QuerySpec::query_a(0.8);
 
         let first = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();

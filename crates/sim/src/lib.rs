@@ -13,11 +13,10 @@
 //! * [`coding_cost`] — the calibrated encode/decode/size model for the block
 //!   codec, shaped on Figure 3 and Table 3(b) of the paper;
 //! * [`pool`] — a scoped worker pool (order-preserving parallel map) backing
-//!   the sharded store's compaction, the ingest fan-out and the query
-//!   prefetch stage;
+//!   the sharded store's compaction, the ingest fan-out, the query
+//!   prefetch stage and cold-tier demotion;
 //! * [`queue`] — the bounded, closeable job queue behind every
-//!   back-pressured subsystem (serve requests, tier migrations, live
-//!   ingest).
+//!   back-pressured subsystem (serve requests, live ingest).
 //!
 //! See "Substitutions" in the repository README for why each model exists.
 

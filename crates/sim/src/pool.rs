@@ -2,7 +2,7 @@
 //! order.
 //!
 //! The ingest fan-out, the query prefetch stage, parallel shard compaction
-//! and the serving front end's executor all need the same shape of
+//! and cold-tier demotion all need the same shape of
 //! parallelism: apply a function to every item of a batch on up to
 //! `workers` threads and get the results back *in input order*, so
 //! downstream accounting is identical to the sequential path. `scoped_map`
@@ -22,7 +22,6 @@
 //! into an error response instead of a dead worker.
 
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 
 /// The payload of a caught panic, as produced by
 /// [`std::panic::catch_unwind`].
@@ -55,11 +54,11 @@ pub fn panic_message(payload: &PanicPayload) -> &str {
 /// Apply `f` to every item, using up to `workers` threads (the calling
 /// thread is one of them), returning the results in input order.
 ///
-/// With `workers <= 1` (or fewer than two items) the items are processed on
-/// the calling thread in order — the exact sequential path. A panic in `f`
-/// propagates to the caller with its original payload, but only after the
-/// remaining items have been drained by the surviving workers (see the
-/// [module docs](self)).
+/// With `workers <= 1` (or fewer than two items) no thread is spawned and
+/// the items are processed on the calling thread in order — the exact
+/// sequential path. A panic in `f` propagates to the caller with its
+/// original payload, but only after the remaining items have been drained
+/// by the surviving workers (see the [module docs](self)).
 pub fn scoped_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -68,90 +67,57 @@ where
 {
     let n = items.len();
     let workers = workers.min(n).max(1);
-    if workers <= 1 || n <= 1 {
-        // Same drain-then-unwind contract as the parallel path below, so a
-        // panicking task leaves identical side effects at every worker
-        // count (the repo's sequential == parallel parity invariant).
-        let mut results = Vec::with_capacity(n);
-        let mut first_panic: Option<PanicPayload> = None;
-        for (i, item) in items.into_iter().enumerate() {
-            match catch_panic(|| f(i, item)) {
-                Ok(result) => results.push(result),
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        return results;
-    }
-    // Work-stealing deque pool: every worker owns a deque seeded with a
-    // contiguous block of indices. Owners pop their own front (cache-warm,
-    // in-order, no contention on a shared cursor); a worker whose deque
-    // runs dry steals from the *back* of a peer's deque, so long and short
-    // items balance across threads instead of convoying on the slowest
-    // chunk. The task set is fixed — tasks never spawn tasks — so
-    // every-deque-empty means the batch is fully claimed and a worker that
-    // finds no work anywhere can exit.
-    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w * n / workers..(w + 1) * n / workers).collect()))
-        .collect();
+    // Every worker takes the next unclaimed item from one shared cursor, so
+    // long and short items balance across threads instead of convoying on
+    // a slow one, and an item is never bound to a thread that has yet to
+    // start. The task set is fixed — tasks never spawn tasks — so a drained
+    // cursor means the batch is fully claimed and the worker can exit. One
+    // worker is the calling thread walking the batch in order: the
+    // sequential path is the same loop, so a panicking task leaves
+    // identical side effects at every worker count (the repo's sequential
+    // == parallel parity invariant).
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let claim = || cursor.lock().next();
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     // First panic payload caught by any worker; the workers themselves never
     // unwind, so the scope always joins cleanly and every non-panicking item
     // is processed exactly once.
     let first_panic: Mutex<Option<PanicPayload>> = Mutex::new(None);
-    // The next index for worker `w`: its own front, else a steal from the
-    // back of the first non-empty peer deque (scanned round-robin from
-    // `w + 1` to spread steal pressure).
-    let next_task = |w: usize| -> Option<usize> {
-        if let Some(i) = queues[w].lock().pop_front() {
-            return Some(i);
-        }
-        for offset in 1..workers {
-            if let Some(i) = queues[(w + offset) % workers].lock().pop_back() {
-                return Some(i);
-            }
-        }
-        None
-    };
-    let work = |w: usize| {
-        while let Some(i) = next_task(w) {
-            // vstore-lint: allow(no-unwrap) — next_task hands out each index once
-            let item = tasks[i].lock().take().expect("task claimed twice");
+    let work = |first: Option<(usize, T)>| {
+        let mut next = first;
+        while let Some((i, item)) = next {
             match catch_panic(|| f(i, item)) {
-                Ok(result) => *results[i].lock() = Some(result),
+                Ok(result) => results.lock()[i] = Some(result),
                 Err(payload) => {
-                    let mut slot = first_panic.lock();
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
+                    first_panic.lock().get_or_insert(payload);
                 }
             }
+            next = claim();
         }
     };
     // The calling thread is worker 0: it would otherwise sleep through the
     // batch, and every thread not spawned is one wake-up the batch does
     // not wait on (a prefetch window of two spawns one thread, not two).
+    // It claims item 0 before any peer exists, and goes on to whatever a
+    // peer that is slow to be scheduled has not claimed yet: a batch of
+    // short items (cache hits) never waits for a thread to wake up.
     std::thread::scope(|scope| {
-        for w in 1..workers {
-            let work = &work;
-            scope.spawn(move || work(w));
+        let (work, claim) = (&work, &claim);
+        let own = claim();
+        for _ in 1..workers {
+            scope.spawn(move || work(claim()));
         }
-        work(0);
+        work(own);
     });
     if let Some(payload) = first_panic.into_inner() {
         std::panic::resume_unwind(payload);
     }
     results
+        .into_inner()
         .into_iter()
         .map(|slot| {
             // Scoped workers fill every slot or propagate their panic.
-            slot.into_inner()
-                .expect("worker died before finishing task") // vstore-lint: allow(no-unwrap)
+            slot.expect("worker died before finishing task") // vstore-lint: allow(no-unwrap)
         })
         .collect()
 }
@@ -272,7 +238,7 @@ mod tests {
     /// The calling thread works the batch as worker 0 instead of sleeping
     /// through it: with two workers only one thread is spawned. Each of the
     /// two items waits for the other to start, so they run on two threads
-    /// at once, and item 0 (the front of worker 0's deque) on the caller.
+    /// at once, and item 0 (claimed before any peer exists) on the caller.
     #[test]
     fn calling_thread_is_one_of_the_workers() {
         use std::sync::atomic::AtomicBool;
@@ -289,23 +255,23 @@ mod tests {
         assert_ne!(ran_on[1], caller);
     }
 
-    /// Work stealing actually redistributes an imbalanced batch: when one
-    /// worker's seeded block is blocked on a single long task, its
-    /// remaining items must be stolen and finished by the other workers —
-    /// the batch never waits for the slow worker to drain its own chunk.
+    /// An imbalanced batch is redistributed: while one worker is held on a
+    /// single long item, every other item of the batch must be picked up
+    /// and finished by its peers — the batch never waits for the slow
+    /// worker to get to a share of its own.
     #[test]
-    fn imbalanced_items_are_stolen_from_the_busy_worker() {
+    fn a_long_item_never_holds_back_the_rest_of_the_batch() {
         use std::sync::atomic::AtomicBool;
         const ITEMS: usize = 16;
         const WORKERS: usize = 4;
-        // Worker 0 owns indices 0..4. Item 0 spins until every *other* item
-        // of worker 0's block (1..4) has been completed by someone. Under
-        // static chunking this deadlocks (worker 0 would have to finish
-        // item 0 before touching 1..4); with stealing, peers drain them.
+        // Item 0 (worker 0's first) spins until every other item has been
+        // completed by someone. Under static chunking this deadlocks
+        // (worker 0 would have to finish item 0 before touching the rest
+        // of its block); with a shared cursor, peers drain them.
         let done: Vec<AtomicBool> = (0..ITEMS).map(|_| AtomicBool::new(false)).collect();
         let results = scoped_map((0..ITEMS).collect::<Vec<usize>>(), WORKERS, |i, x| {
             if i == 0 {
-                while !(1..ITEMS / WORKERS).all(|j| done[j].load(Ordering::Acquire)) {
+                while !(1..ITEMS).all(|j| done[j].load(Ordering::Acquire)) {
                     std::thread::yield_now();
                 }
             }

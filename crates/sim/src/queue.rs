@@ -1,6 +1,5 @@
 //! A bounded, closeable MPMC job queue — the back-pressure primitive shared
-//! by the serving front end's request queue, the tier engine's migration
-//! queue, and the live ingest queue.
+//! by the serving front end's request queue and the live ingest queue.
 //!
 //! ```text
 //!  producers ──push(item, policy)──► [ VecDeque ≤ capacity ] ──pop()──► workers

@@ -2,7 +2,7 @@
 //!
 //! Most of the workspace uses the `parking_lot` stub, whose guards recover
 //! from poisoning transparently. The handful of places that need a
-//! `Condvar` (bounded queues, tier migration, live ingest, serve
+//! `Condvar` (bounded queues, the tier's per-key locks, live ingest, serve
 //! shutdown) are on `std::sync::Mutex` and used to carry a
 //! `.lock().expect("... poisoned")` at every call site. These helpers
 //! centralize the same recover-from-poison policy — a panic while holding

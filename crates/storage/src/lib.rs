@@ -42,12 +42,12 @@
 //!
 //! **Tiered cold storage** sits below and beside the store: the [`tier`]
 //! module packs aged segments into an object-store-style [`ColdBackend`]
-//! (immutable chunked checksummed objects + manifest) and runs the
-//! [`TierEngine`] — a bounded background migration queue over a second,
-//! cold-backed [`SegmentStore`] that lets erosion **demote
-//! segments instead of deleting them**, with read-through promotion on
-//! cold hits flowing through the [`SegmentReader`] so both cache tiers
-//! stay coherent.
+//! (immutable chunked checksummed objects + manifest), and the
+//! [`TierEngine`] moves segments to and from a second, cold-backed
+//! [`SegmentStore`], so erosion **demotes segments instead of deleting
+//! them** (on the eroding caller's own threads), with read-through
+//! promotion on cold hits flowing through the [`SegmentReader`] so both
+//! cache tiers stay coherent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,7 +66,6 @@ pub use reader::{CacheStats, DecodedRead, DecodedSegment, ReadSource, SegmentRea
 pub use store::{SegmentStore, StoreStats};
 pub use tier::{
     ColdBackend, DemoteBatchReport, TierEngine, TierOptions, TierStats, DEFAULT_COLD_CHUNK_BYTES,
-    MIN_COLD_CHUNK_BYTES,
 };
 
 /// Decode a checked-in `tests/fixtures/*.hex` file: hex digits, any number

@@ -36,10 +36,10 @@
 use crate::key::SegmentKey;
 use crate::store::SegmentStore;
 use crate::tier::TierEngine;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock};
 use vstore_codec::{SegmentData, VideoFrame};
 use vstore_types::{FrameSampling, Result, StorageFormat};
 
@@ -363,11 +363,10 @@ pub struct SegmentReader {
     shards: Vec<Mutex<ShardCache>>,
     raw_per_shard: u64,
     decoded_per_shard: u64,
-    /// The cold-storage tiering engine, when one is attached
+    /// The cold-storage tiering engine, once one is attached
     /// ([`attach_tier`](Self::attach_tier)): store misses fall through to
-    /// the cold tier and promote on a hit. Held weakly — the engine (and
-    /// its workers) holds the reader, not the other way round.
-    tier: RwLock<Weak<TierEngine>>,
+    /// the cold tier and promote on a hit.
+    tier: OnceLock<Arc<TierEngine>>,
 }
 
 impl std::fmt::Debug for SegmentReader {
@@ -411,7 +410,7 @@ impl SegmentReader {
             shards,
             raw_per_shard,
             decoded_per_shard,
-            tier: RwLock::new(Weak::new()),
+            tier: OnceLock::new(),
         }
     }
 
@@ -421,26 +420,34 @@ impl SegmentReader {
     ///
     /// # Panics
     ///
-    /// Panics when `tier` fronts a different hot store instance.
+    /// Panics when `tier` fronts a different hot store instance, or when a
+    /// tier is already attached.
     pub fn attach_tier(&self, tier: &Arc<TierEngine>) {
         assert!(
             Arc::ptr_eq(tier.hot_store(), &self.store),
             "TierEngine demotes from a different store than this reader"
         );
-        *self.tier.write() = Arc::downgrade(tier);
+        assert!(
+            self.tier.set(Arc::clone(tier)).is_ok(),
+            "a TierEngine is already attached to this reader"
+        );
     }
 
-    /// The attached tiering engine, if it is still alive.
+    /// The attached tiering engine, if any.
     #[must_use]
     pub fn tier(&self) -> Option<Arc<TierEngine>> {
-        self.tier.read().upgrade()
+        self.tier.get().cloned()
     }
 
-    /// A store miss falls through to the cold tier (when one is attached):
-    /// returns the segment's bytes and promotes them per the engine's
-    /// configuration. `Ok(None)` when the key is in neither tier.
-    fn cold_fallthrough(&self, key: &SegmentKey) -> Result<Option<Vec<u8>>> {
-        match self.tier() {
+    /// The one miss path: the hot store, else (when a tier is attached) the
+    /// cold tier, which promotes per the engine's configuration. Returns
+    /// the bytes and which of the two served them; `Ok(None)` when the key
+    /// is in neither.
+    fn read_miss(&self, key: &SegmentKey) -> Result<Option<(Vec<u8>, ReadSource)>> {
+        if let Some(bytes) = self.store.get(key)? {
+            return Ok(Some((bytes, ReadSource::Disk)));
+        }
+        match self.tier.get() {
             Some(engine) => engine.read_through(key, self),
             None => Ok(None),
         }
@@ -466,12 +473,9 @@ impl SegmentReader {
     /// where they were served from; `Ok(None)` when the key does not exist.
     pub fn get(&self, key: &SegmentKey) -> Result<Option<(Arc<Vec<u8>>, ReadSource)>> {
         if self.raw_per_shard == 0 {
-            return match self.store.get(key)? {
-                Some(bytes) => Ok(Some((Arc::new(bytes), ReadSource::Disk))),
-                None => Ok(self
-                    .cold_fallthrough(key)?
-                    .map(|bytes| (Arc::new(bytes), ReadSource::Cold))),
-            };
+            return Ok(self
+                .read_miss(key)?
+                .map(|(bytes, source)| (Arc::new(bytes), source)));
         }
         let idx = self.store.shard_index(key);
         let epoch = {
@@ -482,26 +486,24 @@ impl SegmentReader {
             }
             shard.epoch
         };
-        let bytes = match self.store.get(key)? {
-            Some(bytes) => Arc::new(bytes),
-            None => {
-                // Cold bytes are returned but not admitted: a promotion has
-                // just bumped the epoch, and the next (hot) read warms the
-                // cache through the ordinary fill path.
-                return Ok(self
-                    .cold_fallthrough(key)?
-                    .map(|bytes| (Arc::new(bytes), ReadSource::Cold)));
-            }
+        let Some((bytes, source)) = self.read_miss(key)? else {
+            return Ok(None);
         };
-        let mut shard = self.shards[idx].lock();
-        shard.raw_misses += 1;
-        if shard.epoch == epoch {
-            let evicted = shard
-                .raw
-                .insert(key.clone(), Arc::clone(&bytes), bytes.len() as u64);
-            shard.raw_evictions += evicted;
+        let bytes = Arc::new(bytes);
+        // Cold bytes are returned but not admitted: a promotion has just
+        // bumped the epoch, and the next (hot) read warms the cache through
+        // the ordinary fill path.
+        if source == ReadSource::Disk {
+            let mut shard = self.shards[idx].lock();
+            shard.raw_misses += 1;
+            if shard.epoch == epoch {
+                let evicted = shard
+                    .raw
+                    .insert(key.clone(), Arc::clone(&bytes), bytes.len() as u64);
+                shard.raw_evictions += evicted;
+            }
         }
-        Ok(Some((bytes, ReadSource::Disk)))
+        Ok(Some((bytes, source)))
     }
 
     /// Fetch a segment decoded at `sampling`, through both tiers: tier 2
@@ -514,12 +516,8 @@ impl SegmentReader {
         sampling: FrameSampling,
     ) -> Result<Option<DecodedRead>> {
         if self.shards.is_empty() {
-            let (bytes, source) = match self.store.get(key)? {
-                Some(bytes) => (bytes, ReadSource::Disk),
-                None => match self.cold_fallthrough(key)? {
-                    Some(bytes) => (bytes, ReadSource::Cold),
-                    None => return Ok(None),
-                },
+            let Some((bytes, source)) = self.read_miss(key)? else {
+                return Ok(None);
             };
             return Ok(Some(DecodedRead {
                 segment: Arc::new(decode_entry(&bytes, sampling)?),
@@ -549,12 +547,9 @@ impl SegmentReader {
         };
         let (bytes, source) = match raw_hit {
             Some(bytes) => (bytes, ReadSource::RawCache),
-            None => match self.store.get(key)? {
-                Some(bytes) => (Arc::new(bytes), ReadSource::Disk),
-                None => match self.cold_fallthrough(key)? {
-                    Some(bytes) => (Arc::new(bytes), ReadSource::Cold),
-                    None => return Ok(None),
-                },
+            None => match self.read_miss(key)? {
+                Some((bytes, source)) => (Arc::new(bytes), source),
+                None => return Ok(None),
             },
         };
         // Decode outside the shard lock: parallel prefetch workers hitting

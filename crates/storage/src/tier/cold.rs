@@ -7,7 +7,7 @@
 //!
 //! * every `append`/`write_all` seals one or more **immutable chunk
 //!   objects** (`objects/o<seq>.obj` on the underlying device, at most
-//!   [`TierOptions::cold_chunk_bytes`](crate::tier::TierOptions) each), each
+//!   [`DEFAULT_COLD_CHUNK_BYTES`] each unless built with another size), each
 //!   carrying a CRC32 in the manifest — a flipped bit in cold storage is
 //!   detected at read time, not served;
 //! * a **manifest** maps each log name to its ordered chunk list. It lives

@@ -1,41 +1,42 @@
-//! The segment-level tiering engine: a bounded background migration queue
-//! that **demotes** segments to a cold [`SegmentStore`] instead of deleting
-//! them, and a read-through **promotion** path that brings cold segments
-//! back on access.
+//! The segment-level tiering engine: erosion **demotes** segments to a cold
+//! [`SegmentStore`] instead of deleting them, and a read-through
+//! **promotion** path brings cold segments back on access.
 //!
 //! ```text
-//!  erosion ──demote batch──► bounded queue ──► migration workers ──► cold store
-//!                             (back-pressure)   (hot get → cold put → hot delete,
-//!                                                paced by the byte/s budget)
+//!  erosion ──demote_batch──► hot get → cold put → cold sync → hot delete
+//!                            (on the eroding caller's threads, one key each)
 //!  query ──hot miss──► SegmentReader ──cold hit──► promote (hot put → cold delete)
 //! ```
 //!
-//! * **Demotion** reuses the serving layer's bounded-queue discipline: a
-//!   batch enqueues one job per key, blocking when the queue is full (the
-//!   migration backlog can never grow without bound), and waits for its
-//!   jobs to drain. Workers run each job under
-//!   [`vstore_sim::catch_panic`] — a panicking migration fails one segment,
-//!   never the engine — and pace themselves to
-//!   [`TierOptions::demote_budget_bytes_per_sec`].
+//! The engine is a place, not a service: it owns no thread and queues
+//! nothing. Both moves run on the thread that asks for them, through the
+//! [`SegmentReader`] the caller holds.
+//!
+//! * **Demotion** is a parallel-for over the batch's keys
+//!   ([`vstore_sim::scoped_map`]) at the parallelism the caller passes in;
+//!   each key runs under [`vstore_sim::catch_panic`], so a panicking
+//!   migration fails one segment, never the batch.
 //! * **Ordering** makes data loss impossible: a demotion writes the cold
-//!   copy before deleting the hot one, and a promotion writes the hot copy
-//!   before deleting the cold one, so every moment in time has at least one
-//!   full copy of the segment. The hot-side delete and put flow through the
+//!   copy and flushes it before deleting the hot one, and a promotion
+//!   writes the hot copy before deleting the cold one, so every moment in
+//!   time — across a crash included — has at least one full copy of the
+//!   segment. A demotion and a promotion of the same key are serialised by
+//!   a per-key lock. The hot-side delete and put flow through the
 //!   [`SegmentReader`], so both cache tiers are epoch-invalidated exactly
 //!   like an erosion delete or an ingest overwrite.
 //! * **Observability**: [`TierStats`] reports resident bytes per tier,
-//!   demotion/promotion counts and bytes, queue depth, and a cold-hit
-//!   latency histogram; every rate is 0 %-safe on an idle engine.
+//!   demotion/promotion counts and bytes, and a cold-hit latency
+//!   histogram; every rate is 0 %-safe on an idle engine.
 
 use crate::key::SegmentKey;
-use crate::reader::SegmentReader;
+use crate::reader::{ReadSource, SegmentReader};
 use crate::store::SegmentStore;
 use crate::tier::TierOptions;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vstore_sim::sync::{lock_unpoisoned, wait_unpoisoned};
-use vstore_sim::{catch_panic, panic_message, BoundedQueue};
-use vstore_types::{ByteSize, LatencyHistogram, QueueFullPolicy, Result, VStoreError};
+use vstore_sim::{catch_panic, panic_message, scoped_map};
+use vstore_types::{ByteSize, LatencyHistogram, Result, VStoreError};
 
 /// One snapshot of the tiering subsystem's statistics, folded into
 /// `VStore::stats_report`.
@@ -61,10 +62,6 @@ pub struct TierStats {
     pub cold_misses: u64,
     /// Demotions that failed (the segment stayed hot).
     pub failed_demotions: u64,
-    /// Migration jobs waiting in the queue at snapshot time.
-    pub queue_depth: usize,
-    /// Deepest the migration queue has ever been.
-    pub peak_queue_depth: usize,
     /// Latency of cold-tier fetches (read + checksum + promotion write).
     pub cold_hit_latency: LatencyHistogram,
 }
@@ -94,7 +91,7 @@ impl std::fmt::Display for TierStats {
         writeln!(
             f,
             "tier: {} hot / {} cold ({} cold segments), {} demotions ({}), \
-             {} promotions ({}), {} failed, queue {} (peak {})",
+             {} promotions ({}), {} failed",
             ByteSize(self.hot_resident_bytes),
             ByteSize(self.cold_resident_bytes),
             self.cold_segments,
@@ -103,8 +100,6 @@ impl std::fmt::Display for TierStats {
             self.promotions,
             ByteSize(self.promoted_bytes),
             self.failed_demotions,
-            self.queue_depth,
-            self.peak_queue_depth,
         )?;
         write!(
             f,
@@ -129,30 +124,10 @@ pub struct DemoteBatchReport {
     pub skipped: usize,
 }
 
-/// One queued migration job and the batch it reports back to.
-struct DemoteJob {
-    key: SegmentKey,
-    batch: Arc<BatchState>,
-}
-
-/// Completion state shared by a batch's jobs and its waiting submitter.
-struct BatchState {
-    progress: Mutex<BatchProgress>,
-    done: Condvar,
-}
-
-#[derive(Default)]
-struct BatchProgress {
-    remaining: usize,
-    segments: usize,
-    bytes: u64,
-    skipped: usize,
-    first_error: Option<VStoreError>,
-}
-
 /// Counters behind one short-held mutex (migration I/O never runs under
-/// it); the migration queue itself is the shared [`BoundedQueue`].
-struct EngineState {
+/// it).
+#[derive(Default)]
+struct Counters {
     demotions: u64,
     demoted_bytes: u64,
     promotions: u64,
@@ -161,19 +136,6 @@ struct EngineState {
     cold_misses: u64,
     failed_demotions: u64,
     cold_hit_latency: LatencyHistogram,
-}
-
-struct EngineShared {
-    /// The bounded migration queue: closing it is what shutdown means.
-    queue: BoundedQueue<DemoteJob>,
-    state: Mutex<EngineState>,
-    options: TierOptions,
-    reader: Arc<SegmentReader>,
-    cold: Arc<SegmentStore>,
-    /// Keys with a migration in flight: a demotion and a promotion of the
-    /// same key are serialised, so an interleaving can never delete both
-    /// copies of a segment.
-    migrating: KeyLocks,
 }
 
 /// A wait-on-contention lock set over segment keys.
@@ -209,100 +171,80 @@ impl Drop for KeyGuard<'_> {
     }
 }
 
-/// The tiering engine. Constructed by [`TierEngine::start`]; dropping the
-/// engine drains the queue and joins the migration workers.
+/// The tiering engine: the cold store beside a hot one, and the two moves
+/// between them. Attach it to the hot store's reader
+/// ([`SegmentReader::attach_tier`]) for read-through promotion.
 pub struct TierEngine {
-    shared: Arc<EngineShared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    hot: Arc<SegmentStore>,
+    cold: Arc<SegmentStore>,
+    options: TierOptions,
+    counters: Mutex<Counters>,
+    /// Keys with a migration in flight: a demotion and a promotion of the
+    /// same key are serialised, so an interleaving can never delete both
+    /// copies of a segment.
+    migrating: KeyLocks,
 }
 
 impl std::fmt::Debug for TierEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TierEngine")
-            .field("cold", &self.shared.cold.dir())
-            .field("workers", &self.shared.options.demote_workers)
-            .field("queue_depth", &self.shared.queue.len())
+            .field("cold", &self.cold.dir())
+            .field("promotion", &self.options.promotion)
             .finish()
     }
 }
 
 impl TierEngine {
-    /// Start a tiering engine demoting from `reader`'s store into `cold`,
-    /// with `options.demote_workers` background migration workers. The
-    /// engine must then be attached to the reader
-    /// ([`SegmentReader::attach_tier`]) for read-through promotion.
-    pub fn start(
-        reader: Arc<SegmentReader>,
+    /// A tiering engine demoting from `hot` into `cold`.
+    pub fn new(
+        hot: Arc<SegmentStore>,
         cold: Arc<SegmentStore>,
         options: TierOptions,
     ) -> Result<Arc<TierEngine>> {
-        options.validate()?;
-        if Arc::ptr_eq(reader.store(), &cold) {
+        if Arc::ptr_eq(&hot, &cold) {
             return Err(VStoreError::invalid_argument(
                 "tier cold store must be distinct from the hot store",
             ));
         }
-        let shared = Arc::new(EngineShared {
-            queue: BoundedQueue::new(options.demote_queue_depth),
-            state: Mutex::new(EngineState {
-                demotions: 0,
-                demoted_bytes: 0,
-                promotions: 0,
-                promoted_bytes: 0,
-                cold_hits: 0,
-                cold_misses: 0,
-                failed_demotions: 0,
-                cold_hit_latency: LatencyHistogram::default(),
-            }),
-            options,
-            reader,
-            cold,
-            migrating: KeyLocks::default(),
-        });
-        let mut workers = Vec::with_capacity(options.demote_workers);
-        for i in 0..options.demote_workers {
-            let worker_shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("vstore-tier-{i}"))
-                .spawn(move || worker_loop(&worker_shared));
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    shared.queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(VStoreError::Io(e));
-                }
-            }
-        }
         Ok(Arc::new(TierEngine {
-            shared,
-            workers: Mutex::new(workers),
+            hot,
+            cold,
+            options,
+            counters: Mutex::default(),
+            migrating: KeyLocks::default(),
         }))
     }
 
     /// The cold segment store.
     pub fn cold_store(&self) -> &Arc<SegmentStore> {
-        &self.shared.cold
+        &self.cold
     }
 
     /// The hot store this engine demotes from.
     pub fn hot_store(&self) -> &Arc<SegmentStore> {
-        self.shared.reader.store()
+        &self.hot
     }
 
     /// The engine's options.
     pub fn options(&self) -> &TierOptions {
-        &self.shared.options
+        &self.options
     }
 
-    /// Demote a batch of segments: enqueue one migration job per key onto
-    /// the bounded queue (blocking while it is full — back-pressure, never
-    /// unbounded memory) and wait until the background workers have drained
-    /// them all. Golden-format keys are refused: the golden format never
-    /// leaves the hot tier.
-    pub fn demote_batch(&self, keys: Vec<SegmentKey>) -> Result<DemoteBatchReport> {
+    /// Demote a batch of segments through `reader` (the hot store's reader,
+    /// whose cache the hot deletes invalidate), on up to `workers` threads
+    /// including the caller's; returns once every key has been tried.
+    /// Golden-format keys are refused: the golden format never leaves the
+    /// hot tier.
+    ///
+    /// A failed migration leaves its segment hot (nothing was deleted), so
+    /// the batch error carries the partial progress and re-eroding retries
+    /// exactly the segments that failed.
+    pub fn demote_batch(
+        &self,
+        reader: &SegmentReader,
+        keys: Vec<SegmentKey>,
+        workers: usize,
+    ) -> Result<DemoteBatchReport> {
         for key in &keys {
             if key.format.is_golden() {
                 return Err(VStoreError::invalid_argument(format!(
@@ -310,58 +252,70 @@ impl TierEngine {
                 )));
             }
         }
-        if keys.is_empty() {
-            return Ok(DemoteBatchReport::default());
-        }
         let total = keys.len();
-        let batch = Arc::new(BatchState {
-            progress: Mutex::new(BatchProgress {
-                remaining: keys.len(),
-                ..BatchProgress::default()
-            }),
-            done: Condvar::new(),
+        let outcomes = scoped_map(keys, workers, |_, key| {
+            catch_panic(|| self.demote_one(reader, &key)).unwrap_or_else(|payload| {
+                Err(VStoreError::InvalidState(format!(
+                    "tier migration panicked: {}",
+                    panic_message(&payload)
+                )))
+            })
         });
-        for key in keys {
-            let job = DemoteJob {
-                key,
-                batch: Arc::clone(&batch),
-            };
-            // Block while the queue is full: the migration backlog can never
-            // grow without bound. Any close (before or during the wait)
-            // refuses the rest of the batch.
-            if self.shared.queue.push(job, QueueFullPolicy::Block).is_err() {
-                return Err(VStoreError::InvalidState(
-                    "tier engine shut down while awaiting a queue slot".into(),
-                ));
+        let mut report = DemoteBatchReport::default();
+        let mut first_error = None;
+        for outcome in outcomes {
+            match outcome {
+                Ok(Some(bytes)) => {
+                    report.segments += 1;
+                    report.bytes = report.bytes.saturating_add(bytes);
+                }
+                Ok(None) => report.skipped += 1,
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
             }
         }
-        let mut progress = lock_unpoisoned(&batch.progress);
-        while progress.remaining > 0 {
-            progress = wait_unpoisoned(&batch.done, progress);
+        let failed = total - report.segments - report.skipped;
+        {
+            let mut counters = lock_unpoisoned(&self.counters);
+            counters.demotions += report.segments as u64;
+            counters.demoted_bytes = counters.demoted_bytes.saturating_add(report.bytes);
+            counters.failed_demotions += failed as u64;
         }
-        if let Some(e) = progress.first_error.take() {
-            // A failed migration leaves its segment hot (nothing was
-            // deleted), so the batch error carries the partial progress and
-            // re-eroding retries exactly the segments that failed.
-            let failed = total - progress.segments - progress.skipped;
-            return Err(VStoreError::InvalidState(format!(
+        match first_error {
+            Some(e) => Err(VStoreError::InvalidState(format!(
                 "{failed} of {total} demotions failed (first error: {e}); \
                  {} segments ({} bytes) were demoted before the failures, \
                  failed segments remain hot — re-erode to retry",
-                progress.segments, progress.bytes
-            )));
+                report.segments, report.bytes
+            ))),
+            None => Ok(report),
         }
-        Ok(DemoteBatchReport {
-            segments: progress.segments,
-            bytes: progress.bytes,
-            skipped: progress.skipped,
-        })
+    }
+
+    /// Move one segment hot → cold. Returns the bytes moved, or `None` when
+    /// the hot store no longer holds the key (raced; nothing to do).
+    fn demote_one(&self, reader: &SegmentReader, key: &SegmentKey) -> Result<Option<u64>> {
+        // Serialised against any in-flight promotion of the same key.
+        let _guard = self.migrating.lock(key);
+        let bytes = match reader.store().get(key)? {
+            Some(bytes) => bytes,
+            None => return Ok(None),
+        };
+        // Cold copy first — made durable (the cold backend's manifest is
+        // persisted by sync) — and only then the hot delete: there is no
+        // instant, across crashes included, without a full copy of the
+        // segment.
+        self.cold.put(key, &bytes)?;
+        self.cold.sync()?;
+        reader.delete(key)?;
+        Ok(Some(bytes.len() as u64))
     }
 
     /// Look a hot-missed key up in the cold tier; on a hit, return the
-    /// bytes and — when [`TierOptions::promotion`] is on — promote them back
-    /// to the hot store through `reader` (hot put before cold delete, cache
-    /// tiers epoch-invalidated by the put).
+    /// bytes as [`ReadSource::Cold`] and — when [`TierOptions::promotion`]
+    /// is on — promote them back to the hot store through `reader` (hot put
+    /// before cold delete, cache tiers epoch-invalidated by the put).
     ///
     /// Called by [`SegmentReader`] on the read path; callers outside the
     /// reader should read through the reader instead.
@@ -369,165 +323,59 @@ impl TierEngine {
         &self,
         key: &SegmentKey,
         reader: &SegmentReader,
-    ) -> Result<Option<Vec<u8>>> {
+    ) -> Result<Option<(Vec<u8>, ReadSource)>> {
         let started = Instant::now();
         // Serialised against any in-flight demotion of the same key; the
         // guard spans the cold read and the promotion move.
-        let guard = self.shared.migrating.lock(key);
-        let bytes = match self.shared.cold.get(key)? {
-            Some(bytes) => bytes,
-            None => {
-                // A racing promotion may have moved the key hot between the
-                // caller's hot miss and this lock acquisition: re-probe the
-                // hot store under the key lock, so a concurrent reader can
-                // never report an existing segment as missing.
-                let rescued = self.shared.reader.store().get(key)?;
-                drop(guard);
-                if rescued.is_none() {
-                    lock_unpoisoned(&self.shared.state).cold_misses += 1;
-                }
-                return Ok(rescued);
+        let guard = self.migrating.lock(key);
+        let Some(bytes) = self.cold.get(key)? else {
+            // A racing promotion may have moved the key hot between the
+            // caller's hot miss and this lock acquisition: re-probe the
+            // hot store under the key lock, so a concurrent reader can
+            // never report an existing segment as missing. Those bytes
+            // came from the hot store and are labelled so.
+            let rescued = reader.store().get(key)?;
+            drop(guard);
+            if rescued.is_none() {
+                lock_unpoisoned(&self.counters).cold_misses += 1;
             }
+            return Ok(rescued.map(|bytes| (bytes, ReadSource::Disk)));
         };
-        let promoted = if self.shared.options.promotion {
+        if self.options.promotion {
             reader.put(key, &bytes)?;
-            self.shared.cold.delete(key)?;
-            true
-        } else {
-            false
-        };
+            self.cold.delete(key)?;
+        }
         drop(guard);
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let mut state = lock_unpoisoned(&self.shared.state);
-        state.cold_hits += 1;
-        state.cold_hit_latency.record(elapsed_us);
-        if promoted {
-            state.promotions += 1;
-            state.promoted_bytes = state.promoted_bytes.saturating_add(bytes.len() as u64);
+        let mut counters = lock_unpoisoned(&self.counters);
+        counters.cold_hits += 1;
+        counters.cold_hit_latency.record(elapsed_us);
+        if self.options.promotion {
+            counters.promotions += 1;
+            counters.promoted_bytes = counters.promoted_bytes.saturating_add(bytes.len() as u64);
         }
-        Ok(Some(bytes))
+        Ok(Some((bytes, ReadSource::Cold)))
     }
 
     /// A statistics snapshot (resident bytes are read live from both
     /// stores).
     #[must_use]
     pub fn stats(&self) -> TierStats {
-        let hot = self.shared.reader.store().stats();
-        let cold = self.shared.cold.stats();
-        let state = lock_unpoisoned(&self.shared.state);
+        let hot = self.hot.stats();
+        let cold = self.cold.stats();
+        let counters = lock_unpoisoned(&self.counters);
         TierStats {
             hot_resident_bytes: hot.live_bytes,
             cold_resident_bytes: cold.live_bytes,
             cold_segments: cold.live_segments,
-            demotions: state.demotions,
-            demoted_bytes: state.demoted_bytes,
-            promotions: state.promotions,
-            promoted_bytes: state.promoted_bytes,
-            cold_hits: state.cold_hits,
-            cold_misses: state.cold_misses,
-            failed_demotions: state.failed_demotions,
-            queue_depth: self.shared.queue.len(),
-            peak_queue_depth: self.shared.queue.peak_depth(),
-            cold_hit_latency: state.cold_hit_latency.clone(),
-        }
-    }
-}
-
-impl Drop for TierEngine {
-    fn drop(&mut self) {
-        self.shared.queue.close();
-        for worker in lock_unpoisoned(&self.workers).drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Move one segment hot → cold. Returns the bytes moved, or `None` when the
-/// hot store no longer holds the key (raced; nothing to do).
-fn demote_one(shared: &EngineShared, key: &SegmentKey) -> Result<Option<u64>> {
-    // Serialised against any in-flight promotion of the same key.
-    let _guard = shared.migrating.lock(key);
-    let bytes = match shared.reader.store().get(key)? {
-        Some(bytes) => bytes,
-        None => return Ok(None),
-    };
-    // Cold copy first — made durable (the cold backend's manifest is
-    // persisted by sync) — and only then the hot delete: there is no
-    // instant, across crashes included, without a full copy of the
-    // segment.
-    shared.cold.put(key, &bytes)?;
-    shared.cold.sync()?;
-    shared.reader.delete(key)?;
-    Ok(Some(bytes.len() as u64))
-}
-
-/// The migration loop of one worker thread.
-fn worker_loop(shared: &EngineShared) {
-    let budget = shared.options.demote_budget_bytes_per_sec;
-    loop {
-        // `pop` blocks while the queue is open and returns `None` only once
-        // it is closed and drained: the graceful exit.
-        let Some(job) = shared.queue.pop() else {
-            return;
-        };
-
-        // Panic isolation: a panicking migration fails one segment, not the
-        // engine — the worker survives to drain the rest of the queue.
-        let outcome = match catch_panic(|| demote_one(shared, &job.key)) {
-            Ok(result) => result,
-            Err(payload) => Err(VStoreError::InvalidState(format!(
-                "tier migration worker panicked: {}",
-                panic_message(&payload)
-            ))),
-        };
-        let mut moved_bytes = None;
-        {
-            let mut state = lock_unpoisoned(&shared.state);
-            match &outcome {
-                Ok(Some(bytes)) => {
-                    state.demotions += 1;
-                    state.demoted_bytes = state.demoted_bytes.saturating_add(*bytes);
-                    moved_bytes = Some(*bytes);
-                }
-                Ok(None) => {}
-                Err(_) => state.failed_demotions += 1,
-            }
-        }
-        {
-            let mut progress = lock_unpoisoned(&job.batch.progress);
-            match outcome {
-                Ok(Some(bytes)) => {
-                    progress.segments += 1;
-                    progress.bytes = progress.bytes.saturating_add(bytes);
-                }
-                Ok(None) => progress.skipped += 1,
-                Err(e) => {
-                    if progress.first_error.is_none() {
-                        progress.first_error = Some(e);
-                    }
-                }
-            }
-            progress.remaining -= 1;
-            if progress.remaining == 0 {
-                job.batch.done.notify_all();
-            }
-        }
-        // Pace to the byte/s budget (0 = unthrottled): a worker that just
-        // moved N bytes owes N / budget seconds before its next job. The
-        // debt is slept in short slices so engine shutdown never waits out
-        // a large segment's whole debt.
-        if budget > 0 {
-            if let Some(bytes) = moved_bytes {
-                let mut owed = bytes as f64 / budget as f64;
-                while owed > 0.0 {
-                    if !shared.queue.is_open() {
-                        break;
-                    }
-                    let slice = owed.min(0.1);
-                    std::thread::sleep(Duration::from_secs_f64(slice));
-                    owed -= slice;
-                }
-            }
+            demotions: counters.demotions,
+            demoted_bytes: counters.demoted_bytes,
+            promotions: counters.promotions,
+            promoted_bytes: counters.promoted_bytes,
+            cold_hits: counters.cold_hits,
+            cold_misses: counters.cold_misses,
+            failed_demotions: counters.failed_demotions,
+            cold_hit_latency: counters.cold_hit_latency.clone(),
         }
     }
 }
@@ -535,7 +383,7 @@ fn worker_loop(shared: &EngineShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
+    use crate::backend::{LogHandle, MemBackend, StorageBackend};
     use crate::tier::cold::ColdBackend;
     use vstore_types::FormatId;
 
@@ -543,15 +391,21 @@ mod tests {
         SegmentKey::new("tier", FormatId(format), index)
     }
 
-    fn fixture(options: TierOptions) -> (Arc<SegmentReader>, Arc<TierEngine>) {
+    fn fixture_over(
+        cold_backend: Arc<dyn StorageBackend>,
+        options: TierOptions,
+    ) -> (Arc<SegmentReader>, Arc<TierEngine>) {
         let hot = Arc::new(SegmentStore::open_mem_with_shards(4).unwrap());
-        let reader = Arc::new(SegmentReader::new(hot, 1 << 20, 16));
-        let cold_backend: Arc<dyn crate::backend::StorageBackend> =
-            Arc::new(ColdBackend::new(Arc::new(MemBackend::new())).unwrap());
+        let reader = Arc::new(SegmentReader::new(Arc::clone(&hot), 1 << 20, 16));
         let cold = Arc::new(SegmentStore::open_with_backend(cold_backend, 1).unwrap());
-        let engine = TierEngine::start(Arc::clone(&reader), cold, options).unwrap();
+        let engine = TierEngine::new(hot, cold, options).unwrap();
         reader.attach_tier(&engine);
         (reader, engine)
+    }
+
+    fn fixture(options: TierOptions) -> (Arc<SegmentReader>, Arc<TierEngine>) {
+        let cold = ColdBackend::new(Arc::new(MemBackend::new())).unwrap();
+        fixture_over(Arc::new(cold), options)
     }
 
     #[test]
@@ -565,7 +419,7 @@ mod tests {
             reader.get(&key(1, i)).unwrap().unwrap();
         }
         let report = engine
-            .demote_batch((0..4).map(|i| key(1, i)).collect())
+            .demote_batch(&reader, (0..4).map(|i| key(1, i)).collect(), 2)
             .unwrap();
         assert_eq!(report.segments, 4);
         assert_eq!(report.bytes, 4 * 500);
@@ -602,7 +456,7 @@ mod tests {
     fn promotion_off_serves_cold_without_moving() {
         let (reader, engine) = fixture(TierOptions::cold_mem().with_promotion(false));
         reader.put(&key(1, 0), b"stay-cold").unwrap();
-        engine.demote_batch(vec![key(1, 0)]).unwrap();
+        engine.demote_batch(&reader, vec![key(1, 0)], 2).unwrap();
         for _ in 0..2 {
             let (bytes, source) = reader.get(&key(1, 0)).unwrap().unwrap();
             assert_eq!(&*bytes, b"stay-cold");
@@ -618,11 +472,17 @@ mod tests {
     fn golden_keys_are_refused_and_missing_keys_are_skipped() {
         let (reader, engine) = fixture(TierOptions::cold_mem());
         let err = engine
-            .demote_batch(vec![SegmentKey::new("tier", FormatId::GOLDEN, 0)])
+            .demote_batch(
+                &reader,
+                vec![SegmentKey::new("tier", FormatId::GOLDEN, 0)],
+                2,
+            )
             .unwrap_err();
         assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
         reader.put(&key(1, 0), b"present").unwrap();
-        let report = engine.demote_batch(vec![key(1, 0), key(1, 99)]).unwrap();
+        let report = engine
+            .demote_batch(&reader, vec![key(1, 0), key(1, 99)], 2)
+            .unwrap();
         assert_eq!(report.segments, 1);
         assert_eq!(report.skipped, 1);
     }
@@ -633,8 +493,8 @@ mod tests {
     #[test]
     fn demotion_is_durable_on_the_cold_device_before_the_hot_delete() {
         let hot = Arc::new(SegmentStore::open_mem_with_shards(2).unwrap());
-        let reader = Arc::new(SegmentReader::new(hot, 0, 0));
-        let device: Arc<dyn crate::backend::StorageBackend> = Arc::new(MemBackend::new());
+        let reader = Arc::new(SegmentReader::new(Arc::clone(&hot), 0, 0));
+        let device: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
         let cold = Arc::new(
             SegmentStore::open_with_backend(
                 Arc::new(ColdBackend::new(Arc::clone(&device)).unwrap()),
@@ -642,16 +502,16 @@ mod tests {
             )
             .unwrap(),
         );
-        let engine = TierEngine::start(Arc::clone(&reader), cold, TierOptions::cold_mem()).unwrap();
+        let engine = TierEngine::new(hot, cold, TierOptions::cold_mem()).unwrap();
         reader.attach_tier(&engine);
         reader.put(&key(1, 0), b"must-survive").unwrap();
-        engine.demote_batch(vec![key(1, 0)]).unwrap();
+        engine.demote_batch(&reader, vec![key(1, 0)], 2).unwrap();
         assert!(!reader.store().contains(&key(1, 0)));
         // Simulate a crash: reopen a fresh ColdBackend over the same device
         // with no sync in between. The persisted manifest must already
         // reference the demoted segment.
         let reopened = SegmentStore::open_with_backend(
-            Arc::new(ColdBackend::new(device).unwrap()) as Arc<dyn crate::backend::StorageBackend>,
+            Arc::new(ColdBackend::new(device).unwrap()) as Arc<dyn StorageBackend>,
             1,
         )
         .unwrap();
@@ -660,22 +520,6 @@ mod tests {
             b"must-survive",
             "demoted segment lost across a crash"
         );
-    }
-
-    #[test]
-    fn tiny_queue_applies_back_pressure_but_completes() {
-        let options = TierOptions::cold_mem().with_demote_queue(1, 1);
-        let (reader, engine) = fixture(options);
-        for i in 0..32 {
-            reader.put(&key(1, i), &[7u8; 64]).unwrap();
-        }
-        let report = engine
-            .demote_batch((0..32).map(|i| key(1, i)).collect())
-            .unwrap();
-        assert_eq!(report.segments, 32);
-        let stats = engine.stats();
-        assert!(stats.peak_queue_depth <= 1, "bounded queue overflowed");
-        assert_eq!(stats.queue_depth, 0, "drained");
     }
 
     #[test]
@@ -695,15 +539,213 @@ mod tests {
                 }
             });
             let report = engine
-                .demote_batch((0..n).map(|i| key(1, i)).collect())
+                .demote_batch(&reader, (0..n).map(|i| key(1, i)).collect(), 2)
                 .unwrap();
             // Concurrent promotions may race segments back hot before their
-            // demote job runs; every segment is either moved or skipped.
+            // demotion runs; every segment is either moved or skipped.
             assert_eq!(report.segments + report.skipped, n as usize);
         });
         for i in 0..n {
             let (bytes, _) = reader.get(&key(1, i)).unwrap().unwrap();
             assert_eq!(*bytes, vec![(i % 251) as u8; 256]);
         }
+    }
+
+    /// Bytes `read_through` rescues from the hot store (a racing promotion
+    /// moved the key between the caller's hot miss and the key lock) are a
+    /// hot read: not labelled cold, and counted neither as a cold hit nor
+    /// as a cold miss.
+    #[test]
+    fn a_read_rescued_from_the_hot_store_is_not_a_cold_read() {
+        let (reader, engine) = fixture(TierOptions::cold_mem());
+        reader.put(&key(1, 0), b"only-hot").unwrap();
+        let (bytes, source) = engine.read_through(&key(1, 0), &reader).unwrap().unwrap();
+        assert_eq!(bytes, b"only-hot");
+        assert_eq!(source, ReadSource::Disk);
+        let stats = engine.stats();
+        assert_eq!((stats.cold_hits, stats.cold_misses), (0, 0));
+        assert_eq!(stats.cold_hit_latency.count(), 0);
+    }
+
+    /// What an injected fault does to an append that carries a chosen key.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        Fail,
+        Panic,
+    }
+
+    /// Encoded segment keys and what appending a record of theirs does.
+    type Faults = Arc<Mutex<Vec<(Vec<u8>, Fault)>>>;
+
+    /// A cold device whose appends fail or panic for chosen segment keys
+    /// (every value-log record carries its encoded key).
+    #[derive(Debug, Default)]
+    struct FaultyCold {
+        inner: MemBackend,
+        faults: Faults,
+    }
+
+    #[derive(Debug)]
+    struct FaultyLog {
+        inner: Box<dyn LogHandle>,
+        faults: Faults,
+    }
+
+    impl LogHandle for FaultyLog {
+        fn append(&mut self, data: &[u8]) -> Result<()> {
+            for (key, fault) in lock_unpoisoned(&self.faults).iter() {
+                if data.windows(key.len()).any(|w| w == key) {
+                    match fault {
+                        Fault::Fail => {
+                            return Err(VStoreError::Io(std::io::Error::other("injected")))
+                        }
+                        Fault::Panic => panic!("injected panic"),
+                    }
+                }
+            }
+            self.inner.append(data)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    impl StorageBackend for FaultyCold {
+        fn open(&self, name: &str, truncate: bool) -> Result<Box<dyn LogHandle>> {
+            Ok(Box::new(FaultyLog {
+                inner: self.inner.open(name, truncate)?,
+                faults: Arc::clone(&self.faults),
+            }))
+        }
+        fn read_at(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+            self.inner.read_at(name, offset, len)
+        }
+        fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.read_all(name)
+        }
+        fn write_all(&self, name: &str, data: &[u8]) -> Result<()> {
+            self.inner.write_all(name, data)
+        }
+        fn remove(&self, name: &str) -> Result<()> {
+            self.inner.remove(name)
+        }
+        fn len(&self, name: &str) -> Result<Option<u64>> {
+            self.inner.len(name)
+        }
+        fn list(&self, dir: &str) -> Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+        fn describe(&self) -> String {
+            self.inner.describe()
+        }
+    }
+
+    /// Six hot segments over a cold device that faults on keys 1 and 4.
+    fn faulty_fixture(fault: Fault) -> (Arc<SegmentReader>, Arc<TierEngine>, Faults) {
+        let device = FaultyCold::default();
+        let faults = Arc::clone(&device.faults);
+        let (reader, engine) = fixture_over(Arc::new(device), TierOptions::cold_mem());
+        for i in 0..6 {
+            reader.put(&key(1, i), &vec![i as u8; 300]).unwrap();
+        }
+        *lock_unpoisoned(&faults) = vec![(key(1, 1).encode(), fault), (key(1, 4).encode(), fault)];
+        (reader, engine, faults)
+    }
+
+    /// The four healthy keys moved, the two faulted ones stayed hot and
+    /// byte-identical, and the counters say so.
+    fn assert_two_of_six_failed(reader: &SegmentReader, engine: &TierEngine, err: &VStoreError) {
+        assert!(matches!(err, VStoreError::InvalidState(_)), "{err}");
+        let text = err.to_string();
+        assert!(text.contains("2 of 6 demotions failed"), "{text}");
+        assert!(text.contains("4 segments (1200 bytes)"), "{text}");
+        for i in 0..6 {
+            let failed = i == 1 || i == 4;
+            assert_eq!(reader.store().contains(&key(1, i)), failed, "hot {i}");
+            assert_eq!(
+                engine.cold_store().contains(&key(1, i)),
+                !failed,
+                "cold {i}"
+            );
+            if failed {
+                let hot = reader.store().get(&key(1, i)).unwrap().unwrap();
+                assert_eq!(hot, vec![i as u8; 300]);
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.failed_demotions, 2);
+        assert_eq!(stats.demotions, 4);
+    }
+
+    #[test]
+    fn failed_demotions_stay_hot_and_a_retry_moves_exactly_those() {
+        let (reader, engine, faults) = faulty_fixture(Fault::Fail);
+        let all: Vec<SegmentKey> = (0..6).map(|i| key(1, i)).collect();
+        let err = engine.demote_batch(&reader, all.clone(), 3).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        assert_two_of_six_failed(&reader, &engine, &err);
+
+        lock_unpoisoned(&faults).clear();
+        let retry = engine.demote_batch(&reader, all, 3).unwrap();
+        assert_eq!(
+            retry,
+            DemoteBatchReport {
+                segments: 2,
+                bytes: 600,
+                skipped: 4
+            }
+        );
+        assert!(reader.store().is_empty());
+        assert_eq!(engine.cold_store().len(), 6);
+        assert_eq!(engine.stats().failed_demotions, 2);
+    }
+
+    /// A panicking migration fails its one segment: the rest of the batch
+    /// completes and the caller (erosion) gets an error, not an unwind.
+    #[test]
+    fn a_panicking_migration_fails_one_segment_not_the_batch() {
+        let (reader, engine, _faults) = faulty_fixture(Fault::Panic);
+        let all = (0..6).map(|i| key(1, i)).collect();
+        let err = catch_panic(|| engine.demote_batch(&reader, all, 3))
+            .expect("the panic must not unwind into the eroding caller")
+            .unwrap_err();
+        assert!(err.to_string().contains("injected panic"), "{err}");
+        assert_two_of_six_failed(&reader, &engine, &err);
+    }
+
+    #[test]
+    fn parallelism_never_changes_what_a_batch_does() {
+        let run = |workers: usize| {
+            let (reader, engine) = fixture(TierOptions::cold_mem());
+            for i in 0..40 {
+                reader
+                    .put(&key(1, i), &vec![(i * 7) as u8; 100 + i as usize])
+                    .unwrap();
+            }
+            // 32 present keys (the last 8 stay hot) plus two already gone.
+            let batch = (0..32).chain([90, 91]).map(|i| key(1, i)).collect();
+            let report = engine.demote_batch(&reader, batch, workers).unwrap();
+            let contents = |store: &SegmentStore| {
+                let mut keys = store.keys();
+                keys.sort();
+                keys.into_iter()
+                    .map(|k| {
+                        let bytes = store.get(&k).unwrap().unwrap();
+                        (k, bytes)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            (
+                report,
+                contents(reader.store()),
+                contents(engine.cold_store()),
+            )
+        };
+        let sequential = run(1);
+        assert_eq!(sequential.0.segments, 32);
+        assert_eq!(sequential.0.skipped, 2);
+        assert_eq!(sequential.1.len(), 8);
+        assert_eq!(sequential.2.len(), 32);
+        assert_eq!(sequential, run(4));
     }
 }

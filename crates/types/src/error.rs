@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn at_least_names_owner_knob_bound_and_value() {
         assert!(at_least("ServeOptions", "workers", 1usize, 1).is_ok());
-        assert!(at_least("TierOptions", "cold_chunk_bytes", 1u64 << 20, 4096).is_ok());
+        assert!(at_least("LiveIngestOptions", "max_lag_segments", 8u64, 1).is_ok());
         let err = at_least("NetOptions", "max_frame_bytes", 63usize, 64).unwrap_err();
         assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
         assert_eq!(

@@ -302,10 +302,9 @@ struct VStoreInner {
     /// shared by the query engine (reads) and the ingestion pipeline
     /// (invalidating writes, including erosion).
     reader: Arc<SegmentReader>,
-    /// The cold-storage tiering engine, when a cold backend is configured:
-    /// erosion demotes onto its migration queue and cold read hits promote
-    /// through the shared reader. Dropping the inner drains and joins the
-    /// migration workers.
+    /// The cold-storage tiering engine, when a cold backend is configured
+    /// (the one attached to `reader`): erosion demotes through it and cold
+    /// read hits promote through the shared reader.
     tier: Option<Arc<TierEngine>>,
     /// Shared with live-ingest worker threads, which outlive any one
     /// `&self` borrow.
@@ -509,7 +508,6 @@ impl VStore {
     }
 
     fn assemble(store: Arc<SegmentStore>, options: VStoreOptions) -> Result<VStore> {
-        options.tier.validate()?;
         options.trace.validate()?;
         let tracer = Tracer::new(options.trace);
         let runtime = options.runtime;
@@ -527,9 +525,9 @@ impl VStore {
         ));
         // The cold tier, when configured: an object-store-style ColdBackend
         // (rooted under `<store dir>/cold-tier` for the fs backend) holding
-        // its own segment store. Erosion demotes onto the engine's bounded
-        // migration queue; cold read hits promote back through the shared
-        // reader, epoch-invalidating both cache tiers.
+        // its own segment store. Erosion demotes into it; cold read hits
+        // promote back through the shared reader, epoch-invalidating both
+        // cache tiers.
         let tier = match options.tier.cold_backend {
             Some(cold_options) => {
                 let root = match store.dir() {
@@ -539,35 +537,30 @@ impl VStore {
                     dir => dir.join("cold-tier"),
                 };
                 let device = cold_options.create(&root)?;
-                let cold_backend = Arc::new(vstore_storage::ColdBackend::with_chunk_bytes(
-                    device,
-                    options.tier.cold_chunk_bytes,
-                )?);
+                let cold_backend = Arc::new(vstore_storage::ColdBackend::new(device)?);
                 let cold_store = Arc::new(SegmentStore::open_with_backend(
                     cold_backend,
                     runtime.shards,
                 )?);
-                let engine = TierEngine::start(Arc::clone(&reader), cold_store, options.tier)?;
+                let engine = TierEngine::new(Arc::clone(&store), cold_store, options.tier)?;
                 reader.attach_tier(&engine);
                 Some(engine)
             }
             None => None,
         };
         let ingest = Arc::new(
-            IngestionPipeline::new(Arc::clone(&store), Transcoder::new(coding), clock.clone())
+            IngestionPipeline::new(Arc::clone(&reader), Transcoder::new(coding), clock.clone())
                 .with_workers(runtime.ingest_workers)
-                .with_ingest_budget(options.engine.ingest_budget_cores)
-                .with_reader(Arc::clone(&reader)),
+                .with_ingest_budget(options.engine.ingest_budget_cores),
         );
         let engine = ConfigurationEngine::new(Arc::clone(&profiler), options.engine);
         let queries = QueryEngine::new(
-            Arc::clone(&store),
+            Arc::clone(&reader),
             library,
             Transcoder::new(coding),
             clock.clone(),
         )
-        .with_prefetch(runtime.query_prefetch)
-        .with_reader(Arc::clone(&reader));
+        .with_prefetch(runtime.query_prefetch);
         let handle = VStore {
             inner: Arc::new(VStoreInner {
                 profiler,

@@ -108,11 +108,6 @@ pub(crate) fn register_collectors(store: &VStore) {
                 "Demotions that failed (segment stayed hot)",
                 t.failed_demotions,
             ));
-            out.push(Metric::gauge(
-                "vstore_tier_queue_depth",
-                "Migration jobs waiting at snapshot time",
-                t.queue_depth as f64,
-            ));
             out.push(Metric::latency(
                 "vstore_tier_cold_hit_latency_us",
                 "Latency of cold-tier fetches (read + checksum + promote)",

@@ -9,11 +9,10 @@
 use std::collections::BTreeMap;
 use vstore::{
     BackendOptions, Configuration, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore,
-    VStoreError, VStoreOptions,
+    VStoreOptions,
 };
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_sim::ResourceKind;
-use vstore_storage::TierOptions;
 use vstore_types::{ErosionStep, FormatId, Fraction};
 
 /// A configuration whose age-1 erosion step removes every non-golden
@@ -196,16 +195,6 @@ fn demote_promote_demote_cycles_never_lose_segments() {
     assert!(stats.demotions >= 3);
     assert!(stats.promotions >= 3);
     std::fs::remove_dir_all(store.store_dir()).ok();
-}
-
-/// Tier options are validated at open, like RuntimeOptions.
-#[test]
-fn open_rejects_invalid_tier_options() {
-    let options = VStoreOptions::fast()
-        .with_backend(BackendOptions::Mem)
-        .with_tier(TierOptions::cold_mem().with_demote_queue(0, 8));
-    let err = VStore::open_temp("tier-bad-options", options).unwrap_err();
-    assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
 }
 
 /// Without a cold backend there is no tier section and no tier stats —
