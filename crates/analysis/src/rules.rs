@@ -71,9 +71,8 @@ const BACKEND_SEAM_SCOPE: &[&str] = &[
     "crates/ops/src/",
 ];
 
-/// The only places allowed to touch `std::fs`: the backend seam itself and
-/// the tiered cold store behind it.
-const BACKEND_SEAM_EXEMPT: &[&str] = &["crates/storage/src/backend.rs", "crates/storage/src/tier/"];
+/// The only place allowed to touch `std::fs`: the backend seam itself.
+const BACKEND_SEAM_EXEMPT: &[&str] = &["crates/storage/src/backend.rs"];
 
 fn in_scope(path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| path.starts_with(p))

@@ -344,7 +344,7 @@ impl IngestionPipeline {
     /// [`TierEngine`](vstore_storage::TierEngine) attached, the same
     /// segments are **demoted** instead: moved to the cold store on this
     /// thread and up to [`effective_workers`](Self::effective_workers) − 1
-    /// more, each cold copy flushed before its hot delete; this call
+    /// more, each cold object published before its hot delete; this call
     /// returns once every planned segment has been tried. Either way the
     /// golden format is untouched — it is never eroded and never leaves the
     /// hot tier.
@@ -554,19 +554,18 @@ mod tests {
     /// happened.
     #[test]
     fn erosion_with_cold_tier_demotes_instead_of_deleting() {
-        use vstore_storage::{MemBackend, TierEngine, TierOptions};
+        use vstore_storage::{ColdStore, MemBackend, TierEngine, TierOptions};
 
         let store = Arc::new(SegmentStore::open_mem_with_shards(4).unwrap());
         let reader = Arc::new(SegmentReader::new(Arc::clone(&store), 0, 0));
-        let cold = Arc::new(
-            SegmentStore::open_with_backend(
-                Arc::new(vstore_storage::ColdBackend::new(Arc::new(MemBackend::new())).unwrap()),
-                1,
-            )
-            .unwrap(),
-        );
-        let engine = TierEngine::new(store, Arc::clone(&cold), TierOptions::cold_mem()).unwrap();
+        let cold = ColdStore::open(Arc::new(MemBackend::new())).unwrap();
+        let engine = TierEngine::new(store, cold, TierOptions::cold_mem());
         reader.attach_tier(&engine);
+        let cold_segments_of = |stream: &str, format: FormatId| {
+            let mut keys = engine.cold_store().keys();
+            keys.retain(|k| k.stream == stream && k.format == format);
+            keys
+        };
         let p = IngestionPipeline::new(
             Arc::clone(&reader),
             Transcoder::default(),
@@ -592,10 +591,10 @@ mod tests {
         // golden is untouched — it never leaves the hot tier.
         assert_eq!(p.store().segments_of("airport", FormatId(1)).len(), 2);
         assert_eq!(p.store().segments_of("airport", FormatId::GOLDEN).len(), 4);
-        assert_eq!(cold.segments_of("airport", FormatId(1)).len(), 2);
-        assert!(cold.segments_of("airport", FormatId::GOLDEN).is_empty());
+        assert_eq!(cold_segments_of("airport", FormatId(1)).len(), 2);
+        assert!(cold_segments_of("airport", FormatId::GOLDEN).is_empty());
         // A read of a demoted segment promotes it back, byte-identical.
-        let demoted_key = &cold.segments_of("airport", FormatId(1))[0];
+        let demoted_key = &cold_segments_of("airport", FormatId(1))[0];
         let (bytes, source_tier) = reader.get(demoted_key).unwrap().unwrap();
         assert_eq!(source_tier, vstore_storage::ReadSource::Cold);
         assert!(p.store().contains(demoted_key));

@@ -3,9 +3,8 @@
 //!
 //! The store's I/O needs are narrow — append-only named logs, CRC-verified
 //! random reads, whole-file scans at recovery, small meta files, and listing
-//! — so the trait stays small enough that a tiered or object-store backend
-//! can implement it later without touching `Shard` or `LogFile`. Two
-//! implementations ship today:
+//! — and the cold tier's are narrower still (whole objects written, read
+//! and removed by name). Two implementations ship:
 //!
 //! * [`FsBackend`] — the local filesystem, byte-for-byte the pre-backend
 //!   on-disk format (existing stores reopen cleanly);
@@ -51,7 +50,8 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// Read the whole named log; `Ok(None)` when it does not exist.
     fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>>;
 
-    /// Atomically replace the named log's contents (small meta files).
+    /// Atomically replace the named log's contents (meta files, cold-tier
+    /// objects): a reader sees the old contents or the new, never a mix.
     fn write_all(&self, name: &str, data: &[u8]) -> Result<()>;
 
     /// Remove the named log. Removing a missing log is a no-op.

@@ -71,6 +71,38 @@ impl SegmentKey {
             segment_index: u64::from_le_bytes(index_bytes),
         })
     }
+
+    /// Backend name of this key's object under the namespace `dir`:
+    /// `dir/<hex of encode()>`, so arbitrary stream names stay path-safe on
+    /// every backend (metadata sidecars and cold-tier objects are named
+    /// this way).
+    pub fn object_name(&self, dir: &str) -> String {
+        use fmt::Write as _;
+        let mut name = format!("{dir}/");
+        for byte in self.encode() {
+            let _ = write!(name, "{byte:02x}");
+        }
+        name
+    }
+
+    /// The key whose [`object_name`](Self::object_name) ends in `hex`;
+    /// `None` when `hex` is not a name this store would have produced.
+    pub fn from_object_hex(hex: &str) -> Option<SegmentKey> {
+        let digit = |b: u8| match b {
+            b'0'..=b'9' => Some(b - b'0'),
+            b'a'..=b'f' => Some(b - b'a' + 10),
+            _ => None,
+        };
+        if !hex.len().is_multiple_of(2) {
+            return None;
+        }
+        let bytes: Option<Vec<u8>> = hex
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
+            .collect();
+        SegmentKey::decode(&bytes?).ok()
+    }
 }
 
 impl fmt::Display for SegmentKey {
@@ -104,6 +136,21 @@ mod tests {
         bad[4] = 0xFF;
         bad[5] = 0xFE;
         assert!(SegmentKey::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn object_names_are_path_safe_and_decode_back_to_the_key() {
+        let key = SegmentKey::new("odd stream/with:chars", FormatId(2), 7);
+        let name = key.object_name("segments");
+        let hex = name.strip_prefix("segments/").unwrap();
+        assert!(hex.bytes().all(|b| b.is_ascii_hexdigit()), "{name}");
+        assert_eq!(SegmentKey::from_object_hex(hex), Some(key));
+        // Not names this store writes: a temp file, upper case, an odd
+        // digit count, hex that is no key.
+        let (tmp, upper) = (format!("{hex}.tmp"), hex.to_uppercase());
+        for foreign in [tmp.as_str(), upper.as_str(), &hex[1..], "00ff"] {
+            assert_eq!(SegmentKey::from_object_hex(foreign), None, "{foreign}");
+        }
     }
 
     #[test]

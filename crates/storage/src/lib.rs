@@ -30,7 +30,6 @@
 //! logs), never through `std::fs` directly. [`FsBackend`] is the default and
 //! reproduces the original on-disk format byte for byte; [`MemBackend`]
 //! keeps the same observable behaviour in memory for tests and benchmarks.
-//! Tiered and object-store backends slot in behind the same trait.
 //!
 //! The **unified read path** sits above the store: a [`SegmentReader`]
 //! fronts `SegmentStore::get` with a two-tier, shard-aware cache — a
@@ -40,19 +39,20 @@
 //! the reader invalidate both tiers; with both tiers disabled the reader is
 //! a byte-identical passthrough. See the [`reader`] module docs.
 //!
-//! **Tiered cold storage** sits below and beside the store: the [`tier`]
-//! module packs aged segments into an object-store-style [`ColdBackend`]
-//! (immutable chunked checksummed objects + manifest), and the
-//! [`TierEngine`] moves segments to and from a second, cold-backed
-//! [`SegmentStore`], so erosion **demotes segments instead of deleting
-//! them** (on the eroding caller's own threads), with read-through
-//! promotion on cold hits flowing through the [`SegmentReader`] so both
-//! cache tiers stay coherent.
+//! **Tiered cold storage** sits beside the store: the [`tier`] module keeps
+//! aged segments in a [`ColdStore`] — one checksummed object per segment on
+//! a second backend device, framed exactly like a value-log record — and
+//! the [`TierEngine`] moves segments to and from it, so erosion **demotes
+//! segments instead of deleting them** (on the eroding caller's own
+//! threads), with read-through promotion on cold hits flowing through the
+//! [`SegmentReader`] so both cache tiers stay coherent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
+#[cfg(test)]
+mod faulty;
 pub mod key;
 pub mod log;
 pub mod reader;
@@ -64,9 +64,7 @@ pub use backend::{BackendOptions, FsBackend, LogHandle, MemBackend, StorageBacke
 pub use key::SegmentKey;
 pub use reader::{CacheStats, DecodedRead, DecodedSegment, ReadSource, SegmentReader};
 pub use store::{SegmentStore, StoreStats};
-pub use tier::{
-    ColdBackend, DemoteBatchReport, TierEngine, TierOptions, TierStats, DEFAULT_COLD_CHUNK_BYTES,
-};
+pub use tier::{ColdStore, DemoteBatchReport, TierEngine, TierOptions, TierStats};
 
 /// Decode a checked-in `tests/fixtures/*.hex` file: hex digits, any number
 /// a line, `#` lines are comments.

@@ -82,6 +82,32 @@ pub fn record_size(key_len: usize, value_len: usize) -> u64 {
     HEADER as u64 + key_len as u64 + value_len as u64 + 4
 }
 
+/// Frame one record, byte for byte as it sits in a value log — and as the
+/// whole body of a cold-tier object.
+///
+/// Keys and values longer than `u32::MAX` bytes are rejected with
+/// [`VStoreError::InvalidArgument`]: the record frame stores both lengths as
+/// `u32`, and writing a truncated length would corrupt every record that
+/// follows.
+pub fn encode_record(key: &[u8], value: &[u8], is_tombstone: bool) -> Result<Vec<u8>> {
+    let flags = if is_tombstone { FLAG_TOMBSTONE } else { 0 };
+    let klen = u32_from_usize(key.len(), "log record key")?;
+    let vlen = u32_from_usize(value.len(), "log record value")?;
+    let crc = record_crc(flags, klen, vlen, key, value);
+    let mut buf = Vec::with_capacity(usize_from_u64(
+        record_size(key.len(), value.len()),
+        "log record",
+    )?);
+    buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+    buf.push(flags);
+    buf.extend_from_slice(&klen.to_le_bytes());
+    buf.extend_from_slice(&vlen.to_le_bytes());
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(value);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    Ok(buf)
+}
+
 /// An append-only log file over a [`StorageBackend`].
 #[derive(Debug)]
 pub struct LogFile {
@@ -157,27 +183,8 @@ impl LogFile {
     }
 
     /// Append a record; returns its offset and total length.
-    ///
-    /// Keys and values longer than `u32::MAX` bytes are rejected with
-    /// [`VStoreError::InvalidArgument`]: the record frame stores both
-    /// lengths as `u32`, and writing a truncated length would corrupt every
-    /// record that follows.
     pub fn append(&mut self, key: &[u8], value: &[u8], is_tombstone: bool) -> Result<(u64, u64)> {
-        let flags = if is_tombstone { FLAG_TOMBSTONE } else { 0 };
-        let klen = u32_from_usize(key.len(), "log record key")?;
-        let vlen = u32_from_usize(value.len(), "log record value")?;
-        let crc = record_crc(flags, klen, vlen, key, value);
-        let mut buf = Vec::with_capacity(usize_from_u64(
-            record_size(key.len(), value.len()),
-            "log record",
-        )?);
-        buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-        buf.push(flags);
-        buf.extend_from_slice(&klen.to_le_bytes());
-        buf.extend_from_slice(&vlen.to_le_bytes());
-        buf.extend_from_slice(key);
-        buf.extend_from_slice(value);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        let buf = encode_record(key, value, is_tombstone)?;
         let offset = self.len;
         self.handle.append(&buf)?;
         self.len += buf.len() as u64;

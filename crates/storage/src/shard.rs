@@ -307,55 +307,14 @@ impl ShardInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LogHandle, MemBackend};
+    use crate::backend::MemBackend;
+    use crate::faulty::{injected, FaultyDevice};
 
-    /// A backend whose `remove` fails for one log name, while one is set,
-    /// and otherwise passes everything through.
-    #[derive(Debug)]
-    struct RemoveFails {
-        inner: MemBackend,
-        name: Mutex<Option<String>>,
-    }
-
-    impl RemoveFails {
-        fn of(name: String) -> Arc<RemoveFails> {
-            Arc::new(RemoveFails {
-                inner: MemBackend::new(),
-                name: Mutex::new(Some(name)),
-            })
-        }
-    }
-
-    impl StorageBackend for RemoveFails {
-        fn open(&self, name: &str, truncate: bool) -> Result<Box<dyn LogHandle>> {
-            self.inner.open(name, truncate)
-        }
-        fn read_at(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-            self.inner.read_at(name, offset, len)
-        }
-        fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>> {
-            self.inner.read_all(name)
-        }
-        fn write_all(&self, name: &str, data: &[u8]) -> Result<()> {
-            self.inner.write_all(name, data)
-        }
-        fn remove(&self, name: &str) -> Result<()> {
-            if self.name.lock().as_deref() == Some(name) {
-                return Err(VStoreError::Io(std::io::Error::other(format!(
-                    "injected: cannot remove {name}"
-                ))));
-            }
-            self.inner.remove(name)
-        }
-        fn len(&self, name: &str) -> Result<Option<u64>> {
-            self.inner.len(name)
-        }
-        fn list(&self, dir: &str) -> Result<Vec<String>> {
-            self.inner.list(dir)
-        }
-        fn describe(&self) -> String {
-            self.inner.describe()
-        }
+    /// A device whose `remove` of the one log `name` fails.
+    fn remove_fails(name: String) -> FaultyDevice {
+        let device = FaultyDevice::over(Arc::new(MemBackend::new()));
+        device.script().faults.push(("remove", name, injected));
+        device
     }
 
     /// Compaction drops tombstones, so it may not remove the log holding a
@@ -363,7 +322,7 @@ mod tests {
     #[test]
     fn failed_log_removal_stops_compaction_and_resurrects_nothing() {
         let dir = "shard-000".to_owned();
-        let backend: Arc<dyn StorageBackend> = RemoveFails::of(LogFile::log_name(&dir, 1));
+        let backend: Arc<dyn StorageBackend> = Arc::new(remove_fails(LogFile::log_name(&dir, 1)));
         let key = |i| SegmentKey::new("cam0", FormatId(0), i);
 
         // Log 1 holds the puts; a reopen makes log 2, which takes the
@@ -396,8 +355,8 @@ mod tests {
     #[test]
     fn compaction_retries_the_logs_an_earlier_failure_left_behind() {
         let dir = "shard-000".to_owned();
-        let fails = RemoveFails::of(LogFile::log_name(&dir, 1));
-        let backend: Arc<dyn StorageBackend> = fails.clone();
+        let fails = remove_fails(LogFile::log_name(&dir, 1));
+        let backend: Arc<dyn StorageBackend> = Arc::new(fails.clone());
         let key = SegmentKey::new("cam0", FormatId(0), 0);
         let shard = Shard::open(Arc::clone(&backend), dir.clone()).unwrap();
         shard.put(&key, b"first").unwrap();
@@ -405,7 +364,7 @@ mod tests {
         shard.compact().unwrap_err();
         assert_eq!(shard.stats().log_files, 2);
 
-        *fails.name.lock() = None;
+        fails.script().faults.clear();
         shard.compact().unwrap();
         assert_eq!(shard.get(&key).unwrap().unwrap(), b"second");
         assert_eq!(backend.list(&dir).unwrap(), [LogFile::file_name(3)]);

@@ -24,6 +24,11 @@ use vstore_types::{ByteSize, FormatId, Result, VStoreError, DEFAULT_SHARDS};
 /// Name of the meta file recording the store's shard count.
 const SHARD_META_FILE: &str = "SHARDS";
 
+/// Namespace of the segment metadata sidecars, outside every shard
+/// directory (the orphan check at open only rejects `shard-NNN` entries and
+/// legacy root logs, so a reopen is safe).
+const META_DIR: &str = "meta";
+
 /// Seed of the key-routing hash (any fixed value; must never change once
 /// stores exist on disk).
 const ROUTING_SEED: u64 = 0x5653_544F_5245; // "VSTORE"
@@ -292,43 +297,26 @@ impl SegmentStore {
         self.shard_of(key).delete(key)
     }
 
-    /// Backend name of a segment's metadata sidecar: a `meta/` namespace
-    /// outside every shard directory (the orphan check at open only rejects
-    /// `shard-NNN` entries and legacy root logs, so a reopen is safe), keyed
-    /// by the hex of the encoded segment key so arbitrary stream names stay
-    /// path-safe on every backend.
-    fn meta_name(key: &SegmentKey) -> String {
-        use std::fmt::Write as _;
-        let encoded = key.encode();
-        let mut name = String::with_capacity(5 + encoded.len() * 2);
-        name.push_str("meta/");
-        for byte in encoded {
-            let _ = write!(name, "{byte:02x}");
-        }
-        name
-    }
-
     /// Store a segment's metadata sidecar, replacing any previous sidecar
     /// under the same key. Sidecars live outside the shards — they do not
     /// count towards [`len`](Self::len), statistics or capacity planning —
     /// but go through the same [`StorageBackend`] as segment data, so they
-    /// survive reopen and follow the store across backends. On a tiered
-    /// backend sidecars are meta files and therefore always land hot, which
-    /// keeps them readable while their segment is demoted to cold.
+    /// survive reopen and follow the store across backends. A sidecar stays
+    /// in this (the hot) store while its segment is demoted to cold.
     pub fn put_segment_meta(&self, key: &SegmentKey, bytes: &[u8]) -> Result<()> {
-        self.backend.write_all(&Self::meta_name(key), bytes)
+        self.backend.write_all(&key.object_name(META_DIR), bytes)
     }
 
     /// Fetch a segment's metadata sidecar. Returns `Ok(None)` when no
     /// sidecar exists for the key.
     pub fn get_segment_meta(&self, key: &SegmentKey) -> Result<Option<Vec<u8>>> {
-        self.backend.read_all(&Self::meta_name(key))
+        self.backend.read_all(&key.object_name(META_DIR))
     }
 
     /// Delete a segment's metadata sidecar. Deleting a missing sidecar is a
     /// no-op on every backend.
     pub fn delete_segment_meta(&self, key: &SegmentKey) -> Result<()> {
-        self.backend.remove(&Self::meta_name(key))
+        self.backend.remove(&key.object_name(META_DIR))
     }
 
     /// All keys for one `(stream, format)` pair, in segment order, merged

@@ -1,9 +1,9 @@
-//! The segment-level tiering engine: erosion **demotes** segments to a cold
-//! [`SegmentStore`] instead of deleting them, and a read-through
-//! **promotion** path brings cold segments back on access.
+//! The segment-level tiering engine: erosion **demotes** segments to the
+//! [`ColdStore`] instead of deleting them, and a read-through **promotion**
+//! path brings cold segments back on access.
 //!
 //! ```text
-//!  erosion ──demote_batch──► hot get → cold put → cold sync → hot delete
+//!  erosion ──demote_batch──► hot get → cold put → hot delete
 //!                            (on the eroding caller's threads, one key each)
 //!  query ──hot miss──► SegmentReader ──cold hit──► promote (hot put → cold delete)
 //! ```
@@ -16,11 +16,13 @@
 //!   ([`vstore_sim::scoped_map`]) at the parallelism the caller passes in;
 //!   each key runs under [`vstore_sim::catch_panic`], so a panicking
 //!   migration fails one segment, never the batch.
-//! * **Ordering** makes data loss impossible: a demotion writes the cold
-//!   copy and flushes it before deleting the hot one, and a promotion
-//!   writes the hot copy before deleting the cold one, so every moment in
-//!   time — across a crash included — has at least one full copy of the
-//!   segment. A demotion and a promotion of the same key are serialised by
+//! * **Ordering** makes data loss impossible: a demotion publishes the
+//!   cold object (one atomic `write_all`) before deleting the hot copy, and
+//!   a promotion writes the hot copy before deleting the cold object, so
+//!   every moment in time — a process crash included — has at least one
+//!   full copy of the segment. Neither tier fsyncs per operation: a
+//!   finished move is as durable as a put into the hot log between rolls.
+//!   A demotion and a promotion of the same key are serialised by
 //!   a per-key lock. The hot-side delete and put flow through the
 //!   [`SegmentReader`], so both cache tiers are epoch-invalidated exactly
 //!   like an erosion delete or an ingest overwrite.
@@ -31,7 +33,7 @@
 use crate::key::SegmentKey;
 use crate::reader::{ReadSource, SegmentReader};
 use crate::store::SegmentStore;
-use crate::tier::TierOptions;
+use crate::tier::{ColdStore, TierOptions};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use vstore_sim::sync::{lock_unpoisoned, wait_unpoisoned};
@@ -176,7 +178,7 @@ impl Drop for KeyGuard<'_> {
 /// ([`SegmentReader::attach_tier`]) for read-through promotion.
 pub struct TierEngine {
     hot: Arc<SegmentStore>,
-    cold: Arc<SegmentStore>,
+    cold: ColdStore,
     options: TierOptions,
     counters: Mutex<Counters>,
     /// Keys with a migration in flight: a demotion and a promotion of the
@@ -188,7 +190,7 @@ pub struct TierEngine {
 impl std::fmt::Debug for TierEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TierEngine")
-            .field("cold", &self.cold.dir())
+            .field("cold", &self.cold)
             .field("promotion", &self.options.promotion)
             .finish()
     }
@@ -196,38 +198,24 @@ impl std::fmt::Debug for TierEngine {
 
 impl TierEngine {
     /// A tiering engine demoting from `hot` into `cold`.
-    pub fn new(
-        hot: Arc<SegmentStore>,
-        cold: Arc<SegmentStore>,
-        options: TierOptions,
-    ) -> Result<Arc<TierEngine>> {
-        if Arc::ptr_eq(&hot, &cold) {
-            return Err(VStoreError::invalid_argument(
-                "tier cold store must be distinct from the hot store",
-            ));
-        }
-        Ok(Arc::new(TierEngine {
+    pub fn new(hot: Arc<SegmentStore>, cold: ColdStore, options: TierOptions) -> Arc<TierEngine> {
+        Arc::new(TierEngine {
             hot,
             cold,
             options,
             counters: Mutex::default(),
             migrating: KeyLocks::default(),
-        }))
+        })
     }
 
     /// The cold segment store.
-    pub fn cold_store(&self) -> &Arc<SegmentStore> {
+    pub fn cold_store(&self) -> &ColdStore {
         &self.cold
     }
 
     /// The hot store this engine demotes from.
     pub fn hot_store(&self) -> &Arc<SegmentStore> {
         &self.hot
-    }
-
-    /// The engine's options.
-    pub fn options(&self) -> &TierOptions {
-        &self.options
     }
 
     /// Demote a batch of segments through `reader` (the hot store's reader,
@@ -302,12 +290,10 @@ impl TierEngine {
             Some(bytes) => bytes,
             None => return Ok(None),
         };
-        // Cold copy first — made durable (the cold backend's manifest is
-        // persisted by sync) — and only then the hot delete: there is no
-        // instant, across crashes included, without a full copy of the
-        // segment.
+        // Cold copy first — published on the device when `put` returns —
+        // and only then the hot delete: there is no instant, across crashes
+        // included, without a full copy of the segment.
         self.cold.put(key, &bytes)?;
-        self.cold.sync()?;
         reader.delete(key)?;
         Ok(Some(bytes.len() as u64))
     }
@@ -362,12 +348,12 @@ impl TierEngine {
     #[must_use]
     pub fn stats(&self) -> TierStats {
         let hot = self.hot.stats();
-        let cold = self.cold.stats();
+        let (cold_segments, cold_resident_bytes) = (self.cold.len(), self.cold.resident_bytes());
         let counters = lock_unpoisoned(&self.counters);
         TierStats {
             hot_resident_bytes: hot.live_bytes,
-            cold_resident_bytes: cold.live_bytes,
-            cold_segments: cold.live_segments,
+            cold_resident_bytes,
+            cold_segments,
             demotions: counters.demotions,
             demoted_bytes: counters.demoted_bytes,
             promotions: counters.promotions,
@@ -383,8 +369,9 @@ impl TierEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LogHandle, MemBackend, StorageBackend};
-    use crate::tier::cold::ColdBackend;
+    use crate::backend::{MemBackend, StorageBackend};
+    use crate::faulty::{injected, Fault, FaultyDevice};
+    use crate::tier::cold::OBJECT_DIR;
     use vstore_types::FormatId;
 
     fn key(format: u32, index: u64) -> SegmentKey {
@@ -392,20 +379,18 @@ mod tests {
     }
 
     fn fixture_over(
-        cold_backend: Arc<dyn StorageBackend>,
+        cold_device: Arc<dyn StorageBackend>,
         options: TierOptions,
     ) -> (Arc<SegmentReader>, Arc<TierEngine>) {
         let hot = Arc::new(SegmentStore::open_mem_with_shards(4).unwrap());
         let reader = Arc::new(SegmentReader::new(Arc::clone(&hot), 1 << 20, 16));
-        let cold = Arc::new(SegmentStore::open_with_backend(cold_backend, 1).unwrap());
-        let engine = TierEngine::new(hot, cold, options).unwrap();
+        let engine = TierEngine::new(hot, ColdStore::open(cold_device).unwrap(), options);
         reader.attach_tier(&engine);
         (reader, engine)
     }
 
     fn fixture(options: TierOptions) -> (Arc<SegmentReader>, Arc<TierEngine>) {
-        let cold = ColdBackend::new(Arc::new(MemBackend::new())).unwrap();
-        fixture_over(Arc::new(cold), options)
+        fixture_over(Arc::new(MemBackend::new()), options)
     }
 
     #[test]
@@ -487,34 +472,19 @@ mod tests {
         assert_eq!(report.skipped, 1);
     }
 
-    /// Regression: a demotion must be durable on the cold device before
-    /// the hot copy is deleted — a process that dies right after an erode
-    /// must find every demoted segment in the persisted cold manifest.
+    /// Regression: a demotion must be on the cold device before the hot
+    /// copy is deleted — a process that dies right after an erode must find
+    /// every demoted segment when it reopens the device.
     #[test]
     fn demotion_is_durable_on_the_cold_device_before_the_hot_delete() {
-        let hot = Arc::new(SegmentStore::open_mem_with_shards(2).unwrap());
-        let reader = Arc::new(SegmentReader::new(Arc::clone(&hot), 0, 0));
         let device: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-        let cold = Arc::new(
-            SegmentStore::open_with_backend(
-                Arc::new(ColdBackend::new(Arc::clone(&device)).unwrap()),
-                1,
-            )
-            .unwrap(),
-        );
-        let engine = TierEngine::new(hot, cold, TierOptions::cold_mem()).unwrap();
-        reader.attach_tier(&engine);
+        let (reader, engine) = fixture_over(Arc::clone(&device), TierOptions::cold_mem());
         reader.put(&key(1, 0), b"must-survive").unwrap();
         engine.demote_batch(&reader, vec![key(1, 0)], 2).unwrap();
         assert!(!reader.store().contains(&key(1, 0)));
-        // Simulate a crash: reopen a fresh ColdBackend over the same device
-        // with no sync in between. The persisted manifest must already
-        // reference the demoted segment.
-        let reopened = SegmentStore::open_with_backend(
-            Arc::new(ColdBackend::new(device).unwrap()) as Arc<dyn StorageBackend>,
-            1,
-        )
-        .unwrap();
+        // Simulate a crash: reopen a fresh ColdStore over the same device
+        // with nothing in between. The object must already be there.
+        let reopened = ColdStore::open(device).unwrap();
         assert_eq!(
             reopened.get(&key(1, 0)).unwrap().unwrap(),
             b"must-survive",
@@ -567,89 +537,17 @@ mod tests {
         assert_eq!(stats.cold_hit_latency.count(), 0);
     }
 
-    /// What an injected fault does to an append that carries a chosen key.
-    #[derive(Debug, Clone, Copy)]
-    enum Fault {
-        Fail,
-        Panic,
-    }
-
-    /// Encoded segment keys and what appending a record of theirs does.
-    type Faults = Arc<Mutex<Vec<(Vec<u8>, Fault)>>>;
-
-    /// A cold device whose appends fail or panic for chosen segment keys
-    /// (every value-log record carries its encoded key).
-    #[derive(Debug, Default)]
-    struct FaultyCold {
-        inner: MemBackend,
-        faults: Faults,
-    }
-
-    #[derive(Debug)]
-    struct FaultyLog {
-        inner: Box<dyn LogHandle>,
-        faults: Faults,
-    }
-
-    impl LogHandle for FaultyLog {
-        fn append(&mut self, data: &[u8]) -> Result<()> {
-            for (key, fault) in lock_unpoisoned(&self.faults).iter() {
-                if data.windows(key.len()).any(|w| w == key) {
-                    match fault {
-                        Fault::Fail => {
-                            return Err(VStoreError::Io(std::io::Error::other("injected")))
-                        }
-                        Fault::Panic => panic!("injected panic"),
-                    }
-                }
-            }
-            self.inner.append(data)
-        }
-        fn sync(&mut self) -> Result<()> {
-            self.inner.sync()
-        }
-    }
-
-    impl StorageBackend for FaultyCold {
-        fn open(&self, name: &str, truncate: bool) -> Result<Box<dyn LogHandle>> {
-            Ok(Box::new(FaultyLog {
-                inner: self.inner.open(name, truncate)?,
-                faults: Arc::clone(&self.faults),
-            }))
-        }
-        fn read_at(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-            self.inner.read_at(name, offset, len)
-        }
-        fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>> {
-            self.inner.read_all(name)
-        }
-        fn write_all(&self, name: &str, data: &[u8]) -> Result<()> {
-            self.inner.write_all(name, data)
-        }
-        fn remove(&self, name: &str) -> Result<()> {
-            self.inner.remove(name)
-        }
-        fn len(&self, name: &str) -> Result<Option<u64>> {
-            self.inner.len(name)
-        }
-        fn list(&self, dir: &str) -> Result<Vec<String>> {
-            self.inner.list(dir)
-        }
-        fn describe(&self) -> String {
-            self.inner.describe()
-        }
-    }
-
     /// Six hot segments over a cold device that faults on keys 1 and 4.
-    fn faulty_fixture(fault: Fault) -> (Arc<SegmentReader>, Arc<TierEngine>, Faults) {
-        let device = FaultyCold::default();
-        let faults = Arc::clone(&device.faults);
-        let (reader, engine) = fixture_over(Arc::new(device), TierOptions::cold_mem());
+    fn faulty_fixture(fault: Fault) -> (Arc<SegmentReader>, Arc<TierEngine>, FaultyDevice) {
+        let device = FaultyDevice::over(Arc::new(MemBackend::new()));
+        let (reader, engine) = fixture_over(Arc::new(device.clone()), TierOptions::cold_mem());
         for i in 0..6 {
             reader.put(&key(1, i), &vec![i as u8; 300]).unwrap();
         }
-        *lock_unpoisoned(&faults) = vec![(key(1, 1).encode(), fault), (key(1, 4).encode(), fault)];
-        (reader, engine, faults)
+        device.script().faults = [1, 4]
+            .map(|i| ("write_all", key(1, i).object_name(OBJECT_DIR), fault))
+            .to_vec();
+        (reader, engine, device)
     }
 
     /// The four healthy keys moved, the two faulted ones stayed hot and
@@ -679,13 +577,13 @@ mod tests {
 
     #[test]
     fn failed_demotions_stay_hot_and_a_retry_moves_exactly_those() {
-        let (reader, engine, faults) = faulty_fixture(Fault::Fail);
+        let (reader, engine, device) = faulty_fixture(injected);
         let all: Vec<SegmentKey> = (0..6).map(|i| key(1, i)).collect();
         let err = engine.demote_batch(&reader, all.clone(), 3).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
         assert_two_of_six_failed(&reader, &engine, &err);
 
-        lock_unpoisoned(&faults).clear();
+        device.script().faults.clear();
         let retry = engine.demote_batch(&reader, all, 3).unwrap();
         assert_eq!(
             retry,
@@ -704,7 +602,7 @@ mod tests {
     /// completes and the caller (erosion) gets an error, not an unwind.
     #[test]
     fn a_panicking_migration_fails_one_segment_not_the_batch() {
-        let (reader, engine, _faults) = faulty_fixture(Fault::Panic);
+        let (reader, engine, _device) = faulty_fixture(|| panic!("injected panic"));
         let all = (0..6).map(|i| key(1, i)).collect();
         let err = catch_panic(|| engine.demote_batch(&reader, all, 3))
             .expect("the panic must not unwind into the eroding caller")
@@ -725,20 +623,16 @@ mod tests {
             // 32 present keys (the last 8 stay hot) plus two already gone.
             let batch = (0..32).chain([90, 91]).map(|i| key(1, i)).collect();
             let report = engine.demote_batch(&reader, batch, workers).unwrap();
-            let contents = |store: &SegmentStore| {
-                let mut keys = store.keys();
-                keys.sort();
-                keys.into_iter()
-                    .map(|k| {
-                        let bytes = store.get(&k).unwrap().unwrap();
-                        (k, bytes)
-                    })
-                    .collect::<Vec<_>>()
+            let (hot, cold) = (reader.store(), engine.cold_store());
+            type Get<'a> = &'a dyn Fn(&SegmentKey) -> Result<Option<Vec<u8>>>;
+            let contents = |keys: Vec<SegmentKey>, get: Get<'_>| -> Vec<_> {
+                let bytes_of = |k: SegmentKey| (get(&k).unwrap().unwrap(), k);
+                keys.into_iter().map(bytes_of).collect()
             };
             (
                 report,
-                contents(reader.store()),
-                contents(engine.cold_store()),
+                contents(hot.keys(), &|k| hot.get(k)),
+                contents(cold.keys(), &|k| cold.get(k)),
             )
         };
         let sequential = run(1);
@@ -747,5 +641,94 @@ mod tests {
         assert_eq!(sequential.1.len(), 8);
         assert_eq!(sequential.2.len(), 32);
         assert_eq!(sequential, run(4));
+    }
+
+    /// What a move costs the cold device, whatever it already holds: a
+    /// demotion is one `write_all`, a cold read one `len` and one `read_at`,
+    /// a promotion one `remove` — and nothing else.
+    #[test]
+    fn a_move_costs_the_cold_device_the_same_calls_at_any_population() {
+        for population in [10u64, 500] {
+            let device = FaultyDevice::over(Arc::new(MemBackend::new()));
+            let (reader, engine) = fixture_over(Arc::new(device.clone()), TierOptions::cold_mem());
+            for i in 0..=population {
+                reader.put(&key(1, i), &[i as u8; 64]).unwrap();
+            }
+            let resident = (0..population).map(|i| key(1, i)).collect();
+            engine.demote_batch(&reader, resident, 2).unwrap();
+            assert_eq!(engine.cold_store().len() as u64, population);
+
+            let calls = |expected: &[(&str, u64)]| {
+                let calls = std::mem::take(&mut device.script().calls);
+                assert_eq!(Vec::from_iter(calls), expected, "{population} resident");
+            };
+            // Opening an empty device, then one write per demotion.
+            calls(&[("len", 1), ("list", 1), ("write_all", population)]);
+            let one = key(1, population);
+            engine.demote_batch(&reader, vec![one.clone()], 2).unwrap();
+            calls(&[("write_all", 1)]);
+            let (bytes, source) = reader.get(&one).unwrap().unwrap();
+            assert_eq!((bytes.len(), source), (64, ReadSource::Cold));
+            calls(&[("len", 1), ("read_at", 1), ("remove", 1)]);
+        }
+    }
+
+    /// Crash at k: for every device call k (hot and cold numbered together)
+    /// of a demote → read/promote → re-demote schedule, cut there, reopen
+    /// both tiers on what the devices hold, and find every segment
+    /// byte-identical in at least one of them.
+    #[test]
+    fn a_crash_at_any_device_call_leaves_every_segment_in_some_tier() {
+        let keys: Vec<SegmentKey> = (0..4).map(|i| key(1, i)).collect();
+        let value =
+            |k: &SegmentKey| vec![k.segment_index as u8 + 1; 100 + k.segment_index as usize];
+        // Runs the schedule cut at call `cut_at`; returns the calls it made.
+        let run = |cut_at: Option<u64>| {
+            let hot_mem: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+            let cold_mem: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+            let hot_device = FaultyDevice::over(Arc::clone(&hot_mem));
+            let cold_device = FaultyDevice {
+                inner: Arc::clone(&cold_mem),
+                script: Arc::clone(&hot_device.script),
+            };
+            let hot =
+                Arc::new(SegmentStore::open_with_backend(Arc::new(hot_device.clone()), 2).unwrap());
+            let reader = Arc::new(SegmentReader::new(Arc::clone(&hot), 0, 0));
+            let cold = ColdStore::open(Arc::new(cold_device)).unwrap();
+            let engine = TierEngine::new(hot, cold, TierOptions::cold_mem());
+            reader.attach_tier(&engine);
+            for k in &keys {
+                reader.put(k, &value(k)).unwrap();
+            }
+            hot_device.script().calls.clear();
+            hot_device.script().cut_in = cut_at;
+            // From here on every step may fail; none may lose a segment.
+            let _ = engine.demote_batch(&reader, keys.clone(), 1);
+            for k in &keys[..2] {
+                let _ = reader.get(k);
+            }
+            let _ = engine.demote_batch(&reader, keys[..2].to_vec(), 1);
+            let calls: u64 = hot_device.script().calls.values().sum();
+            drop((reader, engine));
+
+            let hot = SegmentStore::open_with_backend(hot_mem, 2).unwrap();
+            let cold = ColdStore::open(cold_mem).unwrap();
+            for k in &keys {
+                let copies = [hot.get(k).unwrap(), cold.get(k).unwrap()];
+                assert!(
+                    copies.iter().any(Option::is_some),
+                    "cut at {cut_at:?}: {k} lost"
+                );
+                for copy in copies.into_iter().flatten() {
+                    assert_eq!(copy, value(k), "cut at {cut_at:?}: {k}");
+                }
+            }
+            calls
+        };
+        let uncut = run(None);
+        assert!(uncut >= 20, "the schedule made only {uncut} device calls");
+        for k in 0..uncut {
+            run(Some(k));
+        }
     }
 }

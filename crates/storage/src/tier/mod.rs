@@ -2,16 +2,17 @@
 //!
 //! VStore's data erosion (§4.4 of the paper) ages video gracefully by
 //! shrinking what is stored — but a deletion is forever. This module adds a
-//! cold tier behind the same [`StorageBackend`](crate::StorageBackend) seam
-//! so aged segments move to cheap, slow storage and stay queryable:
+//! cold tier on a second [`StorageBackend`](crate::StorageBackend) device so
+//! aged segments move to cheap, slow storage and stay queryable:
 //!
-//! * [`ColdBackend`] — an object-store-style backend packing named logs
-//!   into immutable, chunked, checksummed objects with a manifest
-//!   (append-only, compaction-free);
+//! * [`ColdStore`] — the cold device used as the object store it is: one
+//!   checksummed object per demoted segment (a value-log record under the
+//!   hex of its key), published by an atomic `write_all` and reclaimed by
+//!   `remove`, so there is never anything to compact;
 //! * [`TierEngine`] — the segment-level moves between the two stores:
-//!   erosion demotes a batch of segments on its own threads (cold copy
-//!   flushed before the hot delete, one panic-isolated migration per key)
-//!   instead of issuing deletes, and cold hits on the read path promote
+//!   erosion demotes a batch of segments on its own threads (cold object
+//!   published before the hot delete, one panic-isolated migration per
+//!   key) instead of issuing deletes, and cold hits on the read path promote
 //!   segments back through the [`SegmentReader`](crate::SegmentReader) so
 //!   both cache tiers stay coherent;
 //! * [`TierStats`] — resident bytes per tier, demotion/promotion counters
@@ -23,7 +24,7 @@
 mod cold;
 mod engine;
 
-pub use cold::{ColdBackend, DEFAULT_COLD_CHUNK_BYTES};
+pub use cold::ColdStore;
 pub use engine::{DemoteBatchReport, TierEngine, TierStats};
 
 use crate::backend::BackendOptions;
@@ -33,7 +34,7 @@ use crate::backend::BackendOptions;
 pub struct TierOptions {
     /// Where the cold tier lives: `None` disables tiering entirely (erosion
     /// deletes, byte-identical to the untiered store), `Some(backend)`
-    /// roots a [`ColdBackend`] on that device (`Fs` under
+    /// opens a [`ColdStore`] on that device (`Fs` under
     /// `<store dir>/cold-tier`, `Mem` for tests and benchmarks).
     pub cold_backend: Option<BackendOptions>,
     /// Read-through promotion: when `true` (the default), a cold hit moves

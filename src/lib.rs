@@ -81,7 +81,7 @@ pub use vstore_serve::{
     RequestKind, ServeRequest, ServeResponse, ServeStats, ServerHandle, VideoService,
 };
 pub use vstore_storage::{
-    BackendOptions, CacheStats, ColdBackend, FsBackend, MemBackend, ReadSource, SegmentReader,
+    BackendOptions, CacheStats, ColdStore, FsBackend, MemBackend, ReadSource, SegmentReader,
     StorageBackend, TierEngine, TierOptions, TierStats,
 };
 pub use vstore_types::{
@@ -523,9 +523,9 @@ impl VStore {
             runtime.cache_bytes,
             runtime.decoded_cache_entries,
         ));
-        // The cold tier, when configured: an object-store-style ColdBackend
-        // (rooted under `<store dir>/cold-tier` for the fs backend) holding
-        // its own segment store. Erosion demotes into it; cold read hits
+        // The cold tier, when configured: a ColdStore (one object per
+        // segment) on its own device, rooted under `<store dir>/cold-tier`
+        // for the fs backend. Erosion demotes into it; cold read hits
         // promote back through the shared reader, epoch-invalidating both
         // cache tiers.
         let tier = match options.tier.cold_backend {
@@ -536,13 +536,8 @@ impl VStore {
                     }
                     dir => dir.join("cold-tier"),
                 };
-                let device = cold_options.create(&root)?;
-                let cold_backend = Arc::new(vstore_storage::ColdBackend::new(device)?);
-                let cold_store = Arc::new(SegmentStore::open_with_backend(
-                    cold_backend,
-                    runtime.shards,
-                )?);
-                let engine = TierEngine::new(Arc::clone(&store), cold_store, options.tier)?;
+                let cold = ColdStore::open(cold_options.create(&root)?)?;
+                let engine = TierEngine::new(Arc::clone(&store), cold, options.tier);
                 reader.attach_tier(&engine);
                 Some(engine)
             }

@@ -2,8 +2,9 @@
 //! identical to [`FsBackend`] — same store statistics byte for byte (the
 //! record framing is backend-independent), same resource ledgers, same
 //! query results. The backend trait changes *where* bytes live, never
-//! *what* the store does. Covered backends: [`MemBackend`] and the
-//! object-store-style [`ColdBackend`].
+//! *what* the store does. Covered backend: [`MemBackend`]. (The cold tier
+//! is not one: it keeps one object per segment on a device of its own, and
+//! no [`SegmentStore`] ever runs on that device.)
 
 use std::sync::Arc;
 use vstore::{
@@ -11,15 +12,8 @@ use vstore::{
 };
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_sim::ResourceKind;
-use vstore_storage::{
-    ColdBackend, FsBackend, MemBackend, SegmentKey, SegmentStore, StorageBackend,
-};
+use vstore_storage::{FsBackend, MemBackend, SegmentKey, SegmentStore, StorageBackend};
 use vstore_types::FormatId;
-
-/// A fresh cold backend over an in-memory device.
-fn cold_backend() -> Arc<dyn StorageBackend> {
-    Arc::new(ColdBackend::new(Arc::new(MemBackend::new())).unwrap())
-}
 
 fn key(stream: &str, format: u32, index: u64) -> SegmentKey {
     SegmentKey::new(stream, FormatId(format), index)
@@ -56,30 +50,21 @@ fn all_backends_produce_byte_identical_stats() {
     let fs = SegmentStore::open_temp_with_shards("backend-parity-fs", 4).unwrap();
     let fs_trail = run_store_workload(&fs);
 
-    for (label, store) in [
-        ("mem", SegmentStore::open_mem_with_shards(4).unwrap()),
-        (
-            "cold",
-            SegmentStore::open_with_backend(cold_backend(), 4).unwrap(),
-        ),
-    ] {
-        let trail = run_store_workload(&store);
-        assert_eq!(
-            fs_trail, trail,
-            "StoreStats diverged between fs and {label} (framing must be identical)"
-        );
-        // Key and byte accounting agree per (stream, format) too.
-        assert_eq!(
-            fs.segments_of("parity", FormatId(1)),
-            store.segments_of("parity", FormatId(1)),
-            "{label}"
-        );
-        assert_eq!(
-            fs.bytes_of("parity", FormatId(1)),
-            store.bytes_of("parity", FormatId(1)),
-            "{label}"
-        );
-    }
+    let mem = SegmentStore::open_mem_with_shards(4).unwrap();
+    assert_eq!(
+        fs_trail,
+        run_store_workload(&mem),
+        "StoreStats diverged between fs and mem (framing must be identical)"
+    );
+    // Key and byte accounting agree per (stream, format) too.
+    assert_eq!(
+        fs.segments_of("parity", FormatId(1)),
+        mem.segments_of("parity", FormatId(1))
+    );
+    assert_eq!(
+        fs.bytes_of("parity", FormatId(1)),
+        mem.bytes_of("parity", FormatId(1))
+    );
     std::fs::remove_dir_all(fs.dir()).ok();
 }
 
@@ -93,7 +78,6 @@ fn shard_meta_round_trips_identically_on_both_backends() {
     let backends: Vec<Arc<dyn StorageBackend>> = vec![
         Arc::new(FsBackend::new(&dir).unwrap()),
         Arc::new(MemBackend::new()),
-        cold_backend(),
     ];
     for backend in backends {
         let store = SegmentStore::open_with_backend(Arc::clone(&backend), 3).unwrap();

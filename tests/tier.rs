@@ -13,6 +13,7 @@ use vstore::{
 };
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_sim::ResourceKind;
+use vstore_storage::{FsBackend, SegmentKey, SegmentStore, StorageBackend};
 use vstore_types::{ErosionStep, FormatId, Fraction};
 
 /// A configuration whose age-1 erosion step removes every non-golden
@@ -163,11 +164,30 @@ fn golden_format_never_leaves_the_hot_tier() {
     std::fs::remove_dir_all(store.store_dir()).ok();
 }
 
+/// Objects and bytes on the cold device, which holds nothing but objects.
+fn on_device(cold: &FsBackend) -> (usize, u64) {
+    assert_eq!(cold.list("").unwrap(), ["segments"]);
+    let names = cold.list("segments").unwrap();
+    let len = |name| cold.len(&format!("segments/{name}")).unwrap().unwrap();
+    (names.len(), names.iter().map(len).sum())
+}
+
 /// Re-eroding after promotion keeps working: segments cycle hot → cold →
-/// hot → cold without loss, and every cycle is observable in the stats.
+/// hot → cold without loss, and every cycle is observable in the stats —
+/// and in bytes. Erosion is the store's disposal method (§4.4), so on a
+/// filesystem cold device a demotion wave leaves exactly one framed object
+/// per cold segment and a promotion wave gives every byte back: nothing
+/// accumulates.
 #[test]
 fn demote_promote_demote_cycles_never_lose_segments() {
-    let store = tiered_store("tier-cycles");
+    let store = VStore::open_temp(
+        "tier-cycles",
+        VStoreOptions::fast()
+            .with_cache(64 << 20, 64)
+            .with_cold_backend(BackendOptions::Fs),
+    )
+    .unwrap();
+    let cold = FsBackend::new(store.store_dir().join("cold-tier")).unwrap();
     let query = QuerySpec::query_a(0.8);
     let config = erode_everything_config(&store, &query);
     store.install_configuration(config);
@@ -179,17 +199,34 @@ fn demote_promote_demote_cycles_never_lose_segments() {
         .query(QueryRequest::new("jackson", &query).segments(2))
         .unwrap();
     let live = store.store_stats().live_segments;
+    // Every key of the stream encodes to the same length, so every object
+    // carries the same framing around its value.
+    let framing = SegmentStore::on_disk_cost(&SegmentKey::new("jackson", FormatId(1), 0), 0);
 
     for round in 1..=3 {
         let report = store
             .erode(ErodeRequest::new("jackson").at_age_days(1))
             .unwrap();
         assert!(report.segments_demoted > 0, "round {round}: {report}");
+        let stats = store.tier_stats().unwrap();
+        assert_eq!(
+            on_device(&cold),
+            (
+                report.segments_demoted,
+                stats.cold_resident_bytes + stats.cold_segments as u64 * framing
+            ),
+            "round {round}: the cold device holds more or less than the resident objects"
+        );
         let result = store
             .query(QueryRequest::new("jackson", &query).segments(2))
             .unwrap();
         assert_eq!(fresh, result, "round {round} diverged");
         assert_eq!(store.store_stats().live_segments, live, "round {round}");
+        assert_eq!(
+            on_device(&cold),
+            (0, 0),
+            "round {round}: promoted segments left bytes on the cold device"
+        );
     }
     let stats = store.tier_stats().unwrap();
     assert!(stats.demotions >= 3);
