@@ -8,6 +8,7 @@
 //! behaviour.
 
 use crate::frame::{sampling_selects, VideoFrame};
+use std::borrow::Cow;
 use vstore_datasets::{BlockPlane, SceneObject};
 use vstore_types::{
     cast, Fidelity, FrameSampling, KeyframeInterval, Result, SpeedStep, VStoreError,
@@ -32,6 +33,69 @@ pub struct EncodedFrame {
     pub objects: Vec<SceneObject>,
     /// Compound signal retention of the encoded frame.
     pub signal_retention: f64,
+}
+
+/// One stored frame as the decoder reads it, borrowed from wherever it
+/// lives: an [`EncodedFrame`], or a record of a serialised container walked
+/// in place (`container::SegmentWalk`), whose payload is a slice of the
+/// buffer the store or the raw cache already owns.
+#[derive(Debug)]
+pub(crate) struct FrameRecord<'a> {
+    pub source_index: u64,
+    pub width: u32,
+    pub height: u32,
+    pub is_key: bool,
+    /// The RLE payload of an encoded frame; the samples of a RAW one.
+    pub payload: &'a [u8],
+    pub objects: Cow<'a, [SceneObject]>,
+    pub signal_retention: f64,
+}
+
+impl<'a> FrameRecord<'a> {
+    /// `width × height`, believed only as far as the RLE payload behind it
+    /// reaches: a `(run, value)` pair expands to at most 255 samples, so a
+    /// frame declaring more is corrupt — found here, before anything is
+    /// sized from the dimensions.
+    pub(crate) fn sample_count(&self) -> Result<usize> {
+        let declared = u64::from(self.width) * u64::from(self.height);
+        if declared > 255 * (self.payload.len() as u64 / 2) {
+            return Err(VStoreError::corruption(format!(
+                "frame declares {}x{} samples over a {}-byte payload",
+                self.width,
+                self.height,
+                self.payload.len()
+            )));
+        }
+        usize::try_from(declared)
+            .map_err(|_| VStoreError::corruption("frame sample count exceeds the address range"))
+    }
+
+    /// The owned form of an encoded frame's record.
+    pub(crate) fn into_encoded(self) -> EncodedFrame {
+        EncodedFrame {
+            source_index: self.source_index,
+            width: self.width,
+            height: self.height,
+            is_key: self.is_key,
+            payload: self.payload.to_vec(),
+            objects: self.objects.into_owned(),
+            signal_retention: self.signal_retention,
+        }
+    }
+}
+
+impl EncodedFrame {
+    pub(crate) fn record(&self) -> FrameRecord<'_> {
+        FrameRecord {
+            source_index: self.source_index,
+            width: self.width,
+            height: self.height,
+            is_key: self.is_key,
+            payload: &self.payload,
+            objects: Cow::Borrowed(&self.objects),
+            signal_retention: self.signal_retention,
+        }
+    }
 }
 
 /// A GOP: one keyframe followed by delta frames.
@@ -113,30 +177,87 @@ fn rle_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode an RLE payload produced by [`rle_encode`]. Also used by the
-/// metadata sidecar (`meta`) to score frames straight from the compressed
-/// payload without building full `VideoFrame`s.
-pub(crate) fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
+/// Width of the store a short run is expanded with, and the padding the
+/// expansion buffer carries past the last sample so that store never needs
+/// a length of its own.
+const SPLAT: usize = 8;
+
+/// Write `value` over the [`SPLAT`] bytes at `pos`; the caller has checked
+/// that a run starts there, so the buffer's padding leaves room.
+#[inline]
+fn splat(out: &mut [u8], pos: usize, value: u8) {
+    if let Some(chunk) = out[pos..].first_chunk_mut::<SPLAT>() {
+        *chunk = [value; SPLAT];
+    }
+}
+
+/// Expand one run at `pos` of a frame of `expected_len` samples; returns
+/// where the next run starts.
+#[inline]
+fn expand_run(
+    out: &mut [u8],
+    pos: usize,
+    expected_len: usize,
+    run: usize,
+    value: u8,
+) -> Result<usize> {
+    if run == 0 {
+        return Err(VStoreError::corruption("RLE run of zero"));
+    }
+    let end = pos + run;
+    if end > expected_len {
+        return Err(VStoreError::corruption(format!(
+            "RLE payload decodes to more than the expected {expected_len} samples"
+        )));
+    }
+    if run <= SPLAT {
+        splat(out, pos, value);
+    } else {
+        out[pos..end].fill(value);
+    }
+    Ok(end)
+}
+
+/// Expand an RLE payload produced by [`rle_encode`] into
+/// `scratch[..expected_len]`. Runs of real content are short — 92 % of a
+/// golden segment's are runs of one, 99 % no longer than [`SPLAT`] — so a
+/// run is written as one fixed-width store of its value (the next run
+/// overwrites the excess) and only longer runs pay for a `fill`; two short
+/// runs in a row, the common case, are held to the frame's length with one
+/// check between them. Also used by the metadata sidecar (`meta`) to score
+/// frames straight from the compressed payload.
+pub(crate) fn rle_expand(data: &[u8], expected_len: usize, scratch: &mut Vec<u8>) -> Result<()> {
     if !data.len().is_multiple_of(2) {
         return Err(VStoreError::corruption("RLE payload has odd length"));
     }
-    let mut out = Vec::with_capacity(expected_len);
-    for pair in data.chunks_exact(2) {
-        let run = usize::from(pair[0]);
-        let value = pair[1];
-        if run == 0 {
-            return Err(VStoreError::corruption("RLE run of zero"));
-        }
-        out.resize(out.len() + run, value);
+    if scratch.len() < expected_len + SPLAT {
+        scratch.resize(expected_len + SPLAT, 0);
     }
-    if out.len() != expected_len {
+    let out = &mut scratch[..expected_len + SPLAT];
+    let mut pos = 0usize;
+    let mut steps = data.chunks_exact(4);
+    for step in &mut steps {
+        let (first, second) = (usize::from(step[0]), usize::from(step[2]));
+        let end = pos + first + second;
+        // `run.wrapping_sub(1) < SPLAT` is `1 <= run <= SPLAT`.
+        if first.wrapping_sub(1) < SPLAT && second.wrapping_sub(1) < SPLAT && end <= expected_len {
+            splat(out, pos, step[1]);
+            splat(out, pos + first, step[3]);
+            pos = end;
+        } else {
+            pos = expand_run(out, pos, expected_len, first, step[1])?;
+            pos = expand_run(out, pos, expected_len, second, step[3])?;
+        }
+    }
+    if let [run, value] = *steps.remainder() {
+        pos = expand_run(out, pos, expected_len, usize::from(run), value)?;
+    }
+    if pos != expected_len {
         return Err(VStoreError::corruption(format!(
-            "RLE decoded {} samples, expected {}",
-            out.len(),
-            expected_len
+            "RLE payload decodes to {pos} samples, expected {expected_len}"
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -211,34 +332,119 @@ pub fn encode_segment(
 // Decode
 // ---------------------------------------------------------------------------
 
-fn decode_frame(encoded: &EncodedFrame, prev_plane: Option<&BlockPlane>) -> Result<VideoFrame> {
-    let expected = cast::usize_from_u32(encoded.width) * cast::usize_from_u32(encoded.height);
-    let samples = rle_decode(&encoded.payload, expected)?;
-    let plane = if encoded.is_key {
-        BlockPlane::from_samples(encoded.width, encoded.height, samples)
-            .ok_or_else(|| VStoreError::corruption("keyframe sample count mismatch"))?
-    } else {
-        let prev = prev_plane
-            .ok_or_else(|| VStoreError::corruption("delta frame without a decoded predecessor"))?;
-        if prev.len() != expected {
-            return Err(VStoreError::corruption("predecessor dimensions mismatch"));
+/// Where the samples of the frame just reconstructed live: a delta frame
+/// is rebuilt against a reference to them, never a copy.
+enum Predecessor {
+    /// No frame of this GOP has been decoded yet.
+    None,
+    /// The last frame pushed to `Decoder::frames`.
+    Emitted,
+    /// `Decoder::held[..len]`: decoded for prediction only.
+    Held(usize),
+}
+
+/// The decoder's state across the GOPs of one segment.
+pub(crate) struct Decoder {
+    fidelity: Fidelity,
+    /// `None` emits every frame.
+    sampling: Option<FrameSampling>,
+    /// RLE expansion target (see [`rle_expand`]), reused by every frame.
+    scratch: Vec<u8>,
+    /// The reconstructed predecessor when it was not emitted.
+    held: Vec<u8>,
+    frames: Vec<VideoFrame>,
+    stats: DecodeStats,
+}
+
+impl Decoder {
+    /// A decoder stamping `fidelity` on the frames a consumer sampling at
+    /// `sampling` (of the original 30 fps stream) needs.
+    pub(crate) fn new(fidelity: Fidelity, sampling: Option<FrameSampling>) -> Self {
+        Decoder {
+            fidelity,
+            sampling,
+            scratch: Vec::new(),
+            held: Vec::new(),
+            frames: Vec::new(),
+            stats: DecodeStats::default(),
         }
-        let reconstructed: Vec<u8> = prev
-            .samples()
-            .iter()
-            .zip(samples.iter())
-            .map(|(&p, &d)| p.wrapping_add(d))
-            .collect();
-        BlockPlane::from_samples(encoded.width, encoded.height, reconstructed)
-            .ok_or_else(|| VStoreError::corruption("delta frame sample count mismatch"))?
-    };
-    Ok(VideoFrame {
-        source_index: encoded.source_index,
-        fidelity: Fidelity::POOREST, // overwritten by the caller
-        plane,
-        objects: encoded.objects.clone(),
-        signal_retention: encoded.signal_retention,
-    })
+    }
+
+    /// Decode one GOP, draining `records`: skip it when it holds no sampled
+    /// frame, else stop at its last sampled one.
+    pub(crate) fn chunk(&mut self, records: &mut Vec<FrameRecord<'_>>) -> Result<()> {
+        let sampling = self.sampling;
+        let wanted =
+            |r: &FrameRecord<'_>| sampling.is_none_or(|s| sampling_selects(r.source_index, s));
+        let Some(last_wanted) = records.iter().rposition(wanted) else {
+            self.stats.chunks_skipped += 1;
+            records.clear();
+            return Ok(());
+        };
+        let mut predecessor = Predecessor::None;
+        for record in records.drain(..).take(last_wanted + 1) {
+            let len = record.sample_count()?;
+            rle_expand(record.payload, len, &mut self.scratch)?;
+            let expanded = &mut self.scratch[..len];
+            // A delta frame's payload is the wrapping difference against the
+            // frame before it; a keyframe's is the samples themselves.
+            let reference = if record.is_key {
+                None
+            } else {
+                let samples = match predecessor {
+                    Predecessor::None => {
+                        return Err(VStoreError::corruption(
+                            "delta frame without a decoded predecessor",
+                        ))
+                    }
+                    Predecessor::Emitted => {
+                        self.frames.last().map_or(&[][..], |f| f.plane.samples())
+                    }
+                    Predecessor::Held(held_len) => &self.held[..held_len],
+                };
+                if samples.len() != len {
+                    return Err(VStoreError::corruption("predecessor dimensions mismatch"));
+                }
+                Some(samples)
+            };
+            self.stats.frames_decoded += 1;
+            if wanted(&record) {
+                let samples: Vec<u8> = match reference {
+                    None => expanded.to_vec(),
+                    Some(prev) => prev
+                        .iter()
+                        .zip(expanded.iter())
+                        .map(|(&p, &d)| p.wrapping_add(d))
+                        .collect(),
+                };
+                let plane = BlockPlane::from_samples(record.width, record.height, samples)
+                    .ok_or_else(|| VStoreError::corruption("frame sample count mismatch"))?;
+                self.stats.frames_emitted += 1;
+                self.frames.push(VideoFrame {
+                    source_index: record.source_index,
+                    fidelity: self.fidelity,
+                    plane,
+                    objects: record.objects.into_owned(),
+                    signal_retention: record.signal_retention,
+                });
+                predecessor = Predecessor::Emitted;
+            } else {
+                if let Some(prev) = reference {
+                    for (d, &p) in expanded.iter_mut().zip(prev) {
+                        *d = p.wrapping_add(*d);
+                    }
+                }
+                std::mem::swap(&mut self.held, &mut self.scratch);
+                predecessor = Predecessor::Held(len);
+            }
+        }
+        Ok(())
+    }
+
+    /// The emitted frames, in presentation order, and what decoding them took.
+    pub(crate) fn finish(self) -> (Vec<VideoFrame>, DecodeStats) {
+        (self.frames, self.stats)
+    }
 }
 
 /// Decode every frame of the segment.
@@ -261,37 +467,13 @@ fn decode_segment_with_stats(
     segment: &EncodedSegment,
     consumer_sampling: Option<FrameSampling>,
 ) -> Result<(Vec<VideoFrame>, DecodeStats)> {
-    let mut out = Vec::new();
-    let mut stats = DecodeStats::default();
+    let mut decoder = Decoder::new(segment.fidelity, consumer_sampling);
+    let mut records = Vec::new();
     for chunk in &segment.chunks {
-        let wanted: Vec<bool> = chunk
-            .frames
-            .iter()
-            .map(|f| match consumer_sampling {
-                Some(s) => sampling_selects(f.source_index, s),
-                None => true,
-            })
-            .collect();
-        let last_wanted = match wanted.iter().rposition(|&w| w) {
-            Some(pos) => pos,
-            None => {
-                stats.chunks_skipped += 1;
-                continue;
-            }
-        };
-        let mut prev_plane: Option<BlockPlane> = None;
-        for (i, encoded) in chunk.frames.iter().enumerate().take(last_wanted + 1) {
-            let mut frame = decode_frame(encoded, prev_plane.as_ref())?;
-            frame.fidelity = segment.fidelity;
-            stats.frames_decoded += 1;
-            prev_plane = Some(frame.plane.clone());
-            if wanted[i] {
-                stats.frames_emitted += 1;
-                out.push(frame);
-            }
-        }
+        records.extend(chunk.frames.iter().map(EncodedFrame::record));
+        decoder.chunk(&mut records)?;
     }
-    Ok((out, stats))
+    Ok(decoder.finish())
 }
 
 impl EncodedSegment {
@@ -332,26 +514,194 @@ mod tests {
         )
     }
 
+    fn expand(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
+        let mut scratch = Vec::new();
+        rle_expand(data, expected_len, &mut scratch)?;
+        Ok(scratch[..expected_len].to_vec())
+    }
+
     #[test]
     fn rle_round_trip() {
         let data = vec![0u8, 0, 0, 0, 5, 5, 7, 0, 0, 0, 0, 0, 0, 0, 0, 3];
         let enc = rle_encode(&data);
         assert!(enc.len() < data.len());
-        assert_eq!(rle_decode(&enc, data.len()).unwrap(), data);
+        assert_eq!(expand(&enc, data.len()).unwrap(), data);
         // Long runs exceed the 255-run limit and still round-trip.
         let long = vec![9u8; 1000];
         let enc = rle_encode(&long);
-        assert_eq!(rle_decode(&enc, long.len()).unwrap(), long);
+        assert_eq!(expand(&enc, long.len()).unwrap(), long);
         // Empty input.
         assert!(rle_encode(&[]).is_empty());
-        assert!(rle_decode(&[], 0).unwrap().is_empty());
+        assert!(expand(&[], 0).unwrap().is_empty());
     }
 
     #[test]
     fn rle_rejects_corrupt_payloads() {
-        assert!(rle_decode(&[1], 1).is_err());
-        assert!(rle_decode(&[0, 7], 0).is_err());
-        assert!(rle_decode(&[2, 7], 1).is_err());
+        for (data, expected_len) in [
+            (&[1u8][..], 1),       // odd length
+            (&[0, 7], 0),          // run of zero
+            (&[2, 7], 1),          // decodes past the frame
+            (&[1, 7], 2),          // decodes short of it
+            (&[2, 7, 1, 7], 2),    // a pair after the frame is full
+            (&[9, 7, 200, 7], 10), // a long run past the frame
+            (&[1, 7, 0, 7], 1),    // a run of zero behind a short run
+            (&[1, 7, 1, 7], 1),    // two short runs, the second past the frame
+        ] {
+            let err = expand(data, expected_len).unwrap_err();
+            assert!(matches!(err, VStoreError::Corruption(_)), "{data:?}: {err}");
+        }
+    }
+
+    /// The decoder this one replaced, kept as the reference the splat
+    /// decoder is held to: grow the output a run at a time, add the
+    /// predecessor, copy the plane for the next frame.
+    fn reference_rle_decode(data: &[u8], expected_len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(expected_len);
+        for pair in data.chunks_exact(2) {
+            out.resize(out.len() + usize::from(pair[0]), pair[1]);
+        }
+        assert_eq!(out.len(), expected_len);
+        out
+    }
+
+    fn reference_decode(
+        segment: &EncodedSegment,
+        sampling: Option<FrameSampling>,
+    ) -> (Vec<VideoFrame>, DecodeStats) {
+        let mut out = Vec::new();
+        let mut stats = DecodeStats::default();
+        for chunk in &segment.chunks {
+            let wanted =
+                |f: &EncodedFrame| sampling.is_none_or(|s| sampling_selects(f.source_index, s));
+            let Some(last_wanted) = chunk.frames.iter().rposition(wanted) else {
+                stats.chunks_skipped += 1;
+                continue;
+            };
+            let mut prev: Option<Vec<u8>> = None;
+            for encoded in &chunk.frames[..=last_wanted] {
+                let len = (encoded.width * encoded.height) as usize;
+                let mut samples = reference_rle_decode(&encoded.payload, len);
+                if !encoded.is_key {
+                    let prev = prev.as_ref().unwrap();
+                    samples = prev
+                        .iter()
+                        .zip(&samples)
+                        .map(|(&p, &d)| p.wrapping_add(d))
+                        .collect();
+                }
+                prev = Some(samples.clone());
+                stats.frames_decoded += 1;
+                if wanted(encoded) {
+                    stats.frames_emitted += 1;
+                    out.push(VideoFrame {
+                        source_index: encoded.source_index,
+                        fidelity: segment.fidelity,
+                        plane: BlockPlane::from_samples(encoded.width, encoded.height, samples)
+                            .unwrap(),
+                        objects: encoded.objects.clone(),
+                        signal_retention: encoded.signal_retention,
+                    });
+                }
+            }
+        }
+        (out, stats)
+    }
+
+    /// Frames whose planes (and whose deltas against each other) are made
+    /// of runs of 1, 8, 9, 255 and more than 255 samples, some ending the
+    /// plane on a run shorter than a splat; every third frame repeats its
+    /// predecessor, so its delta is one value throughout.
+    fn run_structured_frames(n: u32) -> Vec<VideoFrame> {
+        const RUNS: [usize; 10] = [1, 8, 9, 255, 1, 1, 256, 700, 3, 8];
+        let mut frames = test_frames(Dataset::Jackson, storage_fidelity(), n);
+        let (width, height) = (61u32, 43u32);
+        let len = (width * height) as usize;
+        let mut previous: Option<BlockPlane> = None;
+        for (f, frame) in frames.iter_mut().enumerate() {
+            let plane = match previous.take() {
+                Some(plane) if f % 3 == 2 => plane,
+                _ => {
+                    let mut samples = Vec::with_capacity(len);
+                    let mut run = f;
+                    while samples.len() < len {
+                        let value = (f * 31 + run * 17) as u8;
+                        let end = (samples.len() + RUNS[run % RUNS.len()]).min(len);
+                        samples.resize(end, value);
+                        run += 1;
+                    }
+                    BlockPlane::from_samples(width, height, samples).unwrap()
+                }
+            };
+            previous = Some(plane.clone());
+            frame.plane = plane;
+        }
+        frames
+    }
+
+    #[test]
+    fn splat_decoder_is_bit_identical_to_the_reference_decoder() {
+        let frames = run_structured_frames(120);
+        let samplings = FrameSampling::ALL.map(Some).into_iter().chain([None]);
+        for sampling in samplings {
+            for interval in KeyframeInterval::ALL {
+                let segment = encode_segment(&frames, interval, SpeedStep::Fast).unwrap();
+                let expected = reference_decode(&segment, sampling);
+                assert_eq!(
+                    decode_segment_with_stats(&segment, sampling).unwrap(),
+                    expected,
+                    "{interval:?} {sampling:?}"
+                );
+                // The same frames decoded where they lie in the container.
+                if let Some(sampling) = sampling {
+                    let bytes = crate::SegmentData::Encoded(segment).to_bytes();
+                    let decoded = crate::SegmentData::decode_bytes(&bytes, sampling).unwrap();
+                    assert_eq!(
+                        (decoded.frames, decoded.stats),
+                        expected,
+                        "{interval:?} {sampling:?}"
+                    );
+                    assert_eq!(decoded.frame_count, frames.len());
+                }
+            }
+        }
+        // Every sampled frame of the full decode is an input frame, bit for bit.
+        let segment = encode_segment(&frames, KeyframeInterval::K50, SpeedStep::Fast).unwrap();
+        assert_eq!(decode_segment(&segment).unwrap(), frames);
+    }
+
+    #[test]
+    fn frames_declaring_more_samples_than_their_payload_holds_are_corrupt() {
+        let frames = test_frames(Dataset::Jackson, storage_fidelity(), 2);
+        let mut segment = encode_segment(&frames, KeyframeInterval::K5, SpeedStep::Fast).unwrap();
+        // 4 294 836 225 samples over a one-pair payload: nothing may be
+        // sized from the dimensions before they are held against it.
+        let frame = &mut segment.chunks[0].frames[0];
+        (frame.width, frame.height) = (65_535, 65_535);
+        frame.payload = vec![255, 0];
+        for result in [
+            decode_segment(&segment).map(drop),
+            crate::SegmentMeta::from_segment(&crate::SegmentData::Encoded(segment.clone()))
+                .map(drop),
+        ] {
+            assert!(
+                matches!(result, Err(VStoreError::Corruption(_))),
+                "{result:?}"
+            );
+        }
+        // The bound itself: 255 samples per pair, no more.
+        let record = |width, payload: &'static [u8]| FrameRecord {
+            source_index: 0,
+            width,
+            height: 1,
+            is_key: true,
+            payload,
+            objects: Cow::Borrowed(&[]),
+            signal_retention: 1.0,
+        };
+        assert_eq!(record(255, &[255, 0]).sample_count().unwrap(), 255);
+        assert!(record(256, &[255, 0]).sample_count().is_err());
+        assert!(record(1, &[9]).sample_count().is_err());
+        assert_eq!(record(0, &[]).sample_count().unwrap(), 0);
     }
 
     #[test]

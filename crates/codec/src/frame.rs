@@ -60,22 +60,11 @@ impl VideoFrame {
     /// is a sequence-level knob and is ignored here; callers drop frames
     /// separately.
     pub fn degrade_to(&self, target: Fidelity) -> Result<VideoFrame> {
-        // Sampling compatibility is checked by sequence-level code; compare
-        // only the per-frame knobs here.
-        let per_frame_self = Fidelity {
-            sampling: target.sampling,
-            ..self.fidelity
-        };
-        if !per_frame_self.richer_or_equal(&target) {
-            return Err(VStoreError::FidelityUnsatisfiable(format!(
-                "cannot degrade frame at {} to richer fidelity {}",
-                self.fidelity, target
-            )));
-        }
-        if per_frame_self == target {
-            let mut out = self.clone();
-            out.fidelity = target;
-            return Ok(out);
+        if self.degrades_to_itself(target)? {
+            return Ok(VideoFrame {
+                fidelity: target,
+                ..self.clone()
+            });
         }
         // Additional crop relative to what has already been applied.
         let crop_ratio = target.crop.linear_fraction() / self.fidelity.crop.linear_fraction();
@@ -125,6 +114,36 @@ impl VideoFrame {
             objects,
             signal_retention: retention,
         })
+    }
+
+    /// [`degrade_to`](Self::degrade_to) for a frame the caller is done
+    /// with: when only the stamp changes (the target's per-frame knobs are
+    /// this frame's), the plane and the object list move instead of being
+    /// copied.
+    pub fn into_degraded(mut self, target: Fidelity) -> Result<VideoFrame> {
+        if self.degrades_to_itself(target)? {
+            self.fidelity = target;
+            return Ok(self);
+        }
+        self.degrade_to(target)
+    }
+
+    /// Whether degrading to `target` changes nothing but the stamped
+    /// fidelity; an error when `target` is not satisfiable from this frame.
+    fn degrades_to_itself(&self, target: Fidelity) -> Result<bool> {
+        // Sampling compatibility is checked by sequence-level code; compare
+        // only the per-frame knobs here.
+        let per_frame_self = Fidelity {
+            sampling: target.sampling,
+            ..self.fidelity
+        };
+        if !per_frame_self.richer_or_equal(&target) {
+            return Err(VStoreError::FidelityUnsatisfiable(format!(
+                "cannot degrade frame at {} to richer fidelity {}",
+                self.fidelity, target
+            )));
+        }
+        Ok(per_frame_self == target)
     }
 
     /// Size of this frame as raw YUV420 pixels at its fidelity, in bytes.

@@ -19,7 +19,10 @@
 //!        │ degrade(fidelity)                │ encode(coding)
 //!        ▼                                  ▼
 //! VideoFrame (storage fidelity) ──▶ SegmentData ──▶ bytes (vstore-storage)
-//!                                        │ decode / decode_sampled
+//!                                        │ decode_sampled   │ decode_bytes
+//!                                        ▼                  ▼ (in place)
+//!                            VideoFrame (storage fidelity, sampled)
+//!                                        │ convert_frames (by value)
 //!                                        ▼
 //!                            VideoFrame (consumption fidelity)
 //! ```
@@ -38,4 +41,4 @@ pub use codec::{decode_segment, decode_segment_sampled, encode_segment, EncodedS
 pub use container::SegmentData;
 pub use frame::VideoFrame;
 pub use meta::SegmentMeta;
-pub use transcode::{TranscodeOutput, Transcoder};
+pub use transcode::{convert_frames, TranscodeOutput, Transcoder};

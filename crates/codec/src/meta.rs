@@ -37,7 +37,7 @@
 //! crc32 u32                  over every preceding byte
 //! ```
 
-use crate::codec::rle_decode;
+use crate::codec::rle_expand;
 use crate::container::SegmentData;
 use crate::frame::sampling_selects;
 use crate::wire::{crc32, ByteReader, ByteWriter};
@@ -122,45 +122,46 @@ impl SegmentMeta {
             }
             SegmentData::Encoded(seg) => {
                 let mut entries = Vec::new();
-                let mut prev: Option<Vec<u8>> = None;
+                // The reconstructed predecessor (of every frame but the
+                // first) and the expansion of the frame being scored, both
+                // reused across the segment.
+                let mut prev: Vec<u8> = Vec::new();
+                let mut scratch = Vec::new();
                 let mut frame_count = 0u64;
                 let mut first_index = 0u64;
-                for chunk in &seg.chunks {
-                    for frame in &chunk.frames {
-                        let expected =
-                            cast::usize_from_u32(frame.width) * cast::usize_from_u32(frame.height);
-                        let samples = rle_decode(&frame.payload, expected)?;
-                        if frame_count == 0 {
-                            first_index = frame.source_index;
+                for frame in seg.chunks.iter().flat_map(|chunk| &chunk.frames) {
+                    let len = frame.record().sample_count()?;
+                    rle_expand(&frame.payload, len, &mut scratch)?;
+                    let samples = &scratch[..len];
+                    let has_predecessor = frame_count > 0;
+                    if !has_predecessor {
+                        first_index = frame.source_index;
+                    }
+                    frame_count += 1;
+                    if frame.is_key {
+                        // A keyframe stores raw samples; score it against
+                        // the reconstructed predecessor (if any).
+                        if has_predecessor {
+                            entries
+                                .push((frame.source_index, mean_wrapped_distance(samples, &prev)));
                         }
-                        frame_count += 1;
-                        let cur = if frame.is_key {
-                            // A keyframe stores raw samples; score it against
-                            // the reconstructed predecessor (if any).
-                            if let Some(p) = &prev {
-                                entries
-                                    .push((frame.source_index, mean_wrapped_distance(&samples, p)));
-                            }
-                            samples
-                        } else {
-                            // A delta frame stores the wrapped differences —
-                            // its score is the payload's own mean magnitude.
-                            let p = prev.as_ref().ok_or_else(|| {
-                                VStoreError::corruption("delta frame without a predecessor")
-                            })?;
-                            if p.len() != samples.len() {
-                                return Err(VStoreError::corruption(
-                                    "predecessor dimensions mismatch",
-                                ));
-                            }
-                            entries.push((frame.source_index, mean_delta_magnitude(&samples)));
-                            samples
-                                .iter()
-                                .zip(p.iter())
-                                .map(|(&d, &pv)| pv.wrapping_add(d))
-                                .collect()
-                        };
-                        prev = Some(cur);
+                        prev.clear();
+                        prev.extend_from_slice(samples);
+                    } else {
+                        // A delta frame stores the wrapped differences —
+                        // its score is the payload's own mean magnitude.
+                        if !has_predecessor {
+                            return Err(VStoreError::corruption(
+                                "delta frame without a predecessor",
+                            ));
+                        }
+                        if prev.len() != len {
+                            return Err(VStoreError::corruption("predecessor dimensions mismatch"));
+                        }
+                        entries.push((frame.source_index, mean_delta_magnitude(samples)));
+                        for (p, &d) in prev.iter_mut().zip(samples) {
+                            *p = p.wrapping_add(d);
+                        }
                     }
                 }
                 Ok(SegmentMeta {

@@ -91,43 +91,14 @@ impl Transcoder {
         })
     }
 
-    /// Convert frames decoded from a storage format into a consumption
-    /// format: select the frames the CF's sampling rate wants (substituting
-    /// the nearest stored frame when the stored sampling grid does not align
-    /// exactly) and degrade each to the CF fidelity.
+    /// [`convert_frames`] over a copy of `stored`, for a caller that keeps
+    /// its frames.
     pub fn convert_for_consumption(
         &self,
         stored: &[VideoFrame],
         cf: &ConsumptionFormat,
     ) -> Result<Vec<VideoFrame>> {
-        if stored.is_empty() {
-            return Ok(Vec::new());
-        }
-        let stored_fidelity = stored[0].fidelity;
-        if !stored_fidelity.richer_or_equal(&cf.fidelity) {
-            return Err(VStoreError::FidelityUnsatisfiable(format!(
-                "stored fidelity {} cannot serve consumption fidelity {}",
-                stored_fidelity, cf.fidelity
-            )));
-        }
-        let first = stored.first().map(|f| f.source_index).unwrap_or(0);
-        let last = stored.last().map(|f| f.source_index).unwrap_or(first);
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        for index in first..=last {
-            if !sampling_selects(index, cf.fidelity.sampling) {
-                continue;
-            }
-            // Advance the cursor to the stored frame closest to `index`.
-            while cursor + 1 < stored.len()
-                && stored[cursor + 1].source_index.abs_diff(index)
-                    <= stored[cursor].source_index.abs_diff(index)
-            {
-                cursor += 1;
-            }
-            out.push(stored[cursor].degrade_to(cf.fidelity)?);
-        }
-        Ok(out)
+        convert_frames(stored.to_vec(), cf)
     }
 
     /// The retrieval speed (×realtime) the cost model predicts for reading
@@ -142,6 +113,50 @@ impl Transcoder {
         self.cost_model
             .retrieval_speed(format, motion, cf.fidelity.sampling)
     }
+}
+
+/// Convert frames decoded from a storage format into a consumption format:
+/// select the frames the CF's sampling rate wants (substituting the nearest
+/// stored frame when the stored sampling grid does not align exactly) and
+/// degrade each to the CF fidelity. The frames are taken by value, so a
+/// conversion that changes nothing but the stamp (the stored per-frame knobs
+/// are the consumer's) moves every plane and object list it keeps.
+pub fn convert_frames(stored: Vec<VideoFrame>, cf: &ConsumptionFormat) -> Result<Vec<VideoFrame>> {
+    let (Some(first), Some(last)) = (stored.first(), stored.last()) else {
+        return Ok(Vec::new());
+    };
+    if !first.fidelity.richer_or_equal(&cf.fidelity) {
+        return Err(VStoreError::FidelityUnsatisfiable(format!(
+            "stored fidelity {} cannot serve consumption fidelity {}",
+            first.fidelity, cf.fidelity
+        )));
+    }
+    // How many wanted indices each stored frame is the nearest one to.
+    let mut uses = vec![0usize; stored.len()];
+    let mut cursor = 0usize;
+    for index in first.source_index..=last.source_index {
+        if !sampling_selects(index, cf.fidelity.sampling) {
+            continue;
+        }
+        while cursor + 1 < stored.len()
+            && stored[cursor + 1].source_index.abs_diff(index)
+                <= stored[cursor].source_index.abs_diff(index)
+        {
+            cursor += 1;
+        }
+        uses[cursor] += 1;
+    }
+    let mut out = Vec::with_capacity(uses.iter().sum());
+    for (frame, times) in stored.into_iter().zip(uses) {
+        // Every use but the last needs the frame again afterwards.
+        for _ in 1..times {
+            out.push(frame.degrade_to(cf.fidelity)?);
+        }
+        if times > 0 {
+            out.push(frame.into_degraded(cf.fidelity)?);
+        }
+    }
+    Ok(out)
 }
 
 impl Default for Transcoder {

@@ -209,6 +209,21 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Read the declared count of a sequence whose items each take at least
+    /// `min_item_bytes` on the wire. A count is believed only as far as the
+    /// bytes behind it reach: more items than the remaining bytes could hold
+    /// is corruption, found here — before any reservation, before any loop.
+    pub fn get_count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize> {
+        let declared = self.get_varint()?;
+        match usize::try_from(declared) {
+            Ok(count) if count <= self.remaining() / min_item_bytes.max(1) => Ok(count),
+            _ => Err(VStoreError::corruption(format!(
+                "input declares {declared} {what}s with {} bytes left",
+                self.remaining()
+            ))),
+        }
+    }
+
     /// Read a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = cast::usize_from_u64(self.get_varint()?, "byte-slice length")?;
@@ -264,6 +279,31 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes, vec![9]);
         assert_eq!(bytes.capacity(), capacity);
+    }
+
+    #[test]
+    fn a_count_is_believed_only_as_far_as_the_bytes_behind_it_reach() {
+        // 30 bytes follow the count: room for six 5-byte items, not seven.
+        let counted = |count: u64| {
+            let mut w = ByteWriter::new();
+            w.put_varint(count);
+            w.put_raw(&[0; 30]);
+            w.into_bytes()
+        };
+        assert_eq!(
+            ByteReader::new(&counted(6)).get_count(5, "item").unwrap(),
+            6
+        );
+        for hostile in [7, 31, 1 << 32, 1 << 62, u64::MAX] {
+            let bytes = counted(hostile);
+            let err = ByteReader::new(&bytes).get_count(5, "item").unwrap_err();
+            assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+        }
+        assert_eq!(
+            ByteReader::new(&counted(30)).get_count(0, "item").unwrap(),
+            30
+        );
+        assert!(ByteReader::new(&[]).get_count(1, "item").is_err());
     }
 
     #[test]

@@ -85,18 +85,21 @@ impl QueryResult {
 /// Query execution is retrieval-bound (§6.2): most wall-clock time goes to
 /// fetching segments from the store and decoding them. The engine therefore
 /// runs a **prefetch/decode stage** ahead of the operator cascade: segments
-/// are fetched, decoded and converted to the consumption format in parallel
-/// batches of [`prefetch`](Self::with_prefetch) segments (bounded
-/// lookahead), while operators and all accounting run on the calling thread
-/// in segment order — [`StageReport`]s are identical to the sequential
-/// (`prefetch = 1`) path.
+/// are fetched as the stage's consumer takes them
+/// ([`SegmentReader::get_view`]: decoded and converted to the consumption
+/// format) in parallel batches of [`prefetch`](Self::with_prefetch)
+/// segments (bounded lookahead), while operators and all accounting run on
+/// the calling thread in segment order — [`StageReport`]s are identical to
+/// the sequential (`prefetch = 1`) path.
 ///
 /// All reads flow through a [`SegmentReader`]: when its two-tier segment
 /// cache is enabled (see [`SegmentReader::new`]), repeated cascade stages
 /// and hot streams are served from memory — charged to
 /// [`ResourceKind::MemRead`] instead of [`ResourceKind::DiskRead`] — and a
-/// decoded-frames hit skips `decode_sampled` entirely. Query *results* are
-/// identical with the cache on or off; only the resource ledger (and
+/// tier-2 hit skips decode and conversion entirely: the operator runs on
+/// the cached frames behind their `Arc`, and a window of such hits is
+/// served on the calling thread without spawning anything. Query *results*
+/// are identical with the cache on or off; only the resource ledger (and
 /// wall-clock time) changes.
 pub struct QueryEngine {
     reader: Arc<SegmentReader>,
@@ -124,7 +127,18 @@ struct PrefetchedSegment {
     used_fallback: bool,
     read_bytes: ByteSize,
     source: ReadSource,
-    frames: Vec<vstore_codec::VideoFrame>,
+}
+
+impl PrefetchedSegment {
+    fn new(segment: u64, read: DecodedRead, used_fallback: bool) -> Self {
+        PrefetchedSegment {
+            segment,
+            read_bytes: ByteSize(read.segment.raw_len),
+            decoded: read.segment,
+            used_fallback,
+            source: read.source,
+        }
+    }
 }
 
 impl QueryEngine {
@@ -354,9 +368,10 @@ impl QueryEngine {
             };
             let mut next_active = BTreeSet::new();
             let mut stage_positive_frames = Vec::new();
-            // Bounded lookahead: fetch + decode + convert the next `prefetch`
-            // segments in parallel, then run the operator and all accounting
-            // on this thread in segment order.
+            // Bounded lookahead: fetch the next `prefetch` segments as this
+            // consumer takes them, in parallel where they miss the cache,
+            // then run the operator and all accounting on this thread in
+            // segment order.
             let stage_segments: Vec<u64> = active.iter().copied().collect();
             for window in stage_segments.chunks(self.prefetch) {
                 for prefetched in self.prefetch_window(stream, config, sub, window)? {
@@ -366,15 +381,15 @@ impl QueryEngine {
                         used_fallback,
                         read_bytes,
                         source: _,
-                        frames,
                     } = prefetched;
+                    let frames = &decoded.frames;
                     bytes_read += read_bytes;
                     report.segments_processed += 1;
                     if used_fallback {
                         report.fallback_segments += 1;
                     }
                     report.frames_consumed += frames.len();
-                    let output = operator.run(&frames);
+                    let output = operator.run(frames);
                     // Charge modelled time: the stage runs at the lower of the
                     // consumption speed and the (possibly fallback-degraded)
                     // retrieval speed.
@@ -450,9 +465,11 @@ impl QueryEngine {
     }
 
     /// The prefetch/decode stage: fetch one window of segments through the
-    /// [`SegmentReader`], decode the sampled frames (skipped on a tier-2
-    /// cache hit) and convert them to the consumption format, all in
-    /// parallel. Segments not ingested at all are dropped; segment order is
+    /// [`SegmentReader`], each as the subscription's consumer takes it. A
+    /// segment whose view tier 2 holds is served right here — a hit is a
+    /// refcount bump, less than handing it to another thread would cost —
+    /// and only the misses are fetched, decoded and converted in parallel.
+    /// Segments not ingested at all are dropped; segment order is
     /// preserved, so downstream accounting is identical to the sequential
     /// path.
     ///
@@ -473,39 +490,37 @@ impl QueryEngine {
         // Captured explicitly: the pool threads below have their own TLS,
         // so the caller's installed trace context does not propagate.
         let trace = vstore_obs::current();
-        let fetched = scoped_map(
-            window.to_vec(),
-            self.prefetch,
-            |_, segment| -> Result<Option<PrefetchedSegment>> {
-                let fetch_started = Instant::now();
-                let (read, used_fallback) = match self.fetch_decoded(
-                    stream,
-                    config,
-                    sub.storage,
-                    segment,
-                    &sub.consumption,
-                )? {
-                    Some(found) => found,
-                    None => return Ok(None), // segment not ingested at all
-                };
-                let DecodedRead {
-                    segment: decoded,
-                    source,
-                } = read;
-                trace.record_since(read_span_name(source), fetch_started);
-                let frames = self
-                    .transcoder
-                    .convert_for_consumption(&decoded.frames, &sub.consumption)?;
-                Ok(Some(PrefetchedSegment {
-                    segment,
-                    read_bytes: ByteSize(decoded.raw_len),
-                    decoded,
-                    used_fallback,
-                    source,
-                    frames,
-                }))
-            },
-        );
+        // One slot per segment, in segment order: filled here for a hit,
+        // by whichever pool thread fetches it for a miss.
+        let mut fetched: Vec<Result<Option<PrefetchedSegment>>> = Vec::with_capacity(window.len());
+        let mut misses = Vec::new();
+        for &segment in window {
+            let fetch_started = Instant::now();
+            let key = SegmentKey::new(stream, sub.storage, segment);
+            let hit = self.reader.cached_view(&key, &sub.consumption).map(|read| {
+                trace.record_since(read_span_name(read.source), fetch_started);
+                PrefetchedSegment::new(segment, read, false)
+            });
+            if hit.is_none() {
+                misses.push((fetched.len(), segment));
+            }
+            fetched.push(Ok(hit));
+        }
+        let fetch = |_, (slot, segment)| {
+            let fetch_started = Instant::now();
+            let read = self.fetch_view(stream, config, sub.storage, segment, &sub.consumption);
+            // `None`: the segment was not ingested at all.
+            let prefetched = read.map(|found| {
+                found.map(|(read, used_fallback)| {
+                    trace.record_since(read_span_name(read.source), fetch_started);
+                    PrefetchedSegment::new(segment, read, used_fallback)
+                })
+            });
+            (slot, prefetched)
+        };
+        for (slot, prefetched) in scoped_map(misses, self.prefetch, fetch) {
+            fetched[slot] = prefetched;
+        }
         let mut out = Vec::with_capacity(window.len());
         let mut first_error = None;
         for item in fetched {
@@ -539,11 +554,11 @@ impl QueryEngine {
         }
     }
 
-    /// Fetch one segment decoded at the subscription's sampling rate, in
+    /// Fetch one segment as the consumer of `consumption` takes it, from
     /// the subscribed format, falling back to a richer stored format when
     /// it is missing (eroded). Each candidate key goes through the reader's
     /// two cache tiers before touching the store.
-    fn fetch_decoded(
+    fn fetch_view(
         &self,
         stream: &str,
         config: &Configuration,
@@ -551,9 +566,8 @@ impl QueryEngine {
         segment: u64,
         consumption: &vstore_types::ConsumptionFormat,
     ) -> Result<Option<(DecodedRead, bool)>> {
-        let sampling = consumption.fidelity.sampling;
         let key = SegmentKey::new(stream, preferred, segment);
-        if let Some(read) = self.reader.get_decoded(&key, sampling)? {
+        if let Some(read) = self.reader.get_view(&key, consumption)? {
             return Ok(Some((read, false)));
         }
         // Fallback: any stored format with satisfiable fidelity, preferring
@@ -568,7 +582,7 @@ impl QueryEngine {
         candidates.sort_by_key(|(id, _)| std::cmp::Reverse(id.0));
         for (id, _) in candidates {
             let key = SegmentKey::new(stream, *id, segment);
-            if let Some(read) = self.reader.get_decoded(&key, sampling)? {
+            if let Some(read) = self.reader.get_view(&key, consumption)? {
                 return Ok(Some((read, true)));
             }
         }
@@ -596,23 +610,36 @@ mod tests {
         engine: QueryEngine,
     }
 
-    fn fixture(consumer_accuracy: f64) -> Fixture {
-        let profiler = Arc::new(Profiler::new(
-            OperatorLibrary::paper_testbed(),
-            CodingCostModel::paper_testbed(),
-            ProfilerConfig::fast_test(),
-        ));
-        let options = EngineOptions {
-            fidelity_space: FidelitySpace::reduced(),
-            ..EngineOptions::default()
-        };
-        let engine = ConfigurationEngine::new(Arc::clone(&profiler), options);
-        let query = QuerySpec::query_a(consumer_accuracy);
-        let consumers = query.consumers();
-        let config = engine.derive(&consumers).unwrap();
-        let one_to_n = engine
-            .derive_alternative(&consumers, Alternative::OneToN)
-            .unwrap();
+    /// Query A's derived configuration and its 1→N alternative. Deriving
+    /// them is three quarters of a fixture's cost and the same every time,
+    /// so the suite derives once; every test still gets a store of its own.
+    fn configurations() -> (Configuration, Configuration) {
+        static DERIVED: std::sync::OnceLock<(Configuration, Configuration)> =
+            std::sync::OnceLock::new();
+        DERIVED
+            .get_or_init(|| {
+                let profiler = Arc::new(Profiler::new(
+                    OperatorLibrary::paper_testbed(),
+                    CodingCostModel::paper_testbed(),
+                    ProfilerConfig::fast_test(),
+                ));
+                let options = EngineOptions {
+                    fidelity_space: FidelitySpace::reduced(),
+                    ..EngineOptions::default()
+                };
+                let engine = ConfigurationEngine::new(profiler, options);
+                let consumers = QuerySpec::query_a(0.8).consumers();
+                let config = engine.derive(&consumers).unwrap();
+                let one_to_n = engine
+                    .derive_alternative(&consumers, Alternative::OneToN)
+                    .unwrap();
+                (config, one_to_n)
+            })
+            .clone()
+    }
+
+    fn fixture() -> Fixture {
+        let (config, one_to_n) = configurations();
 
         let store = Arc::new(SegmentStore::open_temp("query-engine").unwrap());
         let ingest = IngestionPipeline::new(
@@ -642,7 +669,7 @@ mod tests {
 
     #[test]
     fn query_a_runs_end_to_end_and_reports_speed() {
-        let fx = fixture(0.8);
+        let fx = fixture();
         let query = QuerySpec::query_a(0.8);
         let result = fx
             .engine
@@ -662,7 +689,7 @@ mod tests {
 
     #[test]
     fn vstore_configuration_is_faster_than_one_to_n() {
-        let fx = fixture(0.8);
+        let fx = fixture();
         let query = QuerySpec::query_a(0.8);
         let vstore = fx
             .engine
@@ -683,7 +710,7 @@ mod tests {
 
     #[test]
     fn missing_subscription_is_an_error() {
-        let fx = fixture(0.8);
+        let fx = fixture();
         let query = QuerySpec::query_b(0.8); // configuration was built for query A
         let err = fx
             .engine
@@ -703,7 +730,7 @@ mod tests {
     /// more — never the failed attempt's segments twice.
     #[test]
     fn failed_and_reentered_windows_charge_each_fetched_segment_exactly_once() {
-        let fx = fixture(0.8);
+        let fx = fixture();
         let query = QuerySpec::query_a(0.8);
         let consumer = Consumer {
             op: query.cascade[0],
@@ -755,7 +782,7 @@ mod tests {
     /// results while their reads move from DiskRead to MemRead.
     #[test]
     fn cache_hits_charge_memory_reads_and_leave_results_identical() {
-        let fx = fixture(0.8);
+        let fx = fixture();
         let reader = Arc::new(SegmentReader::new(Arc::clone(&fx.store), 64 << 20, 256));
         let engine = QueryEngine::new(
             Arc::clone(&reader),
@@ -784,9 +811,207 @@ mod tests {
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
+    fn cached_engine(fx: &Fixture, prefetch: usize) -> (Arc<SegmentReader>, QueryEngine) {
+        let reader = Arc::new(SegmentReader::new(Arc::clone(&fx.store), 64 << 20, 256));
+        let engine = QueryEngine::new(
+            Arc::clone(&reader),
+            OperatorLibrary::paper_testbed(),
+            Transcoder::default(),
+            VirtualClock::new(),
+        )
+        .with_prefetch(prefetch);
+        (reader, engine)
+    }
+
+    /// The paper's common case: consumers coalesced onto one stored format
+    /// richer than any of them wants (here 1→N: everyone reads the golden
+    /// format). Each consumer's conversion is a real one, paid by the fill
+    /// of its own view; the answer never depends on who paid it.
+    #[test]
+    fn coalesced_consumers_hold_their_own_views_and_results_never_change() {
+        let fx = fixture();
+        let query = QuerySpec::query_a(0.8);
+        let config = &fx.one_to_n;
+        let golden = config.golden().unwrap().fidelity;
+        let subs: Vec<_> = query
+            .consumers()
+            .iter()
+            .map(|c| *config.subscription(c).unwrap())
+            .collect();
+        let poorer: Vec<_> = subs
+            .iter()
+            .filter(|sub| {
+                let per_frame = vstore_types::Fidelity {
+                    sampling: golden.sampling,
+                    ..sub.consumption.fidelity
+                };
+                sub.storage == vstore_types::FormatId::GOLDEN && per_frame != golden
+            })
+            .collect();
+        assert!(
+            poorer.len() >= 2,
+            "1→N left {} poorer consumers",
+            poorer.len()
+        );
+        assert_ne!(poorer[0].consumption, poorer[1].consumption);
+
+        let uncached = fx.engine.execute("jackson", &query, config, 0, 2).unwrap();
+        for prefetch in [1, 4] {
+            let (reader, engine) = cached_engine(&fx, prefetch);
+            let cold = engine.execute("jackson", &query, config, 0, 2).unwrap();
+            let warm = engine.execute("jackson", &query, config, 0, 2).unwrap();
+            assert_eq!(cold, uncached, "prefetch {prefetch}, cold cache");
+            assert_eq!(warm, uncached, "prefetch {prefetch}, warm cache");
+            // One view per (segment, consumer that read it), all under the
+            // golden keys, each stamped with its consumer's fidelity.
+            let views: usize = warm.stages.iter().map(|s| s.segments_processed).sum();
+            let stats = reader.cache_stats();
+            assert_eq!(stats.decoded_entries, views as u64);
+            assert_eq!(stats.decoded_misses, views as u64);
+            assert_eq!(stats.decoded_hits, views as u64);
+            let key = SegmentKey::new("jackson", vstore_types::FormatId::GOLDEN, 0);
+            let first = reader.cached_view(&key, &poorer[0].consumption).unwrap();
+            let second = reader.cached_view(&key, &poorer[1].consumption).unwrap();
+            for (view, sub) in [(&first, poorer[0]), (&second, poorer[1])] {
+                assert!(!view.segment.frames.is_empty());
+                assert!(view
+                    .segment
+                    .frames
+                    .iter()
+                    .all(|f| f.fidelity == sub.consumption.fidelity));
+            }
+        }
+        std::fs::remove_dir_all(fx.store.dir()).ok();
+    }
+
+    /// Erosion deletes through the reader, which drops every view of the
+    /// key: the next read is served by the fallback format's frames.
+    #[test]
+    fn eroding_a_warm_segment_serves_the_fallback_format_never_stale_frames() {
+        let fx = fixture();
+        let query = QuerySpec::query_a(0.8);
+        let sub = *fx
+            .config
+            .subscription(&Consumer {
+                op: query.cascade[0],
+                accuracy: query.accuracy,
+            })
+            .unwrap();
+        assert_ne!(sub.storage, vstore_types::FormatId::GOLDEN);
+        let (reader, engine) = cached_engine(&fx, 2);
+        let fresh = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();
+        assert_eq!(fresh.stages[0].fallback_segments, 0);
+        let eroded = SegmentKey::new("jackson", sub.storage, 1);
+        assert!(reader.cached_view(&eroded, &sub.consumption).is_some());
+        let before = reader.cache_stats();
+        reader.delete(&eroded).unwrap();
+        let after = reader.cache_stats();
+        assert!(reader.cached_view(&eroded, &sub.consumption).is_none());
+        assert_eq!(
+            after.invalidations - before.invalidations,
+            1 + (before.decoded_entries - after.decoded_entries),
+            "the key's bytes and each of its views count once"
+        );
+        let aged = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();
+        assert_eq!(aged.stages[0].fallback_segments, 1);
+        // What a reader with no cache to go stale answers after the same
+        // erosion.
+        let reference = fx
+            .engine
+            .execute("jackson", &query, &fx.config, 0, 2)
+            .unwrap();
+        assert_eq!(aged, reference);
+        std::fs::remove_dir_all(fx.store.dir()).ok();
+    }
+
+    /// A window whose segments tier 2 holds is served where the stage
+    /// runs: with every request traced, each `read.decoded_cache` span
+    /// carries the thread id of its `query.stage` span. A window of one
+    /// hit and one miss still records both reads and charges each once.
+    #[test]
+    fn a_warm_window_spawns_nothing_and_a_mixed_window_charges_each_read_once() {
+        use vstore_obs::{TraceOptions, Tracer};
+        let fx = fixture();
+        let query = QuerySpec::query_a(0.8);
+        let (reader, engine) = cached_engine(&fx, 4);
+        let tracer = Tracer::new(TraceOptions::enabled().with_sample_per_1k(1000));
+        let traced = |root: &'static str| {
+            let context = tracer.begin(root);
+            let installed = vstore_obs::install(&context);
+            let result = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();
+            drop(installed);
+            drop(context);
+            let record = tracer.dump(0).records.pop().unwrap();
+            assert_eq!(record.root, root);
+            (result, record.spans)
+        };
+        let reads = |spans: &[vstore_obs::TraceSpan]| -> Vec<(String, u64)> {
+            let mut reads: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name.starts_with("read."))
+                .map(|s| (s.name.clone(), s.tid))
+                .collect();
+            reads.sort();
+            reads
+        };
+
+        let (cold, _) = traced("cold");
+        let fetched: usize = cold.stages.iter().map(|s| s.segments_processed).sum();
+        let (warm, spans) = traced("warm");
+        assert_eq!(warm, cold);
+        let stage_tids: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "query.stage")
+            .map(|s| s.tid)
+            .collect();
+        assert_eq!(stage_tids.len(), 3);
+        let warm_reads = reads(&spans);
+        assert_eq!(warm_reads.len(), fetched);
+        for (name, tid) in &warm_reads {
+            assert_eq!(name, "read.decoded_cache");
+            assert_eq!(*tid, stage_tids[0], "a warm window spawned a thread");
+        }
+
+        // Evict segment 1 of the first stage's format: its window is now
+        // one hit and one miss.
+        let sub = fx
+            .config
+            .subscription(&Consumer {
+                op: query.cascade[0],
+                accuracy: query.accuracy,
+            })
+            .unwrap();
+        let key = SegmentKey::new("jackson", sub.storage, 1);
+        let bytes = fx.store.get(&key).unwrap().unwrap();
+        reader.put(&key, &bytes).unwrap();
+        let mem_before = engine.clock().usage().bytes(ResourceKind::MemRead).bytes();
+        let disk_before = engine.clock().usage().bytes(ResourceKind::DiskRead).bytes();
+        let (mixed, spans) = traced("mixed");
+        assert_eq!(mixed, cold);
+        let mixed_reads = reads(&spans);
+        assert_eq!(mixed_reads.len(), fetched, "one span per read, hit or miss");
+        let disk_reads: Vec<_> = mixed_reads
+            .iter()
+            .filter(|(n, _)| n == "read.disk")
+            .collect();
+        assert_eq!(disk_reads.len(), 1);
+        let usage = engine.clock().usage();
+        assert_eq!(
+            usage.bytes(ResourceKind::DiskRead).bytes() - disk_before,
+            bytes.len() as u64,
+            "the miss is charged to the disk once"
+        );
+        assert_eq!(
+            usage.bytes(ResourceKind::MemRead).bytes() - mem_before,
+            mixed.bytes_read.bytes() - bytes.len() as u64,
+            "every hit is charged to memory once"
+        );
+        std::fs::remove_dir_all(fx.store.dir()).ok();
+    }
+
     #[test]
     fn queries_over_missing_streams_return_empty_results() {
-        let fx = fixture(0.8);
+        let fx = fixture();
         let query = QuerySpec::query_a(0.8);
         let result = fx
             .engine

@@ -430,19 +430,10 @@ trait Wire: Sized {
     fn get(r: &mut ByteReader<'_>) -> Result<Self>;
 }
 
-/// Read a container's element count. A declared count is believed only as
-/// far as the bytes behind it reach: no impl encodes to nothing, so more
-/// elements than bytes left is a lie, and fails here — before any
-/// reservation, before any loop.
+/// Read a container's element count. No impl encodes to nothing, so more
+/// elements than bytes left is a lie ([`ByteReader::get_count`]).
 fn bounded_len(r: &mut ByteReader<'_>) -> Result<usize> {
-    let declared = r.get_varint()?;
-    match usize::try_from(declared) {
-        Ok(len) if len <= r.remaining() => Ok(len),
-        _ => Err(VStoreError::corruption(format!(
-            "serve frame declares {declared} elements with {} bytes left",
-            r.remaining()
-        ))),
-    }
+    r.get_count(1, "element")
 }
 
 impl Wire for u64 {

@@ -3,17 +3,25 @@
 //!
 //! VStore's retrieval path is its bottleneck (§5, Figure 6 of the paper):
 //! every cascade stage and every repeated query over a hot stream re-pays
-//! disk + CRC + decode for the same segments. The reader interposes two
-//! caches between the query engine and the store:
+//! disk + CRC + decode + conversion for the same segments. The reader
+//! interposes two caches between the query engine and the store:
 //!
 //! * **Tier 1 — raw bytes.** A per-shard LRU over the serialized segment
 //!   bytes, bounded by `cache_bytes` split across the store's shards. A hit
 //!   skips the backend read *and* the CRC verification.
-//! * **Tier 2 — decoded frames.** A per-shard LRU over
-//!   [`DecodedSegment`]s, keyed by `(segment key, consumer sampling rate)`
-//!   and bounded by `decoded_cache_entries`. A hit additionally skips
-//!   container parsing and `decode_sampled` — the dominant cost for encoded
-//!   formats.
+//! * **Tier 2 — views.** A per-shard LRU over [`DecodedSegment`]s holding
+//!   *what a reader consumes*, bounded by `decoded_cache_entries` views: the
+//!   frames at a subscription's consumption fidelity, stamped with it
+//!   ([`get_view`](SegmentReader::get_view)), or at the stored fidelity and
+//!   a sampling rate ([`get_decoded`](SegmentReader::get_decoded)). The fill
+//!   decodes the sampled frames straight from the bytes it was handed
+//!   ([`SegmentData::decode_bytes`]) and converts them **once, by value**:
+//!   a conversion that changes only the stamp moves every plane, a real one
+//!   (a consumer coalesced onto a richer stored format) is paid per cached
+//!   segment, not per query. A hit skips parsing, decoding and conversion
+//!   and hands out the frames behind their `Arc` — a refcount bump. Only
+//!   the view asked for is kept; the stored-fidelity frames it was made
+//!   from are not cached beside it.
 //!
 //! Both tiers are sharded exactly like the store (same key-hash routing),
 //! so cache lookups never contend across shards and stay lock-cheap under
@@ -25,13 +33,16 @@
 //!
 //! All mutations **must** flow through the reader ([`put`](SegmentReader::put)
 //! / [`delete`](SegmentReader::delete)): each write bumps the target shard's
-//! *invalidation epoch* and drops the key's entries from both tiers, so an
-//! erode-then-read can never serve stale bytes. Fills re-check the epoch
-//! before admitting an entry, which closes the race where a concurrent
-//! delete lands between a fill's store read and its cache insert (the fill
-//! is then discarded instead of resurrecting dead data). Compaction and log
-//! roll-over rewrite *where* live records sit, never their value bytes, so
-//! cached entries stay valid across both and need no re-keying.
+//! *invalidation epoch* and drops the key's bytes and **every view of the
+//! key**, so an erode-then-read can never serve stale frames. The views of
+//! one key live under one tier-2 entry (weighing as many units as it holds
+//! views, evicted whole), so dropping them is one removal however many
+//! consumers read the key. Fills re-check the epoch before admitting an
+//! entry, which closes the race where a concurrent delete lands between a
+//! fill's store read and its cache insert (the fill is then discarded
+//! instead of resurrecting dead data). Compaction and log roll-over rewrite
+//! *where* live records sit, never their value bytes, so cached entries
+//! stay valid across both and need no re-keying.
 
 use crate::key::SegmentKey;
 use crate::store::SegmentStore;
@@ -40,13 +51,13 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
-use vstore_codec::{SegmentData, VideoFrame};
-use vstore_types::{FrameSampling, Result, StorageFormat};
+use vstore_codec::{convert_frames, SegmentData, VideoFrame};
+use vstore_types::{ConsumptionFormat, Fidelity, FrameSampling, Result, StorageFormat};
 
 /// Where a read was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadSource {
-    /// Tier 2: the decoded-frames cache (no store read, no decode).
+    /// Tier 2: the view cache (no store read, no decode, no conversion).
     DecodedCache,
     /// Tier 1: the raw-bytes cache (no store read; decode still ran).
     RawCache,
@@ -71,9 +82,9 @@ impl ReadSource {
     }
 }
 
-/// One decoded segment as tier 2 caches it: the frames emitted by
-/// [`SegmentData::decode_sampled`] at the cached sampling rate, plus the
-/// metadata query accounting needs without re-parsing the container.
+/// One view of a segment as tier 2 caches it: the frames a reader asked
+/// for, plus the metadata query accounting needs without re-parsing the
+/// container.
 #[derive(Debug, Clone)]
 pub struct DecodedSegment {
     /// The storage format the segment is stored in.
@@ -82,7 +93,8 @@ pub struct DecodedSegment {
     pub frame_count: usize,
     /// Length in bytes of the serialized segment the frames came from.
     pub raw_len: u64,
-    /// The sampled, decoded frames in presentation order.
+    /// The view's frames in presentation order: sampled and, for a
+    /// consumer's view, converted to (and stamped with) its fidelity.
     pub frames: Vec<VideoFrame>,
 }
 
@@ -107,15 +119,16 @@ pub struct CacheStats {
     pub raw_evictions: u64,
     /// Bytes currently resident in the raw-bytes cache.
     pub raw_resident_bytes: u64,
-    /// Tier-2 reads served from the decoded-frames cache.
+    /// Tier-2 reads served from the view cache.
     pub decoded_hits: u64,
     /// Tier-2 reads that had to decode (from tier 1 or the store).
     pub decoded_misses: u64,
-    /// Tier-2 entries evicted to make room.
+    /// Tier-2 views evicted to make room.
     pub decoded_evictions: u64,
-    /// Entries currently resident in the decoded-frames cache.
+    /// Views currently resident in tier 2.
     pub decoded_entries: u64,
-    /// Cached entries dropped by writes (put / delete / erosion).
+    /// Cached entries (tier-1 bytes, tier-2 views) dropped by writes (put /
+    /// delete / erosion).
     pub invalidations: u64,
 }
 
@@ -225,7 +238,7 @@ struct LruEntry<V> {
     tick: u64,
 }
 
-impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
+impl<K: Eq + Hash + Ord + Clone, V> LruCache<K, V> {
     fn new(capacity: u64) -> Self {
         LruCache {
             map: HashMap::new(),
@@ -237,25 +250,25 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Look up a key, marking it most-recently used on a hit.
-    fn get(&mut self, key: &K) -> Option<V> {
+    fn get(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(key)?;
         self.order.remove(&entry.tick);
         entry.tick = tick;
         self.order.insert(tick, key.clone());
-        Some(entry.value.clone())
+        Some(&entry.value)
     }
 
     /// Insert a key, evicting least-recently-used entries until the weight
-    /// fits. Returns how many entries were evicted. An entry heavier than
-    /// the whole cache is not admitted.
-    fn insert(&mut self, key: K, value: V, weight: u64) -> u64 {
+    /// fits. Returns the evicted values. An entry heavier than the whole
+    /// cache is not admitted.
+    fn insert(&mut self, key: K, value: V, weight: u64) -> Vec<V> {
+        let mut evicted = Vec::new();
         if weight > self.capacity {
-            return 0;
+            return evicted;
         }
         self.remove(&key);
-        let mut evicted = 0;
         while self.used + weight > self.capacity {
             // The loop guard proves used > 0, so both maps are non-empty
             // and agree on membership: eviction cannot miss.
@@ -263,7 +276,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
             let oldest_key = self.order.remove(&oldest_tick).expect("tick just seen"); // vstore-lint: allow(no-unwrap)
             let old = self.map.remove(&oldest_key).expect("order and map agree"); // vstore-lint: allow(no-unwrap)
             self.used -= old.weight;
-            evicted += 1;
+            evicted.push(old.value);
         }
         self.tick += 1;
         self.order.insert(self.tick, key.clone());
@@ -279,31 +292,32 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
         evicted
     }
 
-    /// Remove a key. Returns `true` when an entry was dropped.
-    fn remove(&mut self, key: &K) -> bool {
-        match self.map.remove(key) {
-            Some(entry) => {
-                self.order.remove(&entry.tick);
-                self.used -= entry.weight;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
+    /// Remove a key, returning the value it held.
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let entry = self.map.remove(key)?;
+        self.order.remove(&entry.tick);
+        self.used -= entry.weight;
+        Some(entry.value)
     }
 }
 
-/// Key of one tier-2 entry: which segment, decoded at which sampling rate.
-type DecodedKey = (SegmentKey, FrameSampling);
+/// Which frames of a segment a tier-2 view holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum View {
+    /// The stored fidelity, sampled at a rate
+    /// ([`SegmentReader::get_decoded`]).
+    Stored(FrameSampling),
+    /// A consumer's consumption fidelity ([`SegmentReader::get_view`]).
+    Consumer(Fidelity),
+}
 
 /// One shard's cache state: both tiers, the invalidation epoch and the
 /// counters, all behind a single short-held mutex.
 struct ShardCache {
     raw: LruCache<SegmentKey, Arc<Vec<u8>>>,
-    decoded: LruCache<DecodedKey, Arc<DecodedSegment>>,
+    /// One entry per key, holding every cached view of it and weighing as
+    /// many units: a write drops them all with one removal.
+    decoded: LruCache<SegmentKey, Vec<(View, Arc<DecodedSegment>)>>,
     /// Bumped by every write routed to this shard; fills re-check it before
     /// admitting, so an entry read before a concurrent write is discarded
     /// instead of cached stale.
@@ -342,9 +356,64 @@ impl ShardCache {
             decoded_hits: self.decoded_hits,
             decoded_misses: self.decoded_misses,
             decoded_evictions: self.decoded_evictions,
-            decoded_entries: self.decoded.len() as u64,
+            decoded_entries: self.decoded.used,
             invalidations: self.invalidations,
         }
+    }
+
+    /// Tier-1 probe, counted as a hit when it finds the bytes.
+    fn cached_bytes(&mut self, key: &SegmentKey) -> Option<Arc<Vec<u8>>> {
+        let bytes = Arc::clone(self.raw.get(key)?);
+        self.raw_hits += 1;
+        Some(bytes)
+    }
+
+    /// Count a tier-1 miss the store served and admit its bytes, unless a
+    /// write has landed on the shard since `epoch` was read.
+    fn admit_bytes(&mut self, key: &SegmentKey, bytes: &Arc<Vec<u8>>, epoch: u64) {
+        self.raw_misses += 1;
+        if self.epoch == epoch {
+            let evicted = self
+                .raw
+                .insert(key.clone(), Arc::clone(bytes), bytes.len() as u64);
+            self.raw_evictions += evicted.len() as u64;
+        }
+    }
+
+    /// Tier-2 probe, counted as a hit when the key holds `view`.
+    fn cached_view(&mut self, key: &SegmentKey, view: View) -> Option<Arc<DecodedSegment>> {
+        let (_, segment) = self.decoded.get(key)?.iter().find(|(v, _)| *v == view)?;
+        let segment = Arc::clone(segment);
+        self.decoded_hits += 1;
+        Some(segment)
+    }
+
+    /// Count a tier-2 miss and admit its fill beside the key's other views,
+    /// unless a write has landed on the shard since `epoch` was read.
+    fn admit_view(
+        &mut self,
+        key: &SegmentKey,
+        view: View,
+        segment: &Arc<DecodedSegment>,
+        epoch: u64,
+    ) {
+        self.decoded_misses += 1;
+        if self.epoch != epoch {
+            return;
+        }
+        let mut views = self.decoded.remove(key).unwrap_or_default();
+        // A concurrent fill of the same view may have got here first.
+        views.retain(|(v, _)| *v != view);
+        views.push((view, Arc::clone(segment)));
+        // One key never outweighs the shard: its oldest views go first.
+        let mut evicted = 0;
+        while views.len() as u64 > self.decoded.capacity {
+            views.remove(0);
+            evicted += 1;
+        }
+        let weight = views.len() as u64;
+        let others = self.decoded.insert(key.clone(), views, weight);
+        self.decoded_evictions += evicted + others.iter().map(|v| v.len() as u64).sum::<u64>();
     }
 }
 
@@ -480,8 +549,7 @@ impl SegmentReader {
         let idx = self.store.shard_index(key);
         let epoch = {
             let mut shard = self.shards[idx].lock();
-            if let Some(bytes) = shard.raw.get(key) {
-                shard.raw_hits += 1;
+            if let Some(bytes) = shard.cached_bytes(key) {
                 return Ok(Some((bytes, ReadSource::RawCache)));
             }
             shard.epoch
@@ -494,33 +562,68 @@ impl SegmentReader {
         // bumped the epoch, and the next (hot) read warms the cache through
         // the ordinary fill path.
         if source == ReadSource::Disk {
-            let mut shard = self.shards[idx].lock();
-            shard.raw_misses += 1;
-            if shard.epoch == epoch {
-                let evicted = shard
-                    .raw
-                    .insert(key.clone(), Arc::clone(&bytes), bytes.len() as u64);
-                shard.raw_evictions += evicted;
-            }
+            self.shards[idx].lock().admit_bytes(key, &bytes, epoch);
         }
         Ok(Some((bytes, source)))
     }
 
-    /// Fetch a segment decoded at `sampling`, through both tiers: tier 2
-    /// returns the frames outright; tier 1 skips the store read but still
-    /// decodes; a full miss reads, decodes and warms both tiers. `Ok(None)`
-    /// when the key does not exist.
+    /// Fetch a segment's frames at the **stored** fidelity, sampled at
+    /// `sampling`, through both tiers: tier 2 returns the frames outright;
+    /// tier 1 skips the store read but still decodes; a full miss reads,
+    /// decodes and warms both tiers. `Ok(None)` when the key does not exist.
     pub fn get_decoded(
         &self,
         key: &SegmentKey,
         sampling: FrameSampling,
     ) -> Result<Option<DecodedRead>> {
+        self.read_view(key, View::Stored(sampling))
+    }
+
+    /// Fetch a segment as the consumer of `consumption` takes it — sampled
+    /// at its rate and converted to its fidelity — through both tiers, like
+    /// [`get_decoded`](Self::get_decoded). The conversion runs in the fill,
+    /// once per cached segment; a tier-2 hit hands out the converted frames
+    /// behind their `Arc`. Fails with
+    /// [`FidelityUnsatisfiable`](vstore_types::VStoreError::FidelityUnsatisfiable)
+    /// when the stored fidelity cannot serve `consumption`.
+    pub fn get_view(
+        &self,
+        key: &SegmentKey,
+        consumption: &ConsumptionFormat,
+    ) -> Result<Option<DecodedRead>> {
+        self.read_view(key, View::Consumer(consumption.fidelity))
+    }
+
+    /// The tier-2 half of [`get_view`](Self::get_view): the cached view
+    /// (counted as a decoded hit), or `None` without touching tier 1 or the
+    /// store. A refcount bump under the shard's cache lock, so a caller
+    /// about to fan reads out to other threads can serve the warm ones
+    /// itself.
+    #[must_use]
+    pub fn cached_view(
+        &self,
+        key: &SegmentKey,
+        consumption: &ConsumptionFormat,
+    ) -> Option<DecodedRead> {
+        if self.decoded_per_shard == 0 {
+            return None;
+        }
+        let segment = self.shards[self.store.shard_index(key)]
+            .lock()
+            .cached_view(key, View::Consumer(consumption.fidelity))?;
+        Some(DecodedRead {
+            segment,
+            source: ReadSource::DecodedCache,
+        })
+    }
+
+    fn read_view(&self, key: &SegmentKey, view: View) -> Result<Option<DecodedRead>> {
         if self.shards.is_empty() {
             let Some((bytes, source)) = self.read_miss(key)? else {
                 return Ok(None);
             };
             return Ok(Some(DecodedRead {
-                segment: Arc::new(decode_entry(&bytes, sampling)?),
+                segment: Arc::new(decode_entry(&bytes, view)?),
                 source,
             }));
         }
@@ -529,8 +632,7 @@ impl SegmentReader {
         let epoch = {
             let mut shard = self.shards[idx].lock();
             if self.decoded_per_shard > 0 {
-                if let Some(segment) = shard.decoded.get(&(key.clone(), sampling)) {
-                    shard.decoded_hits += 1;
+                if let Some(segment) = shard.cached_view(key, view) {
                     return Ok(Some(DecodedRead {
                         segment,
                         source: ReadSource::DecodedCache,
@@ -538,10 +640,7 @@ impl SegmentReader {
                 }
             }
             if self.raw_per_shard > 0 {
-                if let Some(bytes) = shard.raw.get(key) {
-                    shard.raw_hits += 1;
-                    raw_hit = Some(bytes);
-                }
+                raw_hit = shard.cached_bytes(key);
             }
             shard.epoch
         };
@@ -554,26 +653,13 @@ impl SegmentReader {
         };
         // Decode outside the shard lock: parallel prefetch workers hitting
         // the same shard must not serialise on the decode.
-        let segment = Arc::new(decode_entry(&bytes, sampling)?);
+        let segment = Arc::new(decode_entry(&bytes, view)?);
         let mut shard = self.shards[idx].lock();
         if source == ReadSource::Disk && self.raw_per_shard > 0 {
-            shard.raw_misses += 1;
-            if shard.epoch == epoch {
-                let evicted = shard
-                    .raw
-                    .insert(key.clone(), Arc::clone(&bytes), bytes.len() as u64);
-                shard.raw_evictions += evicted;
-            }
+            shard.admit_bytes(key, &bytes, epoch);
         }
         if self.decoded_per_shard > 0 {
-            shard.decoded_misses += 1;
-            if shard.epoch == epoch {
-                let evicted =
-                    shard
-                        .decoded
-                        .insert((key.clone(), sampling), Arc::clone(&segment), 1);
-                shard.decoded_evictions += evicted;
-            }
+            shard.admit_view(key, view, &segment, epoch);
         }
         Ok(Some(DecodedRead { segment, source }))
     }
@@ -629,8 +715,8 @@ impl SegmentReader {
             .collect()
     }
 
-    /// Drop the key's entries from both tiers and bump the shard's epoch so
-    /// in-flight fills that read before this write cannot be admitted.
+    /// Drop the key's bytes and every view of it and bump the shard's epoch
+    /// so in-flight fills that read before this write cannot be admitted.
     fn invalidate(&self, key: &SegmentKey) {
         if self.shards.is_empty() {
             return;
@@ -638,26 +724,27 @@ impl SegmentReader {
         let idx = self.store.shard_index(key);
         let mut shard = self.shards[idx].lock();
         shard.epoch += 1;
-        let mut removed = u64::from(shard.raw.remove(key));
-        // Sampling rates are a small enum, so dropping every possible tier-2
-        // entry for the key is O(variants) point removals — never a scan of
-        // the whole shard cache under its lock.
-        let mut probe = (key.clone(), FrameSampling::Full);
-        for sampling in FrameSampling::ALL {
-            probe.1 = sampling;
-            removed += u64::from(shard.decoded.remove(&probe));
-        }
-        shard.invalidations += removed;
+        let views = shard.decoded.remove(key).map_or(0, |views| views.len());
+        shard.invalidations += u64::from(shard.raw.remove(key).is_some()) + views as u64;
     }
 }
 
-/// Parse and decode one serialized segment at the given sampling rate.
-fn decode_entry(bytes: &[u8], sampling: FrameSampling) -> Result<DecodedSegment> {
-    let data = SegmentData::from_bytes(bytes)?;
-    let (frames, _) = data.decode_sampled(sampling)?;
+/// Decode one serialized segment into `view`, straight from the buffer the
+/// store or tier 1 handed over. Only the view is kept: the stored-fidelity
+/// frames a consumer's view is converted from move into it or are dropped.
+fn decode_entry(bytes: &[u8], view: View) -> Result<DecodedSegment> {
+    let (sampling, consumption) = match view {
+        View::Stored(sampling) => (sampling, None),
+        View::Consumer(fidelity) => (fidelity.sampling, Some(ConsumptionFormat::new(fidelity))),
+    };
+    let decoded = SegmentData::decode_bytes(bytes, sampling)?;
+    let frames = match consumption {
+        None => decoded.frames,
+        Some(consumption) => convert_frames(decoded.frames, &consumption)?,
+    };
     Ok(DecodedSegment {
-        storage_format: data.storage_format(),
-        frame_count: data.frame_count(),
+        storage_format: decoded.storage_format,
+        frame_count: decoded.frame_count,
         raw_len: bytes.len() as u64,
         frames,
     })
@@ -803,6 +890,165 @@ mod tests {
         assert_eq!(stats.decoded_hits, 1);
         assert_eq!(stats.decoded_misses, 2);
         assert_eq!(stats.decoded_entries, 2);
+    }
+
+    /// A consumer strictly poorer than `encoded_segment_bytes`' stored
+    /// fidelity on every knob, and one equal to it on all but sampling.
+    fn poorer_consumer() -> ConsumptionFormat {
+        ConsumptionFormat::new(Fidelity::new(
+            vstore_types::ImageQuality::Bad,
+            vstore_types::CropFactor::C50,
+            vstore_types::Resolution::R100,
+            FrameSampling::S1_6,
+        ))
+    }
+
+    fn sampling_only_consumer() -> ConsumptionFormat {
+        ConsumptionFormat::new(Fidelity::new(
+            vstore_types::ImageQuality::Good,
+            vstore_types::CropFactor::C75,
+            vstore_types::Resolution::R180,
+            FrameSampling::S1_2,
+        ))
+    }
+
+    #[test]
+    fn a_view_is_the_conversion_of_the_decode_stamped_with_the_consumer_fidelity() {
+        let bytes = encoded_segment_bytes();
+        let data = SegmentData::from_bytes(&bytes).unwrap();
+        for cache in [(0, 0), (1 << 20, 64)] {
+            let reader = mem_reader(cache.0, cache.1);
+            reader.put(&key(0), &bytes).unwrap();
+            for consumption in [poorer_consumer(), sampling_only_consumer()] {
+                let (stored, _) = data.decode_sampled(consumption.fidelity.sampling).unwrap();
+                let expected = convert_frames(stored, &consumption).unwrap();
+                assert!(!expected.is_empty());
+                for _ in 0..2 {
+                    let read = reader.get_view(&key(0), &consumption).unwrap().unwrap();
+                    assert_eq!(read.segment.frames, expected);
+                    assert!(read
+                        .segment
+                        .frames
+                        .iter()
+                        .all(|f| f.fidelity == consumption.fidelity));
+                    assert_eq!(read.segment.frame_count, 15);
+                    assert_eq!(read.segment.raw_len, bytes.len() as u64);
+                    assert_eq!(read.segment.storage_format, data.storage_format());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_view_is_a_refcount_bump() {
+        let reader = mem_reader(1 << 20, 64);
+        reader.put(&key(0), &encoded_segment_bytes()).unwrap();
+        let consumption = poorer_consumer();
+        assert!(reader.cached_view(&key(0), &consumption).is_none());
+        let cold = reader.get_view(&key(0), &consumption).unwrap().unwrap();
+        assert_eq!(cold.source, ReadSource::Disk);
+        let mut before = reader.cache_stats();
+        assert_eq!((before.decoded_hits, before.decoded_misses), (0, 1));
+        // Through the full read and through the tier-2 probe alike, a hit
+        // hands out the very segment the fill built and counts one decoded
+        // hit — no other counter moves.
+        for probe_only in [false, true] {
+            let warm = if probe_only {
+                reader.cached_view(&key(0), &consumption).unwrap()
+            } else {
+                reader.get_view(&key(0), &consumption).unwrap().unwrap()
+            };
+            assert_eq!(warm.source, ReadSource::DecodedCache);
+            assert!(Arc::ptr_eq(&warm.segment, &cold.segment));
+            before.decoded_hits += 1;
+            assert_eq!(reader.cache_stats(), before);
+        }
+        // The stored-fidelity view of the same key is a view of its own.
+        let stored = reader
+            .get_decoded(&key(0), consumption.fidelity.sampling)
+            .unwrap()
+            .unwrap();
+        assert_eq!(stored.source, ReadSource::RawCache);
+        assert_ne!(stored.segment.frames, cold.segment.frames);
+        assert_eq!(reader.cache_stats().decoded_entries, 2);
+    }
+
+    #[test]
+    fn put_and_delete_drop_every_view_of_the_key_and_count_each() {
+        let reader = mem_reader(1 << 20, 64);
+        let bytes = encoded_segment_bytes();
+        let views = |reader: &SegmentReader| {
+            reader.get_view(&key(0), &poorer_consumer()).unwrap();
+            reader.get_view(&key(0), &sampling_only_consumer()).unwrap();
+            reader.get_decoded(&key(0), FrameSampling::Full).unwrap();
+            reader.get_view(&key(1), &poorer_consumer()).unwrap();
+        };
+        reader.put(&key(0), &bytes).unwrap();
+        reader.put(&key(1), &bytes).unwrap();
+        assert_eq!(reader.cache_stats().invalidations, 0);
+        views(&reader);
+        assert_eq!(reader.cache_stats().decoded_entries, 4);
+        // An overwrite drops the key's bytes and its three views — four
+        // entries, four invalidations — and leaves the other key alone.
+        reader.put(&key(0), &bytes).unwrap();
+        let stats = reader.cache_stats();
+        assert_eq!((stats.decoded_entries, stats.invalidations), (1, 4));
+        for consumption in [poorer_consumer(), sampling_only_consumer()] {
+            assert!(reader.cached_view(&key(0), &consumption).is_none());
+        }
+        assert!(reader.cached_view(&key(1), &poorer_consumer()).is_some());
+        views(&reader);
+        reader.delete(&key(0)).unwrap();
+        let stats = reader.cache_stats();
+        assert_eq!((stats.decoded_entries, stats.invalidations), (1, 8));
+        assert!(reader
+            .get_view(&key(0), &poorer_consumer())
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn a_key_weighs_its_views_and_is_evicted_whole() {
+        // Single shard so the capacity arithmetic is exact: three views.
+        let store = Arc::new(SegmentStore::open_mem_with_shards(1).unwrap());
+        let reader = SegmentReader::new(store, 0, 3);
+        let bytes = encoded_segment_bytes();
+        reader.put(&key(0), &bytes).unwrap();
+        reader.put(&key(1), &bytes).unwrap();
+        reader.get_view(&key(0), &poorer_consumer()).unwrap();
+        reader.get_view(&key(0), &sampling_only_consumer()).unwrap();
+        reader.get_view(&key(1), &poorer_consumer()).unwrap();
+        let stats = reader.cache_stats();
+        assert_eq!((stats.decoded_entries, stats.decoded_evictions), (3, 0));
+        // A second view of key 1 needs a unit: key 0, the least recently
+        // used entry, goes with both its views.
+        reader.get_view(&key(1), &sampling_only_consumer()).unwrap();
+        let stats = reader.cache_stats();
+        assert_eq!((stats.decoded_entries, stats.decoded_evictions), (2, 2));
+        assert!(reader.cached_view(&key(0), &poorer_consumer()).is_none());
+        assert!(reader.cached_view(&key(1), &poorer_consumer()).is_some());
+        // One key never outweighs the shard: its oldest view makes room.
+        reader.get_decoded(&key(1), FrameSampling::Full).unwrap();
+        reader.get_decoded(&key(1), FrameSampling::S1_30).unwrap();
+        let stats = reader.cache_stats();
+        assert_eq!((stats.decoded_entries, stats.decoded_evictions), (3, 3));
+        assert!(reader.cached_view(&key(1), &poorer_consumer()).is_none());
+        assert!(reader
+            .cached_view(&key(1), &sampling_only_consumer())
+            .is_some());
+    }
+
+    #[test]
+    fn a_consumer_the_stored_fidelity_cannot_serve_is_refused_and_not_cached() {
+        let reader = mem_reader(1 << 20, 64);
+        reader.put(&key(0), &encoded_segment_bytes()).unwrap();
+        let richer = ConsumptionFormat::new(Fidelity::INGESTION);
+        let err = reader.get_view(&key(0), &richer).unwrap_err();
+        assert!(
+            matches!(err, VStoreError::FidelityUnsatisfiable(_)),
+            "{err}"
+        );
+        assert_eq!(reader.cache_stats().decoded_entries, 0);
     }
 
     #[test]

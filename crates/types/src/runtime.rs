@@ -33,10 +33,11 @@ pub struct RuntimeOptions {
     /// path is then byte-identical to the uncached store. Non-zero values
     /// must be at least `shards ×` [`MIN_CACHE_BYTES_PER_SHARD`].
     pub cache_bytes: u64,
-    /// Entry capacity of the tier-2 decoded-frames cache, keyed by
-    /// `(segment key, consumer sampling rate)` so repeated cascade stages
-    /// skip `decode_sampled` entirely. Split across shards like
-    /// `cache_bytes`. `0` disables the tier.
+    /// Capacity, in views, of the tier-2 cache: a view is one segment's
+    /// frames as one consumer takes them (sampled, converted to its
+    /// consumption fidelity), so repeated cascade stages skip decode and
+    /// conversion entirely. Split across shards like `cache_bytes`. `0`
+    /// disables the tier.
     pub decoded_cache_entries: usize,
     /// Session default for the query planner: when `true`, queries consult
     /// the ingest-time metadata sidecars to skip fetching/decoding segments
