@@ -10,7 +10,7 @@
 //!   `vstore_types::cast` ([`rules::CHECKED_CAST`]),
 //! - core library code returns typed errors instead of panicking
 //!   ([`rules::NO_UNWRAP`]),
-//! - every queue is a `vstore_sim::BoundedQueue` ([`rules::BOUNDED_QUEUE`]),
+//! - every queue is a `vstore_types::BoundedQueue` ([`rules::BOUNDED_QUEUE`]),
 //! - and locks across the shard/cache/tier/net layers are acquired in a
 //!   consistent global order ([`rules::LOCK_ORDER`] — the headline
 //!   analysis: per-function lock-acquisition sequences feed a global lock

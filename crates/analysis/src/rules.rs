@@ -18,7 +18,8 @@ pub const BACKEND_SEAM: &str = "backend-seam";
 pub const CHECKED_CAST: &str = "checked-cast";
 /// Rule name: `unwrap`/`expect`/`panic!` in core library code.
 pub const NO_UNWRAP: &str = "no-unwrap";
-/// Rule name: hand-rolled `Mutex<VecDeque<_>>` queues outside `vstore_sim`.
+/// Rule name: hand-rolled `Mutex<VecDeque<_>>` queues outside
+/// `vstore_types::BoundedQueue`'s own file.
 pub const BOUNDED_QUEUE: &str = "bounded-queue";
 /// Rule name: trace span guards bound to `_` (dropped immediately).
 pub const SPAN_GUARD: &str = "span-guard";
@@ -70,6 +71,9 @@ const BACKEND_SEAM_SCOPE: &[&str] = &[
     "crates/types/src/",
     "crates/ops/src/",
 ];
+
+/// The one file allowed a raw `Mutex<VecDeque<_>>`: the queue itself.
+pub const BOUNDED_QUEUE_HOME: &str = "crates/types/src/queue.rs";
 
 /// The only place allowed to touch `std::fs`: the backend seam itself.
 const BACKEND_SEAM_EXEMPT: &[&str] = &["crates/storage/src/backend.rs"];
@@ -267,14 +271,13 @@ fn panic_token_present(code: &str, token: &str) -> bool {
 // bounded-queue
 // ---------------------------------------------------------------------
 
-/// Every queue in the system is a `vstore_sim::BoundedQueue` (bounded,
+/// Every queue in the system is a `vstore_types::BoundedQueue` (bounded,
 /// back-pressured, close/drain semantics); raw `Mutex<VecDeque<_>>`
-/// queueing outside `vstore_sim` reintroduces unbounded growth.
+/// queueing outside [`BOUNDED_QUEUE_HOME`] reintroduces unbounded growth.
 pub fn bounded_queue(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
-        if file.rel_path.starts_with("crates/sim/src/")
-            || file.rel_path.starts_with("crates/analysis/src/")
+        if file.rel_path == BOUNDED_QUEUE_HOME || file.rel_path.starts_with("crates/analysis/src/")
         {
             continue;
         }
@@ -294,7 +297,7 @@ pub fn bounded_queue(files: &[SourceFile]) -> Vec<Finding> {
                 &file.rel_path,
                 idx + 1,
                 line.fn_ctx.as_deref().unwrap_or(""),
-                "raw Mutex<VecDeque<_>> queue; use vstore_sim::BoundedQueue (bounded, \
+                "raw Mutex<VecDeque<_>> queue; use vstore_types::BoundedQueue (bounded, \
                  back-pressured, close/drain semantics)"
                     .to_owned(),
                 line.code.trim(),

@@ -118,9 +118,16 @@ fn bounded_queue_fires_on_raw_mutexed_vecdeque() {
 fn bounded_queue_is_silent_on_pools_and_the_sim_home() {
     let fixture = include_str!("fixtures/bounded_queue_negative.rs");
     assert!(findings_for("crates/serve/src/fixture.rs", fixture).is_empty());
-    // The one sanctioned home for the pattern is vstore_sim itself.
+    // The one sanctioned home for the pattern is the queue's own file, not
+    // a whole crate.
     let positive = include_str!("fixtures/bounded_queue_positive.rs");
-    assert!(findings_for("crates/sim/src/fixture.rs", positive).is_empty());
+    assert!(findings_for(rules::BOUNDED_QUEUE_HOME, positive).is_empty());
+    for elsewhere in ["crates/types/src/fixture.rs", "crates/sim/src/fixture.rs"] {
+        assert_eq!(
+            rules_fired(&findings_for(elsewhere, positive)),
+            [rules::BOUNDED_QUEUE]
+        );
+    }
 }
 
 #[test]

@@ -5,11 +5,11 @@
 //! produced — so sustained-overload scenarios (bursts, diurnal swings)
 //! replay identically on every run. Segment *content* is still the pure
 //! function of `(seed, frame index)` that [`VideoSource`] implements; the
-//! profile only decides *when* each segment becomes due on the
-//! [`VirtualClock`].
+//! profile only decides *when* each segment becomes due on the caller's
+//! virtual time.
 //!
 //! ```text
-//!  VirtualClock ──now()──► LoadProfile ──due_by()──► segment indices due
+//!  virtual time ───now───► LoadProfile ──due_by()──► segment indices due
 //!                                                     │ capture()
 //!                                                     ▼
 //!                                        reusable SceneFrame buffer
@@ -23,12 +23,11 @@ use crate::scene::SceneFrame;
 use crate::source::VideoSource;
 use std::f64::consts::TAU;
 use std::ops::Range;
-use vstore_sim::VirtualClock;
 use vstore_types::{Result, VStoreError};
 
 /// How a simulated camera's offered load varies over virtual time. All
 /// profiles are closed-form integrals — no RNG, no drift — so the segment
-/// schedule is a pure function of the clock reading.
+/// schedule is a pure function of the time passed in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadProfile {
     /// A constant offered rate.
@@ -223,11 +222,6 @@ impl LiveSource {
         range
     }
 
-    /// [`poll`](Self::poll) at the clock's current reading.
-    pub fn poll_clock(&mut self, clock: &VirtualClock) -> Range<u64> {
-        self.poll(clock.now())
-    }
-
     /// Render segment `segment_index` into the internal buffer and return
     /// its frames — value-identical to [`VideoSource::segment`], without the
     /// per-capture allocations once the buffer has warmed up.
@@ -311,17 +305,6 @@ mod tests {
         assert_eq!(cam.capture(3), expected_3.as_slice());
         // Buffer reuse across captures stays value-identical.
         assert_eq!(cam.capture(0), expected_0.as_slice());
-    }
-
-    #[test]
-    fn poll_clock_follows_the_virtual_clock() {
-        let clock = VirtualClock::new();
-        let mut cam = camera(LoadProfile::Steady {
-            segments_per_sec: 2.0,
-        });
-        assert_eq!(cam.poll_clock(&clock), 0..0);
-        clock.advance(3.0);
-        assert_eq!(cam.poll_clock(&clock), 0..6);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::plane::BlockPlane;
 use crate::profile::{Dataset, DatasetProfile};
 use crate::scene::{BoundingBox, ObjectClass, ObjectColor, PlateText, SceneFrame, SceneObject};
-use vstore_sim::DeterministicHasher;
+use vstore_types::DeterministicHasher;
 use vstore_types::{Resolution, Result, VStoreError};
 
 /// Ingestion frame rate (frames per second).

@@ -4,10 +4,11 @@
 //! is transcoded into every storage format of the active configuration and
 //! written, as 8-second segments, into the segment store.
 //!
-//! Ingestion cost (CPU-core-seconds spent transcoding) and disk traffic are
-//! charged to a [`VirtualClock`](vstore_sim::VirtualClock) so experiments can
-//! report the paper's per-stream figures (cores of transcoding, GB/day of
-//! new video) regardless of the host machine.
+//! What an ingest cost is in its [`IngestReport`]: the modelled
+//! CPU-core-seconds spent transcoding and the modelled and actual bytes
+//! written, from which experiments report the paper's per-stream figures
+//! (cores of transcoding, GB/day of new video) regardless of the host
+//! machine.
 //!
 //! The [`live`] module layers a live streaming ingestor on top: a bounded,
 //! back-pressured queue of camera segments drained by background transcode

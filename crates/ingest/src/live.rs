@@ -26,7 +26,7 @@
 //!   drains. The golden format is never degraded, mirroring the erosion
 //!   invariant: full-fidelity recovery stays possible.
 //! * **Panic isolation & graceful drain.** Workers transcode under
-//!   [`vstore_sim::catch_panic`]; a panicking transcode fails one segment,
+//!   [`vstore_types::catch_panic`]; a panicking transcode fails one segment,
 //!   never the ingestor. [`LiveIngestHandle::shutdown`] closes the queue,
 //!   drains every segment already accepted, joins the workers and returns
 //!   the final [`LiveStats`].
@@ -36,8 +36,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vstore_datasets::VideoSource;
-use vstore_sim::sync::lock_unpoisoned;
-use vstore_sim::{catch_panic, panic_message, BoundedQueue, PushError};
+use vstore_types::sync::lock_unpoisoned;
+use vstore_types::{catch_panic, panic_message, BoundedQueue, PushError};
 use vstore_types::{
     Configuration, FrameSampling, LatencyHistogram, LiveIngestOptions, Result, VStoreError,
     VideoSeconds,
@@ -632,7 +632,6 @@ mod tests {
     use crate::pipeline::tests_support::two_format_config;
     use vstore_codec::Transcoder;
     use vstore_datasets::Dataset;
-    use vstore_sim::VirtualClock;
     use vstore_storage::{SegmentReader, SegmentStore};
     use vstore_types::{FormatId, QueueFullPolicy};
 
@@ -642,7 +641,6 @@ mod tests {
                 SegmentStore::open_mem_with_shards(2).unwrap(),
             ))),
             Transcoder::default(),
-            VirtualClock::new(),
         ))
     }
 

@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use vstore_codec::{SegmentMeta, Transcoder};
 use vstore_datasets::{SceneFrame, VideoSource};
-use vstore_sim::{scoped_map, ResourceKind, VirtualClock};
 use vstore_storage::{SegmentKey, SegmentReader, SegmentStore};
 use vstore_types::{
-    ByteSize, Configuration, CoreSeconds, FormatId, Result, StorageFormat, VStoreError,
+    scoped_map, ByteSize, Configuration, CoreSeconds, FormatId, Result, StorageFormat, VStoreError,
     VideoSeconds,
 };
 
@@ -120,7 +119,6 @@ struct IngestTask {
 pub struct IngestionPipeline {
     reader: Arc<SegmentReader>,
     transcoder: Transcoder,
-    clock: VirtualClock,
     workers: usize,
     budget_cores: Option<f64>,
 }
@@ -130,11 +128,10 @@ impl IngestionPipeline {
     /// (possibly caching, possibly shared) [`SegmentReader`], so puts and
     /// erosion deletes invalidate its cache. Pass
     /// [`SegmentReader::disabled`] when nothing reads through a cache.
-    pub fn new(reader: Arc<SegmentReader>, transcoder: Transcoder, clock: VirtualClock) -> Self {
+    pub fn new(reader: Arc<SegmentReader>, transcoder: Transcoder) -> Self {
         IngestionPipeline {
             reader,
             transcoder,
-            clock,
             workers: 1,
             budget_cores: None,
         }
@@ -175,11 +172,6 @@ impl IngestionPipeline {
         self.reader.store()
     }
 
-    /// The virtual clock charged by this pipeline.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
     /// The storage formats of a configuration, keyed by id.
     fn formats_of(config: &Configuration) -> Vec<(FormatId, StorageFormat)> {
         config
@@ -203,8 +195,8 @@ impl IngestionPipeline {
     /// Ingest a contiguous range of segments.
     ///
     /// Every `(segment, storage format)` transcode is one task on the worker
-    /// pool; clock charges and the report are applied on the calling thread
-    /// in `(segment, format)` order, so the result is identical to the
+    /// pool; the report is filled on the calling thread in
+    /// `(segment, format)` order, so the result is identical to the
     /// sequential path regardless of parallelism.
     pub fn ingest_segments(
         &self,
@@ -231,10 +223,10 @@ impl IngestionPipeline {
         // Fan (segment, format) tasks across the pool one window (of one
         // task per worker) at a time: memory stays bounded by the in-flight
         // window — scenes are generated per segment and shared across its
-        // formats via `Arc` — and charges, report fields and errors are
-        // applied in `(segment, format)` order after each window. With one
-        // worker the window is a single task, reproducing the sequential
-        // path's charge and error order exactly.
+        // formats via `Arc` — and report fields and errors are applied in
+        // `(segment, format)` order after each window. With one worker the
+        // window is a single task, reproducing the sequential path's
+        // accounting and error order exactly.
         let mut report = IngestReport::default();
         let mut pending: Vec<IngestTask> = Vec::with_capacity(workers);
         for segment in first_segment..first_segment + count {
@@ -262,7 +254,7 @@ impl IngestionPipeline {
     }
 
     /// Transcode and persist one window of tasks in parallel, then apply
-    /// clock charges and report accounting in task order.
+    /// report accounting in task order.
     fn run_ingest_window(
         &self,
         window: Vec<IngestTask>,
@@ -306,34 +298,16 @@ impl IngestionPipeline {
                 })
             },
         );
-        // Charge every task that persisted — including ones ordered after a
-        // failing task, which parallel execution has already run — so the
-        // ledger always matches store contents; the first error (in task
-        // order) is surfaced afterwards.
-        let mut first_error = None;
+        // The first error in task order fails the ingest; the report of a
+        // failed ingest is never returned, so nothing after it is counted.
         for output in outputs {
-            let out = match output {
-                Ok(out) => out,
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                    continue;
-                }
-            };
-            self.clock
-                .charge_background_seconds(ResourceKind::TranscodeCpu, out.encode_core_seconds);
-            self.clock
-                .charge_bytes(ResourceKind::DiskWrite, out.actual_bytes);
-            self.clock
-                .charge_bytes(ResourceKind::DiskSpace, out.modeled_bytes);
+            let out = output?;
             report.segments_written += 1;
             report.transcode_work += CoreSeconds(out.encode_core_seconds);
             *report.modeled_bytes.entry(out.id).or_insert(ByteSize::ZERO) += out.modeled_bytes;
             report.actual_bytes += out.actual_bytes;
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Apply one age step of the erosion plan to a stream, oldest segments
@@ -455,7 +429,6 @@ mod tests {
                 SegmentStore::open_temp(tag).unwrap(),
             ))),
             Transcoder::default(),
-            VirtualClock::new(),
         )
     }
 
@@ -492,9 +465,8 @@ mod tests {
         assert_eq!(report.segments_written, 6);
         assert!((report.video.seconds() - 24.0).abs() < 1e-9);
         assert_eq!(p.store().segments_of("park", FormatId::GOLDEN).len(), 3);
-        let usage = p.clock().usage();
-        assert!(usage.transcode_work().0 > 0.0);
-        assert!(usage.bytes(ResourceKind::DiskWrite).bytes() > 0);
+        assert!(report.transcode_work.0 > 0.0);
+        assert!(report.actual_bytes.bytes() > 0);
         std::fs::remove_dir_all(p.store().dir()).ok();
     }
 
@@ -566,11 +538,7 @@ mod tests {
             keys.retain(|k| k.stream == stream && k.format == format);
             keys
         };
-        let p = IngestionPipeline::new(
-            Arc::clone(&reader),
-            Transcoder::default(),
-            VirtualClock::new(),
-        );
+        let p = IngestionPipeline::new(Arc::clone(&reader), Transcoder::default());
 
         let source = VideoSource::new(Dataset::Airport);
         let mut config = two_format_config();

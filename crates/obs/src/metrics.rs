@@ -11,7 +11,7 @@
 
 use crate::json;
 use std::sync::Mutex;
-use vstore_sim::sync::lock_unpoisoned;
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::LatencyHistogram;
 
 /// The value of one metric row.

@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use vstore_sim::sync::lock_unpoisoned;
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{Result, VStoreError};
 
 /// Ring shards; trace ids spread across them so committing threads

@@ -154,8 +154,7 @@ impl ConsumptionCostModel {
         }
     }
 
-    /// GPU or CPU seconds charged for consuming `video_seconds` of content
-    /// (used by the resource ledger).
+    /// GPU or CPU seconds consuming `video_seconds` of content takes.
     pub fn compute_seconds(
         &self,
         kind: OperatorKind,

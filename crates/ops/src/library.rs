@@ -75,17 +75,6 @@ impl OperatorLibrary {
     pub fn consumption_speed(&self, kind: OperatorKind, fidelity: &Fidelity) -> Speed {
         self.cost_model.consumption_speed(kind, fidelity)
     }
-
-    /// Compute seconds charged for consuming `video_seconds` of content.
-    pub fn compute_seconds(
-        &self,
-        kind: OperatorKind,
-        fidelity: &Fidelity,
-        video_seconds: f64,
-    ) -> f64 {
-        self.cost_model
-            .compute_seconds(kind, fidelity, video_seconds)
-    }
 }
 
 impl Default for OperatorLibrary {
@@ -211,6 +200,5 @@ mod tests {
             lib.consumption_speed(OperatorKind::License, &fid).factor(),
             direct.factor()
         );
-        assert!(lib.compute_seconds(OperatorKind::License, &fid, 8.0) > 0.0);
     }
 }

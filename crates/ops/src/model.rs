@@ -30,7 +30,7 @@
 //! fidelity — observation O1 holds by construction.
 
 use vstore_datasets::SceneObject;
-use vstore_sim::DeterministicHasher;
+use vstore_types::DeterministicHasher;
 use vstore_types::{Fidelity, OperatorKind};
 
 /// Per-operator parameters of the detection model.

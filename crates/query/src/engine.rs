@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::time::Instant;
 use vstore_codec::{SegmentMeta, Transcoder};
 use vstore_ops::{selectivity_prior, OperatorLibrary};
-use vstore_sim::{scoped_map, ResourceKind, VirtualClock};
 use vstore_storage::{DecodedRead, DecodedSegment, ReadSource, SegmentKey, SegmentReader};
 use vstore_types::{
-    ByteSize, Configuration, Consumer, OperatorKind, Result, Speed, VStoreError, VideoSeconds,
+    scoped_map, ByteSize, Configuration, Consumer, OperatorKind, Result, Speed, VStoreError,
+    VideoSeconds,
 };
 
 /// Per-stage execution statistics.
@@ -94,18 +94,16 @@ impl QueryResult {
 ///
 /// All reads flow through a [`SegmentReader`]: when its two-tier segment
 /// cache is enabled (see [`SegmentReader::new`]), repeated cascade stages
-/// and hot streams are served from memory — charged to
-/// [`ResourceKind::MemRead`] instead of [`ResourceKind::DiskRead`] — and a
-/// tier-2 hit skips decode and conversion entirely: the operator runs on
-/// the cached frames behind their `Arc`, and a window of such hits is
-/// served on the calling thread without spawning anything. Query *results*
-/// are identical with the cache on or off; only the resource ledger (and
-/// wall-clock time) changes.
+/// and hot streams are served from memory, and a tier-2 hit skips decode
+/// and conversion entirely: the operator runs on the cached frames behind
+/// their `Arc`, and a window of such hits is served on the calling thread
+/// without spawning anything. Query *results* are identical with the cache
+/// on or off; only the reader's and the store's counters, the `read.*`
+/// spans (and wall-clock time) change.
 pub struct QueryEngine {
     reader: Arc<SegmentReader>,
     library: OperatorLibrary,
     transcoder: Transcoder,
-    clock: VirtualClock,
     prefetch: usize,
 }
 
@@ -126,7 +124,6 @@ struct PrefetchedSegment {
     decoded: Arc<DecodedSegment>,
     used_fallback: bool,
     read_bytes: ByteSize,
-    source: ReadSource,
 }
 
 impl PrefetchedSegment {
@@ -136,7 +133,6 @@ impl PrefetchedSegment {
             read_bytes: ByteSize(read.segment.raw_len),
             decoded: read.segment,
             used_fallback,
-            source: read.source,
         }
     }
 }
@@ -149,13 +145,11 @@ impl QueryEngine {
         reader: Arc<SegmentReader>,
         library: OperatorLibrary,
         transcoder: Transcoder,
-        clock: VirtualClock,
     ) -> Self {
         QueryEngine {
             reader,
             library,
             transcoder,
-            clock,
             prefetch: 1,
         }
     }
@@ -170,11 +164,6 @@ impl QueryEngine {
     /// The configured prefetch lookahead.
     pub fn prefetch(&self) -> usize {
         self.prefetch
-    }
-
-    /// The virtual clock charged by query execution.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
     }
 
     /// Execute a query over a contiguous range of segments of one stream,
@@ -243,7 +232,7 @@ impl QueryEngine {
     /// The metadata skip pass: drop from `active` every segment whose
     /// sidecar proves its content too static for the cascade's
     /// change-driven stage to keep, **before** any prefetch — a skipped segment is never
-    /// fetched, never decoded and never charged to any resource. Sidecar
+    /// fetched, never decoded and never counted in `bytes_read`. Sidecar
     /// reads go straight to the store (never through the reader), so cache
     /// hit/miss statistics are unaffected. A missing or corrupt sidecar
     /// keeps the segment: the engine degrades to the full fetch + decode
@@ -380,7 +369,6 @@ impl QueryEngine {
                         decoded,
                         used_fallback,
                         read_bytes,
-                        source: _,
                     } = prefetched;
                     let frames = &decoded.frames;
                     bytes_read += read_bytes;
@@ -414,17 +402,6 @@ impl QueryEngine {
                     if stage_idx + 1 == ordered.len() {
                         stage_positive_frames.extend(output.positive_indices());
                     }
-                    let compute = self.library.compute_seconds(
-                        op,
-                        &sub.consumption.fidelity,
-                        segment_seconds,
-                    );
-                    let kind = if op.runs_on_gpu() {
-                        ResourceKind::GpuCompute
-                    } else {
-                        ResourceKind::OperatorCpu
-                    };
-                    self.clock.charge_background_seconds(kind, compute);
                 }
             }
             total_seconds += report.processing_seconds;
@@ -451,8 +428,6 @@ impl QueryEngine {
         }
 
         let video = VideoSeconds(segment_count as f64 * 8.0);
-        self.clock.add_video_processed(video);
-        self.clock.advance(total_seconds);
         Ok(QueryResult {
             query: query.clone(),
             video,
@@ -471,15 +446,7 @@ impl QueryEngine {
     /// and only the misses are fetched, decoded and converted in parallel.
     /// Segments not ingested at all are dropped; segment order is
     /// preserved, so downstream accounting is identical to the sequential
-    /// path.
-    ///
-    /// Read charging happens here and only here, on the calling thread in
-    /// segment order: every fetched segment is charged **exactly once** —
-    /// to [`ResourceKind::DiskRead`] when the store served it, to
-    /// [`ResourceKind::MemRead`] when a cache tier did — on the success and
-    /// the error path alike. The caller never charges reads, so a window
-    /// re-entered after an operator error cannot double-charge segments the
-    /// failing attempt already paid for.
+    /// path, and a failing window reports its first error in segment order.
     fn prefetch_window(
         &self,
         stream: &str,
@@ -521,37 +488,7 @@ impl QueryEngine {
         for (slot, prefetched) in scoped_map(misses, self.prefetch, fetch) {
             fetched[slot] = prefetched;
         }
-        let mut out = Vec::with_capacity(window.len());
-        let mut first_error = None;
-        for item in fetched {
-            match item {
-                Ok(Some(prefetched)) => out.push(prefetched),
-                Ok(None) => {}
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        // Charge every segment this window actually fetched, exactly once,
-        // whether or not the window as a whole succeeds — the ledger always
-        // reflects real traffic, like the ingest side's
-        // charge-everything-persisted policy. (With prefetch = 1 a failing
-        // window is one segment and nothing was fetched, matching the
-        // sequential path.) A cold-tier fetch is charged to `ColdRead`, not
-        // `DiskRead`: it is a different (slower, cheaper) device, and the
-        // ledger is how experiments see the tiering trade-off.
-        for prefetched in &out {
-            let kind = match prefetched.source {
-                ReadSource::DecodedCache | ReadSource::RawCache => ResourceKind::MemRead,
-                ReadSource::Cold => ResourceKind::ColdRead,
-                ReadSource::Disk => ResourceKind::DiskRead,
-            };
-            self.clock.charge_bytes(kind, prefetched.read_bytes);
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        fetched.into_iter().filter_map(Result::transpose).collect()
     }
 
     /// Fetch one segment as the consumer of `consumption` takes it, from
@@ -645,7 +582,6 @@ mod tests {
         let ingest = IngestionPipeline::new(
             Arc::new(SegmentReader::disabled(Arc::clone(&store))),
             Transcoder::default(),
-            VirtualClock::new(),
         );
         let source = VideoSource::new(Dataset::Jackson);
         // Ingest into the union of both configurations' formats by ingesting
@@ -657,7 +593,6 @@ mod tests {
             Arc::new(SegmentReader::disabled(Arc::clone(&store))),
             OperatorLibrary::paper_testbed(),
             Transcoder::default(),
-            VirtualClock::new(),
         );
         Fixture {
             store,
@@ -724,10 +659,10 @@ mod tests {
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
-    /// Regression (DiskRead double-charging): a window that fails mid-fetch
-    /// charges each segment it actually fetched exactly once, and
-    /// re-entering the window after the error charges the re-fetches once
-    /// more — never the failed attempt's segments twice.
+    /// A window that fails mid-fetch reads each of its segments from the
+    /// store exactly once, re-entering it after the error reads them once
+    /// more, and the segment that failed to parse is never admitted to a
+    /// cache — the retry goes back to the store for it alone.
     #[test]
     fn failed_and_reentered_windows_charge_each_fetched_segment_exactly_once() {
         let fx = fixture();
@@ -747,67 +682,71 @@ mod tests {
             .unwrap()
             .unwrap()
             .len() as u64;
+        let failing_attempt = |engine: &QueryEngine| {
+            let reads_before = fx.store.stats().reads;
+            let err = engine
+                .execute("jackson", &query, &fx.config, 0, 2)
+                .unwrap_err();
+            assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+            fx.store.stats().reads - reads_before
+        };
 
-        // Fresh clock, prefetch 2: both segments share one window.
+        // Prefetch 2: both segments share one window. Uncached, every
+        // attempt reads the good and the corrupt segment once each.
         let engine = QueryEngine::new(
             Arc::new(SegmentReader::disabled(Arc::clone(&fx.store))),
             OperatorLibrary::paper_testbed(),
             Transcoder::default(),
-            VirtualClock::new(),
         )
         .with_prefetch(2);
-        let err = engine
-            .execute("jackson", &query, &fx.config, 0, 2)
-            .unwrap_err();
-        assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
-        let usage = engine.clock().usage();
+        assert_eq!(failing_attempt(&engine), 2);
+        assert_eq!(failing_attempt(&engine), 2, "a retry reads each once more");
+
+        // Cached, the failing window still admits the good segment — and
+        // only it: the retry is one decoded hit and one store read.
+        let (reader, engine) = cached_engine(&fx, 2);
+        assert_eq!(failing_attempt(&engine), 2);
+        let admitted = reader.cache_stats();
+        assert_eq!(admitted.decoded_entries, 1);
+        assert_eq!(admitted.raw_resident_bytes, good_len);
         assert_eq!(
-            usage.bytes(ResourceKind::DiskRead).bytes(),
-            good_len,
-            "the good segment is charged exactly once, the corrupt one never"
+            failing_attempt(&engine),
+            1,
+            "only the corrupt one is re-read"
         );
-        // Re-enter the same window: the retry's real re-read is charged
-        // once more — exactly double, not more.
-        let _ = engine
-            .execute("jackson", &query, &fx.config, 0, 2)
-            .unwrap_err();
-        assert_eq!(
-            engine.clock().usage().bytes(ResourceKind::DiskRead).bytes(),
-            2 * good_len
-        );
+        let retried = reader.cache_stats();
+        assert_eq!(retried.decoded_hits, admitted.decoded_hits + 1);
+        assert_eq!(retried.decoded_entries, 1);
+        assert_eq!(retried.raw_resident_bytes, good_len);
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
     /// With the two-tier cache enabled, repeated queries return identical
-    /// results while their reads move from DiskRead to MemRead.
+    /// results while their reads move from the store to tier 2.
     #[test]
     fn cache_hits_charge_memory_reads_and_leave_results_identical() {
         let fx = fixture();
-        let reader = Arc::new(SegmentReader::new(Arc::clone(&fx.store), 64 << 20, 256));
-        let engine = QueryEngine::new(
-            Arc::clone(&reader),
-            OperatorLibrary::paper_testbed(),
-            Transcoder::default(),
-            VirtualClock::new(),
-        )
-        .with_prefetch(2);
+        let (reader, engine) = cached_engine(&fx, 2);
         let query = QuerySpec::query_a(0.8);
 
+        let reads_before = fx.store.stats().reads;
         let first = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();
-        let disk_after_first = engine.clock().usage().bytes(ResourceKind::DiskRead);
-        assert!(disk_after_first.bytes() > 0);
+        let reads_after_first = fx.store.stats().reads;
+        assert!(reads_after_first > reads_before);
+        let cold = reader.cache_stats();
 
         let second = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();
         assert_eq!(first, second, "cache must never change query results");
-        let usage = engine.clock().usage();
         assert_eq!(
-            usage.bytes(ResourceKind::DiskRead),
-            disk_after_first,
-            "a fully warm query reads nothing from disk"
+            fx.store.stats().reads,
+            reads_after_first,
+            "a fully warm query reads nothing from the store"
         );
-        assert!(usage.bytes(ResourceKind::MemRead).bytes() > 0);
-        let stats = reader.cache_stats();
-        assert!(stats.decoded_hits > 0, "stats: {stats:?}");
+        let fetched: usize = second.stages.iter().map(|s| s.segments_processed).sum();
+        let warm = reader.cache_stats();
+        assert_eq!(warm.decoded_hits - cold.decoded_hits, fetched as u64);
+        assert_eq!(warm.decoded_misses, cold.decoded_misses);
+        assert_eq!(warm.raw_hits, cold.raw_hits);
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
@@ -817,7 +756,6 @@ mod tests {
             Arc::clone(&reader),
             OperatorLibrary::paper_testbed(),
             Transcoder::default(),
-            VirtualClock::new(),
         )
         .with_prefetch(prefetch);
         (reader, engine)
@@ -927,7 +865,7 @@ mod tests {
     /// A window whose segments tier 2 holds is served where the stage
     /// runs: with every request traced, each `read.decoded_cache` span
     /// carries the thread id of its `query.stage` span. A window of one
-    /// hit and one miss still records both reads and charges each once.
+    /// hit and one miss still records both reads and serves each once.
     #[test]
     fn a_warm_window_spawns_nothing_and_a_mixed_window_charges_each_read_once() {
         use vstore_obs::{TraceOptions, Tracer};
@@ -984,8 +922,8 @@ mod tests {
         let key = SegmentKey::new("jackson", sub.storage, 1);
         let bytes = fx.store.get(&key).unwrap().unwrap();
         reader.put(&key, &bytes).unwrap();
-        let mem_before = engine.clock().usage().bytes(ResourceKind::MemRead).bytes();
-        let disk_before = engine.clock().usage().bytes(ResourceKind::DiskRead).bytes();
+        let reads_before = fx.store.stats().reads;
+        let before = reader.cache_stats();
         let (mixed, spans) = traced("mixed");
         assert_eq!(mixed, cold);
         let mixed_reads = reads(&spans);
@@ -995,16 +933,16 @@ mod tests {
             .filter(|(n, _)| n == "read.disk")
             .collect();
         assert_eq!(disk_reads.len(), 1);
-        let usage = engine.clock().usage();
         assert_eq!(
-            usage.bytes(ResourceKind::DiskRead).bytes() - disk_before,
-            bytes.len() as u64,
-            "the miss is charged to the disk once"
+            fx.store.stats().reads - reads_before,
+            1,
+            "the miss goes to the store once"
         );
+        let after = reader.cache_stats();
         assert_eq!(
-            usage.bytes(ResourceKind::MemRead).bytes() - mem_before,
-            mixed.bytes_read.bytes() - bytes.len() as u64,
-            "every hit is charged to memory once"
+            (after.decoded_hits + after.raw_hits) - (before.decoded_hits + before.raw_hits),
+            fetched as u64 - 1,
+            "every other read is a cache hit, counted once"
         );
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }

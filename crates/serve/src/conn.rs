@@ -54,9 +54,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use vstore_codec::wire::ByteWriter;
-use vstore_sim::catch_panic;
-use vstore_sim::sync::lock_unpoisoned;
 use vstore_types::cast::usize_from_u32;
+use vstore_types::catch_panic;
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{QueueFullPolicy, VStoreError};
 
 /// Bytes of the transport header: u32 length + u64 correlation id.

@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vstore_sim::sync::lock_unpoisoned;
 use vstore_types::hist::LatencyHistogram;
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{NetOptions, Result, ServeOptions, VStoreError};
 
 /// Idle buffers the pool retains across all connections.

@@ -13,7 +13,7 @@
 //!   client ([`QueueFullPolicy::Block`]). Memory stays bounded no matter
 //!   how many clients connect.
 //! * **Panic isolation.** Workers run each request under
-//!   [`vstore_sim::catch_panic`] — the same panic capture the scoped
+//!   [`vstore_types::catch_panic`] — the same panic capture the scoped
 //!   worker pool uses — so a panicking operator fails only that request
 //!   (the client receives an [`ErrorCode::Panicked`](crate::ErrorCode)
 //!   response) while the worker and the server keep serving.
@@ -35,8 +35,8 @@ use vstore_datasets::VideoSource;
 use vstore_ingest::{ErodeReport, IngestReport, LiveStats};
 use vstore_obs::{MetricsSnapshot, TraceContext, TraceDump, Tracer};
 use vstore_query::{QueryResult, QuerySpec};
-use vstore_sim::sync::lock_unpoisoned;
-use vstore_sim::{catch_panic, panic_message, BoundedQueue, PushError};
+use vstore_types::sync::lock_unpoisoned;
+use vstore_types::{catch_panic, panic_message, BoundedQueue, PushError};
 use vstore_types::{QueueFullPolicy, Result, ServeOptions, VStoreError};
 
 /// The store-side interface the front end drives: the three runtime

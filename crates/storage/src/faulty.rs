@@ -4,7 +4,7 @@
 use crate::backend::{LogHandle, StorageBackend};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use vstore_sim::sync::lock_unpoisoned;
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{Result, VStoreError};
 
 /// What a faulted call does in place of reaching the device: hands back the

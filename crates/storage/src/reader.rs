@@ -254,9 +254,14 @@ impl<K: Eq + Hash + Ord + Clone, V> LruCache<K, V> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(key)?;
-        self.order.remove(&entry.tick);
+        // The order map already owns this key: move it to the new tick
+        // instead of cloning one per hit.
+        let owned = self
+            .order
+            .remove(&entry.tick)
+            .unwrap_or_else(|| key.clone());
         entry.tick = tick;
-        self.order.insert(tick, key.clone());
+        self.order.insert(tick, owned);
         Some(&entry.value)
     }
 

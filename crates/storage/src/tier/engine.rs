@@ -13,8 +13,8 @@
 //! [`SegmentReader`] the caller holds.
 //!
 //! * **Demotion** is a parallel-for over the batch's keys
-//!   ([`vstore_sim::scoped_map`]) at the parallelism the caller passes in;
-//!   each key runs under [`vstore_sim::catch_panic`], so a panicking
+//!   ([`vstore_types::scoped_map`]) at the parallelism the caller passes in;
+//!   each key runs under [`vstore_types::catch_panic`], so a panicking
 //!   migration fails one segment, never the batch.
 //! * **Ordering** makes data loss impossible: a demotion publishes the
 //!   cold object (one atomic `write_all`) before deleting the hot copy, and
@@ -36,8 +36,8 @@ use crate::store::SegmentStore;
 use crate::tier::{ColdStore, TierOptions};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-use vstore_sim::sync::{lock_unpoisoned, wait_unpoisoned};
-use vstore_sim::{catch_panic, panic_message, scoped_map};
+use vstore_types::sync::{lock_unpoisoned, wait_unpoisoned};
+use vstore_types::{catch_panic, panic_message, scoped_map};
 use vstore_types::{ByteSize, LatencyHistogram, Result, VStoreError};
 
 /// One snapshot of the tiering subsystem's statistics, folded into

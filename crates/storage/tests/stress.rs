@@ -4,8 +4,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vstore_sim::DeterministicHasher;
 use vstore_storage::{SegmentKey, SegmentStore, StoreStats};
+use vstore_types::DeterministicHasher;
 use vstore_types::FormatId;
 
 const WRITER_THREADS: u64 = 8;

@@ -9,6 +9,12 @@
 //!
 //! The mixer is SplitMix64, which passes BigCrush and is more than good
 //! enough for workload synthesis.
+//!
+//! The same hasher routes segment keys to shards
+//! (`SegmentStore::shard_index`), so its output is also an **on-disk
+//! fact**: changing the constants, the seed folding or the mix order
+//! strands every stored segment in the wrong shard. A storage test pins
+//! literal values; treat this file as a format definition.
 
 /// A deterministic hasher: fold in integers, then extract uniform values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -23,6 +23,12 @@
 //! This gives `4 × 3 × 10 × 5 = 600` fidelity options and
 //! `600 × (5 × 5) = 15 000` storage formats — the "15K possible combinations"
 //! quoted by the paper.
+//!
+//! Beside the vocabulary sit the few std-only runtime pieces every layer of
+//! the data path runs on: [`pool`] (the scoped, order-preserving parallel
+//! map), [`queue`] (the bounded, closeable job queue), [`sync`] (the
+//! poison-recovery lock helpers) and [`hash`] (deterministic hashing — the
+//! synthetic content's pseudo-randomness *and* the store's shard routing).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,13 +40,17 @@ pub mod crc;
 pub mod error;
 pub mod fidelity;
 pub mod format;
+pub mod hash;
 pub mod hist;
 pub mod knobs;
 pub mod live;
 pub mod net;
+pub mod pool;
+pub mod queue;
 pub mod runtime;
 pub mod serve;
 pub mod space;
+pub mod sync;
 pub mod units;
 
 pub use config::{power_law_target, Configuration, ErosionPlan, ErosionStep, Subscription};
@@ -49,10 +59,13 @@ pub use crc::{crc32, crc32_parts};
 pub use error::{at_least, Result, VStoreError};
 pub use fidelity::{Fidelity, Richness};
 pub use format::{CodingOption, ConsumptionFormat, FormatId, StorageFormat};
+pub use hash::DeterministicHasher;
 pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use knobs::{CropFactor, FrameSampling, ImageQuality, KeyframeInterval, Resolution, SpeedStep};
 pub use live::{LiveIngestOptions, DEFAULT_MAX_LAG_SEGMENTS};
 pub use net::{NetOptions, DEFAULT_MAX_CONNECTIONS, DEFAULT_MAX_FRAME_BYTES};
+pub use pool::{catch_panic, panic_message, scoped_map, PanicPayload};
+pub use queue::{BoundedQueue, PushError};
 pub use runtime::{available_workers, RuntimeOptions, DEFAULT_SHARDS, MIN_CACHE_BYTES_PER_SHARD};
 pub use serve::{QueueFullPolicy, ServeOptions, DEFAULT_QUEUE_DEPTH};
 pub use space::{CodingSpace, FidelitySpace};

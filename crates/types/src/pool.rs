@@ -21,7 +21,8 @@
 //! pool) reuse [`catch_panic`] directly to convert a per-request panic
 //! into an error response instead of a dead worker.
 
-use parking_lot::Mutex;
+use crate::sync::lock_unpoisoned;
+use std::sync::{Mutex, PoisonError};
 
 /// The payload of a caught panic, as produced by
 /// [`std::panic::catch_unwind`].
@@ -77,7 +78,7 @@ where
     // identical side effects at every worker count (the repo's sequential
     // == parallel parity invariant).
     let cursor = Mutex::new(items.into_iter().enumerate());
-    let claim = || cursor.lock().next();
+    let claim = || lock_unpoisoned(&cursor).next();
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     // First panic payload caught by any worker; the workers themselves never
     // unwind, so the scope always joins cleanly and every non-panicking item
@@ -87,9 +88,9 @@ where
         let mut next = first;
         while let Some((i, item)) = next {
             match catch_panic(|| f(i, item)) {
-                Ok(result) => results.lock()[i] = Some(result),
+                Ok(result) => lock_unpoisoned(&results)[i] = Some(result),
                 Err(payload) => {
-                    first_panic.lock().get_or_insert(payload);
+                    lock_unpoisoned(&first_panic).get_or_insert(payload);
                 }
             }
             next = claim();
@@ -109,11 +110,15 @@ where
         }
         work(own);
     });
-    if let Some(payload) = first_panic.into_inner() {
+    if let Some(payload) = first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
         std::panic::resume_unwind(payload);
     }
     results
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|slot| {
             // Scoped workers fill every slot or propagate their panic.

@@ -17,9 +17,9 @@
 //! returns `None` — the graceful worker exit.
 
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+use crate::QueueFullPolicy;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use vstore_types::QueueFullPolicy;
 
 /// Why a [`BoundedQueue::push`] did not enqueue; the rejected item rides
 /// back to the caller in the error so nothing is silently dropped.

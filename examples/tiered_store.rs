@@ -3,7 +3,7 @@
 //! Opens a store with a cold tier configured, ingests a stream, applies an
 //! erosion step that would previously have deleted segments — and shows
 //! them demoted to the cold tier instead, then promoted back by a query
-//! that returns byte-identical results while charging `ColdRead`.
+//! that returns byte-identical results while counting its cold hits.
 //!
 //! Run with `cargo run --example tiered_store`.
 
@@ -12,7 +12,6 @@ use vstore::datasets::{Dataset, VideoSource};
 use vstore::{
     BackendOptions, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore, VStoreOptions,
 };
-use vstore_sim::ResourceKind;
 use vstore_types::{ErosionStep, FormatId, Fraction};
 
 fn main() -> vstore::Result<()> {
@@ -65,12 +64,12 @@ fn main() -> vstore::Result<()> {
     // promote the segments back hot, and the results are byte-identical.
     let aged = store.query(QueryRequest::new("jackson", &query).segments(4))?;
     assert_eq!(fresh, aged, "cold round trip must not change results");
-    let usage = store.clock().usage();
+    let cold_hits = store.tier_stats().expect("cold tier configured").cold_hits;
+    let cache = store.cache_stats();
     println!(
-        "aged query identical; ledger: {} cold-read, {} disk-read, {} mem-read",
-        usage.bytes(ResourceKind::ColdRead),
-        usage.bytes(ResourceKind::DiskRead),
-        usage.bytes(ResourceKind::MemRead),
+        "aged query identical; reads: {cold_hits} cold hits, {} store reads, {} cache hits",
+        store.store_stats().reads,
+        cache.raw_hits + cache.decoded_hits,
     );
 
     println!("\n{}", store.stats_report());

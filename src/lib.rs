@@ -7,8 +7,8 @@
 //! cheaply-cloneable **service handle** that ties them together the way the
 //! paper's prototype does. The handle is `Clone + Send + Sync`: clone it
 //! freely and hand the clones to ingest, query and control threads — every
-//! clone shares the same store, pipelines and resource ledger, and every
-//! method takes `&self`.
+//! clone shares the same store, pipelines and counters, and every method
+//! takes `&self`.
 //!
 //! * **configure** — run backward derivation for a set of
 //!   `<operator, accuracy>` consumers (§4), producing the global set of
@@ -97,7 +97,7 @@ use vstore_ingest::{IngestReport, IngestionPipeline, LiveIngestor};
 use vstore_ops::OperatorLibrary;
 use vstore_profiler::{Profiler, ProfilerConfig};
 use vstore_query::QueryEngine;
-use vstore_sim::{CodingCostModel, VirtualClock};
+use vstore_sim::CodingCostModel;
 use vstore_storage::{SegmentStore, StoreStats};
 
 /// Options controlling a [`VStore`] instance.
@@ -314,7 +314,6 @@ struct VStoreInner {
     /// it with [`QueryRequest::with_planner`].
     query_planner: bool,
     active: RwLock<ConfigSlot>,
-    clock: VirtualClock,
     /// Serving front ends started through [`VStore::serve`];
     /// [`VStore::stats_report`] folds them in.
     serving: RwLock<ProbeRegistry<vstore_serve::ServeProbe>>,
@@ -449,7 +448,7 @@ impl<P: Probe> ProbeRegistry<P> {
 /// The VStore service handle.
 ///
 /// Cloning is an `Arc` bump: all clones share one store, one ingestion
-/// pipeline, one query engine and one resource ledger, and every method
+/// pipeline, one query engine and one set of counters, and every method
 /// takes `&self` — the handle is made to be cloned into however many ingest
 /// and query threads the deployment needs. Configuration changes are atomic
 /// epoch swaps ([`configure`](Self::configure) /
@@ -511,7 +510,6 @@ impl VStore {
         options.trace.validate()?;
         let tracer = Tracer::new(options.trace);
         let runtime = options.runtime;
-        let clock = VirtualClock::new();
         let library = OperatorLibrary::paper_testbed();
         let coding = CodingCostModel::paper_testbed();
         let profiler = Arc::new(Profiler::new(library.clone(), coding, options.profiler));
@@ -544,18 +542,13 @@ impl VStore {
             None => None,
         };
         let ingest = Arc::new(
-            IngestionPipeline::new(Arc::clone(&reader), Transcoder::new(coding), clock.clone())
+            IngestionPipeline::new(Arc::clone(&reader), Transcoder::new(coding))
                 .with_workers(runtime.ingest_workers)
                 .with_ingest_budget(options.engine.ingest_budget_cores),
         );
         let engine = ConfigurationEngine::new(Arc::clone(&profiler), options.engine);
-        let queries = QueryEngine::new(
-            Arc::clone(&reader),
-            library,
-            Transcoder::new(coding),
-            clock.clone(),
-        )
-        .with_prefetch(runtime.query_prefetch);
+        let queries = QueryEngine::new(Arc::clone(&reader), library, Transcoder::new(coding))
+            .with_prefetch(runtime.query_prefetch);
         let handle = VStore {
             inner: Arc::new(VStoreInner {
                 profiler,
@@ -567,7 +560,6 @@ impl VStore {
                 queries,
                 query_planner: runtime.query_planner,
                 active: RwLock::new(ConfigSlot::default()),
-                clock,
                 serving: RwLock::default(),
                 live: RwLock::default(),
                 net: RwLock::default(),
@@ -715,11 +707,6 @@ impl VStore {
     /// backend).
     pub fn store_dir(&self) -> std::path::PathBuf {
         self.inner.store.dir()
-    }
-
-    /// The shared virtual clock (ingestion + query resource ledger).
-    pub fn clock(&self) -> &VirtualClock {
-        &self.inner.clock
     }
 
     /// The active configuration, if one has been installed. The returned

@@ -17,7 +17,6 @@ use vstore::{
     VStoreOptions,
 };
 use vstore_datasets::{Dataset, VideoSource};
-use vstore_sim::ResourceKind;
 use vstore_types::{ErosionStep, FormatId, Fraction};
 
 /// Quiet park segments score below this, activity bursts far above it.
@@ -210,7 +209,7 @@ fn erode_demote_promote_keeps_sidecars_coherent() {
     let demoted = store.query(planned_request(&query, SEGMENTS)).unwrap();
     assert_eq!(fresh, demoted, "demotion changed the planned query");
     assert!(
-        store.clock().usage().bytes(ResourceKind::ColdRead).bytes() > 0,
+        store.tier_stats().expect("tier configured").cold_hits > 0,
         "the surviving segments were fetched from the cold tier"
     );
 
@@ -273,19 +272,26 @@ fn skipped_segments_charge_nothing_and_cache_stats_stay_consistent() {
     const SEGMENTS: u64 = 4;
     let query = QuerySpec::query_a(0.8);
 
-    // Cache off: every fetched segment is charged to the disk ledger
-    // exactly once, so the ledger delta of a query equals its reported
-    // bytes_read — for the exact scan AND the planned one. Skipped
-    // segments therefore charge nothing anywhere.
+    // Cache off: every fetched segment is read from the store exactly
+    // once, so the store's read count moves by the segments the query's
+    // stages report processing — for the exact scan AND the planned one.
+    // Skipped segments therefore cost nothing anywhere.
     let store = VStore::open_temp(
         "planner-charges",
         VStoreOptions::fast().with_backend(BackendOptions::Mem),
     )
     .unwrap();
     ingest_park(&store, &query, SEGMENTS);
-    let disk = |store: &VStore| store.clock().usage().bytes(ResourceKind::DiskRead);
+    let reads = |store: &VStore| store.store_stats().reads;
+    let fetched = |result: &vstore::QueryResult| -> u64 {
+        result
+            .stages
+            .iter()
+            .map(|s| s.segments_processed as u64)
+            .sum()
+    };
 
-    let before = disk(&store);
+    let before = reads(&store);
     let exact = store
         .query(
             QueryRequest::new("park", &query)
@@ -293,21 +299,22 @@ fn skipped_segments_charge_nothing_and_cache_stats_stay_consistent() {
                 .with_planner(false),
         )
         .unwrap();
-    let after_exact = disk(&store);
+    let after_exact = reads(&store);
     assert_eq!(
         after_exact - before,
-        exact.bytes_read,
-        "exact scan: ledger delta == reported bytes"
+        fetched(&exact),
+        "exact scan: store reads == segments processed"
     );
 
     let planned = store.query(planned_request(&query, SEGMENTS)).unwrap();
-    let after_planned = disk(&store);
+    let after_planned = reads(&store);
     assert_eq!(planned.segments_skipped, expected_skips(SEGMENTS));
     assert_eq!(
         after_planned - after_exact,
-        planned.bytes_read,
-        "planned scan: ledger delta == reported bytes"
+        fetched(&planned),
+        "planned scan: store reads == segments processed"
     );
+    assert!(fetched(&planned) < fetched(&exact));
     assert!(
         planned.bytes_read.bytes() * 2 < exact.bytes_read.bytes(),
         "skipping {}/{SEGMENTS} segments must shrink bytes read: {} vs {}",
@@ -315,11 +322,11 @@ fn skipped_segments_charge_nothing_and_cache_stats_stay_consistent() {
         planned.bytes_read,
         exact.bytes_read
     );
-    // Re-running the planned query charges the identical amount: every
-    // fetched segment is charged exactly once, deterministically.
+    // Re-running the planned query reads the identical amount: every
+    // fetched segment is read exactly once, deterministically.
     let replay = store.query(planned_request(&query, SEGMENTS)).unwrap();
     assert_eq!(replay, planned);
-    assert_eq!(disk(&store) - after_planned, planned.bytes_read);
+    assert_eq!(reads(&store) - after_planned, fetched(&planned));
     // The cache is disabled, and sidecar reads bypass the reader: stats
     // stay all-zero no matter how many sidecars the planner consulted.
     let stats = store.cache_stats();
@@ -342,7 +349,8 @@ fn skipped_segments_charge_nothing_and_cache_stats_stay_consistent() {
         store
     };
     let exact_store = twin("planner-cache-exact");
-    exact_store
+    let exact_reads = reads(&exact_store);
+    let exact = exact_store
         .query(
             QueryRequest::new("park", &query)
                 .segments(SEGMENTS)
@@ -351,10 +359,20 @@ fn skipped_segments_charge_nothing_and_cache_stats_stay_consistent() {
         .unwrap();
     let exact_stats = exact_store.cache_stats();
     let planned_store = twin("planner-cache-planned");
-    planned_store
+    let planned_reads = reads(&planned_store);
+    let planned = planned_store
         .query(planned_request(&query, SEGMENTS))
         .unwrap();
     let planned_stats = planned_store.cache_stats();
+    // First touch: every fetched view misses tier 2 once, and every store
+    // read is a tier-1 miss — nothing else moves either counter.
+    for (store, reads_before, result, stats) in [
+        (&exact_store, exact_reads, &exact, &exact_stats),
+        (&planned_store, planned_reads, &planned, &planned_stats),
+    ] {
+        assert_eq!(stats.decoded_misses, fetched(result));
+        assert_eq!(stats.raw_misses, reads(store) - reads_before);
+    }
     assert!(
         planned_stats.raw_misses + planned_stats.decoded_misses
             < exact_stats.raw_misses + exact_stats.decoded_misses,
@@ -363,10 +381,21 @@ fn skipped_segments_charge_nothing_and_cache_stats_stay_consistent() {
     // A hot replay of the planned query is served by the caches — the skip
     // path did not poison hit/miss accounting.
     let misses_before = planned_stats.raw_misses + planned_stats.decoded_misses;
+    let replay_reads = reads(&planned_store);
     planned_store
         .query(planned_request(&query, SEGMENTS))
         .unwrap();
     let replay_stats = planned_store.cache_stats();
+    assert_eq!(
+        reads(&planned_store),
+        replay_reads,
+        "hot replay reads no store"
+    );
+    assert_eq!(
+        replay_stats.decoded_hits - planned_stats.decoded_hits,
+        fetched(&planned),
+        "every replayed fetch is one tier-2 hit"
+    );
     assert_eq!(
         replay_stats.raw_misses + replay_stats.decoded_misses,
         misses_before,

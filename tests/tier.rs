@@ -1,8 +1,8 @@
 //! The tiered-cold-storage acceptance suite: with a cold backend
 //! configured, an `ErodeRequest` that previously deleted segments demotes
 //! them instead; a subsequent query returns byte-identical frames via
-//! read-through promotion, charges `ColdRead` (not `DiskRead`) for the
-//! cold fetch, and `stats_report` shows non-zero demotions/promotions.
+//! read-through promotion, counts the cold fetches as `cold_hits`, and
+//! `stats_report` shows non-zero demotions/promotions.
 //! With no cold backend configured, behaviour is byte-identical to the
 //! untiered store (the parity suites lock that in separately).
 
@@ -12,7 +12,6 @@ use vstore::{
     VStoreOptions,
 };
 use vstore_datasets::{Dataset, VideoSource};
-use vstore_sim::ResourceKind;
 use vstore_storage::{FsBackend, SegmentKey, SegmentStore, StorageBackend};
 use vstore_types::{ErosionStep, FormatId, Fraction};
 
@@ -50,7 +49,7 @@ fn tiered_store(tag: &str) -> VStore {
 }
 
 /// The acceptance criterion, end to end: erode → demote (not delete) →
-/// query → byte-identical results via promotion, ColdRead charged,
+/// query → byte-identical results via promotion, cold hits counted,
 /// stats_report shows the tier moving.
 #[test]
 fn erode_demotes_then_query_promotes_with_identical_results() {
@@ -83,7 +82,8 @@ fn erode_demotes_then_query_promotes_with_identical_results() {
 
     // The demoted segments are still queryable: the read path falls through
     // to the cold tier, promotes, and the results are byte-identical.
-    let cold_before = store.clock().usage().bytes(ResourceKind::ColdRead);
+    let cold_hits = |store: &VStore| store.tier_stats().expect("tier configured").cold_hits;
+    let cold_before = cold_hits(&store);
     let aged = store
         .query(QueryRequest::new("jackson", &query).segments(3))
         .unwrap();
@@ -96,22 +96,21 @@ fn erode_demotes_then_query_promotes_with_identical_results() {
         0,
         "promotion serves the subscribed format, not a fallback"
     );
-    let usage = store.clock().usage();
     assert!(
-        usage.bytes(ResourceKind::ColdRead) > cold_before,
-        "cold fetches must charge ColdRead"
+        cold_hits(&store) > cold_before,
+        "cold fetches must count as cold hits"
     );
 
     // Promotion moved the segments back: the hot store is whole again and a
     // re-run query reads nothing cold.
     assert_eq!(store.store_stats().live_segments, live_before);
-    let cold_after = store.clock().usage().bytes(ResourceKind::ColdRead);
+    let cold_after = cold_hits(&store);
     let warm = store
         .query(QueryRequest::new("jackson", &query).segments(3))
         .unwrap();
     assert_eq!(fresh, warm);
     assert_eq!(
-        store.clock().usage().bytes(ResourceKind::ColdRead),
+        cold_hits(&store),
         cold_after,
         "promoted segments are hot again; nothing reads cold"
     );
