@@ -15,8 +15,11 @@ use vstore_types::{
     Result, SpeedStep, StorageFormat, VStoreError,
 };
 
-/// Magic bytes prefixing every serialised segment.
-const MAGIC: &[u8; 6] = b"VSSEG1";
+/// Magic bytes prefixing every serialised segment, before its version.
+const MAGIC: &[u8; 5] = b"VSSEG";
+/// The container version, an ASCII digit after the magic. `2` is the
+/// literal-run payload coding; nothing reads the pair-coded `1`.
+const VERSION: u8 = b'2';
 
 /// A RAW (coding-bypass) segment: frames stored as uncompressed planes.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +120,7 @@ impl SegmentData {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(4096);
         w.put_raw(MAGIC);
+        w.put_u8(VERSION);
         match self {
             SegmentData::Raw(seg) => {
                 w.put_u8(0);
@@ -275,6 +279,14 @@ impl<'a> SegmentWalk<'a> {
         let mut r = ByteReader::new(bytes);
         if r.get_raw(MAGIC.len())? != MAGIC {
             return Err(VStoreError::corruption("bad segment magic"));
+        }
+        let version = r.get_u8()?;
+        if version != VERSION {
+            return Err(VStoreError::corruption(format!(
+                "segment container version {} where {} is expected",
+                version.escape_ascii(),
+                VERSION.escape_ascii()
+            )));
         }
         let kind = r.get_u8()?;
         let fidelity = read_fidelity(&mut r)?;
@@ -562,6 +574,24 @@ mod tests {
         assert!(SegmentData::from_bytes(&[]).is_err());
     }
 
+    #[test]
+    fn a_version_1_container_is_corruption_naming_both_versions() {
+        let mut bytes = encoded_segment().to_bytes();
+        assert_eq!(&bytes[..6], b"VSSEG2");
+        bytes[5] = b'1';
+        for err in [
+            SegmentData::from_bytes(&bytes).unwrap_err(),
+            SegmentData::decode_bytes(&bytes, FrameSampling::Full).unwrap_err(),
+        ] {
+            assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+            assert!(
+                err.to_string()
+                    .contains("segment container version 1 where 2 is expected"),
+                "{err}"
+            );
+        }
+    }
+
     /// Found while sizing the splat decoder, reproduced on its parent: 20
     /// bytes whose frame count is 2^62 panicked in `Vec::with_capacity`
     /// ("capacity overflow"). Bytes reach this parser from the store after
@@ -571,6 +601,7 @@ mod tests {
     fn a_frame_count_of_2_pow_62_is_corruption_not_a_capacity_overflow() {
         let mut w = ByteWriter::new();
         w.put_raw(MAGIC);
+        w.put_u8(VERSION);
         w.put_u8(0);
         write_fidelity(&mut w, &Fidelity::INGESTION);
         w.put_varint(1 << 62);
@@ -583,12 +614,13 @@ mod tests {
     }
 
     /// The same class, one layer down: 33 bytes holding one 65 535 × 65 535
-    /// keyframe over a one-pair payload parsed, and decoding them asked
+    /// keyframe over a two-byte payload parsed, and decoding them asked
     /// the allocator for 4 294 836 225 bytes (an abort under a 2 GB limit).
     #[test]
     fn a_65535_squared_keyframe_over_two_bytes_is_corruption_not_a_4_gib_allocation() {
         let mut w = ByteWriter::new();
         w.put_raw(MAGIC);
+        w.put_u8(VERSION);
         w.put_u8(1);
         write_fidelity(&mut w, &Fidelity::INGESTION);
         w.put_u8(0); // keyframe interval rank
@@ -597,7 +629,7 @@ mod tests {
         w.put_varint(1); // frames
         write_frame_header(&mut w, 0, 65_535, 65_535, 1.0);
         w.put_u8(1); // keyframe
-        w.put_bytes(&[255, 0]);
+        w.put_bytes(&[255, 0]); // one repeat of 130 samples
         write_objects(&mut w, &[]);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 33);

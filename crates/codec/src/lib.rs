@@ -5,8 +5,9 @@
 //! decode, RAW bypass), a binary segment container, and the transcoder that
 //! converts ingestion-fidelity frames into arbitrary storage formats.
 //!
-//! The codec genuinely compresses the synthetic block planes (delta + RLE
-//! entropy coding), so compression ratios, GOP skipping and RAW bypass are
+//! The codec genuinely compresses the synthetic block planes (delta
+//! prediction + literal-run entropy coding), so compression ratios, GOP
+//! skipping and RAW bypass are
 //! real behaviours, not constants. Throughput numbers reported by
 //! experiments, however, come from the calibrated
 //! [`CodingCostModel`](vstore_sim::CodingCostModel) — see "Substitutions" in
@@ -16,15 +17,22 @@
 //!
 //! ```text
 //! SceneFrame (datasets) ──▶ VideoFrame (ingestion fidelity)
-//!        │ degrade(fidelity)                │ encode(coding)
-//!        ▼                                  ▼
-//! VideoFrame (storage fidelity) ──▶ SegmentData ──▶ bytes (vstore-storage)
-//!                                        │ decode_sampled   │ decode_bytes
-//!                                        ▼                  ▼ (in place)
-//!                            VideoFrame (storage fidelity, sampled)
-//!                                        │ convert_frames (by value)
-//!                                        ▼
-//!                            VideoFrame (consumption fidelity)
+//!                                  │ degrade(fidelity)
+//!                                  ▼
+//!                   VideoFrame (storage fidelity)
+//!                                  │ encode: delta against the GOP's previous
+//!                                  │ frame, then literal/repeat runs
+//!                                  ▼
+//!                   SegmentData ──to_bytes──▶ VSSEG2 bytes (vstore-storage)
+//!                        │ decode_sampled          │ decode_bytes (in place)
+//!                        ▼                         ▼
+//!         expand runs (literals: one copy; repeats: splat or fill),
+//!         add the predecessor, emit the sampled frames
+//!                                  ▼
+//!                   VideoFrame (storage fidelity, sampled)
+//!                                  │ convert_frames (by value)
+//!                                  ▼
+//!                   VideoFrame (consumption fidelity)
 //! ```
 
 #![forbid(unsafe_code)]

@@ -5,8 +5,10 @@
 //! skip fetching and decoding segments whose content is static enough that
 //! the first cascade stage would discard almost everything anyway. The
 //! scores are derived directly from the stored representation — for encoded
-//! segments the RLE payloads are expanded but **no `VideoFrame` is ever
-//! materialised** — so computing a sidecar is much cheaper than a decode.
+//! segments the literal-run payloads are expanded (the decoder's own
+//! expander) but **no `VideoFrame` is ever materialised** — so computing a
+//! sidecar is much cheaper than a decode, and the scores depend on the
+//! samples alone, never on how the payload codes them.
 //!
 //! ## Scoring
 //!
@@ -37,7 +39,7 @@
 //! crc32 u32                  over every preceding byte
 //! ```
 
-use crate::codec::rle_expand;
+use crate::codec::expand_runs;
 use crate::container::SegmentData;
 use crate::frame::sampling_selects;
 use crate::wire::{crc32, ByteReader, ByteWriter};
@@ -100,9 +102,9 @@ pub struct SegmentMeta {
 impl SegmentMeta {
     /// Compute the sidecar for a stored segment.
     ///
-    /// Encoded segments are scored from their compressed payloads (RLE
-    /// expansion only, no frame materialisation); RAW segments from their
-    /// sample planes directly. Both representations of the same content
+    /// Encoded segments are scored from their compressed payloads
+    /// (literal-run expansion only, no frame materialisation); RAW segments
+    /// from their sample planes directly. Both representations of the same content
     /// yield identical scores.
     pub fn from_segment(segment: &SegmentData) -> Result<SegmentMeta> {
         match segment {
@@ -131,7 +133,7 @@ impl SegmentMeta {
                 let mut first_index = 0u64;
                 for frame in seg.chunks.iter().flat_map(|chunk| &chunk.frames) {
                     let len = frame.record().sample_count()?;
-                    rle_expand(&frame.payload, len, &mut scratch)?;
+                    expand_runs(&frame.payload, len, &mut scratch)?;
                     let samples = &scratch[..len];
                     let has_predecessor = frame_count > 0;
                     if !has_predecessor {
@@ -282,9 +284,12 @@ mod tests {
     use crate::codec::encode_segment;
     use crate::container::RawSegment;
     use crate::frame::materialize_clip;
+    use crate::transcode::Transcoder;
     use vstore_datasets::{Dataset, VideoSource};
+    use vstore_sim::CodingCostModel;
     use vstore_types::{
-        CropFactor, Fidelity, ImageQuality, KeyframeInterval, Resolution, SpeedStep,
+        CodingOption, CropFactor, Fidelity, ImageQuality, KeyframeInterval, Resolution, SpeedStep,
+        StorageFormat,
     };
 
     fn fidelity() -> Fidelity {
@@ -332,6 +337,73 @@ mod tests {
         let crc = crc32(&padded);
         padded.extend_from_slice(&crc.to_le_bytes());
         assert!(SegmentMeta::from_bytes(&padded).is_err());
+    }
+
+    /// The sidecar is scored from expanded samples, so the payload coding
+    /// cannot move a byte of it. Pinned: Jackson segment 0 in each of query
+    /// A's three storage formats (what configuring a store for
+    /// `QuerySpec::query_a(0.8)` derives), as length and trailing CRC-32,
+    /// printed by the pair-coded (`VSSEG1`) build through the same
+    /// `Transcoder::transcode_segment` → `from_segment` → `to_bytes` path.
+    #[test]
+    fn query_a_sidecars_keep_the_bytes_of_the_pair_coded_format() {
+        let format = |quality, crop, sampling, coding| {
+            StorageFormat::new(
+                Fidelity::new(quality, crop, Resolution::R720, sampling),
+                coding,
+            )
+        };
+        let golden = CodingOption::Encoded {
+            keyframe_interval: KeyframeInterval::K250,
+            speed: SpeedStep::Slowest,
+        };
+        let cases = [
+            (
+                format(
+                    ImageQuality::Good,
+                    CropFactor::C75,
+                    FrameSampling::Full,
+                    golden,
+                ),
+                1323,
+                0x4a17_671f,
+            ),
+            (
+                StorageFormat::new(
+                    Fidelity::new(
+                        ImageQuality::Worst,
+                        CropFactor::C50,
+                        Resolution::R400,
+                        FrameSampling::Full,
+                    ),
+                    CodingOption::Raw,
+                ),
+                1323,
+                0xe7fa_6994,
+            ),
+            (
+                format(
+                    ImageQuality::Good,
+                    CropFactor::C50,
+                    FrameSampling::S1_30,
+                    CodingOption::Raw,
+                ),
+                52,
+                0x6180_a8a2,
+            ),
+        ];
+        let source = VideoSource::new(Dataset::Jackson);
+        let transcoder = Transcoder::new(CodingCostModel::paper_testbed());
+        for (format, len, crc) in cases {
+            let segment = transcoder
+                .transcode_segment(&source.segment(0), &format, source.motion_intensity())
+                .unwrap()
+                .data;
+            let bytes = SegmentMeta::from_segment(&segment).unwrap().to_bytes();
+            let (body, stored) = bytes.split_at(bytes.len() - 4);
+            assert_eq!((bytes.len(), crc32(body)), (len, crc), "{format:?}");
+            assert_eq!(stored, crc.to_le_bytes());
+        }
     }
 
     #[test]

@@ -5,11 +5,28 @@
 //! The implementation is slicing-by-16: sixteen 256-entry tables, built at
 //! compile time, let the loop fold sixteen input bytes into the running
 //! checksum with sixteen independent lookups instead of 128 dependent
-//! shift/xor rounds. The checksums are those of the bitwise algorithm, which
+//! shift/xor rounds. One such fold still waits on the one before it, so
+//! long inputs are walked in [`LANES`] interleaved lanes of [`LANE_BLOCK`]
+//! bytes each: the lanes' folds do not depend on each other, so their
+//! lookups overlap. Lane `k + 1` starts from a zero register, and the lanes
+//! are joined by the linearity of the CRC: the register after `a ‖ b` is
+//! the register after `a` multiplied by `x^(8·|b|)` modulo the polynomial,
+//! xor the register after `b` alone — a multiply by a constant, itself four
+//! table lookups. The checksums are those of the bitwise algorithm, which
 //! survives as the reference the tests compare against.
+
+/// The IEEE polynomial in the register's reflected bit order (bit 31 is
+/// `x^0`; the `x^32` term is implicit).
+const POLY: u32 = 0xEDB8_8320;
 
 /// Bytes folded per step of the main loop, and the number of tables.
 const STRIDE: usize = 16;
+
+/// Lanes walked side by side over a long input.
+const LANES: usize = 3;
+
+/// Bytes each lane walks before the lanes are joined.
+const LANE_BLOCK: usize = 1024;
 
 /// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
 /// CRC of byte `b` followed by `k` zero bytes.
@@ -22,7 +39,7 @@ const fn tables() -> [[u32; 256]; STRIDE] {
         let mut crc = byte as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
             bit += 1;
         }
         tables[0][byte] = crc;
@@ -41,6 +58,87 @@ const fn tables() -> [[u32; 256]; STRIDE] {
     tables
 }
 
+/// `a · b` modulo the polynomial, both in the register's bit order.
+const fn multiply(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut term = 0;
+    while term < 32 {
+        // `b` is the second factor times `x^term`.
+        if a & (1 << (31 - term)) != 0 {
+            product ^= b;
+        }
+        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
+        term += 1;
+    }
+    product
+}
+
+/// `x^(8·bytes)` modulo the polynomial, by square-and-multiply.
+const fn x_pow_8n(mut bytes: usize) -> u32 {
+    let mut power = 1 << 31; // x^0
+    let mut square = 1 << (31 - 8); // x^8
+    while bytes > 0 {
+        if bytes & 1 != 0 {
+            power = multiply(power, square);
+        }
+        square = multiply(square, square);
+        bytes >>= 1;
+    }
+    power
+}
+
+/// `SHIFT[k][b]` is `(b << 8k) · x^(8·LANE_BLOCK)`: the register a lane
+/// ends with, moved past the next lane's bytes, one byte at a time.
+static SHIFT: [[u32; 256]; 4] = shift_tables();
+
+const fn shift_tables() -> [[u32; 256]; 4] {
+    let factor = x_pow_8n(LANE_BLOCK);
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut byte = 0;
+        while byte < 256 {
+            tables[k][byte] = multiply((byte as u32) << (8 * k), factor);
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// The register `crc` after [`LANE_BLOCK`] more bytes, minus what those
+/// bytes contributed themselves.
+#[inline]
+fn shift(crc: u32) -> u32 {
+    let [b0, b1, b2, b3] = crc.to_le_bytes();
+    SHIFT[0][usize::from(b0)]
+        ^ SHIFT[1][usize::from(b1)]
+        ^ SHIFT[2][usize::from(b2)]
+        ^ SHIFT[3][usize::from(b3)]
+}
+
+/// Fold one stride into the register.
+#[inline(always)]
+fn fold(crc: u32, s: &[u8; STRIDE]) -> u32 {
+    let [a0, a1, a2, a3] = (crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]])).to_le_bytes();
+    TABLES[15][usize::from(a0)]
+        ^ TABLES[14][usize::from(a1)]
+        ^ TABLES[13][usize::from(a2)]
+        ^ TABLES[12][usize::from(a3)]
+        ^ TABLES[11][usize::from(s[4])]
+        ^ TABLES[10][usize::from(s[5])]
+        ^ TABLES[9][usize::from(s[6])]
+        ^ TABLES[8][usize::from(s[7])]
+        ^ TABLES[7][usize::from(s[8])]
+        ^ TABLES[6][usize::from(s[9])]
+        ^ TABLES[5][usize::from(s[10])]
+        ^ TABLES[4][usize::from(s[11])]
+        ^ TABLES[3][usize::from(s[12])]
+        ^ TABLES[2][usize::from(s[13])]
+        ^ TABLES[1][usize::from(s[14])]
+        ^ TABLES[0][usize::from(s[15])]
+}
+
 /// CRC-32 (IEEE polynomial, reflected) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_parts(&[data])
@@ -49,30 +147,29 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// CRC-32 of the concatenation of `parts`, computed without concatenating
 /// them — equal to [`crc32`] of the joined bytes however they are split.
 pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    // The running value is carried across parts, so a part that is not a
-    // multiple of the stride only ends its own run of full strides.
+    // The running value is carried across parts, so a part only ends its
+    // own run of lane blocks and strides.
     let mut crc = 0xFFFF_FFFFu32;
     for part in parts {
-        let (strides, tail) = part.as_chunks::<STRIDE>();
+        let (blocks, rest) = part.as_chunks::<{ LANES * LANE_BLOCK }>();
+        for block in blocks {
+            let (lanes, _) = block.as_chunks::<LANE_BLOCK>();
+            let mut registers = [0u32; LANES];
+            registers[0] = crc;
+            for i in 0..LANE_BLOCK / STRIDE {
+                for (register, lane) in registers.iter_mut().zip(lanes) {
+                    let (strides, _) = lane.as_chunks::<STRIDE>();
+                    *register = fold(*register, &strides[i]);
+                }
+            }
+            crc = registers
+                .into_iter()
+                .reduce(|joined, next| shift(joined) ^ next)
+                .unwrap_or(crc);
+        }
+        let (strides, tail) = rest.as_chunks::<STRIDE>();
         for s in strides {
-            let [a0, a1, a2, a3] =
-                (crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]])).to_le_bytes();
-            crc = TABLES[15][usize::from(a0)]
-                ^ TABLES[14][usize::from(a1)]
-                ^ TABLES[13][usize::from(a2)]
-                ^ TABLES[12][usize::from(a3)]
-                ^ TABLES[11][usize::from(s[4])]
-                ^ TABLES[10][usize::from(s[5])]
-                ^ TABLES[9][usize::from(s[6])]
-                ^ TABLES[8][usize::from(s[7])]
-                ^ TABLES[7][usize::from(s[8])]
-                ^ TABLES[6][usize::from(s[9])]
-                ^ TABLES[5][usize::from(s[10])]
-                ^ TABLES[4][usize::from(s[11])]
-                ^ TABLES[3][usize::from(s[12])]
-                ^ TABLES[2][usize::from(s[13])]
-                ^ TABLES[1][usize::from(s[14])]
-                ^ TABLES[0][usize::from(s[15])];
+            crc = fold(crc, s);
         }
         for &byte in tail {
             let [low, ..] = crc.to_le_bytes();
@@ -138,25 +235,34 @@ mod tests {
     }
 
     proptest! {
-        /// Random buffers of 0..=4 KiB, started at every alignment within a
-        /// stride and cut at random points. Cuts come in pairs less than a
-        /// stride apart, so parts also begin and end inside one 16-byte
-        /// stride (and a zero gap gives an empty part).
+        /// Random buffers of up to two full runs of lanes plus a stride,
+        /// started at every alignment within a stride and cut at random
+        /// points and around lane boundaries. Cuts come in pairs less than
+        /// a stride apart, so parts also begin and end inside one 16-byte
+        /// stride (and a zero gap gives an empty part); a cut a few bytes
+        /// either side of a multiple of `LANE_BLOCK` ends one part inside a
+        /// lane and starts the next across the boundary.
         #[test]
         fn table_driven_equals_the_bitwise_reference(
-            data in proptest::collection::vec(any::<u8>(), 0..4096 + STRIDE + 1),
+            data in proptest::collection::vec(any::<u8>(), 0..2 * LANES * LANE_BLOCK + STRIDE + 1),
             cut_pairs in proptest::collection::vec(any::<(u16, u8)>(), 0..5),
+            boundary_cuts in proptest::collection::vec(any::<(u8, i8)>(), 0..3),
         ) {
             for start in 0..STRIDE.min(data.len() + 1) {
                 let data = &data[start..];
                 let expected = bitwise_parts(&[data]);
                 prop_assert_eq!(crc32(data), expected, "start alignment {}", start);
 
-                let mut cuts = Vec::with_capacity(cut_pairs.len() * 2);
+                let mut cuts = Vec::with_capacity(cut_pairs.len() * 2 + boundary_cuts.len());
                 for &(at, gap) in &cut_pairs {
                     let at = usize::from(at) % (data.len() + 1);
                     cuts.push(at);
                     cuts.push((at + usize::from(gap) % STRIDE).min(data.len()));
+                }
+                for &(lane, offset) in &boundary_cuts {
+                    let lane = usize::from(lane) % (2 * LANES + 1);
+                    let at = (lane * LANE_BLOCK).saturating_add_signed(isize::from(offset % 21));
+                    cuts.push(at.min(data.len()));
                 }
                 cuts.sort_unstable();
                 let mut parts = Vec::with_capacity(cuts.len() + 1);
