@@ -203,6 +203,8 @@ fn encode_runs(data: &[u8]) -> Vec<u8> {
         pos += usize::from(run);
     }
     flush_literals(&mut out, &data[..pos], literals);
+    // The payload lives as long as its segment; drop the worst-case slack.
+    out.shrink_to_fit();
     out
 }
 

@@ -15,10 +15,6 @@
 //! table lookups. The checksums are those of the bitwise algorithm, which
 //! survives as the reference the tests compare against.
 
-/// The IEEE polynomial in the register's reflected bit order (bit 31 is
-/// `x^0`; the `x^32` term is implicit).
-const POLY: u32 = 0xEDB8_8320;
-
 /// Bytes folded per step of the main loop, and the number of tables.
 const STRIDE: usize = 16;
 
@@ -39,7 +35,7 @@ const fn tables() -> [[u32; 256]; STRIDE] {
         let mut crc = byte as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
         tables[0][byte] = crc;
@@ -58,52 +54,36 @@ const fn tables() -> [[u32; 256]; STRIDE] {
     tables
 }
 
-/// `a · b` modulo the polynomial, both in the register's bit order.
-const fn multiply(a: u32, mut b: u32) -> u32 {
-    let mut product = 0;
-    let mut term = 0;
-    while term < 32 {
-        // `b` is the second factor times `x^term`.
-        if a & (1 << (31 - term)) != 0 {
-            product ^= b;
-        }
-        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
-        term += 1;
-    }
-    product
-}
-
-/// `x^(8·bytes)` modulo the polynomial, by square-and-multiply.
-const fn x_pow_8n(mut bytes: usize) -> u32 {
-    let mut power = 1 << 31; // x^0
-    let mut square = 1 << (31 - 8); // x^8
-    while bytes > 0 {
-        if bytes & 1 != 0 {
-            power = multiply(power, square);
-        }
-        square = multiply(square, square);
-        bytes >>= 1;
-    }
-    power
-}
-
-/// `SHIFT[k][b]` is `(b << 8k) · x^(8·LANE_BLOCK)`: the register a lane
-/// ends with, moved past the next lane's bytes, one byte at a time.
+/// `SHIFT[k][b]` is the register `b << 8k` after [`LANE_BLOCK`] zero bytes,
+/// i.e. `(b << 8k) · x^(8·LANE_BLOCK)`: the register a lane ends with, moved
+/// past the next lane's bytes, one byte at a time.
 static SHIFT: [[u32; 256]; 4] = shift_tables();
 
 const fn shift_tables() -> [[u32; 256]; 4] {
-    let factor = x_pow_8n(LANE_BLOCK);
-    let mut tables = [[0u32; 256]; 4];
+    let tables = tables();
+    let mut shift = [[0u32; 256]; 4];
     let mut k = 0;
     while k < 4 {
         let mut byte = 0;
         while byte < 256 {
-            tables[k][byte] = multiply((byte as u32) << (8 * k), factor);
+            // A stride of zero bytes folds through the four tables the
+            // register's bytes index; the twelve input lookups are all 0.
+            let mut crc = (byte as u32) << (8 * k);
+            let mut strides = 0;
+            while strides < LANE_BLOCK / STRIDE {
+                let [a0, a1, a2, a3] = crc.to_le_bytes();
+                crc = tables[15][a0 as usize]
+                    ^ tables[14][a1 as usize]
+                    ^ tables[13][a2 as usize]
+                    ^ tables[12][a3 as usize];
+                strides += 1;
+            }
+            shift[k][byte] = crc;
             byte += 1;
         }
         k += 1;
     }
-    tables
+    shift
 }
 
 /// The register `crc` after [`LANE_BLOCK`] more bytes, minus what those
@@ -162,10 +142,9 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
                     *register = fold(*register, &strides[i]);
                 }
             }
-            crc = registers
-                .into_iter()
-                .reduce(|joined, next| shift(joined) ^ next)
-                .unwrap_or(crc);
+            crc = registers[1..]
+                .iter()
+                .fold(registers[0], |joined, &next| shift(joined) ^ next);
         }
         let (strides, tail) = rest.as_chunks::<STRIDE>();
         for s in strides {
