@@ -1,27 +1,25 @@
-//! `vstore-analysis` — project-invariant static analysis for the VStore
-//! workspace, exposed in CI as the `analysis_gate` binary.
+//! `vstore-analysis`: the workspace invariants a general linter cannot
+//! know, checked by this crate's own test (`cargo test -p
+//! vstore-analysis`), which fails on any finding.
 //!
-//! PRs 1–8 grew VStore into a sharded, cached, tiered, network-served
-//! store whose correctness rests on a handful of cross-cutting invariants:
+//! - Locks across the shard/cache/tier/net layers are acquired in one
+//!   global order ([`rules::LOCK_ORDER`]): per-function acquisition
+//!   sequences, `.lock()`/`.read()`/`.write()` and the
+//!   `vstore_types::sync::lock_unpoisoned` helper alike, feed a global
+//!   lock graph whose cycles are potential deadlocks.
+//! - All disk I/O flows through the `StorageBackend` seam
+//!   ([`rules::BACKEND_SEAM`]).
+//! - Every queue is a `vstore_types::BoundedQueue`
+//!   ([`rules::BOUNDED_QUEUE`]).
 //!
-//! - all disk I/O flows through the `StorageBackend` seam
-//!   ([`rules::BACKEND_SEAM`]),
-//! - integer narrowing on storage/codec/serve paths goes through
-//!   `vstore_types::cast` ([`rules::CHECKED_CAST`]),
-//! - core library code returns typed errors instead of panicking
-//!   ([`rules::NO_UNWRAP`]),
-//! - every queue is a `vstore_types::BoundedQueue` ([`rules::BOUNDED_QUEUE`]),
-//! - and locks across the shard/cache/tier/net layers are acquired in a
-//!   consistent global order ([`rules::LOCK_ORDER`] — the headline
-//!   analysis: per-function lock-acquisition sequences feed a global lock
-//!   graph whose cycles are potential deadlocks).
+//! Panics, narrowing casts and dropped span guards are clippy's to police
+//! (see `[workspace.lints]` in the root `Cargo.toml`).
 //!
-//! The pass is a small line/token scanner ([`scan`]) — module-structure
-//! and `#[cfg(test)]`/`mod tests` aware, so test code is scoped correctly
-//! — feeding the rules ([`rules`]). Findings ([`report`]) are suppressible
-//! per site with `// vstore-lint: allow(rule)` comments and in no other
-//! way: every finding fails the gate. The crate is std-only and
-//! dependency-free: it must build before — and regardless of — everything
+//! The pass is a small line/token scanner ([`scan`]), module-structure and
+//! `#[cfg(test)]`/`mod tests` aware so test code is scoped correctly,
+//! feeding the rules ([`rules`]). There is no per-site suppression: a
+//! rule's one exemption is a constant in [`rules`]. The crate is std-only
+//! and dependency-free, so it builds before, and regardless of, everything
 //! it checks.
 
 pub mod lockgraph;
@@ -86,17 +84,15 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) -> Resul
     Ok(())
 }
 
-/// Parse the given `(path, contents)` pairs and run every rule.
-pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Finding> {
-    let files: Vec<SourceFile> = sources
+/// Parse the given `(path, contents)` pairs.
+pub fn parse_sources(sources: &[(String, String)]) -> Vec<SourceFile> {
+    sources
         .iter()
         .map(|(path, text)| SourceFile::parse(path, text))
-        .collect();
-    rules::run_all(&files)
+        .collect()
 }
 
-/// Analyze the workspace rooted at `root`.
-pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
-    let sources = collect_workspace_sources(root)?;
-    Ok(analyze_sources(&sources))
+/// Parse the given `(path, contents)` pairs and run every rule.
+pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Finding> {
+    rules::run_all(&parse_sources(sources))
 }

@@ -52,11 +52,6 @@ impl LockGraph {
             .push(site);
     }
 
-    /// Number of distinct ordered pairs recorded.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// All distinct edges, sorted, with their witness sites.
     pub fn edges(&self) -> impl Iterator<Item = (&str, &str, &[EdgeSite])> {
         self.edges

@@ -1,10 +1,11 @@
-//! The project-invariant rules.
+//! The rules a general linter cannot know: they encode where this
+//! workspace draws its own lines.
 //!
 //! Each rule is a pure function from scanned sources to findings; scoping
-//! (which crates/paths a rule covers) lives here so the fixture tests can
-//! exercise a rule by giving a fixture a matching virtual path. All rules
-//! skip test code (`#[cfg(test)]` items, `mod tests`) and honor per-site
-//! `// vstore-lint: allow(rule)` suppressions.
+//! (which crates/paths a rule covers, and the one file each rule exempts)
+//! lives in this file's constants, so the fixture tests can exercise a
+//! rule by giving a fixture a matching virtual path. All rules skip test
+//! code (`#[cfg(test)]` items, `mod tests`).
 
 use crate::lockgraph::{EdgeSite, LockGraph};
 use crate::report::Finding;
@@ -14,48 +15,9 @@ use crate::scan::{ContextKind, SourceFile};
 pub const LOCK_ORDER: &str = "lock-order";
 /// Rule name: raw `std::fs` outside the storage-backend seam.
 pub const BACKEND_SEAM: &str = "backend-seam";
-/// Rule name: narrowing `as` casts on storage/codec/serve paths.
-pub const CHECKED_CAST: &str = "checked-cast";
-/// Rule name: `unwrap`/`expect`/`panic!` in core library code.
-pub const NO_UNWRAP: &str = "no-unwrap";
 /// Rule name: hand-rolled `Mutex<VecDeque<_>>` queues outside
 /// `vstore_types::BoundedQueue`'s own file.
 pub const BOUNDED_QUEUE: &str = "bounded-queue";
-/// Rule name: trace span guards bound to `_` (dropped immediately).
-pub const SPAN_GUARD: &str = "span-guard";
-
-/// All rule names, for CLI help and docs.
-pub const ALL_RULES: &[&str] = &[
-    LOCK_ORDER,
-    BACKEND_SEAM,
-    CHECKED_CAST,
-    NO_UNWRAP,
-    BOUNDED_QUEUE,
-    SPAN_GUARD,
-];
-
-/// The core library crates whose non-test code must not panic.
-const NO_UNWRAP_SCOPE: &[&str] = &[
-    "src/",
-    "crates/storage/src/",
-    "crates/codec/src/",
-    "crates/core/src/",
-    "crates/ingest/src/",
-    "crates/obs/src/",
-    "crates/query/src/",
-    "crates/serve/src/",
-    "crates/sim/src/",
-    "crates/types/src/",
-];
-
-/// The hot paths where every narrowing cast must go through
-/// `vstore_types::cast`.
-const CHECKED_CAST_SCOPE: &[&str] = &[
-    "src/",
-    "crates/storage/src/",
-    "crates/codec/src/",
-    "crates/serve/src/",
-];
 
 /// Where the backend-seam rule applies (library code of the store crates).
 const BACKEND_SEAM_SCOPE: &[&str] = &[
@@ -78,19 +40,18 @@ pub const BOUNDED_QUEUE_HOME: &str = "crates/types/src/queue.rs";
 /// The only place allowed to touch `std::fs`: the backend seam itself.
 const BACKEND_SEAM_EXEMPT: &[&str] = &["crates/storage/src/backend.rs"];
 
+/// The `vstore_types::sync` helper that acquires a `std::sync::Mutex`.
+const LOCK_HELPER: &str = "lock_unpoisoned(";
+
 fn in_scope(path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| path.starts_with(p))
 }
 
 /// Run every rule.
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    findings.extend(lock_order(files));
+    let mut findings = lock_order(files);
     findings.extend(backend_seam(files));
-    findings.extend(checked_cast(files));
-    findings.extend(no_unwrap(files));
     findings.extend(bounded_queue(files));
-    findings.extend(span_guard(files));
     findings
 }
 
@@ -101,170 +62,13 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
 /// All disk I/O flows through the `StorageBackend` trait: `std::fs` in
 /// non-test library code is only legal inside the backend seam itself.
 pub fn backend_seam(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in files {
-        if !in_scope(&file.rel_path, BACKEND_SEAM_SCOPE)
-            || BACKEND_SEAM_EXEMPT
-                .iter()
-                .any(|e| file.rel_path.starts_with(e))
-        {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test || !token_present(&line.code, "std::fs") {
-                continue;
-            }
-            if file.is_allowed(idx, BACKEND_SEAM) {
-                continue;
-            }
-            findings.push(Finding::new(
-                BACKEND_SEAM,
-                &file.rel_path,
-                idx + 1,
-                line.fn_ctx.as_deref().unwrap_or(""),
-                "raw std::fs outside the StorageBackend seam; route disk I/O through the \
-                 backend trait"
-                    .to_owned(),
-                line.code.trim(),
-            ));
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// checked-cast
-// ---------------------------------------------------------------------
-
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
-/// Narrowing `as` casts on the storage/codec/serve paths silently truncate;
-/// they must go through `vstore_types::cast` (or be explicitly allowed).
-pub fn checked_cast(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in files {
-        if !in_scope(&file.rel_path, CHECKED_CAST_SCOPE) {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            for target in narrowing_casts(&line.code) {
-                if file.is_allowed(idx, CHECKED_CAST) {
-                    continue;
-                }
-                findings.push(Finding::new(
-                    CHECKED_CAST,
-                    &file.rel_path,
-                    idx + 1,
-                    line.fn_ctx.as_deref().unwrap_or(""),
-                    format!(
-                        "narrowing `as {target}` cast on a checked path; use a \
-                         vstore_types::cast helper (or allow with a justification)"
-                    ),
-                    line.code.trim(),
-                ));
-            }
-        }
-    }
-    findings
-}
-
-/// The narrow targets of every `as <narrow-int>` cast on the line.
-fn narrowing_casts(code: &str) -> Vec<&'static str> {
-    let mut found = Vec::new();
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("as") {
-        let at = from + pos;
-        from = at + 2;
-        let before_ok = at == 0 || !is_ident_char(bytes[at - 1] as char);
-        let after = at + 2;
-        let after_ok = after < code.len() && (bytes[after] as char).is_whitespace();
-        if !before_ok || !after_ok {
-            continue;
-        }
-        let rest = code[after..].trim_start();
-        for target in NARROW_TARGETS {
-            if rest.starts_with(target)
-                && !rest[target.len()..]
-                    .chars()
-                    .next()
-                    .is_some_and(is_ident_char)
-            {
-                found.push(*target);
-                break;
-            }
-        }
-    }
-    found
-}
-
-// ---------------------------------------------------------------------
-// no-unwrap
-// ---------------------------------------------------------------------
-
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// Core library code returns typed errors; it does not panic. Intentional
-/// invariant panics carry an allow comment with a one-line justification.
-pub fn no_unwrap(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in files {
-        if !in_scope(&file.rel_path, NO_UNWRAP_SCOPE) {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            for token in PANIC_TOKENS {
-                if !panic_token_present(&line.code, token) {
-                    continue;
-                }
-                if file.is_allowed(idx, NO_UNWRAP) {
-                    continue;
-                }
-                findings.push(Finding::new(
-                    NO_UNWRAP,
-                    &file.rel_path,
-                    idx + 1,
-                    line.fn_ctx.as_deref().unwrap_or(""),
-                    format!(
-                        "`{}` in core library code; return a typed VStoreError (or allow \
-                         with a justification)",
-                        token.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                    line.code.trim(),
-                ));
-            }
-        }
-    }
-    findings
-}
-
-fn panic_token_present(code: &str, token: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(token) {
-        let at = from + pos;
-        from = at + token.len();
-        // Word boundary on the left (so `catch_panic!(` or a longer method
-        // name never matches). Tokens starting with `.` are self-bounding.
-        let before_ok =
-            token.starts_with('.') || at == 0 || !is_ident_char(code.as_bytes()[at - 1] as char);
-        if before_ok {
-            return true;
-        }
-    }
-    false
+    line_rule(
+        files,
+        BACKEND_SEAM,
+        |path| in_scope(path, BACKEND_SEAM_SCOPE) && !in_scope(path, BACKEND_SEAM_EXEMPT),
+        |code| token_present(code, "std::fs"),
+        "raw std::fs outside the StorageBackend seam; route disk I/O through the backend trait",
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -275,75 +79,46 @@ fn panic_token_present(code: &str, token: &str) -> bool {
 /// back-pressured, close/drain semantics); raw `Mutex<VecDeque<_>>`
 /// queueing outside [`BOUNDED_QUEUE_HOME`] reintroduces unbounded growth.
 pub fn bounded_queue(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in files {
-        if file.rel_path == BOUNDED_QUEUE_HOME || file.rel_path.starts_with("crates/analysis/src/")
-        {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let packed: String = line.code.chars().filter(|c| !c.is_whitespace()).collect();
-            if !(packed.contains("Mutex<VecDeque") || packed.contains("RwLock<VecDeque")) {
-                continue;
-            }
-            if file.is_allowed(idx, BOUNDED_QUEUE) {
-                continue;
-            }
-            findings.push(Finding::new(
-                BOUNDED_QUEUE,
-                &file.rel_path,
-                idx + 1,
-                line.fn_ctx.as_deref().unwrap_or(""),
-                "raw Mutex<VecDeque<_>> queue; use vstore_types::BoundedQueue (bounded, \
-                 back-pressured, close/drain semantics)"
-                    .to_owned(),
-                line.code.trim(),
-            ));
-        }
-    }
-    findings
+    line_rule(
+        files,
+        BOUNDED_QUEUE,
+        |path| path != BOUNDED_QUEUE_HOME,
+        |code| {
+            let packed: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+            // The locked type, path-qualified or not (`Mutex<VecDeque<_>>`,
+            // `RwLock<std::collections::VecDeque<_>>`).
+            ["Mutex<", "RwLock<"].iter().any(|lock| {
+                packed.split(lock).skip(1).any(|inner| {
+                    let path = inner.split(|c| !(is_ident_char(c) || c == ':')).next();
+                    path.and_then(|p| p.rsplit("::").next()) == Some("VecDeque")
+                })
+            })
+        },
+        "raw Mutex<VecDeque<_>> queue; use vstore_types::BoundedQueue (bounded, \
+         back-pressured, close/drain semantics)",
+    )
 }
 
-// ---------------------------------------------------------------------
-// span-guard
-// ---------------------------------------------------------------------
-
-/// A trace span guard bound to `_` is dropped on the same statement: the
-/// span records a zero-length interval and the region it was meant to time
-/// is not measured at all. Bind it to a named guard (`let _span = …`) so
-/// the RAII drop happens at the end of the region.
-pub fn span_guard(files: &[SourceFile]) -> Vec<Finding> {
+/// Report every non-test line that `matches`, in the files whose path the
+/// rule `applies` to.
+fn line_rule(
+    files: &[SourceFile],
+    rule: &'static str,
+    applies: impl Fn(&str) -> bool,
+    matches: impl Fn(&str) -> bool,
+    message: &str,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for file in files {
-        if file.rel_path.starts_with("crates/analysis/src/") {
-            continue;
-        }
+    for file in files.iter().filter(|f| applies(&f.rel_path)) {
         for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
+            if !line.in_test && matches(&line.code) {
+                findings.push(Finding {
+                    rule,
+                    file: file.rel_path.clone(),
+                    line: idx + 1,
+                    message: message.to_owned(),
+                });
             }
-            let packed: String = line.code.chars().filter(|c| !c.is_whitespace()).collect();
-            if !packed.contains("let_=")
-                || !(packed.contains(".span(") || packed.contains(".span_with("))
-            {
-                continue;
-            }
-            if file.is_allowed(idx, SPAN_GUARD) {
-                continue;
-            }
-            findings.push(Finding::new(
-                SPAN_GUARD,
-                &file.rel_path,
-                idx + 1,
-                line.fn_ctx.as_deref().unwrap_or(""),
-                "span guard bound to `_` drops immediately and times nothing; bind it \
-                 to a named guard (`let _span = …`) for the region it should cover"
-                    .to_owned(),
-                line.code.trim(),
-            ));
         }
     }
     findings
@@ -461,7 +236,7 @@ struct Guard {
 /// the sequence of lock acquisitions over named `Mutex`/`RwLock` fields,
 /// track which `let`-bound guards are still alive (scope- and
 /// `drop()`-aware), and record a `held -> acquired` edge for every nested
-/// acquisition. Suppressed sites (`allow(lock-order)`) contribute no edges.
+/// acquisition.
 pub fn build_lock_graph(files: &[SourceFile]) -> LockGraph {
     let decls = collect_lock_decls(files);
     let mut graph = LockGraph::new();
@@ -476,59 +251,62 @@ pub fn lock_order(files: &[SourceFile]) -> Vec<Finding> {
     let graph = build_lock_graph(files);
     let mut findings = Vec::new();
     for cycle in graph.cycles() {
-        let ring = cycle.locks.join(" -> ");
-        let mut witnesses = String::new();
+        let mut witnesses = Vec::new();
         for (outer, inner, sites) in &cycle.edges {
             for site in sites {
-                if !witnesses.is_empty() {
-                    witnesses.push_str("; ");
-                }
-                witnesses.push_str(&format!(
-                    "{} taken holding {} at {}:{} ({})",
-                    inner, outer, site.file, site.line, site.function
+                witnesses.push(format!(
+                    "{inner} taken holding {outer} at {}:{} ({})",
+                    site.file, site.line, site.function
                 ));
             }
         }
-        findings.push(Finding::new(
-            LOCK_ORDER,
-            "(workspace)",
-            0,
-            "lock graph",
-            format!("potential deadlock: lock-order cycle [{ring}]: {witnesses}"),
-            &format!("cycle {ring}"),
-        ));
+        findings.push(Finding {
+            rule: LOCK_ORDER,
+            file: "(workspace)".to_owned(),
+            line: 0,
+            message: format!(
+                "potential deadlock: lock-order cycle [{}]: {}",
+                cycle.locks.join(" -> "),
+                witnesses.join("; ")
+            ),
+        });
     }
     findings
 }
 
 fn walk_file(file: &SourceFile, decls: &[LockDecl], graph: &mut LockGraph) {
     let mut guards: Vec<Guard> = Vec::new();
+    // A guard whose `let` is complete once the next token is its `;`.
+    let mut pending: Option<Guard> = None;
     let mut stmt = String::new();
     let mut stmt_depth = 0usize;
     let mut last_fn: Option<String> = None;
 
     for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test || line.fn_ctx.is_none() {
+        if line.in_test || line.fn_ctx.is_none() || line.fn_ctx != last_fn {
             guards.clear();
+            pending = None;
             stmt.clear();
-            last_fn = None;
-            continue;
-        }
-        if line.fn_ctx != last_fn {
-            guards.clear();
-            stmt.clear();
-            last_fn = line.fn_ctx.clone();
+            last_fn = line.fn_ctx.clone().filter(|_| !line.in_test);
+            if last_fn.is_none() {
+                continue;
+            }
         }
         // Guards bound deeper than the current depth went out of scope.
         guards.retain(|g| g.depth <= line.depth_start);
 
-        let suppressed = file.is_allowed(idx, LOCK_ORDER);
         let mut depth = line.depth_start;
-        let code = &line.code;
-        let chars: Vec<char> = code.chars().collect();
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
+        for c in line.code.chars() {
+            // The guard is held only if its acquisition ends the `let`; a
+            // guard the statement goes on to use (`x.lock().len()`) or
+            // wraps (`take(&mut *lock_unpoisoned(&x))`) is a temporary.
+            if pending.is_some() && !c.is_whitespace() {
+                if let Some(guard) = pending.take().filter(|_| c == ';') {
+                    // Shadowing re-binds: the old guard dies.
+                    guards.retain(|g| g.name.is_none() || g.name != guard.name);
+                    guards.push(guard);
+                }
+            }
             match c {
                 '{' => {
                     depth += 1;
@@ -547,62 +325,73 @@ fn walk_file(file: &SourceFile, decls: &[LockDecl], graph: &mut LockGraph) {
                     stmt.push(c);
                 }
             }
+            if c != ')' {
+                continue;
+            }
             // A completed `drop(name)` releases that guard early.
-            if c == ')' {
-                if let Some(name) = dropped_name(&stmt) {
-                    guards.retain(|g| g.name.as_deref() != Some(name));
-                }
+            if let Some(name) = dropped_name(&stmt) {
+                guards.retain(|g| g.name.as_deref() != Some(name));
             }
-            // A completed acquisition token ends exactly here.
-            if c == ')' {
-                if let Some(kind) = acquisition_at(&stmt) {
-                    if let Some(decl) = resolve(&stmt, kind, file, line.impl_ctx.as_deref(), decls)
-                    {
-                        let id = decl.id();
-                        if !suppressed {
-                            for g in &guards {
-                                graph.add_edge(
-                                    &g.lock_id,
-                                    &id,
-                                    EdgeSite {
-                                        file: file.rel_path.clone(),
-                                        line: idx + 1,
-                                        function: line.fn_ctx.clone().unwrap_or_default(),
-                                    },
-                                );
-                            }
-                        }
-                        let trimmed = stmt.trim_start();
-                        if trimmed.starts_with("let ") {
-                            let name = let_binding_name(trimmed);
-                            if let Some(n) = &name {
-                                // Shadowing re-binds: the old guard dies.
-                                guards.retain(|g| g.name.as_deref() != Some(n.as_str()));
-                            }
-                            guards.push(Guard {
-                                lock_id: id,
-                                name,
-                                depth: stmt_depth,
-                            });
-                        }
-                    }
-                }
+            // A completed acquisition ends exactly here.
+            let Some(acquired) = acquisition(&stmt) else {
+                continue;
+            };
+            let Some(decl) = resolve(&acquired, file, line.impl_ctx.as_deref(), decls) else {
+                continue;
+            };
+            let id = decl.id();
+            for g in &guards {
+                graph.add_edge(
+                    &g.lock_id,
+                    &id,
+                    EdgeSite {
+                        file: file.rel_path.clone(),
+                        line: idx + 1,
+                        function: line.fn_ctx.clone().unwrap_or_default(),
+                    },
+                );
             }
-            i += 1;
+            pending = bound_guard(&stmt).map(|name| Guard {
+                lock_id: id,
+                name,
+                depth: stmt_depth,
+            });
         }
     }
 }
 
-/// If `stmt` ends with an acquisition call (`.lock()`, `.read()`,
-/// `.write()`), the lock kind it requires.
-fn acquisition_at(stmt: &str) -> Option<LockKind> {
-    if stmt.ends_with(".lock()") {
-        Some(LockKind::Mutex)
-    } else if stmt.ends_with(".read()") || stmt.ends_with(".write()") {
-        Some(LockKind::RwLock)
-    } else {
-        None
+/// The acquisition that ends `text`, if any: `<chain>.lock()` (a
+/// `Mutex`), `<chain>.read()` / `.write()` (an `RwLock`), or the
+/// `vstore_types::sync` helper `lock_unpoisoned(&<chain>)`, optionally
+/// path-qualified. Returns the lock kind it needs and the receiver chain.
+fn acquisition(text: &str) -> Option<(LockKind, Vec<String>)> {
+    for (suffix, kind) in [
+        (".lock()", LockKind::Mutex),
+        (".read()", LockKind::RwLock),
+        (".write()", LockKind::RwLock),
+    ] {
+        if let Some(receiver) = text.strip_suffix(suffix) {
+            return Some((kind, receiver_chain(receiver)?));
+        }
     }
+    let open = text.rfind(LOCK_HELPER)?;
+    if text[..open].ends_with(is_ident_char) {
+        return None;
+    }
+    let argument = text[open + LOCK_HELPER.len()..].strip_suffix(')')?;
+    Some((LockKind::Mutex, receiver_chain(argument)?))
+}
+
+/// If `stmt` is a `let` whose initializer so far ends in a lock
+/// acquisition, the guard it binds should the statement end right there:
+/// `Some(name)`, or `Some(None)` for a destructuring pattern. `None` for
+/// `let _ = ...`, which drops the guard at once.
+fn bound_guard(stmt: &str) -> Option<Option<String>> {
+    let (pattern, _) = stmt.trim_start().strip_prefix("let ")?.split_once('=')?;
+    if pattern.trim() == "_" {
+        return None;
+    }
+    Some(let_binding_name(pattern))
 }
 
 /// If `stmt` ends with `drop(name)`, the dropped identifier.
@@ -630,11 +419,10 @@ fn dropped_name(stmt: &str) -> Option<&str> {
     }
 }
 
-/// The bound name of a `let` statement (`let mut g = ...` -> `g`); `None`
-/// for destructuring patterns.
-fn let_binding_name(stmt: &str) -> Option<String> {
-    let rest = stmt.trim_start().strip_prefix("let ")?;
-    let rest = rest.trim_start();
+/// The name a `let` pattern binds (`mut g: T` -> `g`); `None` for
+/// destructuring patterns.
+fn let_binding_name(pattern: &str) -> Option<String> {
+    let rest = pattern.trim_start();
     let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
     let end = rest
         .char_indices()
@@ -646,28 +434,25 @@ fn let_binding_name(stmt: &str) -> Option<String> {
     Some(rest[..end].to_owned())
 }
 
-/// Resolve the receiver chain before the acquisition at the end of `stmt`
-/// to a declared lock field. The chain must be built from identifiers,
-/// field accesses, and index expressions (a method call in the chain makes
-/// the receiver opaque and the site is skipped). Resolution prefers the
+/// Resolve an acquisition's receiver chain to a declared lock field of
+/// the kind it needs. The chain must be built from identifiers, field
+/// accesses, and index expressions (a method call in the chain makes the
+/// receiver opaque and the site is skipped). Resolution prefers the
 /// `impl` type's own field for `self` receivers, then a unique same-file
 /// field, then a unique workspace-wide field.
 fn resolve<'d>(
-    stmt: &str,
-    kind: LockKind,
+    (kind, chain): &(LockKind, Vec<String>),
     file: &SourceFile,
     impl_ctx: Option<&str>,
     decls: &'d [LockDecl],
 ) -> Option<&'d LockDecl> {
-    let call_start = stmt.rfind('.')?;
-    let chain = receiver_chain(&stmt[..call_start])?;
     let field = chain
         .iter()
         .rev()
         .find(|seg| !seg.chars().all(|c| c.is_ascii_digit()))?;
     let candidates: Vec<&LockDecl> = decls
         .iter()
-        .filter(|d| &d.field == field && d.kind == kind)
+        .filter(|d| &d.field == field && d.kind == *kind)
         .collect();
     if candidates.is_empty() {
         return None;
@@ -770,12 +555,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn narrowing_casts_are_found_with_boundaries() {
-        assert_eq!(narrowing_casts("x as u32"), vec!["u32"]);
-        assert_eq!(narrowing_casts("x as u64"), Vec::<&str>::new());
-        assert_eq!(narrowing_casts("measures as u32x"), Vec::<&str>::new());
-        assert_eq!(narrowing_casts("alias as_u32(x)"), Vec::<&str>::new());
-        assert_eq!(narrowing_casts("a as u8; b as i16"), vec!["u8", "i16"]);
+    fn acquisitions_parse() {
+        let chain = |segs: &[&str]| segs.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        assert_eq!(
+            acquisition("let g = self.alpha.lock()"),
+            Some((LockKind::Mutex, chain(&["self", "alpha"])))
+        );
+        assert_eq!(
+            acquisition("self.inner.live.write()"),
+            Some((LockKind::RwLock, chain(&["self", "inner", "live"])))
+        );
+        assert_eq!(
+            acquisition("let s = lock_unpoisoned(&self.shards[id % n])"),
+            Some((LockKind::Mutex, chain(&["self", "shards"])))
+        );
+        assert_eq!(
+            acquisition("vstore_types::sync::lock_unpoisoned(&shared.state)"),
+            Some((LockKind::Mutex, chain(&["shared", "state"])))
+        );
+        assert_eq!(acquisition("relock_unpoisoned(&self.state)"), None);
+        assert_eq!(acquisition("self.alpha.lock().len()"), None);
+    }
+
+    #[test]
+    fn only_a_named_let_binds_a_guard() {
+        assert_eq!(
+            bound_guard("let mut g = self.alpha.lock()"),
+            Some(Some("g".to_owned()))
+        );
+        assert_eq!(bound_guard("let (a, b) = pair.lock()"), Some(None));
+        assert_eq!(bound_guard("let _ = self.alpha.lock()"), None);
+        assert_eq!(bound_guard("self.alpha.lock()"), None);
     }
 
     #[test]

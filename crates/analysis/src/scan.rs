@@ -2,11 +2,10 @@
 //!
 //! [`SourceFile::parse`] turns one Rust source file into per-line records
 //! that the rules consume: the line's code with comments and literal
-//! contents blanked out (so `".unwrap()"` inside a string never trips a
+//! contents blanked out (so `"std::fs"` inside a string never trips a
 //! rule), whether the line sits in test code (`#[cfg(test)]` items or a
-//! `mod tests`), the innermost `fn`/`impl`/`struct`/`enum` context, brace
-//! depth, and any `// vstore-lint: allow(rule)` suppressions attached to
-//! the line.
+//! `mod tests`), the innermost `fn`/`impl`/`struct`/`enum` context and
+//! brace depth.
 //!
 //! This is deliberately a line/token scanner, not a parser: it tracks just
 //! enough structure (string/comment state, brace depth, item headers) to
@@ -53,9 +52,6 @@ pub struct Line {
     pub fn_ctx: Option<String>,
     /// Innermost enclosing `impl` type name at the end of the line.
     pub impl_ctx: Option<String>,
-    /// Rules suppressed on this line via `// vstore-lint: allow(rule, ...)`
-    /// on the line itself or the line directly above it.
-    pub allowed: Vec<String>,
 }
 
 /// One parsed source file.
@@ -68,23 +64,14 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// `true` when `rule` is suppressed at `line_idx` (0-based).
-    pub fn is_allowed(&self, line_idx: usize, rule: &str) -> bool {
-        self.lines
-            .get(line_idx)
-            .is_some_and(|l| l.allowed.iter().any(|r| r == rule))
-    }
-
     /// Parse `text` (the contents of `rel_path`) into per-line records.
     pub fn parse(rel_path: &str, text: &str) -> SourceFile {
-        let (code_lines, comment_lines) = strip(text);
-        let allows: Vec<Vec<String>> = comment_lines.iter().map(|c| parse_allows(c)).collect();
-
+        let code_lines = strip(text);
         let mut scopes: Vec<Scope> = Vec::new();
         let mut header = String::new();
         let mut lines = Vec::with_capacity(code_lines.len());
 
-        for (idx, code) in code_lines.iter().enumerate() {
+        for code in &code_lines {
             let depth_start = scopes.len();
             let start_kind = innermost_kind(&scopes);
             let struct_ctx = innermost_name(&scopes, |k| matches!(k, ScopeKind::Struct(_)));
@@ -107,16 +94,6 @@ impl SourceFile {
             }
 
             let test_end = scopes.iter().any(|s| s.test);
-            let mut allowed = allows[idx].clone();
-            // A standalone comment line's allow applies to the line below
-            // it; an end-of-line comment applies only to its own line.
-            if idx > 0 && code_lines[idx - 1].trim().is_empty() {
-                for rule in &allows[idx - 1] {
-                    if !allowed.contains(rule) {
-                        allowed.push(rule.clone());
-                    }
-                }
-            }
             lines.push(Line {
                 code: code.clone(),
                 in_test: test_start || test_end,
@@ -126,7 +103,6 @@ impl SourceFile {
                 struct_ctx,
                 fn_ctx: innermost_name(&scopes, |k| matches!(k, ScopeKind::Fn(_))),
                 impl_ctx: innermost_name(&scopes, |k| matches!(k, ScopeKind::Impl(_))),
-                allowed,
             });
         }
 
@@ -310,32 +286,10 @@ fn impl_type_name(header: &str) -> String {
     path.rsplit("::").next().unwrap_or(path).to_owned()
 }
 
-/// Parse `vstore-lint: allow(a, b)` out of one line's comment text.
-fn parse_allows(comment: &str) -> Vec<String> {
-    let Some(pos) = comment.find("vstore-lint:") else {
-        return Vec::new();
-    };
-    let rest = &comment[pos + "vstore-lint:".len()..];
-    let Some(open) = rest.find("allow(") else {
-        return Vec::new();
-    };
-    let inner = &rest[open + "allow(".len()..];
-    let Some(close) = inner.find(')') else {
-        return Vec::new();
-    };
-    inner[..close]
-        .split(',')
-        .map(|r| r.trim().to_owned())
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
 /// Blank comments and literal contents out of `text`, preserving the line
-/// structure. Returns per-line (code, comment-text) pairs: the code view
-/// keeps string/char delimiters but replaces their contents with spaces;
-/// the comment view holds only comment text (code blanked), so suppression
-/// comments can be parsed per line.
-fn strip(text: &str) -> (Vec<String>, Vec<String>) {
+/// structure: each line keeps string/char delimiters but has their
+/// contents, and every comment, replaced with spaces.
+fn strip(text: &str) -> Vec<String> {
     #[derive(PartialEq)]
     enum State {
         Normal,
@@ -348,7 +302,6 @@ fn strip(text: &str) -> (Vec<String>, Vec<String>) {
 
     let chars: Vec<char> = text.chars().collect();
     let mut code = String::with_capacity(text.len());
-    let mut comment = String::with_capacity(64);
     let mut state = State::Normal;
     let mut i = 0;
     while i < chars.len() {
@@ -358,7 +311,6 @@ fn strip(text: &str) -> (Vec<String>, Vec<String>) {
                 state = State::Normal;
             }
             code.push('\n');
-            comment.push('\n');
             i += 1;
             continue;
         }
@@ -368,41 +320,34 @@ fn strip(text: &str) -> (Vec<String>, Vec<String>) {
                 if c == '/' && next == Some('/') {
                     state = State::LineComment;
                     code.push_str("  ");
-                    comment.push_str("//");
                     i += 2;
                 } else if c == '/' && next == Some('*') {
                     state = State::BlockComment(1);
                     code.push_str("  ");
-                    comment.push_str("/*");
                     i += 2;
                 } else if c == '"' {
                     state = State::Str;
                     code.push('"');
-                    comment.push(' ');
                     i += 1;
                 } else if (c == 'r' || c == 'b') && raw_string_hashes(&chars, i).is_some() {
                     let (skip, hashes) = raw_string_hashes(&chars, i).unwrap_or((1, 0));
                     state = State::RawStr(hashes);
                     for _ in 0..skip {
                         code.push(' ');
-                        comment.push(' ');
                     }
                     code.push('"');
                     i += skip + 1;
                 } else if c == '\'' && is_char_literal(&chars, i) {
                     state = State::Char;
                     code.push('\'');
-                    comment.push(' ');
                     i += 1;
                 } else {
                     code.push(c);
-                    comment.push(' ');
                     i += 1;
                 }
             }
             State::LineComment => {
                 code.push(' ');
-                comment.push(c);
                 i += 1;
             }
             State::BlockComment(depth) => {
@@ -414,27 +359,22 @@ fn strip(text: &str) -> (Vec<String>, Vec<String>) {
                         State::Normal
                     };
                     code.push_str("  ");
-                    comment.push_str("*/");
                     i += 2;
                 } else if c == '/' && next == Some('*') {
                     state = State::BlockComment(depth + 1);
                     code.push_str("  ");
-                    comment.push_str("/*");
                     i += 2;
                 } else {
                     code.push(' ');
-                    comment.push(c);
                     i += 1;
                 }
             }
             State::Str => {
                 if c == '\\' {
                     code.push_str("  ");
-                    comment.push_str("  ");
                     // Keep a line break inside an escaped literal visible.
                     if chars.get(i + 1) == Some(&'\n') {
                         code.pop();
-                        comment.pop();
                     } else {
                         i += 1;
                     }
@@ -442,11 +382,9 @@ fn strip(text: &str) -> (Vec<String>, Vec<String>) {
                 } else if c == '"' {
                     state = State::Normal;
                     code.push('"');
-                    comment.push(' ');
                     i += 1;
                 } else {
                     code.push(' ');
-                    comment.push(' ');
                     i += 1;
                 }
             }
@@ -454,40 +392,32 @@ fn strip(text: &str) -> (Vec<String>, Vec<String>) {
                 if c == '"' && closes_raw_string(&chars, i, hashes) {
                     state = State::Normal;
                     code.push('"');
-                    comment.push(' ');
                     for _ in 0..hashes {
                         code.push(' ');
-                        comment.push(' ');
                     }
                     i += 1 + hashes;
                 } else {
                     code.push(' ');
-                    comment.push(' ');
                     i += 1;
                 }
             }
             State::Char => {
                 if c == '\\' {
                     code.push_str("  ");
-                    comment.push_str("  ");
                     i += 2;
                 } else if c == '\'' {
                     state = State::Normal;
                     code.push('\'');
-                    comment.push(' ');
                     i += 1;
                 } else {
                     code.push(' ');
-                    comment.push(' ');
                     i += 1;
                 }
             }
         }
     }
 
-    let code_lines = code.lines().map(str::to_owned).collect();
-    let comment_lines = comment.lines().map(str::to_owned).collect();
-    (code_lines, comment_lines)
+    code.lines().map(str::to_owned).collect()
 }
 
 /// If position `i` starts a raw (byte) string prefix (`r"`, `r#"`, `br#"`,
@@ -584,15 +514,5 @@ mod tests {
         assert_eq!(f.lines[1].struct_ctx.as_deref(), Some("S"));
         assert_eq!(f.lines[1].start_kind, ContextKind::Struct);
         assert_eq!(f.lines[4].start_kind, ContextKind::Enum);
-    }
-
-    #[test]
-    fn allow_comments_attach_to_their_line_and_the_next() {
-        let src = "// vstore-lint: allow(no-unwrap) — invariant\nx.unwrap();\ny.unwrap(); // vstore-lint: allow(no-unwrap, checked-cast)\nz.unwrap();\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.is_allowed(1, "no-unwrap"));
-        assert!(f.is_allowed(2, "no-unwrap"));
-        assert!(f.is_allowed(2, "checked-cast"));
-        assert!(!f.is_allowed(3, "no-unwrap"));
     }
 }

@@ -1,35 +1,52 @@
 //! Fixture-driven rule tests: every rule must fire on its true-positive
-//! fixture and stay silent on its true-negative one, plus a live check
-//! that the real workspace is clean (zero findings, zero lock-order
-//! cycles).
+//! fixture and stay silent on its true-negative one, plus live checks
+//! that the real workspace is clean and that its lock graph is the one
+//! pinned here.
 
-use vstore_analysis::scan::SourceFile;
-use vstore_analysis::{analyze_sources, rules};
+use vstore_analysis::report::{Finding, Report};
+use vstore_analysis::{analyze_sources, collect_workspace_sources, parse_sources, rules};
 
 /// Analyze one fixture under a virtual workspace path.
-fn findings_for(virtual_path: &str, fixture: &str) -> Vec<vstore_analysis::report::Finding> {
+fn findings_for(virtual_path: &str, fixture: &str) -> Vec<Finding> {
     analyze_sources(&[(virtual_path.to_owned(), fixture.to_owned())])
 }
 
-fn rules_fired(findings: &[vstore_analysis::report::Finding]) -> Vec<&str> {
+fn rules_fired(findings: &[Finding]) -> Vec<&str> {
     let mut names: Vec<&str> = findings.iter().map(|f| f.rule).collect();
     names.sort_unstable();
     names.dedup();
     names
 }
 
+fn workspace_sources() -> Result<Vec<(String, String)>, String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..");
+    let sources = collect_workspace_sources(&root)?;
+    assert!(!sources.is_empty(), "workspace sources not found");
+    Ok(sources)
+}
+
 #[test]
 fn lock_order_fires_on_inverted_acquisitions() {
-    let findings = findings_for(
-        "crates/storage/src/fixture.rs",
-        include_str!("fixtures/lock_order_positive.rs"),
-    );
-    assert_eq!(rules_fired(&findings), [rules::LOCK_ORDER]);
-    assert!(
-        findings[0].message.contains("cycle"),
-        "{}",
-        findings[0].message
-    );
+    let method = include_str!("fixtures/lock_order_positive.rs");
+    // The same inversion through the `vstore_types::sync` helper.
+    let helper = method
+        .replace("self.alpha.lock()", "lock_unpoisoned(&self.alpha)")
+        .replace(
+            "self.beta.lock()",
+            "vstore_types::sync::lock_unpoisoned(&self.beta)",
+        );
+    assert_ne!(helper, method);
+    for fixture in [method, &helper] {
+        let findings = findings_for("crates/storage/src/fixture.rs", fixture);
+        assert_eq!(rules_fired(&findings), [rules::LOCK_ORDER], "{fixture}");
+        assert!(
+            findings[0].message.contains("cycle"),
+            "{}",
+            findings[0].message
+        );
+    }
 }
 
 #[test]
@@ -41,11 +58,7 @@ fn lock_order_accepts_a_consistent_global_order() {
     assert!(analyze_sources(&sources).is_empty());
     // The consistent order still shows up as edges — the graph sees the
     // nesting, it just has no cycle.
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(p, t)| SourceFile::parse(p, t))
-        .collect();
-    let graph = rules::build_lock_graph(&files);
+    let graph = rules::build_lock_graph(&parse_sources(&sources));
     assert!(graph.edges().count() > 0);
     assert!(graph.cycles().is_empty());
 }
@@ -72,46 +85,14 @@ fn backend_seam_is_silent_inside_the_seam_and_tests() {
 }
 
 #[test]
-fn checked_cast_fires_on_narrowing_casts() {
-    let findings = findings_for(
-        "crates/codec/src/fixture.rs",
-        include_str!("fixtures/checked_cast_positive.rs"),
-    );
-    assert_eq!(rules_fired(&findings), [rules::CHECKED_CAST]);
-}
-
-#[test]
-fn checked_cast_is_silent_on_widening_allowed_and_test_casts() {
-    let fixture = include_str!("fixtures/checked_cast_negative.rs");
-    assert!(findings_for("crates/codec/src/fixture.rs", fixture).is_empty());
-    // Out of scope: the same narrowing cast in a crate the rule
-    // does not cover.
-    let positive = include_str!("fixtures/checked_cast_positive.rs");
-    assert!(findings_for("crates/profiler/src/fixture.rs", positive).is_empty());
-}
-
-#[test]
-fn no_unwrap_fires_on_library_unwrap() {
-    let findings = findings_for(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/no_unwrap_positive.rs"),
-    );
-    assert_eq!(rules_fired(&findings), [rules::NO_UNWRAP]);
-}
-
-#[test]
-fn no_unwrap_is_silent_on_typed_errors_allows_and_tests() {
-    let fixture = include_str!("fixtures/no_unwrap_negative.rs");
-    assert!(findings_for("crates/core/src/fixture.rs", fixture).is_empty());
-}
-
-#[test]
 fn bounded_queue_fires_on_raw_mutexed_vecdeque() {
-    let findings = findings_for(
-        "crates/serve/src/fixture.rs",
-        include_str!("fixtures/bounded_queue_positive.rs"),
-    );
-    assert_eq!(rules_fired(&findings), [rules::BOUNDED_QUEUE]);
+    let imported = include_str!("fixtures/bounded_queue_positive.rs");
+    let qualified = imported.replace("Mutex<VecDeque", "Mutex<std::collections::VecDeque");
+    assert_ne!(qualified, imported);
+    for fixture in [imported, &qualified] {
+        let findings = findings_for("crates/serve/src/fixture.rs", fixture);
+        assert_eq!(rules_fired(&findings), [rules::BOUNDED_QUEUE], "{fixture}");
+    }
 }
 
 #[test]
@@ -131,48 +112,26 @@ fn bounded_queue_is_silent_on_pools_and_the_sim_home() {
 }
 
 #[test]
-fn span_guard_fires_on_immediately_dropped_guards() {
-    let findings = findings_for(
-        "crates/query/src/fixture.rs",
-        include_str!("fixtures/span_guard_positive.rs"),
-    );
-    assert_eq!(rules_fired(&findings), [rules::SPAN_GUARD]);
-    // Both the `.span(` and `.span_with(` forms are caught.
-    assert_eq!(findings.len(), 2, "{findings:?}");
-}
-
-#[test]
-fn span_guard_is_silent_on_named_guards_allows_and_tests() {
-    let fixture = include_str!("fixtures/span_guard_negative.rs");
-    assert!(findings_for("crates/query/src/fixture.rs", fixture).is_empty());
-}
-
-#[test]
 fn the_workspace_itself_is_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let sources = vstore_analysis::collect_workspace_sources(&root).unwrap();
-    assert!(!sources.is_empty(), "workspace sources not found");
-    let findings = analyze_sources(&sources);
-    let report = vstore_analysis::report::Report::new(findings);
+    let report = Report::new(analyze_sources(&workspace_sources().unwrap()));
     assert!(report.findings.is_empty(), "{}", report.to_text());
 }
 
 #[test]
 fn the_workspace_lock_graph_is_acyclic() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let sources = vstore_analysis::collect_workspace_sources(&root).unwrap();
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(p, t)| SourceFile::parse(p, t))
-        .collect();
-    let graph = rules::build_lock_graph(&files);
+    let graph = rules::build_lock_graph(&parse_sources(&workspace_sources().unwrap()));
     assert!(
         graph.cycles().is_empty(),
         "lock-order cycles: {:?}",
         graph.cycles()
     );
+    // Every nesting of two locks in library code, by lock id: none, as
+    // each guard is released before the next lock is taken. A new nesting
+    // is a reviewed change to this list, not a silent addition.
+    const PINNED: &[&str] = &[];
+    let edges: Vec<String> = graph
+        .edges()
+        .map(|(outer, inner, _)| format!("{outer} -> {inner}"))
+        .collect();
+    assert_eq!(edges, PINNED, "{:#?}", graph.edges().collect::<Vec<_>>());
 }

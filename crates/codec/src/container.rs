@@ -141,10 +141,8 @@ impl SegmentData {
             SegmentData::Encoded(seg) => {
                 w.put_u8(1);
                 write_fidelity(&mut w, &seg.fidelity);
-                // vstore-lint: allow(checked-cast) — ranks index <=6-entry knob ladders
-                w.put_u8(seg.keyframe_interval.rank() as u8);
-                // vstore-lint: allow(checked-cast) — ranks index <=6-entry knob ladders
-                w.put_u8(seg.speed.rank() as u8);
+                write_rank(&mut w, seg.keyframe_interval.rank());
+                write_rank(&mut w, seg.speed.rank());
                 w.put_varint(seg.chunks.len() as u64);
                 for chunk in &seg.chunks {
                     w.put_varint(chunk.frames.len() as u64);
@@ -377,16 +375,19 @@ fn raw_frame(record: FrameRecord<'_>, fidelity: Fidelity) -> Result<VideoFrame> 
 }
 
 fn write_fidelity(w: &mut ByteWriter, f: &Fidelity) {
-    // The four fidelity ranks index knob ladders of at most six entries,
-    // so each fits a byte by construction.
-    // vstore-lint: allow(checked-cast)
-    w.put_u8(f.quality.rank() as u8);
-    // vstore-lint: allow(checked-cast)
-    w.put_u8(f.crop.rank() as u8);
-    // vstore-lint: allow(checked-cast)
-    w.put_u8(f.resolution.rank() as u8);
-    // vstore-lint: allow(checked-cast)
-    w.put_u8(f.sampling.rank() as u8);
+    write_rank(w, f.quality.rank());
+    write_rank(w, f.crop.rank());
+    write_rank(w, f.resolution.rank());
+    write_rank(w, f.sampling.rank());
+}
+
+/// Write a knob's rank as one byte.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "ranks index knob ladders of at most six entries"
+)]
+fn write_rank(w: &mut ByteWriter, rank: usize) {
+    w.put_u8(rank as u8);
 }
 
 fn read_fidelity(r: &mut ByteReader<'_>) -> Result<Fidelity> {
@@ -410,13 +411,13 @@ fn read_fidelity(r: &mut ByteReader<'_>) -> Result<Fidelity> {
     })
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "plane dimensions are block counts of a Resolution knob (<= 1080p), far inside u16"
+)]
 fn write_frame_header(w: &mut ByteWriter, index: u64, width: u32, height: u32, retention: f64) {
     w.put_varint(index);
-    // Plane dimensions are block counts derived from the Resolution knob
-    // ladder (<= 1080p), far inside u16.
-    // vstore-lint: allow(checked-cast)
     w.put_u16(width as u16);
-    // vstore-lint: allow(checked-cast)
     w.put_u16(height as u16);
     w.put_f64(retention);
 }
@@ -443,7 +444,8 @@ fn write_objects(w: &mut ByteWriter, objects: &[SceneObject]) {
         let color_code = ObjectColor::ALL
             .iter()
             .position(|c| *c == o.color)
-            .unwrap_or(0) as u8; // vstore-lint: allow(checked-cast) — position in an 8-entry array
+            .and_then(|i| u8::try_from(i).ok())
+            .unwrap_or(0);
         w.put_u8(color_code);
         match &o.plate {
             Some(p) => {

@@ -59,6 +59,10 @@ impl VideoFrame {
     /// not satisfiable from this frame's fidelity (requirement R1). Sampling
     /// is a sequence-level knob and is ignored here; callers drop frames
     /// separately.
+    #[expect(
+        clippy::expect_used,
+        reason = "the crop loop pushes exactly new_w * new_h samples"
+    )]
     pub fn degrade_to(&self, target: Fidelity) -> Result<VideoFrame> {
         if self.degrades_to_itself(target)? {
             return Ok(VideoFrame {
@@ -83,7 +87,7 @@ impl VideoFrame {
                 }
             }
             BlockPlane::from_samples(new_w, new_h, samples)
-                .expect("crop sample count matches dimensions") // vstore-lint: allow(no-unwrap)
+                .expect("crop sample count matches dimensions")
         } else {
             self.plane.clone()
         };
@@ -148,7 +152,8 @@ impl VideoFrame {
 
     /// Size of this frame as raw YUV420 pixels at its fidelity, in bytes.
     pub fn raw_size_bytes(&self) -> u64 {
-        (self.fidelity.pixels_per_frame() as f64 * 1.5).round() as u64
+        // 1.5 bytes per pixel, rounded half up: exact in integers.
+        (self.fidelity.pixels_per_frame() * 3).div_ceil(2)
     }
 }
 

@@ -57,6 +57,10 @@ pub const META_VERSION: u8 = 1;
 const INCOMPARABLE_SCORE: f32 = 128.0;
 
 /// Mean wrapped byte distance between two sample planes.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
+)]
 fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
     if cur.is_empty() || cur.len() != prev.len() {
         return INCOMPARABLE_SCORE;
@@ -74,6 +78,10 @@ fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
 
 /// Mean wrapped magnitude of a delta payload (`cur.wrapping_sub(prev)` per
 /// sample), which equals the wrapped distance between the two frames.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
+)]
 fn mean_delta_magnitude(deltas: &[u8]) -> f32 {
     if deltas.is_empty() {
         return 0.0;

@@ -96,7 +96,7 @@ impl ByteWriter {
     /// Write a LEB128-style variable-length unsigned integer.
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
-            let byte = (v & 0x7F) as u8; // vstore-lint: allow(checked-cast) — masked to 7 bits
+            let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {
                 self.buf.push(byte);

@@ -224,8 +224,9 @@ impl<'a> Coalescer<'a> {
             ));
         }
         // Golden fidelity: knob-wise maximum over all CFs.
+        #[expect(clippy::expect_used, reason = "emptiness rejected above")]
         let golden_fidelity =
-            Fidelity::join_all(cfs.iter().map(|cf| &cf.fidelity)).expect("non-empty CF list"); // vstore-lint: allow(no-unwrap) — emptiness rejected above
+            Fidelity::join_all(cfs.iter().map(|cf| &cf.fidelity)).expect("non-empty CF list");
 
         // Initial SF set: golden + one SF per unique CF fidelity.
         let mut formats: Vec<DerivedSf> = Vec::new();

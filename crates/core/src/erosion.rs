@@ -245,14 +245,15 @@ pub fn plan_erosion(profiler: &Profiler, inputs: &ErosionInputs<'_>) -> Result<E
                 }
                 guard += 1;
                 // The consumer currently worst off.
+                #[expect(clippy::expect_used, reason = "lanes mirror the non-empty format list")]
                 let (worst_idx, worst_speed) = lanes
                     .iter()
                     .enumerate()
                     .map(|(i, l)| (i, l.relative_speed(&deleted)))
                     .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("at least one lane"); // vstore-lint: allow(no-unwrap) — lanes mirror the non-empty format list
-                                                  // Candidate formats: non-golden, not fully deleted; prefer the
-                                                  // one with the least impact on the worst consumer.
+                    .expect("at least one lane");
+                // Candidate formats: non-golden, not fully deleted; prefer the
+                // one with the least impact on the worst consumer.
                 let mut candidate: Option<(usize, f64)> = None;
                 for idx in 1..inputs.formats.len() {
                     if deleted[idx] >= 1.0 - 1e-9 {

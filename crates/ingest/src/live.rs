@@ -64,10 +64,11 @@ pub struct DegradationLadder {
 impl DegradationLadder {
     /// Build the ladder for `config` (see the type docs for the rungs).
     #[must_use]
+    #[expect(clippy::expect_used, reason = "the ladder starts non-empty")]
     pub fn from_config(config: &Configuration) -> Self {
         let mut levels = vec![config.clone()];
         loop {
-            let prev = levels.last().expect("ladder starts non-empty"); // vstore-lint: allow(no-unwrap)
+            let prev = levels.last().expect("ladder starts non-empty");
             let mut next = prev.clone();
             let mut changed = false;
             for (id, format) in next.storage_formats.iter_mut() {
@@ -87,7 +88,7 @@ impl DegradationLadder {
         }
         // Top rung: drop the non-golden formats entirely (when there are
         // any and a golden format exists to fall back to).
-        let last = levels.last().expect("ladder starts non-empty"); // vstore-lint: allow(no-unwrap)
+        let last = levels.last().expect("ladder starts non-empty");
         let has_golden = last.storage_formats.keys().any(|id| id.is_golden());
         let has_other = last.storage_formats.keys().any(|id| !id.is_golden());
         if has_golden && has_other {

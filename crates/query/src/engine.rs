@@ -205,7 +205,8 @@ impl QueryEngine {
         if !plan.enabled || query.cascade.len() <= 1 {
             return Ok(query.cascade.clone());
         }
-        let (last, head) = query.cascade.split_last().expect("cascade is non-empty"); // vstore-lint: allow(no-unwrap) — len <= 1 returned above
+        #[expect(clippy::expect_used, reason = "len <= 1 returned above")]
+        let (last, head) = query.cascade.split_last().expect("cascade is non-empty");
         let mut keyed: Vec<(f64, OperatorKind)> = Vec::with_capacity(head.len());
         for &op in head {
             let consumer = Consumer {

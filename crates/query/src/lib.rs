@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 pub mod cascade;
 pub mod engine;

@@ -130,7 +130,8 @@ impl NetClient {
     /// Block until the next response arrives (any correlation id).
     pub fn recv(&mut self) -> Result<(u64, ServeResponse)> {
         if let Some(&corr_id) = self.buffered.keys().next() {
-            let response = self.buffered.remove(&corr_id).expect("key just seen"); // vstore-lint: allow(no-unwrap)
+            #[expect(clippy::expect_used, reason = "the key was just seen")]
+            let response = self.buffered.remove(&corr_id).expect("key just seen");
             return Ok((corr_id, response));
         }
         self.recv_from_wire()
@@ -152,7 +153,8 @@ impl NetClient {
         };
         let response = ServeResponse::from_wire(payload)?;
         if let Some(sent) = self.sent_at.remove(&corr_id) {
-            self.latency.record(sent.elapsed().as_micros() as u64);
+            let micros = u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX);
+            self.latency.record(micros);
         }
         Ok((corr_id, response))
     }

@@ -83,7 +83,11 @@ pub(crate) fn encode_frame(
     w.put_u32(0);
     w.put_u64(corr_id);
     encode(&mut w);
-    let len = u32::try_from(w.len() - 4).expect("frame length fits u32 by max_frame_bytes"); // vstore-lint: allow(no-unwrap)
+    #[expect(
+        clippy::expect_used,
+        reason = "max_frame_bytes bounds every frame far inside u32"
+    )]
+    let len = u32::try_from(w.len() - 4).expect("frame length fits u32 by max_frame_bytes");
     w.patch_u32(0, len);
     w.into_bytes()
 }
@@ -134,7 +138,7 @@ pub(crate) fn parse_frame(
     if buf.len() < 4 {
         return Ok(None);
     }
-    // vstore-lint: allow(no-unwrap, checked-cast) — length checked above; u32 widens to usize
+    #[expect(clippy::expect_used, reason = "length checked above")]
     let declared = usize_from_u32(u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")));
     if declared < CORR_ID_BYTES {
         return Err(FrameError::Malformed { declared });
@@ -149,7 +153,11 @@ pub(crate) fn parse_frame(
     if buf.len() < spans {
         return Ok(None);
     }
-    let corr_id = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes")); // vstore-lint: allow(no-unwrap) — declared >= CORR_ID_BYTES checked above
+    #[expect(
+        clippy::expect_used,
+        reason = "declared >= CORR_ID_BYTES checked above"
+    )]
+    let corr_id = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
     Ok(Some((corr_id, FRAME_HEADER_BYTES..spans)))
 }
 
@@ -293,11 +301,19 @@ struct Closing<'a> {
 
 impl Drop for Closing<'_> {
     fn drop(&mut self) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the socket may already be shut"
+        )]
         let _ = self.stream.shutdown(Shutdown::Both);
         // Relaxed: the writer has been joined (or never ran) by now.
         let unanswered = self.owed.load(Ordering::Relaxed) > 0;
         self.shared
             .close_connection(self.lost || unanswered, self.peak_owed);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "an acceptor that is gone joins nothing"
+        )]
         let _ = self.done.send(self.id);
     }
 }
@@ -334,6 +350,10 @@ pub(crate) fn spawn_connection(
                     // reader.
                     let wrote = catch_panic(|| write_responses(stream, shared, &replies, owed));
                     if !matches!(wrote, Ok(Ok(()))) {
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "the socket may already be shut"
+                        )]
                         let _ = stream.shutdown(Shutdown::Both);
                     }
                 });

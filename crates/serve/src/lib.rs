@@ -37,6 +37,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 mod client;
 mod conn;

@@ -219,11 +219,14 @@ impl NetServerHandle {
 
     /// A request-layer statistics snapshot from the inner server.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "`inner` is Some until shutdown() consumes self"
+    )]
     pub fn serve_stats(&self) -> ServeStats {
-        // `inner` is Some from construction until shutdown() consumes self.
         self.inner
             .as_ref()
-            .expect("inner server lives until shutdown") // vstore-lint: allow(no-unwrap)
+            .expect("inner server lives until shutdown")
             .stats()
     }
 
@@ -235,11 +238,14 @@ impl NetServerHandle {
     }
 
     /// A probe of the inner server's request statistics.
+    #[expect(
+        clippy::expect_used,
+        reason = "`inner` is Some until shutdown() consumes self"
+    )]
     pub fn serve_probe(&self) -> ServeProbe {
-        // `inner` is Some from construction until shutdown() consumes self.
         self.inner
             .as_ref()
-            .expect("inner server lives until shutdown") // vstore-lint: allow(no-unwrap)
+            .expect("inner server lives until shutdown")
             .probe()
     }
 
@@ -249,10 +255,14 @@ impl NetServerHandle {
     /// then shut the inner server down. Returns both final statistics.
     pub fn shutdown(mut self) -> (NetStats, ServeStats) {
         self.shutdown_net();
+        #[expect(
+            clippy::expect_used,
+            reason = "`inner` is Some until this call consumes self"
+        )]
         let serve = self
             .inner
             .take()
-            .expect("inner server lives until shutdown") // vstore-lint: allow(no-unwrap)
+            .expect("inner server lives until shutdown")
             .shutdown();
         (self.shared.snapshot(), serve)
     }
@@ -261,6 +271,10 @@ impl NetServerHandle {
         self.shared.stop.store(true, Ordering::Release);
         // The acceptor drains and joins every connection before it ends.
         if let Some(acceptor) = self.acceptor.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a dead acceptor has nothing left to drain"
+            )]
             let _ = acceptor.join();
         }
     }
@@ -308,6 +322,10 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<NetShared>, connector: &Co
     let mut served: HashMap<u64, Served> = HashMap::new();
     let reap = |served: &mut HashMap<u64, Served>, id| {
         if let Some((_, handle)) = served.remove(&id) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the connection has ended either way"
+            )]
             let _ = handle.join();
         }
     };
@@ -326,6 +344,10 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<NetShared>, connector: &Co
     // Drain: end-of-stream wakes every blocked reader; its writer answers
     // what is in flight and the pair ends.
     for (stream, _) in served.values() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a socket the peer already closed needs no drain"
+        )]
         let _ = stream.shutdown(Shutdown::Read);
     }
     let deadline = Instant::now() + DRAIN_DEADLINE;
@@ -338,7 +360,15 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<NetShared>, connector: &Co
     // Past the deadline a peer that will not take its responses is cut,
     // which fails its writer's blocked write.
     for (stream, handle) in served.into_values() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the peer is being cut either way"
+        )]
         let _ = stream.shutdown(Shutdown::Both);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the connection has ended either way"
+        )]
         let _ = handle.join();
     }
 }
@@ -364,6 +394,10 @@ fn admit(
     };
     // Both halves of the protocol are latency-sensitive and self-batching,
     // so Nagle only adds stalls.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "Nagle is a latency cost, not a correctness one"
+    )]
     let _ = stream.set_nodelay(true);
     let stream = Arc::new(stream);
     let spawned = stream.set_nonblocking(false).and_then(|()| {

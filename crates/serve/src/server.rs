@@ -189,6 +189,10 @@ impl Server {
                     // leaking them parked on the queue forever.
                     shared.queue.close();
                     for worker in workers {
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "requests run under catch_panic"
+                        )]
                         let _ = worker.join();
                     }
                     return Err(VStoreError::Io(e));
@@ -265,8 +269,11 @@ impl ServerHandle {
         // blocked submitters (to fail with InvalidState).
         self.shared.queue.close();
         for worker in self.workers.drain(..) {
-            // Workers never unwind (requests run under catch_panic), so the
-            // join only fails if the runtime killed the thread.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "workers never unwind (requests run under catch_panic), so the join \
+                          only fails if the runtime killed the thread"
+            )]
             let _ = worker.join();
         }
     }
@@ -351,8 +358,12 @@ impl Submitter {
 
     /// Answer `id` without queueing anything — how the socket reader
     /// delivers a shed or undecodable request's error on the same channel
-    /// as the workers' replies. A receiver that is gone is not an error.
+    /// as the workers' replies.
     pub(crate) fn reply(&self, id: u64, response: ServeResponse) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a receiver that is gone is not an error"
+        )]
         let _ = self.reply.send((id, response));
     }
 
@@ -490,7 +501,8 @@ impl Connection {
     /// answered (workers drain the queue even during shutdown).
     pub fn recv(&mut self) -> Result<(u64, ServeResponse)> {
         if let Some(&id) = self.buffered.keys().next() {
-            let response = self.buffered.remove(&id).expect("key just seen"); // vstore-lint: allow(no-unwrap)
+            #[expect(clippy::expect_used, reason = "the key was just seen")]
+            let response = self.buffered.remove(&id).expect("key just seen");
             return Ok((id, response));
         }
         if self.outstanding == 0 {

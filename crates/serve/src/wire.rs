@@ -77,7 +77,7 @@ impl RequestKind {
     /// This kind's position in [`Self::ALL`] — the index of its latency
     /// histogram in the server state.
     pub fn index(self) -> usize {
-        self as usize // vstore-lint: allow(checked-cast) — discriminant of a 6-variant enum
+        self as usize
     }
 
     /// Short display name.
@@ -193,7 +193,7 @@ pub enum ErrorCode {
 impl ErrorCode {
     /// This code's wire tag — its position in [`Self::ALL`].
     pub fn wire_tag(self) -> u8 {
-        self as u8 // vstore-lint: allow(checked-cast) — discriminant of a 10-variant enum
+        self as u8
     }
 
     /// All codes, indexed by their wire tag.

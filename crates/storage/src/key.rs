@@ -30,10 +30,13 @@ impl SegmentKey {
     }
 
     /// Serialise the key for the value log.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "stream names are far inside u32; decode re-checks"
+    )]
     pub fn encode(&self) -> Vec<u8> {
         let stream_bytes = self.stream.as_bytes();
         let mut out = Vec::with_capacity(stream_bytes.len() + 16);
-        // vstore-lint: allow(checked-cast) — stream names are far inside u32; decode re-checks
         out.extend_from_slice(&(stream_bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(stream_bytes);
         out.extend_from_slice(&self.format.0.to_le_bytes());

@@ -268,6 +268,11 @@ impl<K: Eq + Hash + Ord + Clone, V> LruCache<K, V> {
     /// Insert a key, evicting least-recently-used entries until the weight
     /// fits. Returns the evicted values. An entry heavier than the whole
     /// cache is not admitted.
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop guard proves used > 0, so both maps are non-empty and agree on \
+                  membership: eviction cannot miss"
+    )]
     fn insert(&mut self, key: K, value: V, weight: u64) -> Vec<V> {
         let mut evicted = Vec::new();
         if weight > self.capacity {
@@ -275,11 +280,9 @@ impl<K: Eq + Hash + Ord + Clone, V> LruCache<K, V> {
         }
         self.remove(&key);
         while self.used + weight > self.capacity {
-            // The loop guard proves used > 0, so both maps are non-empty
-            // and agree on membership: eviction cannot miss.
-            let (&oldest_tick, _) = self.order.iter().next().expect("used > 0 implies entries"); // vstore-lint: allow(no-unwrap)
-            let oldest_key = self.order.remove(&oldest_tick).expect("tick just seen"); // vstore-lint: allow(no-unwrap)
-            let old = self.map.remove(&oldest_key).expect("order and map agree"); // vstore-lint: allow(no-unwrap)
+            let (&oldest_tick, _) = self.order.iter().next().expect("used > 0 implies entries");
+            let oldest_key = self.order.remove(&oldest_tick).expect("tick just seen");
+            let old = self.map.remove(&oldest_key).expect("order and map agree");
             self.used -= old.weight;
             evicted.push(old.value);
         }

@@ -262,13 +262,16 @@ impl SegmentStore {
     /// Index of the shard a key routes to: a deterministic hash of the full
     /// key, so consecutive segments of one stream spread across shards and
     /// parallel writers rarely collide.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is < shards.len(), a usize"
+    )]
     pub fn shard_index(&self, key: &SegmentKey) -> usize {
         let hash = DeterministicHasher::new(ROUTING_SEED)
             .mix_str(&key.stream)
             .mix(u64::from(key.format.0))
             .mix(key.segment_index)
             .value();
-        // vstore-lint: allow(checked-cast) — the remainder is < shards.len(), a usize
         (hash % self.shards.len() as u64) as usize
     }
 

@@ -68,7 +68,7 @@ pub fn u8_from_usize(value: usize, what: &str) -> Result<u8> {
 /// unlike the narrowing helpers it returns the value directly.
 pub fn usize_from_u32(value: u32) -> usize {
     // This crate is the one sanctioned home for raw integer casts; the
-    // checked-cast analysis rule scopes storage/codec/serve, not types.
+    // cast lints are denied in storage/codec/serve, not types.
     value as usize
 }
 

@@ -186,11 +186,12 @@ impl Resolution {
     ];
 
     /// Position in the richness order (0 = poorest).
+    #[expect(clippy::expect_used, reason = "ALL enumerates every variant")]
     pub fn rank(self) -> usize {
         Resolution::ALL
             .iter()
             .position(|r| *r == self)
-            .expect("resolution present in ALL") // vstore-lint: allow(no-unwrap) — ALL enumerates every variant
+            .expect("resolution present in ALL")
     }
 
     /// Frame width in pixels.

@@ -60,6 +60,10 @@ pub fn panic_message(payload: &PanicPayload) -> &str {
 /// sequential path. A panic in `f` propagates to the caller with its
 /// original payload, but only after the remaining items have been drained
 /// by the surviving workers (see the [module docs](self)).
+#[expect(
+    clippy::expect_used,
+    reason = "scoped workers fill every slot or propagate their panic"
+)]
 pub fn scoped_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -120,10 +124,7 @@ where
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        .map(|slot| {
-            // Scoped workers fill every slot or propagate their panic.
-            slot.expect("worker died before finishing task") // vstore-lint: allow(no-unwrap)
-        })
+        .map(|slot| slot.expect("worker died before finishing task"))
         .collect()
 }
 

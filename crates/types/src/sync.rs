@@ -9,7 +9,7 @@
 //! one of these locks never leaves partially-applied state that a waiter
 //! could misread; continuing with the inner guard matches what the
 //! parking_lot stub does everywhere else — so the call sites stay free of
-//! `expect` and the `no-unwrap` analysis rule holds by construction.
+//! `expect`, which `clippy::expect_used` denies in library code.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
