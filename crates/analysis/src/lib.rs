@@ -4,9 +4,11 @@
 //!
 //! - Locks across the shard/cache/tier/net layers are acquired in one
 //!   global order ([`rules::LOCK_ORDER`]): per-function acquisition
-//!   sequences, `.lock()`/`.read()`/`.write()` and the
-//!   `vstore_types::sync::lock_unpoisoned` helper alike, feed a global
-//!   lock graph whose cycles are potential deadlocks.
+//!   sequences feed a global lock graph whose cycles are potential
+//!   deadlocks. Every acquisition is one of the `vstore_types::sync`
+//!   helpers `lock_unpoisoned`, `read_unpoisoned` and `write_unpoisoned`
+//!   (clippy's `disallowed-methods` bans the raw calls), so that is the
+//!   only form the walk reads.
 //! - All disk I/O flows through the `StorageBackend` seam
 //!   ([`rules::BACKEND_SEAM`]).
 //! - Every queue is a `vstore_types::BoundedQueue`

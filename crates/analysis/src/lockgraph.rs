@@ -25,6 +25,9 @@ pub struct EdgeSite {
 #[derive(Debug, Default)]
 pub struct LockGraph {
     edges: BTreeMap<(String, String), Vec<EdgeSite>>,
+    /// Every declared lock, by id, with the number of acquisition sites
+    /// that resolved to it: a lock the walk cannot see counts zero.
+    pub locks: BTreeMap<String, usize>,
 }
 
 /// One potential deadlock: the locks of a strongly connected component and

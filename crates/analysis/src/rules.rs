@@ -40,8 +40,13 @@ pub const BOUNDED_QUEUE_HOME: &str = "crates/types/src/queue.rs";
 /// The only place allowed to touch `std::fs`: the backend seam itself.
 const BACKEND_SEAM_EXEMPT: &[&str] = &["crates/storage/src/backend.rs"];
 
-/// The `vstore_types::sync` helper that acquires a `std::sync::Mutex`.
-const LOCK_HELPER: &str = "lock_unpoisoned(";
+/// The `vstore_types::sync` helpers, the only way to acquire a lock (clippy's
+/// `disallowed-methods` bans the raw calls), and the lock kind each takes.
+const LOCK_HELPERS: &[(&str, LockKind)] = &[
+    ("lock_unpoisoned(", LockKind::Mutex),
+    ("read_unpoisoned(", LockKind::RwLock),
+    ("write_unpoisoned(", LockKind::RwLock),
+];
 
 fn in_scope(path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| path.starts_with(p))
@@ -236,10 +241,12 @@ struct Guard {
 /// the sequence of lock acquisitions over named `Mutex`/`RwLock` fields,
 /// track which `let`-bound guards are still alive (scope- and
 /// `drop()`-aware), and record a `held -> acquired` edge for every nested
-/// acquisition.
+/// acquisition. Every declared lock is a node, counting the acquisition
+/// sites that resolved to it.
 pub fn build_lock_graph(files: &[SourceFile]) -> LockGraph {
     let decls = collect_lock_decls(files);
     let mut graph = LockGraph::new();
+    graph.locks = decls.iter().map(|d| (d.id(), 0)).collect();
     for file in files {
         walk_file(file, &decls, &mut graph);
     }
@@ -298,8 +305,8 @@ fn walk_file(file: &SourceFile, decls: &[LockDecl], graph: &mut LockGraph) {
         let mut depth = line.depth_start;
         for c in line.code.chars() {
             // The guard is held only if its acquisition ends the `let`; a
-            // guard the statement goes on to use (`x.lock().len()`) or
-            // wraps (`take(&mut *lock_unpoisoned(&x))`) is a temporary.
+            // guard the statement goes on to use (`lock_unpoisoned(&x).len()`)
+            // or wraps (`take(&mut *lock_unpoisoned(&x))`) is a temporary.
             if pending.is_some() && !c.is_whitespace() {
                 if let Some(guard) = pending.take().filter(|_| c == ';') {
                     // Shadowing re-binds: the old guard dies.
@@ -340,6 +347,7 @@ fn walk_file(file: &SourceFile, decls: &[LockDecl], graph: &mut LockGraph) {
                 continue;
             };
             let id = decl.id();
+            *graph.locks.entry(id.clone()).or_default() += 1;
             for g in &guards {
                 graph.add_edge(
                     &g.lock_id,
@@ -360,26 +368,20 @@ fn walk_file(file: &SourceFile, decls: &[LockDecl], graph: &mut LockGraph) {
     }
 }
 
-/// The acquisition that ends `text`, if any: `<chain>.lock()` (a
-/// `Mutex`), `<chain>.read()` / `.write()` (an `RwLock`), or the
-/// `vstore_types::sync` helper `lock_unpoisoned(&<chain>)`, optionally
-/// path-qualified. Returns the lock kind it needs and the receiver chain.
+/// The acquisition that ends `text`, if any: one of [`LOCK_HELPERS`] over
+/// `&<chain>`, optionally path-qualified (`lock_unpoisoned(&self.a)`,
+/// `sync::read_unpoisoned(&self.b)`). Returns the lock kind it needs and
+/// the receiver chain.
 fn acquisition(text: &str) -> Option<(LockKind, Vec<String>)> {
-    for (suffix, kind) in [
-        (".lock()", LockKind::Mutex),
-        (".read()", LockKind::RwLock),
-        (".write()", LockKind::RwLock),
-    ] {
-        if let Some(receiver) = text.strip_suffix(suffix) {
-            return Some((kind, receiver_chain(receiver)?));
-        }
-    }
-    let open = text.rfind(LOCK_HELPER)?;
+    let (open, helper, kind) = LOCK_HELPERS
+        .iter()
+        .filter_map(|&(helper, kind)| Some((text.rfind(helper)?, helper, kind)))
+        .max_by_key(|&(open, ..)| open)?;
     if text[..open].ends_with(is_ident_char) {
         return None;
     }
-    let argument = text[open + LOCK_HELPER.len()..].strip_suffix(')')?;
-    Some((LockKind::Mutex, receiver_chain(argument)?))
+    let argument = text[open + helper.len()..].strip_suffix(')')?;
+    Some((kind, receiver_chain(argument)?))
 }
 
 /// If `stmt` is a `let` whose initializer so far ends in a lock
@@ -558,12 +560,21 @@ mod tests {
     fn acquisitions_parse() {
         let chain = |segs: &[&str]| segs.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
         assert_eq!(
-            acquisition("let g = self.alpha.lock()"),
+            acquisition("let g = lock_unpoisoned(&self.alpha)"),
             Some((LockKind::Mutex, chain(&["self", "alpha"])))
         );
         assert_eq!(
-            acquisition("self.inner.live.write()"),
+            acquisition("write_unpoisoned(&self.inner.live)"),
             Some((LockKind::RwLock, chain(&["self", "inner", "live"])))
+        );
+        assert_eq!(
+            acquisition("let slot = sync::read_unpoisoned(&self.inner.active)"),
+            Some((LockKind::RwLock, chain(&["self", "inner", "active"])))
+        );
+        // The helper that ends the text wins, not the first one in it.
+        assert_eq!(
+            acquisition("f(lock_unpoisoned(&self.a).n, read_unpoisoned(&self.b)"),
+            Some((LockKind::RwLock, chain(&["self", "b"])))
         );
         assert_eq!(
             acquisition("let s = lock_unpoisoned(&self.shards[id % n])"),
@@ -574,18 +585,20 @@ mod tests {
             Some((LockKind::Mutex, chain(&["shared", "state"])))
         );
         assert_eq!(acquisition("relock_unpoisoned(&self.state)"), None);
-        assert_eq!(acquisition("self.alpha.lock().len()"), None);
+        assert_eq!(acquisition("lock_unpoisoned(&self.alpha).len()"), None);
+        // The raw calls are clippy's to ban, not a form this walk reads.
+        assert_eq!(acquisition("self.alpha.lock()"), None);
     }
 
     #[test]
     fn only_a_named_let_binds_a_guard() {
         assert_eq!(
-            bound_guard("let mut g = self.alpha.lock()"),
+            bound_guard("let mut g = lock_unpoisoned(&self.alpha)"),
             Some(Some("g".to_owned()))
         );
-        assert_eq!(bound_guard("let (a, b) = pair.lock()"), Some(None));
-        assert_eq!(bound_guard("let _ = self.alpha.lock()"), None);
-        assert_eq!(bound_guard("self.alpha.lock()"), None);
+        assert_eq!(bound_guard("let (a, b) = lock_unpoisoned(&p)"), Some(None));
+        assert_eq!(bound_guard("let _ = lock_unpoisoned(&self.alpha)"), None);
+        assert_eq!(bound_guard("lock_unpoisoned(&self.alpha)"), None);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 // global order, so the graph has edges but no cycle. `disjoint` drops its
 // first guard before taking the second, contributing no edge at all.
 use std::sync::Mutex;
+use vstore_types::sync::lock_unpoisoned;
 
 pub struct Pair {
     alpha: Mutex<u32>,
@@ -10,23 +11,23 @@ pub struct Pair {
 
 impl Pair {
     pub fn sum(&self) -> u32 {
-        let a = self.alpha.lock();
-        let b = self.beta.lock();
+        let a = lock_unpoisoned(&self.alpha);
+        let b = lock_unpoisoned(&self.beta);
         *a + *b
     }
 
     pub fn difference(&self) -> u32 {
-        let a = self.alpha.lock();
-        let b = self.beta.lock();
+        let a = lock_unpoisoned(&self.alpha);
+        let b = lock_unpoisoned(&self.beta);
         *a - *b
     }
 
     pub fn disjoint(&self) -> u32 {
         let first = {
-            let b = self.beta.lock();
+            let b = lock_unpoisoned(&self.beta);
             *b
         };
-        let a = self.alpha.lock();
+        let a = lock_unpoisoned(&self.alpha);
         *a + first
     }
 }

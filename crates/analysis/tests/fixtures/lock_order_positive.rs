@@ -1,6 +1,7 @@
 // True positive: `forward` acquires alpha then beta, `backward` acquires
 // beta then alpha — a 2-cycle in the lock graph.
 use std::sync::Mutex;
+use vstore_types::sync::lock_unpoisoned;
 
 pub struct Pair {
     alpha: Mutex<u32>,
@@ -9,14 +10,14 @@ pub struct Pair {
 
 impl Pair {
     pub fn forward(&self) -> u32 {
-        let a = self.alpha.lock();
-        let b = self.beta.lock();
+        let a = lock_unpoisoned(&self.alpha);
+        let b = lock_unpoisoned(&self.beta);
         *a + *b
     }
 
     pub fn backward(&self) -> u32 {
-        let b = self.beta.lock();
-        let a = self.alpha.lock();
+        let b = lock_unpoisoned(&self.beta);
+        let a = lock_unpoisoned(&self.alpha);
         *a - *b
     }
 }

@@ -29,16 +29,20 @@ fn workspace_sources() -> Result<Vec<(String, String)>, String> {
 
 #[test]
 fn lock_order_fires_on_inverted_acquisitions() {
-    let method = include_str!("fixtures/lock_order_positive.rs");
-    // The same inversion through the `vstore_types::sync` helper.
-    let helper = method
-        .replace("self.alpha.lock()", "lock_unpoisoned(&self.alpha)")
-        .replace(
-            "self.beta.lock()",
-            "vstore_types::sync::lock_unpoisoned(&self.beta)",
-        );
-    assert_ne!(helper, method);
-    for fixture in [method, &helper] {
+    let plain = include_str!("fixtures/lock_order_positive.rs");
+    // The same inversion with one helper path-qualified.
+    let qualified = plain.replace(
+        "lock_unpoisoned(&self.beta)",
+        "vstore_types::sync::lock_unpoisoned(&self.beta)",
+    );
+    // The same inversion over `RwLock`s, one side read, the other written.
+    let rwlock = plain
+        .replace("Mutex", "RwLock")
+        .replace("lock_unpoisoned(&self.a", "read_unpoisoned(&self.a")
+        .replace("lock_unpoisoned(&self.b", "write_unpoisoned(&self.b");
+    assert_ne!(qualified, plain);
+    assert!(!rwlock.contains("lock_unpoisoned(&"), "{rwlock}");
+    for fixture in [plain, &qualified, &rwlock] {
         let findings = findings_for("crates/storage/src/fixture.rs", fixture);
         assert_eq!(rules_fired(&findings), [rules::LOCK_ORDER], "{fixture}");
         assert!(
@@ -134,4 +138,35 @@ fn the_workspace_lock_graph_is_acyclic() {
         .map(|(outer, inner, _)| format!("{outer} -> {inner}"))
         .collect();
     assert_eq!(edges, PINNED, "{:#?}", graph.edges().collect::<Vec<_>>());
+    // Every declared lock, each of which the walk must resolve at least one
+    // acquisition to: a lock hidden behind a type alias or a wrapper method
+    // would be missing here or counted zero, and so invisible to the graph.
+    const LOCKS: &[&str] = &[
+        "crates/core/src/profiler.rs::Profiler.caches",
+        "crates/ingest/src/live.rs::LiveShared.state",
+        "crates/obs/src/metrics.rs::MetricsRegistry.collectors",
+        "crates/obs/src/trace.rs::ActiveTrace.root",
+        "crates/obs/src/trace.rs::ActiveTrace.spans",
+        "crates/obs/src/trace.rs::Tracer.shards",
+        "crates/serve/src/conn.rs::BufferPool.bufs",
+        "crates/serve/src/net.rs::NetShared.state",
+        "crates/serve/src/server.rs::Shared.state",
+        "crates/storage/src/backend.rs::MemBackend.files",
+        "crates/storage/src/backend.rs::MemLogHandle.log",
+        "crates/storage/src/faulty.rs::FaultyDevice.script",
+        "crates/storage/src/reader.rs::SegmentReader.shards",
+        "crates/storage/src/shard.rs::Shard.inner",
+        "crates/storage/src/tier/cold.rs::ColdStore.resident",
+        "crates/storage/src/tier/engine.rs::KeyLocks.held",
+        "crates/storage/src/tier/engine.rs::TierEngine.counters",
+        "crates/types/src/queue.rs::BoundedQueue.state",
+        "src/lib.rs::VStoreInner.active",
+        "src/lib.rs::VStoreInner.live",
+        "src/lib.rs::VStoreInner.net",
+        "src/lib.rs::VStoreInner.serving",
+    ];
+    let locks = &graph.locks;
+    assert_eq!(locks.keys().collect::<Vec<_>>(), LOCKS, "{locks:#?}");
+    let unseen: Vec<_> = locks.iter().filter(|&(_, &n)| n == 0).collect();
+    assert!(unseen.is_empty(), "locks with no resolved site: {unseen:?}");
 }

@@ -17,7 +17,7 @@ use vstore_types::{
 };
 
 fn report_row(
-    profiler: &vstore_profiler::Profiler,
+    profiler: &vstore_core::profiler::Profiler,
     op: OperatorKind,
     fidelity: Fidelity,
     label: String,

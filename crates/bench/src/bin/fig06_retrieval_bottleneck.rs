@@ -13,7 +13,7 @@ use vstore_types::{
 };
 
 fn rows_for(
-    profiler: &vstore_profiler::Profiler,
+    profiler: &vstore_core::profiler::Profiler,
     op: OperatorKind,
     fidelities: &[Fidelity],
 ) -> Vec<Vec<String>> {

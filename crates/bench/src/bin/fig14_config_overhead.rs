@@ -3,9 +3,9 @@
 //! profiling of the whole fidelity space, per operator.
 
 use vstore_bench::{accuracy_levels, print_table, query_operators};
+use vstore_core::profiler::{Profiler, ProfilerConfig};
 use vstore_core::CfSearch;
 use vstore_ops::OperatorLibrary;
-use vstore_profiler::{Profiler, ProfilerConfig};
 use vstore_sim::CodingCostModel;
 use vstore_types::Consumer;
 

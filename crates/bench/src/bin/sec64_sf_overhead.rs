@@ -6,8 +6,8 @@
 
 use std::time::Instant;
 use vstore_bench::{accuracy_levels, paper_profiler, print_table};
+use vstore_core::profiler::Profiler;
 use vstore_core::{CfSearch, CoalesceStrategy, Coalescer, DerivedCf};
-use vstore_profiler::Profiler;
 use vstore_types::{Consumer, OperatorKind};
 
 fn derive_cfs(profiler: &Profiler, ops: &[OperatorKind]) -> Vec<DerivedCf> {

@@ -12,9 +12,9 @@
 #![warn(missing_docs)]
 
 use std::sync::Arc;
+use vstore_core::profiler::{Profiler, ProfilerConfig};
 use vstore_core::{ConfigurationEngine, EngineOptions};
 use vstore_ops::OperatorLibrary;
-use vstore_profiler::{Profiler, ProfilerConfig};
 use vstore_sim::CodingCostModel;
 use vstore_types::{Consumer, FidelitySpace, OperatorKind, DEFAULT_ACCURACY_LEVELS};
 

@@ -9,7 +9,7 @@
 //! retrieval speed, so requirement R2 can never regress.
 
 use crate::coalesce::DerivedSf;
-use vstore_profiler::Profiler;
+use crate::profiler::Profiler;
 use vstore_types::{CodingOption, Result, SpeedStep, StorageFormat, VStoreError};
 
 /// One step of the Table-4 adaptation trace.
@@ -103,8 +103,8 @@ pub fn adapt_to_ingest_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfilerConfig;
     use vstore_ops::OperatorLibrary;
-    use vstore_profiler::ProfilerConfig;
     use vstore_sim::CodingCostModel;
     use vstore_types::{
         CropFactor, Fidelity, FrameSampling, ImageQuality, KeyframeInterval, Resolution,

@@ -13,7 +13,7 @@
 //!   lowered afterwards as far as accuracy allows (to opportunistically save
 //!   storage).
 
-use vstore_profiler::Profiler;
+use crate::profiler::Profiler;
 use vstore_types::{Consumer, Fidelity, FidelitySpace, Result, Speed, VStoreError};
 
 /// A consumption format derived for one consumer.
@@ -213,8 +213,8 @@ impl<'a> CfSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfilerConfig;
     use vstore_ops::OperatorLibrary;
-    use vstore_profiler::ProfilerConfig;
     use vstore_sim::CodingCostModel;
     use vstore_types::OperatorKind;
 

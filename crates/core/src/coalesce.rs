@@ -19,7 +19,7 @@
 //! the RAW bypass when no encoded option is fast enough.
 
 use crate::cf_search::DerivedCf;
-use vstore_profiler::Profiler;
+use crate::profiler::Profiler;
 use vstore_types::{
     ByteSize, CodingOption, CodingSpace, Fidelity, Result, Speed, StorageFormat, VStoreError,
 };
@@ -137,8 +137,8 @@ impl<'a> Coalescer<'a> {
         fidelity: Fidelity,
         subscribers: &[usize],
         cfs: &[DerivedCf],
-    ) -> (CodingOption, vstore_profiler::StorageProfile) {
-        let mut best: Option<(CodingOption, vstore_profiler::StorageProfile)> = None;
+    ) -> (CodingOption, crate::profiler::StorageProfile) {
+        let mut best: Option<(CodingOption, crate::profiler::StorageProfile)> = None;
         for coding in self.coding_space.iter().filter(|c| !c.is_raw()) {
             let format = StorageFormat::new(fidelity, coding);
             let profile = self.profiler.profile_storage(format);
@@ -384,8 +384,8 @@ pub fn knob_distance(a: &Fidelity, b: &Fidelity) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfilerConfig;
     use vstore_ops::OperatorLibrary;
-    use vstore_profiler::ProfilerConfig;
     use vstore_sim::CodingCostModel;
     use vstore_types::{
         Consumer, CropFactor, FrameSampling, ImageQuality, OperatorKind, Resolution,

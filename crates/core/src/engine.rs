@@ -5,9 +5,9 @@ use crate::budget::adapt_to_ingest_budget;
 use crate::cf_search::{CfSearch, DerivedCf};
 use crate::coalesce::{CoalesceResult, CoalesceStrategy, Coalescer, DerivedSf};
 use crate::erosion::{plan_erosion, ErosionInputs};
+use crate::profiler::Profiler;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vstore_profiler::Profiler;
 use vstore_types::{
     ByteSize, CodingOption, CodingSpace, Configuration, Consumer, ConsumptionFormat, ErosionPlan,
     Fidelity, FidelitySpace, FormatId, Result, Speed, StorageFormat, Subscription,
@@ -313,8 +313,8 @@ impl ConfigurationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfilerConfig;
     use vstore_ops::OperatorLibrary;
-    use vstore_profiler::ProfilerConfig;
     use vstore_sim::CodingCostModel;
     use vstore_types::OperatorKind;
 

@@ -10,8 +10,8 @@
 //! storage under budget.
 
 use crate::coalesce::DerivedSf;
+use crate::profiler::Profiler;
 use std::collections::BTreeMap;
-use vstore_profiler::Profiler;
 use vstore_types::{
     power_law_target, ByteSize, ErosionPlan, ErosionStep, FormatId, Fraction, Result, Speed,
     VStoreError,
@@ -382,8 +382,8 @@ mod tests {
     use super::*;
     use crate::cf_search::DerivedCf;
     use crate::coalesce::Coalescer;
+    use crate::profiler::ProfilerConfig;
     use vstore_ops::OperatorLibrary;
-    use vstore_profiler::ProfilerConfig;
     use vstore_sim::CodingCostModel;
     use vstore_types::{
         Consumer, CropFactor, Fidelity, FrameSampling, ImageQuality, OperatorKind, Resolution,

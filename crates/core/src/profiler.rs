@@ -1,13 +1,31 @@
-//! The profiler implementation.
+//! The profiling harness the configuration engine drives (§4.1, §4.2).
+//!
+//! VStore periodically profiles, per ingested stream, (a) each operator's
+//! accuracy and consumption speed as a function of fidelity, and (b) the
+//! coding cost (size, encode cost, retrieval speed) of candidate storage
+//! formats. Profiling is the dominant configuration overhead, so the
+//! profiler:
+//!
+//! * memoises every profiled `(operator, fidelity)` and storage format — the
+//!   memoisation the paper credits with eliminating 92 % of would-be
+//!   profiling runs during coalescing;
+//! * counts profiling runs and models the wall-clock delay each run would
+//!   take on the paper's testbed (sample-clip duration ÷ consumption speed,
+//!   plus fixed setup), which is what Figure 14 and §6.4 report.
+//!
+//! Operator accuracy is *measured* by running the real operator library over
+//! a 10-second profiling clip at the candidate fidelity and scoring it
+//! against the ingestion-fidelity run; speeds and sizes come from the
+//! calibrated cost models (see "Substitutions" in the repository README).
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vstore_codec::frame::materialize_clip;
 use vstore_codec::VideoFrame;
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_ops::OperatorLibrary;
 use vstore_sim::CodingCostModel;
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{ByteSize, Fidelity, FrameSampling, OperatorKind, Speed, StorageFormat};
 
 /// The profile of one `(operator, fidelity)` pair.
@@ -176,12 +194,12 @@ impl Profiler {
 
     /// Counters of the profiling work done so far.
     pub fn stats(&self) -> ProfilingStats {
-        self.caches.lock().stats
+        lock_unpoisoned(&self.caches).stats
     }
 
     /// Clear memoisation and counters (used between experiments).
     pub fn reset(&self) {
-        let mut caches = self.caches.lock();
+        let mut caches = lock_unpoisoned(&self.caches);
         caches.consumer.clear();
         caches.storage.clear();
         caches.stats = ProfilingStats::default();
@@ -198,14 +216,13 @@ impl Profiler {
     }
 
     fn reference_clip(&self, dataset: Dataset) -> Arc<Vec<VideoFrame>> {
-        if let Some(clip) = self.caches.lock().reference_clips.get(&dataset) {
+        if let Some(clip) = lock_unpoisoned(&self.caches).reference_clips.get(&dataset) {
             return Arc::clone(clip);
         }
         let source = VideoSource::new(dataset);
         let scenes = source.clip(self.config.clip_start, self.config.clip_frames);
         let frames = Arc::new(materialize_clip(&scenes, Fidelity::INGESTION));
-        self.caches
-            .lock()
+        lock_unpoisoned(&self.caches)
             .reference_clips
             .insert(dataset, Arc::clone(&frames));
         frames
@@ -216,7 +233,7 @@ impl Profiler {
     /// run. Memoised.
     pub fn profile_consumer(&self, op: OperatorKind, fidelity: Fidelity) -> ConsumerProfile {
         {
-            let mut caches = self.caches.lock();
+            let mut caches = lock_unpoisoned(&self.caches);
             if let Some(profile) = caches.consumer.get(&(op, fidelity)).copied() {
                 caches.stats.operator_cache_hits += 1;
                 return profile;
@@ -240,7 +257,7 @@ impl Profiler {
         let clip_seconds = f64::from(self.config.clip_frames) / 30.0;
         let run_seconds = clip_seconds / consumption_speed.factor().max(1e-6)
             + self.config.per_run_overhead_seconds;
-        let mut caches = self.caches.lock();
+        let mut caches = lock_unpoisoned(&self.caches);
         caches.consumer.insert((op, fidelity), profile);
         caches.stats.operator_runs += 1;
         caches.stats.modeled_seconds += run_seconds;
@@ -252,7 +269,7 @@ impl Profiler {
     /// Memoised.
     pub fn profile_storage(&self, format: StorageFormat) -> StorageProfile {
         {
-            let mut caches = self.caches.lock();
+            let mut caches = lock_unpoisoned(&self.caches);
             if let Some(profile) = caches.storage.get(&format).copied() {
                 caches.stats.storage_cache_hits += 1;
                 return profile;
@@ -268,7 +285,7 @@ impl Profiler {
         // A coding profile transcodes and decodes the sample clip once.
         let encode_seconds = profile.encode_cores * clip_seconds / 8.0; // 8 encoder threads
         let decode_seconds = clip_seconds / profile.sequential_retrieval_speed.factor().max(1e-6);
-        let mut caches = self.caches.lock();
+        let mut caches = lock_unpoisoned(&self.caches);
         caches.storage.insert(format, profile);
         caches.stats.storage_runs += 1;
         caches.stats.modeled_seconds += encode_seconds + decode_seconds + 0.05;

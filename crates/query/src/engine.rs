@@ -532,11 +532,11 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use vstore_core::profiler::{Profiler, ProfilerConfig};
     use vstore_core::{Alternative, ConfigurationEngine, EngineOptions};
     use vstore_datasets::{Dataset, VideoSource};
     use vstore_ingest::IngestionPipeline;
     use vstore_ops::OperatorLibrary;
-    use vstore_profiler::{Profiler, ProfilerConfig};
     use vstore_sim::CodingCostModel;
     use vstore_storage::SegmentStore;
     use vstore_types::FidelitySpace;

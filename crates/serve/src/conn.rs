@@ -533,15 +533,15 @@ mod tests {
         pool.give(b);
         pool.give(Vec::new());
         pool.give(Vec::new()); // beyond capacity: dropped silently
-        assert_eq!(pool.bufs.lock().unwrap().len(), 2);
+        assert_eq!(lock_unpoisoned(&pool.bufs).len(), 2);
     }
 
     #[test]
     fn buffer_pool_drops_jumbo_buffers() {
         let pool = BufferPool::new(8, 1024);
         pool.give(Vec::with_capacity(4096)); // over retention: not pooled
-        assert_eq!(pool.bufs.lock().unwrap().len(), 0);
+        assert_eq!(lock_unpoisoned(&pool.bufs).len(), 0);
         pool.give(Vec::with_capacity(512));
-        assert_eq!(pool.bufs.lock().unwrap().len(), 1);
+        assert_eq!(lock_unpoisoned(&pool.bufs).len(), 1);
     }
 }

@@ -73,28 +73,24 @@ pub(crate) struct NetShared {
 }
 
 impl NetShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, NetState> {
-        lock_unpoisoned(&self.state)
-    }
-
     /// One request frame of `bytes` (envelope included) decoded.
     pub(crate) fn add_frame_in(&self, bytes: u64) {
-        let mut state = self.lock();
+        let mut state = lock_unpoisoned(&self.state);
         state.frames_in += 1;
         state.bytes_in += bytes;
     }
 
     pub(crate) fn count_corrupt_frame(&self) {
-        self.lock().corrupt_frames += 1;
+        lock_unpoisoned(&self.state).corrupt_frames += 1;
     }
 
     pub(crate) fn count_oversized_frame(&self) {
-        self.lock().oversized_frames += 1;
+        lock_unpoisoned(&self.state).oversized_frames += 1;
     }
 
     /// One batch written: `bytes` moved, `frames` response frames in it.
     pub(crate) fn record_write(&self, bytes: u64, frames: u64) {
-        let mut state = self.lock();
+        let mut state = lock_unpoisoned(&self.state);
         state.write_syscalls += 1;
         state.bytes_out += bytes;
         state.frames_out += frames;
@@ -104,7 +100,7 @@ impl NetShared {
     /// A connection closed; `lost` when its peer vanished or was cut with
     /// responses still owed.
     pub(crate) fn close_connection(&self, lost: bool, peak_backlog: u64) {
-        let mut state = self.lock();
+        let mut state = lock_unpoisoned(&self.state);
         state.active_connections = state.active_connections.saturating_sub(1);
         if peak_backlog > 0 {
             state.backlog_peaks.record(peak_backlog);
@@ -121,7 +117,7 @@ impl NetShared {
 
     fn snapshot(&self) -> NetStats {
         let (pool_hits, pool_misses) = self.pool.counts();
-        let state = self.lock();
+        let state = lock_unpoisoned(&self.state);
         NetStats {
             accepted: state.accepted,
             refused: state.refused,
@@ -383,7 +379,7 @@ fn admit(
     done: &mpsc::Sender<u64>,
 ) -> Option<(u64, Served)> {
     let id = {
-        let mut state = shared.lock();
+        let mut state = lock_unpoisoned(&shared.state);
         if state.active_connections >= shared.options.max_connections {
             state.refused += 1;
             return None;
@@ -407,7 +403,7 @@ fn admit(
     match spawned {
         Ok(handle) => Some((id, (stream, handle))),
         Err(_) => {
-            let mut state = shared.lock();
+            let mut state = lock_unpoisoned(&shared.state);
             state.active_connections -= 1;
             state.refused += 1;
             None

@@ -657,6 +657,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Condvar;
     use vstore_datasets::Dataset;
+    use vstore_types::sync::wait_unpoisoned;
     use vstore_types::{ByteSize, Speed, VideoSeconds};
 
     /// A deterministic in-memory service: canned responses, an optional
@@ -678,20 +679,20 @@ mod tests {
 
         fn gated() -> Self {
             let service = Self::new();
-            *service.gate.0.lock().unwrap() = false;
+            *lock_unpoisoned(&service.gate.0) = false;
             service
         }
 
         fn open_gate(&self) {
-            *self.gate.0.lock().unwrap() = true;
+            *lock_unpoisoned(&self.gate.0) = true;
             self.gate.1.notify_all();
         }
 
         fn await_gate(&self) {
             let (lock, cvar) = &*self.gate;
-            let mut open = lock.lock().unwrap();
+            let mut open = lock_unpoisoned(lock);
             while !*open {
-                open = cvar.wait(open).unwrap();
+                open = wait_unpoisoned(cvar, open);
             }
         }
 

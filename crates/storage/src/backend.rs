@@ -14,13 +14,13 @@
 //! Log names are `/`-separated paths relative to the backend root, e.g.
 //! `shard-003/vlog-00000001.dat` or `SHARDS`.
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{Result, VStoreError};
 
 /// An append handle to one named log, held open by the active log file of a
@@ -251,19 +251,13 @@ impl StorageBackend for FsBackend {
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// One in-memory log: contents behind their own lock, so appends and reads
-/// of different logs (different shards) never contend.
-type MemLog = Arc<Mutex<Vec<u8>>>;
-
-type MemFiles = Arc<Mutex<BTreeMap<String, MemLog>>>;
-
 /// An in-memory backend: logs are entries of a shared map, each behind its
 /// own lock (the map lock is held only to look names up, preserving the
 /// sharded store's lock independence). `sync` is a no-op; nothing survives
 /// the process.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    files: MemFiles,
+    files: Mutex<BTreeMap<String, Arc<Mutex<Vec<u8>>>>>,
 }
 
 impl MemBackend {
@@ -273,13 +267,17 @@ impl MemBackend {
     }
 
     /// The named log's shared buffer, if it exists.
-    fn log(&self, name: &str) -> Option<MemLog> {
-        self.files.lock().get(name).cloned()
+    fn log(&self, name: &str) -> Option<Arc<Mutex<Vec<u8>>>> {
+        lock_unpoisoned(&self.files).get(name).cloned()
     }
 
     /// The named log's shared buffer, creating it if needed.
-    fn log_or_default(&self, name: &str) -> MemLog {
-        Arc::clone(self.files.lock().entry(name.to_owned()).or_default())
+    fn log_or_default(&self, name: &str) -> Arc<Mutex<Vec<u8>>> {
+        Arc::clone(
+            lock_unpoisoned(&self.files)
+                .entry(name.to_owned())
+                .or_default(),
+        )
     }
 
     /// An I/O-shaped "not found" error, matching what [`FsBackend`] surfaces
@@ -294,12 +292,12 @@ impl MemBackend {
 
 #[derive(Debug)]
 struct MemLogHandle {
-    log: MemLog,
+    log: Arc<Mutex<Vec<u8>>>,
 }
 
 impl LogHandle for MemLogHandle {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        self.log.lock().extend_from_slice(data);
+        lock_unpoisoned(&self.log).extend_from_slice(data);
         Ok(())
     }
 
@@ -312,14 +310,14 @@ impl StorageBackend for MemBackend {
     fn open(&self, name: &str, truncate: bool) -> Result<Box<dyn LogHandle>> {
         let log = self.log_or_default(name);
         if truncate {
-            log.lock().clear();
+            lock_unpoisoned(&log).clear();
         }
         Ok(Box::new(MemLogHandle { log }))
     }
 
     fn read_at(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
         let log = self.log(name).ok_or_else(|| Self::not_found(name))?;
-        let data = log.lock();
+        let data = lock_unpoisoned(&log);
         // Bounds arithmetic in u64, so a 32-bit host can never wrap
         // `offset as usize` into a bogus in-range slice.
         let in_range = offset
@@ -343,23 +341,23 @@ impl StorageBackend for MemBackend {
     }
 
     fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.log(name).map(|log| log.lock().clone()))
+        Ok(self.log(name).map(|log| lock_unpoisoned(&log).clone()))
     }
 
     fn write_all(&self, name: &str, data: &[u8]) -> Result<()> {
         // Mutate the existing buffer in place so open handles to the same
         // log keep observing it.
-        *self.log_or_default(name).lock() = data.to_vec();
+        *lock_unpoisoned(&self.log_or_default(name)) = data.to_vec();
         Ok(())
     }
 
     fn remove(&self, name: &str) -> Result<()> {
-        self.files.lock().remove(name);
+        lock_unpoisoned(&self.files).remove(name);
         Ok(())
     }
 
     fn len(&self, name: &str) -> Result<Option<u64>> {
-        Ok(self.log(name).map(|log| log.lock().len() as u64))
+        Ok(self.log(name).map(|log| lock_unpoisoned(&log).len() as u64))
     }
 
     fn list(&self, dir: &str) -> Result<Vec<String>> {
@@ -368,7 +366,7 @@ impl StorageBackend for MemBackend {
         } else {
             format!("{dir}/")
         };
-        let files = self.files.lock();
+        let files = lock_unpoisoned(&self.files);
         let children: BTreeSet<String> = files
             .keys()
             .filter_map(|name| name.strip_prefix(&prefix))

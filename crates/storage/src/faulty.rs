@@ -3,7 +3,7 @@
 
 use crate::backend::{LogHandle, StorageBackend};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{Result, VStoreError};
 
@@ -45,13 +45,9 @@ impl FaultyDevice {
         }
     }
 
-    pub(crate) fn script(&self) -> MutexGuard<'_, Script> {
-        lock_unpoisoned(&self.script)
-    }
-
     /// Count the call, then let it through to the device or not.
     fn enter(&self, op: &'static str, name: &str) -> Result<&dyn StorageBackend> {
-        let mut script = self.script();
+        let mut script = lock_unpoisoned(&self.script);
         *script.calls.entry(op).or_default() += 1;
         match &mut script.cut_in {
             Some(0) => return Err(injected()),

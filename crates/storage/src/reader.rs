@@ -47,11 +47,11 @@
 use crate::key::SegmentKey;
 use crate::store::SegmentStore;
 use crate::tier::TierEngine;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use vstore_codec::{convert_frames, SegmentData, VideoFrame};
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{ConsumptionFormat, Fidelity, FrameSampling, Result, StorageFormat};
 
 /// Where a read was served from.
@@ -556,7 +556,7 @@ impl SegmentReader {
         }
         let idx = self.store.shard_index(key);
         let epoch = {
-            let mut shard = self.shards[idx].lock();
+            let mut shard = lock_unpoisoned(&self.shards[idx]);
             if let Some(bytes) = shard.cached_bytes(key) {
                 return Ok(Some((bytes, ReadSource::RawCache)));
             }
@@ -570,7 +570,7 @@ impl SegmentReader {
         // bumped the epoch, and the next (hot) read warms the cache through
         // the ordinary fill path.
         if source == ReadSource::Disk {
-            self.shards[idx].lock().admit_bytes(key, &bytes, epoch);
+            lock_unpoisoned(&self.shards[idx]).admit_bytes(key, &bytes, epoch);
         }
         Ok(Some((bytes, source)))
     }
@@ -616,8 +616,7 @@ impl SegmentReader {
         if self.decoded_per_shard == 0 {
             return None;
         }
-        let segment = self.shards[self.store.shard_index(key)]
-            .lock()
+        let segment = lock_unpoisoned(&self.shards[self.store.shard_index(key)])
             .cached_view(key, View::Consumer(consumption.fidelity))?;
         Some(DecodedRead {
             segment,
@@ -638,7 +637,7 @@ impl SegmentReader {
         let idx = self.store.shard_index(key);
         let mut raw_hit = None;
         let epoch = {
-            let mut shard = self.shards[idx].lock();
+            let mut shard = lock_unpoisoned(&self.shards[idx]);
             if self.decoded_per_shard > 0 {
                 if let Some(segment) = shard.cached_view(key, view) {
                     return Ok(Some(DecodedRead {
@@ -662,7 +661,7 @@ impl SegmentReader {
         // Decode outside the shard lock: parallel prefetch workers hitting
         // the same shard must not serialise on the decode.
         let segment = Arc::new(decode_entry(&bytes, view)?);
-        let mut shard = self.shards[idx].lock();
+        let mut shard = lock_unpoisoned(&self.shards[idx]);
         if source == ReadSource::Disk && self.raw_per_shard > 0 {
             shard.admit_bytes(key, &bytes, epoch);
         }
@@ -719,7 +718,7 @@ impl SegmentReader {
     pub fn shard_cache_stats(&self) -> Vec<CacheStats> {
         self.shards
             .iter()
-            .map(|shard| shard.lock().stats())
+            .map(|shard| lock_unpoisoned(shard).stats())
             .collect()
     }
 
@@ -730,7 +729,7 @@ impl SegmentReader {
             return;
         }
         let idx = self.store.shard_index(key);
-        let mut shard = self.shards[idx].lock();
+        let mut shard = lock_unpoisoned(&self.shards[idx]);
         shard.epoch += 1;
         let views = shard.decoded.remove(key).map_or(0, |views| views.len());
         shard.invalidations += u64::from(shard.raw.remove(key).is_some()) + views as u64;

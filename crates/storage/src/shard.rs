@@ -13,9 +13,9 @@ use crate::backend::StorageBackend;
 use crate::key::SegmentKey;
 use crate::log::LogFile;
 use crate::store::StoreStats;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{FormatId, Result, VStoreError};
 
 /// Target maximum size of one value log file before the shard rolls over to
@@ -111,7 +111,7 @@ impl Shard {
 
     /// Store a segment, replacing any previous value under the same key.
     pub(crate) fn put(&self, key: &SegmentKey, value: &[u8]) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_unpoisoned(&self.inner);
         inner.roll_if_needed()?;
         let encoded_key = key.encode();
         let (offset, total_len) = inner.active.append(&encoded_key, value, false)?;
@@ -132,7 +132,7 @@ impl Shard {
 
     /// Fetch a segment. Returns `Ok(None)` when the key does not exist.
     pub(crate) fn get(&self, key: &SegmentKey) -> Result<Option<Vec<u8>>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_unpoisoned(&self.inner);
         inner.stats_reads += 1;
         let location = match inner.index.get(key) {
             Some(loc) => *loc,
@@ -144,17 +144,20 @@ impl Shard {
 
     /// `true` if the key exists.
     pub(crate) fn contains(&self, key: &SegmentKey) -> bool {
-        self.inner.lock().index.contains_key(key)
+        lock_unpoisoned(&self.inner).index.contains_key(key)
     }
 
     /// Length in bytes of the key's live value, without reading it.
     pub(crate) fn value_len(&self, key: &SegmentKey) -> Option<u64> {
-        self.inner.lock().index.get(key).map(|loc| loc.value_len)
+        lock_unpoisoned(&self.inner)
+            .index
+            .get(key)
+            .map(|loc| loc.value_len)
     }
 
     /// Delete a segment. Deleting a missing key is a no-op.
     pub(crate) fn delete(&self, key: &SegmentKey) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_unpoisoned(&self.inner);
         if inner.index.remove(key).is_none() {
             return Ok(());
         }
@@ -170,8 +173,7 @@ impl Shard {
     pub(crate) fn segments_of(&self, stream: &str, format: FormatId) -> Vec<SegmentKey> {
         let lo = SegmentKey::new(stream, format, 0);
         let hi = SegmentKey::new(stream, format, u64::MAX);
-        self.inner
-            .lock()
+        lock_unpoisoned(&self.inner)
             .index
             .range(lo..=hi)
             .map(|(k, _)| k.clone())
@@ -180,12 +182,12 @@ impl Shard {
 
     /// This shard's live keys, in key order.
     pub(crate) fn keys(&self) -> Vec<SegmentKey> {
-        self.inner.lock().index.keys().cloned().collect()
+        lock_unpoisoned(&self.inner).index.keys().cloned().collect()
     }
 
     /// Number of live segments in this shard.
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().index.len()
+        lock_unpoisoned(&self.inner).index.len()
     }
 
     /// Total bytes of live values stored in this shard for one
@@ -193,8 +195,7 @@ impl Shard {
     pub(crate) fn bytes_of(&self, stream: &str, format: FormatId) -> u64 {
         let lo = SegmentKey::new(stream, format, 0);
         let hi = SegmentKey::new(stream, format, u64::MAX);
-        self.inner
-            .lock()
+        lock_unpoisoned(&self.inner)
             .index
             .range(lo..=hi)
             .map(|(_, v)| v.value_len)
@@ -203,7 +204,7 @@ impl Shard {
 
     /// This shard's statistics.
     pub(crate) fn stats(&self) -> StoreStats {
-        let inner = self.inner.lock();
+        let inner = lock_unpoisoned(&self.inner);
         StoreStats {
             live_segments: inner.index.len(),
             live_bytes: inner.index.values().map(|v| v.value_len).sum(),
@@ -216,14 +217,14 @@ impl Shard {
 
     /// Flush and fsync the active log.
     pub(crate) fn sync(&self) -> Result<()> {
-        self.inner.lock().active.sync()
+        lock_unpoisoned(&self.inner).active.sync()
     }
 
     /// Rewrite all live records into fresh log files and delete the old
     /// ones, reclaiming space left by deletions and overwrites. Returns the
     /// number of bytes reclaimed.
     pub(crate) fn compact(&self) -> Result<u64> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_unpoisoned(&self.inner);
         let before = inner.disk_bytes;
         // Collect live key/value pairs (reading through the old files).
         let entries: Vec<(SegmentKey, ValueLocation)> =
@@ -313,7 +314,9 @@ mod tests {
     /// A device whose `remove` of the one log `name` fails.
     fn remove_fails(name: String) -> FaultyDevice {
         let device = FaultyDevice::over(Arc::new(MemBackend::new()));
-        device.script().faults.push(("remove", name, injected));
+        lock_unpoisoned(&device.script)
+            .faults
+            .push(("remove", name, injected));
         device
     }
 
@@ -364,7 +367,7 @@ mod tests {
         shard.compact().unwrap_err();
         assert_eq!(shard.stats().log_files, 2);
 
-        fails.script().faults.clear();
+        lock_unpoisoned(&fails.script).faults.clear();
         shard.compact().unwrap();
         assert_eq!(shard.get(&key).unwrap().unwrap(), b"second");
         assert_eq!(backend.list(&dir).unwrap(), [LogFile::file_name(3)]);

@@ -22,9 +22,9 @@
 use crate::backend::StorageBackend;
 use crate::key::SegmentKey;
 use crate::log::{encode_record, record_size, LogFile};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{Result, VStoreError};
 
 /// Device namespace of the segment objects.
@@ -102,7 +102,7 @@ impl ColdStore {
         let record = encode_record(&key.encode(), value, false)?;
         self.device
             .write_all(&key.object_name(OBJECT_DIR), &record)?;
-        self.resident.lock().insert(key.clone(), value.len() as u64);
+        lock_unpoisoned(&self.resident).insert(key.clone(), value.len() as u64);
         Ok(())
     }
 
@@ -128,18 +128,18 @@ impl ColdStore {
     /// missing key is a no-op.
     pub fn delete(&self, key: &SegmentKey) -> Result<()> {
         self.device.remove(&key.object_name(OBJECT_DIR))?;
-        self.resident.lock().remove(key);
+        lock_unpoisoned(&self.resident).remove(key);
         Ok(())
     }
 
     /// `true` if the key is resident.
     pub fn contains(&self, key: &SegmentKey) -> bool {
-        self.resident.lock().contains_key(key)
+        lock_unpoisoned(&self.resident).contains_key(key)
     }
 
     /// Number of resident segments.
     pub fn len(&self) -> usize {
-        self.resident.lock().len()
+        lock_unpoisoned(&self.resident).len()
     }
 
     /// `true` when no segment is resident.
@@ -149,12 +149,12 @@ impl ColdStore {
 
     /// All resident keys, in key order.
     pub fn keys(&self) -> Vec<SegmentKey> {
-        self.resident.lock().keys().cloned().collect()
+        lock_unpoisoned(&self.resident).keys().cloned().collect()
     }
 
     /// Total bytes of resident segment values (framing excluded).
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.lock().values().sum()
+        lock_unpoisoned(&self.resident).values().sum()
     }
 }
 

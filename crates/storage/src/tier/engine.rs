@@ -544,7 +544,7 @@ mod tests {
         for i in 0..6 {
             reader.put(&key(1, i), &vec![i as u8; 300]).unwrap();
         }
-        device.script().faults = [1, 4]
+        lock_unpoisoned(&device.script).faults = [1, 4]
             .map(|i| ("write_all", key(1, i).object_name(OBJECT_DIR), fault))
             .to_vec();
         (reader, engine, device)
@@ -583,7 +583,7 @@ mod tests {
         assert!(err.to_string().contains("injected"), "{err}");
         assert_two_of_six_failed(&reader, &engine, &err);
 
-        device.script().faults.clear();
+        lock_unpoisoned(&device.script).faults.clear();
         let retry = engine.demote_batch(&reader, all, 3).unwrap();
         assert_eq!(
             retry,
@@ -659,7 +659,7 @@ mod tests {
             assert_eq!(engine.cold_store().len() as u64, population);
 
             let calls = |expected: &[(&str, u64)]| {
-                let calls = std::mem::take(&mut device.script().calls);
+                let calls = std::mem::take(&mut lock_unpoisoned(&device.script).calls);
                 assert_eq!(Vec::from_iter(calls), expected, "{population} resident");
             };
             // Opening an empty device, then one write per demotion.
@@ -700,15 +700,15 @@ mod tests {
             for k in &keys {
                 reader.put(k, &value(k)).unwrap();
             }
-            hot_device.script().calls.clear();
-            hot_device.script().cut_in = cut_at;
+            lock_unpoisoned(&hot_device.script).calls.clear();
+            lock_unpoisoned(&hot_device.script).cut_in = cut_at;
             // From here on every step may fail; none may lose a segment.
             let _ = engine.demote_batch(&reader, keys.clone(), 1);
             for k in &keys[..2] {
                 let _ = reader.get(k);
             }
             let _ = engine.demote_batch(&reader, keys[..2].to_vec(), 1);
-            let calls: u64 = hot_device.script().calls.values().sum();
+            let calls: u64 = lock_unpoisoned(&hot_device.script).calls.values().sum();
             drop((reader, engine));
 
             let hot = SegmentStore::open_with_backend(hot_mem, 2).unwrap();

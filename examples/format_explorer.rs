@@ -8,8 +8,8 @@
 //! cargo run --release --example format_explorer -- NN      # any Table-2 operator
 //! ```
 
+use vstore_core::profiler::{Profiler, ProfilerConfig};
 use vstore_ops::OperatorLibrary;
-use vstore_profiler::{Profiler, ProfilerConfig};
 use vstore_sim::CodingCostModel;
 use vstore_types::{
     CodingOption, CropFactor, Fidelity, FrameSampling, ImageQuality, OperatorKind, Resolution,

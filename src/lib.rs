@@ -65,11 +65,11 @@ mod requests;
 
 pub use vstore_codec as codec;
 pub use vstore_core as core;
+pub use vstore_core::profiler;
 pub use vstore_datasets as datasets;
 pub use vstore_ingest as ingest;
 pub use vstore_obs as obs;
 pub use vstore_ops as ops;
-pub use vstore_profiler as profiler;
 pub use vstore_query as query;
 pub use vstore_serve as serve;
 pub use vstore_sim as sim;
@@ -100,16 +100,16 @@ pub use vstore_types::{
     RuntimeOptions, ServeOptions, VStoreError,
 };
 
-use parking_lot::RwLock;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use vstore_codec::Transcoder;
+use vstore_core::profiler::{Profiler, ProfilerConfig};
 use vstore_ingest::{IngestReport, IngestionPipeline, LiveIngestor};
 use vstore_ops::OperatorLibrary;
-use vstore_profiler::{Profiler, ProfilerConfig};
 use vstore_query::QueryEngine;
 use vstore_sim::CodingCostModel;
 use vstore_storage::{SegmentStore, StoreStats};
+use vstore_types::sync::{read_unpoisoned, write_unpoisoned};
 
 /// Options controlling a [`VStore`] instance.
 #[derive(Debug, Clone)]
@@ -475,7 +475,7 @@ impl std::fmt::Debug for VStore {
         f.debug_struct("VStore")
             .field("store_dir", &self.inner.store.dir())
             .field("shards", &self.inner.store.shard_count())
-            .field("epoch", &self.inner.active.read().epoch)
+            .field("epoch", &read_unpoisoned(&self.inner.active).epoch)
             .field("handles", &Arc::strong_count(&self.inner))
             .finish()
     }
@@ -634,9 +634,9 @@ impl VStore {
     /// ```
     #[must_use]
     pub fn stats_report(&self) -> StatsReport {
-        let serve = self.inner.serving.write().aggregate();
-        let live = self.inner.live.write().aggregate();
-        let net = self.inner.net.write().aggregate();
+        let serve = write_unpoisoned(&self.inner.serving).aggregate();
+        let live = write_unpoisoned(&self.inner.live).aggregate();
+        let net = write_unpoisoned(&self.inner.net).aggregate();
         StatsReport {
             store: self.store_stats(),
             cache: self.cache_stats(),
@@ -656,7 +656,7 @@ impl VStore {
     /// rows, in [`metrics_snapshot`](Self::metrics_snapshot).
     #[must_use]
     pub fn net_stats(&self) -> Option<NetStats> {
-        self.inner.net.write().aggregate()
+        write_unpoisoned(&self.inner.net).aggregate()
     }
 
     /// Aggregate live-ingest statistics across every ingestor started with
@@ -665,7 +665,7 @@ impl VStore {
     /// [`stats_report`](Self::stats_report) and over the serve wire.
     #[must_use]
     pub fn live_stats(&self) -> Option<LiveStats> {
-        self.inner.live.write().aggregate()
+        write_unpoisoned(&self.inner.live).aggregate()
     }
 
     /// A snapshot of every registered metric family — store, cache, tier,
@@ -725,14 +725,14 @@ impl VStore {
     /// [`configure`](Self::configure) swaps the slot but never mutates a
     /// configuration already handed out.
     pub fn configuration(&self) -> Option<Arc<Configuration>> {
-        self.inner.active.read().config.clone()
+        read_unpoisoned(&self.inner.active).config.clone()
     }
 
     /// The configuration epoch: 0 before any configuration is installed,
     /// then incremented by every [`configure`](Self::configure) /
     /// [`install_configuration`](Self::install_configuration).
     pub fn configuration_epoch(&self) -> u64 {
-        self.inner.active.read().epoch
+        read_unpoisoned(&self.inner.active).epoch
     }
 
     /// Derive (or re-derive) the video format configuration for a consumer
@@ -750,7 +750,7 @@ impl VStore {
     /// epoch. Requests in flight keep the configuration they started with.
     pub fn install_configuration(&self, configuration: Configuration) -> Arc<Configuration> {
         let config = Arc::new(configuration);
-        let mut slot = self.inner.active.write();
+        let mut slot = write_unpoisoned(&self.inner.active);
         slot.epoch += 1;
         slot.config = Some(Arc::clone(&config));
         config
@@ -758,9 +758,12 @@ impl VStore {
 
     /// Snapshot the active configuration for one request.
     fn active(&self) -> Result<Arc<Configuration>> {
-        self.inner.active.read().config.clone().ok_or_else(|| {
-            VStoreError::InvalidState("no configuration derived yet; call configure()".into())
-        })
+        read_unpoisoned(&self.inner.active)
+            .config
+            .clone()
+            .ok_or_else(|| {
+                VStoreError::InvalidState("no configuration derived yet; call configure()".into())
+            })
     }
 
     /// Ingest a contiguous range of 8-second segments of a stream into
@@ -843,7 +846,9 @@ impl VStore {
     /// ```
     pub fn serve(&self, options: ServeOptions) -> Result<ServerHandle> {
         let server = vstore_serve::Server::start(self.clone(), options)?;
-        self.inner.serving.write().probes.push(server.probe());
+        write_unpoisoned(&self.inner.serving)
+            .probes
+            .push(server.probe());
         Ok(server)
     }
 
@@ -877,8 +882,12 @@ impl VStore {
         serve: ServeOptions,
     ) -> Result<NetServerHandle> {
         let server = NetServer::start(self.clone(), addr, net, serve)?;
-        self.inner.serving.write().probes.push(server.serve_probe());
-        self.inner.net.write().probes.push(server.probe());
+        write_unpoisoned(&self.inner.serving)
+            .probes
+            .push(server.serve_probe());
+        write_unpoisoned(&self.inner.net)
+            .probes
+            .push(server.probe());
         Ok(server)
     }
 
@@ -926,7 +935,9 @@ impl VStore {
     ) -> Result<LiveIngestHandle> {
         let config = self.active()?;
         let handle = LiveIngestor::start(Arc::clone(&self.inner.ingest), source, &config, options)?;
-        self.inner.live.write().probes.push(handle.probe());
+        write_unpoisoned(&self.inner.live)
+            .probes
+            .push(handle.probe());
         Ok(handle)
     }
 }
@@ -1198,9 +1209,9 @@ mod tests {
             assert_eq!(up.serve.unwrap().workers, 3);
             assert_eq!(up.net.unwrap().active_connections, 1);
             assert!(up.live.unwrap().workers >= 1);
-            assert_eq!(store.inner.serving.read().probes.len(), 2);
-            assert_eq!(store.inner.net.read().probes.len(), 1);
-            assert_eq!(store.inner.live.read().probes.len(), 1);
+            assert_eq!(read_unpoisoned(&store.inner.serving).probes.len(), 2);
+            assert_eq!(read_unpoisoned(&store.inner.net).probes.len(), 1);
+            assert_eq!(read_unpoisoned(&store.inner.live).probes.len(), 1);
 
             server.shutdown();
             net.shutdown();
@@ -1226,9 +1237,9 @@ mod tests {
         );
         assert_eq!(live.current_level, 0);
         // Every probe was folded into `retired` exactly once.
-        assert!(store.inner.serving.read().probes.is_empty());
-        assert!(store.inner.net.read().probes.is_empty());
-        assert!(store.inner.live.read().probes.is_empty());
+        assert!(read_unpoisoned(&store.inner.serving).probes.is_empty());
+        assert!(read_unpoisoned(&store.inner.net).probes.is_empty());
+        assert!(read_unpoisoned(&store.inner.live).probes.is_empty());
         assert_eq!(store.stats_report(), report);
     }
 

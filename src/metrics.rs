@@ -16,6 +16,7 @@ use crate::{VStore, VStoreInner};
 use std::sync::{Arc, Weak};
 use vstore_obs::Metric;
 use vstore_storage::CacheStats;
+use vstore_types::sync::write_unpoisoned;
 
 /// Register every stats source of a freshly assembled store into its
 /// metrics registry. Called once from `VStore::assemble`, after the inner
@@ -243,7 +244,7 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
     let Some(inner) = weak.upgrade() else {
         return;
     };
-    if let Some(s) = inner.serving.write().aggregate() {
+    if let Some(s) = write_unpoisoned(&inner.serving).aggregate() {
         out.push(Metric::gauge(
             "vstore_serve_workers",
             "Worker threads draining the request queue",
@@ -309,7 +310,7 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
             }
         }
     }
-    if let Some(n) = inner.net.write().aggregate() {
+    if let Some(n) = write_unpoisoned(&inner.net).aggregate() {
         out.push(Metric::gauge(
             "vstore_net_active_connections",
             "Connections currently being served",
@@ -376,7 +377,7 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
             &n.batch_sizes,
         ));
     }
-    let live = inner.live.write().aggregate();
+    let live = write_unpoisoned(&inner.live).aggregate();
     if let Some(l) = live {
         out.push(Metric::gauge(
             "vstore_live_queue_depth",

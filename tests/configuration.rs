@@ -3,9 +3,9 @@
 //! the behaviour of the alternative configurations.
 
 use std::sync::Arc;
+use vstore_core::profiler::{Profiler, ProfilerConfig};
 use vstore_core::{Alternative, CoalesceStrategy, ConfigurationEngine, EngineOptions};
 use vstore_ops::OperatorLibrary;
-use vstore_profiler::{Profiler, ProfilerConfig};
 use vstore_sim::CodingCostModel;
 use vstore_types::{ByteSize, Consumer, FidelitySpace, OperatorKind};
 
