@@ -52,7 +52,7 @@ pub struct EncodedFrame {
 /// One stored frame as the decoder reads it, borrowed from wherever it
 /// lives: an [`EncodedFrame`], or a record of a serialised container walked
 /// in place (`container::SegmentWalk`), whose payload is a slice of the
-/// buffer the store or the raw cache already owns.
+/// buffer the store already handed over.
 #[derive(Debug)]
 pub(crate) struct FrameRecord<'a> {
     pub source_index: u64,

@@ -567,7 +567,7 @@ mod tests {
         assert_eq!(source_tier, vstore_storage::ReadSource::Cold);
         assert!(p.store().contains(demoted_key));
         let (again, _) = reader.get(demoted_key).unwrap().unwrap();
-        assert_eq!(*bytes, *again, "promotion must be byte-identical");
+        assert_eq!(bytes, again, "promotion must be byte-identical");
     }
 
     #[test]

@@ -92,9 +92,9 @@ impl QueryResult {
 /// the calling thread in segment order — [`StageReport`]s are identical to
 /// the sequential (`prefetch = 1`) path.
 ///
-/// All reads flow through a [`SegmentReader`]: when its two-tier segment
-/// cache is enabled (see [`SegmentReader::new`]), repeated cascade stages
-/// and hot streams are served from memory, and a tier-2 hit skips decode
+/// All reads flow through a [`SegmentReader`]: when its view cache is
+/// enabled (see [`SegmentReader::new`]), repeated cascade stages and hot
+/// streams are served from memory, and a hit skips the store read, decode
 /// and conversion entirely: the operator runs on the cached frames behind
 /// their `Arc`, and a window of such hits is served on the calling thread
 /// without spawning anything. Query *results* are identical with the cache
@@ -112,7 +112,6 @@ pub struct QueryEngine {
 fn read_span_name(source: ReadSource) -> &'static str {
     match source {
         ReadSource::DecodedCache => "read.decoded_cache",
-        ReadSource::RawCache => "read.raw_cache",
         ReadSource::Disk => "read.disk",
         ReadSource::Cold => "read.cold",
     }
@@ -442,7 +441,7 @@ impl QueryEngine {
 
     /// The prefetch/decode stage: fetch one window of segments through the
     /// [`SegmentReader`], each as the subscription's consumer takes it. A
-    /// segment whose view tier 2 holds is served right here — a hit is a
+    /// segment whose view the cache holds is served right here — a hit is a
     /// refcount bump, less than handing it to another thread would cost —
     /// and only the misses are fetched, decoded and converted in parallel.
     /// Segments not ingested at all are dropped; segment order is
@@ -495,7 +494,7 @@ impl QueryEngine {
     /// Fetch one segment as the consumer of `consumption` takes it, from
     /// the subscribed format, falling back to a richer stored format when
     /// it is missing (eroded). Each candidate key goes through the reader's
-    /// two cache tiers before touching the store.
+    /// view cache before touching the store.
     fn fetch_view(
         &self,
         stream: &str,
@@ -677,12 +676,6 @@ mod tests {
         // reads its bytes but container parsing fails.
         let bad_key = SegmentKey::new("jackson", sub.storage, 1);
         fx.store.put(&bad_key, b"corrupted-not-a-segment").unwrap();
-        let good_len = fx
-            .store
-            .get(&SegmentKey::new("jackson", sub.storage, 0))
-            .unwrap()
-            .unwrap()
-            .len() as u64;
         let failing_attempt = |engine: &QueryEngine| {
             let reads_before = fx.store.stats().reads;
             let err = engine
@@ -703,13 +696,13 @@ mod tests {
         assert_eq!(failing_attempt(&engine), 2);
         assert_eq!(failing_attempt(&engine), 2, "a retry reads each once more");
 
-        // Cached, the failing window still admits the good segment — and
-        // only it: the retry is one decoded hit and one store read.
+        // Cached, the failing window still admits the good segment's view
+        // — and only it: the retry is one decoded hit and one store read.
         let (reader, engine) = cached_engine(&fx, 2);
         assert_eq!(failing_attempt(&engine), 2);
         let admitted = reader.cache_stats();
         assert_eq!(admitted.decoded_entries, 1);
-        assert_eq!(admitted.raw_resident_bytes, good_len);
+        assert!(admitted.resident_bytes > 0);
         assert_eq!(
             failing_attempt(&engine),
             1,
@@ -718,12 +711,12 @@ mod tests {
         let retried = reader.cache_stats();
         assert_eq!(retried.decoded_hits, admitted.decoded_hits + 1);
         assert_eq!(retried.decoded_entries, 1);
-        assert_eq!(retried.raw_resident_bytes, good_len);
+        assert_eq!(retried.resident_bytes, admitted.resident_bytes);
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
-    /// With the two-tier cache enabled, repeated queries return identical
-    /// results while their reads move from the store to tier 2.
+    /// With the view cache enabled, repeated queries return identical
+    /// results while their reads move from the store to the cache.
     #[test]
     fn cache_hits_charge_memory_reads_and_leave_results_identical() {
         let fx = fixture();
@@ -747,7 +740,7 @@ mod tests {
         let warm = reader.cache_stats();
         assert_eq!(warm.decoded_hits - cold.decoded_hits, fetched as u64);
         assert_eq!(warm.decoded_misses, cold.decoded_misses);
-        assert_eq!(warm.raw_hits, cold.raw_hits);
+        assert_eq!(warm.decoded_entries, cold.decoded_entries);
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
@@ -846,10 +839,11 @@ mod tests {
         reader.delete(&eroded).unwrap();
         let after = reader.cache_stats();
         assert!(reader.cached_view(&eroded, &sub.consumption).is_none());
+        assert!(after.decoded_entries < before.decoded_entries);
         assert_eq!(
             after.invalidations - before.invalidations,
-            1 + (before.decoded_entries - after.decoded_entries),
-            "the key's bytes and each of its views count once"
+            before.decoded_entries - after.decoded_entries,
+            "each of the key's views counts once"
         );
         let aged = engine.execute("jackson", &query, &fx.config, 0, 2).unwrap();
         assert_eq!(aged.stages[0].fallback_segments, 1);
@@ -863,7 +857,7 @@ mod tests {
         std::fs::remove_dir_all(fx.store.dir()).ok();
     }
 
-    /// A window whose segments tier 2 holds is served where the stage
+    /// A window whose segments the cache holds is served where the stage
     /// runs: with every request traced, each `read.decoded_cache` span
     /// carries the thread id of its `query.stage` span. A window of one
     /// hit and one miss still records both reads and serves each once.
@@ -941,7 +935,7 @@ mod tests {
         );
         let after = reader.cache_stats();
         assert_eq!(
-            (after.decoded_hits + after.raw_hits) - (before.decoded_hits + before.raw_hits),
+            after.decoded_hits - before.decoded_hits,
             fetched as u64 - 1,
             "every other read is a cache hit, counted once"
         );

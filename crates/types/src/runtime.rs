@@ -26,18 +26,19 @@ pub struct RuntimeOptions {
     /// many segments are fetched and decoded in parallel ahead of the
     /// operator cascade. 1 disables prefetching.
     pub query_prefetch: usize,
-    /// Capacity in bytes of the tier-1 raw-segment cache fronting
-    /// `SegmentStore::get`, split evenly across the store's shards (each
-    /// shard cache has its own lock, so hot reads stay lock-cheap under the
-    /// parallel query runtime). `0` disables the tier entirely — the read
-    /// path is then byte-identical to the uncached store. Non-zero values
-    /// must be at least `shards ×` [`MIN_CACHE_BYTES_PER_SHARD`].
+    /// Byte bound of the view cache fronting `SegmentStore::get`: a view
+    /// is one segment's frames as one consumer takes them (sampled,
+    /// converted to its consumption fidelity), and weighs its frames' plane
+    /// bytes. Split evenly across the store's shards (each shard cache has
+    /// its own lock, so hot reads stay lock-cheap under the parallel query
+    /// runtime). `0`, with `decoded_cache_entries` also `0`, disables the
+    /// cache — the read path is then byte-identical to the uncached store.
+    /// Non-zero values must be at least `shards ×`
+    /// [`MIN_CACHE_BYTES_PER_SHARD`].
     pub cache_bytes: u64,
-    /// Capacity, in views, of the tier-2 cache: a view is one segment's
-    /// frames as one consumer takes them (sampled, converted to its
-    /// consumption fidelity), so repeated cascade stages skip decode and
-    /// conversion entirely. Split across shards like `cache_bytes`. `0`
-    /// disables the tier.
+    /// Count bound of the view cache, in views, split across shards like
+    /// `cache_bytes`: repeated cascade stages skip the store read, decode
+    /// and conversion entirely. `0` exactly when `cache_bytes` is `0`.
     pub decoded_cache_entries: usize,
     /// Session default for the query planner: when `true`, queries consult
     /// the ingest-time metadata sidecars to skip fetching/decoding segments
@@ -54,9 +55,10 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// Smallest accepted non-zero [`RuntimeOptions::cache_bytes`] **per
 /// shard**: one MiB. `cache_bytes` is split evenly across the shards, and
-/// segments are hundreds of KiB, so a shard slice smaller than this cannot
-/// hold a single entry and the tier would silently behave as a disabled
-/// cache. `validate` therefore rejects non-zero `cache_bytes` below
+/// one consumer's view of one 8-second segment weighs hundreds of KiB of
+/// frame planes, so a shard slice smaller than this holds next to nothing
+/// and the cache would silently behave as a disabled one. `validate`
+/// therefore rejects non-zero `cache_bytes` below
 /// `shards × MIN_CACHE_BYTES_PER_SHARD`.
 pub const MIN_CACHE_BYTES_PER_SHARD: u64 = 1 << 20;
 
@@ -82,9 +84,9 @@ impl RuntimeOptions {
         }
     }
 
-    /// Enable the two-tier segment cache: `cache_bytes` of raw segment
-    /// bytes (tier 1) and `decoded_entries` decoded-frame entries (tier 2).
-    /// Either knob may be 0 to disable that tier.
+    /// Enable the view cache: at most `cache_bytes` of frame planes and
+    /// `decoded_entries` views. Both 0 disables it; `validate` rejects one
+    /// bound set and the other 0.
     pub fn with_cache(mut self, cache_bytes: u64, decoded_entries: usize) -> Self {
         self.cache_bytes = cache_bytes;
         self.decoded_cache_entries = decoded_entries;
@@ -106,12 +108,19 @@ impl RuntimeOptions {
         at_least("RuntimeOptions", "shards", self.shards, 1)?;
         at_least("RuntimeOptions", "ingest_workers", self.ingest_workers, 1)?;
         at_least("RuntimeOptions", "query_prefetch", self.query_prefetch, 1)?;
+        if (self.cache_bytes == 0) != (self.decoded_cache_entries == 0) {
+            return Err(VStoreError::invalid_argument(format!(
+                "RuntimeOptions::cache_bytes ({}) and decoded_cache_entries ({}) bound one \
+                 cache: set both, or neither to disable it",
+                self.cache_bytes, self.decoded_cache_entries
+            )));
+        }
         let cache_floor = self.shards as u64 * MIN_CACHE_BYTES_PER_SHARD;
         if self.cache_bytes != 0 && self.cache_bytes < cache_floor {
             return Err(VStoreError::invalid_argument(format!(
                 "RuntimeOptions::cache_bytes must be 0 (cache disabled) or at least \
                  {MIN_CACHE_BYTES_PER_SHARD} bytes per shard ({cache_floor} for {} shards); \
-                 {} cannot hold one segment per shard",
+                 {} cannot hold a segment's views per shard",
                 self.shards, self.cache_bytes
             )));
         }
@@ -193,39 +202,33 @@ mod tests {
 
     #[test]
     fn validate_rejects_useless_tiny_caches_but_accepts_disabled_and_real_ones() {
+        let invalid = |opts: RuntimeOptions| {
+            let err = opts.validate().unwrap_err();
+            assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
+        };
         // 0 is the valid "disabled" state.
         assert!(RuntimeOptions::sequential()
             .with_cache(0, 0)
             .validate()
             .is_ok());
-        // Tier 2 alone is fine at any entry count.
+        // The two knobs bound one cache: a half-enabled one is rejected.
+        invalid(RuntimeOptions::sequential().with_cache(0, 7));
+        invalid(RuntimeOptions::sequential().with_cache(MIN_CACHE_BYTES_PER_SHARD, 0));
+        // A cache too small to hold a segment's views per shard is rejected.
+        invalid(RuntimeOptions::sequential().with_cache(MIN_CACHE_BYTES_PER_SHARD - 1, 7));
         assert!(RuntimeOptions::sequential()
-            .with_cache(0, 7)
-            .validate()
-            .is_ok());
-        // A cache too small to hold one segment per shard is rejected.
-        let err = RuntimeOptions::sequential()
-            .with_cache(MIN_CACHE_BYTES_PER_SHARD - 1, 0)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
-        assert!(RuntimeOptions::sequential()
-            .with_cache(MIN_CACHE_BYTES_PER_SHARD, 0)
+            .with_cache(MIN_CACHE_BYTES_PER_SHARD, 7)
             .validate()
             .is_ok());
         // The floor scales with the shard count: what one shard accepts,
-        // eight shards reject (each shard slice must hold a segment).
+        // eight shards reject.
         let eight = RuntimeOptions {
             shards: 8,
             ..RuntimeOptions::sequential()
         };
-        let err = eight
-            .with_cache(MIN_CACHE_BYTES_PER_SHARD, 0)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
+        invalid(eight.with_cache(MIN_CACHE_BYTES_PER_SHARD, 7));
         assert!(eight
-            .with_cache(8 * MIN_CACHE_BYTES_PER_SHARD, 0)
+            .with_cache(8 * MIN_CACHE_BYTES_PER_SHARD, 7)
             .validate()
             .is_ok());
     }

@@ -12,6 +12,9 @@
 //! ```sh
 //! cargo run --release --example observability
 //! ```
+//!
+//! Exits non-zero when a metric family it prints is missing from the
+//! snapshot, so a renamed family fails CI.
 
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::{
@@ -85,17 +88,24 @@ fn main() {
         "metrics snapshot: {} rows; a few of them in Prometheus text:",
         snapshot.metrics.len()
     );
+    let text = snapshot.to_prometheus();
+    let mut missing = Vec::new();
     for family in [
         "vstore_serve_completed_total",
-        "vstore_cache_raw_hits_total",
+        "vstore_cache_decoded_hits_total",
         "vstore_net_frames_in_total",
         "vstore_trace_committed_total",
     ] {
-        for line in snapshot.to_prometheus().lines() {
-            if line.starts_with(family) {
-                println!("  {line}");
-            }
+        if snapshot.get(family).is_none() {
+            missing.push(family);
         }
+        for line in text.lines().filter(|line| line.starts_with(family)) {
+            println!("  {line}");
+        }
+    }
+    if !missing.is_empty() {
+        eprintln!("metric families missing from the snapshot: {missing:?}");
+        std::process::exit(1);
     }
 
     let dump = match observer

@@ -69,7 +69,7 @@ fn main() -> vstore::Result<()> {
     println!(
         "aged query identical; reads: {cold_hits} cold hits, {} store reads, {} cache hits",
         store.store_stats().reads,
-        cache.raw_hits + cache.decoded_hits,
+        cache.decoded_hits,
     );
 
     println!("\n{}", store.stats_report());

@@ -173,10 +173,10 @@ impl VStoreOptions {
         self
     }
 
-    /// Enable the two-tier segment cache on the read path: `cache_bytes`
-    /// of raw segment bytes (tier 1) and `decoded_entries` decoded-frame
-    /// entries (tier 2), each split across the store's shards. Either knob
-    /// may be 0 to disable that tier; both default to 0 (disabled).
+    /// Enable the view cache on the read path: at most `cache_bytes` of
+    /// frame planes and `decoded_entries` views, each bound split across
+    /// the store's shards. Both default to 0 (disabled); `VStore::open`
+    /// rejects a cache with one bound set and the other 0.
     pub fn with_cache(mut self, cache_bytes: u64, decoded_entries: usize) -> Self {
         self.runtime = self.runtime.with_cache(cache_bytes, decoded_entries);
         self
@@ -282,9 +282,7 @@ impl std::fmt::Display for StatsReport {
             match self.shard_caches.get(i) {
                 Some(cache) if !cache.is_idle() => writeln!(
                     f,
-                    " | cache {}/{} raw hits, {}/{} decoded hits",
-                    cache.raw_hits,
-                    cache.raw_hits.saturating_add(cache.raw_misses),
+                    " | cache {}/{} hits",
                     cache.decoded_hits,
                     cache.decoded_hits.saturating_add(cache.decoded_misses),
                 )?,
@@ -309,9 +307,9 @@ struct VStoreInner {
     profiler: Arc<Profiler>,
     engine: ConfigurationEngine,
     store: Arc<SegmentStore>,
-    /// The unified read path: one shard-aware, two-tier segment cache
-    /// shared by the query engine (reads) and the ingestion pipeline
-    /// (invalidating writes, including erosion).
+    /// The unified read path: one shard-aware view cache shared by the
+    /// query engine (reads) and the ingestion pipeline (invalidating
+    /// writes, including erosion).
     reader: Arc<SegmentReader>,
     /// The cold-storage tiering engine, when a cold backend is configured
     /// (the one attached to `reader`): erosion demotes through it and cold
@@ -525,8 +523,8 @@ impl VStore {
         let coding = CodingCostModel::paper_testbed();
         let profiler = Arc::new(Profiler::new(library.clone(), coding, options.profiler));
         // One reader shared by ingest and query: queries read through its
-        // two cache tiers, and every ingest put / erosion delete invalidates
-        // them, so a cached read can never observe stale bytes.
+        // view cache, and every ingest put / erosion delete invalidates it,
+        // so a cached read can never observe stale frames.
         let reader = Arc::new(SegmentReader::new(
             Arc::clone(&store),
             runtime.cache_bytes,
@@ -535,8 +533,8 @@ impl VStore {
         // The cold tier, when configured: a ColdStore (one object per
         // segment) on its own device, rooted under `<store dir>/cold-tier`
         // for the fs backend. Erosion demotes into it; cold read hits
-        // promote back through the shared reader, epoch-invalidating both
-        // cache tiers.
+        // promote back through the shared reader, epoch-invalidating the
+        // view cache.
         let tier = match options.tier.cold_backend {
             Some(cold_options) => {
                 let root = match store.dir() {
@@ -1094,7 +1092,7 @@ mod tests {
         assert!(rendered.contains("0/0 hits (0%)"), "{rendered}");
         assert!(!rendered.contains("NaN"), "{rendered}");
         assert!(report.serve.is_none(), "no server started yet");
-        assert_eq!(report.cache.raw_hit_rate(), 0.0);
+        assert_eq!(report.cache.decoded_hit_rate(), 0.0);
         assert_eq!(report.store.garbage_ratio(), 0.0);
 
         // Saturated counters: the Display math saturates instead of
@@ -1103,10 +1101,10 @@ mod tests {
         saturated.store.live_bytes = u64::MAX;
         saturated.store.disk_bytes = u64::MAX;
         saturated.store.writes = u64::MAX;
-        saturated.cache.raw_hits = u64::MAX;
-        saturated.cache.raw_misses = u64::MAX;
-        saturated.shard_caches[0].raw_hits = u64::MAX;
-        saturated.shard_caches[0].raw_misses = u64::MAX;
+        saturated.cache.decoded_hits = u64::MAX;
+        saturated.cache.decoded_misses = u64::MAX;
+        saturated.shard_caches[0].decoded_hits = u64::MAX;
+        saturated.shard_caches[0].decoded_misses = u64::MAX;
         saturated.serve = Some(ServeStats {
             submitted: u64::MAX,
             rejected_busy: u64::MAX,

@@ -188,51 +188,36 @@ pub(crate) fn register_collectors(store: &VStore) {
     }));
 }
 
-/// The shared-cache rows (two tiers, aggregated across shards).
+/// The view-cache rows, aggregated across shards.
 fn collect_cache(c: &CacheStats, out: &mut Vec<Metric>) {
     out.push(Metric::counter(
-        "vstore_cache_raw_hits_total",
-        "Tier-1 reads served from the raw-bytes cache",
-        c.raw_hits,
-    ));
-    out.push(Metric::counter(
-        "vstore_cache_raw_misses_total",
-        "Tier-1 reads that went to the store",
-        c.raw_misses,
-    ));
-    out.push(Metric::counter(
-        "vstore_cache_raw_evictions_total",
-        "Tier-1 entries evicted to make room",
-        c.raw_evictions,
-    ));
-    out.push(Metric::gauge(
-        "vstore_cache_raw_resident_bytes",
-        "Bytes resident in the raw-bytes cache",
-        c.raw_resident_bytes as f64,
-    ));
-    out.push(Metric::counter(
         "vstore_cache_decoded_hits_total",
-        "Tier-2 reads served from the decoded-frames cache",
+        "Reads served from the view cache",
         c.decoded_hits,
     ));
     out.push(Metric::counter(
         "vstore_cache_decoded_misses_total",
-        "Tier-2 reads that had to decode",
+        "Reads that had to read and decode",
         c.decoded_misses,
     ));
     out.push(Metric::counter(
         "vstore_cache_decoded_evictions_total",
-        "Tier-2 entries evicted to make room",
+        "Views evicted to make room",
         c.decoded_evictions,
     ));
     out.push(Metric::gauge(
         "vstore_cache_decoded_entries",
-        "Entries resident in the decoded-frames cache",
+        "Views resident in the cache",
         c.decoded_entries as f64,
+    ));
+    out.push(Metric::gauge(
+        "vstore_cache_resident_bytes",
+        "Plane bytes of the views resident in the cache",
+        c.resident_bytes as f64,
     ));
     out.push(Metric::counter(
         "vstore_cache_invalidations_total",
-        "Cached entries dropped by writes (put / delete / erosion)",
+        "Cached views dropped by writes (put / delete / erosion)",
         c.invalidations,
     ));
 }
@@ -443,7 +428,8 @@ mod tests {
         for family in [
             "vstore_store_live_segments",
             "vstore_store_writes_total",
-            "vstore_cache_raw_hits_total",
+            "vstore_cache_decoded_hits_total",
+            "vstore_cache_resident_bytes",
             "vstore_profiler_operator_runs_total",
             "vstore_trace_enabled",
         ] {

@@ -186,49 +186,117 @@ proptest! {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
-    // Cache coherence: a reader with the two-tier segment cache enabled is
+    // Cache coherence: a reader with the view cache enabled is
     // observationally identical to a passthrough reader under random
-    // put/get/erode interleavings — invalidation can drop performance,
-    // never correctness.
+    // put/read/erode interleavings — invalidation and eviction can drop
+    // performance, never correctness. Values are real segments or bytes
+    // that do not parse, so errors are compared too.
     #[test]
     fn cached_reader_returns_identical_bytes_to_uncached_under_random_ops(
-        ops in prop::collection::vec((0u8..4, 0u64..24, prop::collection::vec(any::<u8>(), 0..512)), 1..80)
+        ops in prop::collection::vec((0u8..6, 0u64..8, 0usize..4), 1..80)
     ) {
         use std::sync::Arc;
+        // 16 KiB and 4 views per shard: one whole-segment view (~14 KB of
+        // planes) and one half-rate view (~7 KB) already overflow a shard.
         let cached = SegmentReader::new(
             Arc::new(SegmentStore::open_mem_with_shards(4).unwrap()),
-            1 << 20,
+            64 << 10,
             16,
         );
         let uncached =
             SegmentReader::disabled(Arc::new(SegmentStore::open_mem_with_shards(4).unwrap()));
-        let read = |reader: &SegmentReader, key: &SegmentKey| {
-            reader
-                .get(key)
-                .unwrap()
-                .map(|(bytes, _source)| (*bytes).clone())
+        let read = |reader: &SegmentReader, key: &SegmentKey, op: u8| {
+            let read = match op {
+                2 => reader.get_decoded(key, FrameSampling::Full),
+                consumer => reader.get_view(key, &cache_consumer(consumer)),
+            };
+            read.map(|read| {
+                read.map(|read| {
+                    let segment = &read.segment;
+                    (segment.storage_format, segment.frame_count, segment.raw_len, segment.frames.clone())
+                })
+            })
+            .map_err(|err| err.to_string())
         };
         for (op, seg, value) in ops {
             let key = SegmentKey::new("prop-cache", FormatId(1), seg);
             match op {
                 0 => {
-                    cached.put(&key, &value).unwrap();
-                    uncached.put(&key, &value).unwrap();
+                    cached.put(&key, &cache_values()[value]).unwrap();
+                    uncached.put(&key, &cache_values()[value]).unwrap();
                 }
                 1 => {
                     // Erosion's storage primitive.
                     cached.delete(&key).unwrap();
                     uncached.delete(&key).unwrap();
                 }
-                _ => prop_assert_eq!(read(&cached, &key), read(&uncached, &key)),
+                read_op => prop_assert_eq!(read(&cached, &key, read_op), read(&uncached, &key, read_op)),
             }
         }
-        // Final sweep: every key agrees, whether served hot or cold.
-        for seg in 0..24u64 {
+        // Final sweep: every key and view agrees, whether served hot or cold.
+        for seg in 0..8u64 {
             let key = SegmentKey::new("prop-cache", FormatId(1), seg);
-            prop_assert_eq!(read(&cached, &key), read(&uncached, &key));
+            for read_op in 2..6 {
+                prop_assert_eq!(read(&cached, &key, read_op), read(&uncached, &key, read_op));
+            }
         }
     }
+}
+
+/// The values the cache-coherence property writes: three distinct segments
+/// (two encoded, one raw) and bytes that do not parse as one.
+fn cache_values() -> &'static [Vec<u8>] {
+    static VALUES: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    VALUES.get_or_init(|| {
+        let fidelity = Fidelity::new(
+            ImageQuality::Good,
+            CropFactor::C75,
+            Resolution::R180,
+            FrameSampling::Full,
+        );
+        let clip = |start| {
+            materialize_clip(
+                &VideoSource::new(Dataset::Jackson).clip(start, 15),
+                fidelity,
+            )
+        };
+        let encoded = |start| {
+            let segment =
+                encode_segment(&clip(start), KeyframeInterval::K5, SpeedStep::Fast).unwrap();
+            SegmentData::Encoded(segment).to_bytes()
+        };
+        let raw = SegmentData::Raw(vstore_codec::container::RawSegment {
+            fidelity,
+            frames: clip(30),
+        });
+        vec![
+            encoded(0),
+            encoded(15),
+            raw.to_bytes(),
+            b"not a segment".to_vec(),
+        ]
+    })
+}
+
+/// The consumers the cache-coherence property reads as: poorer than the
+/// stored fidelity on every knob, on sampling only, and richer (refused).
+fn cache_consumer(op: u8) -> vstore_types::ConsumptionFormat {
+    let fidelity = match op {
+        3 => Fidelity::new(
+            ImageQuality::Bad,
+            CropFactor::C50,
+            Resolution::R100,
+            FrameSampling::S1_6,
+        ),
+        4 => Fidelity::new(
+            ImageQuality::Good,
+            CropFactor::C75,
+            Resolution::R180,
+            FrameSampling::S1_2,
+        ),
+        _ => Fidelity::INGESTION,
+    };
+    vstore_types::ConsumptionFormat::new(fidelity)
 }
 
 // ---------------- codec round trips over real content ----------------
