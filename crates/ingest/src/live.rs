@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vstore_datasets::VideoSource;
+use vstore_obs::Metric;
 use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{catch_panic, panic_message, BoundedQueue, PushError};
 use vstore_types::{
@@ -117,8 +118,9 @@ impl DegradationLadder {
 // Statistics
 // ---------------------------------------------------------------------------
 
-/// One snapshot of a live ingestor's statistics, folded into
-/// `VStore::stats_report` and carried over the serve wire.
+/// One snapshot of a live ingestor's statistics, shown as the
+/// `vstore_live_*` rows of `VStore::metrics_snapshot` and carried over the
+/// serve wire.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LiveStats {
     /// Transcode workers draining the queue.
@@ -161,27 +163,93 @@ pub struct LiveStats {
 }
 
 impl LiveStats {
-    /// Fraction of offered segments shed by the full queue (0.0 when idle —
-    /// never NaN).
-    #[must_use]
-    pub fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.offered as f64
-        }
-    }
-
-    /// Fraction of drained segments that failed (0.0 when idle — never
-    /// NaN).
-    #[must_use]
-    pub fn failure_rate(&self) -> f64 {
-        let drained = self.completed.saturating_add(self.failed);
-        if drained == 0 {
-            0.0
-        } else {
-            self.failed as f64 / drained as f64
-        }
+    /// Append this snapshot's `vstore_live_*` rows to `out`.
+    pub fn collect_metrics(&self, out: &mut Vec<Metric>) {
+        out.push(Metric::gauge(
+            "vstore_live_workers",
+            "Transcode workers draining the live queue",
+            self.workers as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_live_queue_depth",
+            "Camera segments waiting in the live queue",
+            self.queue_depth as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_live_queue_capacity",
+            "Capacity of the bounded live queue",
+            self.queue_capacity as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_live_peak_queue_depth",
+            "Deepest the live queue has been",
+            self.peak_queue_depth as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_live_current_level",
+            "Degradation level in force (0 = full fidelity)",
+            self.current_level as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_live_max_level",
+            "Deepest rung of the degradation ladder",
+            self.max_level as f64,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_offered_total",
+            "Segments the cameras offered",
+            self.offered,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_accepted_total",
+            "Segments accepted onto the live queue",
+            self.accepted,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_shed_total",
+            "Segments shed by a full queue",
+            self.shed,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_completed_total",
+            "Segments fully transcoded and persisted",
+            self.completed,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_failed_total",
+            "Segments whose transcode failed (error or panic)",
+            self.failed,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_panics_total",
+            "Segments whose transcode panicked (counted as failed too)",
+            self.panics,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_degraded_segments_total",
+            "Segments ingested at a degraded level",
+            self.degraded_segments,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_step_downs_total",
+            "Lag-controller steps to a deeper degradation level",
+            self.step_downs,
+        ));
+        out.push(Metric::counter(
+            "vstore_live_step_ups_total",
+            "Lag-controller steps back toward full fidelity",
+            self.step_ups,
+        ));
+        out.push(Metric::gauge(
+            "vstore_live_video_seconds",
+            "Seconds of video content ingested live",
+            self.video.seconds(),
+        ));
+        out.push(Metric::latency(
+            "vstore_live_lag_us",
+            "Queue lag per segment (offer to transcode start)",
+            &self.lag,
+        ));
     }
 
     /// `true` when nothing was ever offered.
@@ -217,39 +285,6 @@ impl LiveStats {
             let mine = self.per_source.entry(source.clone()).or_insert(0);
             *mine = mine.saturating_add(*count);
         }
-    }
-}
-
-impl std::fmt::Display for LiveStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "live: {} workers, queue {}/{} (peak {}), {} offered, {} accepted, \
-             {} shed ({:.0}%), {} completed, {} failed ({} panics)",
-            self.workers,
-            self.queue_depth,
-            self.queue_capacity,
-            self.peak_queue_depth,
-            self.offered,
-            self.accepted,
-            self.shed,
-            self.shed_rate() * 100.0,
-            self.completed,
-            self.failed,
-            self.panics,
-        )?;
-        writeln!(
-            f,
-            "  degradation: level {}/{}, {} down / {} up transitions, \
-             {} degraded segments, {} of video",
-            self.current_level,
-            self.max_level,
-            self.step_downs,
-            self.step_ups,
-            self.degraded_segments,
-            self.video,
-        )?;
-        write!(f, "  lag: {}", self.lag)
     }
 }
 
@@ -510,7 +545,7 @@ impl LiveIngestHandle {
     }
 
     /// A cheap, cloneable probe reading this ingestor's statistics (what
-    /// `VStore::stats_report` folds in).
+    /// `VStore::metrics_snapshot` aggregates).
     #[must_use]
     pub fn probe(&self) -> LiveProbe {
         LiveProbe {
@@ -744,7 +779,7 @@ mod tests {
         assert_eq!(stats.offered, 12);
         assert_eq!(stats.shed, outcome.shed);
         assert_eq!(stats.completed, outcome.accepted);
-        assert!(stats.shed_rate() > 0.0);
+        assert!(stats.shed > 0);
         assert!(stats.peak_queue_depth <= 1, "bounded queue overflowed");
     }
 
@@ -784,8 +819,8 @@ mod tests {
         assert_eq!(outcome.accepted, 10);
         handle.wait_idle();
         let stats = handle.stats();
-        assert!(stats.step_downs > 0, "backlog never degraded: {stats}");
-        assert!(stats.step_ups > 0, "drain never recovered: {stats}");
+        assert!(stats.step_downs > 0, "backlog never degraded: {stats:?}");
+        assert!(stats.step_ups > 0, "drain never recovered: {stats:?}");
         assert_eq!(stats.current_level, 0, "idle must mean full fidelity");
         assert!(stats.degraded_segments > 0);
         let final_stats = handle.shutdown();
@@ -795,12 +830,21 @@ mod tests {
     #[test]
     fn stats_display_is_nan_free_when_idle() {
         let stats = LiveStats::default();
-        assert_eq!(stats.shed_rate(), 0.0);
-        assert_eq!(stats.failure_rate(), 0.0);
-        let rendered = stats.to_string();
-        assert!(rendered.contains("(0%)"), "{rendered}");
-        assert!(rendered.contains("idle"), "{rendered}");
+        assert!(stats.is_idle());
+        let mut metrics = Vec::new();
+        stats.collect_metrics(&mut metrics);
+        let rendered = vstore_obs::MetricsSnapshot { metrics }.to_string();
         assert!(!rendered.contains("NaN"), "{rendered}");
+        for line in [
+            "vstore_live_offered_total 0",
+            "vstore_live_shed_total 0",
+            "vstore_live_failed_total 0",
+            "vstore_live_current_level 0",
+            "vstore_live_video_seconds 0",
+            "vstore_live_lag_us n=0 mean=0.0 max=0",
+        ] {
+            assert!(rendered.lines().any(|l| l == line), "{line} in\n{rendered}");
+        }
     }
 
     #[test]

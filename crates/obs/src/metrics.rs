@@ -12,7 +12,7 @@
 use crate::json;
 use std::sync::Mutex;
 use vstore_types::sync::lock_unpoisoned;
-use vstore_types::LatencyHistogram;
+use vstore_types::{LatencyHistogram, HISTOGRAM_BUCKETS};
 
 /// The value of one metric row.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +26,10 @@ pub enum MetricValue {
 }
 
 /// A histogram's buckets at snapshot time. Buckets are *non-cumulative*
-/// here ([`count in (previous bound, bound]`]); the Prometheus renderer
-/// accumulates them into the exposition format's cumulative `le` series.
+/// here: `counts[i]` holds the samples in `(bounds[i - 1], bounds[i]]`,
+/// and samples above the last bound count only in `count`. The Prometheus
+/// renderer accumulates them into the exposition format's cumulative,
+/// inclusive `le` series.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Upper bound of each bucket (µs for latency histograms), ascending.
@@ -43,16 +45,23 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Snapshot a [`LatencyHistogram`]: one bucket per populated
-    /// power-of-two bin, bounds in µs.
+    /// Snapshot a [`LatencyHistogram`]: one bucket per power-of-two bin
+    /// up to the highest populated one, inclusive bounds in µs. Bin `i`
+    /// holds `[2^(i-1), 2^i)` µs and samples are whole µs, so its bound
+    /// is `2^i - 1`. The top bin (`≥ 2^30` µs) has no finite bound and
+    /// counts only in `count`.
     #[must_use]
     pub fn from_latency(hist: &LatencyHistogram) -> HistogramSnapshot {
         let (buckets, count, total_us, max_us) = hist.to_parts();
         let mut bounds = Vec::new();
         let mut counts = Vec::new();
         let top = buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        for (i, &bucket_count) in buckets.iter().enumerate().take(top) {
-            bounds.push(if i == 0 { 0 } else { 1u64 << i });
+        for (i, &bucket_count) in buckets
+            .iter()
+            .enumerate()
+            .take(top.min(HISTOGRAM_BUCKETS - 1))
+        {
+            bounds.push((1u64 << i) - 1);
             counts.push(bucket_count);
         }
         HistogramSnapshot {
@@ -149,14 +158,7 @@ impl Metric {
             first = false;
             out.push_str(key);
             out.push_str("=\"");
-            for c in value.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c => out.push(c),
-                }
-            }
+            push_escaped(&mut out, value, true);
             out.push('"');
         }
         out.push('}');
@@ -164,8 +166,32 @@ impl Metric {
     }
 }
 
+/// Append `text` escaped for the exposition format: `\` and newline
+/// always, `"` only inside a label value.
+fn push_escaped(out: &mut String, text: &str, quotes: bool) {
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '"' if quotes => out.push_str("\\\""),
+            c => out.push(c),
+        }
+    }
+}
+
+/// A gauge as rendered: a non-finite value shows as 0, never NaN.
+fn finite_or_zero(value: f64) -> f64 {
+    if value.is_finite() {
+        value
+    } else {
+        0.0
+    }
+}
+
 /// The registry's materialized output: every collector's rows in stable
-/// `(name, labels)` order.
+/// `(name, labels)` order. `Display` renders the operator report, one
+/// line per row: `name{labels} value`, or `name{labels} n=… mean=… max=…`
+/// for a histogram.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// The metric rows.
@@ -182,7 +208,9 @@ impl MetricsSnapshot {
         let mut last_family = "";
         for metric in &self.metrics {
             if metric.name != last_family {
-                out.push_str(&format!("# HELP {} {}\n", metric.name, metric.help));
+                out.push_str(&format!("# HELP {} ", metric.name));
+                push_escaped(&mut out, &metric.help, false);
+                out.push('\n');
                 out.push_str(&format!("# TYPE {} {}\n", metric.name, metric.type_name()));
                 last_family = &metric.name;
             }
@@ -195,11 +223,11 @@ impl MetricsSnapshot {
                     ));
                 }
                 MetricValue::Gauge(v) => {
-                    let rendered = if v.is_finite() { *v } else { 0.0 };
                     out.push_str(&format!(
-                        "{}{} {rendered}\n",
+                        "{}{} {}\n",
                         metric.name,
-                        metric.label_block(None)
+                        metric.label_block(None),
+                        finite_or_zero(*v)
                     ));
                 }
                 MetricValue::Histogram(hist) => {
@@ -303,6 +331,44 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.metrics.iter().find(|m| m.name == name)
+    }
+
+    /// The row printed under `key` — its name and label block as
+    /// `Display` writes them, e.g. `vstore_serve_latency_us{kind="query"}`
+    /// — read as a number: a counter or gauge as its value, a histogram
+    /// as its sample count (test/diagnostic helper).
+    #[must_use]
+    pub fn value(&self, key: &str) -> Option<f64> {
+        let metric = self
+            .metrics
+            .iter()
+            .find(|m| key.strip_prefix(m.name.as_str()) == Some(m.label_block(None).as_str()))?;
+        Some(match &metric.value {
+            MetricValue::Counter(v) => *v as f64,
+            MetricValue::Gauge(v) => *v,
+            MetricValue::Histogram(hist) => hist.count as f64,
+        })
+    }
+}
+
+impl std::fmt::Display for MetricsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for metric in &self.metrics {
+            write!(f, "{}{} ", metric.name, metric.label_block(None))?;
+            match &metric.value {
+                MetricValue::Counter(v) => writeln!(f, "{v}")?,
+                MetricValue::Gauge(v) => writeln!(f, "{}", finite_or_zero(*v))?,
+                MetricValue::Histogram(hist) => {
+                    let mean = if hist.count == 0 {
+                        0.0
+                    } else {
+                        hist.sum as f64 / hist.count as f64
+                    };
+                    writeln!(f, "n={} mean={mean:.1} max={}", hist.count, hist.max)?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -443,6 +509,85 @@ mod tests {
                 .expect("bucket value");
             assert!(value >= last, "{line}");
             last = value;
+        }
+    }
+
+    /// `le` is inclusive and samples are whole µs: a 4 µs sample is in
+    /// "≤ 7", not missing from "≤ 4". The unbounded top bin counts only
+    /// in `+Inf`.
+    #[test]
+    fn prometheus_le_bounds_are_inclusive() {
+        let mut hist = LatencyHistogram::default();
+        for us in [0, 1, 2, 3, 4] {
+            hist.record(us);
+        }
+        let text = MetricsSnapshot {
+            metrics: vec![Metric::latency("h", "hist", &hist)],
+        }
+        .to_prometheus();
+        for (le, cumulative) in [("0", 1), ("1", 2), ("3", 4), ("7", 5), ("+Inf", 5)] {
+            let line = format!("h_bucket{{le=\"{le}\"}} {cumulative}\n");
+            assert!(text.contains(&line), "{line}in\n{text}");
+        }
+
+        hist.record(u64::MAX);
+        let snap = HistogramSnapshot::from_latency(&hist);
+        assert_eq!(snap.bounds.last(), Some(&((1u64 << 30) - 1)));
+        assert_eq!(snap.counts.iter().sum::<u64>(), 5);
+        assert_eq!(snap.count, 6);
+    }
+
+    /// A deployment's collector cannot break the exposition with its help
+    /// text: backslash and newline are escaped onto one `# HELP` line.
+    #[test]
+    fn prometheus_help_text_is_escaped() {
+        let registry = MetricsRegistry::new();
+        registry.register(Box::new(|out: &mut Vec<Metric>| {
+            out.push(Metric::counter("x_total", "a\nb\\c", 1));
+        }));
+        let text = registry.snapshot().to_prometheus();
+        let help: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP")).collect();
+        assert_eq!(help, ["# HELP x_total a\\nb\\\\c"], "{text}");
+        assert_eq!(text.lines().count(), 3, "{text}");
+    }
+
+    /// The operator report: one line per row, no NaN or infinity however
+    /// the gauges read, saturated counters in full, and an empty
+    /// histogram as `n=0`.
+    #[test]
+    fn display_prints_one_line_per_row_and_never_nan() {
+        assert_eq!(MetricsRegistry::new().snapshot().to_string(), "");
+
+        let mut hist = LatencyHistogram::default();
+        hist.record(3);
+        hist.record(6);
+        let snapshot = MetricsSnapshot {
+            metrics: vec![
+                Metric::counter("c_total", "counter", u64::MAX).with_label("shard", 2),
+                Metric::gauge("g_nan", "gauge", f64::NAN),
+                Metric::gauge("g_inf", "gauge", f64::INFINITY),
+                Metric::gauge("g_neg_inf", "gauge", f64::NEG_INFINITY),
+                Metric::gauge("g", "gauge", 1.5),
+                Metric::latency("h_empty", "hist", &LatencyHistogram::default()),
+                Metric::latency("h", "hist", &hist).with_label("kind", "query"),
+            ],
+        };
+        let text = snapshot.to_string();
+        assert_eq!(text.lines().count(), snapshot.metrics.len(), "{text}");
+        assert!(!text.contains("NaN") && !text.contains(" inf"), "{text}");
+        assert_eq!(snapshot.value("g"), Some(1.5));
+        assert_eq!(snapshot.value("h{kind=\"query\"}"), Some(2.0));
+        assert_eq!(snapshot.value("h"), None, "a key names the labels too");
+        for line in [
+            "c_total{shard=\"2\"} 18446744073709551615",
+            "g_nan 0",
+            "g_inf 0",
+            "g_neg_inf 0",
+            "g 1.5",
+            "h_empty n=0 mean=0.0 max=0",
+            "h{kind=\"query\"} n=2 mean=4.5 max=6",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} in\n{text}");
         }
     }
 

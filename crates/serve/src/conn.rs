@@ -218,9 +218,9 @@ impl FrameReader {
 }
 
 /// A bounded pool of recycled byte buffers shared by every connection.
-/// `take`/`give` are a short mutex hold; hit/miss counters feed
-/// `NetStats::pool_hit_rate` — the observable proof that the steady-state
-/// request path allocates nothing per request.
+/// `take`/`give` are a short mutex hold; the hit/miss counters
+/// (`NetStats::pool_hits` / `pool_misses`) are the observable proof that
+/// the steady-state request path allocates nothing per request.
 pub(crate) struct BufferPool {
     bufs: Mutex<Vec<Vec<u8>>>,
     capacity: usize,

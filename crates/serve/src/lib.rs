@@ -21,7 +21,8 @@
 //!   the queue driving cloned service handles, isolate per-request panics
 //!   via the scoped pool's panic capture, shut down gracefully (drain,
 //!   then join) and report [`ServeStats`] — queue depth, lag and per-kind
-//!   latency histograms — which `VStore::stats_report` folds in.
+//!   latency histograms — shown as the `vstore_serve_*` rows of
+//!   `VStore::metrics_snapshot`.
 //!
 //! * **A pipelined TCP front end** ([`NetServer`], [`NetClient`]): a real
 //!   socket listener that serves each connection with a blocking reader

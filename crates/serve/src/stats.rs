@@ -1,11 +1,11 @@
 //! Serving-layer statistics: queue depth, lag, and per-kind latency
 //! histograms.
 //!
-//! All rate math follows the store's stats conventions: additions saturate
-//! (a pinned counter degrades, never panics), and every ratio renders `0%`
-//! when its denominator is zero — an idle server's report contains no NaN.
+//! Additions saturate: a pinned counter degrades, never panics. The
+//! store's metrics snapshot is where these numbers are shown.
 
-use std::fmt;
+use crate::wire::RequestKind;
+use vstore_obs::Metric;
 
 // The histogram itself lives in `vstore_types` so the storage tiering
 // subsystem can record cold-hit latency with the exact same machinery;
@@ -13,7 +13,8 @@ use std::fmt;
 pub use vstore_types::LatencyHistogram;
 
 /// One snapshot of a serving front end's statistics, as returned by
-/// `ServerHandle::stats` and folded into `VStore::stats_report`.
+/// `ServerHandle::stats` and shown as the `vstore_serve_*` rows of
+/// `VStore::metrics_snapshot`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeStats {
     /// Worker threads draining the queue.
@@ -38,46 +39,14 @@ pub struct ServeStats {
     pub disconnects: u64,
     /// Time requests spent waiting in the queue (lag).
     pub queue_wait: LatencyHistogram,
-    /// Execution latency of ingest requests.
-    pub ingest_latency: LatencyHistogram,
-    /// Execution latency of query requests.
-    pub query_latency: LatencyHistogram,
-    /// Execution latency of erode requests.
-    pub erode_latency: LatencyHistogram,
-    /// Execution latency of live-stats requests.
-    pub live_stats_latency: LatencyHistogram,
-    /// Execution latency of metrics-snapshot requests.
-    pub metrics_latency: LatencyHistogram,
-    /// Execution latency of trace-dump requests.
-    pub trace_latency: LatencyHistogram,
+    /// Execution latency per request kind, indexed by
+    /// [`RequestKind::index`].
+    pub latency: [LatencyHistogram; RequestKind::ALL.len()],
 }
 
 impl ServeStats {
-    /// Fraction of submission attempts shed with `Busy` (0.0 when idle —
-    /// never NaN).
-    #[must_use]
-    pub fn busy_rate(&self) -> f64 {
-        let attempts = self.submitted.saturating_add(self.rejected_busy);
-        if attempts == 0 {
-            0.0
-        } else {
-            self.rejected_busy as f64 / attempts as f64
-        }
-    }
-
-    /// Fraction of completed requests that returned an error (0.0 when
-    /// idle — never NaN).
-    #[must_use]
-    pub fn failure_rate(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.failed as f64 / self.completed as f64
-        }
-    }
-
-    /// Merge another server's snapshot into this one (multi-server
-    /// aggregate for `VStore::stats_report`). Depths and capacities add;
+    /// Merge another server's snapshot into this one (the multi-server
+    /// aggregate behind the store's metrics). Depths and capacities add;
     /// histograms merge.
     pub fn accumulate(&mut self, other: &ServeStats) {
         self.workers = self.workers.saturating_add(other.workers);
@@ -91,54 +60,88 @@ impl ServeStats {
         self.panics = self.panics.saturating_add(other.panics);
         self.disconnects = self.disconnects.saturating_add(other.disconnects);
         self.queue_wait.accumulate(&other.queue_wait);
-        self.ingest_latency.accumulate(&other.ingest_latency);
-        self.query_latency.accumulate(&other.query_latency);
-        self.erode_latency.accumulate(&other.erode_latency);
-        self.live_stats_latency
-            .accumulate(&other.live_stats_latency);
-        self.metrics_latency.accumulate(&other.metrics_latency);
-        self.trace_latency.accumulate(&other.trace_latency);
+        for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
+            mine.accumulate(theirs);
+        }
     }
-}
 
-impl fmt::Display for ServeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "serve: {} workers, queue {}/{} (peak {}), {} submitted, {} completed, \
-             {} busy ({:.0}%), {} failed ({:.0}%), {} panics, {} disconnects",
-            self.workers,
-            self.queue_depth,
-            self.queue_capacity,
-            self.peak_queue_depth,
+    /// Append this snapshot's `vstore_serve_*` rows to `out`. A request
+    /// kind's latency row appears once that kind has been served.
+    pub fn collect_metrics(&self, out: &mut Vec<Metric>) {
+        out.push(Metric::gauge(
+            "vstore_serve_workers",
+            "Worker threads draining the request queue",
+            self.workers as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_serve_queue_depth",
+            "Requests waiting in the queue at snapshot time",
+            self.queue_depth as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_serve_queue_capacity",
+            "Capacity of the bounded request queue",
+            self.queue_capacity as f64,
+        ));
+        out.push(Metric::gauge(
+            "vstore_serve_peak_queue_depth",
+            "Deepest the request queue has been",
+            self.peak_queue_depth as f64,
+        ));
+        out.push(Metric::counter(
+            "vstore_serve_submitted_total",
+            "Requests accepted onto the queue",
             self.submitted,
+        ));
+        out.push(Metric::counter(
+            "vstore_serve_completed_total",
+            "Requests fully executed (success or error response)",
             self.completed,
+        ));
+        out.push(Metric::counter(
+            "vstore_serve_rejected_busy_total",
+            "Requests shed with Busy because the queue was full",
             self.rejected_busy,
-            self.busy_rate() * 100.0,
+        ));
+        out.push(Metric::counter(
+            "vstore_serve_failed_total",
+            "Completed requests whose response was an error",
             self.failed,
-            self.failure_rate() * 100.0,
+        ));
+        out.push(Metric::counter(
+            "vstore_serve_panics_total",
+            "Worker panics converted into error responses",
             self.panics,
+        ));
+        out.push(Metric::counter(
+            "vstore_serve_disconnects_total",
+            "Responses dropped because the client disconnected",
             self.disconnects,
-        )?;
-        writeln!(f, "  queue wait: {}", self.queue_wait)?;
-        writeln!(f, "  ingest:     {}", self.ingest_latency)?;
-        writeln!(f, "  query:      {}", self.query_latency)?;
-        write!(f, "  erode:      {}", self.erode_latency)?;
-        if !self.live_stats_latency.is_empty() {
-            write!(f, "\n  live-stats: {}", self.live_stats_latency)?;
+        ));
+        out.push(Metric::latency(
+            "vstore_serve_queue_wait_us",
+            "Time requests spent waiting in the queue",
+            &self.queue_wait,
+        ));
+        for kind in RequestKind::ALL {
+            let hist = &self.latency[kind.index()];
+            if hist.count() > 0 {
+                out.push(
+                    Metric::latency(
+                        "vstore_serve_latency_us",
+                        "Execution latency by request kind",
+                        hist,
+                    )
+                    .with_label("kind", kind.name()),
+                );
+            }
         }
-        if !self.metrics_latency.is_empty() {
-            write!(f, "\n  metrics:    {}", self.metrics_latency)?;
-        }
-        if !self.trace_latency.is_empty() {
-            write!(f, "\n  trace-dump: {}", self.trace_latency)?;
-        }
-        Ok(())
     }
 }
 
 /// One snapshot of a socket front end's statistics, as returned by
-/// `NetServerHandle::stats` and folded into `VStore::stats_report`.
+/// `NetServerHandle::stats` and shown as the `vstore_net_*` rows of
+/// `VStore::metrics_snapshot`.
 ///
 /// The two histograms abuse [`LatencyHistogram`]'s power-of-two buckets
 /// for dimensionless counts: `batch_sizes` records **responses per
@@ -185,41 +188,9 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Fraction of buffer takes served from the pool without allocating
-    /// (0.0 when idle — never NaN). The steady-state read/write path keeps
-    /// this near 1.0: the pool is the proof that serving a request
-    /// allocates nothing per-request.
-    #[must_use]
-    pub fn pool_hit_rate(&self) -> f64 {
-        let takes = self.pool_hits.saturating_add(self.pool_misses);
-        if takes == 0 {
-            0.0
-        } else {
-            self.pool_hits as f64 / takes as f64
-        }
-    }
-
-    /// Mean responses per write (0.0 when idle — never NaN).
-    #[must_use]
-    pub fn mean_batch(&self) -> f64 {
-        self.batch_sizes.mean_us()
-    }
-
-    /// Write syscalls per response frame (0.0 when idle — never NaN).
-    /// Batching pushes this below 1.0; a naive one-write-per-response loop
-    /// sits at 1.0.
-    #[must_use]
-    pub fn writes_per_response(&self) -> f64 {
-        if self.frames_out == 0 {
-            0.0
-        } else {
-            self.write_syscalls as f64 / self.frames_out as f64
-        }
-    }
-
-    /// Merge another front end's snapshot into this one (multi-server
-    /// aggregate for `VStore::stats_report`). Capacities add; histograms
-    /// merge.
+    /// Merge another front end's snapshot into this one (the
+    /// multi-server aggregate behind the store's metrics). Capacities add;
+    /// histograms merge.
     pub fn accumulate(&mut self, other: &NetStats) {
         self.accepted = self.accepted.saturating_add(other.accepted);
         self.refused = self.refused.saturating_add(other.refused);
@@ -239,66 +210,118 @@ impl NetStats {
         self.batch_sizes.accumulate(&other.batch_sizes);
         self.backlog_peaks.accumulate(&other.backlog_peaks);
     }
-}
 
-impl fmt::Display for NetStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "net: {} active conns ({} accepted, {} refused, {} disconnects), \
-             {} frames in / {} out, {} in / {} out",
-            self.active_connections,
+    /// Append this snapshot's `vstore_net_*` rows to `out`.
+    pub fn collect_metrics(&self, out: &mut Vec<Metric>) {
+        out.push(Metric::gauge(
+            "vstore_net_active_connections",
+            "Connections currently being served",
+            self.active_connections as f64,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_accepted_total",
+            "Connections accepted over the listener's lifetime",
             self.accepted,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_refused_total",
+            "Connections refused at the max-connections cap",
             self.refused,
-            self.disconnects,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_frames_in_total",
+            "Request frames decoded off sockets",
             self.frames_in,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_frames_out_total",
+            "Response frames fully written back",
             self.frames_out,
-            vstore_types::ByteSize(self.bytes_in),
-            vstore_types::ByteSize(self.bytes_out),
-        )?;
-        writeln!(
-            f,
-            "  frames: {} corrupt, {} oversized | pool hit rate {:.0}% ({} hits, {} misses)",
+        ));
+        out.push(Metric::counter(
+            "vstore_net_bytes_in_total",
+            "Bytes read off sockets",
+            self.bytes_in,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_bytes_out_total",
+            "Bytes written back to sockets",
+            self.bytes_out,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_corrupt_frames_total",
+            "Frames rejected as undecodable",
             self.corrupt_frames,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_oversized_frames_total",
+            "Frames rejected before allocation for declaring an oversized length",
             self.oversized_frames,
-            self.pool_hit_rate() * 100.0,
-            self.pool_hits,
-            self.pool_misses,
-        )?;
-        write!(
-            f,
-            "  writes: {} syscalls ({:.2} per response), mean batch {:.1}",
+        ));
+        out.push(Metric::counter(
+            "vstore_net_disconnects_total",
+            "Connections that vanished with work in flight",
+            self.disconnects,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_write_syscalls_total",
+            "Writes issued (one per response batch)",
             self.write_syscalls,
-            self.writes_per_response(),
-            self.mean_batch(),
-        )?;
-        if !self.backlog_peaks.is_empty() {
-            write!(
-                f,
-                " | conn backlog peak p50 <{}, max {}",
-                self.backlog_peaks.quantile_us(0.50),
-                self.backlog_peaks.max_us(),
-            )?;
-        }
-        Ok(())
+        ));
+        out.push(Metric::counter(
+            "vstore_net_pool_hits_total",
+            "Buffer-pool takes served without allocating",
+            self.pool_hits,
+        ));
+        out.push(Metric::counter(
+            "vstore_net_pool_misses_total",
+            "Buffer-pool takes that allocated a fresh buffer",
+            self.pool_misses,
+        ));
+        out.push(Metric::latency(
+            "vstore_net_batch_sizes",
+            "Responses coalesced per write",
+            &self.batch_sizes,
+        ));
+        out.push(Metric::latency(
+            "vstore_net_backlog_peaks",
+            "Peak responses owed per connection, recorded at close",
+            &self.backlog_peaks,
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstore_obs::MetricsSnapshot;
 
-    /// The empty and saturated cases of the serving report: 0% everywhere
-    /// when idle (no NaN), graceful saturation at the counter limits.
+    /// A snapshot's rows as the operator report prints them.
+    fn render(stats: &ServeStats) -> String {
+        let mut metrics = Vec::new();
+        stats.collect_metrics(&mut metrics);
+        MetricsSnapshot { metrics }.to_string()
+    }
+
+    /// The empty and saturated cases of the serving rows: zeros and no
+    /// NaN when idle, graceful saturation at the counter limits.
     #[test]
     fn stats_display_handles_empty_and_saturated_counters() {
-        let empty = ServeStats::default();
-        assert_eq!(empty.busy_rate(), 0.0);
-        assert_eq!(empty.failure_rate(), 0.0);
-        let rendered = empty.to_string();
-        assert!(rendered.contains("(0%)"), "{rendered}");
-        assert!(rendered.contains("idle"), "{rendered}");
+        let rendered = render(&ServeStats::default());
         assert!(!rendered.contains("NaN"), "{rendered}");
+        for line in [
+            "vstore_serve_workers 0",
+            "vstore_serve_submitted_total 0",
+            "vstore_serve_rejected_busy_total 0",
+            "vstore_serve_failed_total 0",
+            "vstore_serve_queue_wait_us n=0 mean=0.0 max=0",
+        ] {
+            assert!(rendered.lines().any(|l| l == line), "{line} in\n{rendered}");
+        }
+        assert!(
+            !rendered.contains("vstore_serve_latency_us"),
+            "an idle server has no per-kind latency row: {rendered}"
+        );
 
         let mut saturated = ServeStats {
             submitted: u64::MAX,
@@ -307,23 +330,23 @@ mod tests {
             failed: 1,
             ..ServeStats::default()
         };
-        let rendered = saturated.to_string();
+        let rendered = render(&saturated);
         assert!(!rendered.contains("NaN"), "{rendered}");
-        assert!(saturated.busy_rate() > 0.0 && saturated.busy_rate() <= 1.0);
+        assert!(
+            rendered
+                .lines()
+                .any(|l| l == "vstore_serve_rejected_busy_total 18446744073709551615"),
+            "{rendered}"
+        );
         let other = saturated.clone();
         saturated.accumulate(&other);
         assert_eq!(saturated.submitted, u64::MAX, "accumulate must saturate");
+        assert_eq!(saturated.rejected_busy, u64::MAX);
+        assert_eq!(saturated.failed, 2);
     }
 
     #[test]
-    fn net_stats_rates_never_nan_and_accumulate_merges() {
-        let idle = NetStats::default();
-        assert_eq!(idle.pool_hit_rate(), 0.0);
-        assert_eq!(idle.mean_batch(), 0.0);
-        assert_eq!(idle.writes_per_response(), 0.0);
-        let rendered = idle.to_string();
-        assert!(!rendered.contains("NaN"), "{rendered}");
-
+    fn net_stats_accumulate_merges_and_saturates() {
         let mut a = NetStats {
             active_connections: 2,
             accepted: 10,
@@ -334,13 +357,12 @@ mod tests {
             ..NetStats::default()
         };
         a.batch_sizes.record(4);
-        assert!((a.writes_per_response() - 0.25).abs() < 1e-9);
-        assert!((a.pool_hit_rate() - 0.9).abs() < 1e-9);
-        assert!((a.mean_batch() - 4.0).abs() < 1e-9);
         let b = a.clone();
         a.accumulate(&b);
         assert_eq!(a.active_connections, 4);
         assert_eq!(a.accepted, 20);
+        assert_eq!((a.frames_out, a.write_syscalls), (200, 50));
+        assert_eq!((a.pool_hits, a.pool_misses), (180, 20));
         assert_eq!(a.batch_sizes.count(), 2);
         // Saturation instead of wraparound.
         let mut pinned = NetStats {
@@ -360,6 +382,7 @@ mod tests {
             completed: 9,
             ..ServeStats::default()
         };
+        a.latency[RequestKind::Query.index()].record(5);
         let b = ServeStats {
             workers: 3,
             queue_capacity: 8,
@@ -369,9 +392,12 @@ mod tests {
             ..ServeStats::default()
         };
         a.accumulate(&b);
-        assert_eq!(a.workers, 5);
-        assert_eq!(a.queue_capacity, 12);
-        assert_eq!(a.submitted, 15);
+        a.accumulate(&a.clone());
+        assert_eq!(a.workers, 10);
+        assert_eq!(a.queue_capacity, 24);
+        assert_eq!(a.submitted, 30);
         assert_eq!(a.peak_queue_depth, 7);
+        assert_eq!(a.latency[RequestKind::Query.index()].count(), 2);
+        assert!(a.latency[RequestKind::Ingest.index()].is_empty());
     }
 }

@@ -52,12 +52,6 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Live bytes as a [`ByteSize`].
-    #[must_use]
-    pub fn live_size(&self) -> ByteSize {
-        ByteSize(self.live_bytes)
-    }
-
     /// Fraction of on-disk bytes that are garbage (superseded or deleted).
     #[must_use]
     pub fn garbage_ratio(&self) -> f64 {
@@ -79,7 +73,7 @@ impl StoreStats {
     /// total.accumulate(&shard);
     /// total.accumulate(&shard);
     /// assert_eq!(total.live_segments, 4);
-    /// assert_eq!(total.live_size().bytes(), 200);
+    /// assert_eq!(total.live_bytes, 200);
     /// ```
     pub fn accumulate(&mut self, other: &StoreStats) {
         // Saturating like `CacheStats::accumulate`: shard counters pinned at

@@ -28,7 +28,7 @@
 //!   like an erosion delete or an ingest overwrite.
 //! * **Observability**: [`TierStats`] reports resident bytes per tier,
 //!   demotion/promotion counts and bytes, and a cold-hit latency
-//!   histogram; every rate is 0 %-safe on an idle engine.
+//!   histogram.
 
 use crate::key::SegmentKey;
 use crate::reader::{ReadSource, SegmentReader};
@@ -38,10 +38,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use vstore_types::sync::{lock_unpoisoned, wait_unpoisoned};
 use vstore_types::{catch_panic, panic_message, scoped_map};
-use vstore_types::{ByteSize, LatencyHistogram, Result, VStoreError};
+use vstore_types::{LatencyHistogram, Result, VStoreError};
 
-/// One snapshot of the tiering subsystem's statistics, folded into
-/// `VStore::stats_report`.
+/// One snapshot of the tiering subsystem's statistics, shown as the
+/// `vstore_tier_*` rows of `VStore::metrics_snapshot`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TierStats {
     /// Live bytes resident in the hot store.
@@ -66,52 +66,6 @@ pub struct TierStats {
     pub failed_demotions: u64,
     /// Latency of cold-tier fetches (read + checksum + promotion write).
     pub cold_hit_latency: LatencyHistogram,
-}
-
-impl TierStats {
-    /// Fraction of cold-tier lookups that found the segment (0.0 when idle —
-    /// never NaN).
-    #[must_use]
-    pub fn cold_hit_rate(&self) -> f64 {
-        let total = self.cold_hits.saturating_add(self.cold_misses);
-        if total == 0 {
-            0.0
-        } else {
-            self.cold_hits as f64 / total as f64
-        }
-    }
-
-    /// `true` when no segment has ever moved or been looked up cold.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.demotions == 0 && self.promotions == 0 && self.cold_hits == 0 && self.cold_misses == 0
-    }
-}
-
-impl std::fmt::Display for TierStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "tier: {} hot / {} cold ({} cold segments), {} demotions ({}), \
-             {} promotions ({}), {} failed",
-            ByteSize(self.hot_resident_bytes),
-            ByteSize(self.cold_resident_bytes),
-            self.cold_segments,
-            self.demotions,
-            ByteSize(self.demoted_bytes),
-            self.promotions,
-            ByteSize(self.promoted_bytes),
-            self.failed_demotions,
-        )?;
-        write!(
-            f,
-            "  cold hits: {}/{} ({:.0}%), latency: {}",
-            self.cold_hits,
-            self.cold_hits.saturating_add(self.cold_misses),
-            self.cold_hit_rate() * 100.0,
-            self.cold_hit_latency,
-        )
-    }
 }
 
 /// The result of one demotion batch.
@@ -427,10 +381,8 @@ mod tests {
         assert_eq!(stats.demotions, 4);
         assert_eq!(stats.promotions, 1);
         assert_eq!(stats.cold_hits, 1);
-        assert!(!stats.is_idle());
-        assert_eq!(stats.cold_hit_rate(), 1.0);
+        assert_eq!(stats.cold_misses, 0);
         assert_eq!(stats.cold_hit_latency.count(), 1);
-        assert!(stats.to_string().contains("4 demotions"));
     }
 
     #[test]

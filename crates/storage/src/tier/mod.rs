@@ -16,7 +16,8 @@
 //!   segments back through the [`SegmentReader`](crate::SegmentReader) so
 //!   the view cache stays coherent;
 //! * [`TierStats`] — resident bytes per tier, demotion/promotion counters
-//!   and a cold-hit latency histogram, folded into `VStore::stats_report`.
+//!   and a cold-hit latency histogram, shown as the `vstore_tier_*` rows
+//!   of `VStore::metrics_snapshot`.
 //!
 //! With no cold tier configured ([`TierOptions::default`]), nothing
 //! changes: erosion deletes, exactly as before.

@@ -2,12 +2,8 @@
 //! front end (queue wait / per-kind execution latency) and the storage
 //! tiering subsystem (cold-hit latency).
 //!
-//! All rate math follows the workspace stats conventions: additions
-//! saturate (a pinned counter degrades, never panics), and every derived
-//! quantity renders 0 when nothing has been recorded — an idle component's
-//! report contains no NaN.
-
-use std::fmt;
+//! Additions saturate (a pinned counter degrades, never panics), and every
+//! derived quantity is 0 when nothing has been recorded — never NaN.
 
 /// Number of power-of-two latency buckets.
 ///
@@ -146,23 +142,6 @@ impl LatencyHistogram {
     }
 }
 
-impl fmt::Display for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_empty() {
-            return write!(f, "idle");
-        }
-        write!(
-            f,
-            "n={}, mean {:.0} µs, p50 <{} µs, p99 <{} µs, max {} µs",
-            self.count,
-            self.mean_us(),
-            self.quantile_us(0.50),
-            self.quantile_us(0.99),
-            self.max_us,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,12 +247,19 @@ mod tests {
         assert!(a.count() > 3);
     }
 
+    /// Everything a report reads off an empty histogram is 0, never NaN.
     #[test]
     fn empty_histogram_renders_idle_without_nan() {
         let h = LatencyHistogram::default();
+        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.mean_us(), 0.0);
-        let rendered = h.to_string();
-        assert_eq!(rendered, "idle");
-        assert!(!rendered.contains("NaN"));
+        assert_eq!(h.max_us(), 0);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile_us(q), 0, "q={q}");
+        }
+        let mut merged = LatencyHistogram::default();
+        merged.accumulate(&h);
+        assert!(merged.is_empty() && merged.mean_us() == 0.0);
     }
 }

@@ -6,8 +6,8 @@
 //! the worker, the degradation ladder steps fidelity down instead of letting
 //! the backlog grow without bound, and the night trough walks it back up to
 //! full fidelity. The footage then answers a query like any offline ingest,
-//! and the episode — lag histogram, degradation transitions, per-source
-//! throughput — shows up in the store's combined report.
+//! and the episode — lag histogram, degradation transitions — shows up in
+//! the `vstore_live_*` rows of the store's metrics snapshot.
 //!
 //! ```sh
 //! cargo run --release --example live_camera
@@ -78,7 +78,12 @@ fn main() {
     // The night shift: drain the backlog, then retire the camera.
     ingestor.wait_idle();
     let stats = ingestor.shutdown();
-    println!("\nfinal live stats:\n{stats}\n");
+    let report = store.metrics_snapshot().to_string();
+    println!("\nlive rows of the metrics snapshot:");
+    for line in report.lines().filter(|l| l.starts_with("vstore_live_")) {
+        println!("{line}");
+    }
+    println!();
 
     // The day's footage answers queries like any offline ingest — for the
     // ranges stored at full fidelity. Midday segments transcoded below full
@@ -102,6 +107,5 @@ fn main() {
         ),
         Err(e) => println!("query over a degraded range: {e}"),
     }
-    println!("\ncombined report:\n{}", store.stats_report());
     std::fs::remove_dir_all(store.store_dir()).ok();
 }

@@ -5,13 +5,15 @@
 //! ingests a short stream, serves it with `serve_net` on `127.0.0.1:0`,
 //! then runs 8 client threads each pipelining a mix of query, ingest and
 //! live-stats requests over its own `NetClient` connection — and prints
-//! the network section of the combined statistics report at the end:
-//! connections, frames, batch sizes, write syscalls and the buffer-pool
-//! hit rate.
+//! the `vstore_net_*` rows of the store's metrics snapshot at the end:
+//! connections, frames, batch sizes, write syscalls and buffer-pool hits.
 //!
 //! ```sh
 //! cargo run --release --example net_clients
 //! ```
+//!
+//! Exits non-zero when a net metric family it names is missing from the
+//! snapshot, so a renamed family fails CI.
 
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::{
@@ -93,20 +95,33 @@ fn main() {
     });
 
     // Graceful shutdown drains in-flight work, then the probes keep
-    // reporting through the store's combined report.
-    let (net, serve) = server.shutdown();
-    println!("\nfinal net stats:\n{net}");
-    println!("final serve stats:\n{serve}");
-
-    let report = store.stats_report();
-    println!("\nnet section of the combined report:");
-    for line in report.to_string().lines() {
-        if line.starts_with("net:")
-            || line.starts_with("  frames:")
-            || line.starts_with("  writes:")
-        {
-            println!("{line}");
-        }
+    // reporting through the store's metrics snapshot.
+    server.shutdown();
+    let snapshot = store.metrics_snapshot();
+    println!("\nnet rows of the metrics snapshot:");
+    for line in snapshot
+        .to_string()
+        .lines()
+        .filter(|l| l.starts_with("vstore_net_"))
+    {
+        println!("{line}");
     }
     std::fs::remove_dir_all(store.store_dir()).ok();
+    let missing: Vec<&str> = [
+        "vstore_net_accepted_total",
+        "vstore_net_frames_in_total",
+        "vstore_net_frames_out_total",
+        "vstore_net_oversized_frames_total",
+        "vstore_net_write_syscalls_total",
+        "vstore_net_pool_hits_total",
+        "vstore_net_batch_sizes",
+        "vstore_net_backlog_peaks",
+    ]
+    .into_iter()
+    .filter(|family| snapshot.get(family).is_none())
+    .collect();
+    if !missing.is_empty() {
+        eprintln!("metric families missing from the snapshot: {missing:?}");
+        std::process::exit(1);
+    }
 }

@@ -3,7 +3,7 @@
 //! Starts a `VStore` over the in-memory backend, configures it for query A,
 //! ingests a short stream, then serves a burst of mixed requests from
 //! several client threads through the bounded queue — and prints the
-//! combined store/cache/serve statistics report at the end.
+//! store's metrics snapshot at the end.
 //!
 //! ```sh
 //! cargo run --release --example serve_clients
@@ -77,9 +77,8 @@ fn main() {
     });
 
     // Graceful shutdown drains the queue, then the probe keeps reporting
-    // through the store's combined report.
-    let stats = server.shutdown();
-    println!("\nfinal serve stats:\n{stats}\n");
-    println!("combined report:\n{}", store.stats_report());
+    // through the store's metrics snapshot.
+    server.shutdown();
+    println!("\nmetrics snapshot:\n{}", store.metrics_snapshot());
     std::fs::remove_dir_all(store.store_dir()).ok();
 }

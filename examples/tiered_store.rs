@@ -72,7 +72,11 @@ fn main() -> vstore::Result<()> {
         cache.decoded_hits,
     );
 
-    println!("\n{}", store.stats_report());
+    let report = store.metrics_snapshot().to_string();
+    println!();
+    for line in report.lines().filter(|l| l.starts_with("vstore_tier_")) {
+        println!("{line}");
+    }
     std::fs::remove_dir_all(store.store_dir()).ok();
     Ok(())
 }

@@ -210,89 +210,6 @@ impl VStoreOptions {
     }
 }
 
-/// A combined, operator-facing snapshot of store, cache and serving
-/// statistics, as returned by [`VStore::stats_report`]. `Display` renders a
-/// compact multi-line report suitable for logs and consoles; every rate
-/// renders `0%` on an empty store — never NaN.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsReport {
-    /// Aggregate store statistics across every shard.
-    pub store: StoreStats,
-    /// Aggregate cache statistics across every shard (all zeros when the
-    /// cache is disabled).
-    pub cache: CacheStats,
-    /// Per-shard store statistics, in shard order.
-    pub shards: Vec<StoreStats>,
-    /// Per-shard cache statistics, in shard order (empty when the cache is
-    /// disabled).
-    pub shard_caches: Vec<CacheStats>,
-    /// Tiering statistics — resident bytes per tier, demotions/promotions,
-    /// cold-hit latency (`None` when no cold tier is configured).
-    pub tier: Option<TierStats>,
-    /// Aggregate serving-layer statistics across every front end started
-    /// with [`VStore::serve`] or [`VStore::serve_net`] (`None` when none
-    /// has been started).
-    pub serve: Option<ServeStats>,
-    /// Aggregate network-layer statistics across every socket front end
-    /// started with [`VStore::serve_net`] (`None` when none has been
-    /// started).
-    pub net: Option<NetStats>,
-    /// Aggregate live-ingest statistics across every ingestor started with
-    /// [`VStore::live_ingest`] (`None` when none has been started).
-    pub live: Option<LiveStats>,
-}
-
-impl std::fmt::Display for StatsReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "store: {} segments, {} live, {} on disk ({:.0}% garbage), \
-             {} writes, {} reads",
-            self.store.live_segments,
-            self.store.live_size(),
-            vstore_types::ByteSize(self.store.disk_bytes),
-            self.store.garbage_ratio() * 100.0,
-            self.store.writes,
-            self.store.reads,
-        )?;
-        if self.shard_caches.is_empty() {
-            writeln!(f, "cache: disabled")?;
-        } else {
-            writeln!(f, "cache: {}", self.cache)?;
-        }
-        if let Some(tier) = &self.tier {
-            writeln!(f, "{tier}")?;
-        }
-        if let Some(serve) = &self.serve {
-            writeln!(f, "{serve}")?;
-        }
-        if let Some(net) = &self.net {
-            writeln!(f, "{net}")?;
-        }
-        if let Some(live) = &self.live {
-            writeln!(f, "{live}")?;
-        }
-        for (i, shard) in self.shards.iter().enumerate() {
-            write!(
-                f,
-                "  shard {i:03}: {} segments, {} live",
-                shard.live_segments,
-                shard.live_size(),
-            )?;
-            match self.shard_caches.get(i) {
-                Some(cache) if !cache.is_idle() => writeln!(
-                    f,
-                    " | cache {}/{} hits",
-                    cache.decoded_hits,
-                    cache.decoded_hits.saturating_add(cache.decoded_misses),
-                )?,
-                _ => writeln!(f)?,
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The active configuration slot: an epoch counter plus the configuration
 /// shared (via `Arc`) with every request that started under it.
 #[derive(Debug, Default)]
@@ -323,15 +240,15 @@ struct VStoreInner {
     /// it with [`QueryRequest::with_planner`].
     query_planner: bool,
     active: RwLock<ConfigSlot>,
-    /// Serving front ends started through [`VStore::serve`];
-    /// [`VStore::stats_report`] folds them in.
+    /// Serving front ends started through [`VStore::serve`]; the metrics
+    /// snapshot aggregates them.
     serving: RwLock<ProbeRegistry<vstore_serve::ServeProbe>>,
-    /// Live ingestors started through [`VStore::live_ingest`];
-    /// [`VStore::stats_report`] folds them in.
+    /// Live ingestors started through [`VStore::live_ingest`]; the metrics
+    /// snapshot aggregates them.
     live: RwLock<ProbeRegistry<LiveProbe>>,
-    /// Socket front ends started through [`VStore::serve_net`];
-    /// [`VStore::stats_report`] folds them in (the inner request-layer
-    /// probes live in `serving`).
+    /// Socket front ends started through [`VStore::serve_net`]; the
+    /// metrics snapshot aggregates them (the inner request-layer probes
+    /// live in `serving`).
     net: RwLock<ProbeRegistry<NetProbe>>,
     /// The request tracer: hands out trace contexts to serve front ends
     /// and in-process request builders, and owns the bounded trace rings.
@@ -622,45 +539,11 @@ impl VStore {
         self.inner.tier.as_ref().map(|tier| tier.stats())
     }
 
-    /// One combined operator-facing report: store statistics and cache
-    /// statistics, aggregate and per shard.
-    ///
-    /// ```no_run
-    /// # use vstore::{VStore, VStoreOptions};
-    /// # let store = VStore::open_temp("report", VStoreOptions::default()).unwrap();
-    /// println!("{}", store.stats_report());
-    /// ```
-    #[must_use]
-    pub fn stats_report(&self) -> StatsReport {
-        let serve = write_unpoisoned(&self.inner.serving).aggregate();
-        let live = write_unpoisoned(&self.inner.live).aggregate();
-        let net = write_unpoisoned(&self.inner.net).aggregate();
-        StatsReport {
-            store: self.store_stats(),
-            cache: self.cache_stats(),
-            shards: self.shard_stats(),
-            shard_caches: self.shard_cache_stats(),
-            tier: self.tier_stats(),
-            serve,
-            net,
-            live,
-        }
-    }
-
-    /// Aggregate network-layer statistics across every socket front end
-    /// started with [`serve_net`](Self::serve_net) (`None` when none has
-    /// been started). The same aggregate appears in
-    /// [`stats_report`](Self::stats_report) and, as the `vstore_net_*`
-    /// rows, in [`metrics_snapshot`](Self::metrics_snapshot).
-    #[must_use]
-    pub fn net_stats(&self) -> Option<NetStats> {
-        write_unpoisoned(&self.inner.net).aggregate()
-    }
-
     /// Aggregate live-ingest statistics across every ingestor started with
     /// [`live_ingest`](Self::live_ingest) (`None` when none has been
-    /// started). The same aggregate appears in
-    /// [`stats_report`](Self::stats_report) and over the serve wire.
+    /// started). The same aggregate answers the serve wire's
+    /// [`ServeRequest::LiveStats`] and shows as the `vstore_live_*` rows of
+    /// [`metrics_snapshot`](Self::metrics_snapshot).
     #[must_use]
     pub fn live_stats(&self) -> Option<LiveStats> {
         write_unpoisoned(&self.inner.live).aggregate()
@@ -668,10 +551,19 @@ impl VStore {
 
     /// A snapshot of every registered metric family — store, cache, tier,
     /// profiler, tracer, plus the serving/network/live aggregates once
-    /// those front ends exist. Render it with
-    /// [`MetricsSnapshot::to_prometheus`] or [`MetricsSnapshot::to_json`];
-    /// the same snapshot travels over the serve wire
-    /// ([`ServeRequest::MetricsSnapshot`]).
+    /// those front ends exist. Its `Display` is the operator report, one
+    /// `name{labels} value` line per row; render it for tools with
+    /// [`MetricsSnapshot::to_prometheus`] or [`MetricsSnapshot::to_json`].
+    /// The same snapshot travels over the serve wire
+    /// ([`ServeRequest::MetricsSnapshot`]). Per-shard numbers come from
+    /// [`shard_stats`](Self::shard_stats) and
+    /// [`shard_cache_stats`](Self::shard_cache_stats).
+    ///
+    /// ```no_run
+    /// # use vstore::{VStore, VStoreOptions};
+    /// # let store = VStore::open_temp("report", VStoreOptions::default()).unwrap();
+    /// println!("{}", store.metrics_snapshot());
+    /// ```
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.metrics.snapshot()
@@ -826,8 +718,9 @@ impl VStore {
     /// request queue with back-pressure (`Busy` or blocking, per
     /// [`ServeOptions`]) drained by a thread-per-core worker pool of cloned
     /// handles. The returned [`ServerHandle`] accepts client
-    /// [`Connection`]s; its statistics are folded into
-    /// [`stats_report`](Self::stats_report) for as long as the store lives.
+    /// [`Connection`]s; its statistics show as the `vstore_serve_*` rows of
+    /// [`metrics_snapshot`](Self::metrics_snapshot) for as long as the
+    /// store lives.
     ///
     /// ```no_run
     /// # use vstore::{ServeOptions, ServeRequest, QuerySpec, VStore, VStoreOptions};
@@ -840,7 +733,7 @@ impl VStore {
     ///     first_segment: 0,
     ///     count: 4,
     /// }).unwrap();
-    /// println!("{response:?}\n{}", store.stats_report());
+    /// println!("{response:?}\n{}", store.metrics_snapshot());
     /// ```
     pub fn serve(&self, options: ServeOptions) -> Result<ServerHandle> {
         let server = vstore_serve::Server::start(self.clone(), options)?;
@@ -858,10 +751,11 @@ impl VStore {
     /// together leave in one write from a pooled buffer. Bind to port 0 to
     /// let the OS pick ([`NetServerHandle::local_addr`]).
     ///
-    /// Both layers fold into [`stats_report`](Self::stats_report): the
-    /// request-layer [`ServeStats`] alongside in-process servers, and the
-    /// network-layer [`NetStats`] (connections, frames, batch sizes,
-    /// write syscalls, buffer-pool hit rate) in its own section.
+    /// Both layers show in [`metrics_snapshot`](Self::metrics_snapshot):
+    /// the request-layer [`ServeStats`] as the `vstore_serve_*` rows
+    /// alongside in-process servers, and the network-layer [`NetStats`]
+    /// (connections, frames, batch sizes, write syscalls, buffer-pool
+    /// hits and misses) as the `vstore_net_*` rows.
     ///
     /// ```no_run
     /// # use vstore::{NetClient, NetOptions, ServeOptions, ServeRequest, VStore, VStoreOptions};
@@ -871,7 +765,7 @@ impl VStore {
     ///     .unwrap();
     /// let mut client = NetClient::connect(server.local_addr()).unwrap();
     /// let response = client.call(&ServeRequest::LiveStats).unwrap();
-    /// println!("{response:?}\n{}", store.stats_report());
+    /// println!("{response:?}\n{}", store.metrics_snapshot());
     /// ```
     pub fn serve_net(
         &self,
@@ -900,9 +794,9 @@ impl VStore {
     /// drains. Offers beyond the queue depth are shed
     /// ([`QueueFullPolicy::Reject`]) or block the caller
     /// ([`QueueFullPolicy::Block`]), per [`LiveIngestOptions::on_full`] —
-    /// the store itself never stalls. The ingestor's [`LiveStats`] fold
-    /// into [`stats_report`](Self::stats_report) for as long as the store
-    /// lives; dropping (or [`shutdown`](LiveIngestHandle::shutdown)-ing)
+    /// the store itself never stalls. The ingestor's [`LiveStats`] show as
+    /// the `vstore_live_*` rows of [`metrics_snapshot`](Self::metrics_snapshot)
+    /// for as long as the store lives; dropping (or [`shutdown`](LiveIngestHandle::shutdown)-ing)
     /// the handle drains every accepted segment first.
     ///
     /// The ladder is built from the configuration active **now**; a later
@@ -923,8 +817,11 @@ impl VStore {
     ///     LiveIngestOptions::default(),
     /// ).unwrap();
     /// live.offer_range(camera.poll(8.0)).unwrap();
-    /// let stats = live.shutdown();
-    /// println!("{stats}");
+    /// live.shutdown();
+    /// let report = store.metrics_snapshot().to_string();
+    /// for line in report.lines().filter(|l| l.starts_with("vstore_live_")) {
+    ///     println!("{line}");
+    /// }
     /// ```
     pub fn live_ingest(
         &self,
@@ -1074,9 +971,9 @@ mod tests {
         assert!(matches!(err, VStoreError::InvalidArgument(_)), "{err}");
     }
 
-    /// Regression (stats rate math): the report of a freshly opened, empty
-    /// store renders `0%` rates and no NaN; a report with saturated
-    /// counters renders without overflowing.
+    /// The empty and saturated cases of the operator report: an empty
+    /// store's snapshot renders zero rates and no NaN; rows of saturated
+    /// counters render in full, without overflowing.
     #[test]
     fn stats_report_renders_zero_rates_on_an_empty_store_and_survives_saturation() {
         let store = VStore::open_temp(
@@ -1086,37 +983,61 @@ mod tests {
                 .with_cache(64 << 20, 16),
         )
         .unwrap();
-        let report = store.stats_report();
-        let rendered = report.to_string();
-        assert!(rendered.contains("(0% garbage)"), "{rendered}");
-        assert!(rendered.contains("0/0 hits (0%)"), "{rendered}");
+        let snapshot = store.metrics_snapshot();
+        let rendered = snapshot.to_string();
+        assert_eq!(rendered.lines().count(), snapshot.metrics.len());
         assert!(!rendered.contains("NaN"), "{rendered}");
-        assert!(report.serve.is_none(), "no server started yet");
-        assert_eq!(report.cache.decoded_hit_rate(), 0.0);
-        assert_eq!(report.store.garbage_ratio(), 0.0);
+        for line in [
+            "vstore_store_live_bytes 0",
+            "vstore_store_disk_bytes 0",
+            "vstore_cache_decoded_hits_total 0",
+            "vstore_cache_decoded_misses_total 0",
+        ] {
+            assert!(rendered.lines().any(|l| l == line), "{line} in\n{rendered}");
+        }
+        assert!(!rendered.contains("vstore_serve_"), "no server started yet");
+        assert_eq!(store.cache_stats().decoded_hit_rate(), 0.0);
+        assert_eq!(store.store_stats().garbage_ratio(), 0.0);
 
-        // Saturated counters: the Display math saturates instead of
-        // panicking in debug builds.
-        let mut saturated = report.clone();
-        saturated.store.live_bytes = u64::MAX;
-        saturated.store.disk_bytes = u64::MAX;
-        saturated.store.writes = u64::MAX;
-        saturated.cache.decoded_hits = u64::MAX;
-        saturated.cache.decoded_misses = u64::MAX;
-        saturated.shard_caches[0].decoded_hits = u64::MAX;
-        saturated.shard_caches[0].decoded_misses = u64::MAX;
-        saturated.serve = Some(ServeStats {
+        // Saturated counters: the rows and the rates derived from them
+        // saturate instead of panicking in debug builds.
+        let mut stats = store.store_stats();
+        stats.live_bytes = u64::MAX;
+        stats.disk_bytes = u64::MAX;
+        stats.writes = u64::MAX;
+        let mut cache = store.cache_stats();
+        cache.decoded_hits = u64::MAX;
+        cache.decoded_misses = u64::MAX;
+        let serve = ServeStats {
             submitted: u64::MAX,
             rejected_busy: u64::MAX,
             ..ServeStats::default()
-        });
-        let rendered = saturated.to_string();
-        assert!(!rendered.contains("NaN"), "{rendered}");
+        };
+        let mut metrics = Vec::new();
+        metrics::collect_store(&stats, &mut metrics);
+        metrics::collect_cache(&cache, &mut metrics);
+        serve.collect_metrics(&mut metrics);
+        let rendered = MetricsSnapshot { metrics }.to_string();
+        assert!(
+            !rendered.contains("NaN") && !rendered.contains(" inf"),
+            "{rendered}"
+        );
+        for line in [
+            "vstore_store_writes_total 18446744073709551615",
+            "vstore_cache_decoded_hits_total 18446744073709551615",
+            "vstore_serve_submitted_total 18446744073709551615",
+            "vstore_serve_rejected_busy_total 18446744073709551615",
+        ] {
+            assert!(rendered.lines().any(|l| l == line), "{line} in\n{rendered}");
+        }
+        let hit_rate = cache.decoded_hit_rate();
+        assert!(hit_rate > 0.0 && hit_rate <= 1.0, "{hit_rate}");
+        assert!(stats.garbage_ratio().is_finite());
         std::fs::remove_dir_all(store.store_dir()).ok();
     }
 
     /// The serving front end smoke test: serve a query through the bounded
-    /// queue and see the serve section appear in `stats_report`.
+    /// queue and see the `vstore_serve_*` rows appear in the snapshot.
     #[test]
     fn serve_front_end_answers_requests_and_reports_into_stats() {
         let store = VStore::open_temp(
@@ -1148,25 +1069,27 @@ mod tests {
             .unwrap();
         assert_eq!(served, ServeResponse::Query(direct));
 
-        let report = store.stats_report();
-        let serve = report.serve.clone().expect("serve stats folded in");
-        assert_eq!(serve.completed, 1);
-        assert_eq!(serve.query_latency.count(), 1);
-        assert!(report.to_string().contains("serve:"), "{report}");
+        let snapshot = store.metrics_snapshot();
+        assert_eq!(snapshot.value("vstore_serve_completed_total"), Some(1.0));
+        assert_eq!(
+            snapshot.value("vstore_serve_latency_us{kind=\"query\"}"),
+            Some(1.0)
+        );
+        assert_eq!(snapshot.value("vstore_serve_workers"), Some(2.0));
         drop(server);
         // A shut-down server is retired: its request history stays in the
-        // report, but it no longer contributes provisioned capacity, and
-        // repeated reports don't re-count it.
-        let retired = store.stats_report().serve.unwrap();
-        assert_eq!(retired.completed, 1);
-        assert_eq!(retired.workers, 0);
-        assert_eq!(retired.queue_capacity, 0);
-        assert_eq!(store.stats_report().serve.unwrap().completed, 1);
+        // snapshot, but it no longer contributes provisioned capacity, and
+        // repeated snapshots don't re-count it.
+        let retired = store.metrics_snapshot();
+        assert_eq!(retired.value("vstore_serve_completed_total"), Some(1.0));
+        assert_eq!(retired.value("vstore_serve_workers"), Some(0.0));
+        assert_eq!(retired.value("vstore_serve_queue_capacity"), Some(0.0));
+        assert_eq!(store.metrics_snapshot(), retired);
         std::fs::remove_dir_all(store.store_dir()).ok();
     }
 
     /// One `ProbeRegistry` backs all three front-end kinds: two of each,
-    /// started and shut down, leave their summed history in the report
+    /// started and shut down, leave their summed history in the snapshot
     /// with zeroed capacity, and the probe lists do not grow.
     #[test]
     fn shut_down_front_ends_of_every_kind_retire_into_summed_history() {
@@ -1178,8 +1101,14 @@ mod tests {
         store
             .configure(&QuerySpec::query_a(0.8).consumers())
             .unwrap();
-        let fresh = store.stats_report();
-        assert!(fresh.serve.is_none() && fresh.net.is_none() && fresh.live.is_none());
+        let fresh = store.metrics_snapshot();
+        for family in [
+            "vstore_serve_workers",
+            "vstore_net_accepted_total",
+            "vstore_live_workers",
+        ] {
+            assert!(fresh.get(family).is_none(), "{family} before any front end");
+        }
 
         let source = VideoSource::new(Dataset::Jackson);
         for round in 0..2u64 {
@@ -1203,10 +1132,10 @@ mod tests {
 
             // While up, each front end contributes its capacity and holds
             // exactly one probe (the socket front end also a serve probe).
-            let up = store.stats_report();
-            assert_eq!(up.serve.unwrap().workers, 3);
-            assert_eq!(up.net.unwrap().active_connections, 1);
-            assert!(up.live.unwrap().workers >= 1);
+            let up = store.metrics_snapshot();
+            assert_eq!(up.value("vstore_serve_workers"), Some(3.0));
+            assert_eq!(up.value("vstore_net_active_connections"), Some(1.0));
+            assert!(up.value("vstore_live_workers") >= Some(1.0));
             assert_eq!(read_unpoisoned(&store.inner.serving).probes.len(), 2);
             assert_eq!(read_unpoisoned(&store.inner.net).probes.len(), 1);
             assert_eq!(read_unpoisoned(&store.inner.live).probes.len(), 1);
@@ -1216,29 +1145,54 @@ mod tests {
             live.shutdown();
         }
 
-        let report = store.stats_report();
-        let serve = report.serve.clone().unwrap();
-        assert_eq!(serve.completed, 4, "two in-process + two socket pings");
-        assert_eq!(serve.live_stats_latency.count(), 4);
+        let snapshot = store.metrics_snapshot();
+        let rows = |keys: &[&str]| -> Vec<Option<f64>> {
+            keys.iter().map(|key| snapshot.value(key)).collect()
+        };
         assert_eq!(
-            (serve.workers, serve.queue_capacity, serve.queue_depth),
-            (0, 0, 0)
+            snapshot.value("vstore_serve_completed_total"),
+            Some(4.0),
+            "two in-process + two socket pings"
         );
-        let net = report.net.clone().unwrap();
-        assert_eq!((net.accepted, net.frames_in, net.frames_out), (2, 2, 2));
-        assert_eq!(net.active_connections, 0);
-        let live = report.live.clone().unwrap();
-        assert_eq!((live.accepted, live.completed), (2, 2));
         assert_eq!(
-            (live.workers, live.queue_capacity, live.queue_depth),
-            (0, 0, 0)
+            snapshot.value("vstore_serve_latency_us{kind=\"live-stats\"}"),
+            Some(4.0)
         );
-        assert_eq!(live.current_level, 0);
+        assert_eq!(
+            rows(&[
+                "vstore_serve_workers",
+                "vstore_serve_queue_capacity",
+                "vstore_serve_queue_depth"
+            ]),
+            [Some(0.0); 3]
+        );
+        assert_eq!(
+            rows(&[
+                "vstore_net_accepted_total",
+                "vstore_net_frames_in_total",
+                "vstore_net_frames_out_total"
+            ]),
+            [Some(2.0); 3]
+        );
+        assert_eq!(snapshot.value("vstore_net_active_connections"), Some(0.0));
+        assert_eq!(
+            rows(&["vstore_live_accepted_total", "vstore_live_completed_total"]),
+            [Some(2.0); 2]
+        );
+        assert_eq!(
+            rows(&[
+                "vstore_live_workers",
+                "vstore_live_queue_capacity",
+                "vstore_live_queue_depth",
+                "vstore_live_current_level"
+            ]),
+            [Some(0.0); 4]
+        );
         // Every probe was folded into `retired` exactly once.
         assert!(read_unpoisoned(&store.inner.serving).probes.is_empty());
         assert!(read_unpoisoned(&store.inner.net).probes.is_empty());
         assert!(read_unpoisoned(&store.inner.live).probes.is_empty());
-        assert_eq!(store.stats_report(), report);
+        assert_eq!(store.metrics_snapshot(), snapshot);
     }
 
     #[test]

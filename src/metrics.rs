@@ -1,8 +1,13 @@
 //! Facade-side observability wiring: the collectors that map every stats
 //! source into the store's [`MetricsRegistry`](vstore_obs::MetricsRegistry).
 //! [`MetricsSnapshot`](vstore_obs::MetricsSnapshot) is the store's only
-//! machine-readable stats export; [`StatsReport`](crate::StatsReport) is the
-//! typed in-process bundle.
+//! stats rendering: its `Display` is the operator report, and the bench,
+//! the serve wire and Prometheus read the same rows. The typed component
+//! getters (`store_stats`, `shard_stats`, `cache_stats`, …) stay for code
+//! that asserts on one field. The serving, network and live-ingest rows
+//! are written by their stats types (`ServeStats::collect_metrics`,
+//! `NetStats::collect_metrics`, `LiveStats::collect_metrics`), which
+//! render a multi-handle aggregate the same way wherever it is built.
 //!
 //! Ownership is deliberate. Component collectors (store, cache, tier,
 //! profiler, tracer) capture their component `Arc` directly: the registry
@@ -15,7 +20,7 @@
 use crate::{VStore, VStoreInner};
 use std::sync::{Arc, Weak};
 use vstore_obs::Metric;
-use vstore_storage::CacheStats;
+use vstore_storage::{CacheStats, StoreStats};
 use vstore_types::sync::write_unpoisoned;
 
 /// Register every stats source of a freshly assembled store into its
@@ -27,37 +32,7 @@ pub(crate) fn register_collectors(store: &VStore) {
 
     let segments = Arc::clone(&inner.store);
     registry.register(Box::new(move |out: &mut Vec<Metric>| {
-        let s = segments.stats();
-        out.push(Metric::gauge(
-            "vstore_store_live_segments",
-            "Live segments in the store",
-            s.live_segments as f64,
-        ));
-        out.push(Metric::gauge(
-            "vstore_store_live_bytes",
-            "Bytes of live segment values",
-            s.live_bytes as f64,
-        ));
-        out.push(Metric::gauge(
-            "vstore_store_disk_bytes",
-            "Bytes occupied on disk by all value logs (garbage included)",
-            s.disk_bytes as f64,
-        ));
-        out.push(Metric::gauge(
-            "vstore_store_log_files",
-            "Value log files",
-            s.log_files as f64,
-        ));
-        out.push(Metric::counter(
-            "vstore_store_writes_total",
-            "Records written since open (puts + deletes)",
-            s.writes,
-        ));
-        out.push(Metric::counter(
-            "vstore_store_reads_total",
-            "Reads served since open",
-            s.reads,
-        ));
+        collect_store(&segments.stats(), out);
     }));
 
     let reader = Arc::clone(&inner.reader);
@@ -90,9 +65,19 @@ pub(crate) fn register_collectors(store: &VStore) {
                 t.demotions,
             ));
             out.push(Metric::counter(
+                "vstore_tier_demoted_bytes_total",
+                "Bytes demoted hot to cold since open",
+                t.demoted_bytes,
+            ));
+            out.push(Metric::counter(
                 "vstore_tier_promotions_total",
                 "Segments promoted cold to hot since open",
                 t.promotions,
+            ));
+            out.push(Metric::counter(
+                "vstore_tier_promoted_bytes_total",
+                "Bytes promoted cold to hot since open",
+                t.promoted_bytes,
             ));
             out.push(Metric::counter(
                 "vstore_tier_cold_hits_total",
@@ -188,8 +173,42 @@ pub(crate) fn register_collectors(store: &VStore) {
     }));
 }
 
+/// The segment store's rows.
+pub(crate) fn collect_store(s: &StoreStats, out: &mut Vec<Metric>) {
+    out.push(Metric::gauge(
+        "vstore_store_live_segments",
+        "Live segments in the store",
+        s.live_segments as f64,
+    ));
+    out.push(Metric::gauge(
+        "vstore_store_live_bytes",
+        "Bytes of live segment values",
+        s.live_bytes as f64,
+    ));
+    out.push(Metric::gauge(
+        "vstore_store_disk_bytes",
+        "Bytes occupied on disk by all value logs (garbage included)",
+        s.disk_bytes as f64,
+    ));
+    out.push(Metric::gauge(
+        "vstore_store_log_files",
+        "Value log files",
+        s.log_files as f64,
+    ));
+    out.push(Metric::counter(
+        "vstore_store_writes_total",
+        "Records written since open (puts + deletes)",
+        s.writes,
+    ));
+    out.push(Metric::counter(
+        "vstore_store_reads_total",
+        "Reads served since open",
+        s.reads,
+    ));
+}
+
 /// The view-cache rows, aggregated across shards.
-fn collect_cache(c: &CacheStats, out: &mut Vec<Metric>) {
+pub(crate) fn collect_cache(c: &CacheStats, out: &mut Vec<Metric>) {
     out.push(Metric::counter(
         "vstore_cache_decoded_hits_total",
         "Reads served from the view cache",
@@ -230,180 +249,14 @@ fn collect_aggregates(weak: &Weak<VStoreInner>, out: &mut Vec<Metric>) {
         return;
     };
     if let Some(s) = write_unpoisoned(&inner.serving).aggregate() {
-        out.push(Metric::gauge(
-            "vstore_serve_workers",
-            "Worker threads draining the request queue",
-            s.workers as f64,
-        ));
-        out.push(Metric::gauge(
-            "vstore_serve_queue_depth",
-            "Requests waiting in the queue at snapshot time",
-            s.queue_depth as f64,
-        ));
-        out.push(Metric::gauge(
-            "vstore_serve_queue_capacity",
-            "Capacity of the bounded request queue",
-            s.queue_capacity as f64,
-        ));
-        out.push(Metric::counter(
-            "vstore_serve_submitted_total",
-            "Requests accepted onto the queue",
-            s.submitted,
-        ));
-        out.push(Metric::counter(
-            "vstore_serve_completed_total",
-            "Requests fully executed (success or error response)",
-            s.completed,
-        ));
-        out.push(Metric::counter(
-            "vstore_serve_rejected_busy_total",
-            "Requests shed with Busy because the queue was full",
-            s.rejected_busy,
-        ));
-        out.push(Metric::counter(
-            "vstore_serve_failed_total",
-            "Completed requests whose response was an error",
-            s.failed,
-        ));
-        out.push(Metric::counter(
-            "vstore_serve_panics_total",
-            "Worker panics converted into error responses",
-            s.panics,
-        ));
-        out.push(Metric::latency(
-            "vstore_serve_queue_wait_us",
-            "Time requests spent waiting in the queue",
-            &s.queue_wait,
-        ));
-        for (kind, hist) in [
-            ("ingest", &s.ingest_latency),
-            ("query", &s.query_latency),
-            ("erode", &s.erode_latency),
-            ("live-stats", &s.live_stats_latency),
-            ("metrics", &s.metrics_latency),
-            ("trace-dump", &s.trace_latency),
-        ] {
-            if hist.count() > 0 {
-                out.push(
-                    Metric::latency(
-                        "vstore_serve_latency_us",
-                        "Execution latency by request kind",
-                        hist,
-                    )
-                    .with_label("kind", kind),
-                );
-            }
-        }
+        s.collect_metrics(out);
     }
     if let Some(n) = write_unpoisoned(&inner.net).aggregate() {
-        out.push(Metric::gauge(
-            "vstore_net_active_connections",
-            "Connections currently being served",
-            n.active_connections as f64,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_accepted_total",
-            "Connections accepted over the listener's lifetime",
-            n.accepted,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_refused_total",
-            "Connections refused at the max-connections cap",
-            n.refused,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_frames_in_total",
-            "Request frames decoded off sockets",
-            n.frames_in,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_frames_out_total",
-            "Response frames fully written back",
-            n.frames_out,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_bytes_in_total",
-            "Bytes read off sockets",
-            n.bytes_in,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_bytes_out_total",
-            "Bytes written back to sockets",
-            n.bytes_out,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_corrupt_frames_total",
-            "Frames rejected as undecodable",
-            n.corrupt_frames,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_disconnects_total",
-            "Connections that vanished with work in flight",
-            n.disconnects,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_write_syscalls_total",
-            "Writes issued (one per response batch)",
-            n.write_syscalls,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_pool_hits_total",
-            "Buffer-pool takes served without allocating",
-            n.pool_hits,
-        ));
-        out.push(Metric::counter(
-            "vstore_net_pool_misses_total",
-            "Buffer-pool takes that allocated a fresh buffer",
-            n.pool_misses,
-        ));
-        out.push(Metric::latency(
-            "vstore_net_batch_sizes",
-            "Responses coalesced per write",
-            &n.batch_sizes,
-        ));
+        n.collect_metrics(out);
     }
     let live = write_unpoisoned(&inner.live).aggregate();
     if let Some(l) = live {
-        out.push(Metric::gauge(
-            "vstore_live_queue_depth",
-            "Camera segments waiting in the live queue",
-            l.queue_depth as f64,
-        ));
-        out.push(Metric::gauge(
-            "vstore_live_current_level",
-            "Degradation level in force (0 = full fidelity)",
-            l.current_level as f64,
-        ));
-        out.push(Metric::counter(
-            "vstore_live_offered_total",
-            "Segments the cameras offered",
-            l.offered,
-        ));
-        out.push(Metric::counter(
-            "vstore_live_accepted_total",
-            "Segments accepted onto the live queue",
-            l.accepted,
-        ));
-        out.push(Metric::counter(
-            "vstore_live_shed_total",
-            "Segments shed by a full queue",
-            l.shed,
-        ));
-        out.push(Metric::counter(
-            "vstore_live_completed_total",
-            "Segments fully transcoded and persisted",
-            l.completed,
-        ));
-        out.push(Metric::counter(
-            "vstore_live_degraded_segments_total",
-            "Segments ingested at a degraded level",
-            l.degraded_segments,
-        ));
-        out.push(Metric::latency(
-            "vstore_live_lag_us",
-            "Queue lag per segment (offer to transcode start)",
-            &l.lag,
-        ));
+        l.collect_metrics(out);
     }
 }
 
@@ -412,9 +265,8 @@ mod tests {
     use crate::{BackendOptions, RuntimeOptions, VStore, VStoreOptions};
     use vstore_obs::json;
 
-    /// The metrics endpoint shares the report's sources: a fresh store's
-    /// snapshot carries the store/cache/profiler/tracer families and both
-    /// renderings are well-formed.
+    /// A fresh store's snapshot carries the store/cache/profiler/tracer
+    /// families and both renderings are well-formed.
     #[test]
     fn metrics_snapshot_covers_component_families() {
         let store = VStore::open_temp(

@@ -95,7 +95,7 @@ fn burst_within_queue_depth_is_absorbed_without_shedding() {
     assert_eq!(stats.shed, 0);
     assert!(
         stats.peak_queue_depth <= 6,
-        "bounded queue exceeded its capacity: {stats}"
+        "bounded queue exceeded its capacity: {stats:?}"
     );
 }
 
@@ -126,7 +126,7 @@ fn reject_policy_sheds_with_exact_accounting() {
     assert_eq!(stats.accepted, outcome.accepted);
     assert_eq!(stats.completed, outcome.accepted, "accepted segments drain");
     assert_eq!(stats.failed, 0);
-    assert!(stats.shed_rate() > 0.0);
+    assert!(stats.shed > 0);
 }
 
 /// Graceful shutdown drains the backlog: zero accepted segments are lost,
@@ -159,7 +159,7 @@ fn shutdown_drains_every_accepted_segment() {
 /// camera simulator. The ingestor never blocks the source (Reject policy),
 /// steps down at least one degradation level under the backlog, recovers
 /// to full fidelity once the burst clears, and the whole episode is
-/// visible in `stats_report` — non-zero lag histogram, non-zero
+/// visible in the metrics snapshot — non-zero lag histogram, non-zero
 /// degradation transitions.
 #[test]
 fn overload_burst_degrades_then_recovers_to_full_fidelity() {
@@ -206,7 +206,7 @@ fn overload_burst_degrades_then_recovers_to_full_fidelity() {
     let mid = ingestor.stats();
     assert!(
         mid.step_downs >= 1,
-        "2x overload must step down at least one level: {mid}"
+        "2x overload must step down at least one level: {mid:?}"
     );
 
     // The burst clears: draining the backlog must walk the ladder back up
@@ -215,7 +215,7 @@ fn overload_burst_degrades_then_recovers_to_full_fidelity() {
     let after = ingestor.stats();
     assert_eq!(
         after.current_level, 0,
-        "recovery to full fidelity after the burst: {after}"
+        "recovery to full fidelity after the burst: {after:?}"
     );
     assert!(after.step_ups >= 1, "recovery must be a counted step-up");
     assert_eq!(after.completed, 6);
@@ -236,21 +236,23 @@ fn overload_burst_degrades_then_recovers_to_full_fidelity() {
     assert_eq!(fin.current_level, 0);
     assert_eq!(fin.completed, 9);
 
-    // The whole episode is visible in the store's report.
-    let report = store.stats_report();
-    let live = report.live.clone().expect("live stats folded into report");
-    assert!(live.lag.count() >= 9, "lag histogram populated: {live}");
-    assert!(live.step_downs >= 1 && live.step_ups >= 1);
-    assert!(report.to_string().contains("live:"), "{report}");
+    // The whole episode is visible in the store's metrics snapshot.
+    let snapshot = store.metrics_snapshot();
+    assert!(
+        snapshot.value("vstore_live_lag_us") >= Some(9.0),
+        "lag histogram populated: {snapshot}"
+    );
+    assert!(snapshot.value("vstore_live_step_downs_total") >= Some(1.0));
+    assert!(snapshot.value("vstore_live_step_ups_total") >= Some(1.0));
 
     // ... and survives the ingestor: a shut-down ingestor is retired into
-    // the report with its history intact and its capacity zeroed.
+    // the snapshot with its history intact and its capacity zeroed.
     drop(ingestor);
-    let retired = store.stats_report().live.unwrap();
-    assert_eq!(retired.completed, 9);
-    assert_eq!(retired.workers, 0);
-    assert_eq!(retired.queue_capacity, 0);
-    assert_eq!(store.stats_report().live.unwrap().completed, 9);
+    let retired = store.metrics_snapshot();
+    assert_eq!(retired.value("vstore_live_completed_total"), Some(9.0));
+    assert_eq!(retired.value("vstore_live_workers"), Some(0.0));
+    assert_eq!(retired.value("vstore_live_queue_capacity"), Some(0.0));
+    assert_eq!(store.metrics_snapshot(), retired);
 }
 
 /// Live statistics travel over the serve wire: a `LiveStats` request

@@ -109,7 +109,7 @@ fn shutdown_answers_what_it_accepted_and_joins_every_thread() {
         "drain took {took:?}, past its 5 s deadline"
     );
     assert_eq!(net.active_connections, 0, "{net:?}");
-    assert_eq!(serve.completed, decoded, "{serve}");
+    assert_eq!(serve.completed, decoded, "{serve:?}");
     // The connections that take their responses got every one of them; the
     // one that does not was either absorbed by the kernel's buffers or cut
     // and counted.

@@ -145,7 +145,7 @@ fn served_responses_match_direct_handle_calls() {
     }
 
     let stats = server.shutdown();
-    assert_eq!(stats.failed, 0, "{stats}");
+    assert_eq!(stats.failed, 0, "{stats:?}");
     assert_eq!(stats.panics, 0);
     // 6 ingests + 8 clients × the query cases + 1 erode, at minimum.
     assert!(stats.completed > 6 + 8 * cases.len() as u64);
@@ -216,11 +216,11 @@ fn bounded_queue_sheds_load_with_busy_at_16_clients() {
     assert_eq!(stats.rejected_busy, busy as u64);
     assert!(
         busy > 0,
-        "16 clients flooding a 2-slot serial queue must shed: {stats}"
+        "16 clients flooding a 2-slot serial queue must shed: {stats:?}"
     );
     assert!(
         stats.peak_queue_depth <= 2,
-        "queue grew past its bound: {stats}"
+        "queue grew past its bound: {stats:?}"
     );
 }
 
@@ -301,8 +301,8 @@ fn disconnects_and_epoch_swaps_leave_the_server_serving() {
 
     assert!(store.configuration_epoch() >= 7);
     let stats = server.shutdown();
-    assert_eq!(stats.panics, 0, "{stats}");
-    assert_eq!(stats.failed, 0, "{stats}");
+    assert_eq!(stats.panics, 0, "{stats:?}");
+    assert_eq!(stats.failed, 0, "{stats:?}");
     // Every deserter's answered requests were counted as disconnects (some
     // may still have been in flight when the connection died — all that is
     // guaranteed is that none of them disturbed the survivors).

@@ -2,7 +2,7 @@
 //! configured, an `ErodeRequest` that previously deleted segments demotes
 //! them instead; a subsequent query returns byte-identical frames via
 //! read-through promotion, counts the cold fetches as `cold_hits`, and
-//! `stats_report` shows non-zero demotions/promotions.
+//! the metrics snapshot shows non-zero demotions/promotions.
 //! With no cold backend configured, behaviour is byte-identical to the
 //! untiered store (the parity suites lock that in separately).
 
@@ -49,8 +49,8 @@ fn tiered_store(tag: &str) -> VStore {
 }
 
 /// The acceptance criterion, end to end: erode → demote (not delete) →
-/// query → byte-identical results via promotion, cold hits counted,
-/// stats_report shows the tier moving.
+/// query → byte-identical results via promotion, cold hits counted, the
+/// metrics snapshot shows the tier moving.
 #[test]
 fn erode_demotes_then_query_promotes_with_identical_results() {
     let store = tiered_store("tier-roundtrip");
@@ -123,8 +123,14 @@ fn erode_demotes_then_query_promotes_with_identical_results() {
     assert!(stats.cold_hit_latency.count() > 0);
     assert_eq!(stats.failed_demotions, 0);
 
-    let rendered = store.stats_report().to_string();
-    assert!(rendered.contains("tier:"), "{rendered}");
+    let snapshot = store.metrics_snapshot();
+    assert_eq!(
+        snapshot.value("vstore_tier_demotions_total"),
+        Some(stats.demotions as f64)
+    );
+    assert!(snapshot.value("vstore_tier_demoted_bytes_total") > Some(0.0));
+    assert!(snapshot.value("vstore_tier_promoted_bytes_total") > Some(0.0));
+    let rendered = snapshot.to_string();
     assert!(!rendered.contains("NaN"), "{rendered}");
     std::fs::remove_dir_all(store.store_dir()).ok();
 }
@@ -233,8 +239,8 @@ fn demote_promote_demote_cycles_never_lose_segments() {
     std::fs::remove_dir_all(store.store_dir()).ok();
 }
 
-/// Without a cold backend there is no tier section and no tier stats —
-/// the report shape of the untiered store is unchanged.
+/// Without a cold backend there are no tier rows and no tier stats — the
+/// snapshot of the untiered store is unchanged.
 #[test]
 fn untiered_store_reports_no_tier_section() {
     let store = VStore::open_temp(
@@ -243,8 +249,7 @@ fn untiered_store_reports_no_tier_section() {
     )
     .unwrap();
     assert!(store.tier_stats().is_none());
-    let report = store.stats_report();
-    assert!(report.tier.is_none());
-    assert!(!report.to_string().contains("tier:"));
+    let report = store.metrics_snapshot().to_string();
+    assert!(!report.contains("vstore_tier_"), "{report}");
     std::fs::remove_dir_all(store.store_dir()).ok();
 }
