@@ -144,6 +144,7 @@ fn the_workspace_lock_graph_is_acyclic() {
     const LOCKS: &[&str] = &[
         "crates/core/src/profiler.rs::Profiler.caches",
         "crates/ingest/src/live.rs::LiveShared.state",
+        "crates/ingest/src/pipeline.rs::IngestionPipeline.spare_scenes",
         "crates/obs/src/metrics.rs::MetricsRegistry.collectors",
         "crates/obs/src/trace.rs::ActiveTrace.root",
         "crates/obs/src/trace.rs::ActiveTrace.spans",

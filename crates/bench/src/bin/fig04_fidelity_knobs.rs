@@ -22,7 +22,9 @@ fn report_row(
     fidelity: Fidelity,
     label: String,
 ) -> Vec<String> {
-    let consumer = profiler.profile_consumer(op, fidelity);
+    let consumer = profiler
+        .profile_consumer(op, fidelity)
+        .expect("the profiling clip degrades to every fidelity");
     let storage = profiler.profile_storage(StorageFormat::new(fidelity, CodingOption::SMALLEST));
     vec![
         label,

@@ -51,7 +51,9 @@ fn main() {
     let rows: Vec<Vec<String>> = options
         .iter()
         .map(|(label, fidelity)| {
-            let consumer = profiler.profile_consumer(OperatorKind::License, *fidelity);
+            let consumer = profiler
+                .profile_consumer(OperatorKind::License, *fidelity)
+                .expect("the profiling clip degrades to every fidelity");
             let storage = profiler.profile_storage(StorageFormat::new(*fidelity, coding));
             vec![
                 (*label).to_owned(),

@@ -20,7 +20,9 @@ fn rows_for(
     fidelities
         .iter()
         .map(|&fidelity| {
-            let consumer = profiler.profile_consumer(op, fidelity);
+            let consumer = profiler
+                .profile_consumer(op, fidelity)
+                .expect("the profiling clip degrades to every fidelity");
             // Decode speed when the stored video is the golden/ingestion
             // format (what a conventional store would hold) …
             let golden = StorageFormat::new(Fidelity::INGESTION, CodingOption::SMALLEST);

@@ -21,6 +21,7 @@
 //! behaviour.
 
 use crate::frame::{sampling_selects, VideoFrame};
+use crate::meta::{mean_delta_magnitude, mean_wrapped_distance, SegmentMeta};
 use std::borrow::Cow;
 use vstore_datasets::{BlockPlane, SceneObject};
 use vstore_types::{
@@ -175,12 +176,12 @@ const MIN_REPEAT: u8 = 3;
 /// Most samples one repeat carries (control byte 255).
 const MAX_REPEAT: u8 = 130;
 
-/// Entropy-code `data` as literal and repeat runs (see the module docs):
-/// every run of [`MIN_REPEAT`] or more equal samples is a repeat, and
-/// whatever lies between repeats goes out as literals.
-fn encode_runs(data: &[u8]) -> Vec<u8> {
-    // At worst every sample is a literal, with a control byte per 128.
-    let mut out = Vec::with_capacity(data.len() + data.len().div_ceil(128));
+/// Entropy-code `data` as literal and repeat runs (see the module docs)
+/// into `out`, replacing what it held: every run of [`MIN_REPEAT`] or more
+/// equal samples is a repeat, and whatever lies between repeats goes out as
+/// literals.
+fn encode_runs(data: &[u8], out: &mut Vec<u8>) {
+    out.clear();
     let mut pos = 0;
     // The samples just before `pos` still owed to a literal run.
     let mut literals: u8 = 0;
@@ -190,22 +191,19 @@ fn encode_runs(data: &[u8]) -> Vec<u8> {
             run += 1;
         }
         if run >= MIN_REPEAT {
-            flush_literals(&mut out, &data[..pos], literals);
+            flush_literals(out, &data[..pos], literals);
             literals = 0;
             out.extend_from_slice(&[run - MIN_REPEAT + REPEAT, value]);
         } else {
             if literals + run > MAX_LITERALS {
-                flush_literals(&mut out, &data[..pos], literals);
+                flush_literals(out, &data[..pos], literals);
                 literals = 0;
             }
             literals += run;
         }
         pos += usize::from(run);
     }
-    flush_literals(&mut out, &data[..pos], literals);
-    // The payload lives as long as its segment; drop the worst-case slack.
-    out.shrink_to_fit();
-    out
+    flush_literals(out, &data[..pos], literals);
 }
 
 /// Write the last `count` samples of `before` as one literal run.
@@ -234,8 +232,7 @@ fn splat(out: &mut [u8], pos: usize, value: u8) {
 /// `scratch[..expected_len]`: a literal run is one `copy_from_slice`, a
 /// repeat of up to [`SPLAT`] samples one fixed-width store of its value (the
 /// next run overwrites the excess), a longer one a `fill`. Every run is held
-/// to the payload and to the frame before it is written. Also used by the
-/// metadata sidecar (`meta`) to score frames straight from the payload.
+/// to the payload and to the frame before it is written.
 pub(crate) fn expand_runs(data: &[u8], expected_len: usize, scratch: &mut Vec<u8>) -> Result<()> {
     if scratch.len() < expected_len + SPLAT {
         scratch.resize(expected_len + SPLAT, 0);
@@ -307,52 +304,130 @@ pub fn encode_segment(
             "all frames of a segment must share one fidelity",
         ));
     }
-    let gop = cast::usize_from_u32(keyframe_interval.frames());
-    let mut chunks = Vec::with_capacity(frames.len() / gop + 1);
-    for group in frames.chunks(gop) {
-        let mut encoded_frames = Vec::with_capacity(group.len());
-        let mut prev: Option<&VideoFrame> = None;
-        for frame in group {
-            let payload_source: Vec<u8> = match prev {
-                None => frame.plane.samples().to_vec(),
-                Some(p) => {
-                    if p.plane.width() != frame.plane.width()
-                        || p.plane.height() != frame.plane.height()
-                    {
-                        return Err(VStoreError::invalid_argument(
-                            "frame dimensions changed mid-segment",
-                        ));
-                    }
-                    frame
-                        .plane
-                        .samples()
-                        .iter()
-                        .zip(p.plane.samples().iter())
-                        .map(|(&c, &pv)| c.wrapping_sub(pv))
-                        .collect()
-                }
-            };
-            encoded_frames.push(EncodedFrame {
-                source_index: frame.source_index,
-                width: frame.plane.width(),
-                height: frame.plane.height(),
-                is_key: prev.is_none(),
-                payload: encode_runs(&payload_source),
-                objects: frame.objects.clone(),
-                signal_retention: frame.signal_retention,
-            });
-            prev = Some(frame);
-        }
-        chunks.push(EncodedChunk {
-            frames: encoded_frames,
-        });
+    let mut encoder = SegmentEncoder::new(fidelity, keyframe_interval, speed);
+    for frame in frames {
+        encoder.push(
+            frame.source_index,
+            &frame.plane,
+            frame.objects.clone(),
+            frame.signal_retention,
+        )?;
     }
-    Ok(EncodedSegment {
-        fidelity,
-        keyframe_interval,
-        speed,
-        chunks,
-    })
+    Ok(encoder.finish().0)
+}
+
+/// Encodes a segment a frame at a time, each frame coded as it arrives, so
+/// a caller materialising frames into one reused plane never holds the
+/// segment's frames. The predecessor's samples, the deltas and the runs
+/// being coded live in buffers reused across frames; a payload is copied
+/// out at its exact size.
+///
+/// The encoder also scores the segment's `VSMETA` entries from the samples
+/// it codes each frame from: a delta frame's score is its deltas' mean
+/// wrapped magnitude, a keyframe's (after the first) its wrapped distance
+/// from the frame before it — the scores [`SegmentMeta`] defines, without
+/// expanding a payload again.
+pub(crate) struct SegmentEncoder {
+    fidelity: Fidelity,
+    keyframe_interval: KeyframeInterval,
+    speed: SpeedStep,
+    chunks: Vec<EncodedChunk>,
+    /// The samples and dimensions of the frame pushed last.
+    prev: Vec<u8>,
+    prev_dims: (u32, u32),
+    /// Reused per frame: the deltas against `prev`, and the runs coded.
+    deltas: Vec<u8>,
+    runs: Vec<u8>,
+    meta: SegmentMeta,
+}
+
+impl SegmentEncoder {
+    pub(crate) fn new(
+        fidelity: Fidelity,
+        keyframe_interval: KeyframeInterval,
+        speed: SpeedStep,
+    ) -> Self {
+        SegmentEncoder {
+            fidelity,
+            keyframe_interval,
+            speed,
+            chunks: Vec::new(),
+            prev: Vec::new(),
+            prev_dims: (0, 0),
+            deltas: Vec::new(),
+            runs: Vec::new(),
+            meta: SegmentMeta::default(),
+        }
+    }
+
+    /// Code the next frame: a keyframe opening a GOP every
+    /// `keyframe_interval` frames, else the deltas against the frame before
+    /// it, which must have its dimensions.
+    pub(crate) fn push(
+        &mut self,
+        source_index: u64,
+        plane: &BlockPlane,
+        objects: Vec<SceneObject>,
+        signal_retention: f64,
+    ) -> Result<()> {
+        let gop = cast::usize_from_u32(self.keyframe_interval.frames());
+        let is_key = self
+            .chunks
+            .last()
+            .is_none_or(|chunk| chunk.frames.len() >= gop);
+        let samples = plane.samples();
+        let dims = (plane.width(), plane.height());
+        let score = if is_key {
+            encode_runs(samples, &mut self.runs);
+            (!self.chunks.is_empty()).then(|| mean_wrapped_distance(samples, &self.prev))
+        } else {
+            if dims != self.prev_dims {
+                return Err(VStoreError::invalid_argument(
+                    "frame dimensions changed mid-segment",
+                ));
+            }
+            self.deltas.clear();
+            self.deltas.extend(
+                samples
+                    .iter()
+                    .zip(&self.prev)
+                    .map(|(&c, &pv)| c.wrapping_sub(pv)),
+            );
+            encode_runs(&self.deltas, &mut self.runs);
+            Some(mean_delta_magnitude(&self.deltas))
+        };
+        self.meta.record(source_index, score);
+        let frame = EncodedFrame {
+            source_index,
+            width: dims.0,
+            height: dims.1,
+            is_key,
+            payload: self.runs.to_vec(),
+            objects,
+            signal_retention,
+        };
+        match self.chunks.last_mut() {
+            Some(chunk) if !is_key => chunk.frames.push(frame),
+            _ => self.chunks.push(EncodedChunk {
+                frames: vec![frame],
+            }),
+        }
+        self.prev.clear();
+        self.prev.extend_from_slice(samples);
+        self.prev_dims = dims;
+        Ok(())
+    }
+
+    /// The encoded segment and its sidecar.
+    pub(crate) fn finish(self) -> (EncodedSegment, SegmentMeta) {
+        let segment = EncodedSegment {
+            fidelity: self.fidelity,
+            keyframe_interval: self.keyframe_interval,
+            speed: self.speed,
+            chunks: self.chunks,
+        };
+        (segment, self.meta)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -541,6 +616,12 @@ mod tests {
         )
     }
 
+    fn runs(data: &[u8]) -> Vec<u8> {
+        let mut out = vec![7; 3];
+        encode_runs(data, &mut out);
+        out
+    }
+
     fn expand(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         let mut scratch = Vec::new();
         expand_runs(data, expected_len, &mut scratch)?;
@@ -550,27 +631,27 @@ mod tests {
     #[test]
     fn rle_round_trip() {
         let data = vec![0u8, 0, 0, 0, 5, 5, 7, 0, 0, 0, 0, 0, 0, 0, 0, 3];
-        let enc = encode_runs(&data);
+        let enc = runs(&data);
         // A repeat of four, three literals, a repeat of eight, one literal.
         assert_eq!(enc, [129, 0, 2, 5, 5, 7, 133, 0, 0, 3]);
         assert_eq!(expand(&enc, data.len()).unwrap(), data);
         // Runs at and past a control byte's reach: 130 is one repeat; 131
         // and 132 leave one and two literals behind; 129 distinct samples
         // need two literal runs.
-        assert_eq!(encode_runs(&[9; 130]), [255, 9]);
-        assert_eq!(encode_runs(&[9; 131]), [255, 9, 0, 9]);
-        assert_eq!(encode_runs(&[9; 132]), [255, 9, 1, 9, 9]);
+        assert_eq!(runs(&[9; 130]), [255, 9]);
+        assert_eq!(runs(&[9; 131]), [255, 9, 0, 9]);
+        assert_eq!(runs(&[9; 132]), [255, 9, 1, 9, 9]);
         let distinct: Vec<u8> = (0..129).collect();
-        let enc = encode_runs(&distinct);
+        let enc = runs(&distinct);
         assert_eq!((enc[0], enc[129], enc.len()), (127, 0, 131));
         assert_eq!(expand(&enc, distinct.len()).unwrap(), distinct);
         // Long runs exceed one repeat and still round-trip.
         let long = vec![9u8; 1000];
-        let enc = encode_runs(&long);
+        let enc = runs(&long);
         assert_eq!(enc.len(), 16);
         assert_eq!(expand(&enc, long.len()).unwrap(), long);
         // Empty input.
-        assert!(encode_runs(&[]).is_empty());
+        assert!(runs(&[]).is_empty());
         assert!(expand(&[], 0).unwrap().is_empty());
     }
 
@@ -821,6 +902,95 @@ mod tests {
                     );
                     assert_eq!(decoded.frame_count, frames.len());
                 }
+            }
+        }
+    }
+
+    /// `encode_segment` as it was before the encoder coded frames as they
+    /// arrive: a delta `Vec` collected per frame, each payload coded on its
+    /// own. Kept as the reference the streaming encoder is held to, byte
+    /// for byte.
+    fn previous_encode_segment(
+        frames: &[VideoFrame],
+        keyframe_interval: KeyframeInterval,
+        speed: SpeedStep,
+    ) -> EncodedSegment {
+        let gop = keyframe_interval.frames() as usize;
+        let mut chunks = Vec::new();
+        for group in frames.chunks(gop) {
+            let mut encoded_frames = Vec::with_capacity(group.len());
+            let mut prev: Option<&VideoFrame> = None;
+            for frame in group {
+                let payload_source: Vec<u8> = match prev {
+                    None => frame.plane.samples().to_vec(),
+                    Some(p) => frame
+                        .plane
+                        .samples()
+                        .iter()
+                        .zip(p.plane.samples().iter())
+                        .map(|(&c, &pv)| c.wrapping_sub(pv))
+                        .collect(),
+                };
+                encoded_frames.push(EncodedFrame {
+                    source_index: frame.source_index,
+                    width: frame.plane.width(),
+                    height: frame.plane.height(),
+                    is_key: prev.is_none(),
+                    payload: runs(&payload_source),
+                    objects: frame.objects.clone(),
+                    signal_retention: frame.signal_retention,
+                });
+                prev = Some(frame);
+            }
+            chunks.push(EncodedChunk {
+                frames: encoded_frames,
+            });
+        }
+        EncodedSegment {
+            fidelity: frames[0].fidelity,
+            keyframe_interval,
+            speed,
+            chunks,
+        }
+    }
+
+    /// The streaming encoder writes the bytes the per-frame `Vec` encoder
+    /// wrote, and scores every frame as the sidecar reference does from
+    /// the expanded payloads.
+    #[test]
+    fn streaming_encoder_is_bit_identical_to_the_previous_encoder() {
+        let inputs = [
+            run_structured_frames(60),
+            test_frames(Dataset::Dashcam, storage_fidelity(), 60),
+        ];
+        for frames in &inputs {
+            for interval in KeyframeInterval::ALL {
+                let mut encoder =
+                    SegmentEncoder::new(frames[0].fidelity, interval, SpeedStep::Slow);
+                for frame in frames {
+                    encoder
+                        .push(
+                            frame.source_index,
+                            &frame.plane,
+                            frame.objects.clone(),
+                            frame.signal_retention,
+                        )
+                        .unwrap();
+                }
+                let (segment, meta) = encoder.finish();
+                let expected = previous_encode_segment(frames, interval, SpeedStep::Slow);
+                assert_eq!(segment, expected, "{interval:?}");
+                for (ours, theirs) in segment.chunks.iter().zip(&expected.chunks) {
+                    for (ours, theirs) in ours.frames.iter().zip(&theirs.frames) {
+                        assert_eq!(ours.payload.capacity(), theirs.payload.len());
+                    }
+                }
+                let encoded = crate::SegmentData::Encoded(expected);
+                assert_eq!(
+                    meta,
+                    SegmentMeta::from_segment(&encoded).unwrap(),
+                    "{interval:?}"
+                );
             }
         }
     }

@@ -16,13 +16,17 @@
 //! ## Data flow
 //!
 //! ```text
-//! SceneFrame (datasets) ──▶ VideoFrame (ingestion fidelity)
-//!                                  │ degrade(fidelity)
+//! SceneFrame (datasets, ingestion fidelity)
+//!                                  │ PlaneKernel: crop + box resize +
+//!                                  │ quantise table, one pass, built once
+//!                                  │ per clip, into one reused plane
 //!                                  ▼
-//!                   VideoFrame (storage fidelity)
-//!                                  │ encode: delta against the GOP's previous
-//!                                  │ frame, then literal/repeat runs
-//!                                  ▼
+//!                   plane (storage fidelity)
+//!                                  │ encode at once: delta against the
+//!                                  │ GOP's previous frame, then literal/
+//!                                  │ repeat runs; score the VSMETA entry
+//!                                  │ from the same deltas
+//!                                  ▼       SegmentMeta ──▶ VSMETA sidecar
 //!                   SegmentData ──to_bytes──▶ VSSEG2 bytes (vstore-storage)
 //!                        │ decode_sampled          │ decode_bytes (in place)
 //!                        ▼                         ▼

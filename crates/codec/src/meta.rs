@@ -4,11 +4,11 @@
 //! The query planner (EKO-style, see `PAPERS.md`) consults these scores to
 //! skip fetching and decoding segments whose content is static enough that
 //! the first cascade stage would discard almost everything anyway. The
-//! scores are derived directly from the stored representation — for encoded
-//! segments the literal-run payloads are expanded (the decoder's own
-//! expander) but **no `VideoFrame` is ever materialised** — so computing a
-//! sidecar is much cheaper than a decode, and the scores depend on the
-//! samples alone, never on how the payload codes them.
+//! scores come with the stored representation: the encoder scores each
+//! frame from the deltas (or keyframe samples) it codes the frame from, and
+//! a RAW segment is scored from its planes — so a sidecar costs no decode
+//! and no second pass over a payload, and the scores depend on the samples
+//! alone, never on how the payload codes them.
 //!
 //! ## Scoring
 //!
@@ -39,9 +39,7 @@
 //! crc32 u32                  over every preceding byte
 //! ```
 
-use crate::codec::expand_runs;
-use crate::container::SegmentData;
-use crate::frame::sampling_selects;
+use crate::frame::{sampling_selects, VideoFrame};
 use crate::wire::{crc32, ByteReader, ByteWriter};
 use vstore_types::{cast, FrameSampling, Result, VStoreError};
 
@@ -61,7 +59,7 @@ const INCOMPARABLE_SCORE: f32 = 128.0;
     clippy::cast_possible_truncation,
     reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
 )]
-fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
+pub(crate) fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
     if cur.is_empty() || cur.len() != prev.len() {
         return INCOMPARABLE_SCORE;
     }
@@ -82,7 +80,7 @@ fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
     clippy::cast_possible_truncation,
     reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
 )]
-fn mean_delta_magnitude(deltas: &[u8]) -> f32 {
+pub(crate) fn mean_delta_magnitude(deltas: &[u8]) -> f32 {
     if deltas.is_empty() {
         return 0.0;
     }
@@ -95,7 +93,7 @@ fn mean_delta_magnitude(deltas: &[u8]) -> f32 {
 
 /// Per-segment change metadata, computed at ingest from the stored
 /// representation and persisted as a sidecar through the storage backend.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentMeta {
     /// Number of frames stored in the segment.
     frame_count: u64,
@@ -108,78 +106,28 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Compute the sidecar for a stored segment.
-    ///
-    /// Encoded segments are scored from their compressed payloads
-    /// (literal-run expansion only, no frame materialisation); RAW segments
-    /// from their sample planes directly. Both representations of the same content
-    /// yield identical scores.
-    pub fn from_segment(segment: &SegmentData) -> Result<SegmentMeta> {
-        match segment {
-            SegmentData::Raw(raw) => {
-                let mut entries = Vec::new();
-                for pair in raw.frames.windows(2) {
-                    entries.push((
-                        pair[1].source_index,
-                        mean_wrapped_distance(pair[1].plane.samples(), pair[0].plane.samples()),
-                    ));
-                }
-                Ok(SegmentMeta {
-                    frame_count: raw.frames.len() as u64,
-                    first_index: raw.frames.first().map(|f| f.source_index).unwrap_or(0),
-                    entries,
-                })
-            }
-            SegmentData::Encoded(seg) => {
-                let mut entries = Vec::new();
-                // The reconstructed predecessor (of every frame but the
-                // first) and the expansion of the frame being scored, both
-                // reused across the segment.
-                let mut prev: Vec<u8> = Vec::new();
-                let mut scratch = Vec::new();
-                let mut frame_count = 0u64;
-                let mut first_index = 0u64;
-                for frame in seg.chunks.iter().flat_map(|chunk| &chunk.frames) {
-                    let len = frame.record().sample_count()?;
-                    expand_runs(&frame.payload, len, &mut scratch)?;
-                    let samples = &scratch[..len];
-                    let has_predecessor = frame_count > 0;
-                    if !has_predecessor {
-                        first_index = frame.source_index;
-                    }
-                    frame_count += 1;
-                    if frame.is_key {
-                        // A keyframe stores raw samples; score it against
-                        // the reconstructed predecessor (if any).
-                        if has_predecessor {
-                            entries
-                                .push((frame.source_index, mean_wrapped_distance(samples, &prev)));
-                        }
-                        prev.clear();
-                        prev.extend_from_slice(samples);
-                    } else {
-                        // A delta frame stores the wrapped differences —
-                        // its score is the payload's own mean magnitude.
-                        if !has_predecessor {
-                            return Err(VStoreError::corruption(
-                                "delta frame without a predecessor",
-                            ));
-                        }
-                        if prev.len() != len {
-                            return Err(VStoreError::corruption("predecessor dimensions mismatch"));
-                        }
-                        entries.push((frame.source_index, mean_delta_magnitude(samples)));
-                        for (p, &d) in prev.iter_mut().zip(samples) {
-                            *p = p.wrapping_add(d);
-                        }
-                    }
-                }
-                Ok(SegmentMeta {
-                    frame_count,
-                    first_index,
-                    entries,
-                })
-            }
+    /// The sidecar of RAW frames, scored from their sample planes.
+    pub(crate) fn from_frames(frames: &[VideoFrame]) -> SegmentMeta {
+        let mut meta = SegmentMeta::default();
+        let mut prev: Option<&VideoFrame> = None;
+        for frame in frames {
+            let score =
+                prev.map(|p| mean_wrapped_distance(frame.plane.samples(), p.plane.samples()));
+            meta.record(frame.source_index, score);
+            prev = Some(frame);
+        }
+        meta
+    }
+
+    /// Count the next stored frame, with its change `score` against the
+    /// frame before it (`None` for the segment's first frame).
+    pub(crate) fn record(&mut self, source_index: u64, score: Option<f32>) {
+        if self.frame_count == 0 {
+            self.first_index = source_index;
+        }
+        self.frame_count += 1;
+        if let Some(score) = score {
+            self.entries.push((source_index, score));
         }
     }
 
@@ -289,10 +237,77 @@ impl SegmentMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_segment;
-    use crate::container::RawSegment;
+    use crate::codec::{encode_segment, expand_runs};
+    use crate::container::{RawSegment, SegmentData};
     use crate::frame::materialize_clip;
     use crate::transcode::Transcoder;
+
+    impl SegmentMeta {
+        /// The sidecar of a stored segment as it was computed before the
+        /// encoder scored frames itself, kept as the reference: an encoded
+        /// segment's payloads are expanded again (literal-run expansion
+        /// only, no frame materialisation); RAW segments are scored from
+        /// their sample planes.
+        pub(crate) fn from_segment(segment: &SegmentData) -> Result<SegmentMeta> {
+            match segment {
+                SegmentData::Raw(raw) => Ok(SegmentMeta::from_frames(&raw.frames)),
+                SegmentData::Encoded(seg) => {
+                    let mut entries = Vec::new();
+                    // The reconstructed predecessor (of every frame but the
+                    // first) and the expansion of the frame being scored,
+                    // both reused across the segment.
+                    let mut prev: Vec<u8> = Vec::new();
+                    let mut scratch = Vec::new();
+                    let mut frame_count = 0u64;
+                    let mut first_index = 0u64;
+                    for frame in seg.chunks.iter().flat_map(|chunk| &chunk.frames) {
+                        let len = frame.record().sample_count()?;
+                        expand_runs(&frame.payload, len, &mut scratch)?;
+                        let samples = &scratch[..len];
+                        let has_predecessor = frame_count > 0;
+                        if !has_predecessor {
+                            first_index = frame.source_index;
+                        }
+                        frame_count += 1;
+                        if frame.is_key {
+                            // A keyframe stores raw samples; score it against
+                            // the reconstructed predecessor (if any).
+                            if has_predecessor {
+                                entries.push((
+                                    frame.source_index,
+                                    mean_wrapped_distance(samples, &prev),
+                                ));
+                            }
+                            prev.clear();
+                            prev.extend_from_slice(samples);
+                        } else {
+                            // A delta frame stores the wrapped differences —
+                            // its score is the payload's own mean magnitude.
+                            if !has_predecessor {
+                                return Err(VStoreError::corruption(
+                                    "delta frame without a predecessor",
+                                ));
+                            }
+                            if prev.len() != len {
+                                return Err(VStoreError::corruption(
+                                    "predecessor dimensions mismatch",
+                                ));
+                            }
+                            entries.push((frame.source_index, mean_delta_magnitude(samples)));
+                            for (p, &d) in prev.iter_mut().zip(samples) {
+                                *p = p.wrapping_add(d);
+                            }
+                        }
+                    }
+                    Ok(SegmentMeta {
+                        frame_count,
+                        first_index,
+                        entries,
+                    })
+                }
+            }
+        }
+    }
     use vstore_datasets::{Dataset, VideoSource};
     use vstore_sim::CodingCostModel;
     use vstore_types::{
@@ -351,8 +366,10 @@ mod tests {
     /// cannot move a byte of it. Pinned: Jackson segment 0 in each of query
     /// A's three storage formats (what configuring a store for
     /// `QuerySpec::query_a(0.8)` derives), as length and trailing CRC-32,
-    /// printed by the pair-coded (`VSSEG1`) build through the same
-    /// `Transcoder::transcode_segment` → `from_segment` → `to_bytes` path.
+    /// printed by the pair-coded (`VSSEG1`) build through
+    /// `Transcoder::transcode_segment` → `from_segment` → `to_bytes`; the
+    /// sidecar the transcoder now scores itself serialises to the same
+    /// bytes.
     #[test]
     fn query_a_sidecars_keep_the_bytes_of_the_pair_coded_format() {
         let format = |quality, crop, sampling, coding| {
@@ -403,11 +420,14 @@ mod tests {
         let source = VideoSource::new(Dataset::Jackson);
         let transcoder = Transcoder::new(CodingCostModel::paper_testbed());
         for (format, len, crc) in cases {
-            let segment = transcoder
+            let out = transcoder
                 .transcode_segment(&source.segment(0), &format, source.motion_intensity())
-                .unwrap()
-                .data;
-            let bytes = SegmentMeta::from_segment(&segment).unwrap().to_bytes();
+                .unwrap();
+            let bytes = out.meta.to_bytes();
+            assert_eq!(
+                bytes,
+                SegmentMeta::from_segment(&out.data).unwrap().to_bytes()
+            );
             let (body, stored) = bytes.split_at(bytes.len() - 4);
             assert_eq!((bytes.len(), crc32(body)), (len, crc), "{format:?}");
             assert_eq!(stored, crc.to_le_bytes());

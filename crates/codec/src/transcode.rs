@@ -6,10 +6,11 @@
 //! testbed is charged through the calibrated
 //! [`CodingCostModel`](vstore_sim::CodingCostModel).
 
-use crate::codec::encode_segment;
+use crate::codec::SegmentEncoder;
 use crate::container::{RawSegment, SegmentData};
-use crate::frame::{materialize_clip, sampling_selects, VideoFrame};
-use vstore_datasets::SceneFrame;
+use crate::frame::{frame_selected, materialize_clip, sampling_selects, scene_kernel, VideoFrame};
+use crate::meta::SegmentMeta;
+use vstore_datasets::{BlockPlane, SceneFrame};
 use vstore_sim::CodingCostModel;
 use vstore_types::{
     ByteSize, CodingOption, ConsumptionFormat, Result, Speed, StorageFormat, VStoreError,
@@ -20,6 +21,9 @@ use vstore_types::{
 pub struct TranscodeOutput {
     /// The encoded (or RAW) segment ready for the segment store.
     pub data: SegmentData,
+    /// Its `VSMETA` sidecar: the change scores the encoder took from the
+    /// samples it coded (RAW: from the planes).
+    pub meta: SegmentMeta,
     /// CPU-core-seconds the paper's testbed would spend producing it.
     pub encode_core_seconds: f64,
     /// The size the calibrated model predicts for this segment.
@@ -57,22 +61,37 @@ impl Transcoder {
                 "cannot transcode an empty clip",
             ));
         }
-        let frames = materialize_clip(scenes, format.fidelity);
-        if frames.is_empty() {
+        let fidelity = format.fidelity;
+        let (data, meta) = match format.coding {
+            CodingOption::Raw => {
+                let frames = materialize_clip(scenes, fidelity);
+                let meta = SegmentMeta::from_frames(&frames);
+                (SegmentData::Raw(RawSegment { fidelity, frames }), meta)
+            }
+            CodingOption::Encoded {
+                keyframe_interval,
+                speed,
+            } => {
+                // Each selected frame is materialised into one reused plane
+                // and coded at once: no frame of the segment is kept.
+                let kernel = scene_kernel(fidelity);
+                let retention = fidelity.quality.signal_retention();
+                let mut plane = BlockPlane::filled(0, 0, 0);
+                let mut encoder = SegmentEncoder::new(fidelity, keyframe_interval, speed);
+                for scene in scenes.iter().filter(|s| frame_selected(s.index, fidelity)) {
+                    kernel.apply_into(&scene.plane, &mut plane);
+                    let objects = scene.objects_under_crop(fidelity.crop).cloned().collect();
+                    encoder.push(scene.index, &plane, objects, retention)?;
+                }
+                let (segment, meta) = encoder.finish();
+                (SegmentData::Encoded(segment), meta)
+            }
+        };
+        if meta.frame_count() == 0 {
             return Err(VStoreError::invalid_argument(
                 "sampling left no frames to store for this segment",
             ));
         }
-        let data = match format.coding {
-            CodingOption::Raw => SegmentData::Raw(RawSegment {
-                fidelity: format.fidelity,
-                frames,
-            }),
-            CodingOption::Encoded {
-                keyframe_interval,
-                speed,
-            } => SegmentData::Encoded(encode_segment(&frames, keyframe_interval, speed)?),
-        };
         let duration_seconds = scenes.len() as f64 / 30.0;
         let encode_core_seconds =
             self.cost_model.encode_cores_for_realtime(format, motion) * duration_seconds;
@@ -82,6 +101,7 @@ impl Transcoder {
             .scale(duration_seconds);
         Ok(TranscodeOutput {
             data,
+            meta,
             encode_core_seconds,
             modeled_bytes,
         })
@@ -225,6 +245,55 @@ mod tests {
             .transcode_segment(&scenes(Dataset::Park, 60), &golden, 0.1)
             .unwrap();
         assert!(out.encode_core_seconds < golden_out.encode_core_seconds / 5.0);
+    }
+
+    /// Transcoding streams each frame from the scene into the encoder; it
+    /// yields the segment materialising the clip and then encoding it
+    /// does, and the sidecar the reference scores from that segment.
+    #[test]
+    fn streamed_transcode_matches_materialise_then_encode() {
+        let t = Transcoder::default();
+        for dataset in [Dataset::Jackson, Dataset::Dashcam] {
+            let scenes = scenes(dataset, 240);
+            for format in [
+                encoded_format(),
+                StorageFormat::new(
+                    Fidelity::new(
+                        ImageQuality::Good,
+                        CropFactor::C75,
+                        Resolution::R720,
+                        FrameSampling::Full,
+                    ),
+                    CodingOption::SMALLEST,
+                ),
+                StorageFormat::new(
+                    Fidelity::new(
+                        ImageQuality::Worst,
+                        CropFactor::C50,
+                        Resolution::R400,
+                        FrameSampling::S2_3,
+                    ),
+                    CodingOption::Raw,
+                ),
+            ] {
+                let out = t.transcode_segment(&scenes, &format, 0.3).unwrap();
+                let frames = materialize_clip(&scenes, format.fidelity);
+                let expected = match format.coding {
+                    CodingOption::Raw => SegmentData::Raw(RawSegment {
+                        fidelity: format.fidelity,
+                        frames,
+                    }),
+                    CodingOption::Encoded {
+                        keyframe_interval,
+                        speed,
+                    } => SegmentData::Encoded(
+                        crate::codec::encode_segment(&frames, keyframe_interval, speed).unwrap(),
+                    ),
+                };
+                assert_eq!(out.data, expected, "{dataset:?} {format:?}");
+                assert_eq!(out.meta, SegmentMeta::from_segment(&expected).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl<'a> CfSearch<'a> {
         // the richest image quality, one 2-D slice per crop value.
         let mut best: Option<DerivedCf> = None;
         for &crop in &self.space.crops {
-            for candidate in self.explore_slice(consumer, top_quality, crop, target) {
+            for candidate in self.explore_slice(consumer, top_quality, crop, target)? {
                 let better = match &best {
                     None => true,
                     Some(b) => {
@@ -97,7 +97,7 @@ impl<'a> CfSearch<'a> {
                 quality,
                 ..chosen.fidelity
             };
-            let profile = self.profiler.profile_consumer(consumer.op, fidelity);
+            let profile = self.profiler.profile_consumer(consumer.op, fidelity)?;
             if profile.accuracy + 1e-9 >= target {
                 chosen = DerivedCf {
                     consumer,
@@ -118,7 +118,7 @@ impl<'a> CfSearch<'a> {
         let target = consumer.accuracy.value();
         let mut best: Option<DerivedCf> = None;
         for fidelity in self.space.iter() {
-            let profile = self.profiler.profile_consumer(consumer.op, fidelity);
+            let profile = self.profiler.profile_consumer(consumer.op, fidelity)?;
             if profile.accuracy + 1e-9 < target {
                 continue;
             }
@@ -153,11 +153,11 @@ impl<'a> CfSearch<'a> {
         quality: vstore_types::ImageQuality,
         crop: vstore_types::CropFactor,
         target: f64,
-    ) -> Vec<DerivedCf> {
+    ) -> Result<Vec<DerivedCf>> {
         let resolutions = &self.space.resolutions;
         let samplings = &self.space.samplings;
         if resolutions.is_empty() || samplings.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut boundary = Vec::new();
         // Start at the top-right corner: richest sampling, richest resolution.
@@ -174,7 +174,7 @@ impl<'a> CfSearch<'a> {
                     resolution: resolutions[res_idx],
                     sampling: samplings[s_idx],
                 };
-                let profile = self.profiler.profile_consumer(consumer.op, fidelity);
+                let profile = self.profiler.profile_consumer(consumer.op, fidelity)?;
                 if profile.accuracy + 1e-9 >= target {
                     last_adequate = Some(DerivedCf {
                         consumer,
@@ -206,7 +206,7 @@ impl<'a> CfSearch<'a> {
                 None => break,
             }
         }
-        boundary
+        Ok(boundary)
     }
 }
 

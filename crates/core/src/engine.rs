@@ -153,15 +153,15 @@ impl ConfigurationEngine {
                     .map(|&consumer| {
                         let profile = self
                             .profiler
-                            .profile_consumer(consumer.op, Fidelity::INGESTION);
-                        DerivedCf {
+                            .profile_consumer(consumer.op, Fidelity::INGESTION)?;
+                        Ok(DerivedCf {
                             consumer,
                             fidelity: Fidelity::INGESTION,
                             accuracy: profile.accuracy,
                             consumption_speed: profile.consumption_speed,
-                        }
+                        })
                     })
-                    .collect();
+                    .collect::<Result<_>>()?;
                 let golden = self.golden_only_format(&cfs);
                 self.build_configuration(&cfs, &[golden])
             }

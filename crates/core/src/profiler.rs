@@ -20,13 +20,13 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use vstore_codec::frame::materialize_clip;
+use vstore_codec::frame::{frame_selected, materialize_clip};
 use vstore_codec::VideoFrame;
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_ops::OperatorLibrary;
 use vstore_sim::CodingCostModel;
 use vstore_types::sync::lock_unpoisoned;
-use vstore_types::{ByteSize, Fidelity, FrameSampling, OperatorKind, Speed, StorageFormat};
+use vstore_types::{ByteSize, Fidelity, FrameSampling, OperatorKind, Result, Speed, StorageFormat};
 
 /// The profile of one `(operator, fidelity)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -231,19 +231,24 @@ impl Profiler {
     /// Profile one `(operator, fidelity)` pair: run the operator over the
     /// profiling clip at that fidelity and score it against the ingestion
     /// run. Memoised.
-    pub fn profile_consumer(&self, op: OperatorKind, fidelity: Fidelity) -> ConsumerProfile {
+    ///
+    /// The clip at `fidelity` is the memoised ingestion-fidelity reference
+    /// clip, sampled and degraded frame by frame — what materialising the
+    /// scenes at `fidelity` yields, without rendering them again.
+    pub fn profile_consumer(
+        &self,
+        op: OperatorKind,
+        fidelity: Fidelity,
+    ) -> Result<ConsumerProfile> {
         {
             let mut caches = lock_unpoisoned(&self.caches);
             if let Some(profile) = caches.consumer.get(&(op, fidelity)).copied() {
                 caches.stats.operator_cache_hits += 1;
-                return profile;
+                return Ok(profile);
             }
         }
-        let dataset = self.config.dataset_for(op);
-        let reference = self.reference_clip(dataset);
-        let source = VideoSource::new(dataset);
-        let scenes = source.clip(self.config.clip_start, self.config.clip_frames);
-        let test_frames = materialize_clip(&scenes, fidelity);
+        let reference = self.reference_clip(self.config.dataset_for(op));
+        let test_frames = degrade_clip(&reference, fidelity)?;
         let accuracy = self
             .library
             .evaluate_accuracy(op, &reference, &test_frames)
@@ -261,7 +266,7 @@ impl Profiler {
         caches.consumer.insert((op, fidelity), profile);
         caches.stats.operator_runs += 1;
         caches.stats.modeled_seconds += run_seconds;
-        profile
+        Ok(profile)
     }
 
     /// Profile a candidate storage format: size, ingestion cost and
@@ -312,6 +317,15 @@ impl Profiler {
     }
 }
 
+/// The frames of `reference` that `fidelity` samples, degraded to it.
+fn degrade_clip(reference: &[VideoFrame], fidelity: Fidelity) -> Result<Vec<VideoFrame>> {
+    reference
+        .iter()
+        .filter(|frame| frame_selected(frame.source_index, fidelity))
+        .map(|frame| frame.degrade_to(fidelity))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,12 +348,12 @@ mod tests {
             Resolution::R400,
             FrameSampling::S1_2,
         );
-        let first = p.profile_consumer(OperatorKind::FullNN, fid);
+        let first = p.profile_consumer(OperatorKind::FullNN, fid).unwrap();
         assert!(first.accuracy > 0.0 && first.accuracy <= 1.0);
         assert!(first.consumption_speed.factor() > 0.0);
         assert_eq!(p.stats().operator_runs, 1);
         // Second request is a cache hit and returns the identical profile.
-        let second = p.profile_consumer(OperatorKind::FullNN, fid);
+        let second = p.profile_consumer(OperatorKind::FullNN, fid).unwrap();
         assert_eq!(first, second);
         let stats = p.stats();
         assert_eq!(stats.operator_runs, 1);
@@ -352,7 +366,7 @@ mod tests {
     fn ingestion_fidelity_profiles_at_accuracy_one() {
         let p = profiler();
         for op in [OperatorKind::Motion, OperatorKind::License] {
-            let profile = p.profile_consumer(op, Fidelity::INGESTION);
+            let profile = p.profile_consumer(op, Fidelity::INGESTION).unwrap();
             assert_eq!(profile.accuracy, 1.0, "{op:?}");
         }
     }
@@ -360,16 +374,20 @@ mod tests {
     #[test]
     fn richer_fidelity_is_slower_to_consume() {
         let p = profiler();
-        let rich = p.profile_consumer(OperatorKind::License, Fidelity::INGESTION);
-        let poor = p.profile_consumer(
-            OperatorKind::License,
-            Fidelity::new(
-                ImageQuality::Good,
-                CropFactor::C100,
-                Resolution::R200,
-                FrameSampling::S1_30,
-            ),
-        );
+        let rich = p
+            .profile_consumer(OperatorKind::License, Fidelity::INGESTION)
+            .unwrap();
+        let poor = p
+            .profile_consumer(
+                OperatorKind::License,
+                Fidelity::new(
+                    ImageQuality::Good,
+                    CropFactor::C100,
+                    Resolution::R200,
+                    FrameSampling::S1_30,
+                ),
+            )
+            .unwrap();
         assert!(poor.consumption_speed.factor() > rich.consumption_speed.factor());
         assert!(poor.accuracy <= rich.accuracy + 1e-9);
     }
@@ -421,7 +439,8 @@ mod tests {
     #[test]
     fn reset_clears_counters() {
         let p = profiler();
-        p.profile_consumer(OperatorKind::Diff, Fidelity::INGESTION);
+        p.profile_consumer(OperatorKind::Diff, Fidelity::INGESTION)
+            .unwrap();
         assert!(p.stats().operator_runs > 0);
         p.reset();
         assert_eq!(p.stats(), ProfilingStats::default());
@@ -439,5 +458,40 @@ mod tests {
         assert_eq!(cfg.dataset_for(OperatorKind::Ocr), Dataset::Dashcam);
         assert_eq!(cfg.dataset_for(OperatorKind::Color), Dataset::Jackson);
         assert_eq!(cfg.clip_frames, 300);
+    }
+
+    /// Degrading the ingestion-fidelity reference clip yields exactly the
+    /// clip materialised from the scenes, for every fidelity of the full
+    /// space on every dataset: profiling from the memoised reference
+    /// measures what rendering the scenes again would. (A 31-frame clip
+    /// keeps two frames at the sparsest sampling.)
+    #[test]
+    fn degraded_reference_equals_the_materialised_clip() {
+        for dataset in Dataset::ALL {
+            let scenes = VideoSource::new(dataset).clip(0, 31);
+            let reference = materialize_clip(&scenes, Fidelity::INGESTION);
+            for fidelity in vstore_types::FidelitySpace::full().iter() {
+                assert_eq!(
+                    degrade_clip(&reference, fidelity).unwrap(),
+                    materialize_clip(&scenes, fidelity),
+                    "{dataset:?} {fidelity}"
+                );
+            }
+        }
+    }
+
+    /// A reference clip poorer than the fidelity asked for is an error, not
+    /// a profile.
+    #[test]
+    fn degrading_to_a_richer_fidelity_is_an_error() {
+        let scenes = VideoSource::new(Dataset::Jackson).clip(0, 4);
+        let poor = Fidelity::new(
+            ImageQuality::Bad,
+            CropFactor::C75,
+            Resolution::R200,
+            FrameSampling::Full,
+        );
+        let clip = materialize_clip(&scenes, poor);
+        assert!(degrade_clip(&clip, Fidelity::INGESTION).is_err());
     }
 }

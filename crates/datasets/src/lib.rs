@@ -23,6 +23,24 @@
 //! operators use the ground-truth boxes through a fidelity-dependent
 //! detection model. See "Substitutions" in the repository README for the
 //! rationale.
+//!
+//! Two passes make the plane cheap to produce, since ingest renders a
+//! segment's 240 frames before any transcode starts and materialises them
+//! once per storage format:
+//!
+//! * **Rendering is a tile at a time.** A frame's background at `(x, y)` is
+//!   a gradient in `y` plus a hashed texture term of the world cell
+//!   `(x + shift, y + shift / 3)`, where `shift` is the camera's motion so
+//!   far; consecutive frames are windows into one texture. The renderer
+//!   hashes each world cell of a run of at most [`SEGMENT_FRAMES`] frames
+//!   once, then fills each frame row by row as the row's gradient plus a
+//!   slice of the texture, and rasterises the objects over it. A single
+//!   frame is a one-frame tile; the output is value-identical to hashing
+//!   every pixel of every frame.
+//! * **Degradation is one pass.** A [`PlaneKernel`] crops, box-resizes and
+//!   quantises in one pass over the source: the source rows and columns
+//!   behind each output sample and a 256-entry quantisation table are
+//!   worked out when it is built, once per clip and fidelity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +52,7 @@ pub mod scene;
 pub mod source;
 
 pub use live::{LiveSource, LoadProfile};
-pub use plane::BlockPlane;
+pub use plane::{BlockPlane, PlaneKernel};
 pub use profile::{Dataset, DatasetProfile};
 pub use scene::{BoundingBox, ObjectClass, ObjectColor, PlateText, SceneFrame, SceneObject};
 pub use source::{FrameCursor, VideoSource, FRAME_RATE, SEGMENT_FRAMES, SEGMENT_SECONDS};

@@ -2,10 +2,11 @@
 //!
 //! A 720p frame maps to a 160×90 grid (14 400 samples). The plane is the
 //! "pixel data" of the synthetic substrate: the codec compresses it, fidelity
-//! degradation (resize/crop) transforms it, and pixel-level operators
-//! (Diff, Motion, Contour, Opflow) compute over it.
+//! degradation (crop, resize and quantisation, fused in one [`PlaneKernel`]
+//! pass) transforms it, and pixel-level operators (Diff, Motion, Contour,
+//! Opflow) compute over it.
 
-use vstore_types::{CropFactor, Resolution};
+use vstore_types::Resolution;
 
 /// Pixels per block along each axis.
 pub const BLOCK_PIXELS: u32 = 8;
@@ -134,102 +135,148 @@ impl BlockPlane {
         }
         total as f64 / count.max(1) as f64
     }
+}
 
-    /// Resample to new dimensions with box averaging (down) or nearest
-    /// neighbour (up). Used to degrade resolution.
-    pub fn resize(&self, new_width: u32, new_height: u32) -> BlockPlane {
-        let new_width = new_width.max(1);
-        let new_height = new_height.max(1);
-        if new_width == self.width && new_height == self.height {
-            return self.clone();
-        }
-        let mut out = Vec::with_capacity((new_width * new_height) as usize);
-        for ny in 0..new_height {
-            for nx in 0..new_width {
-                // Source rectangle covered by this destination sample.
-                let x0 = (nx as u64 * self.width as u64) / new_width as u64;
-                let x1 = (((nx + 1) as u64 * self.width as u64) / new_width as u64).max(x0 + 1);
-                let y0 = (ny as u64 * self.height as u64) / new_height as u64;
-                let y1 = (((ny + 1) as u64 * self.height as u64) / new_height as u64).max(y0 + 1);
-                let mut sum = 0u64;
-                let mut n = 0u64;
-                for y in y0..y1.min(self.height as u64) {
-                    for x in x0..x1.min(self.width as u64) {
-                        sum += u64::from(self.samples[(y * self.width as u64 + x) as usize]);
-                        n += 1;
-                    }
-                }
-                out.push(sum.checked_div(n).unwrap_or(0) as u8);
-            }
-        }
-        BlockPlane {
-            width: new_width,
-            height: new_height,
-            samples: out,
-        }
-    }
+/// Fidelity degradation of a plane in one pass: keep a centred crop
+/// window, box-resize it to the output size (averaging down, nearest
+/// neighbour up) and quantise every sample through a 256-entry table.
+///
+/// The source columns and rows behind each output sample and the table are
+/// worked out when the kernel is built, so a clip builds one kernel and
+/// applies it to every frame: each output sample reads its source
+/// rectangle once and makes one table lookup. Where the output keeps the
+/// window's width, a row is a table lookup over a contiguous slice.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlaneKernel {
+    /// Fraction of each linear dimension the centred crop keeps.
+    crop: f64,
+    /// Output width and height, each at least 1.
+    output: (u32, u32),
+    /// Source width and height the ranges below were worked out for.
+    source: (u32, u32),
+    /// Source column range `[start, end)` behind each output column, the
+    /// crop offset included.
+    columns: Vec<(usize, usize)>,
+    /// Source row range behind each output row.
+    rows: Vec<(usize, usize)>,
+    /// Every column is one source column, each right of the last.
+    unit_columns: bool,
+    /// The quantised value of every sample value.
+    table: [u8; 256],
+}
 
-    /// Resize to the block dimensions of a target resolution.
-    pub fn resize_to_resolution(&self, resolution: Resolution) -> BlockPlane {
-        let (w, h) = BlockPlane::dimensions_for(resolution);
-        self.resize(w, h)
-    }
-
-    /// Keep only the centred fraction of the frame area given by the crop
-    /// factor.
-    pub fn crop_center(&self, crop: CropFactor) -> BlockPlane {
-        if crop == CropFactor::C100 {
-            return self.clone();
-        }
-        let keep = crop.linear_fraction();
-        let new_w = ((f64::from(self.width) * keep).round() as u32).clamp(1, self.width);
-        let new_h = ((f64::from(self.height) * keep).round() as u32).clamp(1, self.height);
-        let x0 = (self.width - new_w) / 2;
-        let y0 = (self.height - new_h) / 2;
-        let mut out = Vec::with_capacity((new_w * new_h) as usize);
-        for y in y0..y0 + new_h {
-            for x in x0..x0 + new_w {
-                out.push(self.get(x, y));
-            }
-        }
-        BlockPlane {
-            width: new_w,
-            height: new_h,
-            samples: out,
-        }
-    }
-
-    /// Apply quantisation noise equivalent to the given signal retention
-    /// factor in `(0, 1]`: samples are quantised more coarsely as retention
-    /// drops. Models the quality knob's effect on pixel data.
-    pub fn quantize(&self, signal_retention: f64) -> BlockPlane {
+impl PlaneKernel {
+    /// A kernel for `source`-sized planes: keep the centred `crop`
+    /// fraction of each linear dimension (rounded, at least one sample),
+    /// resize that window to `output`, and quantise for
+    /// `signal_retention` in `(0, 1]`: samples are quantised more coarsely
+    /// as retention drops, which models the quality knob's effect on pixel
+    /// data (1 keeps every sample as it is).
+    pub fn new(source: (u32, u32), crop: f64, output: (u32, u32), signal_retention: f64) -> Self {
         let retention = signal_retention.clamp(0.05, 1.0);
-        if retention >= 0.999 {
-            return self.clone();
-        }
         // Step size grows as retention shrinks: retention 1.0 → step 1 (no
         // loss), retention 0.35 → step ≈ 42.
         let step = ((1.0 - retention) * 64.0).max(1.0);
-        let samples = self
-            .samples
+        let table = std::array::from_fn(|s| {
+            let q = (s as f64 / step).round() * step;
+            q.clamp(0.0, 255.0) as u8
+        });
+        let mut kernel = PlaneKernel {
+            crop,
+            output: (output.0.max(1), output.1.max(1)),
+            source,
+            columns: Vec::new(),
+            rows: Vec::new(),
+            unit_columns: false,
+            table,
+        };
+        kernel.fit(source);
+        kernel
+    }
+
+    /// Work the ranges out for `source`-sized planes.
+    fn fit(&mut self, source: (u32, u32)) {
+        self.source = source;
+        self.columns = spans(source.0, self.crop, self.output.0);
+        self.rows = spans(source.1, self.crop, self.output.1);
+        let first = self.columns.first().map_or(0, |c| c.0);
+        self.unit_columns = self
+            .columns
             .iter()
-            .map(|&s| {
-                let q = (f64::from(s) / step).round() * step;
-                q.clamp(0.0, 255.0) as u8
-            })
-            .collect();
-        BlockPlane {
-            width: self.width,
-            height: self.height,
-            samples,
+            .enumerate()
+            .all(|(i, &(start, end))| start == first + i && end == start + 1);
+    }
+
+    /// Degrade `plane` into a new plane.
+    pub fn apply(&self, plane: &BlockPlane) -> BlockPlane {
+        let mut out = BlockPlane::filled(0, 0, 0);
+        self.apply_into(plane, &mut out);
+        out
+    }
+
+    /// Degrade `plane` into `out`, reusing its sample buffer. A plane of
+    /// another size than the kernel was built for is degraded by the same
+    /// crop, output size and table, with ranges worked out for it.
+    pub fn apply_into(&self, plane: &BlockPlane, out: &mut BlockPlane) {
+        if (plane.width, plane.height) != self.source {
+            let mut fitted = self.clone();
+            fitted.fit((plane.width, plane.height));
+            fitted.apply_into(plane, out);
+            return;
+        }
+        let width = plane.width as usize;
+        let out_width = self.output.0 as usize;
+        out.width = self.output.0;
+        out.height = self.output.1;
+        out.samples.clear();
+        out.samples.resize(out_width * self.output.1 as usize, 0);
+        let samples = &plane.samples;
+        for (out_row, &(y0, y1)) in out.samples.chunks_exact_mut(out_width).zip(&self.rows) {
+            if self.unit_columns && y1 == y0 + 1 {
+                let start = y0 * width + self.columns[0].0;
+                for (o, &s) in out_row.iter_mut().zip(&samples[start..start + out_width]) {
+                    *o = self.table[usize::from(s)];
+                }
+                continue;
+            }
+            for (o, &(x0, x1)) in out_row.iter_mut().zip(&self.columns) {
+                let mut sum = 0u32;
+                for y in y0..y1 {
+                    let row = &samples[y * width..];
+                    sum += row[x0..x1].iter().map(|&s| u32::from(s)).sum::<u32>();
+                }
+                let count = ((y1 - y0) * (x1 - x0)) as u32;
+                *o = self.table[sum.checked_div(count).unwrap_or(0) as usize];
+            }
         }
     }
+}
+
+/// The source range `[start, end)` behind each of `out` output samples
+/// along one axis of `len` samples: the centred window keeping the `crop`
+/// fraction (rounded, at least one sample), split into `out` boxes of at
+/// least one sample each.
+fn spans(len: u32, crop: f64, out: u32) -> Vec<(usize, usize)> {
+    let len = u64::from(len);
+    let out = u64::from(out);
+    let kept = ((len as f64 * crop).round() as u64).max(1).min(len);
+    let offset = (len - kept) / 2;
+    (0..out)
+        .map(|n| {
+            let start = n * kept / out;
+            let end = ((n + 1) * kept / out).max(start + 1).min(kept);
+            (
+                (offset + start) as usize,
+                (offset + end.max(start)) as usize,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstore_types::ImageQuality;
+    use vstore_types::{CropFactor, ImageQuality};
 
     fn gradient_plane(w: u32, h: u32) -> BlockPlane {
         let mut p = BlockPlane::filled(w, h, 0);
@@ -264,36 +311,76 @@ mod tests {
         assert_eq!(p.len(), 50);
     }
 
+    /// A kernel that only resizes.
+    fn resize(plane: &BlockPlane, width: u32, height: u32) -> BlockPlane {
+        let source = (plane.width(), plane.height());
+        PlaneKernel::new(source, 1.0, (width, height), 1.0).apply(plane)
+    }
+
     #[test]
     fn resize_preserves_mean_roughly() {
         let p = gradient_plane(160, 90);
-        let small = p.resize(40, 22);
+        let small = resize(&p, 40, 22);
         assert_eq!(small.width(), 40);
         assert_eq!(small.height(), 22);
         assert!((small.mean() - p.mean()).abs() < 8.0);
         // Upscale back: still similar mean.
-        let back = small.resize(160, 90);
+        let back = resize(&small, 160, 90);
         assert!((back.mean() - p.mean()).abs() < 8.0);
+        assert_eq!(resize(&p, 160, 90), p);
     }
 
     #[test]
     fn crop_center_reduces_area_by_crop_fraction() {
         let p = gradient_plane(160, 90);
-        let cropped = p.crop_center(CropFactor::C50);
+        let keep = CropFactor::C50.linear_fraction();
+        let window = ((160.0 * keep).round() as u32, (90.0 * keep).round() as u32);
+        let cropped = PlaneKernel::new((160, 90), keep, window, 1.0).apply(&p);
         let area_ratio = (cropped.len() as f64) / (p.len() as f64);
         assert!((area_ratio - 0.5).abs() < 0.05, "area ratio {area_ratio}");
-        assert_eq!(p.crop_center(CropFactor::C100), p);
+        // The window is centred: its first sample is the source's at the
+        // window's offset.
+        assert_eq!(
+            cropped.get(0, 0),
+            p.get((160 - window.0) / 2, (90 - window.1) / 2)
+        );
+        let whole = CropFactor::C100.linear_fraction();
+        assert_eq!(
+            PlaneKernel::new((160, 90), whole, (160, 90), 1.0).apply(&p),
+            p
+        );
     }
 
     #[test]
     fn quantize_coarsens_with_lower_quality() {
         let p = gradient_plane(160, 90);
-        let best = p.quantize(ImageQuality::Best.signal_retention());
-        let worst = p.quantize(ImageQuality::Worst.signal_retention());
+        let quantize = |quality: ImageQuality| {
+            PlaneKernel::new((160, 90), 1.0, (160, 90), quality.signal_retention()).apply(&p)
+        };
+        let best = quantize(ImageQuality::Best);
+        let worst = quantize(ImageQuality::Worst);
         assert_eq!(best, p);
         assert!(worst.mean_abs_diff(&p) > best.mean_abs_diff(&p));
         // Quantisation keeps samples roughly in place.
         assert!(worst.mean_abs_diff(&p) < 32.0);
+    }
+
+    /// A kernel built for one size degrades a plane of another size as
+    /// one built for that size would, into a reused buffer.
+    #[test]
+    fn kernels_refit_to_other_sizes_and_reuse_the_output() {
+        let kernel = PlaneKernel::new((160, 90), 0.75, (50, 30), 0.62);
+        let small = gradient_plane(61, 43);
+        let mut out = kernel.apply(&gradient_plane(160, 90));
+        kernel.apply_into(&small, &mut out);
+        assert_eq!(
+            out,
+            PlaneKernel::new((61, 43), 0.75, (50, 30), 0.62).apply(&small)
+        );
+        assert_eq!((out.width(), out.height()), (50, 30));
+        // An empty plane yields zeros rather than reading out of bounds.
+        let empty = kernel.apply(&BlockPlane::filled(0, 0, 0));
+        assert_eq!(empty, BlockPlane::filled(50, 30, 0));
     }
 
     #[test]

@@ -148,59 +148,91 @@ impl VideoSource {
     // Plane generation
     // ------------------------------------------------------------------
 
-    fn background_value(&self, x: u32, y: u32, frame_index: u64) -> u8 {
-        // Camera motion shifts the sampling grid; static cameras keep it
-        // fixed so consecutive frames are nearly identical.
-        let shift = (frame_index as f64 * self.profile.motion_intensity * 1.8).round() as i64;
-        let sx = i64::from(x) + shift;
-        let sy = i64::from(y) + (shift / 3);
-        // Smooth vertical gradient (sky → road) plus hashed texture.
-        let base = 70.0 + 110.0 * (f64::from(y) / 90.0);
-        let texture_amp = 55.0 * self.profile.background_texture;
-        let noise = DeterministicHasher::new(self.profile.seed)
-            .mix(0xBAC4_6000)
-            .mix(sx as u64)
-            .mix(sy as u64)
-            .unit();
-        (base + texture_amp * (noise - 0.5) * 2.0).clamp(0.0, 255.0) as u8
+    /// How far camera motion has shifted the background's sampling grid by
+    /// `frame_index`; static cameras keep it fixed, so consecutive frames
+    /// are nearly identical.
+    fn camera_shift(&self, frame_index: u64) -> i64 {
+        (frame_index as f64 * self.profile.motion_intensity * 1.8).round() as i64
     }
 
-    /// Render the frame's plane into `plane`, reusing its sample buffer —
-    /// the allocation-free path behind [`render_plane`](Self::frame). A
-    /// wrongly-sized plane is replaced (one allocation, then reused
-    /// forever).
-    fn render_plane_into(&self, frame_index: u64, objects: &[SceneObject], plane: &mut BlockPlane) {
+    /// How many of the `remaining` frames from `start` one tile renders: at
+    /// most [`SEGMENT_FRAMES`], and never a tile of more cells than its
+    /// frames have samples (halved until so), so neither a long clip nor a
+    /// fast camera makes the texture outgrow the frames it serves.
+    fn tile_frames(&self, start: u64, remaining: usize) -> usize {
         let (w, h) = BlockPlane::dimensions_for(Resolution::R720);
-        if plane.width() != w || plane.height() != h {
-            *plane = BlockPlane::filled(w, h, 0);
-        }
-        let samples = plane.samples_mut();
-        let mut i = 0usize;
-        for y in 0..h {
-            for x in 0..w {
-                samples[i] = self.background_value(x, y, frame_index);
-                i += 1;
+        let mut frames = remaining.min(SEGMENT_FRAMES as usize);
+        while frames > 1 {
+            let (x, y) = self.tile_window(start, frames);
+            let cells = (x.1 - x.0 + i128::from(w)).saturating_mul(y.1 - y.0 + i128::from(h));
+            if cells <= frames as i128 * i128::from(w * h) {
+                break;
             }
+            frames /= 2;
         }
-        // Rasterise objects over the background.
-        for obj in objects {
-            let luma = obj.color.luma();
-            let x0 = (obj.bbox.x * w as f32) as i64;
-            let y0 = (obj.bbox.y * h as f32) as i64;
-            let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
-            let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
-            for yy in y0..(y0 + bh) {
-                for xx in x0..(x0 + bw) {
-                    if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
-                        // Blend by salience so faint objects leave a fainter
-                        // footprint.
-                        let bg = plane.get(xx as u32, yy as u32);
-                        let blended =
-                            f32::from(bg) * (1.0 - obj.salience) + f32::from(luma) * obj.salience;
-                        plane.set(xx as u32, yy as u32, blended as u8);
-                    }
+        frames.max(1)
+    }
+
+    /// The least and greatest camera shift (x) and shift / 3 (y) over
+    /// frames `start..start + frames`. The shift is monotone in the frame
+    /// index, so the first and last frames bound it.
+    fn tile_window(&self, start: u64, frames: usize) -> ((i128, i128), (i128, i128)) {
+        let first = self.camera_shift(start);
+        let last = self.camera_shift(start.saturating_add(frames as u64 - 1));
+        let span = |a: i64, b: i64| (i128::from(a.min(b)), i128::from(a.max(b)));
+        (span(first, last), span(first / 3, last / 3))
+    }
+
+    /// Render frames `start..start + frames.len()` into `frames`, reusing
+    /// their buffers and `texture`'s.
+    ///
+    /// The background of frame `i` at `(x, y)` is a vertical gradient
+    /// (sky → road) in `y` plus a hashed texture term of the world cell
+    /// `(x + shift_i, y + shift_i / 3)`: consecutive frames are windows into
+    /// one texture. So each world cell the frames cover is hashed once into
+    /// `texture`, each frame's row is the row's gradient plus a slice of
+    /// it, and the objects are rasterised over that.
+    fn render_tile(&self, start: u64, frames: &mut [SceneFrame], texture: &mut Vec<f64>) {
+        let (w, h) = BlockPlane::dimensions_for(Resolution::R720);
+        if frames.is_empty() {
+            return;
+        }
+        let ((x_lo, x_hi), (y_lo, y_hi)) = self.tile_window(start, frames.len());
+        let tile_w = (x_hi - x_lo) as usize + w as usize;
+        let tile_h = (y_hi - y_lo) as usize + h as usize;
+        let texture_amp = 55.0 * self.profile.background_texture;
+        let prefix = DeterministicHasher::new(self.profile.seed).mix(0xBAC4_6000);
+        let columns: Vec<DeterministicHasher> = (0..tile_w)
+            .map(|tx| prefix.mix((x_lo as i64).wrapping_add(tx as i64) as u64))
+            .collect();
+        texture.clear();
+        texture.reserve(tile_w * tile_h);
+        for ty in 0..tile_h {
+            let sy = (y_lo as i64).wrapping_add(ty as i64) as u64;
+            texture.extend(columns.iter().map(|column| {
+                let noise = column.mix(sy).unit();
+                texture_amp * (noise - 0.5) * 2.0
+            }));
+        }
+        for (offset, frame) in frames.iter_mut().enumerate() {
+            let index = start + offset as u64;
+            self.describe_frame(index, frame);
+            let shift = self.camera_shift(index);
+            let dx = (i128::from(shift) - x_lo) as usize;
+            let dy = (i128::from(shift / 3) - y_lo) as usize;
+            let plane = &mut frame.plane;
+            if plane.width() != w || plane.height() != h {
+                *plane = BlockPlane::filled(w, h, 0);
+            }
+            let rows = plane.samples_mut().chunks_exact_mut(w as usize);
+            for (y, row) in rows.enumerate() {
+                let base = 70.0 + 110.0 * (y as f64 / 90.0);
+                let at = (y + dy) * tile_w + dx;
+                for (sample, &term) in row.iter_mut().zip(&texture[at..at + w as usize]) {
+                    *sample = (base + term).clamp(0.0, 255.0) as u8;
                 }
             }
+            rasterise(&frame.objects, plane);
         }
     }
 
@@ -208,7 +240,7 @@ impl VideoSource {
     // Public frame access
     // ------------------------------------------------------------------
 
-    /// An empty frame shell for [`frame_into`](Self::frame_into) to fill.
+    /// An empty frame shell for the renderer to fill.
     fn blank_frame() -> SceneFrame {
         let (w, h) = BlockPlane::dimensions_for(Resolution::R720);
         SceneFrame {
@@ -219,11 +251,9 @@ impl VideoSource {
         }
     }
 
-    /// Generate the frame at the given index (30 fps) into `out`, reusing
-    /// its object list and plane buffer. Value-identical to
-    /// [`frame`](Self::frame) — this is the allocation-free path unbounded
-    /// live streams run on.
-    pub fn frame_into(&self, index: u64, out: &mut SceneFrame) {
+    /// Set everything of frame `index` but its plane: the index, the
+    /// objects present (reusing the list) and the global motion.
+    fn describe_frame(&self, index: u64, out: &mut SceneFrame) {
         out.index = index;
         out.objects.clear();
         for slot in 0..self.profile.object_slots() {
@@ -231,12 +261,19 @@ impl VideoSource {
                 out.objects.push(obj);
             }
         }
-        self.render_plane_into(index, &out.objects, &mut out.plane);
         let jitter = DeterministicHasher::new(self.profile.seed)
             .mix(0x90710)
             .mix(index)
             .uniform(-0.05, 0.05);
         out.global_motion = (self.profile.motion_intensity + jitter).clamp(0.0, 1.0) as f32;
+    }
+
+    /// Generate the frame at the given index (30 fps) into `out`, reusing
+    /// its object list and plane buffer: a one-frame tile, whose texture
+    /// is scratch of this call. Value-identical to [`frame`](Self::frame);
+    /// a [`FrameCursor`] streams frames reusing the texture too.
+    pub fn frame_into(&self, index: u64, out: &mut SceneFrame) {
+        self.render_tile(index, std::slice::from_mut(out), &mut Vec::new());
     }
 
     /// Generate the frame at the given index (30 fps).
@@ -247,16 +284,21 @@ impl VideoSource {
     }
 
     /// Generate a contiguous clip of frames into `out`, reusing its frames'
-    /// buffers — value-identical to [`clip`](Self::clip) without the
-    /// per-call allocations once `out` has warmed up.
+    /// buffers — value-identical to [`clip`](Self::clip). The clip is
+    /// rendered in tiles of at most [`SEGMENT_FRAMES`] frames.
     pub fn clip_into(&self, start_frame: u64, num_frames: u32, out: &mut Vec<SceneFrame>) {
         let num_frames = num_frames as usize;
         out.truncate(num_frames);
         while out.len() < num_frames {
             out.push(Self::blank_frame());
         }
-        for (offset, frame) in out.iter_mut().enumerate() {
-            self.frame_into(start_frame + offset as u64, frame);
+        let mut texture = Vec::new();
+        let mut done = 0;
+        while done < num_frames {
+            let start = start_frame + done as u64;
+            let frames = self.tile_frames(start, num_frames - done);
+            self.render_tile(start, &mut out[done..done + frames], &mut texture);
+            done += frames;
         }
     }
 
@@ -289,15 +331,39 @@ impl VideoSource {
     }
 
     /// A streaming cursor over the frames from `start_frame` on: each
-    /// [`next_frame`](FrameCursor::next_frame) renders into one internal
-    /// frame buffer, so an unbounded stream touches the heap only while the
-    /// buffer warms up. The allocating [`frames_from`](Self::frames_from)
-    /// clones out of the same cursor.
+    /// [`next_frame`](FrameCursor::next_frame) renders a one-frame tile into
+    /// one internal frame buffer and texture, so an unbounded stream
+    /// touches the heap only while the buffers warm up. The allocating
+    /// [`frames_from`](Self::frames_from) clones out of the same cursor.
     pub fn frame_cursor(&self, start_frame: u64) -> FrameCursor<'_> {
         FrameCursor {
             source: self,
             next_index: start_frame,
             frame: Self::blank_frame(),
+            texture: Vec::new(),
+        }
+    }
+}
+
+/// Rasterise `objects` over the background in `plane`, in order, each
+/// blended by its salience so faint objects leave a fainter footprint.
+fn rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
+    let (w, h) = (plane.width(), plane.height());
+    for obj in objects {
+        let luma = obj.color.luma();
+        let x0 = (obj.bbox.x * w as f32) as i64;
+        let y0 = (obj.bbox.y * h as f32) as i64;
+        let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
+        let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
+        for yy in y0..(y0 + bh) {
+            for xx in x0..(x0 + bw) {
+                if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
+                    let bg = plane.get(xx as u32, yy as u32);
+                    let blended =
+                        f32::from(bg) * (1.0 - obj.salience) + f32::from(luma) * obj.salience;
+                    plane.set(xx as u32, yy as u32, blended as u8);
+                }
+            }
         }
     }
 }
@@ -309,6 +375,7 @@ pub struct FrameCursor<'a> {
     source: &'a VideoSource,
     next_index: u64,
     frame: SceneFrame,
+    texture: Vec<f64>,
 }
 
 impl FrameCursor<'_> {
@@ -320,7 +387,9 @@ impl FrameCursor<'_> {
 
     /// Render the next frame into the internal buffer and return it.
     pub fn next_frame(&mut self) -> &SceneFrame {
-        self.source.frame_into(self.next_index, &mut self.frame);
+        let frame = std::slice::from_mut(&mut self.frame);
+        self.source
+            .render_tile(self.next_index, frame, &mut self.texture);
         self.next_index += 1;
         &self.frame
     }
@@ -329,6 +398,91 @@ impl FrameCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-pixel renderer the tile renderer replaced, kept as the
+    /// reference it is held to.
+    mod reference {
+        use super::*;
+
+        fn background_value(source: &VideoSource, x: u32, y: u32, frame_index: u64) -> u8 {
+            // Camera motion shifts the sampling grid; static cameras keep it
+            // fixed so consecutive frames are nearly identical.
+            let shift = (frame_index as f64 * source.profile.motion_intensity * 1.8).round() as i64;
+            let sx = i64::from(x) + shift;
+            let sy = i64::from(y) + (shift / 3);
+            // Smooth vertical gradient (sky → road) plus hashed texture.
+            let base = 70.0 + 110.0 * (f64::from(y) / 90.0);
+            let texture_amp = 55.0 * source.profile.background_texture;
+            let noise = DeterministicHasher::new(source.profile.seed)
+                .mix(0xBAC4_6000)
+                .mix(sx as u64)
+                .mix(sy as u64)
+                .unit();
+            (base + texture_amp * (noise - 0.5) * 2.0).clamp(0.0, 255.0) as u8
+        }
+
+        /// The frame at `frame_index`, every background sample hashed on
+        /// its own.
+        pub(super) fn frame(source: &VideoSource, frame_index: u64) -> SceneFrame {
+            let mut frame = VideoSource::blank_frame();
+            source.describe_frame(frame_index, &mut frame);
+            let (w, h) = BlockPlane::dimensions_for(Resolution::R720);
+            let plane = &mut frame.plane;
+            let samples = plane.samples_mut();
+            let mut i = 0usize;
+            for y in 0..h {
+                for x in 0..w {
+                    samples[i] = background_value(source, x, y, frame_index);
+                    i += 1;
+                }
+            }
+            rasterise(&frame.objects, plane);
+            frame
+        }
+    }
+
+    /// The tile renderer is value-identical to the per-pixel reference on
+    /// every dataset, at the first segments and far into the stream.
+    #[test]
+    fn tile_renderer_matches_the_per_pixel_reference() {
+        for dataset in Dataset::ALL {
+            let src = VideoSource::new(dataset);
+            for segment in [0u64, 7, 1_000_000] {
+                let frames = src.segment(segment);
+                let first = segment * u64::from(SEGMENT_FRAMES);
+                for (offset, frame) in frames.iter().enumerate() {
+                    let expected = reference::frame(&src, first + offset as u64);
+                    assert_eq!(
+                        *frame, expected,
+                        "{dataset:?} segment {segment} frame {offset}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A clip longer than a tile renders as its frames do one by one,
+    /// across every tile boundary.
+    #[test]
+    fn clips_across_tile_boundaries_match_single_frames() {
+        let src = VideoSource::new(Dataset::Dashcam);
+        let len = 3 * SEGMENT_FRAMES + 17;
+        let clip = src.clip(0, len);
+        assert_eq!(clip.len(), len as usize);
+        for (index, frame) in clip.iter().enumerate() {
+            assert_eq!(*frame, src.frame(index as u64), "frame {index}");
+        }
+        // A camera too fast to share a texture between frames renders in
+        // smaller tiles, identically.
+        let mut profile = Dataset::Dashcam.profile();
+        profile.motion_intensity = 1e9;
+        let fast = VideoSource::from_profile("fast", profile);
+        assert_eq!(fast.tile_frames(0, 240), 1);
+        let clip = fast.clip(5, 4);
+        for (offset, frame) in clip.iter().enumerate() {
+            assert_eq!(*frame, reference::frame(&fast, 5 + offset as u64));
+        }
+    }
 
     #[test]
     fn frames_are_deterministic() {

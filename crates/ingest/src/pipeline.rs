@@ -1,10 +1,11 @@
 //! The ingestion pipeline implementation.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use vstore_codec::{SegmentMeta, Transcoder};
+use std::sync::{Arc, Mutex};
+use vstore_codec::Transcoder;
 use vstore_datasets::{SceneFrame, VideoSource};
 use vstore_storage::{SegmentKey, SegmentReader, SegmentStore};
+use vstore_types::sync::lock_unpoisoned;
 use vstore_types::{
     scoped_map, ByteSize, Configuration, CoreSeconds, FormatId, Result, StorageFormat, VStoreError,
     VideoSeconds,
@@ -121,6 +122,10 @@ pub struct IngestionPipeline {
     transcoder: Transcoder,
     workers: usize,
     budget_cores: Option<f64>,
+    /// Scene buffers of finished ingests, rendered into again by the next
+    /// ones. Each ingest returns one, so the list never holds more buffers
+    /// than ingests that ran at once.
+    spare_scenes: Mutex<Vec<Vec<SceneFrame>>>,
 }
 
 impl IngestionPipeline {
@@ -134,6 +139,7 @@ impl IngestionPipeline {
             transcoder,
             workers: 1,
             budget_cores: None,
+            spare_scenes: Mutex::new(Vec::new()),
         }
     }
 
@@ -219,6 +225,7 @@ impl IngestionPipeline {
         let motion = source.motion_intensity();
         let stream = source.name().to_owned();
         let workers = self.effective_workers();
+        let trace = vstore_obs::current();
 
         // Fan (segment, format) tasks across the pool one window (of one
         // task per worker) at a time: memory stays bounded by the in-flight
@@ -226,11 +233,22 @@ impl IngestionPipeline {
         // formats via `Arc` — and report fields and errors are applied in
         // `(segment, format)` order after each window. With one worker the
         // window is a single task, reproducing the sequential path's
-        // accounting and error order exactly.
+        // accounting and error order exactly. A segment's scene buffer is
+        // rendered into again once no task holds it.
         let mut report = IngestReport::default();
         let mut pending: Vec<IngestTask> = Vec::with_capacity(workers);
+        let mut in_flight: Vec<Arc<Vec<SceneFrame>>> = Vec::new();
+        let mut spare: Vec<Vec<SceneFrame>> = Vec::new();
         for segment in first_segment..first_segment + count {
-            let scenes = Arc::new(source.segment(segment));
+            reclaim(&mut in_flight, &mut spare);
+            let mut buffer = spare
+                .pop()
+                .or_else(|| lock_unpoisoned(&self.spare_scenes).pop())
+                .unwrap_or_default();
+            let scene_started = std::time::Instant::now();
+            source.segment_into(segment, &mut buffer);
+            trace.record_since("ingest.scene", scene_started);
+            let scenes = Arc::new(buffer);
             report.video += VideoSeconds(scenes.len() as f64 / 30.0);
             for (id, format) in &formats {
                 pending.push(IngestTask {
@@ -248,8 +266,13 @@ impl IngestionPipeline {
                     )?;
                 }
             }
+            in_flight.push(scenes);
         }
         self.run_ingest_window(pending, &stream, motion, &mut report)?;
+        reclaim(&mut in_flight, &mut spare);
+        if let Some(buffer) = spare.pop() {
+            lock_unpoisoned(&self.spare_scenes).push(buffer);
+        }
         Ok(report)
     }
 
@@ -282,14 +305,15 @@ impl IngestionPipeline {
                 trace.record_since("ingest.transcode", transcode_started);
                 let bytes = out.data.to_bytes();
                 let key = SegmentKey::new(stream, task.id, task.segment);
+                let put_started = std::time::Instant::now();
                 self.reader.put(&key, &bytes)?;
                 // Persist the compressed-domain change scores next to the
                 // segment so the query planner can skip static segments
                 // without fetching them (see `vstore_codec::meta`).
-                let meta = SegmentMeta::from_segment(&out.data)?;
                 self.reader
                     .store()
-                    .put_segment_meta(&key, &meta.to_bytes())?;
+                    .put_segment_meta(&key, &out.meta.to_bytes())?;
+                trace.record_since("ingest.put", put_started);
                 Ok(TaskOutput {
                     id: task.id,
                     encode_core_seconds: out.encode_core_seconds,
@@ -367,6 +391,17 @@ impl IngestionPipeline {
             report.demoted_bytes = ByteSize(batch.bytes);
         }
         Ok(report)
+    }
+}
+
+/// Move the scene buffers no task holds any more from `in_flight` to
+/// `spare`.
+fn reclaim(in_flight: &mut Vec<Arc<Vec<SceneFrame>>>, spare: &mut Vec<Vec<SceneFrame>>) {
+    for scenes in std::mem::take(in_flight) {
+        match Arc::try_unwrap(scenes) {
+            Ok(buffer) => spare.push(buffer),
+            Err(shared) => in_flight.push(shared),
+        }
     }
 }
 
@@ -568,6 +603,37 @@ mod tests {
         assert!(p.store().contains(demoted_key));
         let (again, _) = reader.get(demoted_key).unwrap().unwrap();
         assert_eq!(bytes, again, "promotion must be byte-identical");
+    }
+
+    /// Ingests render into the scene buffers earlier ingests left behind,
+    /// and write what fresh buffers would; the free list keeps one buffer
+    /// per ingest that ran at once, here one.
+    #[test]
+    fn scene_buffers_are_reused_without_changing_a_byte() {
+        let reused = pipeline("ingest-reuse").with_workers(2);
+        let fresh = pipeline("ingest-fresh");
+        let source = VideoSource::new(Dataset::Dashcam);
+        let config = two_format_config();
+        reused.ingest_segments(&source, 0, 3, &config).unwrap();
+        assert_eq!(lock_unpoisoned(&reused.spare_scenes).len(), 1);
+        reused.ingest_segments(&source, 5, 2, &config).unwrap();
+        assert_eq!(lock_unpoisoned(&reused.spare_scenes).len(), 1);
+        fresh.ingest_segments(&source, 5, 2, &config).unwrap();
+        for segment in [5, 6] {
+            for id in [FormatId::GOLDEN, FormatId(1)] {
+                let key = SegmentKey::new("dashcam", id, segment);
+                assert_eq!(
+                    reused.store().get(&key).unwrap(),
+                    fresh.store().get(&key).unwrap()
+                );
+                assert_eq!(
+                    reused.store().get_segment_meta(&key).unwrap(),
+                    fresh.store().get_segment_meta(&key).unwrap()
+                );
+            }
+        }
+        std::fs::remove_dir_all(reused.store().dir()).ok();
+        std::fs::remove_dir_all(fresh.store().dir()).ok();
     }
 
     #[test]

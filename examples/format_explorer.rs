@@ -54,7 +54,9 @@ fn main() {
                 FrameSampling::S1_30,
             ] {
                 let fidelity = Fidelity::new(quality, CropFactor::C100, resolution, sampling);
-                let consumer = profiler.profile_consumer(op, fidelity);
+                let consumer = profiler
+                    .profile_consumer(op, fidelity)
+                    .expect("the profiling clip degrades to every fidelity");
                 let storage =
                     profiler.profile_storage(StorageFormat::new(fidelity, CodingOption::SMALLEST));
                 println!(

@@ -112,10 +112,12 @@ fn in_process_requests_begin_their_own_traces() {
     assert!(roots.contains(&"ingest"), "{roots:?}");
     assert!(roots.contains(&"query"), "{roots:?}");
     let ingest = dump.records.iter().find(|r| r.root == "ingest").unwrap();
-    assert!(
-        ingest.spans.iter().any(|s| s.name == "ingest.transcode"),
-        "{ingest:?}"
-    );
+    for name in ["ingest.scene", "ingest.transcode", "ingest.put"] {
+        assert!(
+            ingest.spans.iter().any(|s| s.name == name),
+            "{name}: {ingest:?}"
+        );
+    }
 }
 
 /// Metrics and trace dumps travel the wire: the v5 request variants
