@@ -177,19 +177,40 @@ const MIN_REPEAT: u8 = 3;
 const MAX_REPEAT: u8 = 130;
 
 /// Entropy-code `data` as literal and repeat runs (see the module docs)
-/// into `out`, replacing what it held: every run of [`MIN_REPEAT`] or more
-/// equal samples is a repeat, and whatever lies between repeats goes out as
-/// literals.
-fn encode_runs(data: &[u8], out: &mut Vec<u8>) {
+/// into `out`, replacing what it held: every run of three or more equal
+/// samples is a repeat, and whatever lies between repeats goes out as
+/// literals, flushed 128 at a time; a run of two joins the literals whole,
+/// so it never splits across a flush.
+///
+/// The coder follows the byte kernels' discipline (u8 reductions run in
+/// fixed blocks with a narrow block sum, so they vectorise without
+/// `std::arch` or `unsafe`) with words for blocks: it finds the next pair
+/// of equal neighbours eight samples at a time (`next_pair`), takes every
+/// sample before it as a run of one in bulk, and measures a run eight
+/// samples at a time (`run_length`). Its output is the same, byte for
+/// byte, as testing one sample at a time.
+pub fn encode_runs(data: &[u8], out: &mut Vec<u8>) {
     out.clear();
     let mut pos = 0;
     // The samples just before `pos` still owed to a literal run.
     let mut literals: u8 = 0;
-    while let Some(&value) = data.get(pos) {
-        let mut run: u8 = 1;
-        while run < MAX_REPEAT && data.get(pos + usize::from(run)) == Some(&value) {
-            run += 1;
+    while pos < data.len() {
+        // Each sample before the next equal pair is a run of one.
+        let pair = next_pair(data, pos);
+        while pos < pair {
+            if literals == MAX_LITERALS {
+                flush_literals(out, &data[..pos], literals);
+                literals = 0;
+            }
+            let room = MAX_LITERALS - literals;
+            let take = u8::try_from(pair - pos).map_or(room, |left| left.min(room));
+            literals += take;
+            pos += usize::from(take);
         }
+        let Some(&value) = data.get(pos) else {
+            break;
+        };
+        let run = run_length(&data[pos..], value);
         if run >= MIN_REPEAT {
             flush_literals(out, &data[..pos], literals);
             literals = 0;
@@ -204,6 +225,65 @@ fn encode_runs(data: &[u8], out: &mut Vec<u8>) {
         pos += usize::from(run);
     }
     flush_literals(out, &data[..pos], literals);
+}
+
+/// Bytes in the word [`next_pair`] and [`run_length`] compare at a time.
+const WORD: usize = 8;
+/// A `u64` with every byte 1, and with every byte's high bit set.
+const ONES: u64 = u64::from_ne_bytes([0x01; WORD]);
+const HIGHS: u64 = u64::from_ne_bytes([0x80; WORD]);
+
+/// The `WORD` samples of `bytes` as a little-endian word, so the first
+/// sample is the lowest byte.
+#[inline]
+fn word(bytes: &[u8; WORD]) -> u64 {
+    u64::from_le_bytes(*bytes)
+}
+
+/// Index of the first sample at or after `from` equal to the sample after
+/// it, or `data.len()` when there is none. A word XORed with the word one
+/// sample later has a zero byte where neighbours are equal; the lowest
+/// byte the has-zero-byte test flags is the first such byte (a borrow only
+/// ripples upwards, past a true zero).
+fn next_pair(data: &[u8], from: usize) -> usize {
+    let mut pos = from;
+    while let (Some(chunk), Some(&after)) = (
+        data.get(pos..).and_then(<[u8]>::first_chunk::<WORD>),
+        data.get(pos + WORD),
+    ) {
+        let now = word(chunk);
+        let same = now ^ (now >> 8 | u64::from(after) << 56);
+        let zeros = same.wrapping_sub(ONES) & !same & HIGHS;
+        if zeros != 0 {
+            return pos + cast::usize_from_u32(zeros.trailing_zeros()) / 8;
+        }
+        pos += WORD;
+    }
+    data[pos..]
+        .windows(2)
+        .position(|pair| pair[0] == pair[1])
+        .map_or(data.len(), |i| pos + i)
+}
+
+/// Length of the run of `value` that opens `data`, at most [`MAX_REPEAT`]:
+/// a word at a time against `value` in every byte, the first differing
+/// byte being the lowest set one.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a run is capped at MAX_REPEAT (130) samples"
+)]
+fn run_length(data: &[u8], value: u8) -> u8 {
+    let data = &data[..data.len().min(usize::from(MAX_REPEAT))];
+    let splat = u64::from_ne_bytes([value; WORD]);
+    let mut run = 0;
+    while let Some(chunk) = data.get(run..).and_then(<[u8]>::first_chunk::<WORD>) {
+        let differ = word(chunk) ^ splat;
+        if differ != 0 {
+            return (run + cast::usize_from_u32(differ.trailing_zeros()) / 8) as u8;
+        }
+        run += WORD;
+    }
+    (run + data[run..].iter().take_while(|&&s| s == value).count()) as u8
 }
 
 /// Write the last `count` samples of `before` as one literal run.
@@ -653,6 +733,127 @@ mod tests {
         // Empty input.
         assert!(runs(&[]).is_empty());
         assert!(expand(&[], 0).unwrap().is_empty());
+    }
+
+    /// The run coder as it tested one sample at a time, kept verbatim as
+    /// the reference the word-at-a-time coder is held to.
+    fn scalar_encode_runs(data: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        let mut pos = 0;
+        // The samples just before `pos` still owed to a literal run.
+        let mut literals: u8 = 0;
+        while let Some(&value) = data.get(pos) {
+            let mut run: u8 = 1;
+            while run < MAX_REPEAT && data.get(pos + usize::from(run)) == Some(&value) {
+                run += 1;
+            }
+            if run >= MIN_REPEAT {
+                flush_literals(out, &data[..pos], literals);
+                literals = 0;
+                out.extend_from_slice(&[run - MIN_REPEAT + REPEAT, value]);
+            } else {
+                if literals + run > MAX_LITERALS {
+                    flush_literals(out, &data[..pos], literals);
+                    literals = 0;
+                }
+                literals += run;
+            }
+            pos += usize::from(run);
+        }
+        flush_literals(out, &data[..pos], literals);
+    }
+
+    /// Samples made of seeded pieces at the coder's edges: runs of 1, 2,
+    /// 3, 129, 130, 131 and 260 equal samples and literal stretches (no
+    /// two neighbours equal) of 127, 128, 129 and 256, each piece unequal
+    /// to the sample before it; some seeds draw from three values only,
+    /// so equal neighbours also fall where they may.
+    fn seeded_runs(seed: u64, pieces: usize) -> Vec<u8> {
+        const RUNS: [usize; 7] = [1, 2, 3, 129, 130, 131, 260];
+        const LITERALS: [usize; 4] = [127, 128, 129, 256];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let alphabet = if seed % 4 == 3 { 3 } else { 256 };
+        let mut data: Vec<u8> = Vec::new();
+        // A value unequal to the last sample.
+        let fresh = |data: &[u8], r: u64| {
+            let v = r % alphabet;
+            let v = if data.last() == Some(&(v as u8)) {
+                (v + 1) % alphabet
+            } else {
+                v
+            };
+            v as u8
+        };
+        for _ in 0..pieces {
+            let r = next();
+            if r % 3 == 0 {
+                let len = LITERALS[(r >> 8) as usize % LITERALS.len()];
+                for _ in 0..len {
+                    let v = fresh(&data, next());
+                    data.push(v);
+                }
+            } else {
+                let len = RUNS[(r >> 8) as usize % RUNS.len()];
+                let v = fresh(&data, next());
+                data.resize(data.len() + len, v);
+            }
+        }
+        data
+    }
+
+    /// The word-at-a-time coder writes the scalar coder's bytes: on seeded
+    /// pieces at every run and flush edge, cut to every short tail, and on
+    /// literal stretches that bring a two-sample run up to, onto and
+    /// across the 128-literal flush.
+    #[test]
+    fn run_coder_is_byte_identical_to_the_scalar_coder() {
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+        let mut check = |data: &[u8]| {
+            encode_runs(data, &mut ours);
+            scalar_encode_runs(data, &mut theirs);
+            assert_eq!(ours, theirs, "{} samples: {data:?}", data.len());
+            assert_eq!(expand(&ours, data.len()).unwrap(), data);
+        };
+        for seed in 0..64 {
+            let data = seeded_runs(seed, 40);
+            check(&data);
+            // Every tail shorter than a word, and off-word starts.
+            for cut in 0..=2 * WORD {
+                check(&data[..data.len().saturating_sub(cut)]);
+                check(&data[cut.min(data.len())..]);
+            }
+        }
+        let long = seeded_runs(64, 40);
+        for len in 0..=300 {
+            check(&long[..len]);
+        }
+        // n literals, then a two-sample run, then literals again: at 126
+        // the run fills the literal run to 128, at 127 it would straddle the
+        // flush and opens the next literal run instead.
+        for n in 120..=136 {
+            for after in [0, 1, 2, 5, 9, 130] {
+                let mut data: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
+                let last = data.last().copied().unwrap_or(0);
+                data.extend([last + 7, last + 7]);
+                data.extend((0..after).map(|i| 50 + (i % 2) as u8));
+                check(&data);
+            }
+        }
+        for data in [
+            &[][..],
+            &[5],
+            &[5, 5],
+            &[5, 5, 5],
+            &[1, 2, 1, 2, 1, 2, 1, 2, 2],
+        ] {
+            check(data);
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 use crate::frame::{sampling_selects, VideoFrame};
 use crate::wire::{crc32, ByteReader, ByteWriter};
+use vstore_datasets::{wrapped_distance, wrapped_magnitude};
 use vstore_types::{cast, FrameSampling, Result, VStoreError};
 
 /// Magic bytes prefixing every serialised sidecar.
@@ -54,7 +55,10 @@ pub const META_VERSION: u8 = 1;
 /// distance, so the planner never skips on its account.
 const INCOMPARABLE_SCORE: f32 = 128.0;
 
-/// Mean wrapped byte distance between two sample planes.
+/// Mean wrapped byte distance between two sample planes. The sum is
+/// [`wrapped_distance`]: u8 reductions run in fixed blocks with a narrow
+/// block sum, so they vectorise without `std::arch` or `unsafe`, and the
+/// total is the same integer a per-sample sum gives.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
@@ -63,19 +67,12 @@ pub(crate) fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
     if cur.is_empty() || cur.len() != prev.len() {
         return INCOMPARABLE_SCORE;
     }
-    let sum: u64 = cur
-        .iter()
-        .zip(prev.iter())
-        .map(|(&c, &p)| {
-            let d = c.wrapping_sub(p);
-            u64::from(d.min(0u8.wrapping_sub(d)))
-        })
-        .sum();
-    (sum as f64 / cur.len() as f64) as f32
+    (wrapped_distance(cur, prev) as f64 / cur.len() as f64) as f32
 }
 
 /// Mean wrapped magnitude of a delta payload (`cur.wrapping_sub(prev)` per
-/// sample), which equals the wrapped distance between the two frames.
+/// sample), which equals the wrapped distance between the two frames; the
+/// sum is the blocked [`wrapped_magnitude`].
 #[expect(
     clippy::cast_possible_truncation,
     reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
@@ -84,11 +81,7 @@ pub(crate) fn mean_delta_magnitude(deltas: &[u8]) -> f32 {
     if deltas.is_empty() {
         return 0.0;
     }
-    let sum: u64 = deltas
-        .iter()
-        .map(|&d| u64::from(d.min(0u8.wrapping_sub(d))))
-        .sum();
-    (sum as f64 / deltas.len() as f64) as f32
+    (wrapped_magnitude(deltas) as f64 / deltas.len() as f64) as f32
 }
 
 /// Per-segment change metadata, computed at ingest from the stored
