@@ -4,7 +4,7 @@
 //! This is the FFmpeg/libx264 stand-in. Real data flows through (frames are
 //! degraded and encoded for real); the *cost* of doing so on the paper's
 //! testbed is charged through the calibrated
-//! [`CodingCostModel`](vstore_sim::CodingCostModel).
+//! [`CodingCostModel`].
 
 use crate::codec::SegmentEncoder;
 use crate::container::{RawSegment, SegmentData};

@@ -33,10 +33,13 @@
 //!   `(x + shift, y + shift / 3)`, where `shift` is the camera's motion so
 //!   far; consecutive frames are windows into one texture. The renderer
 //!   hashes each world cell of a run of at most [`SEGMENT_FRAMES`] frames
-//!   once, then fills each frame row by row as the row's gradient plus a
-//!   slice of the texture, and rasterises the objects over it. A single
-//!   frame is a one-frame tile; the output is value-identical to hashing
-//!   every pixel of every frame.
+//!   once. Frames of one vertical shift `shift / 3` share a background
+//!   window a few columns wider than a frame, quantised once (the row's
+//!   gradient plus the texture, clamped to a byte), so each of their rows
+//!   is a copy out of it. The objects are [rasterised](rasterise) over it,
+//!   each box clipped to the plane once and blended a row slice at a time.
+//!   A single frame is a one-frame tile; the output is value-identical to
+//!   hashing every pixel of every frame.
 //! * **Degradation is one pass.** A [`PlaneKernel`] crops, box-resizes and
 //!   quantises in one pass over the source: the source rows and columns
 //!   behind each output sample and a 256-entry quantisation table are
@@ -55,4 +58,6 @@ pub use live::{LiveSource, LoadProfile};
 pub use plane::{sad, wrapped_distance, wrapped_magnitude, BlockPlane, PlaneKernel};
 pub use profile::{Dataset, DatasetProfile};
 pub use scene::{BoundingBox, ObjectClass, ObjectColor, PlateText, SceneFrame, SceneObject};
-pub use source::{FrameCursor, VideoSource, FRAME_RATE, SEGMENT_FRAMES, SEGMENT_SECONDS};
+pub use source::{
+    rasterise, FrameCursor, VideoSource, FRAME_RATE, SEGMENT_FRAMES, SEGMENT_SECONDS,
+};

@@ -184,15 +184,19 @@ impl VideoSource {
     }
 
     /// Render frames `start..start + frames.len()` into `frames`, reusing
-    /// their buffers and `texture`'s.
+    /// their buffers and `scratch`'s.
     ///
     /// The background of frame `i` at `(x, y)` is a vertical gradient
     /// (sky → road) in `y` plus a hashed texture term of the world cell
     /// `(x + shift_i, y + shift_i / 3)`: consecutive frames are windows into
     /// one texture. So each world cell the frames cover is hashed once into
-    /// `texture`, each frame's row is the row's gradient plus a slice of
-    /// it, and the objects are rasterised over that.
-    fn render_tile(&self, start: u64, frames: &mut [SceneFrame], texture: &mut Vec<f64>) {
+    /// the texture. Consecutive frames of one vertical shift `shift_i / 3`
+    /// see the same texture rows at the same heights, and their horizontal
+    /// shifts span a few columns, so such a group's background window is
+    /// quantised once (gradient plus texture term, clamped to a byte) and
+    /// each of its frames' rows is a slice of that window. The objects are
+    /// rasterised over it.
+    fn render_tile(&self, start: u64, frames: &mut [SceneFrame], scratch: &mut TileScratch) {
         let (w, h) = BlockPlane::dimensions_for(Resolution::R720);
         if frames.is_empty() {
             return;
@@ -202,9 +206,14 @@ impl VideoSource {
         let tile_h = (y_hi - y_lo) as usize + h as usize;
         let texture_amp = 55.0 * self.profile.background_texture;
         let prefix = DeterministicHasher::new(self.profile.seed).mix(0xBAC4_6000);
-        let columns: Vec<DeterministicHasher> = (0..tile_w)
-            .map(|tx| prefix.mix((x_lo as i64).wrapping_add(tx as i64) as u64))
-            .collect();
+        let TileScratch {
+            columns,
+            texture,
+            window,
+        } = scratch;
+        columns.clear();
+        columns
+            .extend((0..tile_w).map(|tx| prefix.mix((x_lo as i64).wrapping_add(tx as i64) as u64)));
         texture.clear();
         texture.reserve(tile_w * tile_h);
         for ty in 0..tile_h {
@@ -214,25 +223,45 @@ impl VideoSource {
                 texture_amp * (noise - 0.5) * 2.0
             }));
         }
-        for (offset, frame) in frames.iter_mut().enumerate() {
-            let index = start + offset as u64;
-            self.describe_frame(index, frame);
-            let shift = self.camera_shift(index);
-            let dx = (i128::from(shift) - x_lo) as usize;
-            let dy = (i128::from(shift / 3) - y_lo) as usize;
-            let plane = &mut frame.plane;
-            if plane.width() != w || plane.height() != h {
-                *plane = BlockPlane::filled(w, h, 0);
-            }
-            let rows = plane.samples_mut().chunks_exact_mut(w as usize);
-            for (y, row) in rows.enumerate() {
+        let shift = |offset: usize| self.camera_shift(start + offset as u64);
+        let mut first = 0;
+        while first < frames.len() {
+            let shift_y = shift(first) / 3;
+            let end = (first + 1..frames.len())
+                .find(|&offset| shift(offset) / 3 != shift_y)
+                .unwrap_or(frames.len());
+            // The shift is monotone in the frame index, so the group's first
+            // and last frames bound its columns.
+            let (a, b) = (shift(first), shift(end - 1));
+            let (g_lo, g_hi) = (a.min(b), a.max(b));
+            let window_w = (g_hi - g_lo) as usize + w as usize;
+            // The window's origin in the texture.
+            let x0 = (i128::from(g_lo) - x_lo) as usize;
+            let y0 = (i128::from(shift_y) - y_lo) as usize;
+            window.clear();
+            for y in 0..h as usize {
                 let base = 70.0 + 110.0 * (y as f64 / 90.0);
-                let at = (y + dy) * tile_w + dx;
-                for (sample, &term) in row.iter_mut().zip(&texture[at..at + w as usize]) {
-                    *sample = (base + term).clamp(0.0, 255.0) as u8;
-                }
+                let at = (y + y0) * tile_w + x0;
+                window.extend(
+                    texture[at..at + window_w]
+                        .iter()
+                        .map(|&term| (base + term).clamp(0.0, 255.0) as u8),
+                );
             }
-            rasterise(&frame.objects, plane);
+            for (offset, frame) in (first..end).zip(&mut frames[first..end]) {
+                self.describe_frame(start + offset as u64, frame);
+                let plane = &mut frame.plane;
+                if plane.width() != w || plane.height() != h {
+                    *plane = BlockPlane::filled(w, h, 0);
+                }
+                let dx = (shift(offset) - g_lo) as usize;
+                let rows = plane.samples_mut().chunks_exact_mut(w as usize);
+                for (row, source) in rows.zip(window.chunks_exact(window_w)) {
+                    row.copy_from_slice(&source[dx..dx + w as usize]);
+                }
+                rasterise(&frame.objects, plane);
+            }
+            first = end;
         }
     }
 
@@ -273,7 +302,11 @@ impl VideoSource {
     /// is scratch of this call. Value-identical to [`frame`](Self::frame);
     /// a [`FrameCursor`] streams frames reusing the texture too.
     pub fn frame_into(&self, index: u64, out: &mut SceneFrame) {
-        self.render_tile(index, std::slice::from_mut(out), &mut Vec::new());
+        self.render_tile(
+            index,
+            std::slice::from_mut(out),
+            &mut TileScratch::default(),
+        );
     }
 
     /// Generate the frame at the given index (30 fps).
@@ -292,12 +325,12 @@ impl VideoSource {
         while out.len() < num_frames {
             out.push(Self::blank_frame());
         }
-        let mut texture = Vec::new();
+        let mut scratch = TileScratch::default();
         let mut done = 0;
         while done < num_frames {
             let start = start_frame + done as u64;
             let frames = self.tile_frames(start, num_frames - done);
-            self.render_tile(start, &mut out[done..done + frames], &mut texture);
+            self.render_tile(start, &mut out[done..done + frames], &mut scratch);
             done += frames;
         }
     }
@@ -340,32 +373,54 @@ impl VideoSource {
             source: self,
             next_index: start_frame,
             frame: Self::blank_frame(),
-            texture: Vec::new(),
+            scratch: TileScratch::default(),
         }
     }
 }
 
 /// Rasterise `objects` over the background in `plane`, in order, each
 /// blended by its salience so faint objects leave a fainter footprint.
-fn rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
+///
+/// A box covers the samples from `(bbox.x * width, bbox.y * height)` on,
+/// at least one each way; whatever of it lies off the plane is clipped
+/// once, and the rest is blended a row slice at a time.
+pub fn rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
     let (w, h) = (plane.width(), plane.height());
     for obj in objects {
-        let luma = obj.color.luma();
         let x0 = (obj.bbox.x * w as f32) as i64;
         let y0 = (obj.bbox.y * h as f32) as i64;
         let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
         let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
-        for yy in y0..(y0 + bh) {
-            for xx in x0..(x0 + bw) {
-                if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
-                    let bg = plane.get(xx as u32, yy as u32);
-                    let blended =
-                        f32::from(bg) * (1.0 - obj.salience) + f32::from(luma) * obj.salience;
-                    plane.set(xx as u32, yy as u32, blended as u8);
-                }
+        let (Some((x_first, x_last)), Some((y_first, y_last))) = (clip(x0, bw, w), clip(y0, bh, h))
+        else {
+            continue;
+        };
+        let keep = 1.0 - obj.salience;
+        let paint = f32::from(obj.color.luma()) * obj.salience;
+        let rows = plane.samples_mut().chunks_exact_mut(w as usize);
+        for row in rows.take(y_last + 1).skip(y_first) {
+            for sample in &mut row[x_first..=x_last] {
+                *sample = (f32::from(*sample) * keep + paint) as u8;
             }
         }
     }
+}
+
+/// The first and last of the `len` cells from `start` that lie on
+/// `0..end`, if any does.
+fn clip(start: i64, len: i64, end: u32) -> Option<(usize, usize)> {
+    let first = start.max(0);
+    let last = start.saturating_add(len - 1).min(i64::from(end) - 1);
+    (first <= last).then_some((first as usize, last as usize))
+}
+
+/// The renderer's reusable buffers: one tile's column hashers and texture
+/// terms, and one group's quantised background window.
+#[derive(Debug, Clone, Default)]
+struct TileScratch {
+    columns: Vec<DeterministicHasher>,
+    texture: Vec<f64>,
+    window: Vec<u8>,
 }
 
 /// A streaming frame generator that reuses one frame buffer; see
@@ -375,7 +430,7 @@ pub struct FrameCursor<'a> {
     source: &'a VideoSource,
     next_index: u64,
     frame: SceneFrame,
-    texture: Vec<f64>,
+    scratch: TileScratch,
 }
 
 impl FrameCursor<'_> {
@@ -389,7 +444,7 @@ impl FrameCursor<'_> {
     pub fn next_frame(&mut self) -> &SceneFrame {
         let frame = std::slice::from_mut(&mut self.frame);
         self.source
-            .render_tile(self.next_index, frame, &mut self.texture);
+            .render_tile(self.next_index, frame, &mut self.scratch);
         self.next_index += 1;
         &self.frame
     }
@@ -399,8 +454,10 @@ impl FrameCursor<'_> {
 mod tests {
     use super::*;
 
-    /// The per-pixel renderer the tile renderer replaced, kept as the
-    /// reference it is held to.
+    /// The renderers the grouped tile renderer replaced, kept as the
+    /// references it is held to: the per-pixel renderer, and the tile
+    /// renderer that quantised every frame's rows on their own and
+    /// rasterised a pixel at a time.
     mod reference {
         use super::*;
 
@@ -438,6 +495,221 @@ mod tests {
             }
             rasterise(&frame.objects, plane);
             frame
+        }
+
+        /// The tile renderer with the per-frame fill: every frame's rows
+        /// are the row's gradient plus a slice of the texture, quantised on
+        /// their own.
+        fn render_tile(
+            source: &VideoSource,
+            start: u64,
+            frames: &mut [SceneFrame],
+            texture: &mut Vec<f64>,
+        ) {
+            let (w, h) = BlockPlane::dimensions_for(Resolution::R720);
+            if frames.is_empty() {
+                return;
+            }
+            let ((x_lo, x_hi), (y_lo, y_hi)) = source.tile_window(start, frames.len());
+            let tile_w = (x_hi - x_lo) as usize + w as usize;
+            let tile_h = (y_hi - y_lo) as usize + h as usize;
+            let texture_amp = 55.0 * source.profile.background_texture;
+            let prefix = DeterministicHasher::new(source.profile.seed).mix(0xBAC4_6000);
+            let columns: Vec<DeterministicHasher> = (0..tile_w)
+                .map(|tx| prefix.mix((x_lo as i64).wrapping_add(tx as i64) as u64))
+                .collect();
+            texture.clear();
+            texture.reserve(tile_w * tile_h);
+            for ty in 0..tile_h {
+                let sy = (y_lo as i64).wrapping_add(ty as i64) as u64;
+                texture.extend(columns.iter().map(|column| {
+                    let noise = column.mix(sy).unit();
+                    texture_amp * (noise - 0.5) * 2.0
+                }));
+            }
+            for (offset, frame) in frames.iter_mut().enumerate() {
+                let index = start + offset as u64;
+                source.describe_frame(index, frame);
+                let shift = source.camera_shift(index);
+                let dx = (i128::from(shift) - x_lo) as usize;
+                let dy = (i128::from(shift / 3) - y_lo) as usize;
+                let plane = &mut frame.plane;
+                if plane.width() != w || plane.height() != h {
+                    *plane = BlockPlane::filled(w, h, 0);
+                }
+                let rows = plane.samples_mut().chunks_exact_mut(w as usize);
+                for (y, row) in rows.enumerate() {
+                    let base = 70.0 + 110.0 * (y as f64 / 90.0);
+                    let at = (y + dy) * tile_w + dx;
+                    for (sample, &term) in row.iter_mut().zip(&texture[at..at + w as usize]) {
+                        *sample = (base + term).clamp(0.0, 255.0) as u8;
+                    }
+                }
+                rasterise(&frame.objects, plane);
+            }
+        }
+
+        /// Frames `start..start + len`, rendered by the per-frame fill in
+        /// the tiles [`VideoSource::clip_into`] renders.
+        pub(super) fn clip(source: &VideoSource, start: u64, len: usize) -> Vec<SceneFrame> {
+            let mut out = vec![VideoSource::blank_frame(); len];
+            let mut texture = Vec::new();
+            let mut done = 0;
+            while done < len {
+                let frames = source.tile_frames(start + done as u64, len - done);
+                render_tile(
+                    source,
+                    start + done as u64,
+                    &mut out[done..done + frames],
+                    &mut texture,
+                );
+                done += frames;
+            }
+            out
+        }
+
+        /// The per-pixel rasteriser, bounds-checked through `get`/`set`.
+        pub(super) fn rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
+            let (w, h) = (plane.width(), plane.height());
+            for obj in objects {
+                let luma = obj.color.luma();
+                let x0 = (obj.bbox.x * w as f32) as i64;
+                let y0 = (obj.bbox.y * h as f32) as i64;
+                let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
+                let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
+                for yy in y0..(y0 + bh) {
+                    for xx in x0..(x0 + bw) {
+                        if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
+                            let bg = plane.get(xx as u32, yy as u32);
+                            let blended = f32::from(bg) * (1.0 - obj.salience)
+                                + f32::from(luma) * obj.salience;
+                            plane.set(xx as u32, yy as u32, blended as u8);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Assert `frames` equal `expected` frame by frame.
+    fn assert_frames_eq(frames: &[SceneFrame], expected: &[SceneFrame], what: &str) {
+        assert_eq!(frames.len(), expected.len(), "{what}: frame count");
+        for (offset, (frame, expected)) in frames.iter().zip(expected).enumerate() {
+            assert_eq!(frame, expected, "{what}: frame {offset}");
+        }
+    }
+
+    /// The grouped fill is value-identical to the per-frame fill on every
+    /// dataset, from the first segment to one well into the stream.
+    #[test]
+    fn grouped_fill_matches_the_per_frame_fill_on_every_dataset() {
+        for dataset in Dataset::ALL {
+            let src = VideoSource::new(dataset);
+            for segment in [0u64, 1, 33] {
+                let start = segment * u64::from(SEGMENT_FRAMES);
+                let expected = reference::clip(&src, start, SEGMENT_FRAMES as usize);
+                let what = format!("{dataset:?} segment {segment}");
+                assert_frames_eq(&src.segment(segment), &expected, &what);
+            }
+        }
+    }
+
+    /// Clips across tile boundaries, one-frame tiles and a streaming cursor
+    /// all render what the per-frame fill renders.
+    #[test]
+    fn every_entry_point_matches_the_per_frame_fill() {
+        for dataset in Dataset::ALL {
+            let src = VideoSource::new(dataset);
+            let what = format!("{dataset:?} clip(100, 700)");
+            assert_frames_eq(&src.clip(100, 700), &reference::clip(&src, 100, 700), &what);
+            let mut frame = VideoSource::blank_frame();
+            for index in [0u64, 1, 239, 240, 7_919, 1_000_000] {
+                src.frame_into(index, &mut frame);
+                let what = format!("{dataset:?} frame_into({index})");
+                assert_frames_eq(
+                    std::slice::from_ref(&frame),
+                    &reference::clip(&src, index, 1),
+                    &what,
+                );
+            }
+            let mut cursor = src.frame_cursor(50);
+            let streamed: Vec<SceneFrame> = (0..300).map(|_| cursor.next_frame().clone()).collect();
+            let what = format!("{dataset:?} cursor from 50");
+            assert_frames_eq(&streamed, &reference::clip(&src, 50, 300), &what);
+        }
+    }
+
+    /// The clipped rasteriser paints what the per-pixel one paints, for
+    /// boxes wholly and partly off each edge, one-sample boxes, salience 0
+    /// and 1, and objects that overlap.
+    #[test]
+    fn clipped_rasteriser_matches_the_per_pixel_rasteriser() {
+        let object = |x: f32, y: f32, w: f32, h: f32, salience: f32, color: ObjectColor| {
+            SceneObject {
+                id: 0,
+                class: ObjectClass::Pedestrian,
+                // Raw fields, unclamped, so boxes can hang off any edge.
+                bbox: BoundingBox { x, y, w, h },
+                color,
+                plate: None,
+                salience,
+                speed: 0.0,
+            }
+        };
+        let white = ObjectColor::White;
+        let objects = [
+            // Wholly off the left, top, right and bottom edges.
+            object(-0.5, 0.4, 0.2, 0.2, 0.8, white),
+            object(0.4, -0.5, 0.2, 0.2, 0.8, white),
+            object(1.0, 0.4, 0.2, 0.2, 0.8, white),
+            object(1.5, 0.4, 0.2, 0.2, 0.8, white),
+            object(0.4, 1.0, 0.2, 0.2, 0.8, white),
+            object(0.4, 1.5, 0.2, 0.2, 0.8, white),
+            // Partly off each edge, and off two at once.
+            object(-0.05, 0.3, 0.2, 0.2, 0.7, ObjectColor::Black),
+            object(0.3, -0.05, 0.2, 0.2, 0.7, ObjectColor::Black),
+            object(0.9, 0.3, 0.3, 0.2, 0.7, ObjectColor::Black),
+            object(0.3, 0.9, 0.2, 0.3, 0.7, ObjectColor::Black),
+            object(-0.05, -0.05, 0.1, 0.1, 0.6, ObjectColor::Red),
+            object(0.95, 0.95, 0.1, 0.1, 0.6, ObjectColor::Red),
+            object(-0.1, -0.1, 1.2, 1.2, 0.3, ObjectColor::Silver),
+            // One sample: at the origin, the last column and row, and one
+            // column or row left on the plane by a box hanging off it.
+            object(0.0, 0.0, 0.0, 0.0, 0.9, ObjectColor::Yellow),
+            object(0.999, 0.5, 0.0, 0.0, 0.9, ObjectColor::Yellow),
+            object(0.5, 0.999, 0.0, 0.0, 0.9, ObjectColor::Yellow),
+            object(0.999, 0.999, 0.0, 0.0, 0.9, ObjectColor::Yellow),
+            object(-0.01, 0.2, 0.01, 0.1, 0.9, ObjectColor::Green),
+            object(0.2, -0.02, 0.1, 0.02, 0.9, ObjectColor::Green),
+            // Salience 0 leaves the background, 1 paints the colour.
+            object(0.2, 0.2, 0.3, 0.3, 0.0, white),
+            object(0.25, 0.25, 0.1, 0.1, 1.0, ObjectColor::Blue),
+            // Overlapping objects blend in order.
+            object(0.4, 0.4, 0.3, 0.3, 0.5, ObjectColor::Red),
+            object(0.5, 0.5, 0.3, 0.3, 0.55, ObjectColor::Green),
+            object(0.45, 0.45, 0.1, 0.4, 0.45, white),
+        ];
+        for (w, h) in [BlockPlane::dimensions_for(Resolution::R720), (7, 5), (1, 1)] {
+            let samples = (0..w * h).map(|i| (i * 37 % 256) as u8).collect();
+            let background = BlockPlane::from_samples(w, h, samples).unwrap();
+            let paint = |objects: &[SceneObject], f: fn(&[SceneObject], &mut BlockPlane)| {
+                let mut plane = background.clone();
+                f(objects, &mut plane);
+                plane
+            };
+            for (i, obj) in objects.iter().enumerate() {
+                let one = std::slice::from_ref(obj);
+                assert_eq!(
+                    paint(one, rasterise),
+                    paint(one, reference::rasterise),
+                    "{w}x{h} object {i}"
+                );
+            }
+            assert_eq!(
+                paint(&objects, rasterise),
+                paint(&objects, reference::rasterise),
+                "{w}x{h} all objects"
+            );
         }
     }
 

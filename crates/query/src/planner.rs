@@ -26,11 +26,12 @@ pub struct PlanOptions {
     /// and the stage reordering: execution is byte-identical to the
     /// unplanned engine.
     pub enabled: bool,
-    /// Segments whose [`SegmentMeta::max_sampled_change`]
-    /// (vstore_codec::SegmentMeta::max_sampled_change) falls below this
-    /// threshold are skipped without being fetched or decoded. Raise it to
-    /// skip more aggressively, lower it towards 0 to skip only perfectly
-    /// static segments. Only consulted when `enabled` is `true`.
+    /// Segments whose
+    /// [`SegmentMeta::max_sampled_change`](vstore_codec::SegmentMeta::max_sampled_change)
+    /// falls below this threshold are skipped without being fetched or
+    /// decoded. Raise it to skip more aggressively, lower it towards 0 to
+    /// skip only perfectly static segments. Only consulted when `enabled`
+    /// is `true`.
     pub skip_threshold: f64,
 }
 

@@ -33,8 +33,8 @@ pub(super) const OBJECT_DIR: &str = "segments";
 /// device.
 const OLD_LAYOUT_FILE: &str = "MANIFEST";
 
-/// The cold segment store over any [`StorageBackend`] device. See the
-/// [module docs](self).
+/// The cold segment store over any [`StorageBackend`] device: one
+/// checksummed object per demoted segment.
 pub struct ColdStore {
     device: Arc<dyn StorageBackend>,
     /// Resident segments and their value lengths.

@@ -6,7 +6,7 @@
 //! compile time, let the loop fold sixteen input bytes into the running
 //! checksum with sixteen independent lookups instead of 128 dependent
 //! shift/xor rounds. One such fold still waits on the one before it, so
-//! long inputs are walked in [`LANES`] interleaved lanes of [`LANE_BLOCK`]
+//! long inputs are walked in `LANES` interleaved lanes of `LANE_BLOCK`
 //! bytes each: the lanes' folds do not depend on each other, so their
 //! lookups overlap. Lane `k + 1` starts from a zero register, and the lanes
 //! are joined by the linearity of the CRC: the register after `a ‖ b` is

@@ -1,25 +1,28 @@
-//! Byte-kernel profile: what each byte kernel costs per sample on one real
-//! Jackson segment, beside the scalar reference it is held to, and what
-//! each stage of transcoding that segment costs at Query A's storage
-//! formats — a per-stage table in the style Scanner keeps for its
-//! operators. It prints; it has no timing gate.
+//! Byte-kernel profile: what rendering one real Jackson segment costs (the
+//! background fill, the rasteriser and the whole 240-frame render), what
+//! each byte kernel costs per sample on it, beside the reference each is
+//! held to, and what each stage of transcoding that segment costs at
+//! Query A's storage formats — a per-stage table in the style Scanner
+//! keeps for its operators. It prints; it has no timing gate.
 //!
 //! ```sh
 //! cargo run --release --example kernels
 //! ```
 //!
 //! The scalar references are the per-sample forms the blocked kernels and
-//! the word-at-a-time run coder replaced; the unit tests hold each kernel
-//! to its reference bit for bit.
+//! the word-at-a-time run coder replaced, and the scene's are the
+//! per-frame background fill and the per-pixel rasteriser the renderer
+//! replaced; the unit tests hold each kernel to its reference bit for bit.
 
 use std::hint::black_box;
 use std::time::Instant;
 use vstore::codec::codec::encode_runs;
 use vstore::codec::frame::materialize_clip;
 use vstore::datasets::{
-    sad, wrapped_distance, wrapped_magnitude, BlockPlane, Dataset, VideoSource,
+    rasterise, sad, wrapped_distance, wrapped_magnitude, BlockPlane, Dataset, DatasetProfile,
+    SceneFrame, SceneObject, VideoSource, SEGMENT_FRAMES,
 };
-use vstore::types::CodingOption;
+use vstore::types::{CodingOption, DeterministicHasher};
 use vstore::{BackendOptions, QuerySpec, VStore, VStoreOptions};
 
 /// Timed rounds per row; the median is reported.
@@ -96,6 +99,131 @@ fn scalar_encode_runs(data: &[u8], out: &mut Vec<u8>) {
     flush(out, &data[..pos], literals);
 }
 
+/// The background fill the grouped fill replaced: the tile's texture
+/// hashed once, then every frame's rows quantised from it on their own.
+fn per_frame_fill(profile: &DatasetProfile, start: u64, planes: &mut [BlockPlane]) {
+    let shift = |index: u64| (index as f64 * profile.motion_intensity * 1.8).round() as i64;
+    let (first, last) = (shift(start), shift(start + planes.len() as u64 - 1));
+    let w = planes[0].width() as usize;
+    let tile_w = (last - first) as usize + w;
+    let tile_h = (last / 3 - first / 3) as usize + planes[0].height() as usize;
+    let amp = 55.0 * profile.background_texture;
+    let prefix = DeterministicHasher::new(profile.seed).mix(0xBAC4_6000);
+    let columns: Vec<DeterministicHasher> = (0..tile_w)
+        .map(|tx| prefix.mix((first + tx as i64) as u64))
+        .collect();
+    let texture: Vec<f64> = (0..tile_h)
+        .flat_map(|ty| {
+            let sy = (first / 3 + ty as i64) as u64;
+            columns
+                .iter()
+                .map(move |column| amp * (column.mix(sy).unit() - 0.5) * 2.0)
+        })
+        .collect();
+    for (index, plane) in (start..).zip(planes) {
+        let (dx, dy) = (
+            (shift(index) - first) as usize,
+            (shift(index) / 3 - first / 3) as usize,
+        );
+        for (y, row) in plane.samples_mut().chunks_exact_mut(w).enumerate() {
+            let base = 70.0 + 110.0 * (y as f64 / 90.0);
+            let at = (y + dy) * tile_w + dx;
+            for (sample, &term) in row.iter_mut().zip(&texture[at..at + w]) {
+                *sample = (base + term).clamp(0.0, 255.0) as u8;
+            }
+        }
+    }
+}
+
+/// The rasteriser the clipped one replaced: every sample of every box
+/// bounds-checked and blended through `get`/`set`.
+fn per_pixel_rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
+    let (w, h) = (plane.width(), plane.height());
+    for obj in objects {
+        let luma = obj.color.luma();
+        let x0 = (obj.bbox.x * w as f32) as i64;
+        let y0 = (obj.bbox.y * h as f32) as i64;
+        let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
+        let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
+        for yy in y0..(y0 + bh) {
+            for xx in x0..(x0 + bw) {
+                if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
+                    let bg = plane.get(xx as u32, yy as u32);
+                    let blended =
+                        f32::from(bg) * (1.0 - obj.salience) + f32::from(luma) * obj.salience;
+                    plane.set(xx as u32, yy as u32, blended as u8);
+                }
+            }
+        }
+    }
+}
+
+/// The rows of rendering segment 0 of `source`: its background fill alone
+/// (a source of the same profile with no objects, so rendering it is the
+/// grouped fill and an empty object list a frame), the rasteriser over its
+/// objects, and the whole render. Each reference is checked against the
+/// renderer's output before it is timed.
+fn scene_rows(source: &VideoSource) -> Vec<SceneFrame> {
+    let mut profile = *source.profile();
+    profile.object_arrivals_per_minute = 0.0;
+    let empty = VideoSource::from_profile("empty", profile);
+    let mut frames = Vec::new();
+    empty.segment_into(0, &mut frames);
+    assert!(
+        frames.iter().all(|f| f.objects.is_empty()),
+        "objects in the empty scene"
+    );
+    let mut planes: Vec<BlockPlane> = frames.iter().map(|f| f.plane.clone()).collect();
+    per_frame_fill(&profile, 0, &mut planes);
+    assert!(
+        frames.iter().zip(&planes).all(|(f, p)| f.plane == *p),
+        "fills differ"
+    );
+    let samples = planes.iter().map(BlockPlane::len).sum();
+    row(
+        "scene fill (grouped)",
+        samples,
+        || empty.segment_into(0, &mut frames),
+        Some(&mut || per_frame_fill(&profile, 0, &mut planes)),
+    );
+
+    let scenes = source.segment(0);
+    let paint = |f: fn(&[SceneObject], &mut BlockPlane), planes: &mut [BlockPlane]| {
+        for (plane, scene) in planes.iter_mut().zip(&scenes) {
+            f(&scene.objects, plane);
+        }
+    };
+    for f in [rasterise, per_pixel_rasterise] {
+        let mut painted = planes.clone();
+        paint(f, &mut painted);
+        assert!(
+            painted.iter().zip(&scenes).all(|(p, s)| *p == s.plane),
+            "rasterisers differ"
+        );
+    }
+    let (mut clipped, mut per_pixel) = (planes.clone(), planes.clone());
+    row(
+        "rasterise (clipped)",
+        samples,
+        || paint(rasterise, &mut clipped),
+        Some(&mut || paint(per_pixel_rasterise, &mut per_pixel)),
+    );
+
+    // The reference render takes the objects as given, so it leaves out
+    // describing the frames.
+    let mut rendered = Vec::new();
+    row(
+        "scene render (240 frames)",
+        samples,
+        || source.segment_into(0, &mut rendered),
+        Some(&mut || {
+            per_frame_fill(&profile, 0, &mut planes);
+            paint(per_pixel_rasterise, &mut planes);
+        }),
+    );
+    scenes
+}
+
 /// Median wall time of `ROUNDS` calls of `f`, in nanoseconds.
 fn median_ns(mut f: impl FnMut()) -> f64 {
     let mut times: Vec<f64> = (0..ROUNDS)
@@ -110,7 +238,7 @@ fn median_ns(mut f: impl FnMut()) -> f64 {
 }
 
 /// One row: a stage over `samples` samples, timed as this build runs it
-/// and, where the stage has one, as its scalar reference runs it.
+/// and, where the stage has one, as its reference runs it.
 fn row(stage: &str, samples: usize, blocked: impl FnMut(), scalar: Option<&mut dyn FnMut()>) {
     let blocked = median_ns(blocked);
     let scalar = scalar.map(median_ns);
@@ -177,19 +305,19 @@ fn pair_row(
 }
 
 fn main() -> vstore::Result<()> {
-    let scenes = VideoSource::new(Dataset::Jackson).segment(0);
-    let planes: Vec<&[u8]> = scenes.iter().map(|s| s.plane.samples()).collect();
-    let scene_deltas = deltas(&planes);
-    let scene_deltas: Vec<&[u8]> = scene_deltas.iter().map(Vec::as_slice).collect();
+    let (w, h) = BlockPlane::dimensions_for(vstore::types::Resolution::R720);
     println!(
-        "Jackson segment 0, {} scene frames of {} samples; median of {ROUNDS} rounds",
-        planes.len(),
-        planes[0].len()
+        "Jackson segment 0, {SEGMENT_FRAMES} scene frames of {} samples; median of {ROUNDS} rounds",
+        w * h
     );
     println!(
         "{:<30} {:>8} {:>9} {:>9} {:>8} {:>9} {:>9}",
-        "stage", "samples", "ns/sample", "scalar", "speedup", "us", "scalar us"
+        "stage", "samples", "ns/sample", "reference", "speedup", "us", "ref us"
     );
+    let scenes = scene_rows(&VideoSource::new(Dataset::Jackson));
+    let planes: Vec<&[u8]> = scenes.iter().map(|s| s.plane.samples()).collect();
+    let scene_deltas = deltas(&planes);
+    let scene_deltas: Vec<&[u8]> = scene_deltas.iter().map(Vec::as_slice).collect();
     pair_row("sad (Diff, Opflow)", &planes, sad, scalar_sad);
     let all_samples = planes.iter().map(|p| p.len()).sum();
     row(

@@ -1,11 +1,13 @@
 //! What ingest writes, pinned byte for byte: the stored container and the
 //! `VSMETA` sidecar of Jackson segments 0, 3 and 31 in every storage format
-//! of query A's derived configuration, as length and CRC-32. Any change to
-//! the scene generator, the fidelity kernel, the encoder or the sidecar
-//! scoring that moves a stored byte fails here.
+//! of query A's derived configuration, as length and CRC-32, and the golden
+//! format's of Dashcam (the fastest camera) and Park (the slowest). Any
+//! change to the scene generator, the fidelity kernel, the encoder or the
+//! sidecar scoring that moves a stored byte fails here, whether the
+//! pipeline runs one transcode at a time or two at once.
 
 use std::sync::Arc;
-use vstore::{BackendOptions, QuerySpec, VStore, VStoreOptions};
+use vstore::{BackendOptions, Configuration, QuerySpec, VStore, VStoreOptions};
 use vstore_codec::{wire::crc32, Transcoder};
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_ingest::IngestionPipeline;
@@ -16,7 +18,10 @@ use vstore_types::FormatId;
 type Digest = (usize, u32);
 
 /// `(format, segment, container digest, sidecar digest)`.
-const PINNED: [(u32, u64, Digest, Digest); 9] = [
+type Pinned = (u32, u64, Digest, Digest);
+
+/// Jackson in every storage format of query A's configuration.
+const PINNED: [Pinned; 9] = [
     (0, 0, (1_449_975, 0xf966_23cf), (1_323, 0x4a17_671f)),
     (0, 3, (1_437_901, 0x4d7f_4ac3), (1_451, 0x40b2_a770)),
     (0, 31, (1_451_293, 0xc704_8459), (1_451, 0xe40f_6152)),
@@ -28,6 +33,22 @@ const PINNED: [(u32, u64, Digest, Digest); 9] = [
     (2, 31, (58_536, 0x6f69_9e68), (57, 0xec11_870c)),
 ];
 
+/// Dashcam in the golden format.
+const PINNED_DASHCAM: [Pinned; 3] = [
+    (0, 0, (2_616_139, 0x8a42_e4af), (1_323, 0x68e5_7c89)),
+    (0, 3, (2_613_047, 0xea31_9cbb), (1_451, 0xe2d3_63f6)),
+    (0, 31, (2_604_094, 0x9b72_de93), (1_451, 0x0216_946f)),
+];
+
+/// Park in the golden format.
+const PINNED_PARK: [Pinned; 3] = [
+    (0, 0, (608_096, 0xf20e_15a3), (1_323, 0xf6cf_5316)),
+    (0, 3, (597_093, 0xf0c0_615c), (1_451, 0x5bd1_51ee)),
+    (0, 31, (622_937, 0x8172_52ec), (1_451, 0xc974_8e89)),
+];
+
+const SEGMENTS: [u64; 3] = [0, 3, 31];
+
 fn digest(bytes: &[u8]) -> Digest {
     (bytes.len(), crc32(bytes))
 }
@@ -38,35 +59,71 @@ fn sidecar_digest(bytes: &[u8]) -> Digest {
     (bytes.len(), crc32(&bytes[..bytes.len() - 4]))
 }
 
-#[test]
-fn query_a_ingest_writes_the_pinned_bytes() {
+fn query_a_config() -> Arc<Configuration> {
     let facade = VStore::open(
         "unused",
         VStoreOptions::fast().with_backend(BackendOptions::Mem),
     )
     .unwrap();
-    let config = facade
+    facade
         .configure(&QuerySpec::query_a(0.8).consumers())
-        .unwrap();
+        .unwrap()
+}
+
+/// Ingest [`SEGMENTS`] of `dataset` through a pipeline of `workers`, and
+/// digest what it stored in each of `formats`.
+fn ingest_digests(
+    config: &Configuration,
+    workers: usize,
+    dataset: Dataset,
+    formats: &[FormatId],
+) -> Vec<Pinned> {
     let store = Arc::new(SegmentStore::open_mem_with_shards(1).unwrap());
     let pipeline = IngestionPipeline::new(
         Arc::new(SegmentReader::disabled(Arc::clone(&store))),
         Transcoder::default(),
-    );
-    let source = VideoSource::new(Dataset::Jackson);
-    for segment in [0, 3, 31] {
-        pipeline.ingest_segment(&source, segment, &config).unwrap();
+    )
+    .with_workers(workers);
+    let source = VideoSource::new(dataset);
+    for segment in SEGMENTS {
+        pipeline.ingest_segment(&source, segment, config).unwrap();
     }
     let mut seen = Vec::new();
-    for id in config.storage_formats.keys() {
-        for segment in [0, 3, 31] {
-            let key = SegmentKey::new("jackson", *id, segment);
+    for id in formats {
+        for segment in SEGMENTS {
+            let key = SegmentKey::new(dataset.name(), *id, segment);
             let container = store.get(&key).unwrap().unwrap();
             let sidecar = store.get_segment_meta(&key).unwrap().unwrap();
             seen.push((id.0, segment, digest(&container), sidecar_digest(&sidecar)));
         }
     }
-    assert_eq!(seen, PINNED, "{seen:#x?}");
+    seen
+}
+
+#[test]
+fn query_a_ingest_writes_the_pinned_bytes() {
+    let config = query_a_config();
     assert_eq!(config.storage_formats.len(), 3);
     assert!(config.storage_formats.contains_key(&FormatId::GOLDEN));
+    let formats: Vec<FormatId> = config.storage_formats.keys().copied().collect();
+    for workers in [1, 2] {
+        let seen = ingest_digests(&config, workers, Dataset::Jackson, &formats);
+        assert_eq!(seen, PINNED, "{workers} workers: {seen:#x?}");
+    }
+}
+
+/// The fastest and the slowest camera, whose scenes the renderer builds
+/// from the widest and the narrowest texture windows.
+#[test]
+fn golden_ingest_of_the_fastest_and_slowest_cameras_writes_the_pinned_bytes() {
+    let config = query_a_config();
+    for (dataset, pinned) in [
+        (Dataset::Dashcam, PINNED_DASHCAM),
+        (Dataset::Park, PINNED_PARK),
+    ] {
+        for workers in [1, 2] {
+            let seen = ingest_digests(&config, workers, dataset, &[FormatId::GOLDEN]);
+            assert_eq!(seen, pinned, "{dataset:?}, {workers} workers: {seen:#x?}");
+        }
+    }
 }
