@@ -337,6 +337,12 @@ impl IngestionPipeline {
     /// Apply one age step of the erosion plan to a stream, oldest segments
     /// first, from each non-golden storage format.
     ///
+    /// A step's fraction is cumulative, and counts against the golden
+    /// format, which is never eroded and so holds every segment ingested:
+    /// at a step of fraction f, `floor(golden × f)` segments of the format
+    /// are out of the hot store. The call removes only the difference from
+    /// what is out already, so repeating an age removes nothing.
+    ///
     /// With no cold tier attached to the reader, the planned fraction is
     /// **deleted** — the pre-tiering behaviour, byte for byte. With a
     /// [`TierEngine`](vstore_storage::TierEngine) attached, the same
@@ -361,13 +367,15 @@ impl IngestionPipeline {
             None => return Ok(report),
         };
         let tier = self.reader.tier();
+        let golden = self.store().segments_of(stream, FormatId::GOLDEN).len();
         let mut demotions = Vec::new();
         for (id, fraction) in &step.deleted {
             if id.is_golden() {
                 continue;
             }
             let keys = self.store().segments_of(stream, *id);
-            let planned = (keys.len() as f64 * fraction.value()).floor() as usize;
+            let out = golden.saturating_sub(keys.len());
+            let planned = ((golden as f64 * fraction.value()).floor() as usize).saturating_sub(out);
             for key in keys.iter().take(planned) {
                 match &tier {
                     Some(_) => demotions.push(key.clone()),
@@ -452,6 +460,7 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
     use super::tests_support::two_format_config;
     use super::*;
     use std::collections::BTreeMap as Map;
@@ -603,6 +612,49 @@ mod tests {
         assert!(p.store().contains(demoted_key));
         let (again, _) = reader.get(demoted_key).unwrap().unwrap();
         assert_eq!(bytes, again, "promotion must be byte-identical");
+    }
+
+    /// The plan's fractions are cumulative: an age removes only what its
+    /// fraction of the golden count adds to what earlier ages removed, so
+    /// a repeated age removes nothing, whether erosion deletes or demotes.
+    #[test]
+    fn erosion_follows_the_cumulative_plan_and_repeats_safely() {
+        use vstore_storage::{ColdStore, MemBackend, TierEngine, TierOptions};
+
+        let source = VideoSource::new(Dataset::Airport);
+        let mut config = two_format_config();
+        for (age_days, fraction) in [(1, 0.5), (2, 0.5), (3, 0.6)] {
+            config.erosion.steps[age_days as usize - 1] = ErosionStep {
+                age_days,
+                deleted: Map::from([(FormatId(1), Fraction::new(fraction))]),
+                overall_relative_speed: 0.8,
+            };
+        }
+        for tiered in [false, true] {
+            let store = Arc::new(SegmentStore::open_mem_with_shards(2).unwrap());
+            let reader = Arc::new(SegmentReader::new(Arc::clone(&store), 0, 0));
+            let engine = tiered.then(|| {
+                let cold = ColdStore::open(Arc::new(MemBackend::new())).unwrap();
+                let engine = TierEngine::new(Arc::clone(&store), cold, TierOptions::cold_mem());
+                reader.attach_tier(&engine);
+                engine
+            });
+            let p = IngestionPipeline::new(reader, Transcoder::default());
+            p.ingest_segments(&source, 0, 20, &config).unwrap();
+            for (age_days, hot, cold) in [(1, 10, 10), (2, 10, 10), (2, 10, 10), (3, 8, 12)] {
+                p.apply_erosion("airport", &config, age_days).unwrap();
+                let at = format!("age {age_days}, tiered {tiered}");
+                assert_eq!(
+                    p.store().segments_of("airport", FormatId(1)).len(),
+                    hot,
+                    "{at}"
+                );
+                if let Some(engine) = &engine {
+                    assert_eq!(engine.cold_store().keys().len(), cold, "{at}");
+                }
+            }
+            assert_eq!(p.store().segments_of("airport", FormatId::GOLDEN).len(), 20);
+        }
     }
 
     /// Ingests render into the scene buffers earlier ingests left behind,

@@ -27,7 +27,6 @@
 
 use crate::json;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -337,8 +336,12 @@ pub struct TraceStats {
 
 /// One ring shard: committed traces plus their total span count.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a ring that evicts its oldest trace, not a queue anything waits on"
+)]
 struct RingShard {
-    traces: VecDeque<TraceRecord>,
+    traces: std::collections::VecDeque<TraceRecord>,
     spans: usize,
 }
 

@@ -529,6 +529,7 @@ impl QueryEngine {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
     use super::*;
     use std::sync::Arc;
     use vstore_core::profiler::{Profiler, ProfilerConfig};

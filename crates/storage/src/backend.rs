@@ -13,6 +13,11 @@
 //!
 //! Log names are `/`-separated paths relative to the backend root, e.g.
 //! `shard-003/vlog-00000001.dat` or `SHARDS`.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the storage-backend seam: the one module that calls std::fs"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -257,8 +262,16 @@ impl StorageBackend for FsBackend {
 /// the process.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    files: Mutex<BTreeMap<String, Arc<Mutex<Vec<u8>>>>>,
+    files: Mutex<MemFiles>,
 }
+
+/// The name → log map, a lock class of its own.
+#[derive(Debug, Default)]
+struct MemFiles(BTreeMap<String, Arc<Mutex<MemLog>>>);
+
+/// One log's bytes, a lock class of its own.
+#[derive(Debug, Default)]
+struct MemLog(Vec<u8>);
 
 impl MemBackend {
     /// A fresh, empty in-memory backend.
@@ -267,14 +280,15 @@ impl MemBackend {
     }
 
     /// The named log's shared buffer, if it exists.
-    fn log(&self, name: &str) -> Option<Arc<Mutex<Vec<u8>>>> {
-        lock_unpoisoned(&self.files).get(name).cloned()
+    fn log(&self, name: &str) -> Option<Arc<Mutex<MemLog>>> {
+        lock_unpoisoned(&self.files).0.get(name).cloned()
     }
 
     /// The named log's shared buffer, creating it if needed.
-    fn log_or_default(&self, name: &str) -> Arc<Mutex<Vec<u8>>> {
+    fn log_or_default(&self, name: &str) -> Arc<Mutex<MemLog>> {
         Arc::clone(
             lock_unpoisoned(&self.files)
+                .0
                 .entry(name.to_owned())
                 .or_default(),
         )
@@ -292,12 +306,12 @@ impl MemBackend {
 
 #[derive(Debug)]
 struct MemLogHandle {
-    log: Arc<Mutex<Vec<u8>>>,
+    log: Arc<Mutex<MemLog>>,
 }
 
 impl LogHandle for MemLogHandle {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        lock_unpoisoned(&self.log).extend_from_slice(data);
+        lock_unpoisoned(&self.log).0.extend_from_slice(data);
         Ok(())
     }
 
@@ -310,14 +324,14 @@ impl StorageBackend for MemBackend {
     fn open(&self, name: &str, truncate: bool) -> Result<Box<dyn LogHandle>> {
         let log = self.log_or_default(name);
         if truncate {
-            lock_unpoisoned(&log).clear();
+            lock_unpoisoned(&log).0.clear();
         }
         Ok(Box::new(MemLogHandle { log }))
     }
 
     fn read_at(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
         let log = self.log(name).ok_or_else(|| Self::not_found(name))?;
-        let data = lock_unpoisoned(&log);
+        let data = &lock_unpoisoned(&log).0;
         // Bounds arithmetic in u64, so a 32-bit host can never wrap
         // `offset as usize` into a bogus in-range slice.
         let in_range = offset
@@ -341,23 +355,25 @@ impl StorageBackend for MemBackend {
     }
 
     fn read_all(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.log(name).map(|log| lock_unpoisoned(&log).clone()))
+        Ok(self.log(name).map(|log| lock_unpoisoned(&log).0.clone()))
     }
 
     fn write_all(&self, name: &str, data: &[u8]) -> Result<()> {
         // Mutate the existing buffer in place so open handles to the same
         // log keep observing it.
-        *lock_unpoisoned(&self.log_or_default(name)) = data.to_vec();
+        lock_unpoisoned(&self.log_or_default(name)).0 = data.to_vec();
         Ok(())
     }
 
     fn remove(&self, name: &str) -> Result<()> {
-        lock_unpoisoned(&self.files).remove(name);
+        lock_unpoisoned(&self.files).0.remove(name);
         Ok(())
     }
 
     fn len(&self, name: &str) -> Result<Option<u64>> {
-        Ok(self.log(name).map(|log| lock_unpoisoned(&log).len() as u64))
+        Ok(self
+            .log(name)
+            .map(|log| lock_unpoisoned(&log).0.len() as u64))
     }
 
     fn list(&self, dir: &str) -> Result<Vec<String>> {
@@ -368,6 +384,7 @@ impl StorageBackend for MemBackend {
         };
         let files = lock_unpoisoned(&self.files);
         let children: BTreeSet<String> = files
+            .0
             .keys()
             .filter_map(|name| name.strip_prefix(&prefix))
             .map(|rest| match rest.split_once('/') {

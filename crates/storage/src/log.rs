@@ -310,6 +310,7 @@ fn parse_record(buf: &[u8], offset: u64) -> Result<Parsed<'_>> {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "scratch dirs for the Fs backend")]
     use super::*;
     use crate::backend::{FsBackend, MemBackend};
     use std::fs;

@@ -416,6 +416,7 @@ impl SegmentStore {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "rearranges store dirs on disk")]
     use super::*;
     use std::fs;
 

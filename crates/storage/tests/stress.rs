@@ -2,6 +2,8 @@
 //! mixed put/get/delete traffic while compaction runs concurrently, then
 //! full consistency checks against per-thread models.
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vstore_storage::{SegmentKey, SegmentStore, StoreStats};

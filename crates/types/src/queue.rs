@@ -15,6 +15,10 @@
 //! drain everything already accepted: [`pop`](BoundedQueue::pop) keeps
 //! returning items until the queue is both closed *and* empty, and only then
 //! returns `None` — the graceful worker exit.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one bounded queue, built on the VecDeque it bounds"
+)]
 
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use crate::QueueFullPolicy;

@@ -13,6 +13,8 @@
 //! cargo run --release --example live_camera
 //! ```
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch store")]
+
 use vstore::datasets::{Dataset, LiveSource, LoadProfile, VideoSource};
 use vstore::{
     BackendOptions, LiveIngestOptions, QueryRequest, QuerySpec, QueueFullPolicy, VStore,

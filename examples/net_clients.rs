@@ -15,6 +15,8 @@
 //! Exits non-zero when a net metric family it names is missing from the
 //! snapshot, so a renamed family fails CI.
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch store")]
+
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::{
     BackendOptions, IngestRequest, NetClient, NetOptions, QuerySpec, ServeOptions, ServeRequest,

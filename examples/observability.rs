@@ -16,6 +16,8 @@
 //! Exits non-zero when a metric family it prints is missing from the
 //! snapshot, so a renamed family fails CI.
 
+#![expect(clippy::disallowed_methods, reason = "writes a trace file")]
+
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::{
     BackendOptions, IngestRequest, NetClient, NetOptions, QuerySpec, ServeOptions, ServeRequest,

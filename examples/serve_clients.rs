@@ -9,6 +9,8 @@
 //! cargo run --release --example serve_clients
 //! ```
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch store")]
+
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::{
     BackendOptions, IngestRequest, QuerySpec, ServeOptions, ServeRequest, ServeResponse, VStore,

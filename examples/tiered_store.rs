@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --example tiered_store`.
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch store")]
+
 use std::collections::BTreeMap;
 use vstore::datasets::{Dataset, VideoSource};
 use vstore::{

@@ -897,6 +897,7 @@ impl VideoService for VStore {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
     use super::*;
     use vstore_datasets::{Dataset, VideoSource};
 

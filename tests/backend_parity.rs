@@ -6,6 +6,8 @@
 //! is not one: it keeps one object per segment on a device of its own, and
 //! no [`SegmentStore`] ever runs on that device.)
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
+
 use std::sync::Arc;
 use vstore::{
     BackendOptions, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore, VStoreOptions,

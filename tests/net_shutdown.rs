@@ -2,6 +2,8 @@
 //! binary, because it inspects the whole process's thread list: no other
 //! test's server may be running beside it.
 
+#![expect(clippy::disallowed_methods, reason = "counts threads in /proc")]
+
 use std::time::{Duration, Instant};
 use vstore::datasets::VideoSource;
 use vstore::serve::{NetServer, VideoService};

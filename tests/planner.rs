@@ -11,6 +11,8 @@
 //! bursts (every 4th segment) score >12, so a skip threshold of 6.0
 //! deterministically skips exactly the quiet segments.
 
+#![expect(clippy::disallowed_methods, reason = "corrupts sidecars on disk")]
+
 use std::collections::BTreeMap;
 use vstore::{
     BackendOptions, Configuration, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore,

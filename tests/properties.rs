@@ -3,6 +3,8 @@
 //! the F1 scorer, the segment store, and the monotonicity observation (O1)
 //! the configuration search relies on.
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
+
 use proptest::prelude::*;
 use vstore::types::{
     ByteSize, CropFactor, Fidelity, FrameSampling, ImageQuality, KeyframeInterval, Resolution,

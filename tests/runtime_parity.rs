@@ -3,6 +3,8 @@
 //! may not change when sharding, ingest workers or query prefetch are
 //! enabled — parallelism buys wall-clock time, never different results.
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
+
 use vstore::{
     ErodeRequest, IngestRequest, QueryRequest, QuerySpec, RuntimeOptions, VStore, VStoreOptions,
 };

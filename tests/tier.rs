@@ -6,6 +6,8 @@
 //! With no cold backend configured, behaviour is byte-identical to the
 //! untiered store (the parity suites lock that in separately).
 
+#![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
+
 use std::collections::BTreeMap;
 use vstore::{
     BackendOptions, Configuration, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore,
