@@ -314,9 +314,6 @@ struct LiveState {
     video: VideoSeconds,
     lag: LatencyHistogram,
     per_source: BTreeMap<String, u64>,
-    /// Segments popped but not yet fully processed — `is_idle` needs this
-    /// so "queue empty" is not mistaken for "work done".
-    in_flight: usize,
 }
 
 struct LiveShared {
@@ -405,7 +402,6 @@ impl LiveIngestor {
                 video: VideoSeconds(0.0),
                 lag: LatencyHistogram::default(),
                 per_source: BTreeMap::new(),
-                in_flight: 0,
             }),
             options,
             ladder: DegradationLadder::from_config(config),
@@ -522,11 +518,14 @@ impl LiveIngestHandle {
         self.shared.queue.len()
     }
 
-    /// `true` when the queue is empty and no worker is mid-segment — every
-    /// accepted segment has been fully processed.
+    /// `true` when every accepted segment has been fully processed
+    /// (completed or failed). Decided from the counters alone, under the
+    /// state lock: a worker pops a segment before it records anything, so
+    /// "queue empty" says nothing about a segment still in a worker's hand.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.shared.queue.is_empty() && lock_unpoisoned(&self.shared.state).in_flight == 0
+        let state = lock_unpoisoned(&self.shared.state);
+        state.completed.saturating_add(state.failed) >= state.accepted
     }
 
     /// Block until [`is_idle`](Self::is_idle) — the backlog is fully
@@ -615,11 +614,7 @@ fn worker_loop(shared: &LiveShared) {
         // even transcoded.
         let level = shared.controlled_level(shared.queue.len());
         let config = shared.ladder.level(level);
-        {
-            let mut state = lock_unpoisoned(&shared.state);
-            state.in_flight += 1;
-            state.lag.record(lag_us);
-        }
+        lock_unpoisoned(&shared.state).lag.record(lag_us);
 
         // Panic isolation: a panicking transcode fails one segment; the
         // worker survives to drain the rest of the stream.
@@ -638,7 +633,6 @@ fn worker_loop(shared: &LiveShared) {
             if msg.starts_with("live ingest worker panicked"));
 
         let mut state = lock_unpoisoned(&shared.state);
-        state.in_flight -= 1;
         match outcome {
             Ok(report) => {
                 state.completed = state.completed.saturating_add(1);

@@ -2,19 +2,25 @@
 //! the full 24-consumer configuration, the requirements R1–R4 of §3.1, and
 //! the behaviour of the alternative configurations.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vstore_core::profiler::{Profiler, ProfilerConfig};
-use vstore_core::{Alternative, CoalesceStrategy, ConfigurationEngine, EngineOptions};
+use vstore_core::{Alternative, ConfigurationEngine, EngineOptions};
 use vstore_ops::OperatorLibrary;
 use vstore_sim::CodingCostModel;
-use vstore_types::{ByteSize, Consumer, FidelitySpace, OperatorKind};
+use vstore_types::{ByteSize, Configuration, Consumer, FidelitySpace, OperatorKind};
 
+/// One fast profiler for the whole suite: its memo makes every profile
+/// after the first free.
 fn profiler() -> Arc<Profiler> {
-    Arc::new(Profiler::new(
-        OperatorLibrary::paper_testbed(),
-        CodingCostModel::paper_testbed(),
-        ProfilerConfig::fast_test(),
-    ))
+    static PROFILER: OnceLock<Arc<Profiler>> = OnceLock::new();
+    let profiler = PROFILER.get_or_init(|| {
+        Arc::new(Profiler::new(
+            OperatorLibrary::paper_testbed(),
+            CodingCostModel::paper_testbed(),
+            ProfilerConfig::fast_test(),
+        ))
+    });
+    Arc::clone(profiler)
 }
 
 fn reduced_options() -> EngineOptions {
@@ -24,12 +30,22 @@ fn reduced_options() -> EngineOptions {
     }
 }
 
+/// The 24-consumer evaluation set over the reduced space, derived once and
+/// read by three tests.
+fn evaluation() -> &'static Configuration {
+    static CONFIG: OnceLock<Configuration> = OnceLock::new();
+    CONFIG.get_or_init(|| {
+        let engine = ConfigurationEngine::new(profiler(), reduced_options());
+        engine
+            .derive(&Consumer::evaluation_set())
+            .expect("derivation succeeds")
+    })
+}
+
 #[test]
 fn full_24_consumer_configuration_satisfies_r1_to_r3() {
-    let profiler = profiler();
-    let engine = ConfigurationEngine::new(Arc::clone(&profiler), reduced_options());
     let consumers = Consumer::evaluation_set();
-    let config = engine.derive(&consumers).expect("derivation succeeds");
+    let config = evaluation();
     config.validate().expect("R1/R2 validation");
 
     assert_eq!(config.subscriptions.len(), 24);
@@ -57,10 +73,7 @@ fn full_24_consumer_configuration_satisfies_r1_to_r3() {
 
 #[test]
 fn lower_accuracy_consumers_get_no_slower_formats() {
-    let profiler = profiler();
-    let engine = ConfigurationEngine::new(profiler, reduced_options());
-    let consumers = Consumer::evaluation_set();
-    let config = engine.derive(&consumers).unwrap();
+    let config = evaluation();
     for op in OperatorKind::QUERY_OPS {
         let mut last_speed = f64::INFINITY;
         // Accuracy levels in descending order: 0.95, 0.9, 0.8, 0.7.
@@ -77,8 +90,7 @@ fn lower_accuracy_consumers_get_no_slower_formats() {
 
 #[test]
 fn alternatives_rank_as_in_the_paper() {
-    let profiler = profiler();
-    let engine = ConfigurationEngine::new(Arc::clone(&profiler), reduced_options());
+    let engine = ConfigurationEngine::new(profiler(), reduced_options());
     let consumers: Vec<Consumer> = vec![
         Consumer::new(OperatorKind::Diff, 0.9),
         Consumer::new(OperatorKind::SpecializedNN, 0.9),
@@ -97,13 +109,13 @@ fn alternatives_rank_as_in_the_paper() {
         .unwrap();
 
     // Storage cost: 1→1 = 1→N ≤ VStore ≤ N→N.
-    let storage = |cfg: &vstore_types::Configuration| engine.storage_bytes_per_second(cfg).bytes();
+    let storage = |cfg: &Configuration| engine.storage_bytes_per_second(cfg).bytes();
     assert_eq!(storage(&one_to_one), storage(&one_to_n));
     assert!(storage(&one_to_one) <= storage(&vstore));
     assert!(storage(&vstore) <= storage(&n_to_n));
 
     // Ingest cost: single-format baselines are cheapest, N→N most expensive.
-    let ingest = |cfg: &vstore_types::Configuration| engine.ingest_cores(cfg);
+    let ingest = |cfg: &Configuration| engine.ingest_cores(cfg);
     assert!(ingest(&one_to_one) <= ingest(&vstore) + 1e-9);
     assert!(ingest(&vstore) <= ingest(&n_to_n) + 1e-9);
 
@@ -116,50 +128,21 @@ fn alternatives_rank_as_in_the_paper() {
 }
 
 #[test]
-fn distance_based_coalescing_never_beats_heuristic_storage() {
-    let profiler = profiler();
-    let heuristic_engine = ConfigurationEngine::new(Arc::clone(&profiler), reduced_options());
-    let distance_engine = ConfigurationEngine::new(
-        Arc::clone(&profiler),
-        EngineOptions {
-            strategy: CoalesceStrategy::DistanceBased,
-            ..reduced_options()
-        },
-    );
-    let consumers: Vec<Consumer> = OperatorKind::QUERY_OPS
-        .iter()
-        .flat_map(|&op| [0.9, 0.8].into_iter().map(move |a| Consumer::new(op, a)))
-        .collect();
-    let cfs = heuristic_engine
-        .derive_consumption_formats(&consumers)
-        .unwrap();
-    let heuristic = heuristic_engine.derive_storage_formats(&cfs).unwrap();
-    let distance = distance_engine.derive_storage_formats(&cfs).unwrap();
-    assert!(
-        distance.total_bytes_per_video_second.bytes() + 1
-            >= heuristic.total_bytes_per_video_second.bytes()
-    );
-}
-
-#[test]
 fn storage_budget_produces_feasible_erosion_across_the_board() {
-    let profiler = profiler();
-    let base = ConfigurationEngine::new(Arc::clone(&profiler), reduced_options());
-    let consumers = Consumer::evaluation_set();
-    let unbudgeted = base.derive(&consumers).unwrap();
-    let per_second = base.storage_bytes_per_second(&unbudgeted).bytes();
+    let base = ConfigurationEngine::new(profiler(), reduced_options());
+    let per_second = base.storage_bytes_per_second(evaluation()).bytes();
     let lifespan_days = 10u64;
     let footprint = per_second * 86_400 * lifespan_days;
 
     let engine = ConfigurationEngine::new(
-        Arc::clone(&profiler),
+        profiler(),
         EngineOptions {
             storage_budget: Some(ByteSize(footprint * 9 / 10)),
             lifespan_days: lifespan_days as u32,
             ..reduced_options()
         },
     );
-    let config = engine.derive(&consumers).unwrap();
+    let config = engine.derive(&Consumer::evaluation_set()).unwrap();
     let plan = &config.erosion;
     assert!(plan.decay_factor >= 0.0);
     // Deleted fractions are cumulative (non-decreasing with age) and the

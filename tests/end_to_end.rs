@@ -1,22 +1,25 @@
 //! Cross-crate integration tests: the full VStore lifecycle — configure,
 //! ingest, query, erode — exercised through the public service handle and
 //! its request builders, plus the §6.2-style comparison against the
-//! baseline configurations.
+//! baseline configurations. Every store is in memory, so the suite leaves
+//! nothing on disk.
 
+use std::collections::BTreeMap;
 use vstore::{
-    Alternative, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore, VStoreOptions,
+    Alternative, BackendOptions, ErodeRequest, IngestRequest, QueryRequest, QuerySpec, VStore,
+    VStoreOptions,
 };
 use vstore_datasets::{Dataset, VideoSource};
-use vstore_types::{Consumer, OperatorKind};
+use vstore_types::{Consumer, ErosionStep, Fraction, OperatorKind};
 
-fn cleanup(store: &VStore) {
-    // Stores opened with open_temp live under the system temp dir.
-    let _ = store.store_stats();
+fn open_mem() -> VStore {
+    let options = VStoreOptions::fast().with_backend(BackendOptions::Mem);
+    VStore::open("unused: in memory", options).unwrap()
 }
 
 #[test]
 fn configure_ingest_query_lifecycle() {
-    let store = VStore::open_temp("e2e-lifecycle", VStoreOptions::fast()).unwrap();
+    let store = open_mem();
     let query_hi = QuerySpec::query_a(0.9);
     let query_lo = QuerySpec::query_a(0.7);
     let mut consumers = query_hi.consumers();
@@ -56,12 +59,11 @@ fn configure_ingest_query_lifecycle() {
             assert!(w[1].segments_processed <= w[0].segments_passed);
         }
     }
-    cleanup(&store);
 }
 
 #[test]
 fn vstore_beats_one_to_n_baseline_end_to_end() {
-    let store = VStore::open_temp("e2e-baseline", VStoreOptions::fast()).unwrap();
+    let store = open_mem();
     let query = QuerySpec::query_b(0.8);
     let consumers = query.consumers();
 
@@ -71,13 +73,12 @@ fn vstore_beats_one_to_n_baseline_end_to_end() {
         .derive_alternative(&consumers, Alternative::OneToN)
         .unwrap();
 
+    // Ingest under both configurations; they share the golden format id,
+    // so the baseline reads the same golden segments.
     let source = VideoSource::new(Dataset::Park);
     store
         .ingest(IngestRequest::new(&source).segments(2))
         .unwrap();
-    // Also ingest the baseline's golden format (same stream, different id
-    // space is already covered because both configurations share the golden
-    // format id).
     store.install_configuration(baseline.clone());
     store
         .ingest(IngestRequest::new(&source).segments(2))
@@ -97,12 +98,11 @@ fn vstore_beats_one_to_n_baseline_end_to_end() {
         fast.speed,
         slow.speed
     );
-    cleanup(&store);
 }
 
 #[test]
 fn erosion_degrades_speed_but_preserves_results() {
-    let store = VStore::open_temp("e2e-erosion", VStoreOptions::fast()).unwrap();
+    let store = open_mem();
     let query = QuerySpec::query_a(0.8);
     store.configure(&query.consumers()).unwrap();
     let source = VideoSource::new(Dataset::Tucson);
@@ -114,13 +114,9 @@ fn erosion_degrades_speed_but_preserves_results() {
         .query(QueryRequest::new("tucson", &query).segments(2))
         .unwrap();
 
-    // Manufacture an erosion by deleting every non-golden segment via a
-    // hand-crafted plan application: emulate "all non-golden formats fully
-    // eroded" by installing a configuration whose erosion plan deletes 100 %
-    // of every non-golden format on day 1.
+    // Install a plan that deletes 100 % of every non-golden format on day 1.
     let mut config = (*store.configuration().unwrap()).clone();
-    use vstore_types::{ErosionStep, Fraction};
-    let deleted: std::collections::BTreeMap<_, _> = config
+    let deleted: BTreeMap<_, _> = config
         .storage_formats
         .keys()
         .filter(|id| !id.is_golden())
@@ -148,12 +144,11 @@ fn erosion_degrades_speed_but_preserves_results() {
     assert!(after.stages.iter().any(|s| s.fallback_segments > 0));
     // …but the query can only be slower or equal.
     assert!(after.speed.factor() <= before.speed.factor() * 1.01);
-    cleanup(&store);
 }
 
 #[test]
 fn every_consumer_meets_its_accuracy_target() {
-    let store = VStore::open_temp("e2e-accuracy", VStoreOptions::fast()).unwrap();
+    let store = open_mem();
     let consumers: Vec<Consumer> = [
         (OperatorKind::Diff, 0.9),
         (OperatorKind::SpecializedNN, 0.8),
@@ -180,5 +175,4 @@ fn every_consumer_meets_its_accuracy_target() {
             sub.consumer
         );
     }
-    cleanup(&store);
 }
