@@ -679,6 +679,7 @@ impl EncodedSegment {
 mod tests {
     use super::*;
     use crate::frame::materialize_clip;
+    use crate::reference::scalar_encode_runs;
     use vstore_datasets::{Dataset, VideoSource};
     use vstore_types::{CropFactor, ImageQuality, Resolution};
 
@@ -733,34 +734,6 @@ mod tests {
         // Empty input.
         assert!(runs(&[]).is_empty());
         assert!(expand(&[], 0).unwrap().is_empty());
-    }
-
-    /// The run coder as it tested one sample at a time, kept verbatim as
-    /// the reference the word-at-a-time coder is held to.
-    fn scalar_encode_runs(data: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        let mut pos = 0;
-        // The samples just before `pos` still owed to a literal run.
-        let mut literals: u8 = 0;
-        while let Some(&value) = data.get(pos) {
-            let mut run: u8 = 1;
-            while run < MAX_REPEAT && data.get(pos + usize::from(run)) == Some(&value) {
-                run += 1;
-            }
-            if run >= MIN_REPEAT {
-                flush_literals(out, &data[..pos], literals);
-                literals = 0;
-                out.extend_from_slice(&[run - MIN_REPEAT + REPEAT, value]);
-            } else {
-                if literals + run > MAX_LITERALS {
-                    flush_literals(out, &data[..pos], literals);
-                    literals = 0;
-                }
-                literals += run;
-            }
-            pos += usize::from(run);
-        }
-        flush_literals(out, &data[..pos], literals);
     }
 
     /// Samples made of seeded pieces at the coder's edges: runs of 1, 2,

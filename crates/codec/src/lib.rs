@@ -50,6 +50,8 @@ pub mod codec;
 pub mod container;
 pub mod frame;
 pub mod meta;
+#[cfg(test)]
+mod reference;
 pub mod transcode;
 pub mod wire;
 

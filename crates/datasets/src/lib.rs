@@ -51,6 +51,8 @@
 pub mod live;
 pub mod plane;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod scene;
 pub mod source;
 

@@ -333,6 +333,9 @@ fn spans(len: u32, crop: f64, out: u32) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{
+        scalar_gradient_energy, scalar_sad, scalar_wrapped_distance, scalar_wrapped_magnitude,
+    };
     use vstore_types::{CropFactor, ImageQuality};
 
     fn gradient_plane(w: u32, h: u32) -> BlockPlane {
@@ -454,48 +457,6 @@ mod tests {
         let textured = gradient_plane(32, 32);
         assert!(textured.gradient_energy() > flat.gradient_energy());
         assert_eq!(flat.gradient_energy(), 0.0);
-    }
-
-    /// The per-sample sums the blocked kernels replaced, kept as the
-    /// references they are held to.
-    fn scalar_sad(a: &[u8], b: &[u8]) -> u64 {
-        a.iter()
-            .zip(b)
-            .map(|(&a, &b)| u64::from(a.abs_diff(b)))
-            .sum()
-    }
-
-    fn scalar_wrapped_distance(a: &[u8], b: &[u8]) -> u64 {
-        a.iter()
-            .zip(b)
-            .map(|(&c, &p)| {
-                let d = c.wrapping_sub(p);
-                u64::from(d.min(0u8.wrapping_sub(d)))
-            })
-            .sum()
-    }
-
-    fn scalar_wrapped_magnitude(deltas: &[u8]) -> u64 {
-        deltas
-            .iter()
-            .map(|&d| u64::from(d.min(0u8.wrapping_sub(d))))
-            .sum()
-    }
-
-    /// `gradient_energy` as it read each sample through `get`.
-    fn scalar_gradient_energy(plane: &BlockPlane) -> f64 {
-        if plane.width < 2 || plane.height == 0 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut count = 0u64;
-        for y in 0..plane.height {
-            for x in 1..plane.width {
-                total += u64::from(plane.get(x, y).abs_diff(plane.get(x - 1, y)));
-                count += 1;
-            }
-        }
-        total as f64 / count.max(1) as f64
     }
 
     /// Bytes from a xorshift generator seeded with `seed`.

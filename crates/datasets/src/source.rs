@@ -460,6 +460,7 @@ mod tests {
     /// rasterised a pixel at a time.
     mod reference {
         use super::*;
+        use crate::reference::per_pixel_rasterise;
 
         fn background_value(source: &VideoSource, x: u32, y: u32, frame_index: u64) -> u8 {
             // Camera motion shifts the sampling grid; static cameras keep it
@@ -493,7 +494,7 @@ mod tests {
                     i += 1;
                 }
             }
-            rasterise(&frame.objects, plane);
+            per_pixel_rasterise(&frame.objects, plane);
             frame
         }
 
@@ -545,7 +546,7 @@ mod tests {
                         *sample = (base + term).clamp(0.0, 255.0) as u8;
                     }
                 }
-                rasterise(&frame.objects, plane);
+                per_pixel_rasterise(&frame.objects, plane);
             }
         }
 
@@ -566,28 +567,6 @@ mod tests {
                 done += frames;
             }
             out
-        }
-
-        /// The per-pixel rasteriser, bounds-checked through `get`/`set`.
-        pub(super) fn rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
-            let (w, h) = (plane.width(), plane.height());
-            for obj in objects {
-                let luma = obj.color.luma();
-                let x0 = (obj.bbox.x * w as f32) as i64;
-                let y0 = (obj.bbox.y * h as f32) as i64;
-                let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
-                let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
-                for yy in y0..(y0 + bh) {
-                    for xx in x0..(x0 + bw) {
-                        if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
-                            let bg = plane.get(xx as u32, yy as u32);
-                            let blended = f32::from(bg) * (1.0 - obj.salience)
-                                + f32::from(luma) * obj.salience;
-                            plane.set(xx as u32, yy as u32, blended as u8);
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -701,13 +680,13 @@ mod tests {
                 let one = std::slice::from_ref(obj);
                 assert_eq!(
                     paint(one, rasterise),
-                    paint(one, reference::rasterise),
+                    paint(one, crate::reference::per_pixel_rasterise),
                     "{w}x{h} object {i}"
                 );
             }
             assert_eq!(
                 paint(&objects, rasterise),
-                paint(&objects, reference::rasterise),
+                paint(&objects, crate::reference::per_pixel_rasterise),
                 "{w}x{h} all objects"
             );
         }

@@ -38,7 +38,7 @@ use std::time::Instant;
 use vstore_datasets::VideoSource;
 use vstore_obs::Metric;
 use vstore_types::sync::lock_unpoisoned;
-use vstore_types::{catch_panic, panic_message, BoundedQueue, PushError};
+use vstore_types::{catch_panic, BoundedQueue, PushError};
 use vstore_types::{
     Configuration, FrameSampling, LatencyHistogram, LiveIngestOptions, Result, VStoreError,
     VideoSeconds,
@@ -563,8 +563,8 @@ impl LiveIngestHandle {
     fn shutdown_inner(&mut self) {
         self.shared.queue.close();
         for worker in self.workers.drain(..) {
-            // Workers never unwind (segments transcode under catch_panic),
-            // so the join only fails if the runtime killed the thread.
+            // Workers never unwind (each job runs under catch_panic), so
+            // the join only fails if the runtime killed the thread.
             let _ = worker.join();
         }
     }
@@ -601,58 +601,46 @@ impl LiveProbe {
 
 /// The transcode loop of one worker thread.
 fn worker_loop(shared: &LiveShared) {
-    loop {
-        // `pop` blocks while the queue is open and returns `None` only once
-        // it is closed and drained: the graceful exit.
-        let Some(job) = shared.queue.pop() else {
-            return;
-        };
-
-        let lag_us = u64::try_from(job.offered_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-        // The lag controller reads the backlog *behind* this segment: a
-        // drained queue steps fidelity back up before the last segment is
-        // even transcoded.
-        let level = shared.controlled_level(shared.queue.len());
-        let config = shared.ladder.level(level);
-        lock_unpoisoned(&shared.state).lag.record(lag_us);
-
-        // Panic isolation: a panicking transcode fails one segment; the
-        // worker survives to drain the rest of the stream.
-        let outcome = match catch_panic(|| {
-            shared
-                .pipeline
-                .ingest_segments(&shared.source, job.segment_index, 1, config)
-        }) {
-            Ok(result) => result.map(Some),
-            Err(payload) => Err(VStoreError::InvalidState(format!(
-                "live ingest worker panicked: {}",
-                panic_message(&payload)
-            ))),
-        };
-        let was_panic = matches!(&outcome, Err(VStoreError::InvalidState(msg))
-            if msg.starts_with("live ingest worker panicked"));
-
-        let mut state = lock_unpoisoned(&shared.state);
-        match outcome {
-            Ok(report) => {
-                state.completed = state.completed.saturating_add(1);
-                if level > 0 {
-                    state.degraded_segments = state.degraded_segments.saturating_add(1);
-                }
-                if let Some(report) = report {
-                    state.video += report.video;
-                }
-                let source = shared.source.name().to_owned();
-                let count = state.per_source.entry(source).or_insert(0);
-                *count = count.saturating_add(1);
-            }
-            Err(_) => {
-                state.failed = state.failed.saturating_add(1);
-                if was_panic {
-                    state.panics = state.panics.saturating_add(1);
-                }
-            }
+    // `pop` blocks while the queue is open and returns `None` only once it
+    // is closed and drained: the graceful exit.
+    while let Some(job) = shared.queue.pop() {
+        // Panic isolation: a panic anywhere in one job — the lag record,
+        // the controller or the transcode — fails that segment; the worker
+        // survives to drain the rest of the stream.
+        if catch_panic(|| run_job(shared, &job)).is_err() {
+            let mut state = lock_unpoisoned(&shared.state);
+            state.failed = state.failed.saturating_add(1);
+            state.panics = state.panics.saturating_add(1);
         }
+    }
+}
+
+/// Transcode one accepted segment and count its outcome.
+fn run_job(shared: &LiveShared, job: &LiveJob) {
+    let lag_us = u64::try_from(job.offered_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+    // The lag controller reads the backlog *behind* this segment: a
+    // drained queue steps fidelity back up before the last segment is
+    // even transcoded.
+    let level = shared.controlled_level(shared.queue.len());
+    let config = shared.ladder.level(level);
+    lock_unpoisoned(&shared.state).lag.record(lag_us);
+
+    let outcome = shared
+        .pipeline
+        .ingest_segments(&shared.source, job.segment_index, 1, config);
+    let mut state = lock_unpoisoned(&shared.state);
+    match outcome {
+        Ok(report) => {
+            state.completed = state.completed.saturating_add(1);
+            if level > 0 {
+                state.degraded_segments = state.degraded_segments.saturating_add(1);
+            }
+            state.video += report.video;
+            let source = shared.source.name().to_owned();
+            let count = state.per_source.entry(source).or_insert(0);
+            *count = count.saturating_add(1);
+        }
+        Err(_) => state.failed = state.failed.saturating_add(1),
     }
 }
 

@@ -639,7 +639,7 @@ macro_rules! wire_enum {
         #[cfg(test)]
         impl tests::Arb for $ty {
             fn arb(g: &mut tests::Gen) -> Self {
-                <$ty>::ALL[g.below(<$ty>::ALL.len() as u64) as usize]
+                g.pick(&<$ty>::ALL)
             }
         }
     };
@@ -878,27 +878,19 @@ wire_variants!(ServeResponse, "serve response", {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use proptest::strategy::FnStrategy;
     use vstore_datasets::Dataset;
+    use vstore_types::check::check;
+    pub(super) use vstore_types::check::Gen;
 
     // -----------------------------------------------------------------
     // Generators: the test-side twin of `Wire`
     // -----------------------------------------------------------------
-
-    /// The random stream generators draw from.
-    pub(super) type Gen = proptest::TestRunner;
 
     /// An arbitrary value of a wire type. Composes the way [`Wire`] does,
     /// and the `wire_*!` macros emit it from the same field lists, so the
     /// properties below exercise exactly what the codec encodes.
     pub(super) trait Arb: Sized {
         fn arb(g: &mut Gen) -> Self;
-    }
-
-    /// `T`'s generator as a proptest strategy.
-    fn arb<T: Arb>() -> impl Strategy<Value = T> {
-        FnStrategy::new(T::arb)
     }
 
     impl Arb for u64 {
@@ -935,9 +927,8 @@ mod tests {
     impl Arb for String {
         /// One- to three-byte characters, empty strings included.
         fn arb(g: &mut Gen) -> Self {
-            let len = g.below(9);
-            (0..len)
-                .map(|_| ['a', 'z', '_', 'é', '☃'][g.below(5) as usize])
+            (0..g.len(8))
+                .map(|_| g.pick(&['a', 'z', '_', 'é', '☃']))
                 .collect()
         }
     }
@@ -958,8 +949,7 @@ mod tests {
     }
     impl<T: Arb> Arb for Vec<T> {
         fn arb(g: &mut Gen) -> Self {
-            let len = g.below(5);
-            (0..len).map(|_| T::arb(g)).collect()
+            (0..g.len(4)).map(|_| T::arb(g)).collect()
         }
     }
     impl<K: Arb + Ord, V: Arb> Arb for BTreeMap<K, V> {
@@ -991,11 +981,6 @@ mod tests {
         fn each_variant(g: &mut Gen) -> Vec<Self>;
     }
 
-    /// One value of every variant, as a proptest strategy.
-    fn arb_each<T: EachVariant>() -> impl Strategy<Value = Vec<T>> {
-        FnStrategy::new(T::each_variant)
-    }
-
     impl Arb for MetricValue {
         fn arb(g: &mut Gen) -> Self {
             let mut all = Self::each_variant(g);
@@ -1018,57 +1003,60 @@ mod tests {
         assert!(r.is_exhausted(), "{} bytes left over", r.remaining());
     }
 
-    proptest! {
-        #[test]
-        fn structural_impls_round_trip(
-            ints in arb::<(u32, (u64, usize))>(),
-            scalars in arb::<(f64, (bool, String))>(),
-            option in arb::<Option<Box<String>>>(),
-            vec in arb::<Vec<(String, f64)>>(),
-            map in arb::<BTreeMap<String, Vec<u64>>>(),
-        ) {
+    #[test]
+    fn structural_impls_round_trip() {
+        let gen = |g: &mut Gen| {
+            (
+                <(u32, (u64, usize))>::arb(g),
+                <(f64, (bool, String))>::arb(g),
+                <Option<Box<String>>>::arb(g),
+                <Vec<(String, f64)>>::arb(g),
+                <BTreeMap<String, Vec<u64>>>::arb(g),
+            )
+        };
+        check(64, 1, gen, |(ints, scalars, option, vec, map)| {
             round_trips(&ints);
             round_trips(&scalars);
             round_trips(&option);
             round_trips(&vec);
             round_trips(&map);
-        }
+        });
+    }
 
-        #[test]
-        fn video_source_round_trips(x in arb::<VideoSource>()) { round_trips(&x); }
-        #[test]
-        fn query_spec_round_trips(x in arb::<QuerySpec>()) { round_trips(&x); }
-        #[test]
-        fn ingest_report_round_trips(x in arb::<IngestReport>()) { round_trips(&x); }
-        #[test]
-        fn erode_report_round_trips(x in arb::<ErodeReport>()) { round_trips(&x); }
-        #[test]
-        fn stage_report_round_trips(x in arb::<StageReport>()) { round_trips(&x); }
-        #[test]
-        fn query_result_round_trips(x in arb::<QueryResult>()) { round_trips(&x); }
-        #[test]
-        fn latency_histogram_round_trips(x in arb::<LatencyHistogram>()) { round_trips(&x); }
-        #[test]
-        fn live_stats_round_trips(x in arb::<LiveStats>()) { round_trips(&x); }
-        #[test]
-        fn metric_value_round_trips(x in arb::<MetricValue>()) { round_trips(&x); }
-        #[test]
-        fn metric_round_trips(x in arb::<Metric>()) { round_trips(&x); }
-        #[test]
-        fn metrics_snapshot_round_trips(x in arb::<MetricsSnapshot>()) { round_trips(&x); }
-        #[test]
-        fn trace_span_round_trips(x in arb::<TraceSpan>()) { round_trips(&x); }
-        #[test]
-        fn trace_record_round_trips(x in arb::<TraceRecord>()) { round_trips(&x); }
-        #[test]
-        fn trace_dump_round_trips(x in arb::<TraceDump>()) { round_trips(&x); }
-        #[test]
-        fn remote_error_round_trips(x in arb::<RemoteError>()) { round_trips(&x); }
+    /// One 64-case round-trip property per payload type, each on its own
+    /// seed.
+    macro_rules! round_trip_properties {
+        ($($name:ident: $ty:ty = $seed:literal),+ $(,)?) => {$(
+            #[test]
+            fn $name() {
+                check(64, $seed, <$ty>::arb, |x| round_trips(&x));
+            }
+        )+};
+    }
 
-        /// Every request kind: as a payload, as a frame, and byte-identical
-        /// when the decoded request is encoded again.
-        #[test]
-        fn requests_round_trip(requests in arb_each::<ServeRequest>()) {
+    round_trip_properties! {
+        video_source_round_trips: VideoSource = 2,
+        query_spec_round_trips: QuerySpec = 3,
+        ingest_report_round_trips: IngestReport = 4,
+        erode_report_round_trips: ErodeReport = 5,
+        stage_report_round_trips: StageReport = 6,
+        query_result_round_trips: QueryResult = 7,
+        latency_histogram_round_trips: LatencyHistogram = 8,
+        live_stats_round_trips: LiveStats = 9,
+        metric_value_round_trips: MetricValue = 10,
+        metric_round_trips: Metric = 11,
+        metrics_snapshot_round_trips: MetricsSnapshot = 12,
+        trace_span_round_trips: TraceSpan = 13,
+        trace_record_round_trips: TraceRecord = 14,
+        trace_dump_round_trips: TraceDump = 15,
+        remote_error_round_trips: RemoteError = 16,
+    }
+
+    /// Every request kind: as a payload, as a frame, and byte-identical
+    /// when the decoded request is encoded again.
+    #[test]
+    fn requests_round_trip() {
+        check(64, 17, ServeRequest::each_variant, |requests| {
             for request in requests {
                 round_trips(&request);
                 let bytes = request.to_wire();
@@ -1076,11 +1064,13 @@ mod tests {
                 assert_eq!(decoded, request);
                 assert_eq!(decoded.to_wire(), bytes);
             }
-        }
+        });
+    }
 
-        /// Every response variant, likewise.
-        #[test]
-        fn responses_round_trip(responses in arb_each::<ServeResponse>()) {
+    /// Every response variant, likewise.
+    #[test]
+    fn responses_round_trip() {
+        check(64, 18, ServeResponse::each_variant, |responses| {
             for response in responses {
                 round_trips(&response);
                 let bytes = response.to_wire();
@@ -1088,15 +1078,22 @@ mod tests {
                 assert_eq!(decoded, response);
                 assert_eq!(decoded.to_wire(), bytes);
             }
-        }
+        });
+    }
 
-        /// `write_wire` into a recycled buffer is byte-identical to
-        /// `to_wire`, for every variant.
-        #[test]
-        fn write_wire_matches_to_wire_on_a_recycled_buffer(
-            requests in arb_each::<ServeRequest>(),
-            responses in arb_each::<ServeResponse>(),
-        ) {
+    /// One of every request and response variant.
+    fn every_variant(g: &mut Gen) -> (Vec<ServeRequest>, Vec<ServeResponse>) {
+        (
+            ServeRequest::each_variant(g),
+            ServeResponse::each_variant(g),
+        )
+    }
+
+    /// `write_wire` into a recycled buffer is byte-identical to
+    /// `to_wire`, for every variant.
+    #[test]
+    fn write_wire_matches_to_wire_on_a_recycled_buffer() {
+        check(64, 19, every_variant, |(requests, responses)| {
             for request in requests {
                 let mut w = ByteWriter::from_vec(vec![0xAA; 256]);
                 request.write_wire(&mut w);
@@ -1107,22 +1104,21 @@ mod tests {
                 response.write_wire(&mut w);
                 assert_eq!(w.into_bytes(), response.to_wire());
             }
-        }
+        });
     }
 
     /// The table generates every variant once, under the tag it always had
     /// (4 and 5 were the net-stats pair), and every request kind is there.
     #[test]
     fn every_variant_is_generated_under_its_tag() {
-        let mut g = Gen::deterministic(1, 1);
-        let requests = ServeRequest::each_variant(&mut g);
-        let kinds: Vec<RequestKind> = requests.iter().map(ServeRequest::kind).collect();
-        assert_eq!(kinds, RequestKind::ALL);
-        let tags: Vec<u8> = requests.iter().map(|r| r.to_wire()[5]).collect();
-        assert_eq!(tags, [0, 1, 2, 3, 5, 6]);
-        let responses = ServeResponse::each_variant(&mut g);
-        let tags: Vec<u8> = responses.iter().map(|r| r.to_wire()[5]).collect();
-        assert_eq!(tags, [0, 1, 2, 3, 4, 6, 7]);
+        check(1, 1, every_variant, |(requests, responses)| {
+            let kinds: Vec<RequestKind> = requests.iter().map(ServeRequest::kind).collect();
+            assert_eq!(kinds, RequestKind::ALL);
+            let tags: Vec<u8> = requests.iter().map(|r| r.to_wire()[5]).collect();
+            assert_eq!(tags, [0, 1, 2, 3, 5, 6]);
+            let tags: Vec<u8> = responses.iter().map(|r| r.to_wire()[5]).collect();
+            assert_eq!(tags, [0, 1, 2, 3, 4, 6, 7]);
+        });
     }
 
     // -----------------------------------------------------------------
@@ -1159,33 +1155,28 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-
-        #[test]
-        fn damaged_frames_of_every_variant_never_panic(
-            requests in arb_each::<ServeRequest>(),
-            responses in arb_each::<ServeResponse>(),
-        ) {
+    #[test]
+    fn damaged_frames_of_every_variant_never_panic() {
+        check(4, 20, every_variant, |(requests, responses)| {
             for request in requests {
                 survives_damage(&request.to_wire(), ServeRequest::from_wire);
             }
             for response in responses {
                 survives_damage(&response.to_wire(), ServeResponse::from_wire);
             }
-        }
+        });
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2048))]
-
-        /// Arbitrary bytes, bare and behind a valid header and tag (so the
-        /// payload decoders are reached, not just the magic check).
-        #[test]
-        fn arbitrary_bytes_never_panic(
-            tag in 0u8..9,
-            bytes in prop::collection::vec(any::<u8>(), 0..96),
-        ) {
+    /// Arbitrary bytes, bare and behind a valid header and tag (so the
+    /// payload decoders are reached, not just the magic check).
+    #[test]
+    fn arbitrary_bytes_never_panic() {
+        let gen = |g: &mut Gen| {
+            let tag = g.below(9) as u8;
+            let bytes: Vec<u8> = (0..g.len(95)).map(|_| g.next_u64() as u8).collect();
+            (tag, bytes)
+        };
+        check(2048, 21, gen, |(tag, bytes)| {
             typed(ServeRequest::from_wire(&bytes));
             typed(ServeResponse::from_wire(&bytes));
             for (magic, is_request) in [(REQUEST_MAGIC, true), (RESPONSE_MAGIC, false)] {
@@ -1201,7 +1192,7 @@ mod tests {
                     typed(ServeResponse::from_wire(&frame));
                 }
             }
-        }
+        });
     }
 
     /// A frame of at most 64 bytes may declare any count it likes: every

@@ -117,6 +117,7 @@ impl fmt::Display for SegmentKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstore_types::check::{check, Gen};
 
     #[test]
     fn encode_decode_round_trip() {
@@ -154,6 +155,52 @@ mod tests {
         for foreign in [tmp.as_str(), upper.as_str(), &hex[1..], "00ff"] {
             assert_eq!(SegmentKey::from_object_hex(foreign), None, "{foreign}");
         }
+    }
+
+    /// Hostile keys: arbitrary bytes, and every prefix and single-byte
+    /// mutation of a real key's encoding, decode to a key or a corruption
+    /// error; any key, multi-byte stream names included, comes back from
+    /// its object name; and any string handed to `from_object_hex` gives a
+    /// key or `None`. None of it panics.
+    #[test]
+    fn hostile_key_bytes_and_names_never_panic() {
+        let gen = |g: &mut Gen| {
+            let chars = ['a', '/', '.', '\0', 'é', '☃', '𝄞'];
+            let stream: String = (0..g.len(12)).map(|_| g.pick(&chars)).collect();
+            let key = SegmentKey::new(stream, FormatId(g.next_u64() as u32), g.next_u64());
+            let bytes: Vec<u8> = (0..g.len(40)).map(|_| g.next_u64() as u8).collect();
+            let digits = ['0', '9', 'a', 'f', 'g', 'A', 'é', '.'];
+            let name: String = (0..g.len(40)).map(|_| g.pick(&digits)).collect();
+            (key, bytes, name)
+        };
+        let typed = |bytes: &[u8]| match SegmentKey::decode(bytes) {
+            Ok(_) | Err(VStoreError::Corruption(_)) => {}
+            Err(err) => panic!("{err}"),
+        };
+        check(64, 0x4E7, gen, |(key, bytes, name)| {
+            typed(&bytes);
+            let encoded = key.encode();
+            for cut in 0..encoded.len() {
+                assert!(SegmentKey::decode(&encoded[..cut]).is_err(), "prefix {cut}");
+            }
+            let mut bad = encoded.clone();
+            for at in 0..encoded.len() {
+                for delta in 1..=u8::MAX {
+                    bad[at] = encoded[at].wrapping_add(delta);
+                    typed(&bad);
+                }
+                bad[at] = encoded[at];
+            }
+            let object = key.object_name("cold");
+            let hex = object.strip_prefix("cold/").unwrap();
+            assert_eq!(SegmentKey::from_object_hex(hex), Some(key));
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(
+                SegmentKey::from_object_hex(&hex),
+                SegmentKey::decode(&bytes).ok()
+            );
+            let _ = SegmentKey::from_object_hex(&name);
+        });
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::check::check;
 
     /// The bit-at-a-time algorithm every earlier commit ran: the reference
     /// the table-driven loop must agree with on every input.
@@ -213,24 +213,32 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Random buffers of up to two full runs of lanes plus a stride,
-        /// started at every alignment within a stride and cut at random
-        /// points and around lane boundaries. Cuts come in pairs less than
-        /// a stride apart, so parts also begin and end inside one 16-byte
-        /// stride (and a zero gap gives an empty part); a cut a few bytes
-        /// either side of a multiple of `LANE_BLOCK` ends one part inside a
-        /// lane and starts the next across the boundary.
-        #[test]
-        fn table_driven_equals_the_bitwise_reference(
-            data in proptest::collection::vec(any::<u8>(), 0..2 * LANES * LANE_BLOCK + STRIDE + 1),
-            cut_pairs in proptest::collection::vec(any::<(u16, u8)>(), 0..5),
-            boundary_cuts in proptest::collection::vec(any::<(u8, i8)>(), 0..3),
-        ) {
+    /// Random buffers of up to two full runs of lanes plus a stride,
+    /// started at every alignment within a stride and cut at random points
+    /// and around lane boundaries. Cuts come in pairs less than a stride
+    /// apart, so parts also begin and end inside one 16-byte stride (and a
+    /// zero gap gives an empty part); a cut a few bytes either side of a
+    /// multiple of `LANE_BLOCK` ends one part inside a lane and starts the
+    /// next across the boundary.
+    #[test]
+    fn table_driven_equals_the_bitwise_reference() {
+        let gen = |g: &mut crate::check::Gen| {
+            let data: Vec<u8> = (0..g.len(2 * LANES * LANE_BLOCK + STRIDE))
+                .map(|_| g.next_u64() as u8)
+                .collect();
+            let cut_pairs: Vec<(u16, u8)> = (0..g.len(4))
+                .map(|_| (g.next_u64() as u16, g.next_u64() as u8))
+                .collect();
+            let boundary_cuts: Vec<(u8, i8)> = (0..g.len(2))
+                .map(|_| (g.next_u64() as u8, g.next_u64() as i8))
+                .collect();
+            (data, cut_pairs, boundary_cuts)
+        };
+        check(64, 0xC3C, gen, |(data, cut_pairs, boundary_cuts)| {
             for start in 0..STRIDE.min(data.len() + 1) {
                 let data = &data[start..];
                 let expected = bitwise_parts(&[data]);
-                prop_assert_eq!(crc32(data), expected, "start alignment {}", start);
+                assert_eq!(crc32(data), expected, "start alignment {start}");
 
                 let mut cuts = Vec::with_capacity(cut_pairs.len() * 2 + boundary_cuts.len());
                 for &(at, gap) in &cut_pairs {
@@ -251,8 +259,8 @@ mod tests {
                     from = cut;
                 }
                 parts.push(&data[from..]);
-                prop_assert_eq!(crc32_parts(&parts), expected, "cuts {:?}", cuts);
+                assert_eq!(crc32_parts(&parts), expected, "cuts {cuts:?}");
             }
-        }
+        });
     }
 }

@@ -29,11 +29,14 @@
 //! map), [`queue`] (the bounded, closeable job queue), [`sync`] (the
 //! poison-recovery lock helpers) and [`hash`] (deterministic hashing — the
 //! synthetic content's pseudo-randomness *and* the store's shard routing).
+//! [`check`] is the seeded, shrinking property driver every crate's tests
+//! share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cast;
+pub mod check;
 pub mod config;
 pub mod consumer;
 pub mod crc;

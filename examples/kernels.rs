@@ -12,7 +12,9 @@
 //! The scalar references are the per-sample forms the blocked kernels and
 //! the word-at-a-time run coder replaced, and the scene's are the
 //! per-frame background fill and the per-pixel rasteriser the renderer
-//! replaced; the unit tests hold each kernel to its reference bit for bit.
+//! replaced. The crates' unit tests hold each kernel to its reference bit
+//! for bit; all but the fill are the crates' own `reference.rs` files,
+//! included here through `#[path]`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,79 +27,19 @@ use vstore::datasets::{
 use vstore::types::{CodingOption, DeterministicHasher};
 use vstore::{BackendOptions, QuerySpec, VStore, VStoreOptions};
 
+#[path = "../crates/codec/src/reference.rs"]
+mod codec_reference;
+#[path = "../crates/datasets/src/reference.rs"]
+mod datasets_reference;
+
+use codec_reference::scalar_encode_runs;
+use datasets_reference::{
+    per_pixel_rasterise, scalar_gradient_energy, scalar_sad, scalar_wrapped_distance,
+    scalar_wrapped_magnitude,
+};
+
 /// Timed rounds per row; the median is reported.
 const ROUNDS: usize = 15;
-
-fn scalar_sad(a: &[u8], b: &[u8]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(&a, &b)| u64::from(a.abs_diff(b)))
-        .sum()
-}
-
-fn scalar_wrapped_distance(a: &[u8], b: &[u8]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(&c, &p)| {
-            let d = c.wrapping_sub(p);
-            u64::from(d.min(0u8.wrapping_sub(d)))
-        })
-        .sum()
-}
-
-fn scalar_wrapped_magnitude(deltas: &[u8]) -> u64 {
-    deltas
-        .iter()
-        .map(|&d| u64::from(d.min(0u8.wrapping_sub(d))))
-        .sum()
-}
-
-/// Contour's energy read through `get`, one sample at a time.
-fn scalar_gradient_energy(plane: &BlockPlane) -> f64 {
-    let (width, height) = (plane.width(), plane.height());
-    if width < 2 || height == 0 {
-        return 0.0;
-    }
-    let mut total = 0u64;
-    for y in 0..height {
-        for x in 1..width {
-            total += u64::from(plane.get(x, y).abs_diff(plane.get(x - 1, y)));
-        }
-    }
-    total as f64 / f64::from(height * (width - 1))
-}
-
-/// The run coder testing one sample at a time.
-fn scalar_encode_runs(data: &[u8], out: &mut Vec<u8>) {
-    let flush = |out: &mut Vec<u8>, before: &[u8], count: u8| {
-        if let Some(control) = count.checked_sub(1) {
-            out.push(control);
-            out.extend_from_slice(&before[before.len() - usize::from(count)..]);
-        }
-    };
-    out.clear();
-    let mut pos = 0;
-    let mut literals: u8 = 0;
-    while let Some(&value) = data.get(pos) {
-        let mut run: u8 = 1;
-        while run < 130 && data.get(pos + usize::from(run)) == Some(&value) {
-            run += 1;
-        }
-        if run >= 3 {
-            flush(out, &data[..pos], literals);
-            literals = 0;
-            out.extend_from_slice(&[run - 3 + 128, value]);
-        } else {
-            if literals + run > 128 {
-                flush(out, &data[..pos], literals);
-                literals = 0;
-            }
-            literals += run;
-        }
-        pos += usize::from(run);
-    }
-    flush(out, &data[..pos], literals);
-}
 
 /// The background fill the grouped fill replaced: the tile's texture
 /// hashed once, then every frame's rows quantised from it on their own.
@@ -130,29 +72,6 @@ fn per_frame_fill(profile: &DatasetProfile, start: u64, planes: &mut [BlockPlane
             let at = (y + dy) * tile_w + dx;
             for (sample, &term) in row.iter_mut().zip(&texture[at..at + w]) {
                 *sample = (base + term).clamp(0.0, 255.0) as u8;
-            }
-        }
-    }
-}
-
-/// The rasteriser the clipped one replaced: every sample of every box
-/// bounds-checked and blended through `get`/`set`.
-fn per_pixel_rasterise(objects: &[SceneObject], plane: &mut BlockPlane) {
-    let (w, h) = (plane.width(), plane.height());
-    for obj in objects {
-        let luma = obj.color.luma();
-        let x0 = (obj.bbox.x * w as f32) as i64;
-        let y0 = (obj.bbox.y * h as f32) as i64;
-        let bw = ((obj.bbox.w * w as f32).ceil() as i64).max(1);
-        let bh = ((obj.bbox.h * h as f32).ceil() as i64).max(1);
-        for yy in y0..(y0 + bh) {
-            for xx in x0..(x0 + bw) {
-                if xx >= 0 && yy >= 0 && (xx as u32) < w && (yy as u32) < h {
-                    let bg = plane.get(xx as u32, yy as u32);
-                    let blended =
-                        f32::from(bg) * (1.0 - obj.salience) + f32::from(luma) * obj.salience;
-                    plane.set(xx as u32, yy as u32, blended as u8);
-                }
             }
         }
     }

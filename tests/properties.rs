@@ -5,7 +5,6 @@
 
 #![expect(clippy::disallowed_methods, reason = "removes its scratch stores")]
 
-use proptest::prelude::*;
 use vstore::types::{
     ByteSize, CropFactor, Fidelity, FrameSampling, ImageQuality, KeyframeInterval, Resolution,
     SpeedStep,
@@ -15,156 +14,177 @@ use vstore_codec::{encode_segment, SegmentData};
 use vstore_datasets::{Dataset, VideoSource};
 use vstore_ops::{f1_score, ConsumptionCostModel};
 use vstore_storage::{SegmentKey, SegmentReader, SegmentStore};
+use vstore_types::check::{check, Gen};
 use vstore_types::{CodingOption, FormatId, OperatorKind, StorageFormat};
 
-fn arb_quality() -> impl Strategy<Value = ImageQuality> {
-    prop::sample::select(ImageQuality::ALL.to_vec())
-}
-fn arb_crop() -> impl Strategy<Value = CropFactor> {
-    prop::sample::select(CropFactor::ALL.to_vec())
-}
-fn arb_resolution() -> impl Strategy<Value = Resolution> {
-    prop::sample::select(Resolution::ALL.to_vec())
-}
-fn arb_sampling() -> impl Strategy<Value = FrameSampling> {
-    prop::sample::select(FrameSampling::ALL.to_vec())
+fn arb_fidelity(g: &mut Gen) -> Fidelity {
+    Fidelity::new(
+        g.pick(&ImageQuality::ALL),
+        g.pick(&CropFactor::ALL),
+        g.pick(&Resolution::ALL),
+        g.pick(&FrameSampling::ALL),
+    )
 }
 
-prop_compose! {
-    fn arb_fidelity()(
-        quality in arb_quality(),
-        crop in arb_crop(),
-        resolution in arb_resolution(),
-        sampling in arb_sampling(),
-    ) -> Fidelity {
-        Fidelity::new(quality, crop, resolution, sampling)
+fn arb_coding(g: &mut Gen) -> CodingOption {
+    if g.below(2) == 0 {
+        CodingOption::Raw
+    } else {
+        CodingOption::Encoded {
+            keyframe_interval: g.pick(&KeyframeInterval::ALL),
+            speed: g.pick(&SpeedStep::ALL),
+        }
     }
 }
 
-fn arb_coding() -> impl Strategy<Value = CodingOption> {
-    prop_oneof![
-        Just(CodingOption::Raw),
-        (
-            prop::sample::select(KeyframeInterval::ALL.to_vec()),
-            prop::sample::select(SpeedStep::ALL.to_vec())
-        )
-            .prop_map(|(keyframe_interval, speed)| CodingOption::Encoded {
-                keyframe_interval,
-                speed
-            }),
-    ]
-}
+// ---------------- richer-than partial order ----------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // ---------------- richer-than partial order ----------------
-
-    #[test]
-    fn richer_than_is_reflexive_and_antisymmetric(a in arb_fidelity(), b in arb_fidelity()) {
-        prop_assert!(a.richer_or_equal(&a));
+#[test]
+fn richer_than_is_reflexive_and_antisymmetric() {
+    let gen = |g: &mut Gen| (arb_fidelity(g), arb_fidelity(g));
+    check(64, 1, gen, |(a, b)| {
+        assert!(a.richer_or_equal(&a));
         if a.richer_or_equal(&b) && b.richer_or_equal(&a) {
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
         }
-    }
+    });
+}
 
-    #[test]
-    fn richer_than_is_transitive(a in arb_fidelity(), b in arb_fidelity(), c in arb_fidelity()) {
+#[test]
+fn richer_than_is_transitive() {
+    let gen = |g: &mut Gen| (arb_fidelity(g), arb_fidelity(g), arb_fidelity(g));
+    check(64, 2, gen, |(a, b, c)| {
         if a.richer_or_equal(&b) && b.richer_or_equal(&c) {
-            prop_assert!(a.richer_or_equal(&c));
+            assert!(a.richer_or_equal(&c));
         }
-    }
+    });
+}
 
-    #[test]
-    fn join_is_least_upper_bound(a in arb_fidelity(), b in arb_fidelity()) {
+#[test]
+fn join_is_least_upper_bound() {
+    let gen = |g: &mut Gen| (arb_fidelity(g), arb_fidelity(g));
+    check(64, 3, gen, |(a, b)| {
         let j = a.join(&b);
-        prop_assert!(j.richer_or_equal(&a));
-        prop_assert!(j.richer_or_equal(&b));
+        assert!(j.richer_or_equal(&a));
+        assert!(j.richer_or_equal(&b));
         // Any common upper bound is at least as rich as the join.
         let ingestion = Fidelity::INGESTION;
-        prop_assert!(ingestion.richer_or_equal(&j));
+        assert!(ingestion.richer_or_equal(&j));
         // Meet is dually a lower bound.
         let m = a.meet(&b);
-        prop_assert!(a.richer_or_equal(&m));
-        prop_assert!(b.richer_or_equal(&m));
-        prop_assert!(j.richer_or_equal(&m));
-    }
+        assert!(a.richer_or_equal(&m));
+        assert!(b.richer_or_equal(&m));
+        assert!(j.richer_or_equal(&m));
+    });
+}
 
-    #[test]
-    fn satisfiability_follows_the_partial_order(a in arb_fidelity(), b in arb_fidelity(), c in arb_coding()) {
+#[test]
+fn satisfiability_follows_the_partial_order() {
+    let gen = |g: &mut Gen| (arb_fidelity(g), arb_fidelity(g), arb_coding(g));
+    check(64, 4, gen, |(a, b, c)| {
         let sf = StorageFormat::new(a, c);
         let cf = vstore_types::ConsumptionFormat::new(b);
-        prop_assert_eq!(sf.satisfies(&cf), a.richer_or_equal(&b));
-    }
+        assert_eq!(sf.satisfies(&cf), a.richer_or_equal(&b));
+    });
+}
 
-    // ---------------- cost-model invariants ----------------
+// ---------------- cost-model invariants ----------------
 
-    #[test]
-    fn consumption_cost_ignores_quality_and_respects_monotonicity(
-        f in arb_fidelity(),
-        op in prop::sample::select(OperatorKind::ALL.to_vec()),
-    ) {
+#[test]
+fn consumption_cost_ignores_quality_and_respects_monotonicity() {
+    let gen = |g: &mut Gen| (arb_fidelity(g), g.pick(&OperatorKind::ALL));
+    check(64, 5, gen, |(f, op)| {
         let model = ConsumptionCostModel::paper_testbed();
         // O2: changing only image quality never changes speed.
         for q in ImageQuality::ALL {
             let other = Fidelity { quality: q, ..f };
-            prop_assert_eq!(
+            assert_eq!(
                 model.consumption_speed(op, &f).factor(),
                 model.consumption_speed(op, &other).factor()
             );
         }
         // O1 (cost side): a richer fidelity is never faster to consume.
-        let richer = Fidelity { resolution: Resolution::R720, sampling: FrameSampling::Full, crop: CropFactor::C100, ..f };
-        prop_assert!(
+        let richer = Fidelity {
+            resolution: Resolution::R720,
+            sampling: FrameSampling::Full,
+            crop: CropFactor::C100,
+            ..f
+        };
+        assert!(
             model.consumption_speed(op, &richer).factor()
                 <= model.consumption_speed(op, &f).factor() + 1e-9
         );
-    }
+    });
+}
 
-    // ---------------- scoring ----------------
+// ---------------- scoring ----------------
 
-    #[test]
-    fn f1_is_bounded_and_perfect_only_on_agreement(flags in prop::collection::vec(any::<(bool, bool)>(), 1..200)) {
+#[test]
+fn f1_is_bounded_and_perfect_only_on_agreement() {
+    let gen = |g: &mut Gen| -> Vec<(bool, bool)> {
+        (0..1 + g.len(198))
+            .map(|_| (g.below(2) == 1, g.below(2) == 1))
+            .collect()
+    };
+    check(64, 6, gen, |flags| {
         let reference: Vec<bool> = flags.iter().map(|(r, _)| *r).collect();
         let predicted: Vec<bool> = flags.iter().map(|(_, p)| *p).collect();
         let report = f1_score(&reference, &predicted);
-        prop_assert!((0.0..=1.0).contains(&report.f1));
-        prop_assert!((0.0..=1.0).contains(&report.precision));
-        prop_assert!((0.0..=1.0).contains(&report.recall));
+        assert!((0.0..=1.0).contains(&report.f1));
+        assert!((0.0..=1.0).contains(&report.precision));
+        assert!((0.0..=1.0).contains(&report.recall));
         if reference == predicted {
-            prop_assert_eq!(report.f1, 1.0);
+            assert_eq!(report.f1, 1.0);
         }
         if report.fp == 0 && report.fn_ == 0 {
-            prop_assert_eq!(report.f1, 1.0);
+            assert_eq!(report.f1, 1.0);
         }
-    }
-
-    // ---------------- storage keys & units ----------------
-
-    #[test]
-    fn segment_keys_round_trip(stream in "[a-z]{1,16}", format in 0u32..64, index in any::<u64>()) {
-        let key = SegmentKey::new(stream, FormatId(format), index);
-        prop_assert_eq!(SegmentKey::decode(&key.encode()).unwrap(), key);
-    }
-
-    #[test]
-    fn byte_size_scaling_is_monotone(bytes in 0u64..1_000_000_000, f1 in 0.0f64..1.0, f2 in 0.0f64..1.0) {
-        let b = ByteSize(bytes);
-        let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
-        prop_assert!(b.scale(lo) <= b.scale(hi));
-        prop_assert!(b.scale(1.0) == b);
-    }
+    });
 }
 
-// Store behaviour under random operation sequences (kept outside proptest's
-// macro so the store setup cost is paid once per case batch).
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+// ---------------- storage keys & units ----------------
 
-    #[test]
-    fn segment_store_matches_a_model_under_random_ops(
-        ops in prop::collection::vec((0u8..3, 0u64..24, prop::collection::vec(any::<u8>(), 0..512)), 1..60)
-    ) {
+#[test]
+fn segment_keys_round_trip() {
+    let gen = |g: &mut Gen| {
+        let stream: String = (0..1 + g.len(15))
+            .map(|_| char::from(b'a' + g.below(26) as u8))
+            .collect();
+        SegmentKey::new(stream, FormatId(g.below(64) as u32), g.next_u64())
+    };
+    check(64, 7, gen, |key| {
+        assert_eq!(SegmentKey::decode(&key.encode()).unwrap(), key);
+    });
+}
+
+#[test]
+fn byte_size_scaling_is_monotone() {
+    let gen = |g: &mut Gen| (g.below(1_000_000_000), g.unit(), g.unit());
+    check(64, 8, gen, |(bytes, f1, f2)| {
+        let b = ByteSize(bytes);
+        let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
+        assert!(b.scale(lo) <= b.scale(hi));
+        assert!(b.scale(1.0) == b);
+    });
+}
+
+// ---------------- store behaviour under random operation sequences ----------------
+
+#[test]
+fn segment_store_matches_a_model_under_random_ops() {
+    let gen = |g: &mut Gen| -> Vec<(u8, u64, Vec<u8>)> {
+        (0..1 + g.len(58))
+            .map(|_| {
+                let (op, seg) = (g.below(3) as u8, g.below(24));
+                (
+                    op,
+                    seg,
+                    (0..g.len(511)).map(|_| g.next_u64() as u8).collect(),
+                )
+            })
+            .collect()
+    };
+    check(16, 9, gen, |ops| {
         let store = SegmentStore::open_temp("prop-store").unwrap();
         let mut model: std::collections::BTreeMap<u64, Vec<u8>> = std::collections::BTreeMap::new();
         for (op, seg, value) in ops {
@@ -180,24 +200,29 @@ proptest! {
                 }
                 _ => {
                     let got = store.get(&key).unwrap();
-                    prop_assert_eq!(got.as_deref(), model.get(&seg).map(|v| v.as_slice()));
+                    assert_eq!(got.as_deref(), model.get(&seg).map(|v| v.as_slice()));
                 }
             }
         }
-        prop_assert_eq!(store.len(), model.len());
+        assert_eq!(store.len(), model.len());
         std::fs::remove_dir_all(store.dir()).ok();
-    }
+    });
+}
 
-    // Cache coherence: a reader with the view cache enabled is
-    // observationally identical to a passthrough reader under random
-    // put/read/erode interleavings — invalidation and eviction can drop
-    // performance, never correctness. Values are real segments or bytes
-    // that do not parse, so errors are compared too.
-    #[test]
-    fn cached_reader_returns_identical_bytes_to_uncached_under_random_ops(
-        ops in prop::collection::vec((0u8..6, 0u64..8, 0usize..4), 1..80)
-    ) {
-        use std::sync::Arc;
+// Cache coherence: a reader with the view cache enabled is observationally
+// identical to a passthrough reader under random put/read/erode
+// interleavings — invalidation and eviction can drop performance, never
+// correctness. Values are real segments or bytes that do not parse, so
+// errors are compared too.
+#[test]
+fn cached_reader_returns_identical_bytes_to_uncached_under_random_ops() {
+    use std::sync::Arc;
+    let gen = |g: &mut Gen| -> Vec<(u8, u64, usize)> {
+        (0..1 + g.len(78))
+            .map(|_| (g.below(6) as u8, g.below(8), g.below(4) as usize))
+            .collect()
+    };
+    check(16, 10, gen, |ops| {
         // 16 KiB and 4 views per shard: one whole-segment view (~14 KB of
         // planes) and one half-rate view (~7 KB) already overflow a shard.
         let cached = SegmentReader::new(
@@ -215,7 +240,12 @@ proptest! {
             read.map(|read| {
                 read.map(|read| {
                     let segment = &read.segment;
-                    (segment.storage_format, segment.frame_count, segment.raw_len, segment.frames.clone())
+                    (
+                        segment.storage_format,
+                        segment.frame_count,
+                        segment.raw_len,
+                        segment.frames.clone(),
+                    )
                 })
             })
             .map_err(|err| err.to_string())
@@ -232,17 +262,17 @@ proptest! {
                     cached.delete(&key).unwrap();
                     uncached.delete(&key).unwrap();
                 }
-                read_op => prop_assert_eq!(read(&cached, &key, read_op), read(&uncached, &key, read_op)),
+                read_op => assert_eq!(read(&cached, &key, read_op), read(&uncached, &key, read_op)),
             }
         }
         // Final sweep: every key and view agrees, whether served hot or cold.
         for seg in 0..8u64 {
             let key = SegmentKey::new("prop-cache", FormatId(1), seg);
             for read_op in 2..6 {
-                prop_assert_eq!(read(&cached, &key, read_op), read(&uncached, &key, read_op));
+                assert_eq!(read(&cached, &key, read_op), read(&uncached, &key, read_op));
             }
         }
-    }
+    });
 }
 
 /// The values the cache-coherence property writes: three distinct segments
