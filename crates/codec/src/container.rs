@@ -4,7 +4,7 @@
 
 use crate::codec::{
     decode_segment, decode_segment_sampled, DecodeStats, Decoder, EncodedChunk, EncodedSegment,
-    FrameRecord,
+    FrameRecord, MotionVector,
 };
 use crate::frame::{sampling_selects, VideoFrame};
 use crate::wire::{ByteReader, ByteWriter};
@@ -17,9 +17,15 @@ use vstore_types::{
 
 /// Magic bytes prefixing every serialised segment, before its version.
 const MAGIC: &[u8; 5] = b"VSSEG";
-/// The container version, an ASCII digit after the magic. `2` is the
-/// literal-run payload coding; nothing reads the pair-coded `1`.
-const VERSION: u8 = b'2';
+/// The container version of an encoded segment, an ASCII digit after the
+/// magic: `3` carries a motion vector in every delta record. A RAW segment
+/// has no delta records, so its layout has not changed since
+/// [`RAW_VERSION`]. Any other version of either kind, such as the
+/// plain-delta encoded `2` or the pair-coded `1`, is corruption naming both
+/// versions: such a segment is re-ingested, not read.
+const ENCODED_VERSION: u8 = b'3';
+/// The container version of a RAW segment.
+const RAW_VERSION: u8 = b'2';
 
 /// A RAW (coding-bypass) segment: frames stored as uncompressed planes.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +126,10 @@ impl SegmentData {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(4096);
         w.put_raw(MAGIC);
-        w.put_u8(VERSION);
+        w.put_u8(match self {
+            SegmentData::Raw(_) => RAW_VERSION,
+            SegmentData::Encoded(_) => ENCODED_VERSION,
+        });
         match self {
             SegmentData::Raw(seg) => {
                 w.put_u8(0);
@@ -155,6 +164,10 @@ impl SegmentData {
                             f.signal_retention,
                         );
                         w.put_u8(u8::from(f.is_key));
+                        if !f.is_key {
+                            w.put_raw(&f.motion.dx.to_le_bytes());
+                            w.put_raw(&f.motion.dy.to_le_bytes());
+                        }
                         w.put_bytes(&f.payload);
                         write_objects(&mut w, &f.objects);
                     }
@@ -279,18 +292,27 @@ impl<'a> SegmentWalk<'a> {
             return Err(VStoreError::corruption("bad segment magic"));
         }
         let version = r.get_u8()?;
-        if version != VERSION {
+        let kind = r.get_u8()?;
+        let expected = match kind {
+            0 => RAW_VERSION,
+            1 => ENCODED_VERSION,
+            other => {
+                return Err(VStoreError::corruption(format!(
+                    "unknown segment kind {other}"
+                )))
+            }
+        };
+        if version != expected {
             return Err(VStoreError::corruption(format!(
                 "segment container version {} where {} is expected",
                 version.escape_ascii(),
-                VERSION.escape_ascii()
+                expected.escape_ascii()
             )));
         }
-        let kind = r.get_u8()?;
         let fidelity = read_fidelity(&mut r)?;
         let (coding, chunks_left) = match kind {
             0 => (CodingOption::Raw, 1),
-            1 => {
+            _ => {
                 let ki_rank = usize::from(r.get_u8()?);
                 let sp_rank = usize::from(r.get_u8()?);
                 let keyframe_interval = *KeyframeInterval::ALL
@@ -305,11 +327,6 @@ impl<'a> SegmentWalk<'a> {
                 };
                 // Even an empty GOP spends a byte on its frame count.
                 (coding, r.get_count(1, "chunk")?)
-            }
-            other => {
-                return Err(VStoreError::corruption(format!(
-                    "unknown segment kind {other}"
-                )))
             }
         };
         Ok(SegmentWalk {
@@ -338,12 +355,18 @@ impl<'a> SegmentWalk<'a> {
             let height = u32::from(r.get_u16()?);
             let signal_retention = r.get_f64()?;
             let is_key = raw || r.get_u8()? != 0;
+            let motion = if is_key {
+                MotionVector::ZERO
+            } else {
+                read_motion(r)?
+            };
             let payload = r.get_bytes()?;
             let record = FrameRecord {
                 source_index,
                 width,
                 height,
                 is_key,
+                motion,
                 payload,
                 objects: Cow::Owned(read_objects(r)?),
                 signal_retention,
@@ -359,6 +382,25 @@ impl<'a> SegmentWalk<'a> {
         }
         Ok(true)
     }
+}
+
+/// A delta record's motion vector: two `i8`s, each within
+/// [`MotionVector::MAX`].
+fn read_motion(r: &mut ByteReader<'_>) -> Result<MotionVector> {
+    let mut component = || -> Result<i8> {
+        let c = i8::from_le_bytes([r.get_u8()?]);
+        if c.unsigned_abs() > MotionVector::MAX.unsigned_abs() {
+            return Err(VStoreError::corruption(format!(
+                "motion vector component {c} outside ±{}",
+                MotionVector::MAX
+            )));
+        }
+        Ok(c)
+    };
+    Ok(MotionVector {
+        dx: component()?,
+        dy: component()?,
+    })
 }
 
 /// The owned frame of a RAW segment's record.
@@ -576,21 +618,33 @@ mod tests {
         assert!(SegmentData::from_bytes(&[]).is_err());
     }
 
+    /// Of both older encoded formats, the pair-coded `1` and the
+    /// plain-delta `2` whose delta records carry no vector; and of a RAW
+    /// segment at any version but its own `2`.
     #[test]
     fn a_version_1_container_is_corruption_naming_both_versions() {
-        let mut bytes = encoded_segment().to_bytes();
-        assert_eq!(&bytes[..6], b"VSSEG2");
-        bytes[5] = b'1';
-        for err in [
-            SegmentData::from_bytes(&bytes).unwrap_err(),
-            SegmentData::decode_bytes(&bytes, FrameSampling::Full).unwrap_err(),
+        for (raw, version, old) in [
+            (false, '3', '1'),
+            (false, '3', '2'),
+            (true, '2', '1'),
+            (true, '2', '3'),
         ] {
-            assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
-            assert!(
-                err.to_string()
-                    .contains("segment container version 1 where 2 is expected"),
-                "{err}"
-            );
+            let mut bytes = if raw {
+                raw_segment()
+            } else {
+                encoded_segment()
+            }
+            .to_bytes();
+            assert_eq!(bytes[..6], *format!("VSSEG{version}").as_bytes());
+            bytes[5] = old as u8;
+            let expected = format!("segment container version {old} where {version} is expected");
+            for err in [
+                SegmentData::from_bytes(&bytes).unwrap_err(),
+                SegmentData::decode_bytes(&bytes, FrameSampling::Full).unwrap_err(),
+            ] {
+                assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+                assert!(err.to_string().contains(&expected), "{err}");
+            }
         }
     }
 
@@ -603,7 +657,7 @@ mod tests {
     fn a_frame_count_of_2_pow_62_is_corruption_not_a_capacity_overflow() {
         let mut w = ByteWriter::new();
         w.put_raw(MAGIC);
-        w.put_u8(VERSION);
+        w.put_u8(RAW_VERSION);
         w.put_u8(0);
         write_fidelity(&mut w, &Fidelity::INGESTION);
         w.put_varint(1 << 62);
@@ -622,7 +676,7 @@ mod tests {
     fn a_65535_squared_keyframe_over_two_bytes_is_corruption_not_a_4_gib_allocation() {
         let mut w = ByteWriter::new();
         w.put_raw(MAGIC);
-        w.put_u8(VERSION);
+        w.put_u8(ENCODED_VERSION);
         w.put_u8(1);
         write_fidelity(&mut w, &Fidelity::INGESTION);
         w.put_u8(0); // keyframe interval rank
@@ -646,6 +700,57 @@ mod tests {
         }
     }
 
+    /// A delta record's vector is two `i8`s within ±7: each component at
+    /// ±8, 127 or −128 is corruption naming it, in either parse, and ±7
+    /// decodes (a 3 × 2 plane, narrower and shorter than the shift).
+    #[test]
+    fn motion_vector_components_past_7_are_corruption() {
+        let container = |dx: i8, dy: i8| {
+            let mut w = ByteWriter::new();
+            w.put_raw(MAGIC);
+            w.put_u8(ENCODED_VERSION);
+            w.put_u8(1);
+            write_fidelity(&mut w, &Fidelity::INGESTION);
+            w.put_u8(0); // keyframe interval rank
+            w.put_u8(0); // speed rank
+            w.put_varint(1); // chunks
+            w.put_varint(2); // frames
+            write_frame_header(&mut w, 0, 3, 2, 1.0);
+            w.put_u8(1); // keyframe
+            w.put_bytes(&[5, 1, 2, 3, 4, 5, 6]); // six literals
+            write_objects(&mut w, &[]);
+            write_frame_header(&mut w, 1, 3, 2, 1.0);
+            w.put_u8(0); // delta frame
+            w.put_raw(&dx.to_le_bytes());
+            w.put_raw(&dy.to_le_bytes());
+            w.put_bytes(&[131, 1]); // six residuals of 1
+            write_objects(&mut w, &[]);
+            w.into_bytes()
+        };
+        for good in [(7, 7), (-7, -7), (7, -7), (0, 0)] {
+            let bytes = container(good.0, good.1);
+            let decoded = SegmentData::decode_bytes(&bytes, FrameSampling::Full).unwrap();
+            // Every source falls outside the plane: plain deltas.
+            assert_eq!(decoded.frames[1].plane.samples(), [2, 3, 4, 5, 6, 7]);
+            assert!(SegmentData::from_bytes(&bytes).is_ok());
+        }
+        for bad in [8, -8, 127, -128] {
+            for bytes in [container(bad, 0), container(0, bad)] {
+                for err in [
+                    SegmentData::from_bytes(&bytes).unwrap_err(),
+                    SegmentData::decode_bytes(&bytes, FrameSampling::Full).unwrap_err(),
+                ] {
+                    assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+                    assert!(
+                        err.to_string()
+                            .contains(&format!("motion vector component {bad} outside")),
+                        "{err}"
+                    );
+                }
+            }
+        }
+    }
+
     /// A few frames of a few samples each, objects included, so that every
     /// byte of the container can be cut at and rewritten to every value.
     fn small_segments() -> [SegmentData; 2] {
@@ -662,7 +767,19 @@ mod tests {
         for frame in &mut frames {
             frame.objects.truncate(1);
         }
-        let encoded = encode_segment(&frames, KeyframeInterval::K5, SpeedStep::Fast).unwrap();
+        let mut encoded = encode_segment(&frames, KeyframeInterval::K5, SpeedStep::Fast).unwrap();
+        // The plane is too small for the motion search, so every delta
+        // record would carry the zero vector: re-code two under others.
+        let width = frames[0].plane.width() as usize;
+        for (i, (dx, dy)) in [(1, (1, -1)), (2, (-7, 7))] {
+            let motion = MotionVector { dx, dy };
+            let (cur, prev) = (frames[i].plane.samples(), frames[i - 1].plane.samples());
+            let mut residual = Vec::new();
+            crate::codec::motion_residual(cur, prev, width, motion, &mut residual);
+            let frame = &mut encoded.chunks[0].frames[i];
+            frame.motion = motion;
+            crate::codec::encode_runs(&residual, &mut frame.payload);
+        }
         [
             SegmentData::Encoded(encoded),
             SegmentData::Raw(RawSegment { fidelity, frames }),

@@ -5,10 +5,10 @@
 //! decode, RAW bypass), a binary segment container, and the transcoder that
 //! converts ingestion-fidelity frames into arbitrary storage formats.
 //!
-//! The codec genuinely compresses the synthetic block planes (delta
-//! prediction + literal-run entropy coding), so compression ratios, GOP
-//! skipping and RAW bypass are
-//! real behaviours, not constants. Throughput numbers reported by
+//! The codec genuinely compresses the synthetic block planes
+//! (motion-compensated prediction + literal-run entropy coding), so
+//! compression ratios, GOP skipping and RAW bypass are real behaviours, not
+//! constants. Throughput numbers reported by
 //! experiments, however, come from the calibrated
 //! [`CodingCostModel`](vstore_sim::CodingCostModel) — see "Substitutions" in
 //! the repository README for the rationale.
@@ -22,16 +22,18 @@
 //!                                  │ per clip, into one reused plane
 //!                                  ▼
 //!                   plane (storage fidelity)
-//!                                  │ encode at once: delta against the
-//!                                  │ GOP's previous frame, then literal/
-//!                                  │ repeat runs; score the VSMETA entry
-//!                                  │ from the same deltas
+//!                                  │ encode at once: estimate the GOP's
+//!                                  │ previous frame's shift, code the
+//!                                  │ residual against it shifted, then
+//!                                  │ literal/repeat runs; score the VSMETA
+//!                                  │ entry from the unshifted distance
 //!                                  ▼       SegmentMeta ──▶ VSMETA sidecar
-//!                   SegmentData ──to_bytes──▶ VSSEG2 bytes (vstore-storage)
+//!                   SegmentData ──to_bytes──▶ VSSEG3 bytes (vstore-storage)
 //!                        │ decode_sampled          │ decode_bytes (in place)
 //!                        ▼                         ▼
-//!         expand runs (literals: one copy; repeats: splat or fill),
-//!         add the predecessor, emit the sampled frames
+//!         expand runs (a short run: one 16-byte store; longer ones: a
+//!         copy or 16-byte stores), add the shifted predecessor, emit the
+//!         sampled frames
 //!                                  ▼
 //!                   VideoFrame (storage fidelity, sampled)
 //!                                  │ convert_frames (by value)

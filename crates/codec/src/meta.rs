@@ -5,21 +5,22 @@
 //! skip fetching and decoding segments whose content is static enough that
 //! the first cascade stage would discard almost everything anyway. The
 //! scores come with the stored representation: the encoder scores each
-//! frame from the deltas (or keyframe samples) it codes the frame from, and
-//! a RAW segment is scored from its planes — so a sidecar costs no decode
-//! and no second pass over a payload, and the scores depend on the samples
-//! alone, never on how the payload codes them.
+//! frame from the samples it holds while coding it, and a RAW segment is
+//! scored from its planes — so a sidecar costs no decode and no second
+//! pass over a payload, and the scores depend on the samples alone, never
+//! on how the payload codes them (a delta frame's motion vector included).
 //!
 //! ## Scoring
 //!
 //! Every stored frame with a predecessor gets one score: the mean, over all
 //! block samples, of the *wrapped* byte distance `min(d, 256 - d)` between
-//! the frame and its predecessor. For delta frames the deltas already *are*
-//! `cur.wrapping_sub(prev)`, so the score falls straight out of the payload.
-//! The wrapped distance is a metric on `Z/256`, which gives the planner a
-//! triangle inequality: the change between two *sampled* frames several
-//! positions apart is bounded by the sum of the per-frame scores between
-//! them — that is exactly what [`SegmentMeta::max_sampled_change`] computes.
+//! the frame and its predecessor, unshifted: the plain delta
+//! `cur.wrapping_sub(prev)`, not the motion-compensated residual the
+//! payload codes. The wrapped distance is a metric on `Z/256`, which gives
+//! the planner a triangle inequality: the change between two *sampled*
+//! frames several positions apart is bounded by the sum of the per-frame
+//! scores between them — that is exactly what
+//! [`SegmentMeta::max_sampled_change`] computes.
 //!
 //! The skip decision built on these scores is deliberately approximate (the
 //! wrapped distance lower-bounds the plain absolute difference, and the
@@ -41,7 +42,7 @@
 
 use crate::frame::{sampling_selects, VideoFrame};
 use crate::wire::{crc32, ByteReader, ByteWriter};
-use vstore_datasets::{wrapped_distance, wrapped_magnitude};
+use vstore_datasets::wrapped_distance;
 use vstore_types::{cast, FrameSampling, Result, VStoreError};
 
 /// Magic bytes prefixing every serialised sidecar.
@@ -68,20 +69,6 @@ pub(crate) fn mean_wrapped_distance(cur: &[u8], prev: &[u8]) -> f32 {
         return INCOMPARABLE_SCORE;
     }
     (wrapped_distance(cur, prev) as f64 / cur.len() as f64) as f32
-}
-
-/// Mean wrapped magnitude of a delta payload (`cur.wrapping_sub(prev)` per
-/// sample), which equals the wrapped distance between the two frames; the
-/// sum is the blocked [`wrapped_magnitude`].
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "a mean byte distance (<= 128) rounded to the f32 precision VSMETA stores"
-)]
-pub(crate) fn mean_delta_magnitude(deltas: &[u8]) -> f32 {
-    if deltas.is_empty() {
-        return 0.0;
-    }
-    (wrapped_magnitude(deltas) as f64 / deltas.len() as f64) as f32
 }
 
 /// Per-segment change metadata, computed at ingest from the stored
@@ -230,7 +217,7 @@ impl SegmentMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_segment, expand_runs};
+    use crate::codec::{decode_segment, encode_segment};
     use crate::container::{RawSegment, SegmentData};
     use crate::frame::materialize_clip;
     use crate::transcode::Transcoder;
@@ -238,66 +225,13 @@ mod tests {
     impl SegmentMeta {
         /// The sidecar of a stored segment as it was computed before the
         /// encoder scored frames itself, kept as the reference: an encoded
-        /// segment's payloads are expanded again (literal-run expansion
-        /// only, no frame materialisation); RAW segments are scored from
-        /// their sample planes.
+        /// segment is decoded in full and its reconstructed frames are
+        /// scored against each other as RAW frames are; RAW segments are
+        /// scored from their sample planes.
         pub(crate) fn from_segment(segment: &SegmentData) -> Result<SegmentMeta> {
             match segment {
                 SegmentData::Raw(raw) => Ok(SegmentMeta::from_frames(&raw.frames)),
-                SegmentData::Encoded(seg) => {
-                    let mut entries = Vec::new();
-                    // The reconstructed predecessor (of every frame but the
-                    // first) and the expansion of the frame being scored,
-                    // both reused across the segment.
-                    let mut prev: Vec<u8> = Vec::new();
-                    let mut scratch = Vec::new();
-                    let mut frame_count = 0u64;
-                    let mut first_index = 0u64;
-                    for frame in seg.chunks.iter().flat_map(|chunk| &chunk.frames) {
-                        let len = frame.record().sample_count()?;
-                        expand_runs(&frame.payload, len, &mut scratch)?;
-                        let samples = &scratch[..len];
-                        let has_predecessor = frame_count > 0;
-                        if !has_predecessor {
-                            first_index = frame.source_index;
-                        }
-                        frame_count += 1;
-                        if frame.is_key {
-                            // A keyframe stores raw samples; score it against
-                            // the reconstructed predecessor (if any).
-                            if has_predecessor {
-                                entries.push((
-                                    frame.source_index,
-                                    mean_wrapped_distance(samples, &prev),
-                                ));
-                            }
-                            prev.clear();
-                            prev.extend_from_slice(samples);
-                        } else {
-                            // A delta frame stores the wrapped differences —
-                            // its score is the payload's own mean magnitude.
-                            if !has_predecessor {
-                                return Err(VStoreError::corruption(
-                                    "delta frame without a predecessor",
-                                ));
-                            }
-                            if prev.len() != len {
-                                return Err(VStoreError::corruption(
-                                    "predecessor dimensions mismatch",
-                                ));
-                            }
-                            entries.push((frame.source_index, mean_delta_magnitude(samples)));
-                            for (p, &d) in prev.iter_mut().zip(samples) {
-                                *p = p.wrapping_add(d);
-                            }
-                        }
-                    }
-                    Ok(SegmentMeta {
-                        frame_count,
-                        first_index,
-                        entries,
-                    })
-                }
+                SegmentData::Encoded(seg) => Ok(SegmentMeta::from_frames(&decode_segment(seg)?)),
             }
         }
     }
@@ -355,14 +289,16 @@ mod tests {
         assert!(SegmentMeta::from_bytes(&padded).is_err());
     }
 
-    /// The sidecar is scored from expanded samples, so the payload coding
-    /// cannot move a byte of it. Pinned: Jackson segment 0 in each of query
-    /// A's three storage formats (what configuring a store for
-    /// `QuerySpec::query_a(0.8)` derives), as length and trailing CRC-32,
+    /// The sidecar is scored from the frames' samples, so neither the
+    /// payload coding nor the motion vectors can move a byte of it.
+    /// Pinned: Jackson segment 0 in each of query A's three storage formats
+    /// (what configuring a store for `QuerySpec::query_a(0.8)` derives), as
+    /// length and trailing CRC-32,
     /// printed by the pair-coded (`VSSEG1`) build through
     /// `Transcoder::transcode_segment` → `from_segment` → `to_bytes`; the
-    /// sidecar the transcoder now scores itself serialises to the same
-    /// bytes.
+    /// sidecar the transcoder now scores itself, and the one scored from
+    /// the reconstructed frames of the motion-compensated (`VSSEG3`)
+    /// payload, serialise to the same bytes.
     #[test]
     fn query_a_sidecars_keep_the_bytes_of_the_pair_coded_format() {
         let format = |quality, crop, sampling, coding| {

@@ -57,7 +57,7 @@ pub mod scene;
 pub mod source;
 
 pub use live::{LiveSource, LoadProfile};
-pub use plane::{sad, wrapped_distance, wrapped_magnitude, BlockPlane, PlaneKernel};
+pub use plane::{sad, wrapped_distance, BlockPlane, PlaneKernel};
 pub use profile::{Dataset, DatasetProfile};
 pub use scene::{BoundingBox, ObjectClass, ObjectColor, PlateText, SceneFrame, SceneObject};
 pub use source::{

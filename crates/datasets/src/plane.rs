@@ -8,9 +8,9 @@
 //!
 //! ## Byte-distance kernels
 //!
-//! [`sad`], [`wrapped_distance`] and [`wrapped_magnitude`] are the one home
-//! of the per-sample byte reductions: the Diff, Opflow and Contour operators
-//! and the codec's `VSMETA` scores all sum through them. u8 reductions run
+//! [`sad`] and [`wrapped_distance`] are the one home of the per-sample
+//! byte reductions: the Diff, Opflow and Contour operators, the codec's
+//! motion search and its `VSMETA` scores all sum through them. u8 reductions run
 //! in fixed blocks with a narrow block sum, so they vectorise without
 //! `std::arch` or `unsafe`: each 16-sample block sums into a `u32`
 //! (at most 16 × 255) that widens into the `u64` total once per block,
@@ -188,12 +188,6 @@ pub fn wrapped_distance(a: &[u8], b: &[u8]) -> u64 {
     pair_sum(a, b, |x, y| wrapped(x.wrapping_sub(y)))
 }
 
-/// [`wrapped_distance`] of a delta payload: `Σ min(d, 256 - d)` over
-/// `deltas`, each `cur.wrapping_sub(prev)` of one sample.
-pub fn wrapped_magnitude(deltas: &[u8]) -> u64 {
-    pair_sum(deltas, deltas, |d, _| wrapped(d))
-}
-
 /// Fidelity degradation of a plane in one pass: keep a centred crop
 /// window, box-resize it to the output size (averaging down, nearest
 /// neighbour up) and quantise every sample through a 256-entry table.
@@ -333,9 +327,7 @@ fn spans(len: u32, crop: f64, out: u32) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{
-        scalar_gradient_energy, scalar_sad, scalar_wrapped_distance, scalar_wrapped_magnitude,
-    };
+    use crate::reference::{scalar_gradient_energy, scalar_sad, scalar_wrapped_distance};
     use vstore_types::{CropFactor, ImageQuality};
 
     fn gradient_plane(w: u32, h: u32) -> BlockPlane {
@@ -486,19 +478,12 @@ mod tests {
             scalar_wrapped_distance(b, a),
             "wrapped distance reversed, {len} samples"
         );
-        for deltas in [a, b] {
-            assert_eq!(
-                wrapped_magnitude(deltas),
-                scalar_wrapped_magnitude(deltas),
-                "wrapped magnitude, {len} samples"
-            );
-        }
     }
 
     /// Every length across a few blocks and a 720p plane's, on noise, on
-    /// the extremes that fill a block sum (all 0 against all 255, and the
-    /// 128s whose wrapped magnitude is largest), and on sub-slices that
-    /// start off any block boundary.
+    /// the extremes that fill a block sum (all 0 against all 255, and 128s
+    /// against 0s, whose wrapped distance is largest), and on sub-slices
+    /// that start off any block boundary.
     #[test]
     fn blocked_kernels_equal_their_scalar_references() {
         let lengths = (0..=70).chain([14_400]);
@@ -509,7 +494,7 @@ mod tests {
             assert_kernels_match(&vec![128; len], &vec![0; len]);
         }
         assert_eq!(sad(&[0; 14_400], &[255; 14_400]), 14_400 * 255);
-        assert_eq!(wrapped_magnitude(&[128; 14_400]), 14_400 * 128);
+        assert_eq!(wrapped_distance(&[128; 14_400], &[0; 14_400]), 14_400 * 128);
         assert_eq!(wrapped_distance(&[1; 16], &[255; 16]), 16 * 2);
         let (a, b) = (noise(7, 14_400 + 40), noise(8, 14_400 + 40));
         for start in 0..=17 {

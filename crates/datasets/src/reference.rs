@@ -25,14 +25,6 @@ pub fn scalar_wrapped_distance(a: &[u8], b: &[u8]) -> u64 {
         .sum()
 }
 
-/// `wrapped_magnitude`, one sample at a time.
-pub fn scalar_wrapped_magnitude(deltas: &[u8]) -> u64 {
-    deltas
-        .iter()
-        .map(|&d| u64::from(d.min(0u8.wrapping_sub(d))))
-        .sum()
-}
-
 /// `BlockPlane::gradient_energy` as it read each sample through `get`.
 pub fn scalar_gradient_energy(plane: &BlockPlane) -> f64 {
     let (width, height) = (plane.width(), plane.height());

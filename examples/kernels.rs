@@ -2,27 +2,31 @@
 //! background fill, the rasteriser and the whole 240-frame render), what
 //! each byte kernel costs per sample on it, beside the reference each is
 //! held to, and what each stage of transcoding that segment costs at
-//! Query A's storage formats — a per-stage table in the style Scanner
-//! keeps for its operators. It prints; it has no timing gate.
+//! Query A's storage formats (for the coded golden format: the motion
+//! estimate, the residual, its runs, the scores, and decoding it back) — a
+//! per-stage table in the style Scanner keeps for its operators. It
+//! prints; it has no timing gate.
 //!
 //! ```sh
 //! cargo run --release --example kernels
 //! ```
 //!
-//! The scalar references are the per-sample forms the blocked kernels and
-//! the word-at-a-time run coder replaced, and the scene's are the
-//! per-frame background fill and the per-pixel rasteriser the renderer
-//! replaced. The crates' unit tests hold each kernel to its reference bit
-//! for bit; all but the fill are the crates' own `reference.rs` files,
-//! included here through `#[path]`.
+//! The scalar references are the per-sample forms the blocked kernels, the
+//! motion kernels and the word-at-a-time run coder are held to, and the
+//! scene's are the per-frame background fill and the per-pixel rasteriser
+//! the renderer replaced. The crates' unit tests hold each kernel to its
+//! reference bit for bit; all but the fill are the crates' own
+//! `reference.rs` files, included here through `#[path]`.
 
 use std::hint::black_box;
 use std::time::Instant;
-use vstore::codec::codec::encode_runs;
+use vstore::codec::codec::{
+    decode_segment, encode_runs, encode_segment, estimate_motion, motion_residual,
+};
 use vstore::codec::frame::materialize_clip;
 use vstore::datasets::{
-    rasterise, sad, wrapped_distance, wrapped_magnitude, BlockPlane, Dataset, DatasetProfile,
-    SceneFrame, SceneObject, VideoSource, SEGMENT_FRAMES,
+    rasterise, sad, wrapped_distance, BlockPlane, Dataset, DatasetProfile, SceneFrame, SceneObject,
+    VideoSource, SEGMENT_FRAMES,
 };
 use vstore::types::{CodingOption, DeterministicHasher};
 use vstore::{BackendOptions, QuerySpec, VStore, VStoreOptions};
@@ -32,10 +36,12 @@ mod codec_reference;
 #[path = "../crates/datasets/src/reference.rs"]
 mod datasets_reference;
 
-use codec_reference::scalar_encode_runs;
+use codec_reference::{
+    scalar_encode_runs, scalar_expand_runs, scalar_motion_vector, scalar_reconstruct,
+    scalar_residual,
+};
 use datasets_reference::{
     per_pixel_rasterise, scalar_gradient_energy, scalar_sad, scalar_wrapped_distance,
-    scalar_wrapped_magnitude,
 };
 
 /// Timed rounds per row; the median is reported.
@@ -164,7 +170,7 @@ fn row(stage: &str, samples: usize, blocked: impl FnMut(), scalar: Option<&mut d
     let per = |ns: f64| format!("{:.3}", ns / samples as f64);
     let us = |ns: f64| format!("{:.1}", ns / 1e3);
     println!(
-        "{stage:<30} {samples:>8} {:>9} {:>9} {:>8} {:>9} {:>9}",
+        "{stage:<34} {samples:>8} {:>9} {:>9} {:>8} {:>9} {:>9}",
         per(blocked),
         scalar.map_or("-".into(), per),
         scalar.map_or("-".into(), |s| format!("{:.1}x", s / blocked)),
@@ -193,15 +199,16 @@ fn coder_row(stage: &str, inputs: &[&[u8]]) {
     );
 }
 
-/// The deltas of each frame against the one before it.
-fn deltas(planes: &[&[u8]]) -> Vec<Vec<u8>> {
+/// The residual of each `width`-sample-wide frame against the one before
+/// it, under the vector the encoder picks.
+fn residuals(planes: &[&[u8]], width: usize) -> Vec<Vec<u8>> {
     planes
         .windows(2)
         .map(|w| {
-            w[1].iter()
-                .zip(w[0])
-                .map(|(&c, &p)| c.wrapping_sub(p))
-                .collect()
+            let mut residual = Vec::new();
+            let motion = estimate_motion(w[1], w[0], width);
+            motion_residual(w[1], w[0], width, motion, &mut residual);
+            residual
         })
         .collect()
 }
@@ -230,13 +237,13 @@ fn main() -> vstore::Result<()> {
         w * h
     );
     println!(
-        "{:<30} {:>8} {:>9} {:>9} {:>8} {:>9} {:>9}",
+        "{:<34} {:>8} {:>9} {:>9} {:>8} {:>9} {:>9}",
         "stage", "samples", "ns/sample", "reference", "speedup", "us", "ref us"
     );
     let scenes = scene_rows(&VideoSource::new(Dataset::Jackson));
     let planes: Vec<&[u8]> = scenes.iter().map(|s| s.plane.samples()).collect();
-    let scene_deltas = deltas(&planes);
-    let scene_deltas: Vec<&[u8]> = scene_deltas.iter().map(Vec::as_slice).collect();
+    let scene_residuals = residuals(&planes, w as usize);
+    let scene_residuals: Vec<&[u8]> = scene_residuals.iter().map(Vec::as_slice).collect();
     pair_row("sad (Diff, Opflow)", &planes, sad, scalar_sad);
     let all_samples = planes.iter().map(|p| p.len()).sum();
     row(
@@ -260,30 +267,19 @@ fn main() -> vstore::Result<()> {
         }),
     );
     pair_row(
-        "wrapped distance (key)",
+        "wrapped distance (VSMETA)",
         &planes,
         wrapped_distance,
         scalar_wrapped_distance,
     );
-    let magnitudes = |f: fn(&[u8]) -> u64| {
-        let inputs = &scene_deltas;
-        move || {
-            black_box(inputs.iter().map(|d| f(d)).sum::<u64>());
-        }
-    };
-    let delta_samples = scene_deltas.iter().map(|d| d.len()).sum();
-    row(
-        "wrapped magnitude (delta)",
-        delta_samples,
-        magnitudes(wrapped_magnitude),
-        Some(&mut magnitudes(scalar_wrapped_magnitude)),
-    );
     coder_row("run coder (samples)", &planes);
-    coder_row("run coder (deltas)", &scene_deltas);
+    coder_row("run coder (residuals)", &scene_residuals);
 
     // The stages of transcoding the segment into each of Query A's storage
-    // formats: materialise, then for a coded format the deltas within each
-    // GOP, their runs and their scores, for a RAW one the scores alone.
+    // formats: materialise, then for a coded format the motion estimate
+    // and the residual of each delta frame, the runs of keyframes and
+    // residuals, the scores and the decode back; for a RAW one the scores
+    // alone.
     let store = VStore::open(
         "kernels",
         VStoreOptions::fast().with_backend(BackendOptions::Mem),
@@ -304,7 +300,8 @@ fn main() -> vstore::Result<()> {
             None,
         );
         let CodingOption::Encoded {
-            keyframe_interval, ..
+            keyframe_interval,
+            speed,
         } = format.coding
         else {
             pair_row(
@@ -316,53 +313,104 @@ fn main() -> vstore::Result<()> {
             continue;
         };
         let gop = keyframe_interval.frames() as usize;
+        let width = frames[0].plane.width() as usize;
+        // Each delta frame with its predecessor, as the encoder pairs them.
+        let pairs: Vec<(&[u8], &[u8])> = planes
+            .chunks(gop)
+            .flat_map(|group| group.windows(2))
+            .map(|pair| (pair[1], pair[0]))
+            .collect();
+        let delta_samples = pairs.iter().map(|(cur, _)| cur.len()).sum();
+        let vectors: Vec<_> = pairs
+            .iter()
+            .map(|&(cur, prev)| estimate_motion(cur, prev, width))
+            .collect();
+        assert!(
+            pairs.iter().zip(&vectors).all(|(&(cur, prev), v)| {
+                (v.dx, v.dy) == scalar_motion_vector(cur, prev, width)
+            }),
+            "motion estimates differ"
+        );
+        row(
+            &name("motion estimate"),
+            delta_samples,
+            || {
+                for &(cur, prev) in &pairs {
+                    black_box(estimate_motion(cur, prev, width));
+                }
+            },
+            Some(&mut || {
+                for &(cur, prev) in &pairs {
+                    black_box(scalar_motion_vector(cur, prev, width));
+                }
+            }),
+        );
         // Into one reused buffer, as the encoder takes them.
         let mut buffer = Vec::new();
         row(
-            &name("deltas"),
-            samples,
+            &name("residual"),
+            delta_samples,
             || {
-                for pair in planes.chunks(gop).flat_map(|group| group.windows(2)) {
-                    buffer.clear();
-                    buffer.extend(
-                        pair[1]
-                            .iter()
-                            .zip(pair[0])
-                            .map(|(&c, &p)| c.wrapping_sub(p)),
-                    );
+                for (&(cur, prev), &motion) in pairs.iter().zip(&vectors) {
+                    motion_residual(cur, prev, width, motion, &mut buffer);
                     black_box(&buffer);
                 }
             },
-            None,
+            Some(&mut || {
+                for (&(cur, prev), motion) in pairs.iter().zip(&vectors) {
+                    black_box(scalar_residual(cur, prev, width, (motion.dx, motion.dy)));
+                }
+            }),
         );
-        // Each GOP's keyframe samples and its frames' deltas, as coded.
-        let gop_deltas: Vec<Vec<Vec<u8>>> = planes.chunks(gop).map(deltas).collect();
+        // Each GOP's keyframe samples and its frames' residuals, as coded.
+        let gop_residuals: Vec<Vec<Vec<u8>>> = planes
+            .chunks(gop)
+            .map(|group| residuals(group, width))
+            .collect();
         let coded: Vec<&[u8]> = planes
             .chunks(gop)
-            .zip(&gop_deltas)
-            .flat_map(|(group, deltas)| {
-                std::iter::once(group[0]).chain(deltas.iter().map(Vec::as_slice))
+            .zip(&gop_residuals)
+            .flat_map(|(group, residuals)| {
+                std::iter::once(group[0]).chain(residuals.iter().map(Vec::as_slice))
             })
             .collect();
         coder_row(&name("runs"), &coded);
-        let delta_slices: Vec<&[u8]> = gop_deltas.iter().flatten().map(Vec::as_slice).collect();
-        let keys: Vec<&[u8]> = planes.iter().step_by(gop).copied().collect();
-        let scores = |distance: fn(&[u8], &[u8]) -> u64, magnitude: fn(&[u8]) -> u64| {
-            let (keys, delta_slices) = (&keys, &delta_slices);
-            move || {
-                let key: u64 = keys.windows(2).map(|w| distance(w[1], w[0])).sum();
-                let delta: u64 = delta_slices.iter().map(|d| magnitude(d)).sum();
-                black_box(key + delta);
-            }
-        };
-        row(
+        pair_row(
             &name("scores"),
-            samples - keys[0].len(),
-            scores(wrapped_distance, wrapped_magnitude),
-            Some(&mut scores(
-                scalar_wrapped_distance,
-                scalar_wrapped_magnitude,
-            )),
+            &planes,
+            wrapped_distance,
+            scalar_wrapped_distance,
+        );
+        // Decoding the whole segment back, against expanding each payload
+        // and rebuilding each frame one sample at a time.
+        let segment = encode_segment(&frames, keyframe_interval, speed)?;
+        let mut payloads = Vec::new();
+        for chunk in &segment.chunks {
+            for frame in &chunk.frames {
+                let mut runs = Vec::new();
+                scalar_encode_runs(coded[payloads.len()], &mut runs);
+                assert_eq!(frame.payload, runs, "payloads differ");
+                payloads.push((frame.is_key, frame.motion, &frame.payload));
+            }
+        }
+        row(
+            &name("decode (expand + reconstruct)"),
+            samples,
+            || {
+                black_box(decode_segment(&segment).expect("decodes"));
+            },
+            Some(&mut || {
+                let mut prev: Vec<u8> = Vec::new();
+                for &(is_key, motion, payload) in &payloads {
+                    let expanded = scalar_expand_runs(payload);
+                    prev = if is_key {
+                        expanded
+                    } else {
+                        scalar_reconstruct(&expanded, &prev, width, (motion.dx, motion.dy))
+                    };
+                    black_box(&prev);
+                }
+            }),
         );
     }
     Ok(())

@@ -1,13 +1,19 @@
 //! What configuration derivation and queries output, pinned: the CRC-32 of
 //! the `Debug` of the configurations derived for queries A and B at
 //! accuracy 0.8 and 0.9 on the fast options, and of the timing-free fields
-//! of their results over a fixed in-memory store. Any change to a
-//! configuration knob, an operator model, an operator threshold or the
-//! search that moves one derived format or one positive fails here.
+//! of their results over a fixed in-memory store, and of the per-frame
+//! positives of the Diff stage. Any change to a configuration knob, an
+//! operator model, an operator threshold or the search that moves one
+//! derived format or one positive fails here.
 
+use std::sync::Arc;
 use vstore::{BackendOptions, IngestRequest, QueryRequest, QuerySpec, VStore, VStoreOptions};
+use vstore_codec::Transcoder;
 use vstore_datasets::{Dataset, VideoSource};
-use vstore_types::crc32;
+use vstore_ingest::IngestionPipeline;
+use vstore_ops::{ops::DiffOperator, Operator};
+use vstore_storage::{SegmentKey, SegmentReader, SegmentStore};
+use vstore_types::{crc32, OperatorKind};
 
 /// `(query, accuracy, crc32 of the derived configuration's Debug)`.
 const PINNED: [(&str, f64, u32); 4] = [
@@ -85,4 +91,44 @@ fn query_results_are_pinned() {
         })
         .collect();
     assert_eq!(results, PINNED_RESULTS, "{results:#x?}");
+}
+
+/// CRC-32 of the `(source index, positive)` of every frame `DiffOperator`
+/// gives on the Diff consumer's views of Jackson segments 0–2 under query
+/// A's configuration (accuracy 0.8), each segment one clip as the query
+/// engine runs it. Frames of those segments lie on both sides of the
+/// default threshold 1.5, within 0.5 of it, so a threshold of 1.0 or 2.0
+/// moves a positive.
+const PINNED_DIFF: u32 = 0x5d79_6917;
+
+#[test]
+fn diff_positives_are_pinned() {
+    let facade = VStore::open(
+        "unused",
+        VStoreOptions::fast().with_backend(BackendOptions::Mem),
+    )
+    .unwrap();
+    let config = facade
+        .configure(&QuerySpec::query_a(0.8).consumers())
+        .unwrap();
+    let diff = config
+        .subscriptions
+        .iter()
+        .find(|s| s.consumer.op == OperatorKind::Diff)
+        .unwrap();
+    let store = Arc::new(SegmentStore::open_mem_with_shards(1).unwrap());
+    let reader = Arc::new(SegmentReader::disabled(Arc::clone(&store)));
+    let pipeline = IngestionPipeline::new(Arc::clone(&reader), Transcoder::default());
+    let source = VideoSource::new(Dataset::Jackson);
+    let mut positives = Vec::new();
+    for segment in 0..3 {
+        pipeline.ingest_segment(&source, segment, &config).unwrap();
+        let key = SegmentKey::new(Dataset::Jackson.name(), diff.storage, segment);
+        let view = reader.get_view(&key, &diff.consumption).unwrap().unwrap();
+        let output = DiffOperator::new().run(&view.segment.frames);
+        positives.extend(output.frames.iter().map(|f| (f.source_index, f.positive)));
+    }
+    assert_eq!(positives.len(), 720, "{} frames", positives.len());
+    let crc = crc32(format!("{positives:?}").as_bytes());
+    assert_eq!(crc, PINNED_DIFF, "{crc:#x}");
 }

@@ -22,9 +22,9 @@ type Pinned = (u32, u64, Digest, Digest);
 
 /// Jackson in every storage format of query A's configuration.
 const PINNED: [Pinned; 9] = [
-    (0, 0, (1_449_975, 0xf966_23cf), (1_323, 0x4a17_671f)),
-    (0, 3, (1_437_901, 0x4d7f_4ac3), (1_451, 0x40b2_a770)),
-    (0, 31, (1_451_293, 0xc704_8459), (1_451, 0xe40f_6152)),
+    (0, 0, (344_483, 0x2525_1274), (1_323, 0x4a17_671f)),
+    (0, 3, (318_834, 0xc999_c4d3), (1_451, 0x40b2_a770)),
+    (0, 31, (360_599, 0x7e6b_0df5), (1_451, 0xe40f_6152)),
     (1, 0, (310_383, 0xd932_e59a), (1_323, 0xe7fa_6994)),
     (1, 3, (300_277, 0x197b_9a9c), (1_451, 0xd483_7be6)),
     (1, 31, (316_209, 0x6570_f26a), (1_451, 0x00b7_f0d4)),
@@ -35,16 +35,16 @@ const PINNED: [Pinned; 9] = [
 
 /// Dashcam in the golden format.
 const PINNED_DASHCAM: [Pinned; 3] = [
-    (0, 0, (2_616_139, 0x8a42_e4af), (1_323, 0x68e5_7c89)),
-    (0, 3, (2_613_047, 0xea31_9cbb), (1_451, 0xe2d3_63f6)),
-    (0, 31, (2_604_094, 0x9b72_de93), (1_451, 0x0216_946f)),
+    (0, 0, (761_266, 0xa2f7_8768), (1_323, 0x68e5_7c89)),
+    (0, 3, (735_381, 0x32e2_d502), (1_451, 0xe2d3_63f6)),
+    (0, 31, (747_859, 0x8767_2b51), (1_451, 0x0216_946f)),
 ];
 
 /// Park in the golden format.
 const PINNED_PARK: [Pinned; 3] = [
-    (0, 0, (608_096, 0xf20e_15a3), (1_323, 0xf6cf_5316)),
-    (0, 3, (597_093, 0xf0c0_615c), (1_451, 0x5bd1_51ee)),
-    (0, 31, (622_937, 0x8172_52ec), (1_451, 0xc974_8e89)),
+    (0, 0, (154_820, 0x7afe_4862), (1_323, 0xf6cf_5316)),
+    (0, 3, (156_391, 0xfdaf_d5d3), (1_451, 0x5bd1_51ee)),
+    (0, 31, (195_383, 0x6b02_1247), (1_451, 0xc974_8e89)),
 ];
 
 const SEGMENTS: [u64; 3] = [0, 3, 31];
